@@ -49,12 +49,18 @@ class DeformParams:
         q = complex(self.q)
         if self.algebra not in ALGEBRAS:
             raise QybeError(f"unknown algebra tag {self.algebra!r}")
+        if not (np.isfinite(q) and np.isfinite(complex(self.a))):
+            raise QybeError(f"q and a must be finite, got q={q}, a={self.a}")
         if abs(q) < 1e-9 or abs(self.a) < 1e-12:
             raise DegenerateParameterError("q and a must be nonzero")
         if abs(q - 1.0) < 1e-6 or abs(q + 1.0) < 1e-6:
             raise DegenerateParameterError("q too close to +-1")
         for k in range(1, 2 * self.r_max + 1):
-            if abs(q ** k - 1.0) < 1e-6:
+            try:
+                qk = q ** k
+            except OverflowError:
+                raise QybeError(f"|q| = {abs(q):g} is out of range: q**{k} overflows") from None
+            if abs(qk - 1.0) < 1e-6:
                 raise DegenerateParameterError(f"q is (near) a root of unity of order {k}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "a", complex(self.a))

@@ -325,46 +325,54 @@ def graded_permutation(rep1, rep2):
     """Swap operator P: V1 (x) V2 -> V2 (x) V1 with the Koszul sign
     (-1)^(p_a p_b); P^2 = 1 exactly on matching factors."""
     p1, p2 = rep1.parities, rep2.parities
-    d1, d2 = len(p1), len(p2)
-    out = np.zeros((d1 * d2, d1 * d2))
-    for a in range(d1):
-        for b in range(d2):
-            out[b * d1 + a, a * d2 + b] = (-1.0) ** (p1[a] * p2[b])
+    out = perm_matrix([1, 0], [len(p1), len(p2)], [p1, p2])
     dom = Space.single(p1).tensor(Space.single(p2))
     cod = Space.single(p2).tensor(Space.single(p1))
     return GradedOperator(out, dom, cod, label="P")
 
 
+def _signed_perm(sigma, dims, parities):
+    """The signed permutation taking target slot t to source slot sigma[t],
+    as (target flat index, +-1 Koszul sign) of every source basis state in
+    flat order.  The sign counts the odd pairs whose order sigma inverts."""
+    n = len(dims)
+    src = np.indices(dims).reshape(n, -1)
+    par = [np.asarray(parities[k], dtype=int)[src[k]] for k in range(n)]
+    odd = np.zeros(src.shape[1], dtype=int)
+    for t1 in range(n):
+        for t2 in range(t1 + 1, n):
+            if sigma[t1] > sigma[t2]:
+                odd += par[sigma[t1]] * par[sigma[t2]]
+    tgt = np.ravel_multi_index([src[k] for k in sigma], [dims[k] for k in sigma])
+    return tgt, (-1.0) ** odd
+
+
 def perm_matrix(sigma, dims, parities):
     """Signed permutation matrix on a product of factors: target slot t holds
     source slot sigma[t]; Koszul sign counts inverted odd pairs."""
-    n = len(dims)
-    tdims = [dims[s] for s in sigma]
-    N = int(np.prod(dims))
-    out = np.zeros((N, N))
-    pars = [np.asarray(p) for p in parities]
-    for src in np.ndindex(*dims):
-        s = 0
-        for t1 in range(n):
-            for t2 in range(t1 + 1, n):
-                if sigma[t1] > sigma[t2]:
-                    s += pars[sigma[t1]][src[sigma[t1]]] * pars[sigma[t2]][src[sigma[t2]]]
-        tgt = tuple(src[sigma[t]] for t in range(n))
-        out[np.ravel_multi_index(tgt, tdims), np.ravel_multi_index(src, dims)] = (-1.0) ** s
+    tgt, sign = _signed_perm(sigma, dims, parities)
+    out = np.zeros((len(tgt), len(tgt)))
+    out[tgt, np.arange(len(tgt))] = sign
     return out
 
 
 def embed_at(op, pos, dims, parities):
     """Embed an operator acting on the ordered factor pair/tuple pos into the
-    full product, moving factors with graded permutations."""
-    n = len(dims)
+    full product, moving factors with graded permutations.
+
+    With P the signed permutation bringing pos to the front, this is
+    P^T (op (x) 1) P; only its nonzero entries are written, each one a
+    Koszul-signed entry of op."""
+    op = np.asarray(op)
     pos = tuple(pos)
-    rest = [k for k in range(n) if k not in pos]
-    sigma = list(pos) + rest
-    P = perm_matrix(sigma, dims, parities)
-    drest = int(np.prod([dims[k] for k in rest])) if rest else 1
-    full = np.kron(op, np.eye(drest))
-    return P.T @ full @ P
+    rest = [k for k in range(len(dims)) if k not in pos]
+    tgt, sign = _signed_perm(list(pos) + rest, dims, parities)
+    # src[i, j]: the source state sent to op index i and rest index j
+    src = np.argsort(tgt).reshape(int(np.prod([dims[k] for k in pos])), -1)
+    s = sign[src]
+    out = np.zeros((len(tgt), len(tgt)), dtype=np.result_type(op, float))
+    out[src[:, None, :], src[None, :, :]] = (s[:, None, :] * s[None, :, :]) * op[:, :, None]
+    return out
 
 
 def casimir_matrix(algebra, rep_like, q):

@@ -2,11 +2,13 @@
 Hamiltonian in projector form, coupled-basis matrix elements and desk-scale
 spectra.
 
-Transfer matrices are contracted along the auxiliary bond site by site, so a
-512-dimensional three-site chain costs tensor contractions instead of
-products of 4096-dimensional matrices.  The auxiliary trace carries parity
-signs when the auxiliary space holds odd states; for an all-even site space
-it is the plain partial trace.
+Transfer matrices of graded and ungraded chains share one contraction: the
+monodromy is built along the auxiliary bond by tensor contractions, with the
+Koszul signs of an even R reduced to sign vectors, and the auxiliary trace is
+taken inside the last contraction.  A 512-dimensional three-site chain thus
+costs tensor contractions instead of products of 4096-dimensional matrices,
+for sl_q(2) and osp_q(1|2) alike.  The dense Hamiltonians and spectra keep
+chains within 4096 dimensions (the desk bound).
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,8 @@ class ChainSpec:
             self.parities = tuple(0 for _ in range(self.site_dim))
         if self.aux_parities is None:
             self.aux_parities = self.parities
+        if self.n_sites < 1:
+            raise QybeError(f"a chain needs at least one site, got {self.n_sites}")
         if self.site_dim ** self.n_sites > 4096:
             raise QybeError("chain dimension exceeds the desk bound")
 
@@ -47,42 +51,36 @@ def transfer_matrix(spec, fam, u):
     """tau(u): graded partial trace over the auxiliary space of the ordered
     product of non-check R-matrices along the chain.
 
-    All-even chains contract along the auxiliary bond tensor by tensor; a
-    graded chain embeds each crossing with its Koszul signs and multiplies
-    dense operators, which limits the graded path to the desk bound."""
+    The monodromy is contracted along the auxiliary bond one site at a time,
+    and the last contraction sums the bond and the traced auxiliary index
+    together, so the full aux (x) chain monodromy is never formed.  R is
+    even, so the Koszul signs of the graded product reduce to a factor
+    (-1)^(p(a_in) p(s_in)) on each crossing and a closing weight on the
+    traced index a: (-1)^p(a) on even-parity columns, 1 on odd ones.  The
+    last crossing's own factor cancels against its share of that weight."""
     R = fam.noncheck(u).matrix if isinstance(fam, SpectralRMatrix) else np.asarray(fam)
     da = len(spec.aux_parities)
     ds = spec.site_dim
     N = spec.n_sites
     if R.shape != (da * ds, da * ds):
         raise QybeError("R does not act on aux (x) site")
-    graded = any(spec.aux_parities) or any(spec.parities)
-    d = ds ** N
+    pa = np.asarray(spec.aux_parities)
+    R4 = R.reshape(da, ds, da, ds)  # (a_out, s_out, a_in, s_in)
+    W = R4 * (-1.0) ** np.outer(pa, spec.parities)[None, None]
+    T = np.eye(da, dtype=complex)[:, None, :, None]  # (a, s_out, b, s_in), no sites yet
+    for _ in range(N - 1):
+        d = T.shape[1]
+        T = np.tensordot(T, W, axes=([2], [0]))  # (a, so, si, s_out, b, s_in)
+        T = T.transpose(0, 1, 3, 4, 2, 5).reshape(da, d * ds, da, d * ds)
+    # closing weight of the traced index a (= a_0 = a_N) against the column
+    # parity of the first N-1 sites; the last crossing then goes unsigned
+    d = T.shape[1]
+    cols = Space(tuple([ds] * (N - 1)), tuple([spec.parities] * (N - 1))).flat_parities()
+    T = T * (-1.0) ** np.outer(pa, 1 + cols)[:, None, None, :]
+    tau = np.tensordot(T, R4, axes=([0, 2], [2, 0]))  # (so, si, s_out, s_in)
+    tau = tau.transpose(0, 2, 1, 3).reshape(d * ds, d * ds)
     sp = Space(tuple([ds] * N), tuple([spec.parities] * N))
-    sgn = (-1.0) ** np.asarray(spec.aux_parities)
-    if graded:
-        dims = [da] + [ds] * N
-        pars = [spec.aux_parities] + [spec.parities] * N
-        T = np.eye(da * d, dtype=complex)
-        for i in range(1, N + 1):
-            T = T @ embed_at(R, (0, i), dims, pars)
-        T = T.reshape(da, d, da, d)
-        tau = np.einsum("a,aiaj->ij", sgn, T)
-        return GradedOperator(tau, sp, sp, label=f"tau({u})")
-    W = R.reshape(da, ds, da, ds)  # (a_out, s_out, a_in, s_in)
-    T = W
-    for step in range(N - 1):
-        k = step + 1  # site pairs accumulated so far; axes (a, s_o*k, b, s_i*k)
-        T = np.tensordot(T, W, axes=([1 + k], [0]))
-        # axes: (a, s_o*k, s_i*k, s_o_new, c, s_i_new)
-        T = np.moveaxis(T, 2 * k + 1, k + 1)  # s_o_new joins the out block
-        T = np.moveaxis(T, 2 * k + 2, k + 2)  # c back to the bond slot
-    # T axes: (a, s_o*N, c, s_i*N); trace over a = c
-    T = np.moveaxis(T, N + 1, 1)  # (a, c, s_o*N, s_i*N)
-    tau = np.zeros(T.shape[2:], dtype=complex)
-    for a in range(da):
-        tau = tau + sgn[a] * T[a, a]
-    return GradedOperator(tau.reshape(d, d), sp, sp, label=f"tau({u})")
+    return GradedOperator(tau, sp, sp, label=f"tau({u})")
 
 
 def f0_and_chibar(r, params):
@@ -123,7 +121,7 @@ def bond_expansion_coefficients(rep, params=None, chi=None, step=1e-6):
 class HamiltonianBundle:
     """Chain Hamiltonian with its per-bond building blocks.
 
-    H = f0 * sum_i (Pbar_{i,i+1} + chibar * Phat_{i,i+1}) holds exactly with
+    H = f0 * sum_i (Pbar_{i+1,i} + chibar * Phat_{i+1,i}) holds exactly with
     the stored f0 and chibar (the measured expansion coefficients of the
     fused solution at its regular point)."""
 
@@ -138,7 +136,10 @@ class HamiltonianBundle:
 def hamiltonian_projector_form(rep, n_sites, params=None, chi=None):
     """Nearest-neighbour Hamiltonian of the fused chain on (U^{r^2-1})^(x N),
     assembled from the sandwiched singlet projectors of each two-cell block
-    and closed periodically."""
+    and closed periodically.  Bond i couples sites (i+1, i), the orientation
+    of the transfer matrix's log-derivative."""
+    if n_sites < 2:
+        raise QybeError(f"the chain Hamiltonian needs at least two sites, got {n_sites}")
     params = params or rep.params
     chi = chi if chi is not None else chi_factor(rep.algebra, rep.r, params)
     U = composite_space(rep, n=2, params=params)
@@ -154,12 +155,7 @@ def hamiltonian_projector_form(rep, n_sites, params=None, chi=None):
     dims = [dU] * n_sites
     pars = [U.parities] * n_sites
     bond = pbar + chibar * phat
-    terms = []
-    for i in range(n_sites):
-        jn = (i + 1) % n_sites
-        if jn == i:
-            break
-        terms.append(embed_at(bond, (i, jn), dims, pars))
+    terms = [embed_at(bond, ((i + 1) % n_sites, i), dims, pars) for i in range(n_sites)]
     H = f0 * sum(terms)
     sp = Space(tuple(dims), tuple(pars))
     return HamiltonianBundle(

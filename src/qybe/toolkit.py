@@ -365,8 +365,8 @@ def spectrum_csv(values, clusters):
     """CSV text for a spectrum: eigenvalues then the degeneracy table."""
     lines = ["index,real,imag"]
     for k, v in enumerate(values):
-        lines.append(f"{k},{v.real!r},{v.imag!r}")
+        lines.append(f"{k},{float(v.real)!r},{float(v.imag)!r}")
     lines.append("cluster,level_real,level_imag,degeneracy")
     for k, (lead, count) in enumerate(clusters):
-        lines.append(f"{k},{lead.real!r},{lead.imag!r},{count}")
+        lines.append(f"{k},{float(lead.real)!r},{float(lead.imag)!r},{count}")
     return "\n".join(lines) + "\n"

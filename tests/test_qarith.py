@@ -4,6 +4,7 @@ import pytest
 from qybe import (
     DeformParams,
     DegenerateParameterError,
+    QybeError,
     bracket_plus,
     bracket_plus_factorial,
     q_number,
@@ -90,3 +91,10 @@ def test_deform_params_validation():
         DeformParams(a=0.0)
     p = DeformParams(q=1.3, a=2.0)
     assert p.q == 1.3 + 0j
+
+
+@pytest.mark.parametrize("q,a", [(np.nan, 1.0), (np.inf, 1.0), (complex(1.3, np.inf), 1.0),
+                                 (1.3, np.nan), (1.3, np.inf), (1e30, 1.0)])
+def test_deform_params_rejects_out_of_range(q, a):
+    with pytest.raises(QybeError):
+        DeformParams(q=q, a=a)

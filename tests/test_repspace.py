@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qybe import (
     OSPQ12,
@@ -208,6 +209,47 @@ def test_embed_consistency(params_osp, rng):
     direct = embed_at(X, (0, 2), dims, pars)
     conj = s12 @ embed_at(X, (0, 1), dims, pars) @ s12
     assert np.abs(direct - conj).max() < 1e-12
+
+
+def _embed_reference(op, pos, dims, parities):
+    """P^T (op (x) 1) P entry by entry, with the signed permutation P bringing
+    the factors pos to the front built state by state."""
+    n = len(dims)
+    sigma = list(pos) + [k for k in range(n) if k not in pos]
+    tdims = [dims[k] for k in sigma]
+    D = int(np.prod(dims))
+    full = np.kron(op, np.eye(D // op.shape[0]))
+    tgt, sign = [], []
+    for src in np.ndindex(*dims):
+        odd = sum(parities[sigma[t1]][src[sigma[t1]]] * parities[sigma[t2]][src[sigma[t2]]]
+                  for t1 in range(n) for t2 in range(t1 + 1, n) if sigma[t1] > sigma[t2])
+        tgt.append(np.ravel_multi_index([src[k] for k in sigma], tdims))
+        sign.append((-1.0) ** odd)
+    out = np.zeros((D, D), dtype=complex)
+    for x in range(D):
+        for y in range(D):
+            out[x, y] = sign[x] * full[tgt[x], tgt[y]] * sign[y]
+    return out
+
+
+@st.composite
+def _embeddings(draw):
+    n = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    pars = [tuple(draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))) for d in dims]
+    order = draw(st.permutations(range(n)))
+    pos = tuple(order[:draw(st.integers(1, n))])
+    dop = int(np.prod([dims[k] for k in pos]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    op = gen.normal(size=(dop, dop)) + 1j * gen.normal(size=(dop, dop))
+    return op, pos, dims, pars
+
+
+@settings(max_examples=60, deadline=None)
+@given(_embeddings())
+def test_embed_at_matches_signed_permutation_reference(case):
+    op, pos, dims, pars = case
+    assert np.array_equal(embed_at(op, pos, dims, pars), _embed_reference(op, pos, dims, pars))
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 4), (OSPQ12, 3), (OSPQ12, 4)])

@@ -5,6 +5,7 @@ from qybe import (
     OSPQ12,
     SLQ2,
     ChainSpec,
+    QybeError,
     build_irrep,
     chi_factor,
     composite_space,
@@ -18,7 +19,7 @@ from qybe import (
     transfer_matrix,
 )
 from qybe.rmatrix import f_slope, rel_residual
-from qybe.repspace import nfold_coproduct
+from qybe.repspace import embed_at, nfold_coproduct
 from qybe.spinchain import bond_expansion_coefficients
 from qybe.toolkit import family_guards, random_points
 from conftest import params_for
@@ -119,20 +120,30 @@ def test_hamiltonian_reassembles(params_sl):
     assert np.abs(total - bundle.H.matrix).max() == 0.0
 
 
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("n_sites", [2, 3])
-def test_hamiltonian_log_derivative_matches_projector_form(n_sites, params_sl, rng):
-    r = 3 if n_sites == 2 else 2
-    rep = build_irrep(SLQ2, r, params_sl)
-    fam = descendant_family(rep, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
+    p = params_for(algebra)
+    rep = build_irrep(algebra, r, p)
+    fam = descendant_family(rep, p)
+    U = composite_space(rep, n=2, params=p)
     spec = ChainSpec.from_composite(U, n_sites)
     Hlog = hamiltonian_log_derivative(spec, fam).matrix
-    bundle = hamiltonian_projector_form(rep, n_sites, params_sl)
+    bundle = hamiltonian_projector_form(rep, n_sites, p)
     X = np.stack([bundle.H.matrix.ravel(),
                   np.eye(bundle.H.matrix.shape[0]).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(X, Hlog.ravel(), rcond=None)
     resid = np.abs(X @ coef - Hlog.ravel()).max() / max(1, np.abs(Hlog).max())
     assert resid < 1e-7
+
+
+def test_chain_size_validation(params_sl):
+    rep = build_irrep(SLQ2, 2, params_sl)
+    with pytest.raises(QybeError):
+        ChainSpec(site_dim=3, n_sites=0, params=params_sl)
+    with pytest.raises(QybeError):
+        hamiltonian_projector_form(rep, 1, params_sl)
 
 
 def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
@@ -293,3 +304,51 @@ def test_graded_chain_transfer_commutes(params_osp, rng):
     t1 = transfer_matrix(spec, fam, pts[0]).matrix
     t2 = transfer_matrix(spec, fam, pts[1]).matrix
     assert rel_residual(t1 @ t2, t2 @ t1) < 64 * 1e-12
+
+
+def _dense_transfer_times(spec, R, V):
+    """tau V from the dense product R_01 R_02 ... R_0N, each crossing embedded
+    with its Koszul signs, and the parity-signed trace over the auxiliary
+    factor 0.  The product is applied to e_a (x) V block by block, so no
+    monodromy matrix is formed."""
+    pa = spec.aux_parities
+    da, N = len(pa), spec.n_sites
+    dims = [da] + [spec.site_dim] * N
+    pars = [pa] + [spec.parities] * N
+    X = np.concatenate([np.kron(np.eye(da)[:, [a]], V) for a in range(da)], axis=1)
+    for i in range(N, 0, -1):
+        X = embed_at(R, (0, i), dims, pars) @ X
+    k = V.shape[1]
+    d = V.shape[0]
+    return sum((-1.0) ** pa[a] * X[a * d:(a + 1) * d, a * k:(a + 1) * k] for a in range(da))
+
+
+def _check_against_dense(spec, R, rng):
+    d = spec.site_dim ** spec.n_sites
+    V = rng.normal(size=(d, 8)) + 1j * rng.normal(size=(d, 8))
+    tau = transfer_matrix(spec, R, 0.0).matrix
+    want = _dense_transfer_times(spec, R, V)
+    assert np.abs(tau @ V - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_graded_transfer_matches_dense_product(r, n_sites, params_osp, rng):
+    rep = build_irrep(OSPQ12, r, params_osp)
+    fam = descendant_family(rep, params_osp)
+    U = composite_space(rep, n=2, params=params_osp)
+    spec = ChainSpec.from_composite(U, n_sites)
+    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
+    _check_against_dense(spec, R, rng)
+
+
+@pytest.mark.parametrize("aux,site", [((0, 1), (0, 0, 0)), ((1, 0, 1), (0, 1))])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_transfer_odd_auxiliary_matches_dense_product(aux, site, n_sites, params_sl, rng):
+    # a random even R on aux (x) site, the auxiliary holding odd states
+    spec = ChainSpec(site_dim=len(site), n_sites=n_sites, params=params_sl,
+                     parities=site, aux_parities=aux)
+    par = np.add.outer(aux, site).reshape(-1) % 2
+    D = len(par)
+    R = (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))) * (par[:, None] == par[None, :])
+    _check_against_dense(spec, R, rng)

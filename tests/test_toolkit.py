@@ -131,7 +131,11 @@ def test_cli_chain_writes_spectrum(tmp_path):
         "chain", "--r", "2", "--sites", "2",
     ])
     assert code == 0
-    assert (tmp_path / "spectrum_slq2_r2_N2.csv").exists()
+    lines = (tmp_path / "spectrum_slq2_r2_N2.csv").read_text().splitlines()
+    split = lines.index("cluster,level_real,level_imag,degeneracy")
+    assert lines[0] == "index,real,imag" and split == 1 + 3 ** 2
+    for line in lines[1:split] + lines[split + 1:]:
+        [float(x) for x in line.split(",")]
 
 
 def test_cli_commutant(tmp_path):
@@ -148,6 +152,20 @@ def test_cli_computation_failure_exits_1(tmp_path):
         "--q", "-1.0", "--out", str(tmp_path), "verify-all", "--r", "2",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "nan", "verify-all", "--r", "2"],
+    ["--q", "inf", "verify-all", "--r", "2"],
+    ["--qi", "inf", "verify-all", "--r", "2"],
+    ["--a", "nan", "verify-all", "--r", "2"],
+    ["--q", "1e30", "verify-all", "--r", "2"],
+    ["chain", "--r", "2", "--sites", "0"],
+    ["chain", "--r", "2", "--sites", "1"],
+])
+def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
+    assert cli_dispatch(["--out", str(tmp_path)] + argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_export(tmp_path):
