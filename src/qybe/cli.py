@@ -54,7 +54,6 @@ def _config_from_args(args):
             cfg = RunConfig.from_json(json.load(fh))
     if os.environ.get("QYBE_OUT"):
         cfg.outdir = os.environ["QYBE_OUT"]
-    cfg.params()  # validate early
     return cfg
 
 
@@ -170,10 +169,12 @@ def cmd_lax(args, cfg):
     rng = np.random.default_rng(cfg.seed)
     from .toolkit import _lax_rll
 
+    too_big = [(r, n) for r in cfg.r_list for n in cfg.n_list if r ** (n + 1) > 4096]
+    if too_big:
+        raise QybeError(f"extended Lax at (r, n) = {too_big} exceeds the desk bound "
+                        f"of 4096 dimensions")
     for r in cfg.r_list:
         for n in cfg.n_list:
-            if r ** (n + 1) > 4096:
-                continue
             rep = build_irrep(cfg.algebra, r, params)
             want = fusion.dims_recurrence(r, n)
             U = fusion.composite_space(rep, n=n, params=params)
@@ -189,13 +190,16 @@ def cmd_chain(args, cfg):
     params = cfg.params()
     report = Report(cfg)
     rng = np.random.default_rng(cfg.seed)
-    for r in [r for r in cfg.r_list if r <= 3]:
+    N = args.sites
+    rs = [r for r in cfg.r_list if r <= 3]
+    too_big = [r for r in rs if fusion.dims_recurrence(r, 2) ** N > 4096]
+    if too_big:
+        raise QybeError(f"chain of {N} sites at r = {too_big} exceeds the desk bound "
+                        f"of 4096 dimensions")
+    for r in rs:
         rep = build_irrep(cfg.algebra, r, params)
         dfam = fusion.descendant_family(rep, params)
         U = fusion.composite_space(rep, n=2, params=params)
-        N = args.sites
-        if U.dim ** N > 4096:
-            continue
         spec = chains.ChainSpec.from_composite(U, N)
         pts = random_points(rng, 4, guards=family_guards(dfam))
         t = [chains.transfer_matrix(spec, dfam, u).matrix for u in pts]
@@ -309,21 +313,28 @@ def cli_dispatch(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    cfg = None
     try:
         cfg = _config_from_args(args)
+        cfg.params()  # validate before any work
         report = args.fn(args, cfg)
-    except QybeError as exc:
+    except (QybeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if cfg is not None:
+            report = Report(cfg)
+            report.fail(args.command, exc, 0.0)
+            try:
+                _write_json(cfg.outdir, "report.json", report.to_json())
+            except OSError as write_exc:
+                print(f"error: {write_exc}", file=sys.stderr)
         return 1
     payload = report.to_json()
     _write_json(cfg.outdir, "report.json", payload)
     for c in report.checks:
         status = "ok  " if c["passed"] else "FAIL"
+        error = f": {c['error']}" if "error" in c else ""
         print(f"[{status}] {c['name']}: residual {c['residual']:.3e} "
-              f"(tol {c['tolerance']:.1e})")
+              f"(tol {c['tolerance']:.1e}){error}")
     s = report.summary()
     print(f"{s['passed']}/{s['total']} checks passed")
     return 0 if report.all_passed else 1

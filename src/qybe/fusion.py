@@ -125,6 +125,8 @@ def composite_space(algebra_or_rep, r=None, n=None, params=None):
         if n is None:
             n = r
             r = rep.r
+    if n < 1:
+        raise QybeError(f"composite space needs n >= 1, got {n}")
     key = (rep.algebra, rep.r, n, params.q, params.a)
     if key in _COMPOSITE_CACHE:
         return _COMPOSITE_CACHE[key]

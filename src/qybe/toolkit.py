@@ -153,13 +153,18 @@ class Report:
         try:
             residual = float(fn())
         except QybeError as exc:
-            self.checks.append({
-                "name": name, "inputs": inputs or {}, "residual": float("inf"),
-                "tolerance": float(tol), "passed": False, "error": str(exc),
-            })
-            self.timings[name] = time.perf_counter() - t0
-            return False
+            return self.fail(name, exc, tol, inputs, time.perf_counter() - t0)
         return self.add(name, residual, tol, inputs, time.perf_counter() - t0)
+
+    def fail(self, name, error, tol, inputs=None, seconds=None):
+        """Record a check that could not be computed."""
+        self.checks.append({
+            "name": name, "inputs": inputs or {}, "residual": float("inf"),
+            "tolerance": float(tol), "passed": False, "error": str(error),
+        })
+        if seconds is not None:
+            self.timings[name] = seconds
+        return False
 
     @property
     def all_passed(self):
@@ -249,12 +254,9 @@ def verify_all(config):
                        config.tol("eqf", 1e-10), {"r": r})
     if config.algebra == SLQ2:
         for kind in (1, 2, 3):
-            fam = r33_family(kind, params=params)
             pts = random_points(rng, 4)
             report.run(f"fixture-{kind}-ybe",
-                       lambda fam=fam, pts=pts: max(
-                           ybe_residual(fam, fam, fam, u, w, form="check")
-                           for u in pts for w in pts[:2]),
+                       lambda kind=kind, pts=pts: _fixture_ybe(kind, params, pts),
                        config.tol("fixture", 1e-9), {"kind": kind})
     if config.algebra == OSPQ12:
         r2 = rep(2)
@@ -286,6 +288,12 @@ def verify_all(config):
                    lambda: _commutant_crosscheck(rep(3), params),
                    config.tol("commutant", 1e-8))
     return report
+
+
+def _fixture_ybe(kind, params, pts):
+    fam = r33_family(kind, params=params)
+    return max(ybe_residual(fam, fam, fam, u, w, form="check")
+               for u in pts for w in pts[:2])
 
 
 def _cgc_residual(rep, params):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qybe import (
     OSPQ12,
+    DeformParams,
+    QybeError,
     SLQ2,
     build_irrep,
     commutant_nullspace,
@@ -14,6 +17,7 @@ from qybe import (
     membership,
     principal_angles,
 )
+from qybe.commutant import _nullspace_from_system
 from qybe.repspace import nfold_coproduct
 from qybe.toolkit import family_guards, random_points
 from conftest import params_for
@@ -170,3 +174,77 @@ def test_random_matrix_rejected(params_sl, rng):
     m = rng.normal(size=(U.dim ** 2, U.dim ** 2))
     ok, coef, resid = membership(m, nb)
     assert not ok and resid > 1e-3
+
+
+def _dense_nullspace(sys_mat, total):
+    """Reference: one dense SVD of the whole system, same rank threshold."""
+    _, s, vh = np.linalg.svd(sys_mat)
+    thresh = max(1.0, s.max()) * total * 1e-11
+    return vh.conj().T[:, int(np.sum(s > thresh)):]
+
+
+@st.composite
+def _hidden_block_systems(draw):
+    """Block-diagonal systems with well-separated singular values (in
+    [0.5, 2] or exactly 0), some columns no row touches, ~1e-15 fill-in
+    entries anywhere, and rows and columns shuffled."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           min_size=1, max_size=5))
+    free = draw(st.integers(0, 3))
+    rows, cols, kernel_dim = sum(m for m, _ in shapes), sum(n for _, n in shapes) + free, free
+    mat = np.zeros((rows, cols), dtype=complex)
+    i = j = 0
+    for m, n in shapes:
+        rank = draw(st.integers(0, min(m, n)))
+        qa, _ = np.linalg.qr(gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m)))
+        qb, _ = np.linalg.qr(gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n)))
+        sv = gen.uniform(0.5, 2.0, rank)
+        mat[i:i + m, j:j + n] = (qa[:, :rank] * sv) @ qb[:, :rank].conj().T
+        kernel_dim += n - rank
+        i, j = i + m, j + n
+    fill = gen.random(mat.shape) < draw(st.floats(0.0, 0.3))
+    mat += fill * 1e-15 * (gen.normal(size=mat.shape) + 1j * gen.normal(size=mat.shape))
+    mat *= 10.0 ** draw(st.integers(-3, 3))
+    return mat[np.ix_(gen.permutation(rows), gen.permutation(cols))], kernel_dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hidden_block_systems())
+def test_blocked_nullspace_matches_dense_svd(case):
+    mat, kernel_dim = case
+    null, _ = _nullspace_from_system(mat, mat.shape[1])
+    dense = _dense_nullspace(mat, mat.shape[1])
+    assert null.shape == dense.shape == (mat.shape[1], kernel_dim)
+    assert np.abs(null.conj().T @ null - np.eye(kernel_dim)).max(initial=0.0) < 1e-12
+    if kernel_dim:
+        assert float(np.max(principal_angles(null, dense))) < 1e-10
+
+
+def test_rank_ambiguity_raises():
+    # singular values 1, 1e-10 | 1e-11, 0 around the threshold 4e-11: a
+    # gap of 10 cannot tell the rank
+    with pytest.raises(QybeError, match="rank ambiguity"):
+        _nullspace_from_system(np.diag([1.0, 1e-10, 1e-11, 0.0]), 4)
+
+
+def test_nullspace_residual_guard_raises():
+    # a thousand rows of 9e-13 fall under the 1e-12 pattern cut-off, so
+    # column 1 looks free, but together they give it a singular value of
+    # 2.8e-11, above the threshold 2e-11 of the full system
+    sys_mat = np.zeros((1001, 2))
+    sys_mat[0, 0] = 1.0
+    sys_mat[1:, 1] = 9e-13
+    with pytest.raises(QybeError, match="residual"):
+        _nullspace_from_system(sys_mat, 2)
+
+
+@pytest.mark.parametrize("q", [0.7, 1.9, complex(1.1, 0.4)])
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_commutant_routes_agree_at_generic_q(algebra, q):
+    p = DeformParams(q=q, algebra=algebra)
+    U = composite_space(build_irrep(algebra, 3, p), n=2, params=p)
+    nb = commutant_nullspace(U, 2, p)
+    cb, _ = constraint_system(U, 2, p)
+    assert nb.dim == cb.dim == 46
+    assert float(np.max(principal_angles(nb, cb))) < 1e-8

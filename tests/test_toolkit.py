@@ -162,10 +162,30 @@ def test_cli_computation_failure_exits_1(tmp_path):
     ["--q", "1e30", "verify-all", "--r", "2"],
     ["chain", "--r", "2", "--sites", "0"],
     ["chain", "--r", "2", "--sites", "1"],
+    ["chain", "--r", "3", "--sites", "5"],
+    ["chain", "--r", "2", "3", "--sites", "5"],
+    ["lax", "--r", "2", "--n", "0"],
+    ["lax", "--r", "5", "--n", "5"],
+    ["commutant", "--r", "2", "--n", "0"],
 ])
 def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     assert cli_dispatch(["--out", str(tmp_path)] + argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert report["checks"][0]["error"]
+
+
+def test_cli_verify_all_records_unbuildable_fixture(tmp_path):
+    # the kind-3 fixture needs a real positive q; at q = -1.3 it is one
+    # failed check and the rest of the battery still runs
+    code = cli_dispatch(["--q", "-1.3", "--out", str(tmp_path), "verify-all", "--r", "2"])
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["fixture-3-ybe"]
+    assert "real positive q" in failed[0]["error"]
+    assert report["summary"]["passed"] == report["summary"]["total"] - 1 > 5
 
 
 def test_cli_export(tmp_path):
