@@ -10,32 +10,25 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .qarith import QybeError, SLQ2, OSPQ12
-from .repspace import build_irrep, verify_algebra, GradedOperator, Space
-from .coupling import cgc_table, projector, tensor_decompose
-from .rmatrix import hecke_family, r33_family, ybe_residual, rel_residual
+from .qarith import DESK_BOUND, OSPQ12, SLQ2, QybeError
+from .repspace import GradedOperator, Space
+from .coupling import projector, tensor_decompose
+from .rmatrix import r33_family
 from . import fusion
 from . import spinchain as chains
-from . import commutant as cz
-from .toolkit import (
-    Report,
-    RunConfig,
-    random_points,
-    family_guards,
-    serialize_operator,
-    spectrum_csv,
-    verify_all,
-)
+from .toolkit import Context, Report, RunConfig, serialize_operator, spectrum_csv, verify_all
 
 
-def _write_json(outdir, name, payload):
+def _write(outdir, name, text):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write(text)
     return path
+
+
+def _write_json(outdir, name, payload):
+    return _write(outdir, name, json.dumps(payload, sort_keys=True, indent=1))
 
 
 def _config_from_args(args):
@@ -57,215 +50,118 @@ def _config_from_args(args):
     return cfg
 
 
-def cmd_build_rep(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    for r in cfg.r_list:
-        rep = build_irrep(cfg.algebra, r, params)
-        res = max(verify_algebra(rep, params).values())
-        report.add(f"relations r={r}", res, 1e-12, {"r": r})
+# Each command writes its artifacts, then runs its checks from the table in
+# qybe.toolkit.  A QybeError while building an artifact ends the command.
+
+def _write_op(ctx, name, op, algebra=None):
+    return _write_json(ctx.config.outdir, name,
+                       serialize_operator(op, algebra or ctx.config.algebra, ctx.params.q))
+
+
+def cmd_build_rep(args, ctx):
+    alg = ctx.config.algebra
+    for r in ctx.config.r_list:
+        rep = ctx.rep(r)
         for name, m in (("E", rep.E), ("F", rep.F), ("H", rep.H)):
-            op = GradedOperator(m, rep.space(), rep.space(), label=f"{name}[r={r}]")
-            _write_json(cfg.outdir, f"rep_{cfg.algebra}_r{r}_{name}.json",
-                        serialize_operator(op, cfg.algebra, params.q))
-    return report
+            _write_op(ctx, f"rep_{alg}_r{r}_{name}.json",
+                      GradedOperator(m, rep.space(), rep.space(), label=f"{name}[r={r}]"))
+        ctx.check("algebra-relations", r=r)
 
 
-def cmd_cgc(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    r1, r2 = (cfg.r_list + cfg.r_list)[:2]
-    t = cgc_table(build_irrep(cfg.algebra, r1, params),
-                  build_irrep(cfg.algebra, r2, params), params)
-    dec = t.decomposition
-    res = np.abs(dec.dual @ dec.basis - np.eye(dec.dim)).max()
-    report.add(f"biorthogonality ({r1},{r2})", res, 1e-10)
+def cmd_cgc(args, ctx):
+    r1, r2 = (ctx.config.r_list + ctx.config.r_list)[:2]
+    dec = ctx.cgc(r1, r2).decomposition
     op = GradedOperator(dec.basis, Space((dec.dim,), (tuple(int(p) for p in dec.parities),)),
-                        Space((r1, r2), (build_irrep(cfg.algebra, r1, params).parities,
-                                         build_irrep(cfg.algebra, r2, params).parities)),
+                        Space((r1, r2), (ctx.rep(r1).parities, ctx.rep(r2).parities)),
                         label=f"cgc[{r1}x{r2}]")
-    _write_json(cfg.outdir, f"cgc_{cfg.algebra}_{r1}x{r2}.json",
-                serialize_operator(op, cfg.algebra, params.q))
-    return report
+    _write_op(ctx, f"cgc_{ctx.config.algebra}_{r1}x{r2}.json", op)
+    ctx.check("cgc-biorthogonality", r=r1, r2=r2)
 
 
-def cmd_projectors(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    for r in cfg.r_list:
-        rep = build_irrep(cfg.algebra, r, params)
-        total = np.zeros((r * r, r * r), dtype=complex)
+def cmd_projectors(args, ctx):
+    for r in ctx.config.r_list:
+        rep = ctx.rep(r)
         for r0 in tensor_decompose(r, r):
-            P = projector(rep, rep, r0, params)
-            report.add(f"idempotent P^{r0} (r={r})",
-                       float(np.abs(P.matrix @ P.matrix - P.matrix).max()), 1e-10)
-            total += P.matrix
-            _write_json(cfg.outdir, f"projector_{cfg.algebra}_r{r}_P{r0}.json",
-                        serialize_operator(P, cfg.algebra, params.q))
-        report.add(f"completeness (r={r})",
-                   float(np.abs(total - np.eye(r * r)).max()), 1e-10)
-    return report
+            _write_op(ctx, f"projector_{ctx.config.algebra}_r{r}_P{r0}.json",
+                      projector(rep, rep, r0, ctx.params, table=ctx.cgc(r, r)))
+        ctx.check("cgc-biorthogonality", r=r)
+        ctx.check("projector-routes", r=r)
 
 
-def cmd_hecke(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    for r in cfg.r_list:
-        fam = hecke_family(build_irrep(cfg.algebra, r, params), params)
-        u = complex(args.u, args.ui)
-        op = fam.check(u)
-        _write_json(cfg.outdir, f"hecke_{cfg.algebra}_r{r}_u{args.u}.json",
-                    serialize_operator(op, cfg.algebra, params.q))
-        pts = random_points(rng, 3, guards=family_guards(fam))
-        res = max(ybe_residual(fam, fam, fam, x, w, form="check")
-                  for x in pts for w in pts[:2])
-        report.add(f"hecke ybe r={r}", res, r ** 3 * 1e-12, {"u": [u.real, u.imag]})
-    return report
+def cmd_hecke(args, ctx):
+    for r in ctx.config.r_list:
+        _write_op(ctx, f"hecke_{ctx.config.algebra}_r{r}_u{args.u}.json",
+                  ctx.hecke(r).check(complex(args.u, args.ui)))
+        ctx.check("hecke-ybe", r=r)
 
 
-def cmd_fixtures(args, cfg):
-    params = cfg.params().with_algebra(SLQ2)
-    report = Report(cfg)
-    rng = np.random.default_rng(cfg.seed)
+def cmd_fixtures(args, ctx):
+    params = ctx.params.with_algebra(SLQ2)
     for kind in (args.kind,) if args.kind else (1, 2, 3):
-        fam = r33_family(kind, params=params)
-        pts = random_points(rng, 3)
-        res = max(ybe_residual(fam, fam, fam, u, w, form="check")
-                  for u in pts for w in pts[:2])
-        report.add(f"fixture-{kind} ybe", res, 1e-9)
-        _write_json(cfg.outdir, f"fixture_{kind}.json",
-                    serialize_operator(fam.check(complex(args.u, args.ui)),
-                                       SLQ2, params.q))
-    return report
+        _write_op(ctx, f"fixture_{kind}.json",
+                  r33_family(kind, params=params).check(complex(args.u, args.ui)), SLQ2)
+        ctx.check("fixture-{kind}-ybe", kind=kind)
 
 
-def cmd_fuse(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    for r in [r for r in cfg.r_list if r <= 3]:
-        rep = build_irrep(cfg.algebra, r, params)
-        fam = hecke_family(rep, params)
-        pts = random_points(rng, 3, guards=(0.0, -fam.u0, fam.u0))
-        worst = 0.0
-        for u in pts:
-            A = fusion.descendant_r_closed(rep, params, u).matrix
-            B = fusion.descendant_r_product(rep, params, u).matrix
-            worst = max(worst, rel_residual(A, B))
-        report.add(f"fused closed=product r={r}", worst, 1e-9)
-        dfam = fusion.descendant_family(rep, params)
-        report.add(f"fused regular point r={r}",
-                   rel_residual(dfam.check_fn(dfam.u0), np.eye(dfam.r1 ** 2)), 1e-10)
-        _write_json(cfg.outdir, f"fused_{cfg.algebra}_r{r}.json",
-                    serialize_operator(dfam.check(complex(args.u, args.ui)),
-                                       cfg.algebra, params.q))
-    return report
+def cmd_fuse(args, ctx):
+    for r in ctx.config.r_list:
+        _write_op(ctx, f"fused_{ctx.config.algebra}_r{r}.json",
+                  ctx.descendant(r).check(complex(args.u, args.ui)))
+        ctx.check("descendant-closed-vs-product", r=r)
+        ctx.check("descendant-regular-point", r=r)
 
 
-def cmd_lax(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    from .toolkit import _lax_rll
-
-    too_big = [(r, n) for r in cfg.r_list for n in cfg.n_list if r ** (n + 1) > 4096]
-    if too_big:
-        raise QybeError(f"extended Lax at (r, n) = {too_big} exceeds the desk bound "
-                        f"of 4096 dimensions")
+def cmd_lax(args, ctx):
+    cfg = ctx.config
     for r in cfg.r_list:
         for n in cfg.n_list:
-            rep = build_irrep(cfg.algebra, r, params)
-            want = fusion.dims_recurrence(r, n)
-            U = fusion.composite_space(rep, n=n, params=params)
-            report.add(f"dims r={r} n={n}", abs(U.dim - want), 0.5)
-            report.add(f"rll r={r} n={n}", _lax_rll(rep, n, params, rng), 1e-9)
-            op = fusion.extended_lax(rep, n, params, complex(args.u, args.ui))
-            _write_json(cfg.outdir, f"lax_{cfg.algebra}_r{r}_n{n}.json",
-                        serialize_operator(op, cfg.algebra, params.q))
-    return report
+            _write_op(ctx, f"lax_{cfg.algebra}_r{r}_n{n}.json",
+                      fusion.extended_lax(ctx.rep(r), n, ctx.params, complex(args.u, args.ui)))
+            ctx.check("lax-dims", r=r, n=n)
+            ctx.check("lax-rll", r=r, n=n)
 
 
-def cmd_chain(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    N = args.sites
-    rs = [r for r in cfg.r_list if r <= 3]
-    too_big = [r for r in rs if fusion.dims_recurrence(r, 2) ** N > 4096]
+def cmd_chain(args, ctx):
+    cfg, N = ctx.config, args.sites
+    too_big = [r for r in cfg.r_list if fusion.dims_recurrence(r, 2) ** N > DESK_BOUND]
     if too_big:
         raise QybeError(f"chain of {N} sites at r = {too_big} exceeds the desk bound "
-                        f"of 4096 dimensions")
-    for r in rs:
-        rep = build_irrep(cfg.algebra, r, params)
-        dfam = fusion.descendant_family(rep, params)
-        U = fusion.composite_space(rep, n=2, params=params)
-        spec = chains.ChainSpec.from_composite(U, N)
-        pts = random_points(rng, 4, guards=family_guards(dfam))
-        t = [chains.transfer_matrix(spec, dfam, u).matrix for u in pts]
-        res = max(rel_residual(t[i] @ t[j], t[j] @ t[i])
-                  for i in range(len(t)) for j in range(i + 1, len(t)))
-        report.add(f"commuting transfer matrices r={r} N={N}", res,
-                   U.dim ** N * 1e-12)
-        bundle = chains.hamiltonian_projector_form(rep, N, params)
-        vals, clusters = chains.spectrum(bundle.H)
-        path = os.path.join(cfg.outdir, f"spectrum_{cfg.algebra}_r{r}_N{N}.csv")
-        os.makedirs(cfg.outdir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(spectrum_csv(vals, clusters))
-        Hlog = chains.hamiltonian_log_derivative(spec, dfam)
-        res = _affine_match(Hlog.matrix, bundle.H.matrix)
-        report.add(f"log-derivative matches projector form r={r} N={N}", res, 1e-7)
-    return report
+                        f"of {DESK_BOUND} dimensions")
+    for r in cfg.r_list:
+        _write(cfg.outdir, f"spectrum_{cfg.algebra}_r{r}_N{N}.csv",
+               spectrum_csv(*chains.spectrum(ctx.hamiltonian(r, N).H)))
+        ctx.check("transfer-commutation", r=r, N=N)
+        ctx.check("hamiltonian-routes", r=r, N=N)
 
 
-def _affine_match(A, B):
-    X = np.stack([B.ravel(), np.eye(B.shape[0]).ravel()], axis=1)
-    coef, *_ = np.linalg.lstsq(X, A.ravel(), rcond=None)
-    return float(np.abs(X @ coef - A.ravel()).max() / max(1.0, np.abs(A).max()))
+def cmd_commutant(args, ctx):
+    n = ctx.config.n_list[0] if ctx.config.n_list else 2
+    for r in ctx.config.r_list:
+        ctx.commutant(r, n)  # built first: a request the routes refuse ends the command
+        ctx.check("commutant-dims", r=r, n=n)
+        ctx.check("commutant-angle", r=r, n=n)
 
 
-def cmd_commutant(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    n = cfg.n_list[0] if cfg.n_list else 2
-    for r in [r for r in cfg.r_list if r <= 3]:
-        rep = build_irrep(cfg.algebra, r, params)
-        U = fusion.composite_space(rep, n=2, params=params)
-        nb = cz.commutant_nullspace(U, n, params)
-        cb, _ = cz.constraint_system(U, n, params)
-        report.add(f"commutant dims agree r={r} n={n}",
-                   abs(nb.dim - cb.dim), 0.5, {"dim": nb.dim})
-        report.add(f"commutant subspaces agree r={r} n={n}",
-                   float(np.max(cz.principal_angles(nb, cb))), 1e-8)
-    return report
+def cmd_verify_all(args, ctx):
+    ctx.report = verify_all(ctx.config)
 
 
-def cmd_verify_all(args, cfg):
-    return verify_all(cfg)
-
-
-def cmd_export(args, cfg):
-    params = cfg.params()
-    report = Report(cfg)
-    r = cfg.r_list[0]
-    rep = build_irrep(cfg.algebra, r, params)
-    what = args.what
-    u = complex(args.u, args.ui)
+def cmd_export(args, ctx):
+    r, what, u = ctx.config.r_list[0], args.what, complex(args.u, args.ui)
+    rep = ctx.rep(r)
     if what == "hecke":
-        op = hecke_family(rep, params).check(u)
+        op = ctx.hecke(r).check(u)
     elif what == "fused":
-        op = fusion.descendant_family(rep, params).check(u)
+        op = ctx.descendant(r).check(u)
     elif what == "lax":
-        op = fusion.extended_lax(rep, cfg.n_list[0], params, u)
+        op = fusion.extended_lax(rep, ctx.config.n_list[0], ctx.params, u)
     elif what == "projector":
-        op = projector(rep, rep, args.target or tensor_decompose(r, r)[-1], params)
+        op = projector(rep, rep, args.target or tensor_decompose(r, r)[-1], ctx.params,
+                       table=ctx.cgc(r, r))
     else:
         raise QybeError(f"nothing exportable named {what!r}")
-    path = _write_json(cfg.outdir, f"export_{what}_{cfg.algebra}_r{r}.json",
-                       serialize_operator(op, cfg.algebra, params.q))
-    report.add(f"export {what}", 0.0, 1.0, {"path": path})
-    return report
+    path = _write_op(ctx, f"export_{what}_{ctx.config.algebra}_r{r}.json", op)
+    ctx.report.add(f"export {what}", 0.0, 1.0, {"path": path})
 
 
 def build_parser():
@@ -316,20 +212,20 @@ def cli_dispatch(argv=None):
     cfg = None
     try:
         cfg = _config_from_args(args)
-        cfg.params()  # validate before any work
-        report = args.fn(args, cfg)
+        ctx = Context(cfg)  # validates the parameters before any work
+        args.fn(args, ctx)
     except (QybeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if cfg is not None:
             report = Report(cfg)
-            report.fail(args.command, exc, 0.0)
+            report.add(args.command, float("inf"), 0.0, error=exc)
             try:
                 _write_json(cfg.outdir, "report.json", report.to_json())
             except OSError as write_exc:
                 print(f"error: {write_exc}", file=sys.stderr)
         return 1
-    payload = report.to_json()
-    _write_json(cfg.outdir, "report.json", payload)
+    report = ctx.report
+    _write_json(cfg.outdir, "report.json", report.to_json())
     for c in report.checks:
         status = "ok  " if c["passed"] else "FAIL"
         error = f": {c['error']}" if "error" in c else ""

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import OSPQ12, QybeError
+from .qarith import COMMUTANT_BUDGET, DESK_BOUND, OSPQ12, QybeError
 from .repspace import GradedOperator, nfold_coproduct
+from .coupling import ladder_weights
 
 
 @dataclass
@@ -83,11 +84,6 @@ class CommutantBasis:
         return [self.vectors[:, k].reshape(d, d) for k in range(self.dim)]
 
 
-def _ladder_weights(gens):
-    w = np.real(np.diag(gens.H))
-    return w if gens.algebra == OSPQ12 else w / 2.0
-
-
 def _sectors_of(weights):
     keys = np.round(2 * weights).astype(int)
     sectors = {}
@@ -98,13 +94,21 @@ def _sectors_of(weights):
 
 def _sector_layout(sectors, d):
     """Offsets of the sector blocks in the unknown vector, its length, and
-    the flat position in a vectorized d x d matrix of every unknown."""
+    the flat position in a vectorized d x d matrix of every unknown.
+
+    Raises QybeError when the dense system, one row per (sector, sector +-2)
+    entry pair and one column per unknown, would pass COMMUTANT_BUDGET."""
     offsets, total, flat = {}, 0, []
     for k in sorted(sectors):
         idx = np.asarray(sectors[k])
         offsets[k] = total
         total += idx.size ** 2
         flat.append(np.add.outer(idx * d, idx).ravel())
+    rows = sum(len(sectors[k]) * len(sectors[k + step])
+               for step in (2, -2) for k in sectors if k + step in sectors)
+    if rows * total > COMMUTANT_BUDGET:
+        raise QybeError(f"commutant system {rows} x {total} exceeds the budget "
+                        f"of {COMMUTANT_BUDGET:.0e} entries")
     return offsets, total, np.concatenate(flat)
 
 
@@ -188,11 +192,11 @@ def commutant_nullspace(U, n, params=None, gap_tol=1e3):
     dU = gens.dim
     if n < 1:
         raise QybeError(f"commutant needs n >= 1, got {n}")
-    if dU ** n > 4096:
-        raise QybeError("commutant space exceeds the desk bound")
+    if dU ** n > DESK_BOUND:
+        raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
     co = nfold_coproduct(gens.algebra, [gens] * n, params.q)
     d = co.dim
-    wts = _ladder_weights(co)
+    wts = ladder_weights(co)
     sectors = _sectors_of(wts)
     skeys = sorted(sectors)
     offsets, total, flat = _sector_layout(sectors, d)
@@ -298,8 +302,8 @@ def constraint_system(U, n, params=None, gap_tol=1e3):
     dU = len(states)
     if n < 1:
         raise QybeError(f"commutant needs n >= 1, got {n}")
-    if dU ** n > 4096:
-        raise QybeError("commutant space exceeds the desk bound")
+    if dU ** n > DESK_BOUND:
+        raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
     d = dU ** n
     multis = list(itertools.product(range(dU), repeat=n))
     wts = np.array([sum(states[i]["weight"] for i in multi) for multi in multis])

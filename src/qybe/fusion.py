@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import DeformParams, PoleError, QybeError
+from .qarith import DESK_BOUND, DeformParams, PoleError, QybeError
 from .repspace import (
     GradedOperator,
     RepLike,
@@ -131,8 +131,8 @@ def composite_space(algebra_or_rep, r=None, n=None, params=None):
     if key in _COMPOSITE_CACHE:
         return _COMPOSITE_CACHE[key]
     want = dims_recurrence(rep.r, n)
-    if rep.r ** n > 4096:
-        raise QybeError(f"composite space {rep.r}^{n} exceeds the desk bound")
+    if rep.r ** n > DESK_BOUND:
+        raise QybeError(f"composite space {rep.r}^{n} exceeds the desk bound {DESK_BOUND}")
     if n == 1:
         dec = decompose(rep, params)
         E = dec.basis
@@ -322,8 +322,8 @@ def extended_lax(rep, n, params=None, u=0.0, chi=None):
     params = params or rep.params
     fam = hecke_family(rep, params, chi)
     u0 = fam.u0
-    if rep.r ** (n + 1) > 4096:
-        raise QybeError("extended Lax exceeds the desk bound")
+    if rep.r ** (n + 1) > DESK_BOUND:
+        raise QybeError(f"extended Lax {rep.r}^{n + 1} exceeds the desk bound {DESK_BOUND}")
     U = composite_space(rep, n=n, params=params)
     dims = [rep.r] * (n + 1)
     pars = [rep.parities] * (n + 1)

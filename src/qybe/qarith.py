@@ -13,6 +13,11 @@ SLQ2 = "slq2"
 OSPQ12 = "ospq12"
 ALGEBRAS = (SLQ2, OSPQ12)
 
+# Largest space a dense chain, composite, Lax or commutant computation builds.
+DESK_BOUND = 4096
+# Largest dense centralizer system in complex entries (1.6 GB); r = 4 needs 7e7.
+COMMUTANT_BUDGET = 10 ** 8
+
 
 class QybeError(Exception):
     """Base error for this package."""

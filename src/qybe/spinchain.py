@@ -8,14 +8,14 @@ Koszul signs of an even R reduced to sign vectors, and the auxiliary trace is
 taken inside the last contraction.  A 512-dimensional three-site chain thus
 costs tensor contractions instead of products of 4096-dimensional matrices,
 for sl_q(2) and osp_q(1|2) alike.  The dense Hamiltonians and spectra keep
-chains within 4096 dimensions (the desk bound).
+chains within `qarith.DESK_BOUND` dimensions.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import DeformParams, QybeError
+from .qarith import DESK_BOUND, DeformParams, QybeError
 from .repspace import GradedOperator, Space, embed_at
 from .coupling import cgc_table, chi_factor, coupled_basis
 from .fusion import composite_space, descendant_coefficients, _four_site_ops
@@ -39,8 +39,9 @@ class ChainSpec:
             self.aux_parities = self.parities
         if self.n_sites < 1:
             raise QybeError(f"a chain needs at least one site, got {self.n_sites}")
-        if self.site_dim ** self.n_sites > 4096:
-            raise QybeError("chain dimension exceeds the desk bound")
+        if self.site_dim ** self.n_sites > DESK_BOUND:
+            raise QybeError(f"chain {self.site_dim}^{self.n_sites} exceeds the desk bound "
+                            f"{DESK_BOUND}")
 
     @staticmethod
     def from_composite(U, n_sites):

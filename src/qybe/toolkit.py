@@ -1,5 +1,5 @@
-"""Run configuration, operator serialization, check reports and the bundled
-verification battery behind the command line."""
+"""Run configuration, operator serialization, check reports, and the one
+table of named checks behind `verify_all` and every `qybe` subcommand."""
 
 import json
 import time
@@ -7,13 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qarith import DeformParams, OSPQ12, SLQ2, QybeError
-from .repspace import (
-    GradedOperator,
-    Space,
-    build_irrep,
-    verify_algebra,
-)
+from .qarith import DESK_BOUND, DeformParams, OSPQ12, SLQ2, QybeError
+from .repspace import GradedOperator, Space, build_irrep, embed_at, verify_algebra
 from .coupling import (
     casimir_projector,
     cgc_table,
@@ -29,10 +24,12 @@ from .rmatrix import (
     mixed_braid_check,
     r33_family,
     rel_residual,
+    u0_point,
     universal_r,
     ybe_residual,
 )
 from . import fusion
+from . import spinchain as chains
 from . import commutant as cz
 
 
@@ -135,36 +132,24 @@ class Report:
         self.checks = []
         self.timings = {}
 
-    def add(self, name, residual, tol, inputs=None, seconds=None):
-        passed = bool(residual < tol)
-        self.checks.append({
-            "name": name,
-            "inputs": inputs or {},
-            "residual": float(residual),
-            "tolerance": float(tol),
-            "passed": passed,
-        })
+    def add(self, name, residual, tol, inputs=None, seconds=None, error=None):
+        """Record a check; one with an `error` could not be computed."""
+        record = {"name": name, "inputs": inputs or {}, "residual": float(residual),
+                  "tolerance": float(tol), "passed": error is None and bool(residual < tol)}
+        if error is not None:
+            record["error"] = str(error)
+        self.checks.append(record)
         if seconds is not None:
             self.timings[name] = seconds
-        return passed
+        return record["passed"]
 
     def run(self, name, fn, tol, inputs=None):
-        t0 = time.perf_counter()
+        t0, residual, error = time.perf_counter(), float("inf"), None
         try:
             residual = float(fn())
         except QybeError as exc:
-            return self.fail(name, exc, tol, inputs, time.perf_counter() - t0)
-        return self.add(name, residual, tol, inputs, time.perf_counter() - t0)
-
-    def fail(self, name, error, tol, inputs=None, seconds=None):
-        """Record a check that could not be computed."""
-        self.checks.append({
-            "name": name, "inputs": inputs or {}, "residual": float("inf"),
-            "tolerance": float(tol), "passed": False, "error": str(error),
-        })
-        if seconds is not None:
-            self.timings[name] = seconds
-        return False
+            error = exc
+        return self.add(name, residual, tol, inputs, time.perf_counter() - t0, error)
 
     @property
     def all_passed(self):
@@ -178,6 +163,9 @@ class Report:
         }
 
     def to_json(self, with_timings=True):
+        """Payload as strict JSON: a non-finite number (the residual of a
+        check that could not be computed, a rejected q) becomes null; finite
+        floats survive the round trip through their repr unchanged."""
         doc = {
             "config": self.config.to_json(),
             "checks": self.checks,
@@ -185,7 +173,7 @@ class Report:
         }
         if with_timings:
             doc["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
-        return doc
+        return json.loads(json.dumps(doc), parse_constant=lambda token: None)
 
     def comparable_json(self):
         """Serialized payload excluding timings, for determinism checks."""
@@ -208,117 +196,109 @@ def family_guards(fam):
     if fam.family == "hecke":
         return (-fam.u0,)
     if fam.family == "fused":
-        from .rmatrix import u0_point
-
         u0c = u0_point(fam.chi, fam.params.a)
         return (-u0c, -2 * u0c)
     return ()
 
 
-def verify_all(config):
-    """Run the bundled verification battery for one configuration."""
-    rng = np.random.default_rng(config.seed)
-    params = config.params()
-    rep_cache = {}
+class Context:
+    """One run of checks: configuration, parameters, the report, the random
+    stream of the sample points, and the objects that checks and artifacts
+    share, each built once per input."""
 
-    def rep(r):
-        if r not in rep_cache:
-            rep_cache[r] = build_irrep(config.algebra, r, params)
-        return rep_cache[r]
+    def __init__(self, config):
+        self.config = config
+        self.params = config.params()
+        self.report = Report(config)
+        self.rng = np.random.default_rng(config.seed)
+        self._built = {}
 
-    report = Report(config)
-    for r in config.r_list:
-        report.run(f"algebra-relations r={r}",
-                   lambda r=r: max(verify_algebra(rep(r), params).values()),
-                   config.tol("algebra", 1e-12), {"r": r})
-        if r >= 2:
-            report.run(f"cgc-biorthogonality r={r}",
-                       lambda r=r: _cgc_residual(rep(r), params),
-                       config.tol("cgc", 1e-10), {"r": r})
-            report.run(f"projector-routes r={r}",
-                       lambda r=r: _projector_routes(rep(r), params),
-                       config.tol("projector", 1e-9), {"r": r})
-            report.run(f"chi-closed-form r={r}",
-                       lambda r=r: abs(chi_factor(config.algebra, r, params)
-                                       - chi_closed(config.algebra, r, params.q)),
-                       config.tol("chi", 1e-10), {"r": r})
-            fam = hecke_family(rep(r), params)
-            pts = random_points(rng, 5, guards=family_guards(fam))
-            report.run(f"hecke-ybe r={r}",
-                       lambda fam=fam, pts=pts: max(
-                           ybe_residual(fam, fam, fam, u, w, form="check")
-                           for u in pts for w in pts[:2]),
-                       config.tol("ybe", r ** 3 * 1e-12), {"r": r})
-            report.run(f"functional-identity r={r}",
-                       lambda fam=fam: _eqf_residual(fam, rng),
-                       config.tol("eqf", 1e-10), {"r": r})
-    if config.algebra == SLQ2:
-        for kind in (1, 2, 3):
-            pts = random_points(rng, 4)
-            report.run(f"fixture-{kind}-ybe",
-                       lambda kind=kind, pts=pts: _fixture_ybe(kind, params, pts),
-                       config.tol("fixture", 1e-9), {"kind": kind})
-    if config.algebra == OSPQ12:
-        r2 = rep(2)
-        Rp = universal_r(r2, r2, +1, params)
-        Rm = universal_r(r2, r2, -1, params)
-        report.run("universal-intertwining",
-                   lambda: max(intertwining_residual(Rp, r2, r2, params),
-                               intertwining_residual(Rm, r2, r2, params)),
-                   config.tol("universal", 1e-10))
-        report.run("universal-braid-relations",
-                   lambda: mixed_braid_check(Rp, Rm, r2.parities)["max_balanced"],
-                   config.tol("universal", 1e-10))
-    for r in [r for r in config.r_list if 2 <= r <= 3]:
-        report.run(f"descendant-closed-vs-product r={r}",
-                   lambda r=r: _descendant_agreement(rep(r), params, rng),
-                   config.tol("descendant", 1e-9), {"r": r})
-        dfam = fusion.descendant_family(rep(r), params)
-        report.run(f"descendant-regular-point r={r}",
-                   lambda dfam=dfam: rel_residual(dfam.check_fn(dfam.u0),
-                                                  np.eye(dfam.r1 ** 2)),
-                   config.tol("descendant", 1e-10), {"r": r})
-        for n in config.n_list:
-            if rep(r).r ** (n + 1) <= 4096:
-                report.run(f"lax-rll r={r} n={n}",
-                           lambda r=r, n=n: _lax_rll(rep(r), n, params, rng),
-                           config.tol("lax", 1e-9), {"r": r, "n": n})
-    if 3 in config.r_list and config.algebra == SLQ2:
-        report.run("commutant-dimension-46",
-                   lambda: _commutant_crosscheck(rep(3), params),
-                   config.tol("commutant", 1e-8))
-    return report
+    def _once(self, key, build, *args):
+        if key not in self._built:
+            self._built[key] = build(*args)
+        return self._built[key]
+
+    def rep(self, r):
+        return self._once(("rep", r), build_irrep, self.config.algebra, r, self.params)
+
+    def cgc(self, r1, r2):
+        return self._once(("cgc", r1, r2), cgc_table, self.rep(r1), self.rep(r2), self.params)
+
+    def hecke(self, r):
+        return self._once(("hecke", r), hecke_family, self.rep(r), self.params)
+
+    def descendant(self, r):
+        return self._once(("descendant", r), fusion.descendant_family, self.rep(r), self.params)
+
+    def composite(self, r, n):
+        return fusion.composite_space(self.rep(r), n=n, params=self.params)
+
+    def hamiltonian(self, r, n_sites):
+        return self._once(("hamiltonian", r, n_sites), chains.hamiltonian_projector_form,
+                          self.rep(r), n_sites, self.params)
+
+    def commutant(self, r, n):
+        """Centralizer bases of U^(x n) by both routes, U the pair space of r."""
+        return self._once(("commutant", r, n), lambda U: (
+            cz.commutant_nullspace(U, n, self.params),
+            cz.constraint_system(U, n, self.params)[0]), self.composite(r, 2))
+
+    def check(self, name, **inputs):
+        """Run the check `name` of CHECKS at these inputs into the report."""
+        tol_key, default, residual = CHECKS[name]
+        tol = self.config.tol(tol_key, default(**inputs) if callable(default) else default)
+        label = " ".join([name.format(**inputs)] + [
+            f"{k}={v}" for k, v in inputs.items() if "{%s}" % k not in name])
+        return self.report.run(label, lambda: residual(self, self.rng, inputs), tol, inputs)
 
 
-def _fixture_ybe(kind, params, pts):
-    fam = r33_family(kind, params=params)
-    return max(ybe_residual(fam, fam, fam, u, w, form="check")
-               for u in pts for w in pts[:2])
+# Check bodies: the residual of (ctx, rng, inputs).  The random spectral
+# points come from rng, so the order of the draws is part of a report.
+
+def _algebra_relations(ctx, rng, inputs):
+    return max(verify_algebra(ctx.rep(inputs["r"]), ctx.params).values())
 
 
-def _cgc_residual(rep, params):
-    tab = cgc_table(rep, rep, params)
+def _cgc_residual(ctx, rng, inputs):
+    """Biorthogonality of the coupling table of V^r (x) V^r2 (r2 = r unless
+    given), idempotence and completeness of its block projectors."""
+    r1, r2 = inputs["r"], inputs.get("r2", inputs["r"])
+    tab = ctx.cgc(r1, r2)
     dec = tab.decomposition
     worst = np.abs(dec.dual @ dec.basis - np.eye(dec.dim)).max()
     total = np.zeros((dec.dim, dec.dim), dtype=complex)
     for r0 in tab.targets:
-        P = projector(rep, rep, r0, params, table=tab).matrix
+        P = projector(ctx.rep(r1), ctx.rep(r2), r0, ctx.params, table=tab).matrix
         worst = max(worst, np.abs(P @ P - P).max())
         total += P
-    worst = max(worst, np.abs(total - np.eye(dec.dim)).max())
-    return worst
+    return max(worst, np.abs(total - np.eye(dec.dim)).max())
 
 
-def _projector_routes(rep, params):
-    worst = 0.0
-    for r0 in tensor_decompose(rep.r, rep.r):
-        A = projector(rep, rep, r0, params).matrix
-        B = casimir_projector(rep, rep, r0, params).matrix
-        worst = max(worst, rel_residual(A, B))
-    return worst
+def _projector_routes(ctx, rng, inputs):
+    rep = ctx.rep(inputs["r"])
+    return max(rel_residual(projector(rep, rep, r0, ctx.params,
+                                      table=ctx.cgc(rep.r, rep.r)).matrix,
+                            casimir_projector(rep, rep, r0, ctx.params).matrix)
+               for r0 in tensor_decompose(rep.r, rep.r))
 
 
-def _eqf_residual(fam, rng, count=200):
+def _chi_closed_form(ctx, rng, inputs):
+    algebra, r = ctx.config.algebra, inputs["r"]
+    return abs(chi_factor(algebra, r, ctx.params) - chi_closed(algebra, r, ctx.params.q))
+
+
+def _family_ybe(fam, pts):
+    return max(ybe_residual(fam, fam, fam, u, w, form="check")
+               for u in pts for w in pts[:2])
+
+
+def _hecke_ybe(ctx, rng, inputs):
+    fam = ctx.hecke(inputs["r"])
+    return _family_ybe(fam, random_points(rng, 5, guards=family_guards(fam)))
+
+
+def _eqf_residual(ctx, rng, inputs, count=200):
+    fam = ctx.hecke(inputs["r"])
     pts = random_points(rng, 2 * count, guards=family_guards(fam))
     worst = 0.0
     for k in range(count):
@@ -330,26 +310,52 @@ def _eqf_residual(fam, rng, count=200):
     return worst
 
 
-def _descendant_agreement(rep, params, rng, count=5):
-    fam = hecke_family(rep, params)
-    guards = (0.0, -fam.u0, fam.u0)
-    pts = random_points(rng, count, guards=guards)
-    worst = 0.0
-    for u in pts:
-        A = fusion.descendant_r_closed(rep, params, u).matrix
-        B = fusion.descendant_r_product(rep, params, u).matrix
-        worst = max(worst, rel_residual(A, B))
-    return worst
+def _fixture_ybe(ctx, rng, inputs):
+    pts = random_points(rng, 4)
+    return _family_ybe(r33_family(inputs["kind"], params=ctx.params.with_algebra(SLQ2)), pts)
 
 
-def _lax_rll(rep, n, params, rng):
-    from .repspace import embed_at
+def _universal_pair(ctx):
+    r2 = ctx.rep(2)
+    return r2, universal_r(r2, r2, +1, ctx.params), universal_r(r2, r2, -1, ctx.params)
 
-    fam = hecke_family(rep, params)
-    U = fusion.composite_space(rep, n=n, params=params)
+
+def _universal_intertwining(ctx, rng, inputs):
+    r2, Rp, Rm = _universal_pair(ctx)
+    return max(intertwining_residual(Rp, r2, r2, ctx.params),
+               intertwining_residual(Rm, r2, r2, ctx.params))
+
+
+def _universal_braid(ctx, rng, inputs):
+    r2, Rp, Rm = _universal_pair(ctx)
+    return mixed_braid_check(Rp, Rm, r2.parities)["max_balanced"]
+
+
+def _descendant_agreement(ctx, rng, inputs, count=5):
+    rep = ctx.rep(inputs["r"])
+    u0 = ctx.hecke(rep.r).u0
+    return max(rel_residual(fusion.descendant_r_closed(rep, ctx.params, u).matrix,
+                            fusion.descendant_r_product(rep, ctx.params, u).matrix)
+               for u in random_points(rng, count, guards=(0.0, -u0, u0)))
+
+
+def _descendant_regular_point(ctx, rng, inputs):
+    dfam = ctx.descendant(inputs["r"])
+    return rel_residual(dfam.check_fn(dfam.u0), np.eye(dfam.r1 ** 2))
+
+
+def _lax_dims(ctx, rng, inputs):
+    r, n = inputs["r"], inputs["n"]
+    return abs(ctx.composite(r, n).dim - fusion.dims_recurrence(r, n))
+
+
+def _lax_rll(ctx, rng, inputs):
+    rep, n = ctx.rep(inputs["r"]), inputs["n"]
+    fam = ctx.hecke(rep.r)
+    U = ctx.composite(rep.r, n)
     u, w = random_points(rng, 2, guards=(-fam.u0,))
-    L13 = fusion.extended_lax(rep, n, params, u).matrix
-    L23 = fusion.extended_lax(rep, n, params, w).matrix
+    L13 = fusion.extended_lax(rep, n, ctx.params, u).matrix
+    L23 = fusion.extended_lax(rep, n, ctx.params, w).matrix
     Rm = (fam.swap @ fam.check_fn(u - w))
     dims = [rep.r, rep.r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
@@ -360,13 +366,97 @@ def _lax_rll(rep, n, params, rng):
     return rel_residual(lhs, rhs)
 
 
-def _commutant_crosscheck(rep, params):
-    U = fusion.composite_space(rep, n=2, params=params)
-    nb = cz.commutant_nullspace(U, 2, params)
-    cb, _ = cz.constraint_system(U, 2, params)
-    if nb.dim != 46 or cb.dim != 46:
+def _transfer_commutation(ctx, rng, inputs):
+    dfam = ctx.descendant(inputs["r"])
+    spec = chains.ChainSpec.from_composite(ctx.composite(inputs["r"], 2), inputs["N"])
+    pts = random_points(rng, 4, guards=family_guards(dfam))
+    t = [chains.transfer_matrix(spec, dfam, u).matrix for u in pts]
+    return max(rel_residual(t[i] @ t[j], t[j] @ t[i])
+               for i in range(len(t)) for j in range(i + 1, len(t)))
+
+
+def _hamiltonian_routes(ctx, rng, inputs):
+    """The log-derivative Hamiltonian is an affine function a H + b of the
+    projector-form one; relative residual of the least-squares fit."""
+    r, N = inputs["r"], inputs["N"]
+    spec = chains.ChainSpec.from_composite(ctx.composite(r, 2), N)
+    A = chains.hamiltonian_log_derivative(spec, ctx.descendant(r)).matrix
+    B = ctx.hamiltonian(r, N).H.matrix
+    X = np.stack([B.ravel(), np.eye(B.shape[0]).ravel()], axis=1)
+    coef, *_ = np.linalg.lstsq(X, A.ravel(), rcond=None)
+    return float(np.abs(X @ coef - A.ravel()).max() / max(1.0, np.abs(A).max()))
+
+
+def _commutant_dims(ctx, rng, inputs):
+    nb, cb = ctx.commutant(inputs["r"], inputs["n"])
+    return abs(nb.dim - cb.dim)
+
+
+def _commutant_angle(ctx, rng, inputs):
+    return float(np.max(cz.principal_angles(*ctx.commutant(inputs["r"], inputs["n"]))))
+
+
+def _commutant_46(ctx, rng, inputs):
+    if any(basis.dim != 46 for basis in ctx.commutant(3, 2)):
         return float("inf")
-    return float(np.max(cz.principal_angles(nb, cb)))
+    return _commutant_angle(ctx, rng, {"r": 3, "n": 2})
+
+
+# name: (tolerance key, default tolerance or a function of the inputs,
+# residual body).  A record is named by the name formatted with the inputs,
+# followed by every input the name does not show.
+CHECKS = {
+    "algebra-relations": ("algebra", 1e-12, _algebra_relations),
+    "cgc-biorthogonality": ("cgc", 1e-10, _cgc_residual),
+    "projector-routes": ("projector", 1e-9, _projector_routes),
+    "chi-closed-form": ("chi", 1e-10, _chi_closed_form),
+    "hecke-ybe": ("ybe", lambda r: r ** 3 * 1e-12, _hecke_ybe),
+    "functional-identity": ("eqf", 1e-10, _eqf_residual),
+    "fixture-{kind}-ybe": ("fixture", 1e-9, _fixture_ybe),
+    "universal-intertwining": ("universal", 1e-10, _universal_intertwining),
+    "universal-braid-relations": ("universal", 1e-10, _universal_braid),
+    "descendant-closed-vs-product": ("descendant", 1e-9, _descendant_agreement),
+    "descendant-regular-point": ("descendant", 1e-10, _descendant_regular_point),
+    "lax-dims": ("dims", 0.5, _lax_dims),
+    "lax-rll": ("lax", 1e-9, _lax_rll),
+    "transfer-commutation": ("transfer", lambda r, N: fusion.dims_recurrence(r, 2) ** N * 1e-12,
+                             _transfer_commutation),
+    "hamiltonian-routes": ("hamiltonian", 1e-7, _hamiltonian_routes),
+    "commutant-dims": ("dims", 0.5, _commutant_dims),
+    "commutant-angle": ("commutant", 1e-8, _commutant_angle),
+    "commutant-dimension-46": ("commutant", 1e-8, _commutant_46),
+}
+
+
+def battery(config):
+    """The (check name, inputs) pairs of `verify_all`, in order."""
+    plan = []
+    for r in config.r_list:
+        plan.append(("algebra-relations", {"r": r}))
+        if r >= 2:
+            plan += [(name, {"r": r}) for name in (
+                "cgc-biorthogonality", "projector-routes", "chi-closed-form",
+                "hecke-ybe", "functional-identity")]
+    if config.algebra == SLQ2:
+        plan += [("fixture-{kind}-ybe", {"kind": kind}) for kind in (1, 2, 3)]
+    if config.algebra == OSPQ12:
+        plan += [("universal-intertwining", {}), ("universal-braid-relations", {})]
+    for r in [r for r in config.r_list if 2 <= r <= 3]:
+        plan += [("descendant-closed-vs-product", {"r": r}),
+                 ("descendant-regular-point", {"r": r})]
+        plan += [("lax-rll", {"r": r, "n": n}) for n in config.n_list
+                 if r ** (n + 1) <= DESK_BOUND]
+    if 3 in config.r_list and config.algebra == SLQ2:
+        plan.append(("commutant-dimension-46", {}))
+    return plan
+
+
+def verify_all(config):
+    """Run the bundled verification battery for one configuration."""
+    ctx = Context(config)
+    for name, inputs in battery(config):
+        ctx.check(name, **inputs)
+    return ctx.report
 
 
 def spectrum_csv(values, clusters):

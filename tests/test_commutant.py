@@ -17,7 +17,8 @@ from qybe import (
     membership,
     principal_angles,
 )
-from qybe.commutant import _nullspace_from_system
+from qybe.commutant import _nullspace_from_system, _sector_layout, _sectors_of
+from qybe.coupling import ladder_weights
 from qybe.repspace import nfold_coproduct
 from qybe.toolkit import family_guards, random_points
 from conftest import params_for
@@ -248,3 +249,17 @@ def test_commutant_routes_agree_at_generic_q(algebra, q):
     cb, _ = constraint_system(U, 2, p)
     assert nb.dim == cb.dim == 46
     assert float(np.max(principal_angles(nb, cb))) < 1e-8
+
+
+@pytest.mark.parametrize("r,fits", [(4, True), (5, False)])
+def test_commutant_budget_from_sector_layout(r, fits, params_sl):
+    # the layout sizes the dense system before anything of that size exists:
+    # r = 4 gives 11544 x 6021 entries, r = 5 gives 61600 x 31652
+    U = composite_space(build_irrep(SLQ2, r, params_sl), n=2, params=params_sl)
+    co = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
+    sectors = _sectors_of(ladder_weights(co))
+    if fits:
+        _sector_layout(sectors, co.dim)
+    else:
+        with pytest.raises(QybeError, match="budget"):
+            _sector_layout(sectors, co.dim)

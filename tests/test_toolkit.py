@@ -167,11 +167,16 @@ def test_cli_computation_failure_exits_1(tmp_path):
     ["lax", "--r", "2", "--n", "0"],
     ["lax", "--r", "5", "--n", "5"],
     ["commutant", "--r", "2", "--n", "0"],
+    ["commutant", "--r", "5"],
 ])
 def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     assert cli_dispatch(["--out", str(tmp_path)] + argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    report = json.loads((tmp_path / "report.json").read_text())
+
+    def reject(token):
+        raise ValueError(f"report.json is not strict JSON: {token}")
+
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
     assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
     assert report["checks"][0]["error"]
 
@@ -202,3 +207,36 @@ def test_cli_outdir_env_override(tmp_path, monkeypatch):
     code = cli_dispatch(["--algebra", "slq2", "hecke", "--r", "2", "--u", "0"])
     assert code == 0
     assert (tmp_path / "envdir" / "report.json").exists()
+
+
+SUBCOMMANDS = {
+    # case: (argv, number of checks, artifacts besides report.json)
+    "build-rep": (["build-rep", "--r", "2"], 1,
+                  ["rep_slq2_r2_E.json", "rep_slq2_r2_F.json", "rep_slq2_r2_H.json"]),
+    "cgc": (["cgc", "--r", "2", "3"], 1, ["cgc_slq2_2x3.json"]),
+    "projectors": (["projectors", "--r", "2"], 2,
+                   ["projector_slq2_r2_P1.json", "projector_slq2_r2_P3.json"]),
+    "hecke": (["hecke", "--r", "3"], 1, ["hecke_slq2_r3_u0.3.json"]),
+    "fixtures": (["fixtures", "--kind", "2"], 1, ["fixture_2.json"]),
+    "fuse": (["fuse", "--r", "2"], 2, ["fused_slq2_r2.json"]),
+    "lax": (["lax", "--r", "2", "--n", "2"], 2, ["lax_slq2_r2_n2.json"]),
+    "chain": (["chain", "--r", "2", "--sites", "2"], 2, ["spectrum_slq2_r2_N2.csv"]),
+    "chain r=4": (["chain", "--r", "4", "--sites", "2"], 2, ["spectrum_slq2_r4_N2.csv"]),
+    "commutant": (["commutant", "--r", "2"], 2, []),
+    "export": (["export", "--what", "fused", "--r", "2"], 1, ["export_fused_slq2_r2.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_cli_subcommand(command, tmp_path):
+    argv, checks, artifacts = SUBCOMMANDS[command]
+    assert cli_dispatch(["--out", str(tmp_path)] + argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["summary"] == {"total": checks, "passed": checks, "failed": 0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(artifacts + ["report.json"])
+    for name in artifacts:
+        if name.endswith(".json"):
+            doc = json.loads((tmp_path / name).read_text())
+            op = deserialize_operator(doc)
+            meta = doc["meta"]
+            assert serialize_operator(op, meta["algebra"], complex(*meta["q"])) == doc
