@@ -13,7 +13,6 @@ import sys
 from .qarith import DESK_BOUND, OSPQ12, SLQ2, QybeError
 from .repspace import GradedOperator, Space
 from .coupling import projector, tensor_decompose
-from .rmatrix import r33_family
 from . import fusion
 from . import spinchain as chains
 from .toolkit import Context, Report, RunConfig, serialize_operator, spectrum_csv, verify_all
@@ -96,10 +95,9 @@ def cmd_hecke(args, ctx):
 
 
 def cmd_fixtures(args, ctx):
-    params = ctx.params.with_algebra(SLQ2)
     for kind in (args.kind,) if args.kind else (1, 2, 3):
-        _write_op(ctx, f"fixture_{kind}.json",
-                  r33_family(kind, params=params).check(complex(args.u, args.ui)), SLQ2)
+        _write_op(ctx, f"fixture_{kind}.json", ctx.fixture(kind).check(complex(args.u, args.ui)),
+                  SLQ2)
         ctx.check("fixture-{kind}-ybe", kind=kind)
 
 
@@ -113,6 +111,10 @@ def cmd_fuse(args, ctx):
 
 def cmd_lax(args, ctx):
     cfg = ctx.config
+    too_big = [(r, n) for r in cfg.r_list for n in cfg.n_list if r ** (n + 1) > DESK_BOUND]
+    if too_big:
+        raise QybeError(f"extended Lax at (r, n) = {too_big} exceeds the desk bound "
+                        f"of {DESK_BOUND} dimensions")
     for r in cfg.r_list:
         for n in cfg.n_list:
             _write_op(ctx, f"lax_{cfg.algebra}_r{r}_n{n}.json",
@@ -143,7 +145,7 @@ def cmd_commutant(args, ctx):
 
 
 def cmd_verify_all(args, ctx):
-    ctx.report = verify_all(ctx.config)
+    verify_all(ctx.config, ctx)
 
 
 def cmd_export(args, ctx):

@@ -93,10 +93,14 @@ def _sectors_of(weights):
 
 
 def _sector_layout(sectors, d):
-    """Offsets of the sector blocks in the unknown vector, its length, and
-    the flat position in a vectorized d x d matrix of every unknown.
+    """Layout of the dense centralizer system over the weight sectors: the
+    number of unknowns (the sector blocks one after the other), the flat
+    position in a vectorized d x d matrix of every unknown, the row count,
+    and in row order one (step, source states, target states, source
+    offset, target offset, rows) per sector pair (k, k + step), step 2 then
+    -2.
 
-    Raises QybeError when the dense system, one row per (sector, sector +-2)
+    Raises QybeError when the system, one row per (sector, sector +-2)
     entry pair and one column per unknown, would pass COMMUTANT_BUDGET."""
     offsets, total, flat = {}, 0, []
     for k in sorted(sectors):
@@ -104,12 +108,18 @@ def _sector_layout(sectors, d):
         offsets[k] = total
         total += idx.size ** 2
         flat.append(np.add.outer(idx * d, idx).ravel())
-    rows = sum(len(sectors[k]) * len(sectors[k + step])
-               for step in (2, -2) for k in sectors if k + step in sectors)
+    blocks, rows = [], 0
+    for step in (2, -2):
+        for k in sorted(sectors):
+            if k + step in sectors:
+                src, tgt = sectors[k], sectors[k + step]
+                blocks.append((step, src, tgt, offsets[k], offsets[k + step],
+                               slice(rows, rows + len(src) * len(tgt))))
+                rows += len(src) * len(tgt)
     if rows * total > COMMUTANT_BUDGET:
         raise QybeError(f"commutant system {rows} x {total} exceeds the budget "
                         f"of {COMMUTANT_BUDGET:.0e} entries")
-    return offsets, total, np.concatenate(flat)
+    return total, np.concatenate(flat), rows, blocks
 
 
 def _scatter_sectors(null, flat, d):
@@ -196,30 +206,18 @@ def commutant_nullspace(U, n, params=None, gap_tol=1e3):
         raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
     co = nfold_coproduct(gens.algebra, [gens] * n, params.q)
     d = co.dim
-    wts = ladder_weights(co)
-    sectors = _sectors_of(wts)
-    skeys = sorted(sectors)
-    offsets, total, flat = _sector_layout(sectors, d)
-    rows = []
-    for gmat, step in ((co.E, 2), (co.F, -2)):
-        for k in skeys:
-            k2 = k + step
-            if k2 not in sectors:
-                continue
-            src, tgt = sectors[k], sectors[k2]
-            m1, m2 = len(src), len(tgt)
-            A = gmat[np.ix_(tgt, src)]
-            blk = np.zeros((m2 * m1, total), dtype=complex)
-            off1, off2 = offsets[k], offsets[k2]
-            for t in range(m2):
-                for s_ in range(m1):
-                    row = t * m1 + s_
-                    for s2 in range(m1):
-                        blk[row, off1 + s2 * m1 + s_] += A[t, s2]
-                    for t2 in range(m2):
-                        blk[row, off2 + t * m2 + t2] -= A[t2, s_]
-            rows.append(blk)
-    sys_mat = np.vstack(rows) if rows else np.zeros((1, total))
+    total, flat, rows, blocks = _sector_layout(_sectors_of(ladder_weights(co)), d)
+    sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
+    for step, src, tgt, off1, off2, block_rows in blocks:
+        A = (co.E if step == 2 else co.F)[np.ix_(tgt, src)]
+        blk, m1, m2 = sys_mat[block_rows], len(src), len(tgt)
+        for t in range(m2):
+            for s_ in range(m1):
+                row = t * m1 + s_
+                for s2 in range(m1):
+                    blk[row, off1 + s2 * m1 + s_] += A[t, s2]
+                for t2 in range(m2):
+                    blk[row, off2 + t * m2 + t2] -= A[t2, s_]
     null, gap = _nullspace_from_system(sys_mat, total, gap_tol)
     return CommutantBasis(dim_space=dU, n=n, vectors=_scatter_sectors(null, flat, d),
                           provenance="nullspace-svd", rank_gap=gap)
@@ -308,38 +306,25 @@ def constraint_system(U, n, params=None, gap_tol=1e3):
     multis = list(itertools.product(range(dU), repeat=n))
     wts = np.array([sum(states[i]["weight"] for i in multi) for multi in multis])
     sectors = _sectors_of(wts)
-    skeys = sorted(sectors)
-    flat_of = {multi: k for k, multi in enumerate(multis)}
-    offsets, total, flat = _sector_layout(sectors, d)
-    pos_in_sector = {}
-    for k in skeys:
-        for a, idx in enumerate(sectors[k]):
-            pos_in_sector[idx] = (k, a)
-    rows = []
-    for which, step in (("e", 2), ("f", -2)):
-        act = _coproduct_action(states, n, params.q, U.algebra, which)
-        for k in skeys:
-            k2 = k + step
-            if k2 not in sectors:
-                continue
-            src, tgt = sectors[k], sectors[k2]
-            m1, m2 = len(src), len(tgt)
-            off1, off2 = offsets[k], offsets[k2]
-            blk = np.zeros((m2 * m1, total), dtype=complex)
-            # + (A c): A from src-sector states upward/downward into tgt
-            for a, idx in enumerate(src):
-                for tgt_multi, coef in act[multis[idx]]:
-                    t = pos_in_sector[flat_of[tgt_multi]][1]
-                    for s_ in range(m1):
-                        blk[t * m1 + s_, off1 + a * m1 + s_] += coef
-            # - (c A): same A entries acting on the right index
-            for a, idx in enumerate(src):
-                for tgt_multi, coef in act[multis[idx]]:
-                    t2 = pos_in_sector[flat_of[tgt_multi]][1]
-                    for t in range(m2):
-                        blk[t * m1 + a, off2 + t * m2 + t2] -= coef
-            rows.append(blk)
-    sys_mat = np.vstack(rows) if rows else np.zeros((1, total))
+    # position of each multi-index within its weight sector
+    pos = {multis[idx]: a for states_k in sectors.values() for a, idx in enumerate(states_k)}
+    total, flat, rows, blocks = _sector_layout(sectors, d)
+    sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
+    acts = {step: _coproduct_action(states, n, params.q, U.algebra, which)
+            for which, step in (("e", 2), ("f", -2))}
+    for step, src, tgt, off1, off2, block_rows in blocks:
+        act, blk, m1, m2 = acts[step], sys_mat[block_rows], len(src), len(tgt)
+        # + (A c): A from src-sector states upward/downward into tgt
+        for a, idx in enumerate(src):
+            for tgt_multi, coef in act[multis[idx]]:
+                for s_ in range(m1):
+                    blk[pos[tgt_multi] * m1 + s_, off1 + a * m1 + s_] += coef
+        # - (c A): same A entries acting on the right index
+        for a, idx in enumerate(src):
+            for tgt_multi, coef in act[multis[idx]]:
+                t2 = pos[tgt_multi]
+                for t in range(m2):
+                    blk[t * m1 + a, off2 + t * m2 + t2] -= coef
     null, gap = _nullspace_from_system(sys_mat, total, gap_tol)
     basis = CommutantBasis(dim_space=dU, n=n, vectors=_scatter_sectors(null, flat, d),
                            provenance="ladder-constraints", rank_gap=gap)

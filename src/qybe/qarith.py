@@ -15,7 +15,8 @@ ALGEBRAS = (SLQ2, OSPQ12)
 
 # Largest space a dense chain, composite, Lax or commutant computation builds.
 DESK_BOUND = 4096
-# Largest dense centralizer system in complex entries (1.6 GB); r = 4 needs 7e7.
+# Largest dense centralizer system in complex entries; r = 4 needs 7e7.  With
+# the solver's magnitudes and pattern that is 25 bytes an entry: 2.5 GB here.
 COMMUTANT_BUDGET = 10 ** 8
 
 

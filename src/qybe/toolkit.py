@@ -230,6 +230,16 @@ class Context:
     def descendant(self, r):
         return self._once(("descendant", r), fusion.descendant_family, self.rep(r), self.params)
 
+    def fixture(self, kind):
+        return self._once(("fixture", kind), lambda: r33_family(
+            kind, params=self.params.with_algebra(SLQ2)))
+
+    def universal(self):
+        """The universal R-matrices of V^2 (x) V^2, both signs."""
+        return self._once(("universal",), lambda r2: (
+            universal_r(r2, r2, +1, self.params),
+            universal_r(r2, r2, -1, self.params)), self.rep(2))
+
     def composite(self, r, n):
         return fusion.composite_space(self.rep(r), n=n, params=self.params)
 
@@ -246,7 +256,9 @@ class Context:
     def check(self, name, **inputs):
         """Run the check `name` of CHECKS at these inputs into the report."""
         tol_key, default, residual = CHECKS[name]
-        tol = self.config.tol(tol_key, default(**inputs) if callable(default) else default)
+        tol = default(**inputs) if callable(default) else default
+        if tol_key is not None:
+            tol = self.config.tol(tol_key, tol)
         label = " ".join([name.format(**inputs)] + [
             f"{k}={v}" for k, v in inputs.items() if "{%s}" % k not in name])
         return self.report.run(label, lambda: residual(self, self.rng, inputs), tol, inputs)
@@ -312,23 +324,16 @@ def _eqf_residual(ctx, rng, inputs, count=200):
 
 def _fixture_ybe(ctx, rng, inputs):
     pts = random_points(rng, 4)
-    return _family_ybe(r33_family(inputs["kind"], params=ctx.params.with_algebra(SLQ2)), pts)
-
-
-def _universal_pair(ctx):
-    r2 = ctx.rep(2)
-    return r2, universal_r(r2, r2, +1, ctx.params), universal_r(r2, r2, -1, ctx.params)
+    return _family_ybe(ctx.fixture(inputs["kind"]), pts)
 
 
 def _universal_intertwining(ctx, rng, inputs):
-    r2, Rp, Rm = _universal_pair(ctx)
-    return max(intertwining_residual(Rp, r2, r2, ctx.params),
-               intertwining_residual(Rm, r2, r2, ctx.params))
+    r2 = ctx.rep(2)
+    return max(intertwining_residual(R, r2, r2, ctx.params) for R in ctx.universal())
 
 
 def _universal_braid(ctx, rng, inputs):
-    r2, Rp, Rm = _universal_pair(ctx)
-    return mixed_braid_check(Rp, Rm, r2.parities)["max_balanced"]
+    return mixed_braid_check(*ctx.universal(), ctx.rep(2).parities)["max_balanced"]
 
 
 def _descendant_agreement(ctx, rng, inputs, count=5):
@@ -403,8 +408,9 @@ def _commutant_46(ctx, rng, inputs):
 
 
 # name: (tolerance key, default tolerance or a function of the inputs,
-# residual body).  A record is named by the name formatted with the inputs,
-# followed by every input the name does not show.
+# residual body); a config's `tolerances` override a default by its key, and
+# a check without a key keeps its default.  A record is named by the name
+# formatted with the inputs, followed by every input the name does not show.
 CHECKS = {
     "algebra-relations": ("algebra", 1e-12, _algebra_relations),
     "cgc-biorthogonality": ("cgc", 1e-10, _cgc_residual),
@@ -417,12 +423,12 @@ CHECKS = {
     "universal-braid-relations": ("universal", 1e-10, _universal_braid),
     "descendant-closed-vs-product": ("descendant", 1e-9, _descendant_agreement),
     "descendant-regular-point": ("descendant", 1e-10, _descendant_regular_point),
-    "lax-dims": ("dims", 0.5, _lax_dims),
+    "lax-dims": (None, 0.5, _lax_dims),
     "lax-rll": ("lax", 1e-9, _lax_rll),
-    "transfer-commutation": ("transfer", lambda r, N: fusion.dims_recurrence(r, 2) ** N * 1e-12,
+    "transfer-commutation": (None, lambda r, N: fusion.dims_recurrence(r, 2) ** N * 1e-12,
                              _transfer_commutation),
-    "hamiltonian-routes": ("hamiltonian", 1e-7, _hamiltonian_routes),
-    "commutant-dims": ("dims", 0.5, _commutant_dims),
+    "hamiltonian-routes": (None, 1e-7, _hamiltonian_routes),
+    "commutant-dims": (None, 0.5, _commutant_dims),
     "commutant-angle": ("commutant", 1e-8, _commutant_angle),
     "commutant-dimension-46": ("commutant", 1e-8, _commutant_46),
 }
@@ -451,9 +457,9 @@ def battery(config):
     return plan
 
 
-def verify_all(config):
-    """Run the bundled verification battery for one configuration."""
-    ctx = Context(config)
+def verify_all(config, ctx=None):
+    """Run the bundled verification battery, into `ctx` when one is given."""
+    ctx = ctx or Context(config)
     for name, inputs in battery(config):
         ctx.check(name, **inputs)
     return ctx.report

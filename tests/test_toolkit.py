@@ -11,7 +11,14 @@ from qybe import (
     ybe_residual,
 )
 from qybe.repspace import GradedOperator, Space
-from qybe.toolkit import MalformedDocumentError, Report, RunConfig, verify_all
+from qybe.toolkit import (
+    CHECKS,
+    Context,
+    MalformedDocumentError,
+    Report,
+    RunConfig,
+    verify_all,
+)
 from qybe.cli import cli_dispatch
 from conftest import params_for
 
@@ -166,6 +173,7 @@ def test_cli_computation_failure_exits_1(tmp_path):
     ["chain", "--r", "2", "3", "--sites", "5"],
     ["lax", "--r", "2", "--n", "0"],
     ["lax", "--r", "5", "--n", "5"],
+    ["lax", "--r", "2", "5", "--n", "5"],
     ["commutant", "--r", "2", "--n", "0"],
     ["commutant", "--r", "5"],
 ])
@@ -179,6 +187,29 @@ def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
     assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
     assert report["checks"][0]["error"]
+    # the request is refused before any artifact is written
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_keyless_checks_ignore_config_tolerances():
+    # dimension counts and the chain checks have fixed tolerances that no
+    # config can loosen
+    keyless = sorted(name for name, (key, _, _) in CHECKS.items() if key is None)
+    assert keyless == ["commutant-dims", "hamiltonian-routes", "lax-dims",
+                       "transfer-commutation"]
+    ctx = Context(RunConfig(tolerances={"dims": 1e9, "lax": 1e-3}))
+    ctx.check("lax-dims", r=2, n=2)
+    ctx.check("lax-rll", r=2, n=2)
+    assert [c["tolerance"] for c in ctx.report.checks] == [0.5, 1e-3]
+
+
+def test_verify_all_into_context_builds_shared_objects_once():
+    cfg = RunConfig(algebra="ospq12", r_list=(2,))
+    ctx = Context(cfg)
+    assert verify_all(cfg, ctx) is ctx.report
+    assert ctx.report.comparable_json() == verify_all(cfg).comparable_json()
+    assert ctx.universal() is ctx.universal()
+    assert ctx.fixture(1) is ctx.fixture(1)
 
 
 def test_cli_verify_all_records_unbuildable_fixture(tmp_path):
