@@ -31,21 +31,26 @@ def _write_json(outdir, name, payload):
 
 
 def _config_from_args(args):
-    q = complex(args.q, args.qi)
     cfg = RunConfig(
         algebra=args.algebra,
-        q=q,
+        q=complex(args.q, args.qi),
         a=complex(args.a),
         r_list=tuple(args.r) if getattr(args, "r", None) else (2, 3),
         n_list=tuple(args.n) if getattr(args, "n", None) else (2,),
         seed=args.seed,
         outdir=args.out,
     )
-    if args.config:
-        with open(args.config) as fh:
+    cfg.outdir = os.environ.get("QYBE_OUT") or cfg.outdir
+    return cfg
+
+
+def _config_from_file(path):
+    try:
+        with open(path) as fh:
             cfg = RunConfig.from_json(json.load(fh))
-    if os.environ.get("QYBE_OUT"):
-        cfg.outdir = os.environ["QYBE_OUT"]
+    except (OSError, ValueError) as exc:
+        raise QybeError(f"cannot read the config {path}: {exc}") from exc
+    cfg.outdir = os.environ.get("QYBE_OUT") or cfg.outdir
     return cfg
 
 
@@ -118,7 +123,7 @@ def cmd_lax(args, ctx):
     for r in cfg.r_list:
         for n in cfg.n_list:
             _write_op(ctx, f"lax_{cfg.algebra}_r{r}_n{n}.json",
-                      fusion.extended_lax(ctx.rep(r), n, ctx.params, complex(args.u, args.ui)))
+                      fusion.extended_lax(ctx.composite(r, n), complex(args.u, args.ui)))
             ctx.check("lax-dims", r=r, n=n)
             ctx.check("lax-rll", r=r, n=n)
 
@@ -137,9 +142,10 @@ def cmd_chain(args, ctx):
 
 
 def cmd_commutant(args, ctx):
-    n = ctx.config.n_list[0] if ctx.config.n_list else 2
-    for r in ctx.config.r_list:
-        ctx.commutant(r, n)  # built first: a request the routes refuse ends the command
+    pairs = [(r, n) for r in ctx.config.r_list for n in ctx.config.n_list or (2,)]
+    for r, n in pairs:
+        ctx.commutant(r, n)  # every basis first: a request the routes refuse ends the command
+    for r, n in pairs:
         ctx.check("commutant-dims", r=r, n=n)
         ctx.check("commutant-angle", r=r, n=n)
 
@@ -156,7 +162,7 @@ def cmd_export(args, ctx):
     elif what == "fused":
         op = ctx.descendant(r).check(u)
     elif what == "lax":
-        op = fusion.extended_lax(rep, ctx.config.n_list[0], ctx.params, u)
+        op = fusion.extended_lax(ctx.composite(r, ctx.config.n_list[0]), u)
     elif what == "projector":
         op = projector(rep, rep, args.target or tensor_decompose(r, r)[-1], ctx.params,
                        table=ctx.cgc(r, r))
@@ -211,20 +217,20 @@ def cli_dispatch(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = None
+    cfg = _config_from_args(args)  # also where the report of a bad --config file goes
     try:
-        cfg = _config_from_args(args)
+        if args.config:
+            cfg = _config_from_file(args.config)
         ctx = Context(cfg)  # validates the parameters before any work
         args.fn(args, ctx)
     except (QybeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if cfg is not None:
-            report = Report(cfg)
-            report.add(args.command, float("inf"), 0.0, error=exc)
-            try:
-                _write_json(cfg.outdir, "report.json", report.to_json())
-            except OSError as write_exc:
-                print(f"error: {write_exc}", file=sys.stderr)
+        report = Report(cfg)
+        report.add(args.command, float("inf"), 0.0, error=exc)
+        try:
+            _write_json(cfg.outdir, "report.json", report.to_json())
+        except OSError as write_exc:
+            print(f"error: {write_exc}", file=sys.stderr)
         return 1
     report = ctx.report
     _write_json(cfg.outdir, "report.json", report.to_json())

@@ -310,7 +310,7 @@ def constraint_system(U, n, params=None, gap_tol=1e3):
     pos = {multis[idx]: a for states_k in sectors.values() for a, idx in enumerate(states_k)}
     total, flat, rows, blocks = _sector_layout(sectors, d)
     sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
-    acts = {step: _coproduct_action(states, n, params.q, U.algebra, which)
+    acts = {step: _coproduct_action(states, n, params.q, U.rep.algebra, which)
             for which, step in (("e", 2), ("f", -2))}
     for step, src, tgt, off1, off2, block_rows in blocks:
         act, blk, m1, m2 = acts[step], sys_mat[block_rows], len(src), len(tgt)

@@ -87,10 +87,15 @@ class Decomposition:
 
 
 def ladder_weights(rep_like):
-    """Real ladder weights of the diagonal h (the imaginary shift of even
-    graded irreps and the factor 2 of the sl_q(2) convention stripped off)."""
+    """Real ladder weights of the diagonal h (the factor 2 of the sl_q(2)
+    convention stripped off).  Even graded irreps shift h by i pi / (2 log q),
+    the same constant on every state of a product: the midpoint of the
+    symmetric weights.  It is imaginary at real q, where h.real is kept as
+    it is, and is subtracted at complex q."""
     R = as_replike(rep_like)
-    w = np.real(np.diag(R.H))
+    h = np.diag(R.H)
+    shift = (h.max() + h.min()) / 2
+    w = np.real(h - shift) if abs(shift.real) > 1e-9 else np.real(h)
     return w if R.algebra == OSPQ12 else w / 2.0
 
 
@@ -314,7 +319,7 @@ def chi_closed(algebra, r, q):
     return 1.0 / q_number(r, q) ** 2
 
 
-def chi_factor(algebra, r, params=None, return_residual=False):
+def chi_factor(algebra, r, params=None):
     """Scalar in P1_12 P1_23 P1_12 = chi P1_12 on the triple product,
     extracted by brute force from the projector product."""
     params = params or DeformParams(algebra=algebra)
@@ -330,8 +335,6 @@ def chi_factor(algebra, r, params=None, return_residual=False):
     resid = np.abs(lhs - chi * P12).max() / max(1.0, np.abs(lhs).max())
     if resid > 1e-8:
         raise QybeError(f"projector product not proportional to P1 (residual {resid:.2e})")
-    if return_residual:
-        return complex(chi), float(resid)
     return complex(chi)
 
 

@@ -20,17 +20,16 @@ import numpy as np
 from .qarith import DESK_BOUND, DeformParams, PoleError, QybeError
 from .repspace import (
     GradedOperator,
+    Irrep,
     RepLike,
     Space,
-    build_irrep,
     embed_at,
     graded_permutation,
+    invariant_metric,
     nfold_coproduct,
 )
 from .coupling import Decomposition, decompose, projector
 from .rmatrix import SpectralRMatrix, hecke_f, hecke_family, u0_point
-
-_COMPOSITE_CACHE = {}
 
 
 def dims_recurrence(r, n):
@@ -49,13 +48,16 @@ def dims_recurrence(r, n):
 class CompositeSpace:
     """U^{R_n} inside (V^r)^(x n), with its block basis and generator data.
 
-    embed columns are the coupled block states (an isometry in the invariant
-    metric); project is the left inverse that annihilates the invariant
-    complement, so sandwiched operators compress multiplicatively.
+    rep is the irrep V^r and hecke the baxterized family on V^r (x) V^r whose
+    degenerate point cuts the space out; the fused, Lax and chain builders
+    take the space and read both from it.  embed columns are the coupled
+    block states (an isometry in the invariant metric); project is the left
+    inverse that annihilates the invariant complement, so sandwiched
+    operators compress multiplicatively.
     """
 
-    algebra: str
-    r: int
+    rep: Irrep
+    hecke: SpectralRMatrix
     n: int
     dim: int
     decomposition: Decomposition
@@ -76,19 +78,26 @@ class CompositeSpace:
     def space(self):
         return Space.single(self.parities)
 
-    def compress(self, full_matrix):
-        return self.project @ full_matrix @ self.embed
+    def compress_pair(self, full_matrix):
+        """An operator on the ambient factors of U (x) U, in block coordinates."""
+        return np.kron(self.project, self.project) @ full_matrix \
+            @ np.kron(self.embed, self.embed)
 
     def replike(self):
         return self.gens
 
 
-def adjacent_singlet_kernel(rep, n, params):
+def _singlet(fam):
+    # the Hecke family's check form at its degenerate point is 1 - P1
+    return np.eye(fam.r1 ** 2) - fam.check_fn(fam.u0)
+
+
+def adjacent_singlet_kernel(fam, n):
     """Orthonormal basis of the joint kernel of all adjacent-pair singlet
-    projectors on (V^r)^(x n)."""
-    P1 = projector(rep, rep, 1, params).matrix
-    dims = [rep.r] * n
-    pars = [rep.parities] * n
+    projectors on (V^r)^(x n), fam the Hecke family on V^r (x) V^r."""
+    P1 = _singlet(fam)
+    dims = [fam.r1] * n
+    pars = [fam.parities] * n
     rows = np.vstack([embed_at(P1, (k, k + 1), dims, pars) for k in range(n - 1)])
     u, s, vh = np.linalg.svd(rows)
     tol = 1e-10 * max(1.0, s.max())
@@ -96,14 +105,14 @@ def adjacent_singlet_kernel(rep, n, params):
     return vh.conj().T[:, rank:]
 
 
-def truncation_cascade(rep, n, params, chi=None):
-    """Pairwise product of degenerate-point R-matrices over all factor pairs
-    (the step-by-step truncation); its image spans U^{R_n}."""
-    fam = hecke_family(rep, params, chi)
+def truncation_cascade(fam, n):
+    """Pairwise product of degenerate-point R-matrices of the Hecke family
+    over all factor pairs (the step-by-step truncation); its image spans
+    U^{R_n}."""
     u0 = fam.u0
-    dims = [rep.r] * n
-    pars = [rep.parities] * n
-    out = np.eye(rep.r ** n, dtype=complex)
+    dims = [fam.r1] * n
+    pars = [fam.parities] * n
+    out = np.eye(fam.r1 ** n, dtype=complex)
     for k in range(2, n + 1):
         for p in range(1, k):
             op = fam.swap @ fam.check_fn((k - p) * u0)
@@ -111,52 +120,42 @@ def truncation_cascade(rep, n, params, chi=None):
     return out
 
 
-def composite_space(algebra_or_rep, r=None, n=None, params=None):
-    """Build U^{R_n} with block structure, embedding and compressed generators.
+def composite_space(rep, n, params=None):
+    """Build U^{R_n} with block structure, embedding and compressed generators,
+    from the Hecke family of rep, built once here.
 
     Raises on a rank mismatch between the kernel intersection and the
     recurrence dimension."""
-    if isinstance(algebra_or_rep, str):
-        params = params or DeformParams(algebra=algebra_or_rep)
-        rep = build_irrep(algebra_or_rep, r, params)
-    else:
-        rep = algebra_or_rep
-        params = params or rep.params
-        if n is None:
-            n = r
-            r = rep.r
+    params = params or rep.params
     if n < 1:
         raise QybeError(f"composite space needs n >= 1, got {n}")
-    key = (rep.algebra, rep.r, n, params.q, params.a)
-    if key in _COMPOSITE_CACHE:
-        return _COMPOSITE_CACHE[key]
     want = dims_recurrence(rep.r, n)
     if rep.r ** n > DESK_BOUND:
         raise QybeError(f"composite space {rep.r}^{n} exceeds the desk bound {DESK_BOUND}")
+    hecke = hecke_family(rep, params)
+    co = nfold_coproduct(rep.algebra, [rep] * n, params.q)
     if n == 1:
         dec = decompose(rep, params)
-        E = dec.basis
-        D = dec.dual
     else:
-        within = adjacent_singlet_kernel(rep, n, params)
+        within = adjacent_singlet_kernel(hecke, n)
         if within.shape[1] != want:
             raise QybeError(
                 f"truncated-space rank {within.shape[1]} != recurrence value {want}"
             )
-        co = nfold_coproduct(rep.algebra, [rep] * n, params.q)
         dec = decompose(co, params, within=within)
-        E = dec.basis
-        D = dec.dual
+    E, D = dec.basis, dec.dual
     if E.shape[1] != want:
         raise QybeError(f"block basis rank {E.shape[1]} != recurrence value {want}")
-    co = nfold_coproduct(rep.algebra, [rep] * n, params.q)
     gens = RepLike(rep.algebra, D @ co.E @ E, D @ co.F @ E, D @ co.H @ E, dec.parities)
-    out = CompositeSpace(
-        algebra=rep.algebra, r=rep.r, n=n, dim=want, decomposition=dec,
+    return CompositeSpace(
+        rep=rep, hecke=hecke, n=n, dim=want, decomposition=dec,
         embed=E, project=D, gens=gens, params=params,
     )
-    _COMPOSITE_CACHE[key] = out
-    return out
+
+
+def _require_pair(U):
+    if U.n != 2:
+        raise QybeError(f"the pair builders act on U^(r^2-1) (n = 2), got n = {U.n}")
 
 
 def descendant_coefficients(u, chi, a, u0=None):
@@ -178,95 +177,81 @@ def descendant_coefficients(u, chi, a, u0=None):
     return c1, c2
 
 
-def _four_site_ops(rep, params):
+def _plain_placements(P1, r, pairs):
     # adjacent placements need no signs; the outer-pair projector enters the
     # check-formalism products sign-free as well (the Koszul-decorated
     # embedding differs for even-dimensional graded irreps, whose pair
     # singlet is odd, and does not satisfy the composite triple identity)
-    P1 = projector(rep, rep, 1, params).matrix
-    dims = [rep.r] * 4
-    plain = [tuple(0 for _ in range(rep.r))] * 4
-    P12 = embed_at(P1, (0, 1), dims, plain)
-    P34 = embed_at(P1, (2, 3), dims, plain)
-    P23 = embed_at(P1, (1, 2), dims, plain)
-    P14 = embed_at(P1, (0, 3), dims, plain)
+    dims = [r] * 4
+    plain = [tuple(0 for _ in range(r))] * 4
+    return [embed_at(P1, pair, dims, plain) for pair in pairs]
+
+
+def _four_site_ops(rep, params):
+    """The ambient four-factor operators (1 - P12)(1 - P34), P23 and P14."""
+    P12, P34, P23, P14 = _plain_placements(projector(rep, rep, 1, params).matrix, rep.r,
+                                           ((0, 1), (2, 3), (1, 2), (0, 3)))
     I = np.eye(rep.r ** 4)
-    ext = (I - P12) @ (I - P34)
-    return ext, P23, P14
+    return (I - P12) @ (I - P34), P23, P14
 
 
-def descendant_r_closed(rep, params, u, chi=None, compressed=True):
-    """Closed fused solution on U^{r^2-1} (x) U^{r^2-1} (or the ambient
-    4-factor space when compressed=False)."""
-    params = params or rep.params
-    fam = hecke_family(rep, params, chi)
-    c1, c2 = descendant_coefficients(u, fam.chi, params.a, fam.u0)
-    ext, P23, P14 = _four_site_ops(rep, params)
-    full = ext @ (np.eye(rep.r ** 4) + c1 * P23 + c2 * P14 @ P23) @ ext
-    if not compressed:
-        return full
-    U = composite_space(rep, n=2, params=params)
-    EE = np.kron(U.embed, U.embed)
-    DD = np.kron(U.project, U.project)
-    sp = U.space().tensor(U.space())
-    return GradedOperator(DD @ full @ EE, sp, sp, label=f"Rfused({u})")
+def pair_cells(U):
+    """The sandwiched singlet projectors P23 and P23 P14 on U (x) U, in block
+    coordinates.  The outer projectors P12 and P34 vanish on U (x) U, so
+    they need not enter the sandwich."""
+    _require_pair(U)
+    P23, P14 = _plain_placements(_singlet(U.hecke), U.rep.r, ((1, 2), (0, 3)))
+    return U.compress_pair(P23), U.compress_pair(P23 @ P14)
 
 
-def descendant_r_product(rep, params, u, chi=None, compressed=True, guard=1e-6):
-    """Fused solution as the six-factor product of pair R-matrices.
+def descendant_r_closed(U, u):
+    """Closed fused solution on U (x) U at outer line difference u: the
+    descendant family at u - u0."""
+    fam = descendant_family(U)
+    return GradedOperator(fam.check_fn(u - U.hecke.u0), fam.space, fam.space,
+                          label=f"Rfused({u})")
+
+
+def descendant_r_product(U, u, guard=1e-6):
+    """Fused solution on U (x) U as the six-factor product of pair R-matrices.
 
     The inner factor at argument u - 2 u0 has a pole at u = u0; within the
     guard the limit is taken by fourth-order Richardson extrapolation from
     nearby points (the limit exists, the direct product does not evaluate)."""
-    params = params or rep.params
-    fam = hecke_family(rep, params, chi)
+    _require_pair(U)
+    fam = U.hecke
     u0 = fam.u0
+    sp = U.space().tensor(U.space())
     if abs(complex(u) - u0) < guard:
         h = 1e-3
-        vals = [descendant_r_product(rep, params, u0 + dz, chi, compressed, guard=0.0)
+        mats = [descendant_r_product(U, u0 + dz, guard=0.0).matrix
                 for dz in (h, -h, h / 2, -h / 2)]
-        mats = [v.matrix if isinstance(v, GradedOperator) else v for v in vals]
         coarse = (mats[0] + mats[1]) / 2
         fine = (mats[2] + mats[3]) / 2
-        m = (4 * fine - coarse) / 3
-        if isinstance(vals[0], GradedOperator):
-            return GradedOperator(m, vals[0].domain, vals[0].codomain, label=f"Rfused({u})")
-        return m
-    dims = [rep.r] * 4
-    pars = [rep.parities] * 4
+        return GradedOperator((4 * fine - coarse) / 3, sp, sp, label=f"Rfused({u})")
+    dims = [U.rep.r] * 4
+    pars = [fam.parities] * 4
     Rc = lambda x, pos: embed_at(fam.check_fn(x), pos, dims, pars)
     full = (Rc(u0, (0, 1)) @ Rc(u0, (2, 3))
             @ Rc(u, (1, 2)) @ Rc(u - u0, (0, 1)) @ Rc(u - u0, (2, 3))
             @ Rc(u - 2 * u0, (1, 2))
             @ Rc(u0, (0, 1)) @ Rc(u0, (2, 3)))
-    if not compressed:
-        return full
-    U = composite_space(rep, n=2, params=params)
-    EE = np.kron(U.embed, U.embed)
-    DD = np.kron(U.project, U.project)
-    sp = U.space().tensor(U.space())
-    return GradedOperator(DD @ full @ EE, sp, sp, label=f"Rfused({u})")
+    return GradedOperator(U.compress_pair(full), sp, sp, label=f"Rfused({u})")
 
 
-def descendant_family(rep, params=None, chi=None):
-    """Spectral family of the fused solution on the composite pair, in the
-    additive spectral variable.
+def descendant_family(U):
+    """Spectral family of the fused solution on the composite pair U (x) U,
+    in the additive spectral variable.
 
     The construction is parameterized by the outermost line difference; the
     family shifts that variable so its regular point sits at zero, which is
     where the standard additive triple-product relation holds:
     check_fn(x) is the closed fused form at outer difference x + u0, and
     check_fn(0) is the identity."""
-    params = params or rep.params
-    fam = hecke_family(rep, params, chi)
-    U = composite_space(rep, n=2, params=params)
-    EE = np.kron(U.embed, U.embed)
-    DD = np.kron(U.project, U.project)
-    ext, P23, P14 = _four_site_ops(rep, params)
-    B0 = DD @ (ext @ ext) @ EE
-    B1 = DD @ (ext @ P23 @ ext) @ EE
-    B2 = DD @ (ext @ P14 @ P23 @ ext) @ EE
-    a = params.a
+    B1, B2 = pair_cells(U)
+    fam = U.hecke
+    B0 = np.eye(U.dim ** 2)
+    a = U.params.a
     s = np.sqrt(1 - 4 * fam.chi + 0j)
     z0 = (1 - s) / (1 + s)
     shift = fam.u0
@@ -281,13 +266,11 @@ def descendant_family(rep, params=None, chi=None):
         X = np.exp(2 * a * complex(x))
         return ((s - 1) * X * z0 + (s + 1)) * ((s - 1) * X + (s + 1))
 
-    Urep = RepLike(rep.algebra, U.gens.E, U.gens.F, U.gens.H, U.parities)
-    sp = U.space().tensor(U.space())
-    swap = graded_permutation(Urep, Urep).matrix
     return SpectralRMatrix(
-        algebra=rep.algebra, r1=U.dim, r2=U.dim, family="fused", params=params,
-        chi=fam.chi, u0=0.0, check_fn=check_fn, swap=swap, space=sp,
-        parities=U.parities,
+        algebra=U.rep.algebra, r1=U.dim, r2=U.dim, family="fused", params=U.params,
+        chi=fam.chi, u0=0.0, check_fn=check_fn,
+        swap=graded_permutation(U.gens, U.gens).matrix,
+        space=U.space().tensor(U.space()), parities=U.parities,
         poly_weight=poly_weight,
         poly_base=lambda x: np.exp(2 * a * complex(x)),
         nterms=3,
@@ -315,41 +298,34 @@ def f_product_by_recurrence(chi, a, n, u):
     return out
 
 
-def extended_lax(rep, n, params=None, u=0.0, chi=None):
+def extended_lax(U, u=0.0):
     """Descendant operator on V^r (x) U^{R_n}: the crossing train of pair
     R-matrices restricted to the truncated quantum space (which the train
     preserves exactly, so no output projector is needed)."""
-    params = params or rep.params
-    fam = hecke_family(rep, params, chi)
-    u0 = fam.u0
+    rep, fam, n = U.rep, U.hecke, U.n
     if rep.r ** (n + 1) > DESK_BOUND:
         raise QybeError(f"extended Lax {rep.r}^{n + 1} exceeds the desk bound {DESK_BOUND}")
-    U = composite_space(rep, n=n, params=params)
+    u0 = fam.u0
     dims = [rep.r] * (n + 1)
     pars = [rep.parities] * (n + 1)
     B = np.eye(rep.r ** (n + 1), dtype=complex)
     for m in range(n, 0, -1):  # auxiliary line crosses factor 1 first
         op = fam.swap @ fam.check_fn(u + (n - m) * u0)
         B = B @ embed_at(op, (0, m), dims, pars)
-    Efull = np.kron(np.eye(rep.r), U.embed)
-    Dfull = np.kron(np.eye(rep.r), U.project)
-    m_ = Dfull @ B @ Efull
+    m_ = np.kron(np.eye(rep.r), U.project) @ B @ np.kron(np.eye(rep.r), U.embed)
     sp = Space.single(rep.parities).tensor(U.space())
     return GradedOperator(m_, sp, sp, label=f"L[{rep.r},{n}]({u})")
 
 
-def lax_lower_projector(rep, n, params=None):
+def lax_lower_projector(U):
     """Invariant projector onto the U^{R_{n-1}} component of V^r (x) U^{R_n},
     complementary (in the invariant metric) to the embedded U^{R_{n+1}}."""
-    params = params or rep.params
-    U = composite_space(rep, n=n, params=params)
-    Tn1 = adjacent_singlet_kernel(rep, n + 1, params)  # U^{R_{n+1}} in the ambient
+    rep, n = U.rep, U.n
+    Tn1 = adjacent_singlet_kernel(U.hecke, n + 1)  # U^{R_{n+1}} in the ambient
     if Tn1.shape[1] != dims_recurrence(rep.r, n + 1):
         raise QybeError("upper component rank mismatch")
     Efull = np.kron(np.eye(rep.r), U.embed)
-    co = nfold_coproduct(rep.algebra, [rep] * (n + 1), params.q)
-    from .repspace import invariant_metric
-
+    co = nfold_coproduct(rep.algebra, [rep] * (n + 1), U.params.q)
     md, res = invariant_metric(co.E, co.F)
     if res > 1e-6:
         raise QybeError("invariant metric inconsistent on the Lax space")
@@ -366,38 +342,39 @@ def lax_lower_projector(rep, n, params=None):
     return W[:, k:] @ Winv[k:, :]
 
 
-def extended_lax_closed(rep, n, params=None, chi=None, fit_u=0.31 + 0.05j):
-    """Two-projector closed form of the extended Lax operator.
+def extended_lax_closed(U):
+    """Two-projector closed form of the extended Lax operator on V^r (x) U.
 
     Returns (evaluate, scale, fit_residual): evaluate(u) reproduces the train
     product as L(0) (1 + scale * F_n(u) * P_lower), with the single scalar
-    fitted at one generic point and F_n the shifted f-product."""
-    params = params or rep.params
-    fam = hecke_family(rep, params, chi)
-    Plow = lax_lower_projector(rep, n, params)
-    K0 = extended_lax(rep, n, params, 0.0, chi).matrix
-    Lfit = extended_lax(rep, n, params, fit_u, chi).matrix
+    fitted at the generic point u = 0.31 + 0.05i and F_n the shifted
+    f-product."""
+    fit_u = 0.31 + 0.05j
+    chi, a, n = U.hecke.chi, U.params.a, U.n
+    Plow = lax_lower_projector(U)
+    K0 = extended_lax(U, 0.0).matrix
+    Lfit = extended_lax(U, fit_u).matrix
     M = np.linalg.inv(K0) @ Lfit - np.eye(K0.shape[0])
     coef = np.vdot(Plow, M) / np.vdot(Plow, Plow)
     resid = np.abs(M - coef * Plow).max() / max(1.0, np.abs(M).max())
-    scale = coef / f_product(fam.chi, params.a, n, fit_u)
-    sp = Space.single(rep.parities).tensor(composite_space(rep, n=n, params=params).space())
+    scale = coef / f_product(chi, a, n, fit_u)
+    sp = Space.single(U.rep.parities).tensor(U.space())
 
     def evaluate(u):
-        m = K0 @ (np.eye(K0.shape[0]) + scale * f_product(fam.chi, params.a, n, u) * Plow)
-        return GradedOperator(m, sp, sp, label=f"Lclosed[{rep.r},{n}]({u})")
+        m = K0 @ (np.eye(K0.shape[0]) + scale * f_product(chi, a, n, u) * Plow)
+        return GradedOperator(m, sp, sp, label=f"Lclosed[{U.rep.r},{n}]({u})")
 
     return evaluate, complex(scale), float(resid)
 
 
-def composite_states(rep, params=None):
-    """Normalized pair states of U^{r^2-1} induced from the product basis:
+def composite_states(U):
+    """Normalized pair states of U = U^{r^2-1} induced from the product basis:
     psi_(i,k) = (1 - P1)(v_i (x) v_k), written in composite-block coordinates
     and normalized to unit invariant-metric norm.  One weight-zero pair is
     linearly dependent on the rest and is dropped; the returned family spans
     the whole composite space."""
-    params = params or rep.params
-    U = composite_space(rep, n=2, params=params)
+    _require_pair(U)
+    rep = U.rep
     dec = U.decomposition
     j = rep.ladder_j
     states, labels = [], []

@@ -110,10 +110,9 @@ class SpectralRMatrix:
         return self.check_fn(u)
 
 
-def hecke_r(rep, u, params=None, chi=None):
+def hecke_r(rep, u, params=None):
     """Check R-matrix I + f(u) P1 on V^r (x) V^r."""
-    fam = hecke_family(rep, params, chi)
-    return fam.check(u)
+    return hecke_family(rep, params).check(u)
 
 
 def hecke_family(rep, params=None, chi=None):

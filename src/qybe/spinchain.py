@@ -18,8 +18,8 @@ import numpy as np
 from .qarith import DESK_BOUND, DeformParams, QybeError
 from .repspace import GradedOperator, Space, embed_at
 from .coupling import cgc_table, chi_factor, coupled_basis
-from .fusion import composite_space, descendant_coefficients, _four_site_ops
-from .rmatrix import SpectralRMatrix, f_slope, u0_point
+from .fusion import descendant_coefficients, pair_cells, _four_site_ops
+from .rmatrix import SpectralRMatrix, f_slope
 
 
 @dataclass
@@ -93,17 +93,14 @@ def f0_and_chibar(r, params):
     return complex(f0), complex(chibar)
 
 
-def bond_expansion_coefficients(rep, params=None, chi=None, step=1e-6):
-    """First-order expansion of the fused solution at its regular point:
-    d/du of the two closed coefficients, Richardson-extrapolated.
+def bond_expansion_coefficients(U, step=1e-6):
+    """First-order expansion of the fused solution on U (x) U at its regular
+    point: d/du of the two closed coefficients, Richardson-extrapolated.
 
     Both derivatives equal the slope f0 for every r, algebra and scale a, so
     the chain bond operator is f0 (Pbar + Phat); the ratio is returned rather
     than assumed so the construction stays self-calibrating."""
-    params = params or rep.params
-    chi = chi if chi is not None else chi_factor(rep.algebra, rep.r, params)
-    a = params.a
-    u0 = u0_point(chi, a)
+    chi, a, u0 = U.hecke.chi, U.params.a, U.hecke.u0
 
     def der(ix, h):
         cp = descendant_coefficients(u0 + h, chi, a, u0)[ix]
@@ -134,22 +131,15 @@ class HamiltonianBundle:
     terms: list
 
 
-def hamiltonian_projector_form(rep, n_sites, params=None, chi=None):
+def hamiltonian_projector_form(U, n_sites):
     """Nearest-neighbour Hamiltonian of the fused chain on (U^{r^2-1})^(x N),
     assembled from the sandwiched singlet projectors of each two-cell block
     and closed periodically.  Bond i couples sites (i+1, i), the orientation
     of the transfer matrix's log-derivative."""
     if n_sites < 2:
         raise QybeError(f"the chain Hamiltonian needs at least two sites, got {n_sites}")
-    params = params or rep.params
-    chi = chi if chi is not None else chi_factor(rep.algebra, rep.r, params)
-    U = composite_space(rep, n=2, params=params)
-    ext, P23, P14 = _four_site_ops(rep, params)
-    EE = np.kron(U.embed, U.embed)
-    DD = np.kron(U.project, U.project)
-    pbar = DD @ (ext @ P23 @ ext) @ EE
-    phat = DD @ (ext @ P23 @ P14 @ ext) @ EE
-    c1p, c2p = bond_expansion_coefficients(rep, params, chi)
+    pbar, phat = pair_cells(U)
+    c1p, c2p = bond_expansion_coefficients(U)
     f0 = c1p
     chibar = c2p / c1p
     dU = U.dim

@@ -13,7 +13,6 @@ from .coupling import (
     casimir_projector,
     cgc_table,
     chi_closed,
-    chi_factor,
     projector,
     tensor_decompose,
 )
@@ -111,6 +110,13 @@ class RunConfig:
 
     @staticmethod
     def from_json(doc):
+        """The configuration of a JSON document; a field of the wrong type
+        raises QybeError."""
+        if type(doc) is not dict:
+            raise QybeError(f"a config is a JSON object, got {doc!r}")
+        for key, (what, valid) in CONFIG_FIELDS.items():
+            if key in doc and not valid(doc[key]):
+                raise QybeError(f"config field {key!r} must be {what}, got {doc[key]!r}")
         return RunConfig(
             algebra=doc.get("algebra", SLQ2),
             q=complex(*doc.get("q", [1.3, 0.0])),
@@ -121,6 +127,24 @@ class RunConfig:
             outdir=doc.get("outdir", "qybe-out"),
             tolerances=doc.get("tolerances", {}),
         )
+
+
+def _numbers(v, count=None, kinds=(int, float)):
+    return type(v) is list and count in (None, len(v)) and all(type(x) in kinds for x in v)
+
+
+# what each field of a JSON config must be: (description, test)
+CONFIG_FIELDS = {
+    "algebra": ("a string", lambda v: type(v) is str),
+    "q": ("[re, im]", lambda v: _numbers(v, 2)),
+    "a": ("[re, im]", lambda v: _numbers(v, 2)),
+    "r_list": ("a list of integers", lambda v: _numbers(v, kinds=(int,))),
+    "n_list": ("a list of integers", lambda v: _numbers(v, kinds=(int,))),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "outdir": ("a string", lambda v: type(v) is str),
+    "tolerances": ("an object of numbers", lambda v: type(v) is dict and _numbers(
+        list(v.values()))),
+}
 
 
 class Report:
@@ -228,7 +252,7 @@ class Context:
         return self._once(("hecke", r), hecke_family, self.rep(r), self.params)
 
     def descendant(self, r):
-        return self._once(("descendant", r), fusion.descendant_family, self.rep(r), self.params)
+        return self._once(("descendant", r), fusion.descendant_family, self.composite(r, 2))
 
     def fixture(self, kind):
         return self._once(("fixture", kind), lambda: r33_family(
@@ -241,11 +265,12 @@ class Context:
             universal_r(r2, r2, -1, self.params)), self.rep(2))
 
     def composite(self, r, n):
-        return fusion.composite_space(self.rep(r), n=n, params=self.params)
+        return self._once(("composite", r, n), lambda rep: fusion.composite_space(
+            rep, n=n, params=self.params), self.rep(r))
 
     def hamiltonian(self, r, n_sites):
         return self._once(("hamiltonian", r, n_sites), chains.hamiltonian_projector_form,
-                          self.rep(r), n_sites, self.params)
+                          self.composite(r, 2), n_sites)
 
     def commutant(self, r, n):
         """Centralizer bases of U^(x n) by both routes, U the pair space of r."""
@@ -296,7 +321,7 @@ def _projector_routes(ctx, rng, inputs):
 
 def _chi_closed_form(ctx, rng, inputs):
     algebra, r = ctx.config.algebra, inputs["r"]
-    return abs(chi_factor(algebra, r, ctx.params) - chi_closed(algebra, r, ctx.params.q))
+    return abs(ctx.hecke(r).chi - chi_closed(algebra, r, ctx.params.q))
 
 
 def _family_ybe(fam, pts):
@@ -337,10 +362,10 @@ def _universal_braid(ctx, rng, inputs):
 
 
 def _descendant_agreement(ctx, rng, inputs, count=5):
-    rep = ctx.rep(inputs["r"])
-    u0 = ctx.hecke(rep.r).u0
-    return max(rel_residual(fusion.descendant_r_closed(rep, ctx.params, u).matrix,
-                            fusion.descendant_r_product(rep, ctx.params, u).matrix)
+    U = ctx.composite(inputs["r"], 2)
+    u0 = U.hecke.u0
+    return max(rel_residual(fusion.descendant_r_closed(U, u).matrix,
+                            fusion.descendant_r_product(U, u).matrix)
                for u in random_points(rng, count, guards=(0.0, -u0, u0)))
 
 
@@ -355,12 +380,11 @@ def _lax_dims(ctx, rng, inputs):
 
 
 def _lax_rll(ctx, rng, inputs):
-    rep, n = ctx.rep(inputs["r"]), inputs["n"]
-    fam = ctx.hecke(rep.r)
-    U = ctx.composite(rep.r, n)
+    U = ctx.composite(inputs["r"], inputs["n"])
+    rep, fam = U.rep, U.hecke
     u, w = random_points(rng, 2, guards=(-fam.u0,))
-    L13 = fusion.extended_lax(rep, n, ctx.params, u).matrix
-    L23 = fusion.extended_lax(rep, n, ctx.params, w).matrix
+    L13 = fusion.extended_lax(U, u).matrix
+    L23 = fusion.extended_lax(U, w).matrix
     Rm = (fam.swap @ fam.check_fn(u - w))
     dims = [rep.r, rep.r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]

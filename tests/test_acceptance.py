@@ -157,27 +157,26 @@ def test_criterion_06_fusion_cross_check():
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3):
-            rep = build_irrep(algebra, r, p)
+            U = composite_space(build_irrep(algebra, r, p), n=2, params=p)
             u0 = u0_point(chi_factor(algebra, r, p), p.a)
             guards = (0.0, u0, -u0, 2 * u0, -2 * u0)
             for u in random_points(rng, 20, guards=guards):
-                A = descendant_r_closed(rep, p, u).matrix
-                B = descendant_r_product(rep, p, u).matrix
+                A = descendant_r_closed(U, u).matrix
+                B = descendant_r_product(U, u).matrix
                 worst = max(worst, rel_residual(A, B))
     report(6, "fused product form equals closed form, r = 2, 3", worst, 1e-9)
     worst_id = 0.0
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3):
-            rep = build_irrep(algebra, r, p)
+            U = composite_space(build_irrep(algebra, r, p), n=2, params=p)
             u0 = u0_point(chi_factor(algebra, r, p), p.a)
-            m = descendant_r_closed(rep, p, u0).matrix
+            m = descendant_r_closed(U, u0).matrix
             worst_id = max(worst_id, np.abs(m - np.eye((r * r - 1) ** 2)).max())
     report(6, "fused solution is the identity at the degeneration point",
            worst_id, 1e-10)
     p = params_for(SLQ2)
-    rep = build_irrep(SLQ2, 3, p)
-    fam = descendant_family(rep, p)
+    fam = descendant_family(composite_space(build_irrep(SLQ2, 3, p), n=2, params=p))
     guards = family_guards(fam)
     pts = random_points(rng, 4, guards=guards, min_dist=0.1)
     worst_ybe = max(ybe_residual(fam, fam, fam, u, w, form="check")
@@ -216,8 +215,8 @@ def test_criterion_08_extended_lax():
         fam = hecke_family(rep, p)
         U = composite_space(rep, n=n, params=p)
         u, w = random_points(rng, 2, guards=(-fam.u0,))
-        L13 = extended_lax(rep, n, p, u).matrix
-        L23 = extended_lax(rep, n, p, w).matrix
+        L13 = extended_lax(U, u).matrix
+        L23 = extended_lax(U, w).matrix
         Rm = fam.swap @ fam.check_fn(u - w)
         dims = [r, r, U.dim]
         pars = [rep.parities, rep.parities, U.parities]
@@ -241,10 +240,11 @@ def test_criterion_08_extended_lax():
     for (r, n) in ((2, 2), (2, 3), (3, 2), (3, 3)):
         rep = build_irrep(SLQ2, r, p)
         fam = hecke_family(rep, p)
-        evaluate, scale, fit_res = extended_lax_closed(rep, n, p)
+        U = composite_space(rep, n=n, params=p)
+        evaluate, scale, fit_res = extended_lax_closed(U)
         for u in random_points(rng, 20, guards=(-fam.u0,)):
             A = evaluate(u).matrix
-            B = extended_lax(rep, n, p, u).matrix
+            B = extended_lax(U, u).matrix
             worst_closed = max(worst_closed, rel_residual(A, B))
     report(8, "two-projector closed form after one-point scalar fit",
            worst_closed, 1e-8)
@@ -254,8 +254,8 @@ def test_criterion_09_chain_suite():
     rng = np.random.default_rng(109)
     p = params_for(SLQ2)
     rep = build_irrep(SLQ2, 3, p)
-    fam = descendant_family(rep, p)
     U = composite_space(rep, n=2, params=p)
+    fam = descendant_family(U)
     for N in (2, 3):
         spec = ChainSpec.from_composite(U, N)
         dim = U.dim ** N
@@ -269,7 +269,7 @@ def test_criterion_09_chain_suite():
                worst, 1e-12)
     spec = ChainSpec.from_composite(U, 2)
     Hlog = hamiltonian_log_derivative(spec, fam).matrix
-    bundle = hamiltonian_projector_form(rep, 2, p)
+    bundle = hamiltonian_projector_form(U, 2)
     X = np.stack([bundle.H.matrix.ravel(), np.eye(U.dim ** 2).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(X, Hlog.ravel(), rcond=None)
     resid = np.abs(X @ coef - Hlog.ravel()).max() / max(1, np.abs(Hlog).max())

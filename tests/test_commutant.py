@@ -122,7 +122,7 @@ def test_descendant_samples_are_members(params_sl, rng):
     U = composite_space(rep, n=2, params=params_sl)
     nb = commutant_nullspace(U, 2, params_sl)
     cb, _ = constraint_system(U, 2, params_sl)
-    fam = descendant_family(rep, params_sl)
+    fam = descendant_family(U)
     for u in random_points(rng, 3, guards=family_guards(fam), min_dist=0.1):
         for basis in (nb, cb):
             ok, coef, resid = membership(fam.check_fn(u), basis)
@@ -135,7 +135,7 @@ def test_bond_terms_are_centralizer_elements(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
     nb = commutant_nullspace(U, 2, params_sl)
-    bundle = hamiltonian_projector_form(rep, 2, params_sl)
+    bundle = hamiltonian_projector_form(U, 2)
     for term in (bundle.pbar_cell, bundle.phat_cell):
         ok, coef, resid = membership(term, nb)
         assert ok and resid < 1e-9

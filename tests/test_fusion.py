@@ -99,10 +99,11 @@ def test_cascade_image_is_truncated_space(params_sl):
     # intersection and has the recurrence rank
     rep = build_irrep(SLQ2, 3, params_sl)
     for n in (2, 3):
-        G = truncation_cascade(rep, n, params_sl)
+        fam = hecke_family(rep, params_sl)
+        G = truncation_cascade(fam, n)
         want = dims_recurrence(3, n)
         assert np.linalg.matrix_rank(G, tol=1e-8 * np.abs(G).max()) == want
-        ker = adjacent_singlet_kernel(rep, n, params_sl)
+        ker = adjacent_singlet_kernel(fam, n)
         resid = np.abs(G - ker @ (ker.conj().T @ G)).max()
         assert resid < 1e-9 * max(1.0, np.abs(G).max())
 
@@ -122,11 +123,12 @@ def test_u8_pair_multiplicities(params_sl):
 def test_descendant_product_equals_closed(algebra, r, rng):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
+    U = composite_space(rep, n=2, params=p)
     pts = sample_points(rng, 6, guards=desc_guards(rep, p))
     worst = 0.0
     for u in pts:
-        A = descendant_r_closed(rep, p, u).matrix
-        B = descendant_r_product(rep, p, u).matrix
+        A = descendant_r_closed(U, u).matrix
+        B = descendant_r_product(U, u).matrix
         worst = max(worst, rel_residual(A, B))
     assert worst < 1e-9
 
@@ -135,14 +137,15 @@ def test_descendant_product_equals_closed(algebra, r, rng):
 def test_descendant_identity_at_u0(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
+    U = composite_space(rep, n=2, params=p)
     u0 = u0_point(chi_factor(algebra, r, p), p.a)
-    m = descendant_r_closed(rep, p, u0).matrix
+    m = descendant_r_closed(U, u0).matrix
     assert np.abs(m - np.eye((r * r - 1) ** 2)).max() < 1e-10
     # the family regular point sits at zero in the additive variable
-    fam = descendant_family(rep, p)
+    fam = descendant_family(U)
     assert np.abs(fam.check_fn(0.0) - np.eye(fam.r1 ** 2)).max() < 1e-10
     # the product form reaches the same limit through extrapolation
-    m2 = descendant_r_product(rep, p, u0).matrix
+    m2 = descendant_r_product(U, u0).matrix
     assert np.abs(m2 - np.eye((r * r - 1) ** 2)).max() < 1e-8
 
 
@@ -151,7 +154,8 @@ def test_descendant_product_pole_guard(params_sl):
     chi = chi_factor(SLQ2, 2, params_sl)
     u0 = u0_point(chi, params_sl.a)
     with pytest.raises(PoleError):
-        descendant_r_product(rep, params_sl, -u0 + 1e-12, guard=0.0)
+        descendant_r_product(composite_space(rep, n=2, params=params_sl), -u0 + 1e-12,
+                             guard=0.0)
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 3)])
@@ -159,7 +163,7 @@ def test_descendant_invariance(algebra, r, rng):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
     U = composite_space(rep, n=2, params=p)
-    fam = descendant_family(rep, p)
+    fam = descendant_family(U)
     pair = nfold_coproduct(algebra, [U.replike()] * 2, p.q)
     u = sample_points(rng, 1, guards=fam_guards(rep, p))[0]
     R = fam.check_fn(u)
@@ -170,7 +174,7 @@ def test_descendant_invariance(algebra, r, rng):
 
 def test_descendant_ybe_r2(params_sl, rng):
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = descendant_family(rep, params_sl)
+    fam = descendant_family(composite_space(rep, n=2, params=params_sl))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
     worst = max(ybe_residual(fam, fam, fam, u, w, form="check")
@@ -182,7 +186,7 @@ def test_descendant_ybe_r2(params_sl, rng):
 def test_descendant_ybe_r3_512(params_sl, rng):
     # the 512-dimensional triple-space check for the composite solution
     rep = build_irrep(SLQ2, 3, params_sl)
-    fam = descendant_family(rep, params_sl)
+    fam = descendant_family(composite_space(rep, n=2, params=params_sl))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
     pairs = [(u, w) for u in pts[:2] for w in pts[2:]
@@ -193,7 +197,7 @@ def test_descendant_ybe_r3_512(params_sl, rng):
 
 def test_descendant_ybe_osp_r3(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    fam = descendant_family(rep, params_osp)
+    fam = descendant_family(composite_space(rep, n=2, params=params_osp))
     guards = fam_guards(rep, params_osp)
     pts = sample_points(rng, 2, guards=guards, min_dist=0.1)
     u, w = pts
@@ -214,7 +218,7 @@ def test_descendant_r2_matches_fixture1(params_sl, rng):
 
     plat = DeformParams(q=q, a=np.log(q) / 2, algebra=SLQ2)
     rep = build_irrep(SLQ2, 2, plat)
-    dfam = descendant_family(rep, plat)
+    dfam = descendant_family(composite_space(rep, n=2, params=plat))
     mats_d, res_d = spectral_decompose(dfam, r1=3, rng=rng)
     assert res_d < 1e-8
     fam1 = r33_family(1, params=params_sl)
@@ -240,8 +244,8 @@ def test_extended_lax_rll(r, n, params_sl, rng):
     fam = hecke_family(rep, params_sl)
     U = composite_space(rep, n=n, params=params_sl)
     u, w = sample_points(rng, 2, guards=(-fam.u0,))
-    L13 = extended_lax(rep, n, params_sl, u).matrix
-    L23 = extended_lax(rep, n, params_sl, w).matrix
+    L13 = extended_lax(U, u).matrix
+    L23 = extended_lax(U, w).matrix
     Rm = fam.swap @ fam.check_fn(u - w)
     dims = [r, r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
@@ -256,10 +260,10 @@ def test_extended_lax_n1_is_pair_matrix(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     fam = hecke_family(rep, params_sl)
     u = 0.37 + 0.08j
-    L = extended_lax(rep, 1, params_sl, u).matrix
-    R = fam.swap @ fam.check_fn(u)
     # n = 1 composite is the irrep itself in its block basis
     U = composite_space(rep, n=1, params=params_sl)
+    L = extended_lax(U, u).matrix
+    R = fam.swap @ fam.check_fn(u)
     big = np.kron(np.eye(3), U.project) @ R @ np.kron(np.eye(3), U.embed)
     assert rel_residual(L, big) < 1e-12
 
@@ -280,7 +284,7 @@ def test_extended_lax_r2_spectral_two_terms(rng):
     def check_fn(u):
         # non-check train in U-coordinates; treated as a family over the
         # mixed pair for the polynomial fit
-        return extended_lax(rep, n, plat, u).matrix
+        return extended_lax(U, u).matrix
 
     s = np.sqrt(1 - 4 * chi + 0j)
 
@@ -313,14 +317,15 @@ def test_extended_lax_r2_spectral_two_terms(rng):
 @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_extended_lax_closed_form(r, n, params_sl, rng):
     rep = build_irrep(SLQ2, r, params_sl)
-    evaluate, scale, fit_resid = extended_lax_closed(rep, n, params_sl)
+    U = composite_space(rep, n=n, params=params_sl)
+    evaluate, scale, fit_resid = extended_lax_closed(U)
     assert fit_resid < 1e-10
     fam = hecke_family(rep, params_sl)
     pts = sample_points(rng, 20, guards=(-fam.u0,))
     worst = 0.0
     for u in pts:
         A = evaluate(u).matrix
-        B = extended_lax(rep, n, params_sl, u).matrix
+        B = extended_lax(U, u).matrix
         worst = max(worst, rel_residual(A, B))
     assert worst < 1e-8
 
@@ -359,10 +364,10 @@ def test_f_product_recurrence_route(algebra, r, rng):
 def test_composite_states(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    labels, psi = composite_states(rep, p)
+    U = composite_space(rep, n=2, params=p)
+    labels, psi = composite_states(U)
     assert psi.shape == (r * r - 1, r * r - 1)
     assert len(labels) == r * r - 1
-    U = composite_space(rep, n=2, params=p)
     # each state has unit metric norm and already lives in the truncation
     for k in range(psi.shape[1]):
         nrm = psi[:, k] @ (U.decomposition.eps * psi[:, k])
@@ -372,8 +377,8 @@ def test_composite_states(algebra, r):
 
 def test_composite_states_r2_span_triplet(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    labels, psi = composite_states(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
+    labels, psi = composite_states(U)
     assert U.blocks == [(3, 1)]
     assert psi.shape == (3, 3)
 
@@ -386,8 +391,8 @@ def test_first_order_expansion_at_u0(params_sl):
 
     rep = build_irrep(SLQ2, 3, params_sl)
     chi = chi_factor(SLQ2, 3, params_sl)
-    fam = descendant_family(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
+    fam = descendant_family(U)
     ext, P23, P14 = _four_site_ops(rep, params_sl)
     EE = np.kron(U.embed, U.embed)
     DD = np.kron(U.project, U.project)
@@ -411,8 +416,8 @@ def test_first_order_expansion_at_u0(params_sl):
 def test_composite_states_live_in_truncation(params_osp):
     # projecting back to the ambient pair space reproduces each state
     rep = build_irrep(OSPQ12, 3, params_osp)
-    labels, psi = composite_states(rep, params_osp)
     U = composite_space(rep, n=2, params=params_osp)
+    labels, psi = composite_states(U)
     Qp = U.embed @ U.project
     amb = U.embed @ psi
     assert np.abs(Qp @ amb - amb).max() < 1e-10
@@ -432,6 +437,7 @@ def test_complex_deformation_parameter():
         assert np.abs(dec.dual @ dec.basis - np.eye(9)).max() < 1e-10
         fam = hecke_family(rep, p)
         assert ybe(fam, fam, fam, 0.37 + 0.1j, -0.22 + 0.03j) < 1e-11
-        A = descendant_r_closed(rep, p, 0.8 + 0.1j).matrix
-        B = descendant_r_product(rep, p, 0.8 + 0.1j).matrix
+        U = composite_space(rep, n=2, params=p)
+        A = descendant_r_closed(U, 0.8 + 0.1j).matrix
+        B = descendant_r_product(U, 0.8 + 0.1j).matrix
         assert rel_residual(A, B) < 1e-10

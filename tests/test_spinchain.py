@@ -68,7 +68,7 @@ def test_f0_linear_in_scale():
 def test_bond_expansion_both_equal_f0(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    c1p, c2p = bond_expansion_coefficients(rep, p)
+    c1p, c2p = bond_expansion_coefficients(composite_space(rep, n=2, params=p))
     chi = chi_factor(algebra, r, p)
     f0 = f_slope(chi, p.a)
     assert abs(c1p - f0) < 1e-7 * max(1, abs(f0))
@@ -77,8 +77,8 @@ def test_bond_expansion_both_equal_f0(algebra, r):
 
 def test_transfer_matrices_commute_n2(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
-    fam = descendant_family(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     pts = chain_points(rng, 4, fam)
     taus = [transfer_matrix(spec, fam, u).matrix for u in pts]
@@ -89,8 +89,8 @@ def test_transfer_matrices_commute_n2(params_sl, rng):
 
 def test_transfer_matrix_regular_point_is_shift(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = descendant_family(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     t0 = transfer_matrix(spec, fam, 0.0).matrix
     d = U.dim
@@ -104,8 +104,8 @@ def test_transfer_matrix_regular_point_is_shift(params_sl):
 def test_single_site_transfer_invariant(params_sl, rng):
     # N = 1: the trace of R commutes with the site action of h
     rep = build_irrep(SLQ2, 3, params_sl)
-    fam = descendant_family(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 1)
     u = chain_points(rng, 1, fam)[0]
     tau = transfer_matrix(spec, fam, u).matrix
@@ -115,7 +115,7 @@ def test_single_site_transfer_invariant(params_sl, rng):
 
 def test_hamiltonian_reassembles(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
-    bundle = hamiltonian_projector_form(rep, 2, params_sl)
+    bundle = hamiltonian_projector_form(composite_space(rep, n=2, params=params_sl), 2)
     total = bundle.f0 * sum(bundle.terms)
     assert np.abs(total - bundle.H.matrix).max() == 0.0
 
@@ -126,11 +126,11 @@ def test_hamiltonian_reassembles(params_sl):
 def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    fam = descendant_family(rep, p)
     U = composite_space(rep, n=2, params=p)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, n_sites)
     Hlog = hamiltonian_log_derivative(spec, fam).matrix
-    bundle = hamiltonian_projector_form(rep, n_sites, p)
+    bundle = hamiltonian_projector_form(U, n_sites)
     X = np.stack([bundle.H.matrix.ravel(),
                   np.eye(bundle.H.matrix.shape[0]).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(X, Hlog.ravel(), rcond=None)
@@ -143,7 +143,7 @@ def test_chain_size_validation(params_sl):
     with pytest.raises(QybeError):
         ChainSpec(site_dim=3, n_sites=0, params=params_sl)
     with pytest.raises(QybeError):
-        hamiltonian_projector_form(rep, 1, params_sl)
+        hamiltonian_projector_form(composite_space(rep, n=2, params=params_sl), 1)
 
 
 def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
@@ -153,9 +153,9 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     # chain-level invariance checks are per-bond plus the weight and the
     # commuting transfer matrix
     rep = build_irrep(SLQ2, 3, params_sl)
-    fam = descendant_family(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
-    bundle = hamiltonian_projector_form(rep, 2, params_sl)
+    fam = descendant_family(U)
+    bundle = hamiltonian_projector_form(U, 2)
     H = bundle.H.matrix
     pair = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     bond = bundle.pbar_cell + bundle.chibar * bundle.phat_cell
@@ -171,8 +171,8 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
 
 def test_hamiltonian_step_halving(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = descendant_family(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 3)
     H1 = hamiltonian_log_derivative(spec, fam, step=1e-5).matrix
     H2 = hamiltonian_log_derivative(spec, fam, step=5e-6).matrix
@@ -212,7 +212,7 @@ def test_spin_structure_block_transitions(params_sl):
     for r, expect_offdiag in ((2, False), (3, True)):
         rep = build_irrep(SLQ2, r, params_sl)
         U = composite_space(rep, n=2, params=params_sl)
-        bundle = hamiltonian_projector_form(rep, 2, params_sl)
+        bundle = hamiltonian_projector_form(U, 2)
         bond = bundle.pbar_cell + bundle.chibar * bundle.phat_cell
         blocks = U.decomposition.blocks
         labels = np.zeros(U.dim, dtype=int)
@@ -264,11 +264,11 @@ def test_spectrum_descendant_chain_consistency(params_sl):
     # the log-derivative and projector-form spectra coincide up to the
     # fitted affine map for the fundamental composite chain
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = descendant_family(rep, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     Hlog = hamiltonian_log_derivative(spec, fam).matrix
-    bundle = hamiltonian_projector_form(rep, 2, params_sl)
+    bundle = hamiltonian_projector_form(U, 2)
     X = np.stack([bundle.H.matrix.ravel(), np.eye(9).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(X, Hlog.ravel(), rcond=None)
     vals1, _ = spectrum(Hlog)
@@ -283,7 +283,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
 
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(rep, n=2, params=params_sl)
-    bundle = hamiltonian_projector_form(rep, 2, params_sl)
+    bundle = hamiltonian_projector_form(U, 2)
     vals, clusters = spectrum(bundle.H, cluster_tol=1e-6)
     chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     dims = sorted(b.r for b in decompose(chain, params_sl).blocks)
@@ -297,8 +297,8 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
 def test_graded_chain_transfer_commutes(params_osp, rng):
     # composite chain over the graded algebra: parity-signed auxiliary trace
     rep = build_irrep(OSPQ12, 3, params_osp)
-    fam = descendant_family(rep, params_osp)
     U = composite_space(rep, n=2, params=params_osp)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     pts = chain_points(rng, 2, fam)
     t1 = transfer_matrix(spec, fam, pts[0]).matrix
@@ -335,8 +335,8 @@ def _check_against_dense(spec, R, rng):
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_graded_transfer_matches_dense_product(r, n_sites, params_osp, rng):
     rep = build_irrep(OSPQ12, r, params_osp)
-    fam = descendant_family(rep, params_osp)
     U = composite_space(rep, n=2, params=params_osp)
+    fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, n_sites)
     R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
     _check_against_dense(spec, R, rng)

@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qybe import (
+    OSPQ12,
     SLQ2,
     deserialize_operator,
     serialize_operator,
@@ -19,6 +21,7 @@ from qybe.toolkit import (
     RunConfig,
     verify_all,
 )
+from qybe import fusion, rmatrix, toolkit
 from qybe.cli import cli_dispatch
 from conftest import params_for
 
@@ -176,6 +179,7 @@ def test_cli_computation_failure_exits_1(tmp_path):
     ["lax", "--r", "2", "5", "--n", "5"],
     ["commutant", "--r", "2", "--n", "0"],
     ["commutant", "--r", "5"],
+    ["commutant", "--r", "2", "--n", "2", "0"],
 ])
 def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     assert cli_dispatch(["--out", str(tmp_path)] + argv) == 1
@@ -191,6 +195,28 @@ def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("text", [
+    None,  # no such file
+    '{"q": [1.3, 0.0]',
+    '{"tolerances": {"ybe": "abc"}}',
+    '{"q": 5}',
+    '{"r_list": "2"}',
+    '[2, 3]',
+])
+def test_cli_malformed_config_exits_1(text, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    out = tmp_path / "out"
+    argv = ["--out", str(out), "--config", str(config), "verify-all", "--r", "2"]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert report["checks"][0]["error"]
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
 def test_keyless_checks_ignore_config_tolerances():
     # dimension counts and the chain checks have fixed tolerances that no
     # config can loosen
@@ -203,13 +229,41 @@ def test_keyless_checks_ignore_config_tolerances():
     assert [c["tolerance"] for c in ctx.report.checks] == [0.5, 1e-3]
 
 
-def test_verify_all_into_context_builds_shared_objects_once():
-    cfg = RunConfig(algebra="ospq12", r_list=(2,))
+def test_verify_all_into_context_builds_shared_objects_once(monkeypatch):
+    calls = {"composite_space": [], "hecke_family": []}
+
+    def counting(fn):
+        def wrapper(rep, *args, **kwargs):
+            calls[fn.__name__].append((rep.r, kwargs.get("n")))
+            return fn(rep, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fusion, "composite_space", counting(fusion.composite_space))
+    hecke = counting(rmatrix.hecke_family)
+    for module in (rmatrix, fusion, toolkit):
+        monkeypatch.setattr(module, "hecke_family", hecke)
+    cfg = RunConfig(algebra="ospq12", r_list=(2, 3), n_list=(2, 3))
     ctx = Context(cfg)
     assert verify_all(cfg, ctx) is ctx.report
+    # one composite space per (r, n); its Hecke family is built with it, and
+    # the context builds one more per r for the Hecke checks
+    assert sorted(calls["composite_space"]) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+    assert sorted(calls["hecke_family"]) == [(2, None)] * 3 + [(3, None)] * 3
     assert ctx.report.comparable_json() == verify_all(cfg).comparable_json()
     assert ctx.universal() is ctx.universal()
     assert ctx.fixture(1) is ctx.fixture(1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebra=st.sampled_from([SLQ2, OSPQ12]), r=st.integers(2, 5),
+       modulus=st.floats(1.2, 2.5), arg=st.floats(-0.6, 0.6))
+def test_routes_agree_in_a_generic_annulus(algebra, r, modulus, arg):
+    # q anywhere in a generic annulus, the real axis included: the two
+    # projector routes, the triple-overlap scalar and the Hecke family hold
+    # at complex q too (even graded irreps shift h off the real axis there)
+    ctx = Context(RunConfig(algebra=algebra, q=modulus * np.exp(1j * arg)))
+    for name in ("cgc-biorthogonality", "projector-routes", "chi-closed-form", "hecke-ybe"):
+        assert ctx.check(name, r=r), ctx.report.checks[-1]
 
 
 def test_cli_verify_all_records_unbuildable_fixture(tmp_path):
@@ -254,6 +308,7 @@ SUBCOMMANDS = {
     "chain": (["chain", "--r", "2", "--sites", "2"], 2, ["spectrum_slq2_r2_N2.csv"]),
     "chain r=4": (["chain", "--r", "4", "--sites", "2"], 2, ["spectrum_slq2_r4_N2.csv"]),
     "commutant": (["commutant", "--r", "2"], 2, []),
+    "commutant n=3 2": (["commutant", "--r", "2", "--n", "3", "2"], 4, []),
     "export": (["export", "--what", "fused", "--r", "2"], 1, ["export_fused_slq2_r2.json"]),
 }
 
