@@ -44,10 +44,8 @@ from .rmatrix import (
     SpectralRMatrix,
     hecke_f,
     hecke_family,
-    hecke_r,
     mixed_braid_check,
     r33_family,
-    r33_fixture,
     spectral_decompose,
     u0_point,
     universal_r,
@@ -68,7 +66,6 @@ from .spinchain import (
     ChainSpec,
     HamiltonianBundle,
     coupled_matrix_elements,
-    f0_and_chibar,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
     spectrum,

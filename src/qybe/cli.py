@@ -6,6 +6,7 @@ Exit codes: 0 all checks passed, 1 computation failure or failed checks,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,28 +31,30 @@ def _write_json(outdir, name, payload):
     return _write(outdir, name, json.dumps(payload, sort_keys=True, indent=1))
 
 
-def _config_from_args(args):
-    cfg = RunConfig(
-        algebra=args.algebra,
-        q=complex(args.q, args.qi),
-        a=complex(args.a),
-        r_list=tuple(args.r) if getattr(args, "r", None) else (2, 3),
-        n_list=tuple(args.n) if getattr(args, "n", None) else (2,),
-        seed=args.seed,
-        outdir=args.out,
-    )
-    cfg.outdir = os.environ.get("QYBE_OUT") or cfg.outdir
-    return cfg
+def _config_from_args(args, base):
+    """`base` with each flag given on the command line in place of its field
+    (--q and --qi set the real and imaginary part of q one by one); the
+    QYBE_OUT environment variable names the output directory over both."""
+    q = complex(base.q)
+    flags = {
+        "algebra": args.algebra,
+        "q": complex(q.real if args.q is None else args.q,
+                     q.imag if args.qi is None else args.qi),
+        "a": complex(base.a if args.a is None else args.a),
+        "r_list": tuple(args.r) if args.r else None,
+        "n_list": tuple(args.n) if args.n else None,
+        "seed": args.seed,
+        "outdir": os.environ.get("QYBE_OUT") or args.out,
+    }
+    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _config_from_file(path):
     try:
         with open(path) as fh:
-            cfg = RunConfig.from_json(json.load(fh))
+            return RunConfig.from_json(json.load(fh))
     except (OSError, ValueError) as exc:
         raise QybeError(f"cannot read the config {path}: {exc}") from exc
-    cfg.outdir = os.environ.get("QYBE_OUT") or cfg.outdir
-    return cfg
 
 
 # Each command writes its artifacts, then runs its checks from the table in
@@ -84,10 +87,9 @@ def cmd_cgc(args, ctx):
 
 def cmd_projectors(args, ctx):
     for r in ctx.config.r_list:
-        rep = ctx.rep(r)
         for r0 in tensor_decompose(r, r):
             _write_op(ctx, f"projector_{ctx.config.algebra}_r{r}_P{r0}.json",
-                      projector(rep, rep, r0, ctx.params, table=ctx.cgc(r, r)))
+                      projector(ctx.cgc(r, r), r0))
         ctx.check("cgc-biorthogonality", r=r)
         ctx.check("projector-routes", r=r)
 
@@ -156,7 +158,6 @@ def cmd_verify_all(args, ctx):
 
 def cmd_export(args, ctx):
     r, what, u = ctx.config.r_list[0], args.what, complex(args.u, args.ui)
-    rep = ctx.rep(r)
     if what == "hecke":
         op = ctx.hecke(r).check(u)
     elif what == "fused":
@@ -164,8 +165,7 @@ def cmd_export(args, ctx):
     elif what == "lax":
         op = fusion.extended_lax(ctx.composite(r, ctx.config.n_list[0]), u)
     elif what == "projector":
-        op = projector(rep, rep, args.target or tensor_decompose(r, r)[-1], ctx.params,
-                       table=ctx.cgc(r, r))
+        op = projector(ctx.cgc(r, r), args.target or tensor_decompose(r, r)[-1])
     else:
         raise QybeError(f"nothing exportable named {what!r}")
     path = _write_op(ctx, f"export_{what}_{ctx.config.algebra}_r{r}.json", op)
@@ -176,13 +176,14 @@ def build_parser():
     p = argparse.ArgumentParser(prog="qybe",
                                 description="construct and verify lattice "
                                             "integrable structures")
-    p.add_argument("--algebra", choices=[SLQ2, OSPQ12], default=SLQ2)
-    p.add_argument("--q", type=float, default=1.3)
-    p.add_argument("--qi", type=float, default=0.0, help="imaginary part of q")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default="qybe-out")
-    p.add_argument("--config", default=None, help="JSON run configuration")
+    # a flag left out keeps the --config file's field, or RunConfig's default
+    p.add_argument("--algebra", choices=[SLQ2, OSPQ12])
+    p.add_argument("--q", type=float, help="real part of q")
+    p.add_argument("--qi", type=float, help="imaginary part of q")
+    p.add_argument("--a", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out")
+    p.add_argument("--config", help="JSON run configuration; flags override its fields")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **extra):
@@ -217,10 +218,10 @@ def cli_dispatch(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = _config_from_args(args)  # also where the report of a bad --config file goes
+    cfg = _config_from_args(args, RunConfig())  # where the report of a bad --config goes
     try:
         if args.config:
-            cfg = _config_from_file(args.config)
+            cfg = _config_from_args(args, _config_from_file(args.config))
         ctx = Context(cfg)  # validates the parameters before any work
         args.fn(args, ctx)
     except (QybeError, OSError) as exc:

@@ -194,17 +194,16 @@ def _nullspace_from_system(sys_mat, total, gap_tol=1e3):
     return null, gap
 
 
-def commutant_nullspace(U, n, params=None, gap_tol=1e3):
+def commutant_nullspace(U, n, gap_tol=1e3):
     """Joint null space of [Delta^n g, c] = 0 for g in {e, f, h}, solved by
     SVD over the weight-sector blocks of the coefficient matrix."""
-    params = params or U.params
-    gens = U.replike() if hasattr(U, "replike") else U
+    gens = U.replike()
     dU = gens.dim
     if n < 1:
         raise QybeError(f"commutant needs n >= 1, got {n}")
     if dU ** n > DESK_BOUND:
         raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
-    co = nfold_coproduct(gens.algebra, [gens] * n, params.q)
+    co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
     d = co.dim
     total, flat, rows, blocks = _sector_layout(_sectors_of(ladder_weights(co)), d)
     sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
@@ -288,14 +287,13 @@ def _coproduct_action(states, n, q, algebra, which):
     return action
 
 
-def constraint_system(U, n, params=None, gap_tol=1e3):
+def constraint_system(U, n, gap_tol=1e3):
     """Centralizer coefficients from the structured ladder equations.
 
     Unknowns are coefficients of elementary-operator products, keyed by
     weight sector (the conservation rule); one equation family per generator
     relates coefficients along the raising and lowering ladders.  Returns
     (CommutantBasis, system matrix)."""
-    params = params or U.params
     states = _block_ladder_data(U)
     dU = len(states)
     if n < 1:
@@ -310,7 +308,7 @@ def constraint_system(U, n, params=None, gap_tol=1e3):
     pos = {multis[idx]: a for states_k in sectors.values() for a, idx in enumerate(states_k)}
     total, flat, rows, blocks = _sector_layout(sectors, d)
     sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
-    acts = {step: _coproduct_action(states, n, params.q, U.rep.algebra, which)
+    acts = {step: _coproduct_action(states, n, U.params.q, U.rep.algebra, which)
             for which, step in (("e", 2), ("f", -2))}
     for step, src, tgt, off1, off2, block_rows in blocks:
         act, blk, m1, m2 = acts[step], sys_mat[block_rows], len(src), len(tgt)

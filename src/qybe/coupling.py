@@ -3,29 +3,32 @@ invariant projectors and the scalar controlling the baxterized family.
 
 Coupled bases are built per block by solving for the highest-weight vector in
 the top weight subspace and lowering with the standard gamma coefficients of
-the target irrep, so every block carries textbook generator matrix elements.
+the target ladder (no irrep is built per block), so every block carries
+textbook generator matrix elements.
 Dual coefficients come from the exact matrix inverse of the basis, which makes
 the biorthogonality relation hold to machine precision by construction; the
 per-state norms are measured in the propagated invariant metric.
+`cgc_table` takes a pair of irreps; `projector`, `chi_factor` and
+`coupled_basis` take the table, so one table of V^r (x) V^r serves all.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import DeformParams, OSPQ12, QybeError, q_number, q_sub_bracket
+from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
     GradedOperator,
     Irrep,
     RepLike,
     Space,
     as_replike,
-    build_irrep,
     casimir_matrix,
     casimir_value,
     coproduct_pair,
     graded_kron_raw,
     invariant_metric,
+    ladder_coefficients,
 )
 
 
@@ -130,7 +133,7 @@ def decompose(rep_like, params, within=None):
     invariant bilinear metric, scanning weights from the top, which fixes the
     gauge deterministically.  Each highest-weight vector is phase-fixed (first
     sizable component made real positive), normalized to unit metric norm and
-    lowered with the standard gamma of the matching irrep.
+    lowered with the standard gamma of the matching ladder.
     """
     R = as_replike(rep_like)
     metric, mres = invariant_metric(R.E, R.F)
@@ -152,7 +155,7 @@ def decompose(rep_like, params, within=None):
                 if np.abs(v).max() > 1e-8:
                     kept.append(v)
             r0 = int(round(2 * w + 1))
-            target = build_irrep(R.algebra, r0, params)
+            gamma = ladder_coefficients(R.algebra, r0, params)[1]
             for v in kept:
                 nz = np.nonzero(np.abs(v) > 1e-8 * np.abs(v).max())[0][0]
                 v = v * (np.abs(v[nz]) / v[nz])
@@ -163,7 +166,7 @@ def decompose(rep_like, params, within=None):
                 start = len(cols)
                 ladder = [v]
                 for k in range(r0 - 1):
-                    ladder.append(R.F @ ladder[-1] / target.F[k + 1, k])
+                    ladder.append(R.F @ ladder[-1] / gamma[k])
                 for state in ladder:
                     cols.append(state)
                     eps.append(state @ (metric * state))
@@ -206,7 +209,9 @@ class CouplingTable:
     rep1: Irrep
     rep2: Irrep
     decomposition: Decomposition
-    params: DeformParams
+
+    def space(self):
+        return self.rep1.space().tensor(self.rep2.space())
 
     @property
     def targets(self):
@@ -234,23 +239,19 @@ class CouplingTable:
     def inverse_coefficient(self, r0, i1, i2):
         return complex(self.decomposition.dual[self._col(r0, i1 + i2), self._flat(i1, i2)])
 
-    def eps_norm(self, r0, i):
-        return complex(self.decomposition.eps[self._col(r0, i)])
 
-
-def cgc_table(rep1, rep2, params=None):
+def cgc_table(rep1, rep2):
     """Coupling table for a pair of irreps of the same algebra."""
     if rep1.algebra != rep2.algebra:
         raise QybeError("mixed-algebra coupling")
-    params = params or rep1.params or DeformParams(algebra=rep1.algebra)
-    pair = coproduct_pair(rep1.algebra, rep1, rep2, params.q)
-    dec = decompose(pair, params)
+    pair = coproduct_pair(rep1.algebra, rep1, rep2, rep1.params.q)
+    dec = decompose(pair, rep1.params)
     found = sorted(b.r for b in dec.blocks)
     if found != tensor_decompose(rep1.r, rep2.r):
         raise RankDeficiencyError(
             f"block dimensions {found} do not match the expected decomposition"
         )
-    return CouplingTable(rep1, rep2, dec, params)
+    return CouplingTable(rep1, rep2, dec)
 
 
 @dataclass
@@ -261,26 +262,25 @@ class Projector(GradedOperator):
     provenance: str = "cgc"
 
 
-def projector(rep1, rep2, r0, params=None, table=None):
-    """CGC-route projector onto the dimension-r0 block of V^r1 (x) V^r2."""
-    params = params or rep1.params or DeformParams(algebra=rep1.algebra)
-    if r0 not in tensor_decompose(rep1.r, rep2.r):
-        raise QybeError(f"target {r0} not in the decomposition of ({rep1.r},{rep2.r})")
-    table = table or cgc_table(rep1, rep2, params)
+def projector(table, r0):
+    """CGC-route projector onto the dimension-r0 block of the table's pair."""
+    if r0 not in table.targets:
+        raise QybeError(f"target {r0} not in the decomposition of "
+                        f"({table.rep1.r},{table.rep2.r})")
     dec = table.decomposition
     sel = np.zeros(dec.dim)
     for b in dec.blocks:
         if b.r == r0:
             sel[list(b.cols)] = 1.0
     m = dec.basis @ (sel[:, None] * dec.dual)
-    sp = Space.single(rep1.parities).tensor(Space.single(rep2.parities))
+    sp = table.space()
     return Projector(m, sp, sp, label=f"P^{r0}", target_dim=r0, provenance="cgc")
 
 
-def casimir_projector(rep1, rep2, r0, params=None):
+def casimir_projector(rep1, rep2, r0):
     """Spectral-route projector: polynomial in the pair Casimir with the known
     block eigenvalues.  Independent of the CGC construction."""
-    params = params or rep1.params or DeformParams(algebra=rep1.algebra)
+    params = rep1.params
     targets = tensor_decompose(rep1.r, rep2.r)
     if r0 not in targets:
         raise QybeError(f"target {r0} not in the decomposition of ({rep1.r},{rep2.r})")
@@ -319,14 +319,13 @@ def chi_closed(algebra, r, q):
     return 1.0 / q_number(r, q) ** 2
 
 
-def chi_factor(algebra, r, params=None):
-    """Scalar in P1_12 P1_23 P1_12 = chi P1_12 on the triple product,
-    extracted by brute force from the projector product."""
-    params = params or DeformParams(algebra=algebra)
+def chi_factor(table):
+    """Scalar in P1_12 P1_23 P1_12 = chi P1_12 on the triple product, by brute
+    force from the singlet projector of the table of V^r (x) V^r."""
+    r = table.rep1.r
     if r < 2:
         raise QybeError("chi_factor needs r >= 2")
-    rep = build_irrep(algebra, r, params)
-    P1 = projector(rep, rep, 1, params).matrix
+    P1 = projector(table, 1).matrix
     I = np.eye(r)
     P12 = np.kron(P1, I)
     P23 = np.kron(I, P1)
@@ -366,16 +365,16 @@ def _block_replike(algebra, dec, pair_gens, block):
     )
 
 
-def coupled_basis(rep, params=None):
-    """Four-factor coupled basis |j12, j34; J, i> for (V^r)^(x4).
+def coupled_basis(table):
+    """Four-factor coupled basis |j12, j34; J, i> for (V^r)^(x4), from the
+    coupling table of V^r (x) V^r.
 
     Pair blocks are coupled with their measured ladder data (an embedded
     block can carry the opposite parity convention to a standalone irrep,
     e.g. an odd pair singlet), so the sector couplings are rebuilt from the
     block generators rather than from standard tables."""
-    params = params or rep.params or DeformParams(algebra=rep.algebra)
-    pair = cgc_table(rep, rep, params)
-    dec = pair.decomposition
+    rep, params = table.rep1, table.rep1.params
+    dec = table.decomposition
     d2 = rep.r ** 2
     pair_co = coproduct_pair(rep.algebra, rep, rep, params.q)
     gens = RepLike(rep.algebra, dec.dual @ pair_co.E @ dec.basis,

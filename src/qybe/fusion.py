@@ -11,16 +11,18 @@ recurrence dimension).
 The closed descendant coefficients are evaluated as pole-free rationals in
 x = exp(2a(u-u0)), so the degeneration point u0 is an ordinary point of the
 closed form even though individual f-factors blow up there.
+
+`composite_space` takes the Hecke family (which keeps its coupling table and
+so its irrep); the fused, Lax and chain builders take the composite space.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import DESK_BOUND, DeformParams, PoleError, QybeError
+from .qarith import DESK_BOUND, PoleError, QybeError
 from .repspace import (
     GradedOperator,
-    Irrep,
     RepLike,
     Space,
     embed_at,
@@ -29,7 +31,7 @@ from .repspace import (
     nfold_coproduct,
 )
 from .coupling import Decomposition, decompose, projector
-from .rmatrix import SpectralRMatrix, hecke_f, hecke_family, u0_point
+from .rmatrix import SpectralRMatrix, hecke_f, u0_point
 
 
 def dims_recurrence(r, n):
@@ -48,15 +50,14 @@ def dims_recurrence(r, n):
 class CompositeSpace:
     """U^{R_n} inside (V^r)^(x n), with its block basis and generator data.
 
-    rep is the irrep V^r and hecke the baxterized family on V^r (x) V^r whose
-    degenerate point cuts the space out; the fused, Lax and chain builders
-    take the space and read both from it.  embed columns are the coupled
-    block states (an isometry in the invariant metric); project is the left
-    inverse that annihilates the invariant complement, so sandwiched
-    operators compress multiplicatively.
+    hecke is the baxterized family on V^r (x) V^r whose degenerate point
+    cuts the space out, and rep the irrep V^r of its coupling table; the
+    fused, Lax and chain builders take the space and read both from it.
+    embed columns are the coupled block states (an isometry in the invariant
+    metric); project is the left inverse that annihilates the invariant
+    complement, so sandwiched operators compress multiplicatively.
     """
 
-    rep: Irrep
     hecke: SpectralRMatrix
     n: int
     dim: int
@@ -64,7 +65,14 @@ class CompositeSpace:
     embed: np.ndarray
     project: np.ndarray
     gens: RepLike
-    params: DeformParams
+
+    @property
+    def rep(self):
+        return self.hecke.table.rep1
+
+    @property
+    def params(self):
+        return self.hecke.params
 
     @property
     def blocks(self):
@@ -120,24 +128,23 @@ def truncation_cascade(fam, n):
     return out
 
 
-def composite_space(rep, n, params=None):
+def composite_space(fam, n):
     """Build U^{R_n} with block structure, embedding and compressed generators,
-    from the Hecke family of rep, built once here.
+    cut out of (V^r)^(x n) by the Hecke family `fam` on V^r (x) V^r.
 
     Raises on a rank mismatch between the kernel intersection and the
     recurrence dimension."""
-    params = params or rep.params
+    rep, params = fam.table.rep1, fam.params
     if n < 1:
         raise QybeError(f"composite space needs n >= 1, got {n}")
     want = dims_recurrence(rep.r, n)
     if rep.r ** n > DESK_BOUND:
         raise QybeError(f"composite space {rep.r}^{n} exceeds the desk bound {DESK_BOUND}")
-    hecke = hecke_family(rep, params)
     co = nfold_coproduct(rep.algebra, [rep] * n, params.q)
     if n == 1:
         dec = decompose(rep, params)
     else:
-        within = adjacent_singlet_kernel(hecke, n)
+        within = adjacent_singlet_kernel(fam, n)
         if within.shape[1] != want:
             raise QybeError(
                 f"truncated-space rank {within.shape[1]} != recurrence value {want}"
@@ -148,8 +155,7 @@ def composite_space(rep, n, params=None):
         raise QybeError(f"block basis rank {E.shape[1]} != recurrence value {want}")
     gens = RepLike(rep.algebra, D @ co.E @ E, D @ co.F @ E, D @ co.H @ E, dec.parities)
     return CompositeSpace(
-        rep=rep, hecke=hecke, n=n, dim=want, decomposition=dec,
-        embed=E, project=D, gens=gens, params=params,
+        hecke=fam, n=n, dim=want, decomposition=dec, embed=E, project=D, gens=gens,
     )
 
 
@@ -187,11 +193,12 @@ def _plain_placements(P1, r, pairs):
     return [embed_at(P1, pair, dims, plain) for pair in pairs]
 
 
-def _four_site_ops(rep, params):
-    """The ambient four-factor operators (1 - P12)(1 - P34), P23 and P14."""
-    P12, P34, P23, P14 = _plain_placements(projector(rep, rep, 1, params).matrix, rep.r,
+def _four_site_ops(table):
+    """(1 - P12)(1 - P34), P23 and P14 on (V^r)^(x4), P1 the table's singlet."""
+    r = table.rep1.r
+    P12, P34, P23, P14 = _plain_placements(projector(table, 1).matrix, r,
                                            ((0, 1), (2, 3), (1, 2), (0, 3)))
-    I = np.eye(rep.r ** 4)
+    I = np.eye(r ** 4)
     return (I - P12) @ (I - P34), P23, P14
 
 

@@ -176,17 +176,35 @@ def casimir_value(algebra, r, q):
     return q_number(r / 2.0, q) ** 2
 
 
+def ladder_coefficients(algebra, r, params):
+    """Raising and lowering coefficients (beta, gamma) of the r-dimensional
+    ladder, E = diag(beta, 1) and F = diag(gamma, -1) highest weight first,
+    with beta_{i-1} = (-1)^(j-i) gamma_i (osp) or beta = gamma (sl_q(2)).
+    Raises DegenerateParameterError where q is not generic."""
+    j = (r - 1) / 2.0
+    sign = np.ones(max(r - 1, 0))
+    gamma = np.zeros(max(r - 1, 0), dtype=complex)
+    for k in range(r - 1):  # gamma_i lowers v_i, beta_{i-1} raises v_{i-1}
+        a = alpha_sum(algebra, r, j - k, params.q)
+        if abs(a) < 1e3 * params.precision and 0 < k:
+            raise DegenerateParameterError(
+                f"alpha vanished at interior weight i={j - k}; q is not generic"
+            )
+        if algebra == OSPQ12:
+            sign[k] = (-1.0) ** k
+        gamma[k] = np.sqrt(a * sign[k] + 0j)
+    return sign * gamma, gamma
+
+
 def build_irrep(algebra, r, params=None):
-    """Construct the r-dimensional irrep with the ladder normalization
-    beta_{i-1} = (-1)^(j-i) gamma_i (osp) or beta = gamma (sl_q(2))."""
+    """Construct the r-dimensional irrep with the ladder coefficients of
+    `ladder_coefficients`."""
     params = params or DeformParams(algebra=algebra)
     q = params.q
     r = int(r)
     if r < 1:
         raise QybeError("irrep dimension must be >= 1")
     j = (r - 1) / 2.0
-    E = np.zeros((r, r), dtype=complex)
-    F = np.zeros((r, r), dtype=complex)
     if algebra == OSPQ12:
         qr = qr_shift(r, q)
         lam = np.array([(j - k) + qr for k in range(r)])
@@ -198,28 +216,13 @@ def build_irrep(algebra, r, params=None):
         spin = j
     else:
         raise QybeError(f"unknown algebra {algebra!r}")
-    for k in range(r - 1):
-        i = j - k  # gamma_i lowers v_i, beta_{i-1} raises v_{i-1}
-        a = alpha_sum(algebra, r, i, q)
-        if abs(a) < 1e3 * params.precision and 0 < k:
-            raise DegenerateParameterError(
-                f"alpha vanished at interior weight i={i}; q is not generic"
-            )
-        if algebra == OSPQ12:
-            sgn = (-1.0) ** int(round(j - i))
-            gam = np.sqrt(a * sgn + 0j)
-            bet = sgn * gam
-        else:
-            gam = np.sqrt(a + 0j)
-            bet = gam
-        E[k, k + 1] = bet
-        F[k + 1, k] = gam
+    beta, gamma = ladder_coefficients(algebra, r, params)
     return Irrep(
         algebra=algebra,
         r=r,
         j=complex(spin),
-        E=E,
-        F=F,
+        E=np.diag(beta, 1),
+        F=np.diag(gamma, -1),
         H=np.diag(lam),
         parities=parities,
         casimir_value=casimir_value(algebra, r, q),
@@ -301,12 +304,11 @@ def coproduct_pair(algebra, repA, repB, q):
     return RepLike(algebra, e, f, h, pars)
 
 
-def coproduct(generator, rep1, rep2, params=None):
+def coproduct(generator, rep1, rep2):
     """Coproduct of one generator on the tensor product of two irreps."""
     if rep1.algebra != rep2.algebra:
         raise QybeError("mixed-algebra coproduct")
-    params = params or rep1.params or DeformParams(algebra=rep1.algebra)
-    pair = coproduct_pair(rep1.algebra, rep1, rep2, params.q)
+    pair = coproduct_pair(rep1.algebra, rep1, rep2, rep1.params.q)
     mat = {"e": pair.E, "f": pair.F, "h": pair.H}[generator]
     sp = Space.single(rep1.parities).tensor(Space.single(rep2.parities))
     return GradedOperator(mat, sp, sp, label=f"Delta[{generator}]")
@@ -389,21 +391,20 @@ def casimir_matrix(algebra, rep_like, q):
     return R.E @ R.F + g
 
 
-def casimir(rep, rep2=None, params=None):
+def casimir(rep, rep2=None):
     """Casimir operator on an irrep, or the coproduct Casimir on a pair."""
-    params = params or rep.params or DeformParams(algebra=rep.algebra)
+    q = rep.params.q
     if rep2 is None:
         sp = Space.single(rep.parities)
-        return GradedOperator(casimir_matrix(rep.algebra, rep, params.q), sp, sp, label="c")
-    pair = coproduct_pair(rep.algebra, rep, rep2, params.q)
+        return GradedOperator(casimir_matrix(rep.algebra, rep, q), sp, sp, label="c")
+    pair = coproduct_pair(rep.algebra, rep, rep2, q)
     sp = Space.single(rep.parities).tensor(Space.single(rep2.parities))
-    return GradedOperator(casimir_matrix(rep.algebra, pair, params.q), sp, sp, label="Delta(c)")
+    return GradedOperator(casimir_matrix(rep.algebra, pair, q), sp, sp, label="Delta(c)")
 
 
-def verify_algebra(rep, params=None):
+def verify_algebra(rep):
     """Max-abs residuals of the defining relations; keys name the relation."""
-    params = params or rep.params or DeformParams(algebra=rep.algebra)
-    q = params.q
+    q = rep.params.q
     E, F, H = rep.E, rep.F, rep.H
     out = {}
     if rep.algebra == OSPQ12:

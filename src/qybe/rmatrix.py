@@ -1,6 +1,9 @@
 """Spectral R-matrices: the baxterized singlet-projector family, the three
 spin-1 solutions, the universal intertwiner and verification helpers.
 
+`hecke_family` baxterizes the singlet projector of the coupling table of
+V^r (x) V^r and keeps the table; `r33_family` takes the sl_q(2) table of V^3.
+
 All residuals returned by the checkers are relative: max-abs of the mismatch
 divided by the scale of the operators entering the relation.  The universal
 intertwiner on even-dimensional graded irreps has entries spanning many
@@ -14,6 +17,7 @@ import numpy as np
 from .qarith import (
     DeformParams,
     OSPQ12,
+    SLQ2,
     PoleError,
     QybeError,
     bracket_plus_factorial,
@@ -21,14 +25,13 @@ from .qarith import (
 from .repspace import (
     GradedOperator,
     Space,
-    build_irrep,
     coproduct_pair,
     diag_power,
     embed_at,
     graded_kron_raw,
     graded_permutation,
 )
-from .coupling import cgc_table, chi_factor, projector
+from .coupling import CouplingTable, chi_factor, projector
 
 
 def rel_residual(A, B):
@@ -93,6 +96,7 @@ class SpectralRMatrix:
     poly_weight: callable = field(repr=False, default=None)
     poly_base: callable = field(repr=False, default=None)
     nterms: int = 0
+    table: CouplingTable = field(repr=False, default=None)
 
     def check(self, u):
         return GradedOperator(self.check_fn(u), self.space, self.space,
@@ -110,24 +114,20 @@ class SpectralRMatrix:
         return self.check_fn(u)
 
 
-def hecke_r(rep, u, params=None):
-    """Check R-matrix I + f(u) P1 on V^r (x) V^r."""
-    return hecke_family(rep, params).check(u)
-
-
-def hecke_family(rep, params=None, chi=None):
-    """Baxterized family on V^r (x) V^r for either algebra.
+def hecke_family(table, chi=None):
+    """Baxterized family I + f(u) P1 on V^r (x) V^r for either algebra, P1
+    the singlet projector of `table`, the coupling table of V^r (x) V^r.
 
     The coefficient function is parameterized by the triple-overlap scalar
     chi alone, so one code path covers both symmetry classes."""
-    params = params or rep.params or DeformParams(algebra=rep.algebra)
+    rep, params = table.rep1, table.rep1.params
     if chi is None:
-        chi = chi_factor(rep.algebra, rep.r, params)
-    P1 = projector(rep, rep, 1, params).matrix
+        chi = chi_factor(table)
+    P1 = projector(table, 1).matrix
     I = np.eye(rep.r ** 2)
     a = params.a
     s = np.sqrt(1 - 4 * chi + 0j)
-    sp = Space.single(rep.parities).tensor(Space.single(rep.parities))
+    sp = table.space()
     swap = graded_permutation(rep, rep).matrix
 
     def check_fn(u):
@@ -146,27 +146,22 @@ def hecke_family(rep, params=None, chi=None):
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * a * complex(u)),
         nterms=2,
+        table=table,
     )
 
 
-def r33_fixture(kind, u, q=1.3, params=None):
-    """One of the three spin-1 sl_q(2) solutions, normalized to 1 at u = 0."""
-    return r33_family(kind, q, params).check(u)
-
-
-def r33_family(kind, q=1.3, params=None):
-    """Spectral families on V^3 (x) V^3 of sl_q(2) written over the invariant
-    projectors P5, P3, P1.  Kind 1 is the three-term descendant-type solution,
-    kind 2 the Birman-Wenzl-Murakami-type one sharing its braid limits, kind 3
-    the two-term family (requires real q > 0 for its square-root coefficient).
+def r33_family(kind, table):
+    """Spectral families on V^3 (x) V^3 of sl_q(2), normalized to 1 at u = 0,
+    over the invariant projectors P5, P3, P1 of its coupling table `table`.
+    Kind 1 is the three-term descendant-type solution, kind 2 the
+    Birman-Wenzl-Murakami-type one sharing its braid limits, kind 3 the
+    two-term family (requires real q > 0 for its square-root coefficient).
     """
-    params = params or DeformParams(q=q, algebra="slq2")
+    rep, params = table.rep1, table.rep1.params
+    if rep.algebra != SLQ2 or (rep.r, table.rep2.r) != (3, 3):
+        raise QybeError("the spin-1 families need the sl_q(2) table of V^3 (x) V^3")
     q = params.q
-    rep = build_irrep("slq2", 3, params)
-    tab = cgc_table(rep, rep, params)
-    P5 = projector(rep, rep, 5, params, table=tab).matrix
-    P3 = projector(rep, rep, 3, params, table=tab).matrix
-    P1 = projector(rep, rep, 1, params, table=tab).matrix
+    P5, P3, P1 = (projector(table, r0).matrix for r0 in (5, 3, 1))
 
     if kind == 1:
         abar = (q ** 2 - q ** -2) * (q - 1 / q)
@@ -199,27 +194,26 @@ def r33_family(kind, q=1.3, params=None):
     else:
         raise QybeError(f"fixture kind must be 1, 2 or 3, got {kind}")
 
-    sp = Space.single(rep.parities).tensor(Space.single(rep.parities))
     return SpectralRMatrix(
-        algebra="slq2", r1=3, r2=3, family=f"r33_{kind}", params=params,
-        check_fn=check_fn, swap=graded_permutation(rep, rep).matrix, space=sp,
+        algebra=SLQ2, r1=3, r2=3, family=f"r33_{kind}", params=params,
+        check_fn=check_fn, swap=graded_permutation(rep, rep).matrix, space=table.space(),
         parities=rep.parities,
         poly_weight=lambda u: q ** complex(u),
         poly_base=lambda u: q ** complex(u),
         nterms=3,
+        table=table,
     )
 
 
-def universal_r(rep1, rep2, sign=+1, params=None):
+def universal_r(rep1, rep2, sign=+1):
     """Universal intertwiner on V^r1 (x) V^r2 of the graded algebra.
 
     The plus matrix is the weight-twisted nilpotent sum; the minus one is its
     transpose with q -> 1/q substituted in every scalar (the representation
     matrices are kept, so both live in the same basis)."""
-    params = params or rep1.params or DeformParams(algebra=rep1.algebra)
     if rep1.algebra != OSPQ12 or rep2.algebra != OSPQ12:
         raise QybeError("the universal intertwiner is implemented for the graded algebra")
-    q = 1.0 / params.q if sign < 0 else params.q
+    q = 1.0 / rep1.params.q if sign < 0 else rep1.params.q
     E1, H1, p1 = rep1.E, rep1.H, rep1.parities
     F2, H2, p2 = rep2.F, rep2.H, rep2.parities
     l1, l2 = np.diag(H1), np.diag(H2)
@@ -238,12 +232,12 @@ def universal_r(rep1, rep2, sign=+1, params=None):
     return GradedOperator(m, sp, sp, label=f"R{'+' if sign > 0 else '-'}")
 
 
-def intertwining_residual(R, rep1, rep2, params=None):
+def intertwining_residual(R, rep1, rep2):
     """Relative residual of R Delta[g] = Delta'[g] R over all generators,
     with Delta' the flipped coproduct."""
-    params = params or rep1.params or DeformParams(algebra=rep1.algebra)
-    pair = coproduct_pair(rep1.algebra, rep1, rep2, params.q)
-    pair_flip = coproduct_pair(rep1.algebra, rep2, rep1, params.q)
+    q = rep1.params.q
+    pair = coproduct_pair(rep1.algebra, rep1, rep2, q)
+    pair_flip = coproduct_pair(rep1.algebra, rep2, rep1, q)
     P = graded_permutation(rep2, rep1).matrix  # V2 x V1 -> V1 x V2
     m = R.matrix if isinstance(R, GradedOperator) else R
     worst = 0.0

@@ -17,9 +17,9 @@ import numpy as np
 
 from .qarith import DESK_BOUND, DeformParams, QybeError
 from .repspace import GradedOperator, Space, embed_at
-from .coupling import cgc_table, chi_factor, coupled_basis
+from .coupling import coupled_basis
 from .fusion import descendant_coefficients, pair_cells, _four_site_ops
-from .rmatrix import SpectralRMatrix, f_slope
+from .rmatrix import SpectralRMatrix
 
 
 @dataclass
@@ -82,15 +82,6 @@ def transfer_matrix(spec, fam, u):
     tau = tau.transpose(0, 2, 1, 3).reshape(d * ds, d * ds)
     sp = Space(tuple([ds] * N), tuple([spec.parities] * N))
     return GradedOperator(tau, sp, sp, label=f"tau({u})")
-
-
-def f0_and_chibar(r, params):
-    """Linearization slope f0 = 2a/sqrt(1-4 chi) and the rescaled scalar
-    chibar = chi 2 f0^2 / (4 - f0^2)."""
-    chi = chi_factor(params.algebra, r, params)
-    f0 = f_slope(chi, params.a)
-    chibar = chi * 2 * f0 ** 2 / (4 - f0 ** 2)
-    return complex(f0), complex(chibar)
 
 
 def bond_expansion_coefficients(U, step=1e-6):
@@ -187,22 +178,22 @@ class CoupledElements:
     support: list  # labels of rows/cols with nonzero blocks
 
 
-def coupled_matrix_elements(rep, term, params=None, tol=1e-9):
-    """Matrix elements of a sandwiched bond operator in the coupled basis
-    |j12, j34; J, i>, computed two ways: direct conjugation of the dense
-    operator, and contraction of coefficient-table data only.
+def coupled_matrix_elements(table, term, tol=1e-9):
+    """Matrix elements of a sandwiched bond operator on (V^r)^(x4) in the
+    coupled basis |j12, j34; J, i>, computed two ways from the coupling
+    table of V^r (x) V^r: direct conjugation of the dense operator, and
+    contraction of coefficient-table data only.
 
     term: "P23" for the single middle projector, "P23P14" for the double one.
     The table route for the double term uses plain factor reordering and is
     restricted to the non-graded algebra."""
-    params = params or rep.params
     if term not in ("P23", "P23P14"):
         raise QybeError("term must be 'P23' or 'P23P14'")
-    cb = coupled_basis(rep, params)
-    ext, P23, P14 = _four_site_ops(rep, params)
+    cb = coupled_basis(table)
+    ext, P23, P14 = _four_site_ops(table)
     op = ext @ P23 @ ext if term == "P23" else ext @ P23 @ P14 @ ext
     direct = cb.dual @ op @ cb.basis
-    summed = _sum_route(rep, params, cb, term)
+    summed = _sum_route(table, cb, term)
     # the outer projectors are diagonal in the coupled basis: they kill any
     # state whose pair label is a singlet
     keep = np.array([1.0 if (l[0] > 0 and l[1] > 0) else 0.0 for l in cb.labels])
@@ -226,13 +217,12 @@ def coupled_matrix_elements(rep, term, params=None, tol=1e-9):
     )
 
 
-def _sum_route(rep, params, cb, term):
+def _sum_route(table, cb, term):
     """Assemble the bond-term matrix from coefficient data alone: pair and
     sector coupling coefficients plus singlet components, no dense
     conjugations."""
-    r = rep.r
-    pair = cgc_table(rep, rep, params)
-    dec = pair.decomposition
+    r = table.rep1.r
+    dec = table.decomposition
     Cp = dec.basis.reshape(r, r, r * r)
     Cpb = dec.dual.reshape(r * r, r, r)
     scol = next(b.start for b in dec.blocks if b.r == 1)

@@ -228,7 +228,9 @@ def family_guards(fam):
 class Context:
     """One run of checks: configuration, parameters, the report, the random
     stream of the sample points, and the objects that checks and artifacts
-    share, each built once per input."""
+    share, each built once per input.  Every object is built from the one of
+    the layer below it: irrep -> coupling table -> Hecke family -> composite
+    space; the spin-1 fixtures use the sl_q(2) table of V^3 (x) V^3."""
 
     def __init__(self, config):
         self.config = config
@@ -246,27 +248,31 @@ class Context:
         return self._once(("rep", r), build_irrep, self.config.algebra, r, self.params)
 
     def cgc(self, r1, r2):
-        return self._once(("cgc", r1, r2), cgc_table, self.rep(r1), self.rep(r2), self.params)
+        return self._once(("cgc", r1, r2), cgc_table, self.rep(r1), self.rep(r2))
 
     def hecke(self, r):
-        return self._once(("hecke", r), hecke_family, self.rep(r), self.params)
+        return self._once(("hecke", r), hecke_family, self.cgc(r, r))
 
     def descendant(self, r):
         return self._once(("descendant", r), fusion.descendant_family, self.composite(r, 2))
 
+    def spin1(self):
+        """The sl_q(2) table of V^3 (x) V^3: the run's own in an sl_q(2) run."""
+        if self.config.algebra == SLQ2:
+            return self.cgc(3, 3)
+        return self._once(("spin1",), lambda: cgc_table(*[build_irrep(
+            SLQ2, 3, self.params.with_algebra(SLQ2))] * 2))
+
     def fixture(self, kind):
-        return self._once(("fixture", kind), lambda: r33_family(
-            kind, params=self.params.with_algebra(SLQ2)))
+        return self._once(("fixture", kind), r33_family, kind, self.spin1())
 
     def universal(self):
         """The universal R-matrices of V^2 (x) V^2, both signs."""
         return self._once(("universal",), lambda r2: (
-            universal_r(r2, r2, +1, self.params),
-            universal_r(r2, r2, -1, self.params)), self.rep(2))
+            universal_r(r2, r2, +1), universal_r(r2, r2, -1)), self.rep(2))
 
     def composite(self, r, n):
-        return self._once(("composite", r, n), lambda rep: fusion.composite_space(
-            rep, n=n, params=self.params), self.rep(r))
+        return self._once(("composite", r, n), fusion.composite_space, self.hecke(r), n)
 
     def hamiltonian(self, r, n_sites):
         return self._once(("hamiltonian", r, n_sites), chains.hamiltonian_projector_form,
@@ -275,8 +281,7 @@ class Context:
     def commutant(self, r, n):
         """Centralizer bases of U^(x n) by both routes, U the pair space of r."""
         return self._once(("commutant", r, n), lambda U: (
-            cz.commutant_nullspace(U, n, self.params),
-            cz.constraint_system(U, n, self.params)[0]), self.composite(r, 2))
+            cz.commutant_nullspace(U, n), cz.constraint_system(U, n)[0]), self.composite(r, 2))
 
     def check(self, name, **inputs):
         """Run the check `name` of CHECKS at these inputs into the report."""
@@ -293,7 +298,7 @@ class Context:
 # points come from rng, so the order of the draws is part of a report.
 
 def _algebra_relations(ctx, rng, inputs):
-    return max(verify_algebra(ctx.rep(inputs["r"]), ctx.params).values())
+    return max(verify_algebra(ctx.rep(inputs["r"])).values())
 
 
 def _cgc_residual(ctx, rng, inputs):
@@ -305,18 +310,17 @@ def _cgc_residual(ctx, rng, inputs):
     worst = np.abs(dec.dual @ dec.basis - np.eye(dec.dim)).max()
     total = np.zeros((dec.dim, dec.dim), dtype=complex)
     for r0 in tab.targets:
-        P = projector(ctx.rep(r1), ctx.rep(r2), r0, ctx.params, table=tab).matrix
+        P = projector(tab, r0).matrix
         worst = max(worst, np.abs(P @ P - P).max())
         total += P
     return max(worst, np.abs(total - np.eye(dec.dim)).max())
 
 
 def _projector_routes(ctx, rng, inputs):
-    rep = ctx.rep(inputs["r"])
-    return max(rel_residual(projector(rep, rep, r0, ctx.params,
-                                      table=ctx.cgc(rep.r, rep.r)).matrix,
-                            casimir_projector(rep, rep, r0, ctx.params).matrix)
-               for r0 in tensor_decompose(rep.r, rep.r))
+    r = inputs["r"]
+    return max(rel_residual(projector(ctx.cgc(r, r), r0).matrix,
+                            casimir_projector(ctx.rep(r), ctx.rep(r), r0).matrix)
+               for r0 in tensor_decompose(r, r))
 
 
 def _chi_closed_form(ctx, rng, inputs):
@@ -354,7 +358,7 @@ def _fixture_ybe(ctx, rng, inputs):
 
 def _universal_intertwining(ctx, rng, inputs):
     r2 = ctx.rep(2)
-    return max(intertwining_residual(R, r2, r2, ctx.params) for R in ctx.universal())
+    return max(intertwining_residual(R, r2, r2) for R in ctx.universal())
 
 
 def _universal_braid(ctx, rng, inputs):

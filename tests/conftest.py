@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qybe import DeformParams, OSPQ12, SLQ2
+from qybe import DeformParams, OSPQ12, SLQ2, build_irrep, cgc_table
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,9 @@ def rng():
 
 def params_for(algebra):
     return DeformParams(q=1.3, algebra=algebra)
+
+
+def pair_table(algebra, r, params=None):
+    """The coupling table of V^r (x) V^r."""
+    rep = build_irrep(algebra, r, params or params_for(algebra))
+    return cgc_table(rep, rep)

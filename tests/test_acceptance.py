@@ -9,6 +9,7 @@ from qybe import (
     ChainSpec,
     DeformParams,
     build_irrep,
+    cgc_table,
     chi_factor,
     commutant_nullspace,
     composite_space,
@@ -38,7 +39,7 @@ from qybe.fusion import f_product
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.rmatrix import intertwining_residual, rel_residual
 from qybe.toolkit import RunConfig, family_guards, random_points, verify_all
-from conftest import params_for
+from conftest import params_for, pair_table
 
 Q = 1.3
 
@@ -55,7 +56,7 @@ def test_criterion_01_hecke_ybe_suite():
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3, 4, 5):
-            fam = hecke_family(build_irrep(algebra, r, p), p)
+            fam = hecke_family(pair_table(algebra, r, p))
             pts = random_points(rng, 10, guards=family_guards(fam))
             pairs = [(pts[2 * k], pts[2 * k + 1]) for k in range(5)] + \
                     [(u, w) for u in pts[:3] for w in pts[3:8]]
@@ -73,7 +74,7 @@ def test_criterion_02_functional_identity():
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3, 4, 5):
-            chi = chi_factor(algebra, r, p)
+            chi = chi_factor(pair_table(algebra, r, p))
             u0 = u0_point(chi, p.a)
             count = 0
             while count < 1000:
@@ -90,7 +91,7 @@ def test_criterion_03_chi_closed_form():
     p = params_for(OSPQ12)
     worst = 0.0
     for r in (2, 3, 4, 5):
-        chi = chi_factor(OSPQ12, r, p)
+        chi = chi_factor(pair_table(OSPQ12, r, p))
         worst = max(worst, abs(chi - 1.0 / q_sub_bracket(r, p.q) ** 2))
     report(3, "projector-extracted scalar matches closed form (graded)", worst, 1e-10)
 
@@ -99,7 +100,7 @@ def test_criterion_04_fixtures():
     rng = np.random.default_rng(104)
     p = params_for(SLQ2)
     worst_ybe = 0.0
-    fams = {k: r33_family(k, params=p) for k in (1, 2, 3)}
+    fams = {k: r33_family(k, pair_table(SLQ2, 3, p)) for k in (1, 2, 3)}
     for k, fam in fams.items():
         pts = random_points(rng, 8)
         for u, w in zip(pts[:4], pts[4:]):
@@ -115,9 +116,8 @@ def test_criterion_04_fixtures():
     # kind 3 matches the baxterized family after a fitted reparametrization
     from qybe.coupling import projector
 
-    rep = build_irrep(SLQ2, 3, p)
-    hfam = hecke_family(rep, p)
-    P1 = projector(rep, rep, 1, p).matrix
+    hfam = hecke_family(pair_table(SLQ2, 3, p))
+    P1 = projector(hfam.table, 1).matrix
     nrm = np.vdot(P1, P1)
 
     def ghat(v):
@@ -141,10 +141,10 @@ def test_criterion_04_fixtures():
 def test_criterion_05_universal_intertwiner():
     p = params_for(OSPQ12)
     r2 = build_irrep(OSPQ12, 2, p)
-    Rp = universal_r(r2, r2, +1, p)
-    Rm = universal_r(r2, r2, -1, p)
-    worst_int = max(intertwining_residual(Rp, r2, r2, p),
-                    intertwining_residual(Rm, r2, r2, p))
+    Rp = universal_r(r2, r2, +1)
+    Rm = universal_r(r2, r2, -1)
+    worst_int = max(intertwining_residual(Rp, r2, r2),
+                    intertwining_residual(Rm, r2, r2))
     report(5, "universal intertwiner: coproduct exchange relation", worst_int, 1e-10)
     out = mixed_braid_check(Rp, Rm, r2.parities)
     report(5, "universal pair: homogeneous and mixed braid relations",
@@ -157,8 +157,8 @@ def test_criterion_06_fusion_cross_check():
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3):
-            U = composite_space(build_irrep(algebra, r, p), n=2, params=p)
-            u0 = u0_point(chi_factor(algebra, r, p), p.a)
+            U = composite_space(hecke_family(pair_table(algebra, r, p)), n=2)
+            u0 = u0_point(chi_factor(pair_table(algebra, r, p)), p.a)
             guards = (0.0, u0, -u0, 2 * u0, -2 * u0)
             for u in random_points(rng, 20, guards=guards):
                 A = descendant_r_closed(U, u).matrix
@@ -169,14 +169,14 @@ def test_criterion_06_fusion_cross_check():
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3):
-            U = composite_space(build_irrep(algebra, r, p), n=2, params=p)
-            u0 = u0_point(chi_factor(algebra, r, p), p.a)
+            U = composite_space(hecke_family(pair_table(algebra, r, p)), n=2)
+            u0 = u0_point(chi_factor(pair_table(algebra, r, p)), p.a)
             m = descendant_r_closed(U, u0).matrix
             worst_id = max(worst_id, np.abs(m - np.eye((r * r - 1) ** 2)).max())
     report(6, "fused solution is the identity at the degeneration point",
            worst_id, 1e-10)
     p = params_for(SLQ2)
-    fam = descendant_family(composite_space(build_irrep(SLQ2, 3, p), n=2, params=p))
+    fam = descendant_family(composite_space(hecke_family(pair_table(SLQ2, 3, p)), n=2))
     guards = family_guards(fam)
     pts = random_points(rng, 4, guards=guards, min_dist=0.1)
     worst_ybe = max(ybe_residual(fam, fam, fam, u, w, form="check")
@@ -189,13 +189,13 @@ def test_criterion_06_fusion_cross_check():
 def test_criterion_07_composite_pair_structure():
     p = params_for(SLQ2)
     rep = build_irrep(SLQ2, 3, p)
-    U = composite_space(rep, n=2, params=p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     pair = nfold_coproduct(SLQ2, [U.replike()] * 2, p.q)
     mult = decompose(pair, p).block_multiplicities()
     ok = mult == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
     report(7, "composite pair multiplicities (2,4,4,3,1)", 0.0 if ok else 1.0, 0.5)
-    nb = commutant_nullspace(U, 2, p)
-    cb, _ = constraint_system(U, 2, p)
+    nb = commutant_nullspace(U, 2)
+    cb, _ = constraint_system(U, 2)
     ok_dim = nb.dim == 46 and cb.dim == 46
     report(7, "centralizer dimension 46 from both routes",
            0.0 if ok_dim else 1.0, 0.5)
@@ -212,8 +212,8 @@ def test_criterion_08_extended_lax():
     worst_rll = 0.0
     for (r, n) in ((2, 2), (2, 3), (3, 2), (3, 3)):
         rep = build_irrep(SLQ2, r, p)
-        fam = hecke_family(rep, p)
-        U = composite_space(rep, n=n, params=p)
+        fam = hecke_family(cgc_table(rep, rep))
+        U = composite_space(fam, n=n)
         u, w = random_points(rng, 2, guards=(-fam.u0,))
         L13 = extended_lax(U, u).matrix
         L23 = extended_lax(U, w).matrix
@@ -227,7 +227,7 @@ def test_criterion_08_extended_lax():
         worst_rll = max(worst_rll, rel_residual(lhs, rhs))
     report(8, "exchange relation RLL = LLR for (r,n) up to (3,3)", worst_rll, 1e-9)
     plat = DeformParams(q=Q, a=np.log(Q), algebra=SLQ2)
-    chi2 = chi_factor(SLQ2, 2, plat)
+    chi2 = chi_factor(pair_table(SLQ2, 2, plat))
     worst_fp = 0.0
     for n in (1, 2, 3):
         for u in random_points(rng, 5, guards=()):
@@ -239,8 +239,8 @@ def test_criterion_08_extended_lax():
     worst_closed = 0.0
     for (r, n) in ((2, 2), (2, 3), (3, 2), (3, 3)):
         rep = build_irrep(SLQ2, r, p)
-        fam = hecke_family(rep, p)
-        U = composite_space(rep, n=n, params=p)
+        fam = hecke_family(cgc_table(rep, rep))
+        U = composite_space(fam, n=n)
         evaluate, scale, fit_res = extended_lax_closed(U)
         for u in random_points(rng, 20, guards=(-fam.u0,)):
             A = evaluate(u).matrix
@@ -254,7 +254,7 @@ def test_criterion_09_chain_suite():
     rng = np.random.default_rng(109)
     p = params_for(SLQ2)
     rep = build_irrep(SLQ2, 3, p)
-    U = composite_space(rep, n=2, params=p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     for N in (2, 3):
         spec = ChainSpec.from_composite(U, N)
@@ -296,8 +296,8 @@ def test_criterion_10_coupled_basis_structure():
     worst_route = 0.0
     for r in (2, 3):
         rep = build_irrep(SLQ2, r, p)
-        out1 = coupled_matrix_elements(rep, "P23", p)
-        out2 = coupled_matrix_elements(rep, "P23P14", p)
+        out1 = coupled_matrix_elements(cgc_table(rep, rep), "P23")
+        out2 = coupled_matrix_elements(cgc_table(rep, rep), "P23P14")
         worst_route = max(worst_route, out1.route_residual, out2.route_residual)
         assert out1.conserves_total
         for row, col in out2.support:

@@ -8,6 +8,7 @@ from qybe import (
     QybeError,
     SLQ2,
     build_irrep,
+    cgc_table,
     commutant_nullspace,
     composite_space,
     constraint_system,
@@ -21,12 +22,12 @@ from qybe.commutant import _nullspace_from_system, _sector_layout, _sectors_of
 from qybe.coupling import ladder_weights
 from qybe.repspace import nfold_coproduct
 from qybe.toolkit import family_guards, random_points
-from conftest import params_for
+from conftest import params_for, pair_table
 
 
 def test_elementary_ops_count_and_composition(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     ops = elementary_ops(U)
     assert len(ops) == U.dim ** 2
     # composition law on random pairs
@@ -51,8 +52,8 @@ def test_commutant_of_irrep_pair(algebra):
     # pair action is two dimensional (the two projectors)
     p = params_for(algebra)
     rep = build_irrep(algebra, 2, p)
-    U = composite_space(rep, n=1, params=p)
-    nb = commutant_nullspace(U, 2, p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
+    nb = commutant_nullspace(U, 2)
     assert nb.dim == 2
 
 
@@ -60,10 +61,10 @@ def test_commutant_single_copy_dims(params_sl):
     # n = 1: the commutant of U itself is the span of the per-block
     # projectors, dimension = sum of squared multiplicities
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
-    nb = commutant_nullspace(U, 1, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 1)
     assert nb.dim == 2  # blocks 3 and 5, multiplicity one each
-    cb, _ = constraint_system(U, 1, params_sl)
+    cb, _ = constraint_system(U, 1)
     assert cb.dim == 2
 
 
@@ -71,10 +72,10 @@ def test_commutant_single_copy_dims(params_sl):
 def test_commutant_u8_dimension_46(algebra):
     p = params_for(algebra)
     rep = build_irrep(algebra, 3, p)
-    U = composite_space(rep, n=2, params=p)
-    nb = commutant_nullspace(U, 2, p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 2)
     assert nb.dim == 46  # 2^2 + 4^2 + 4^2 + 3^2 + 1^2
-    cb, _ = constraint_system(U, 2, p)
+    cb, _ = constraint_system(U, 2)
     assert cb.dim == 46
     assert float(np.max(principal_angles(nb, cb))) < 1e-8
 
@@ -85,8 +86,8 @@ def test_commutant_dim_matches_multiplicities(params_sl):
     from qybe.coupling import decompose
 
     rep = build_irrep(SLQ2, 2, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)  # single triplet block
-    nb = commutant_nullspace(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)  # single triplet block
+    nb = commutant_nullspace(U, 2)
     chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     mult = decompose(chain, params_sl).block_multiplicities()
     assert nb.dim == sum(m * m for m in mult.values())
@@ -94,9 +95,9 @@ def test_commutant_dim_matches_multiplicities(params_sl):
 
 def test_constraint_system_matches_nullspace_v2(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    U = composite_space(rep, n=1, params=params_sl)
-    nb = commutant_nullspace(U, 2, params_sl)
-    cb, sys_mat = constraint_system(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
+    nb = commutant_nullspace(U, 2)
+    cb, sys_mat = constraint_system(U, 2)
     assert nb.dim == cb.dim == 2
     assert float(np.max(principal_angles(nb, cb))) < 1e-10
     assert sys_mat.shape[1] == 6  # weight sectors 1 + 4 + 1 coefficients
@@ -105,8 +106,8 @@ def test_constraint_system_matches_nullspace_v2(params_sl):
 def test_weight_conservation_is_built_in(params_sl):
     # any commutant element annihilates weight-violating components exactly
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
-    nb = commutant_nullspace(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 2)
     wts = np.real(np.diag(nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q).H)) / 2
     for m in nb.matrices()[:5]:
         for i in range(m.shape[0]):
@@ -119,9 +120,9 @@ def test_descendant_samples_are_members(params_sl, rng):
     # samples of the fused solution lie in the centralizer, whichever of the
     # two constructions provides the basis
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
-    nb = commutant_nullspace(U, 2, params_sl)
-    cb, _ = constraint_system(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 2)
+    cb, _ = constraint_system(U, 2)
     fam = descendant_family(U)
     for u in random_points(rng, 3, guards=family_guards(fam), min_dist=0.1):
         for basis in (nb, cb):
@@ -133,8 +134,8 @@ def test_bond_terms_are_centralizer_elements(params_sl):
     from qybe import hamiltonian_projector_form
 
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
-    nb = commutant_nullspace(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 2)
     bundle = hamiltonian_projector_form(U, 2)
     for term in (bundle.pbar_cell, bundle.phat_cell):
         ok, coef, resid = membership(term, nb)
@@ -143,9 +144,9 @@ def test_bond_terms_are_centralizer_elements(params_sl):
 
 def test_hecke_samples_are_members(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    U = composite_space(rep, n=1, params=params_osp)
-    nb = commutant_nullspace(U, 2, params_osp)
-    fam = hecke_family(rep, params_osp)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
+    nb = commutant_nullspace(U, 2)
+    fam = U.hecke
     for u in random_points(rng, 3, guards=family_guards(fam)):
         ok, coef, resid = membership(fam.check_fn(u), nb)
         assert ok and resid < 1e-9
@@ -153,16 +154,16 @@ def test_hecke_samples_are_members(params_osp, rng):
 
 def test_identity_is_member(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
-    nb = commutant_nullspace(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 2)
     ok, coef, resid = membership(np.eye(U.dim ** 2), nb)
     assert ok and resid < 1e-10
 
 
 def test_generator_is_not_member(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
-    nb = commutant_nullspace(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 2)
     chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     ok, coef, resid = membership(chain.E, nb)
     assert not ok and resid > 1e-3
@@ -170,8 +171,8 @@ def test_generator_is_not_member(params_sl):
 
 def test_random_matrix_rejected(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
-    nb = commutant_nullspace(U, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    nb = commutant_nullspace(U, 2)
     m = rng.normal(size=(U.dim ** 2, U.dim ** 2))
     ok, coef, resid = membership(m, nb)
     assert not ok and resid > 1e-3
@@ -244,9 +245,9 @@ def test_nullspace_residual_guard_raises():
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_commutant_routes_agree_at_generic_q(algebra, q):
     p = DeformParams(q=q, algebra=algebra)
-    U = composite_space(build_irrep(algebra, 3, p), n=2, params=p)
-    nb = commutant_nullspace(U, 2, p)
-    cb, _ = constraint_system(U, 2, p)
+    U = composite_space(hecke_family(pair_table(algebra, 3, p)), n=2)
+    nb = commutant_nullspace(U, 2)
+    cb, _ = constraint_system(U, 2)
     assert nb.dim == cb.dim == 46
     assert float(np.max(principal_angles(nb, cb))) < 1e-8
 
@@ -255,7 +256,7 @@ def test_commutant_routes_agree_at_generic_q(algebra, q):
 def test_commutant_budget_from_sector_layout(r, fits, params_sl):
     # the layout sizes the dense system before anything of that size exists:
     # r = 4 gives 11544 x 6021 entries, r = 5 gives 61600 x 31652
-    U = composite_space(build_irrep(SLQ2, r, params_sl), n=2, params=params_sl)
+    U = composite_space(hecke_family(pair_table(SLQ2, r, params_sl)), n=2)
     co = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     sectors = _sectors_of(ladder_weights(co))
     if fits:

@@ -18,7 +18,7 @@ from qybe import (
 )
 from qybe.coupling import chi_quartic
 from qybe.repspace import coproduct_pair, embed_at
-from conftest import params_for
+from conftest import params_for, pair_table
 
 
 def test_tensor_decompose_values():
@@ -34,7 +34,7 @@ def test_tensor_decompose_values():
 ])
 def test_biorthogonality(algebra, r1, r2):
     p = params_for(algebra)
-    t = cgc_table(build_irrep(algebra, r1, p), build_irrep(algebra, r2, p), p)
+    t = cgc_table(build_irrep(algebra, r1, p), build_irrep(algebra, r2, p))
     dec = t.decomposition
     assert np.abs(dec.dual @ dec.basis - np.eye(dec.dim)).max() < 1e-10
 
@@ -42,7 +42,7 @@ def test_biorthogonality(algebra, r1, r2):
 def test_trivial_factor(params_osp):
     one = build_irrep(OSPQ12, 1, params_osp)
     r4 = build_irrep(OSPQ12, 4, params_osp)
-    t = cgc_table(one, r4, params_osp)
+    t = cgc_table(one, r4)
     assert t.targets == [4]
     j = r4.ladder_j
     for k in range(4):
@@ -56,7 +56,7 @@ def test_dual_proportionality_and_unit_norms(algebra, r1, r2):
     # Cbar is the metric-weighted transpose of C with per-state signs eps;
     # all |eps| equal 1 for the ladder-normalized coupled basis
     p = params_for(algebra)
-    t = cgc_table(build_irrep(algebra, r1, p), build_irrep(algebra, r2, p), p)
+    t = cgc_table(build_irrep(algebra, r1, p), build_irrep(algebra, r2, p))
     dec = t.decomposition
     md = dec.metric
     for c in range(dec.dim):
@@ -67,8 +67,7 @@ def test_dual_proportionality_and_unit_norms(algebra, r1, r2):
 
 def test_osp_eps_pattern_alternates(params_osp):
     # graded norms alternate along indefinite ladders in period-two steps
-    t = cgc_table(build_irrep(OSPQ12, 3, params_osp),
-                  build_irrep(OSPQ12, 3, params_osp), params_osp)
+    t = pair_table(OSPQ12, 3, params_osp)
     dec = t.decomposition
     for b in dec.blocks:
         eps = np.real(dec.eps[list(b.cols)])
@@ -83,7 +82,7 @@ def test_hw_product_formula_osp33(params_osp):
     # equals -(-1)^{p_{i1+1}} q^{-(j+1)/2} beta_{i1} / beta_{j-i1-1}
     rep = build_irrep(OSPQ12, 3, params_osp)
     q = params_osp.q
-    t = cgc_table(rep, rep, params_osp)
+    t = cgc_table(rep, rep)
     for r0 in (3, 5):
         j0 = (r0 - 1) / 2.0
         jl = rep.ladder_j
@@ -109,11 +108,11 @@ def test_hw_product_formula_osp33(params_osp):
 ])
 def test_projector_laws(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    t = pair_table(algebra, r, p)
     total = np.zeros((r * r, r * r), dtype=complex)
     projs = {}
     for r0 in tensor_decompose(r, r):
-        P = projector(rep, rep, r0, p)
+        P = projector(t, r0)
         projs[r0] = P.matrix
         assert np.abs(P.matrix @ P.matrix - P.matrix).max() < 1e-10
         assert abs(np.trace(P.matrix) - r0) < 1e-9
@@ -130,8 +129,9 @@ def test_projector_invariance(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
     pair = coproduct_pair(algebra, rep, rep, p.q)
+    t = cgc_table(rep, rep)
     for r0 in tensor_decompose(r, r):
-        P = projector(rep, rep, r0, p).matrix
+        P = projector(t, r0).matrix
         for g in ("E", "F", "H"):
             D = getattr(pair, g)
             assert np.abs(P @ D - D @ P).max() < 1e-10
@@ -143,9 +143,10 @@ def test_projector_invariance(algebra, r):
 def test_projector_routes_agree(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
+    t = cgc_table(rep, rep)
     for r0 in tensor_decompose(r, r):
-        A = projector(rep, rep, r0, p).matrix
-        B = casimir_projector(rep, rep, r0, p).matrix
+        A = projector(t, r0).matrix
+        B = casimir_projector(rep, rep, r0).matrix
         sc = max(1.0, np.abs(A).max(), np.abs(B).max())
         assert np.abs(A - B).max() / sc < 1e-9
 
@@ -153,25 +154,25 @@ def test_projector_routes_agree(algebra, r):
 def test_casimir_projector_trivial(params_osp):
     one = build_irrep(OSPQ12, 1, params_osp)
     r3 = build_irrep(OSPQ12, 3, params_osp)
-    P = casimir_projector(one, r3, 3, params_osp).matrix
+    P = casimir_projector(one, r3, 3).matrix
     assert np.abs(P - np.eye(3)).max() < 1e-12
 
 
 def test_invalid_target_raises(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    t = pair_table(SLQ2, 2, params_sl)
     with pytest.raises(QybeError):
-        projector(rep, rep, 2, params_sl)
+        projector(t, 2)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_chi_osp_closed_form(r, params_osp):
-    chi = chi_factor(OSPQ12, r, params_osp)
+    chi = chi_factor(pair_table(OSPQ12, r, params_osp))
     assert abs(chi - 1.0 / q_sub_bracket(r, params_osp.q) ** 2) < 1e-10
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_chi_sl_closed_form(r, params_sl):
-    chi = chi_factor(SLQ2, r, params_sl)
+    chi = chi_factor(pair_table(SLQ2, r, params_sl))
     assert abs(chi - 1.0 / q_number(r, params_sl.q) ** 2) < 1e-10
 
 
@@ -179,8 +180,8 @@ def test_chi_sl_closed_form(r, params_sl):
 def test_chi_equals_quartic_product(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    t = cgc_table(rep, rep, p)
-    chi = chi_factor(algebra, r, p)
+    t = cgc_table(rep, rep)
+    chi = chi_factor(t)
     j = rep.ladder_j
     vals = []
     for t_ in np.arange(-j, j + 1):
@@ -200,9 +201,9 @@ def test_triple_projector_identities():
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3):
-            rep = build_irrep(algebra, r, p)
-            chi = chi_factor(algebra, r, p)
-            P1 = projector(rep, rep, 1, p).matrix
+            t = pair_table(algebra, r, p)
+            chi = chi_factor(t)
+            P1 = projector(t, 1).matrix
             dims = [r] * 4
             plain = [tuple(0 for _ in range(r))] * 4
             P12 = embed_at(P1, (0, 1), dims, plain)
@@ -222,7 +223,7 @@ def test_coupled_basis_metric_orthonormal(algebra):
     # norm the Gram matrix is a sign diagonal
     p = params_for(algebra)
     rep = build_irrep(algebra, 2, p)
-    cb = coupled_basis(rep, p)
+    cb = coupled_basis(cgc_table(rep, rep))
     gram = cb.basis.T @ (cb.metric[:, None] * cb.basis)
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() < 1e-10
@@ -236,7 +237,7 @@ def test_coupled_basis_diagonalizes_pair_casimirs(params_sl):
     from qybe.repspace import casimir_matrix
 
     rep = build_irrep(SLQ2, 2, params_sl)
-    cb = coupled_basis(rep, params_sl)
+    cb = coupled_basis(cgc_table(rep, rep))
     pair = coproduct_pair(SLQ2, rep, rep, params_sl.q)
     c12 = casimir_matrix(SLQ2, pair, params_sl.q)
     d2 = rep.r ** 2

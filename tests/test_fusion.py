@@ -6,6 +6,7 @@ from qybe import (
     PoleError,
     SLQ2,
     build_irrep,
+    cgc_table,
     chi_factor,
     composite_space,
     composite_states,
@@ -28,7 +29,7 @@ from qybe.fusion import (
 )
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.rmatrix import r33_family, rel_residual
-from conftest import params_for
+from conftest import params_for, pair_table
 
 
 def sample_points(rng, count, guards, box=(-1, 1, -0.2, 0.2), min_dist=0.06):
@@ -42,13 +43,13 @@ def sample_points(rng, count, guards, box=(-1, 1, -0.2, 0.2), min_dist=0.06):
 
 def desc_guards(rep, params):
     # poles of the outer-difference parameterization
-    u0 = u0_point(chi_factor(rep.algebra, rep.r, params), params.a)
+    u0 = u0_point(chi_factor(pair_table(rep.algebra, rep.r, params)), params.a)
     return (0.0, u0, -u0, 2 * u0, -2 * u0)
 
 
 def fam_guards(rep, params):
     # poles in the additive family variable (shifted by u0)
-    u0 = u0_point(chi_factor(rep.algebra, rep.r, params), params.a)
+    u0 = u0_point(chi_factor(pair_table(rep.algebra, rep.r, params)), params.a)
     return (-u0, -2 * u0)
 
 
@@ -71,7 +72,7 @@ def test_dims_recurrence_values():
 def test_composite_space_dims(algebra, r, n):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    U = composite_space(rep, n=n, params=p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
     assert U.dim == dims_recurrence(r, n)
     # left inverse and projector trace
     assert np.abs(U.project @ U.embed - np.eye(U.dim)).max() < 1e-10
@@ -81,25 +82,24 @@ def test_composite_space_dims(algebra, r, n):
 
 def test_composite_blocks_r3(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
-    U2 = composite_space(rep, n=2, params=params_sl)
+    U2 = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     assert U2.blocks == [(3, 1), (5, 1)]
-    U3 = composite_space(rep, n=3, params=params_sl)
+    U3 = composite_space(hecke_family(cgc_table(rep, rep)), n=3)
     assert U3.blocks == [(1, 1), (3, 1), (5, 2), (7, 1)]
 
 
 def test_composite_r2_single_block(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     for n in (2, 3, 4):
-        U = composite_space(rep, n=n, params=params_sl)
+        U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
         assert U.blocks == [(n + 1, 1)]
 
 
 def test_cascade_image_is_truncated_space(params_sl):
     # the pairwise degenerate-point product spans exactly the kernel
     # intersection and has the recurrence rank
-    rep = build_irrep(SLQ2, 3, params_sl)
+    fam = hecke_family(pair_table(SLQ2, 3, params_sl))
     for n in (2, 3):
-        fam = hecke_family(rep, params_sl)
         G = truncation_cascade(fam, n)
         want = dims_recurrence(3, n)
         assert np.linalg.matrix_rank(G, tol=1e-8 * np.abs(G).max()) == want
@@ -113,7 +113,7 @@ def test_u8_pair_multiplicities(params_sl):
     from qybe.coupling import decompose
 
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     pair = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     dec = decompose(pair, params_sl)
     assert dec.block_multiplicities() == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
@@ -123,7 +123,7 @@ def test_u8_pair_multiplicities(params_sl):
 def test_descendant_product_equals_closed(algebra, r, rng):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    U = composite_space(rep, n=2, params=p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     pts = sample_points(rng, 6, guards=desc_guards(rep, p))
     worst = 0.0
     for u in pts:
@@ -137,8 +137,8 @@ def test_descendant_product_equals_closed(algebra, r, rng):
 def test_descendant_identity_at_u0(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    U = composite_space(rep, n=2, params=p)
-    u0 = u0_point(chi_factor(algebra, r, p), p.a)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    u0 = u0_point(chi_factor(pair_table(algebra, r, p)), p.a)
     m = descendant_r_closed(U, u0).matrix
     assert np.abs(m - np.eye((r * r - 1) ** 2)).max() < 1e-10
     # the family regular point sits at zero in the additive variable
@@ -151,10 +151,10 @@ def test_descendant_identity_at_u0(algebra, r):
 
 def test_descendant_product_pole_guard(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    chi = chi_factor(SLQ2, 2, params_sl)
+    chi = chi_factor(pair_table(SLQ2, 2, params_sl))
     u0 = u0_point(chi, params_sl.a)
     with pytest.raises(PoleError):
-        descendant_r_product(composite_space(rep, n=2, params=params_sl), -u0 + 1e-12,
+        descendant_r_product(composite_space(hecke_family(cgc_table(rep, rep)), n=2), -u0 + 1e-12,
                              guard=0.0)
 
 
@@ -162,7 +162,7 @@ def test_descendant_product_pole_guard(params_sl):
 def test_descendant_invariance(algebra, r, rng):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    U = composite_space(rep, n=2, params=p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     pair = nfold_coproduct(algebra, [U.replike()] * 2, p.q)
     u = sample_points(rng, 1, guards=fam_guards(rep, p))[0]
@@ -174,7 +174,7 @@ def test_descendant_invariance(algebra, r, rng):
 
 def test_descendant_ybe_r2(params_sl, rng):
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = descendant_family(composite_space(rep, n=2, params=params_sl))
+    fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
     worst = max(ybe_residual(fam, fam, fam, u, w, form="check")
@@ -186,7 +186,7 @@ def test_descendant_ybe_r2(params_sl, rng):
 def test_descendant_ybe_r3_512(params_sl, rng):
     # the 512-dimensional triple-space check for the composite solution
     rep = build_irrep(SLQ2, 3, params_sl)
-    fam = descendant_family(composite_space(rep, n=2, params=params_sl))
+    fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
     pairs = [(u, w) for u in pts[:2] for w in pts[2:]
@@ -197,7 +197,7 @@ def test_descendant_ybe_r3_512(params_sl, rng):
 
 def test_descendant_ybe_osp_r3(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    fam = descendant_family(composite_space(rep, n=2, params=params_osp))
+    fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_osp)
     pts = sample_points(rng, 2, guards=guards, min_dist=0.1)
     u, w = pts
@@ -218,10 +218,10 @@ def test_descendant_r2_matches_fixture1(params_sl, rng):
 
     plat = DeformParams(q=q, a=np.log(q) / 2, algebra=SLQ2)
     rep = build_irrep(SLQ2, 2, plat)
-    dfam = descendant_family(composite_space(rep, n=2, params=plat))
+    dfam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     mats_d, res_d = spectral_decompose(dfam, r1=3, rng=rng)
     assert res_d < 1e-8
-    fam1 = r33_family(1, params=params_sl)
+    fam1 = r33_family(1, pair_table(SLQ2, 3, params_sl))
     mats_f, res_f = spectral_decompose(fam1, r1=3, rng=rng)
     assert res_f < 1e-9
     norms = [np.abs(m).max() for m in mats_d]
@@ -241,8 +241,8 @@ def test_descendant_r2_matches_fixture1(params_sl, rng):
 @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_extended_lax_rll(r, n, params_sl, rng):
     rep = build_irrep(SLQ2, r, params_sl)
-    fam = hecke_family(rep, params_sl)
-    U = composite_space(rep, n=n, params=params_sl)
+    fam = hecke_family(cgc_table(rep, rep))
+    U = composite_space(fam, n=n)
     u, w = sample_points(rng, 2, guards=(-fam.u0,))
     L13 = extended_lax(U, u).matrix
     L23 = extended_lax(U, w).matrix
@@ -258,10 +258,10 @@ def test_extended_lax_rll(r, n, params_sl, rng):
 
 def test_extended_lax_n1_is_pair_matrix(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
-    fam = hecke_family(rep, params_sl)
+    fam = hecke_family(cgc_table(rep, rep))
     u = 0.37 + 0.08j
     # n = 1 composite is the irrep itself in its block basis
-    U = composite_space(rep, n=1, params=params_sl)
+    U = composite_space(fam, n=1)
     L = extended_lax(U, u).matrix
     R = fam.swap @ fam.check_fn(u)
     big = np.kron(np.eye(3), U.project) @ R @ np.kron(np.eye(3), U.embed)
@@ -277,8 +277,8 @@ def test_extended_lax_r2_spectral_two_terms(rng):
     plat = DeformParams(q=q, a=np.log(q), algebra=SLQ2)
     rep = build_irrep(SLQ2, 2, plat)
     n = 3
-    U = composite_space(rep, n=n, params=plat)
-    chi = chi_factor(SLQ2, 2, plat)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
+    chi = chi_factor(pair_table(SLQ2, 2, plat))
     u0 = u0_point(chi, plat.a)
 
     def check_fn(u):
@@ -317,10 +317,10 @@ def test_extended_lax_r2_spectral_two_terms(rng):
 @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_extended_lax_closed_form(r, n, params_sl, rng):
     rep = build_irrep(SLQ2, r, params_sl)
-    U = composite_space(rep, n=n, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
     evaluate, scale, fit_resid = extended_lax_closed(U)
     assert fit_resid < 1e-10
-    fam = hecke_family(rep, params_sl)
+    fam = U.hecke
     pts = sample_points(rng, 20, guards=(-fam.u0,))
     worst = 0.0
     for u in pts:
@@ -337,7 +337,7 @@ def test_f_product_closed_rational_r2(rng):
 
     q = 1.3
     plat = DeformParams(q=q, a=np.log(q), algebra=SLQ2)
-    chi = chi_factor(SLQ2, 2, plat)
+    chi = chi_factor(pair_table(SLQ2, 2, plat))
     for n in (1, 2, 3, 4):
         for _ in range(5):
             u = complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.2))
@@ -351,7 +351,7 @@ def test_f_product_closed_rational_r2(rng):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 3), (OSPQ12, 3)])
 def test_f_product_recurrence_route(algebra, r, rng):
     p = params_for(algebra)
-    chi = chi_factor(algebra, r, p)
+    chi = chi_factor(pair_table(algebra, r, p))
     for n in (2, 3):
         for _ in range(5):
             u = complex(rng.uniform(0.2, 1), rng.uniform(-0.2, 0.2))
@@ -364,7 +364,7 @@ def test_f_product_recurrence_route(algebra, r, rng):
 def test_composite_states(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    U = composite_space(rep, n=2, params=p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     labels, psi = composite_states(U)
     assert psi.shape == (r * r - 1, r * r - 1)
     assert len(labels) == r * r - 1
@@ -377,7 +377,7 @@ def test_composite_states(algebra, r):
 
 def test_composite_states_r2_span_triplet(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     labels, psi = composite_states(U)
     assert U.blocks == [(3, 1)]
     assert psi.shape == (3, 3)
@@ -390,10 +390,10 @@ def test_first_order_expansion_at_u0(params_sl):
     from qybe.rmatrix import f_slope
 
     rep = build_irrep(SLQ2, 3, params_sl)
-    chi = chi_factor(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    chi = chi_factor(pair_table(SLQ2, 3, params_sl))
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    ext, P23, P14 = _four_site_ops(rep, params_sl)
+    ext, P23, P14 = _four_site_ops(cgc_table(rep, rep))
     EE = np.kron(U.embed, U.embed)
     DD = np.kron(U.project, U.project)
     pbar = DD @ (ext @ P23 @ ext) @ EE
@@ -416,7 +416,7 @@ def test_first_order_expansion_at_u0(params_sl):
 def test_composite_states_live_in_truncation(params_osp):
     # projecting back to the ambient pair space reproduces each state
     rep = build_irrep(OSPQ12, 3, params_osp)
-    U = composite_space(rep, n=2, params=params_osp)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     labels, psi = composite_states(U)
     Qp = U.embed @ U.project
     amb = U.embed @ psi
@@ -432,12 +432,13 @@ def test_complex_deformation_parameter():
     for alg in (SLQ2, OSPQ12):
         p = DeformParams(q=1.25 + 0.08j, algebra=alg)
         rep = build_irrep(alg, 3, p)
-        assert max(verify_algebra(rep, p).values()) < 1e-12
-        dec = cgc_table(rep, rep, p).decomposition
+        assert max(verify_algebra(rep).values()) < 1e-12
+        table = cgc_table(rep, rep)
+        dec = table.decomposition
         assert np.abs(dec.dual @ dec.basis - np.eye(9)).max() < 1e-10
-        fam = hecke_family(rep, p)
+        fam = hecke_family(table)
         assert ybe(fam, fam, fam, 0.37 + 0.1j, -0.22 + 0.03j) < 1e-11
-        U = composite_space(rep, n=2, params=p)
+        U = composite_space(fam, n=2)
         A = descendant_r_closed(U, 0.8 + 0.1j).matrix
         B = descendant_r_product(U, 0.8 + 0.1j).matrix
         assert rel_residual(A, B) < 1e-10

@@ -35,7 +35,7 @@ from conftest import params_for
 def test_defining_relations(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    assert max(verify_algebra(rep, p).values()) < 1e-12
+    assert max(verify_algebra(rep).values()) < 1e-12
 
 
 def test_sl_commutator_exact(params_sl):
@@ -90,7 +90,7 @@ def test_corrupted_rep_is_detected(params_osp):
     E[0, 1] += 1e-3
     bad = type(rep)(rep.algebra, rep.r, rep.j, E, rep.F, rep.H,
                     rep.parities, rep.casimir_value, rep.params)
-    res = max(verify_algebra(bad, params_osp).values())
+    res = max(verify_algebra(bad).values())
     assert 1e-4 < res < 1e-2
 
 
@@ -147,7 +147,7 @@ def test_coproduct_homomorphism(algebra, r1, r2):
 
 def test_coproduct_weights_add(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    Dh = coproduct("h", rep, rep, params_osp)
+    Dh = coproduct("h", rep, rep)
     w = rep.weights
     expect = np.add.outer(w, w).reshape(-1)
     assert np.abs(np.diag(Dh.matrix) - expect).max() < 1e-13
@@ -256,7 +256,7 @@ def test_embed_at_matches_signed_permutation_reference(case):
 def test_casimir_scalar(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    c = casimir(rep, params=p).matrix
+    c = casimir(rep).matrix
     assert np.abs(c - rep.casimir_value * np.eye(r)).max() < 1e-10
 
 
@@ -268,7 +268,7 @@ def test_casimir_value_sl(params_sl):
 
 def test_casimir_apply_osp4(params_osp):
     rep = build_irrep(OSPQ12, 4, params_osp)
-    c = casimir(rep, params=params_osp).matrix
+    c = casimir(rep).matrix
     for k in range(4):
         v = np.zeros(4)
         v[k] = 1.0
@@ -277,7 +277,7 @@ def test_casimir_apply_osp4(params_osp):
 
 def test_pair_casimir_spectrum(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    cc = casimir(rep, rep, params_osp).matrix
+    cc = casimir(rep, rep).matrix
     got = np.sort_complex(np.linalg.eigvals(cc))
     want = []
     for r0 in (1, 3, 5):
@@ -288,7 +288,7 @@ def test_pair_casimir_spectrum(params_osp):
 
 def test_pair_casimir_central(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    cc = casimir(rep, rep, params_osp).matrix
+    cc = casimir(rep, rep).matrix
     pair = coproduct_pair(OSPQ12, rep, rep, params_osp.q)
     for g in ("E", "F", "H"):
         D = getattr(pair, g)

@@ -6,10 +6,10 @@ from qybe import (
     PoleError,
     SLQ2,
     build_irrep,
+    cgc_table,
     chi_factor,
     hecke_f,
     hecke_family,
-    hecke_r,
     mixed_braid_check,
     r33_family,
     spectral_decompose,
@@ -19,7 +19,7 @@ from qybe import (
 )
 from qybe.coupling import projector
 from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual
-from conftest import params_for
+from conftest import params_for, pair_table
 
 
 def sample_points(rng, count, guards, box=(-1, 1, -0.2, 0.2), min_dist=0.05):
@@ -42,7 +42,7 @@ def test_hecke_f_at_u0():
 
 
 def test_hecke_f_pole():
-    chi = chi_factor(SLQ2, 2, params_for(SLQ2))
+    chi = chi_factor(pair_table(SLQ2, 2))
     u0 = u0_point(chi)
     with pytest.raises(PoleError):
         hecke_f(-u0, chi)
@@ -51,7 +51,7 @@ def test_hecke_f_pole():
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 5), (OSPQ12, 2), (OSPQ12, 5)])
 def test_functional_identity(algebra, r, rng):
     p = params_for(algebra)
-    chi = chi_factor(algebra, r, p)
+    chi = chi_factor(pair_table(algebra, r, p))
     u0 = u0_point(chi, p.a)
     pts = sample_points(rng, 200, guards=(-u0,))
     worst = 0.0
@@ -68,7 +68,7 @@ def test_functional_identity(algebra, r, rng):
 def test_shift_recurrence(algebra, r, rng):
     # f(u + u0) = -1 / (1 + chi f(u))
     p = params_for(algebra)
-    chi = chi_factor(algebra, r, p)
+    chi = chi_factor(pair_table(algebra, r, p))
     u0 = u0_point(chi, p.a)
     pts = sample_points(rng, 100, guards=(-u0, -2 * u0))
     for u in pts:
@@ -78,15 +78,13 @@ def test_shift_recurrence(algebra, r, rng):
 
 
 def test_hecke_r_normalization(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
-    R0 = hecke_r(rep, 0.0, params_osp)
+    R0 = hecke_family(pair_table(OSPQ12, 3, params_osp)).check(0.0)
     assert np.abs(R0.matrix - np.eye(9)).max() < 1e-12
 
 
 def test_hecke_r_degeneration_point(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
-    fam = hecke_family(rep, params_osp)
-    P1 = projector(rep, rep, 1, params_osp).matrix
+    fam = hecke_family(pair_table(OSPQ12, 3, params_osp))
+    P1 = projector(fam.table, 1).matrix
     assert np.abs(fam.check_fn(fam.u0) - (np.eye(9) - P1)).max() < 1e-9
 
 
@@ -94,7 +92,7 @@ def test_hecke_r_degeneration_point(params_osp):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_hecke_ybe(algebra, r, rng):
     p = params_for(algebra)
-    fam = hecke_family(build_irrep(algebra, r, p), p)
+    fam = hecke_family(pair_table(algebra, r, p))
     pts = sample_points(rng, 6, guards=(-fam.u0,))
     worst = max(ybe_residual(fam, fam, fam, u, w, form="check")
                 for u in pts[:3] for w in pts[3:])
@@ -105,7 +103,7 @@ def test_hecke_commutes_with_coproduct(params_osp):
     from qybe.repspace import coproduct_pair
 
     rep = build_irrep(OSPQ12, 3, params_osp)
-    fam = hecke_family(rep, params_osp)
+    fam = hecke_family(cgc_table(rep, rep))
     pair = coproduct_pair(OSPQ12, rep, rep, params_osp.q)
     R = fam.check_fn(0.37 + 0.1j)
     for g in ("E", "F", "H"):
@@ -116,7 +114,7 @@ def test_hecke_commutes_with_coproduct(params_osp):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (OSPQ12, 3)])
 def test_braid_limits_two_eigenvalues(algebra, r):
     p = params_for(algebra)
-    fam = hecke_family(build_irrep(algebra, r, p), p)
+    fam = hecke_family(pair_table(algebra, r, p))
     for sign in (+1, -1):
         B = fam.braid_limit(sign)
         vals = np.linalg.eigvals(B)
@@ -129,20 +127,20 @@ def test_braid_limits_two_eigenvalues(algebra, r):
 def test_braid_eigenvalue_ratio_sl2(params_sl):
     # frozen from the closed reduction with s = (q - 1/q)/(q + 1/q):
     # (1 + f_+)/(1 + f_-) = ((s+1)/(s-1))^2 = q^4
-    chi = chi_factor(SLQ2, 2, params_sl)
+    chi = chi_factor(pair_table(SLQ2, 2, params_sl))
     ratio = (1 + braid_limit_f(chi, +1)) / (1 + braid_limit_f(chi, -1))
     assert abs(ratio - params_sl.q ** 4) < 1e-10
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
 def test_fixture_normalization(kind, params_sl):
-    fam = r33_family(kind, params=params_sl)
+    fam = r33_family(kind, pair_table(SLQ2, 3, params_sl))
     assert np.abs(fam.check_fn(0.0) - np.eye(9)).max() < 1e-10
 
 
 @pytest.mark.parametrize("kind", [1, 2, 3])
 def test_fixture_ybe(kind, params_sl, rng):
-    fam = r33_family(kind, params=params_sl)
+    fam = r33_family(kind, pair_table(SLQ2, 3, params_sl))
     pts = sample_points(rng, 6, guards=())
     worst = max(ybe_residual(fam, fam, fam, u, w, form="check")
                 for u in pts[:3] for w in pts[3:])
@@ -152,8 +150,8 @@ def test_fixture_ybe(kind, params_sl, rng):
 def test_fixtures_1_2_share_braid_ratios(params_sl):
     # as u -> +-infinity the projector-coefficient ratios of kinds 1 and 2
     # agree (their braid limits are proportional)
-    f1 = r33_family(1, params=params_sl)
-    f2 = r33_family(2, params=params_sl)
+    f1 = r33_family(1, pair_table(SLQ2, 3, params_sl))
+    f2 = r33_family(2, pair_table(SLQ2, 3, params_sl))
     for sign in (+1, -1):
         B1, B2 = f1.braid_limit(sign), f2.braid_limit(sign)
         lam = np.vdot(B2, B1) / np.vdot(B2, B2)
@@ -163,10 +161,9 @@ def test_fixtures_1_2_share_braid_ratios(params_sl):
 def test_fixture_3_is_reparametrized_hecke(params_sl):
     # fam3(lam*u) equals I + f(u) P1 after the per-point overall scalar is
     # divided out; lam is fitted from a single point
-    rep = build_irrep(SLQ2, 3, params_sl)
-    hfam = hecke_family(rep, params_sl)
-    fam3 = r33_family(3, params=params_sl)
-    P1 = projector(rep, rep, 1, params_sl).matrix
+    hfam = hecke_family(pair_table(SLQ2, 3, params_sl))
+    fam3 = r33_family(3, hfam.table)
+    P1 = projector(hfam.table, 1).matrix
     nrm = np.vdot(P1, P1)
 
     def ghat(v):
@@ -198,28 +195,28 @@ def test_fixture_3_is_reparametrized_hecke(params_sl):
 def test_universal_intertwining(params_osp):
     r2 = build_irrep(OSPQ12, 2, params_osp)
     for sign in (+1, -1):
-        R = universal_r(r2, r2, sign, params_osp)
-        assert intertwining_residual(R, r2, r2, params_osp) < 1e-10
+        R = universal_r(r2, r2, sign)
+        assert intertwining_residual(R, r2, r2) < 1e-10
 
 
 def test_universal_intertwining_mixed_dims(params_osp):
     r2 = build_irrep(OSPQ12, 2, params_osp)
     r3 = build_irrep(OSPQ12, 3, params_osp)
-    R = universal_r(r2, r3, +1, params_osp)
-    assert intertwining_residual(R, r2, r3, params_osp) < 1e-10
+    R = universal_r(r2, r3, +1)
+    assert intertwining_residual(R, r2, r3) < 1e-10
 
 
 def test_universal_trivial_factor(params_osp):
     one = build_irrep(OSPQ12, 1, params_osp)
     r4 = build_irrep(OSPQ12, 4, params_osp)
-    R = universal_r(one, r4, +1, params_osp)
+    R = universal_r(one, r4, +1)
     assert np.abs(R.matrix - np.eye(4)).max() < 1e-12
 
 
 def test_universal_graded_ybe(params_osp):
     r2 = build_irrep(OSPQ12, 2, params_osp)
-    Rp = universal_r(r2, r2, +1, params_osp)
-    Rm = universal_r(r2, r2, -1, params_osp)
+    Rp = universal_r(r2, r2, +1)
+    Rm = universal_r(r2, r2, -1)
     out = mixed_braid_check(Rp, Rm, r2.parities)
     assert out["ppp"] < 1e-10 and out["mmm"] < 1e-10
     assert out["max_balanced"] < 1e-10
@@ -230,8 +227,8 @@ def test_universal_flip_inverse(params_osp):
     from qybe import graded_permutation
 
     r2 = build_irrep(OSPQ12, 2, params_osp)
-    Rp = universal_r(r2, r2, +1, params_osp).matrix
-    Rm = universal_r(r2, r2, -1, params_osp).matrix
+    Rp = universal_r(r2, r2, +1).matrix
+    Rm = universal_r(r2, r2, -1).matrix
     P = graded_permutation(r2, r2).matrix
     assert rel_residual(Rm, P @ np.linalg.inv(Rp) @ P) < 1e-12
 
@@ -239,7 +236,7 @@ def test_universal_flip_inverse(params_osp):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (SLQ2, 4), (OSPQ12, 2)])
 def test_spectral_decompose_hecke_two_terms(algebra, r, rng):
     p = params_for(algebra)
-    fam = hecke_family(build_irrep(algebra, r, p), p)
+    fam = hecke_family(pair_table(algebra, r, p))
     mats, resid = spectral_decompose(fam, r1=max(r, 2), rng=rng)
     assert resid < 1e-9
     norms = [np.abs(m).max() for m in mats]
@@ -252,7 +249,7 @@ def test_spectral_decompose_rnn_pair(params_sl, rng):
     # the two terms of the fundamental family are the braid limits, with the
     # relative minus sign of the two-term form
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = hecke_family(rep, params_sl)
+    fam = hecke_family(cgc_table(rep, rep))
     mats, resid = spectral_decompose(fam, r1=2, rng=rng)
     assert resid < 1e-10
     Bp = fam.swap @ fam.braid_limit(+1)
@@ -268,7 +265,7 @@ def test_spectral_decompose_rnn_pair(params_sl, rng):
 
 def test_mixed_braid_relations_from_family(params_sl, rng):
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = hecke_family(rep, params_sl)
+    fam = hecke_family(cgc_table(rep, rep))
     mats, _ = spectral_decompose(fam, r1=2, rng=rng)
     out = mixed_braid_check(mats[1], -mats[0], rep.parities)
     assert out["max"] < 1e-10
@@ -290,7 +287,7 @@ def test_mixed_braid_negative_control(params_sl, rng):
 
 
 def test_spectral_decompose_fixture1_three_terms(params_sl, rng):
-    fam = r33_family(1, params=params_sl)
+    fam = r33_family(1, pair_table(SLQ2, 3, params_sl))
     mats, resid = spectral_decompose(fam, r1=3, rng=rng)
     assert resid < 1e-9
     norms = [np.abs(m).max() for m in mats]
@@ -298,22 +295,22 @@ def test_spectral_decompose_fixture1_three_terms(params_sl, rng):
 
 
 def test_ybe_trivial_at_zero(params_osp):
-    fam = hecke_family(build_irrep(OSPQ12, 3, params_osp), params_osp)
+    fam = hecke_family(pair_table(OSPQ12, 3, params_osp))
     assert ybe_residual(fam, fam, fam, 0.0, 0.0, form="check") < 1e-13
 
 
 def test_ybe_negative_control(params_sl):
     # a 1 percent perturbation of chi breaks the YBE visibly
     rep = build_irrep(SLQ2, 2, params_sl)
-    chi = chi_factor(SLQ2, 2, params_sl) * 1.01
-    fam = hecke_family(rep, params_sl, chi=chi)
+    chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
+    fam = hecke_family(cgc_table(rep, rep), chi=chi)
     res = ybe_residual(fam, fam, fam, 0.7, -0.3, form="check")
     assert res > 1e-4
 
 
 def test_ybe_noncheck_graded(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    fam = hecke_family(rep, params_osp)
+    fam = hecke_family(cgc_table(rep, rep))
     pts = sample_points(rng, 4, guards=(-fam.u0,))
     worst = max(ybe_residual(fam, fam, fam, u, w, form="noncheck")
                 for u in pts[:2] for w in pts[2:])
@@ -324,6 +321,6 @@ def test_spectral_decompose_ill_conditioned(params_sl):
     from qybe.rmatrix import IllConditionedFitError
 
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = hecke_family(rep, params_sl)
+    fam = hecke_family(cgc_table(rep, rep))
     with pytest.raises(IllConditionedFitError):
         spectral_decompose(fam, r1=2, samples=[0.4, 0.4 + 1e-14, 0.4 + 2e-14, 0.4])

@@ -7,11 +7,11 @@ from qybe import (
     ChainSpec,
     QybeError,
     build_irrep,
+    cgc_table,
     chi_factor,
     composite_space,
     coupled_matrix_elements,
     descendant_family,
-    f0_and_chibar,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
     hecke_family,
@@ -22,25 +22,18 @@ from qybe.rmatrix import f_slope, rel_residual
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.spinchain import bond_expansion_coefficients
 from qybe.toolkit import family_guards, random_points
-from conftest import params_for
+from conftest import params_for, pair_table
 
 
 def chain_points(rng, count, fam):
     return random_points(rng, count, guards=family_guards(fam), min_dist=0.1)
 
 
-def test_f0_and_chibar_values(params_sl):
-    f0, chibar = f0_and_chibar(3, params_sl)
-    chi = chi_factor(SLQ2, 3, params_sl)
-    assert abs(f0 - 2 * params_sl.a / np.sqrt(1 - 4 * chi)) < 1e-12
-    assert abs(chibar - chi * 2 * f0 ** 2 / (4 - f0 ** 2)) < 1e-12
-
-
 def test_f0_matches_finite_difference(params_sl):
     from qybe import hecke_f
 
-    chi = chi_factor(SLQ2, 3, params_sl)
-    f0, _ = f0_and_chibar(3, params_sl)
+    chi = chi_factor(pair_table(SLQ2, 3, params_sl))
+    f0 = f_slope(chi, params_sl.a)
     h = 1e-5
     fd = (hecke_f(h, chi, params_sl.a) - hecke_f(-h, chi, params_sl.a)) / (2 * h)
     assert abs(fd - f0) < 1e-7
@@ -59,8 +52,8 @@ def test_f0_linear_in_scale():
     from qybe.qarith import DeformParams
 
     p2 = DeformParams(q=p1.q, a=2.0, algebra=SLQ2)
-    f0a, _ = f0_and_chibar(2, p1)
-    f0b, _ = f0_and_chibar(2, p2)
+    f0a = f_slope(chi_factor(pair_table(SLQ2, 2, p1)), p1.a)
+    f0b = f_slope(chi_factor(pair_table(SLQ2, 2, p2)), p2.a)
     assert abs(f0b - 2 * f0a) < 1e-12
 
 
@@ -68,8 +61,8 @@ def test_f0_linear_in_scale():
 def test_bond_expansion_both_equal_f0(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    c1p, c2p = bond_expansion_coefficients(composite_space(rep, n=2, params=p))
-    chi = chi_factor(algebra, r, p)
+    c1p, c2p = bond_expansion_coefficients(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
+    chi = chi_factor(pair_table(algebra, r, p))
     f0 = f_slope(chi, p.a)
     assert abs(c1p - f0) < 1e-7 * max(1, abs(f0))
     assert abs(c2p - f0) < 1e-7 * max(1, abs(f0))
@@ -77,7 +70,7 @@ def test_bond_expansion_both_equal_f0(algebra, r):
 
 def test_transfer_matrices_commute_n2(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     pts = chain_points(rng, 4, fam)
@@ -89,7 +82,7 @@ def test_transfer_matrices_commute_n2(params_sl, rng):
 
 def test_transfer_matrix_regular_point_is_shift(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     t0 = transfer_matrix(spec, fam, 0.0).matrix
@@ -104,7 +97,7 @@ def test_transfer_matrix_regular_point_is_shift(params_sl):
 def test_single_site_transfer_invariant(params_sl, rng):
     # N = 1: the trace of R commutes with the site action of h
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 1)
     u = chain_points(rng, 1, fam)[0]
@@ -115,7 +108,7 @@ def test_single_site_transfer_invariant(params_sl, rng):
 
 def test_hamiltonian_reassembles(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
-    bundle = hamiltonian_projector_form(composite_space(rep, n=2, params=params_sl), 2)
+    bundle = hamiltonian_projector_form(composite_space(hecke_family(cgc_table(rep, rep)), n=2), 2)
     total = bundle.f0 * sum(bundle.terms)
     assert np.abs(total - bundle.H.matrix).max() == 0.0
 
@@ -126,7 +119,7 @@ def test_hamiltonian_reassembles(params_sl):
 def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    U = composite_space(rep, n=2, params=p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, n_sites)
     Hlog = hamiltonian_log_derivative(spec, fam).matrix
@@ -143,7 +136,7 @@ def test_chain_size_validation(params_sl):
     with pytest.raises(QybeError):
         ChainSpec(site_dim=3, n_sites=0, params=params_sl)
     with pytest.raises(QybeError):
-        hamiltonian_projector_form(composite_space(rep, n=2, params=params_sl), 1)
+        hamiltonian_projector_form(composite_space(hecke_family(cgc_table(rep, rep)), n=2), 1)
 
 
 def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
@@ -153,7 +146,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     # chain-level invariance checks are per-bond plus the weight and the
     # commuting transfer matrix
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     bundle = hamiltonian_projector_form(U, 2)
     H = bundle.H.matrix
@@ -171,7 +164,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
 
 def test_hamiltonian_step_halving(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 3)
     H1 = hamiltonian_log_derivative(spec, fam, step=1e-5).matrix
@@ -183,7 +176,7 @@ def test_hecke_chain_locality(params_sl, rng):
     # N = 3 fundamental chain: the log-derivative Hamiltonian is a sum of
     # two-site terms, so it commutes with single-site operators two sites away
     rep = build_irrep(SLQ2, 2, params_sl)
-    fam = hecke_family(rep, params_sl)
+    fam = hecke_family(cgc_table(rep, rep))
     spec = ChainSpec(site_dim=2, n_sites=3, params=params_sl)
     H = hamiltonian_log_derivative(spec, fam, point=0.0).matrix
     # bond terms on (0,1),(1,2),(2,0) wrap the ring; any single-site operator
@@ -211,7 +204,7 @@ def test_spin_structure_block_transitions(params_sl):
     # (r = 3) and cannot for single-block cells (r = 2)
     for r, expect_offdiag in ((2, False), (3, True)):
         rep = build_irrep(SLQ2, r, params_sl)
-        U = composite_space(rep, n=2, params=params_sl)
+        U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
         bundle = hamiltonian_projector_form(U, 2)
         bond = bundle.pbar_cell + bundle.chibar * bundle.phat_cell
         blocks = U.decomposition.blocks
@@ -233,7 +226,7 @@ def test_spin_structure_block_transitions(params_sl):
 def test_coupled_elements_p23(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    out = coupled_matrix_elements(rep, "P23", p)
+    out = coupled_matrix_elements(cgc_table(rep, rep), "P23")
     assert out.route_residual < 1e-9
     assert out.conserves_total
     # external projectors kill pair singlets on both sides
@@ -245,7 +238,7 @@ def test_coupled_elements_p23(algebra, r):
 def test_coupled_elements_p23p14(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    out = coupled_matrix_elements(rep, "P23P14", p)
+    out = coupled_matrix_elements(cgc_table(rep, rep), "P23P14")
     assert out.route_residual < 1e-9
     # support только on total singlet with equal pair labels
     for row, col in out.support:
@@ -264,7 +257,7 @@ def test_spectrum_descendant_chain_consistency(params_sl):
     # the log-derivative and projector-form spectra coincide up to the
     # fitted affine map for the fundamental composite chain
     rep = build_irrep(SLQ2, 2, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     Hlog = hamiltonian_log_derivative(spec, fam).matrix
@@ -282,7 +275,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
     from qybe.coupling import decompose
 
     rep = build_irrep(SLQ2, 3, params_sl)
-    U = composite_space(rep, n=2, params=params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     bundle = hamiltonian_projector_form(U, 2)
     vals, clusters = spectrum(bundle.H, cluster_tol=1e-6)
     chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
@@ -297,7 +290,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
 def test_graded_chain_transfer_commutes(params_osp, rng):
     # composite chain over the graded algebra: parity-signed auxiliary trace
     rep = build_irrep(OSPQ12, 3, params_osp)
-    U = composite_space(rep, n=2, params=params_osp)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
     pts = chain_points(rng, 2, fam)
@@ -335,7 +328,7 @@ def _check_against_dense(spec, R, rng):
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_graded_transfer_matches_dense_product(r, n_sites, params_osp, rng):
     rep = build_irrep(OSPQ12, r, params_osp)
-    U = composite_space(rep, n=2, params=params_osp)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, n_sites)
     R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix

@@ -21,9 +21,9 @@ from qybe.toolkit import (
     RunConfig,
     verify_all,
 )
-from qybe import fusion, rmatrix, toolkit
+from qybe import coupling, fusion, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
-from conftest import params_for
+from conftest import params_for, pair_table
 
 
 def random_op(rng, n=8):
@@ -63,7 +63,7 @@ def test_fixture_roundtrip_preserves_ybe(rng):
     from qybe import r33_family
 
     p = params_for(SLQ2)
-    fam = r33_family(1, params=p)
+    fam = r33_family(1, pair_table(SLQ2, 3, p))
     u, w = 0.41 + 0.04j, -0.37 + 0.08j
     ops = {}
     for x in (u, u + w, w):
@@ -217,6 +217,23 @@ def test_cli_malformed_config_exits_1(text, tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
+def test_cli_flags_override_config(tmp_path, monkeypatch):
+    # a flag given on the command line overrides the file's field, and the
+    # file's value stands for each flag left out
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text('{"r_list": [2], "q": [1.5, 0.0]}')
+    out = tmp_path / "X"
+    argv = ["--out", str(out), "--algebra", "ospq12", "--config", str(config), "hecke"]
+    assert cli_dispatch(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X", "c.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert (report["config"]["algebra"], report["config"]["r_list"]) == ("ospq12", [2])
+    assert (report["config"]["q"], report["config"]["outdir"]) == ([1.5, 0.0], str(out))
+    assert [c["name"] for c in report["checks"]] == ["hecke-ybe r=2"]
+    assert (out / "hecke_ospq12_r2_u0.3.json").exists()
+
+
 def test_keyless_checks_ignore_config_tolerances():
     # dimension counts and the chain checks have fixed tolerances that no
     # config can loosen
@@ -230,28 +247,42 @@ def test_keyless_checks_ignore_config_tolerances():
 
 
 def test_verify_all_into_context_builds_shared_objects_once(monkeypatch):
-    calls = {"composite_space": [], "hecke_family": []}
+    # each builder, wherever in the package it is called, keyed by what it built
+    keys = {
+        "build_irrep": lambda rep: rep.r,
+        "cgc_table": lambda table: (table.rep1.r, table.rep2.r),
+        "hecke_family": lambda fam: fam.r1,
+        "composite_space": lambda U: (U.rep.r, U.n),
+    }
+    calls = {name: [] for name in keys}
 
-    def counting(fn):
-        def wrapper(rep, *args, **kwargs):
-            calls[fn.__name__].append((rep.r, kwargs.get("n")))
-            return fn(rep, *args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name].append(keys[name](out))
+            return out
         return wrapper
 
-    monkeypatch.setattr(fusion, "composite_space", counting(fusion.composite_space))
-    hecke = counting(rmatrix.hecke_family)
-    for module in (rmatrix, fusion, toolkit):
-        monkeypatch.setattr(module, "hecke_family", hecke)
+    for name in keys:
+        wrapper = counting(name, getattr(toolkit, name, None) or getattr(fusion, name))
+        for module in (repspace, coupling, rmatrix, fusion, spinchain, toolkit):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     cfg = RunConfig(algebra="ospq12", r_list=(2, 3), n_list=(2, 3))
     ctx = Context(cfg)
     assert verify_all(cfg, ctx) is ctx.report
-    # one composite space per (r, n); its Hecke family is built with it, and
-    # the context builds one more per r for the Hecke checks
+    # one irrep, one table of V^r (x) V^r and one Hecke family per r, each
+    # built from the one below it, and one composite space per (r, n)
+    assert sorted(calls["build_irrep"]) == [2, 3]
+    assert sorted(calls["cgc_table"]) == [(2, 2), (3, 3)]
+    assert sorted(calls["hecke_family"]) == [2, 3]
     assert sorted(calls["composite_space"]) == [(2, 2), (2, 3), (3, 2), (3, 3)]
-    assert sorted(calls["hecke_family"]) == [(2, None)] * 3 + [(3, None)] * 3
     assert ctx.report.comparable_json() == verify_all(cfg).comparable_json()
     assert ctx.universal() is ctx.universal()
     assert ctx.fixture(1) is ctx.fixture(1)
+    # an sl_q(2) run's fixtures are built on its own table of V^3 (x) V^3
+    sl = Context(RunConfig(r_list=(3,)))
+    assert sl.fixture(2).table is sl.cgc(3, 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,10 +290,14 @@ def test_verify_all_into_context_builds_shared_objects_once(monkeypatch):
        modulus=st.floats(1.2, 2.5), arg=st.floats(-0.6, 0.6))
 def test_routes_agree_in_a_generic_annulus(algebra, r, modulus, arg):
     # q anywhere in a generic annulus, the real axis included: the two
-    # projector routes, the triple-overlap scalar and the Hecke family hold
-    # at complex q too (even graded irreps shift h off the real axis there)
+    # projector routes, the triple-overlap scalar, the Hecke family and, at
+    # the r of the battery's fused checks, the fused family built from it
+    # hold at complex q too (even graded irreps shift h off the real axis)
     ctx = Context(RunConfig(algebra=algebra, q=modulus * np.exp(1j * arg)))
-    for name in ("cgc-biorthogonality", "projector-routes", "chi-closed-form", "hecke-ybe"):
+    names = ["cgc-biorthogonality", "projector-routes", "chi-closed-form", "hecke-ybe"]
+    if r <= 3:
+        names += ["descendant-closed-vs-product", "descendant-regular-point"]
+    for name in names:
         assert ctx.check(name, r=r), ctx.report.checks[-1]
 
 
