@@ -27,6 +27,7 @@ from .repspace import (
     graded_kron,
     graded_permutation,
     invariant_metric,
+    local_product,
     verify_algebra,
 )
 from .coupling import (

@@ -61,8 +61,9 @@ def _config_from_file(path):
 # qybe.toolkit.  A QybeError while building an artifact ends the command.
 
 def _write_op(ctx, name, op, algebra=None):
-    return _write_json(ctx.config.outdir, name,
-                       serialize_operator(op, algebra or ctx.config.algebra, ctx.params.q))
+    """One-line JSON: without `indent`, json runs its C encoder."""
+    doc = serialize_operator(op, algebra or ctx.config.algebra, ctx.params.q)
+    return _write(ctx.config.outdir, name, json.dumps(doc, sort_keys=True))
 
 
 def cmd_build_rep(args, ctx):

@@ -14,6 +14,7 @@ with p the domain/codomain parities, which makes operator products of graded
 Kroneckers plain matrix products.
 """
 
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -375,6 +376,48 @@ def embed_at(op, pos, dims, parities):
     out = np.zeros((len(tgt), len(tgt)), dtype=np.result_type(op, float))
     out[src[:, None, :], src[None, :, :]] = (s[:, None, :] * s[None, :, :]) * op[:, :, None]
     return out
+
+
+def local_product(factors, dims, parities):
+    """embed_at(A, p) @ embed_at(B, q) @ ... for factors [(A, p), (B, q), ...],
+    contracted leg by leg in one einsum: each operator acts on its own legs
+    and the others pass through.
+
+    embed_at(op, p) = S_p plain_p(op) S_p with S_p the diagonal Koszul sign
+    vector of `_signed_perm`, so the signs enter as the vectors S_p (left
+    end), S_p S_q (between neighbours) and S_last (right end); vectors that
+    are all +1 are left out."""
+    labels = iter(string.ascii_letters)
+    legs = [next(labels) for _ in dims]
+    out = "".join(legs)
+    operands, subs = [], []
+
+    def signs(vec):
+        if (vec != 1).any():
+            operands.append(vec.reshape(dims))
+            subs.append("".join(legs))
+
+    left = 1.0
+    for op, pos in factors:
+        pos = tuple(pos)
+        _, s = _signed_perm(list(pos) + [k for k in range(len(dims)) if k not in pos],
+                            dims, parities)
+        signs(left * s)
+        new = [next(labels) for _ in pos]
+        operands.append(np.asarray(op).reshape([dims[k] for k in pos] * 2))
+        subs.append("".join(legs[k] for k in pos) + "".join(new))
+        for k, label in zip(pos, new):
+            legs[k] = label
+        left = s
+    signs(left)
+    for k, d in enumerate(dims):
+        if legs[k] == out[k]:  # a leg no factor acts on
+            legs[k] = next(labels)
+            operands.append(np.eye(d))
+            subs.append(out[k] + legs[k])
+    D = int(np.prod(dims))
+    return np.einsum(",".join(subs) + "->" + out + "".join(legs), *operands,
+                     optimize=True).reshape(D, D)
 
 
 def casimir_matrix(algebra, rep_like, q):

@@ -30,6 +30,7 @@ from .repspace import (
     embed_at,
     graded_kron_raw,
     graded_permutation,
+    local_product,
 )
 from .coupling import CouplingTable, chi_factor, projector
 
@@ -282,10 +283,8 @@ def ybe_residual(R_a, R_b, R_c, u=0.0, w=0.0, form="check", parities=None):
         lhs = a12 @ b23 @ c12
         rhs = c23 @ b12 @ a23
     elif form == "noncheck":
-        lhs = embed_at(A, (0, 1), dims, pars) @ embed_at(B, (0, 2), dims, pars) \
-            @ embed_at(C, (1, 2), dims, pars)
-        rhs = embed_at(C, (1, 2), dims, pars) @ embed_at(B, (0, 2), dims, pars) \
-            @ embed_at(A, (0, 1), dims, pars)
+        lhs = local_product([(A, (0, 1)), (B, (0, 2)), (C, (1, 2))], dims, pars)
+        rhs = local_product([(C, (1, 2)), (B, (0, 2)), (A, (0, 1))], dims, pars)
     else:
         raise QybeError(f"unknown YBE form {form!r}")
     return rel_residual(lhs, rhs)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qarith import DESK_BOUND, DeformParams, OSPQ12, SLQ2, QybeError
-from .repspace import GradedOperator, Space, build_irrep, embed_at, verify_algebra
+from .repspace import GradedOperator, Space, build_irrep, local_product, verify_algebra
 from .coupling import (
     casimir_projector,
     cgc_table,
@@ -52,7 +52,7 @@ def serialize_operator(op, algebra="", q=0j, label=None):
         },
         "rows": op.matrix.shape[0],
         "cols": op.matrix.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in op.matrix.ravel()],
+        "entries": np.ascontiguousarray(op.matrix).view(float).reshape(-1, 2).tolist(),
     }
     return doc
 
@@ -65,11 +65,12 @@ def deserialize_operator(doc):
         entries = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise MalformedDocumentError(f"missing field: {exc}") from exc
-    if len(entries) != rows * cols:
-        raise MalformedDocumentError(
-            f"entries length {len(entries)} != rows*cols {rows * cols}"
-        )
-    m = np.array([complex(re, im) for re, im in entries]).reshape(rows, cols)
+    if type(entries) is not list or len(entries) != rows * cols:
+        raise MalformedDocumentError(f"entries are not a list of rows*cols = {rows * cols}")
+    for entry in entries:
+        if not _numbers(entry, 2):
+            raise MalformedDocumentError(f"entry {entry!r} is not a pair of numbers [re, im]")
+    m = np.array(entries, dtype=float).reshape(-1, 2).view(complex).reshape(rows, cols)
     dom = Space(tuple(meta["domain_dims"]),
                 tuple(tuple(int(x) for x in p) for p in meta["parities_domain"]))
     cod = Space(tuple(meta["codomain_dims"]),
@@ -392,10 +393,8 @@ def _lax_rll(ctx, rng, inputs):
     Rm = (fam.swap @ fam.check_fn(u - w))
     dims = [rep.r, rep.r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
-    lhs = embed_at(Rm, (0, 1), dims, pars) @ embed_at(L13, (0, 2), dims, pars) \
-        @ embed_at(L23, (1, 2), dims, pars)
-    rhs = embed_at(L23, (1, 2), dims, pars) @ embed_at(L13, (0, 2), dims, pars) \
-        @ embed_at(Rm, (0, 1), dims, pars)
+    lhs = local_product([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))], dims, pars)
+    rhs = local_product([(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))], dims, pars)
     return rel_residual(lhs, rhs)
 
 

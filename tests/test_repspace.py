@@ -24,6 +24,7 @@ from qybe.repspace import (
     embed_at,
     graded_kron_raw,
     invariant_metric,
+    local_product,
     nfold_coproduct,
     perm_matrix,
 )
@@ -232,24 +233,52 @@ def _embed_reference(op, pos, dims, parities):
     return out
 
 
+def _factor(draw, dims):
+    """A random complex operator on an ordered tuple of distinct legs."""
+    order = draw(st.permutations(range(len(dims))))
+    pos = tuple(order[:draw(st.integers(1, len(dims)))])
+    dop = int(np.prod([dims[k] for k in pos]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return gen.normal(size=(dop, dop)) + 1j * gen.normal(size=(dop, dop)), pos
+
+
 @st.composite
-def _embeddings(draw):
+def _embeddings(draw, count=(1, 1)):
+    """One (dims, parities) of 1-4 graded legs and count[0]..count[1]
+    operators on it."""
     n = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     pars = [tuple(draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))) for d in dims]
-    order = draw(st.permutations(range(n)))
-    pos = tuple(order[:draw(st.integers(1, n))])
-    dop = int(np.prod([dims[k] for k in pos]))
-    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    op = gen.normal(size=(dop, dop)) + 1j * gen.normal(size=(dop, dop))
-    return op, pos, dims, pars
+    return [_factor(draw, dims) for _ in range(draw(st.integers(*count)))], dims, pars
 
 
 @settings(max_examples=60, deadline=None)
 @given(_embeddings())
 def test_embed_at_matches_signed_permutation_reference(case):
-    op, pos, dims, pars = case
+    [(op, pos)], dims, pars = case
     assert np.array_equal(embed_at(op, pos, dims, pars), _embed_reference(op, pos, dims, pars))
+
+
+def _assert_local_product_matches_embed_at(factors, dims, pars):
+    dense = np.eye(int(np.prod(dims)))
+    for op, pos in factors:
+        dense = dense @ embed_at(op, pos, dims, pars)
+    local = local_product(factors, dims, pars)
+    assert np.abs(local - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_embeddings(count=(1, 3)))
+def test_local_product_matches_embed_at_product(case):
+    _assert_local_product_matches_embed_at(*case)
+
+
+def test_local_product_odd_legs_crossing(rng):
+    """Odd states on every leg, with the second factor placed in reverse
+    order across the leg between: every Koszul sign is exercised."""
+    dims, pars = [2, 2, 2], [(0, 1)] * 3
+    A, B, C = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
+    _assert_local_product_matches_embed_at([(A, (0, 1)), (B, (2, 0)), (C, (1, 2))], dims, pars)
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 4), (OSPQ12, 3), (OSPQ12, 4)])

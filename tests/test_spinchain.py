@@ -39,14 +39,6 @@ def test_f0_matches_finite_difference(params_sl):
     assert abs(fd - f0) < 1e-7
 
 
-def test_chibar_vanishes_with_chi():
-    # chibar -> 0 as chi -> 0 (away from the scale where f0^2 hits 4)
-    chi = 1e-12
-    f0 = f_slope(chi, 0.7)
-    chibar = chi * 2 * f0 ** 2 / (4 - f0 ** 2)
-    assert abs(chibar) < 1e-10
-
-
 def test_f0_linear_in_scale():
     p1 = params_for(SLQ2)
     from qybe.qarith import DeformParams

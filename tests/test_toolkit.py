@@ -57,6 +57,10 @@ def test_malformed_document(rng):
         deserialize_operator(bad)
     with pytest.raises(MalformedDocumentError):
         deserialize_operator({"rows": 2})
+    for entry in ([0], ["x", 0], None):  # each entry is a pair of numbers
+        bad["entries"] = doc["entries"][:-1] + [entry]
+        with pytest.raises(MalformedDocumentError):
+            deserialize_operator(bad)
 
 
 def test_fixture_roundtrip_preserves_ybe(rng):
