@@ -69,6 +69,7 @@ from .spinchain import (
     coupled_matrix_elements,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
+    sector_blocks,
     spectrum,
     transfer_matrix,
 )

@@ -138,8 +138,9 @@ def cmd_chain(args, ctx):
         raise QybeError(f"chain of {N} sites at r = {too_big} exceeds the desk bound "
                         f"of {DESK_BOUND} dimensions")
     for r in cfg.r_list:
+        sectors = chains.ChainSpec.from_composite(ctx.composite(r, 2), N).sectors()
         _write(cfg.outdir, f"spectrum_{cfg.algebra}_r{r}_N{N}.csv",
-               spectrum_csv(*chains.spectrum(ctx.hamiltonian(r, N).H)))
+               spectrum_csv(*chains.spectrum(ctx.hamiltonian(r, N).H, sectors)))
         ctx.check("transfer-commutation", r=r, N=N)
         ctx.check("hamiltonian-routes", r=r, N=N)
 

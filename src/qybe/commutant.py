@@ -27,7 +27,7 @@ import numpy as np
 
 from .qarith import COMMUTANT_BUDGET, DESK_BOUND, OSPQ12, QybeError
 from .repspace import GradedOperator, nfold_coproduct
-from .coupling import ladder_weights
+from .coupling import ladder_weights, weight_sectors
 
 
 @dataclass
@@ -82,14 +82,6 @@ class CommutantBasis:
     def matrices(self):
         d = self.dim_space ** self.n
         return [self.vectors[:, k].reshape(d, d) for k in range(self.dim)]
-
-
-def _sectors_of(weights):
-    keys = np.round(2 * weights).astype(int)
-    sectors = {}
-    for idx, k in enumerate(keys):
-        sectors.setdefault(int(k), []).append(idx)
-    return sectors
 
 
 def _sector_layout(sectors, d):
@@ -205,7 +197,7 @@ def commutant_nullspace(U, n, gap_tol=1e3):
         raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
     co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
     d = co.dim
-    total, flat, rows, blocks = _sector_layout(_sectors_of(ladder_weights(co)), d)
+    total, flat, rows, blocks = _sector_layout(weight_sectors(ladder_weights(co)), d)
     sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
     for step, src, tgt, off1, off2, block_rows in blocks:
         A = (co.E if step == 2 else co.F)[np.ix_(tgt, src)]
@@ -303,7 +295,7 @@ def constraint_system(U, n, gap_tol=1e3):
     d = dU ** n
     multis = list(itertools.product(range(dU), repeat=n))
     wts = np.array([sum(states[i]["weight"] for i in multi) for multi in multis])
-    sectors = _sectors_of(wts)
+    sectors = weight_sectors(wts)
     # position of each multi-index within its weight sector
     pos = {multis[idx]: a for states_k in sectors.values() for a, idx in enumerate(states_k)}
     total, flat, rows, blocks = _sector_layout(sectors, d)

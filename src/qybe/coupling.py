@@ -102,6 +102,14 @@ def ladder_weights(rep_like):
     return w if R.algebra == OSPQ12 else w / 2.0
 
 
+def weight_sectors(weights):
+    """Indices of the states of each ladder weight, keyed by twice the
+    weight rounded to an integer (one ladder step moves the key by 2), in
+    increasing key order."""
+    keys = np.round(2 * np.asarray(weights)).astype(int)
+    return {int(k): np.flatnonzero(keys == k) for k in np.unique(keys)}
+
+
 def _hw_vectors(e_mat, weights, target_weight, within=None, tol=1e-9):
     """Vectors at one ladder weight annihilated by e, inside an optional
     restriction span.  Columns returned in the ambient space."""

@@ -9,6 +9,13 @@ taken inside the last contraction.  A 512-dimensional three-site chain thus
 costs tensor contractions instead of products of 4096-dimensional matrices,
 for sl_q(2) and osp_q(1|2) alike.  The dense Hamiltonians and spectra keep
 chains within `qarith.DESK_BOUND` dimensions.
+
+H and tau(u) conserve the total weight Delta^N(h), so the O(D^3) steps (the
+spectrum, the solve of the log-derivative, the products of the commutation
+check) run on their diagonal blocks, one weight sector at a time.
+`sector_blocks` refuses a matrix with an entry outside the blocks, so the
+block spectra are the spectrum.  A chain without site weights is one sector:
+the whole space.
 """
 
 from dataclasses import dataclass
@@ -17,20 +24,22 @@ import numpy as np
 
 from .qarith import DESK_BOUND, DeformParams, QybeError
 from .repspace import GradedOperator, Space, embed_at
-from .coupling import coupled_basis
+from .coupling import coupled_basis, ladder_weights, weight_sectors
 from .fusion import descendant_coefficients, pair_cells, _four_site_ops
 from .rmatrix import SpectralRMatrix
 
 
 @dataclass
 class ChainSpec:
-    """Periodic chain with identical site spaces and a chosen auxiliary."""
+    """Periodic chain with identical site spaces and a chosen auxiliary;
+    `weights` are the ladder weights of the site states, when known."""
 
     site_dim: int
     n_sites: int
     params: DeformParams
     parities: tuple = ()
     aux_parities: tuple = None
+    weights: tuple = None
 
     def __post_init__(self):
         if not self.parities:
@@ -42,10 +51,45 @@ class ChainSpec:
         if self.site_dim ** self.n_sites > DESK_BOUND:
             raise QybeError(f"chain {self.site_dim}^{self.n_sites} exceeds the desk bound "
                             f"{DESK_BOUND}")
+        if self.weights is not None and len(self.weights) != self.site_dim:
+            raise QybeError(f"{len(self.weights)} site weights for {self.site_dim} site states")
 
     @staticmethod
     def from_composite(U, n_sites):
-        return ChainSpec(U.dim, n_sites, U.params, U.parities)
+        return ChainSpec(U.dim, n_sites, U.params, U.parities,
+                         weights=tuple(ladder_weights(U.replike())))
+
+    def sectors(self):
+        """Index arrays of the product states of each total weight, in
+        increasing weight; Delta^N(h) is additive, so a state's weight is
+        the sum of its site weights.  Without site weights the chain is one
+        sector."""
+        if self.weights is None:
+            return [np.arange(self.site_dim ** self.n_sites)]
+        total = np.zeros(1)
+        for _ in range(self.n_sites):
+            total = np.add.outer(total, self.weights).ravel()
+        return list(weight_sectors(total).values())
+
+
+def sector_blocks(M, sectors, tol=1e-12):
+    """The diagonal blocks M[s, s] of a matrix over the index arrays
+    `sectors`, which partition its rows.
+
+    Raises QybeError when an entry outside the blocks exceeds
+    tol * max(1, max|M|): the blocks would then not carry M, and their
+    spectra would not be its spectrum."""
+    m = M.matrix if isinstance(M, GradedOperator) else np.asarray(M)
+    scale = off = 0.0
+    for s in sectors:
+        rows = np.abs(m[s])
+        scale = max(scale, rows.max(initial=0.0))
+        rows[:, s] = 0.0
+        off = max(off, rows.max(initial=0.0))
+    if off > tol * max(1.0, scale):
+        raise QybeError(f"an entry of modulus {off:.3e} lies outside the weight sectors "
+                        f"(bound {tol * max(1.0, scale):.1e})")
+    return [m[np.ix_(s, s)] for s in sectors]
 
 
 def transfer_matrix(spec, fam, u):
@@ -148,21 +192,21 @@ def hamiltonian_projector_form(U, n_sites):
 
 def hamiltonian_log_derivative(spec, fam, point=None, step=1e-6):
     """tau(u*)^-1 dtau/du at the regular point u* by central differences with
-    one Richardson step."""
+    one Richardson step, solved in each weight sector of the chain; each
+    tau is cut into its sector blocks as soon as it is built."""
     point = point if point is not None else (fam.u0 or 0.0)
-    t0 = transfer_matrix(spec, fam, point).matrix
-    t0inv = np.linalg.inv(t0)
+    sectors = spec.sectors()
+
+    def blocks(u):
+        return sector_blocks(transfer_matrix(spec, fam, u), sectors)
 
     def ddu(h):
-        tp = transfer_matrix(spec, fam, point + h).matrix
-        tm = transfer_matrix(spec, fam, point - h).matrix
-        return (tp - tm) / (2 * h)
+        return [(tp - tm) / (2 * h) for tp, tm in zip(blocks(point + h), blocks(point - h))]
 
-    d1 = ddu(step)
-    d2 = ddu(step / 2)
-    d = (4 * d2 - d1) / 3
-    m = t0inv @ d
     sp = Space(tuple([spec.site_dim] * spec.n_sites), tuple([spec.parities] * spec.n_sites))
+    m = np.zeros((sp.dim, sp.dim), dtype=complex)
+    for s, t0, d1, d2 in zip(sectors, blocks(point), ddu(step), ddu(step / 2)):
+        m[np.ix_(s, s)] = np.linalg.solve(t0, (4 * d2 - d1) / 3)
     return GradedOperator(m, sp, sp, label="Hlog")
 
 
@@ -263,18 +307,29 @@ def _sum_route(table, cb, term):
     return np.outer(left, right)
 
 
-def spectrum(H, cluster_tol=1e-7):
-    """Eigenvalues sorted by real part plus a degeneracy table of clustered
-    levels."""
+def spectrum(H, sectors=None, cluster_tol=1e-7):
+    """Eigenvalues sorted by real part, then imaginary part, plus a
+    degeneracy table of clustered levels.
+
+    With `sectors` (index arrays of states that H does not mix, such as
+    ChainSpec.sectors) each diagonal block is diagonalized on its own.  Each
+    eigenvalue joins the nearest level within the tolerance, so a level
+    whose members are not neighbours in the sort order stays whole."""
     m = H.matrix if isinstance(H, GradedOperator) else np.asarray(H)
-    vals = np.linalg.eigvals(m)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    clusters = []
+    if sectors is None:
+        sectors = [np.arange(m.shape[0])]
+    vals = np.concatenate([np.linalg.eigvals(b) for b in sector_blocks(m, sectors)])
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    leads = np.zeros(len(vals), dtype=complex)
+    counts = np.zeros(len(vals), dtype=int)
+    k = 0
     for v in vals:
-        if clusters and abs(v - clusters[-1][0]) < cluster_tol * max(1.0, abs(v)) + cluster_tol:
-            lead, count = clusters[-1]
-            clusters[-1] = ((lead * count + v) / (count + 1), count + 1)
+        gap = np.abs(leads[:k] - v)
+        j = int(np.argmin(gap)) if k else 0
+        if k and gap[j] < cluster_tol * max(1.0, abs(v)) + cluster_tol:
+            leads[j] = (leads[j] * counts[j] + v) / (counts[j] + 1)
+            counts[j] += 1
         else:
-            clusters.append((v, 1))
-    return vals, clusters
+            leads[k], counts[k] = v, 1
+            k += 1
+    return vals, list(zip(leads[:k], counts[:k].tolist()))

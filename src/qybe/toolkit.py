@@ -58,24 +58,34 @@ def serialize_operator(op, algebra="", q=0j, label=None):
 
 
 def deserialize_operator(doc):
-    """Rebuild a GradedOperator from its document, validating the schema."""
+    """Rebuild a GradedOperator from its document.  A document that does not
+    follow the schema of `serialize_operator` raises MalformedDocumentError."""
     try:
-        meta = doc["meta"]
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        entries = doc["entries"]
+        meta, rows, cols, entries = doc["meta"], doc["rows"], doc["cols"], doc["entries"]
     except (KeyError, TypeError) as exc:
         raise MalformedDocumentError(f"missing field: {exc}") from exc
+    if not _numbers([rows, cols], kinds=(int,)) or min(rows, cols) < 0:
+        raise MalformedDocumentError(f"rows {rows!r} and cols {cols!r} are not sizes")
+    if type(meta) is not dict:
+        raise MalformedDocumentError(f"meta {meta!r} is not an object")
+    spaces = []
+    for side in ("domain", "codomain"):
+        dims, pars = meta.get(f"{side}_dims"), meta.get(f"parities_{side}")
+        if not (_numbers(dims, kinds=(int,)) and type(pars) is list
+                and all(_numbers(p, kinds=(int,)) and set(p) <= {0, 1} for p in pars)):
+            raise MalformedDocumentError(f"meta holds no {side} dims with 0/1 parities")
+        spaces.append((tuple(dims), tuple(tuple(p) for p in pars)))
     if type(entries) is not list or len(entries) != rows * cols:
         raise MalformedDocumentError(f"entries are not a list of rows*cols = {rows * cols}")
     for entry in entries:
         if not _numbers(entry, 2):
             raise MalformedDocumentError(f"entry {entry!r} is not a pair of numbers [re, im]")
     m = np.array(entries, dtype=float).reshape(-1, 2).view(complex).reshape(rows, cols)
-    dom = Space(tuple(meta["domain_dims"]),
-                tuple(tuple(int(x) for x in p) for p in meta["parities_domain"]))
-    cod = Space(tuple(meta["codomain_dims"]),
-                tuple(tuple(int(x) for x in p) for p in meta["parities_codomain"]))
-    return GradedOperator(m, dom, cod, label=meta.get("label", ""))
+    try:
+        return GradedOperator(m, Space(*spaces[0]), Space(*spaces[1]),
+                              label=meta.get("label", ""))
+    except QybeError as exc:
+        raise MalformedDocumentError(str(exc)) from exc
 
 
 @dataclass
@@ -399,24 +409,40 @@ def _lax_rll(ctx, rng, inputs):
 
 
 def _transfer_commutation(ctx, rng, inputs):
+    """[tau(u), tau(w)] sector by sector, relative to the largest entry of
+    the two products, as rel_residual measures it on whole matrices."""
     dfam = ctx.descendant(inputs["r"])
     spec = chains.ChainSpec.from_composite(ctx.composite(inputs["r"], 2), inputs["N"])
+    sectors = spec.sectors()
     pts = random_points(rng, 4, guards=family_guards(dfam))
-    t = [chains.transfer_matrix(spec, dfam, u).matrix for u in pts]
-    return max(rel_residual(t[i] @ t[j], t[j] @ t[i])
-               for i in range(len(t)) for j in range(i + 1, len(t)))
+    t = [chains.sector_blocks(chains.transfer_matrix(spec, dfam, u), sectors) for u in pts]
+    worst = 0.0
+    for i in range(len(t)):
+        for j in range(i + 1, len(t)):
+            ab = [a @ b for a, b in zip(t[i], t[j])]
+            ba = [b @ a for a, b in zip(t[i], t[j])]
+            scale = max(1.0, *(np.abs(x).max() for x in ab + ba))
+            worst = max(worst, max(np.abs(x - y).max() for x, y in zip(ab, ba)) / scale)
+    return float(worst)
 
 
 def _hamiltonian_routes(ctx, rng, inputs):
     """The log-derivative Hamiltonian is an affine function a H + b of the
-    projector-form one; relative residual of the least-squares fit."""
+    projector-form one; relative residual of the least-squares fit on the
+    entries of their weight-sector blocks."""
     r, N = inputs["r"], inputs["N"]
     spec = chains.ChainSpec.from_composite(ctx.composite(r, 2), N)
-    A = chains.hamiltonian_log_derivative(spec, ctx.descendant(r)).matrix
-    B = ctx.hamiltonian(r, N).H.matrix
-    X = np.stack([B.ravel(), np.eye(B.shape[0]).ravel()], axis=1)
-    coef, *_ = np.linalg.lstsq(X, A.ravel(), rcond=None)
-    return float(np.abs(X @ coef - A.ravel()).max() / max(1.0, np.abs(A).max()))
+    sectors = spec.sectors()
+
+    def entries(blocks):
+        return np.concatenate([b.ravel() for b in blocks])
+
+    A = entries(chains.sector_blocks(
+        chains.hamiltonian_log_derivative(spec, ctx.descendant(r)), sectors))
+    B = entries(chains.sector_blocks(ctx.hamiltonian(r, N).H, sectors))
+    X = np.stack([B, entries(np.eye(len(s)) for s in sectors)], axis=1)
+    coef, *_ = np.linalg.lstsq(X, A, rcond=None)
+    return float(np.abs(X @ coef - A).max() / max(1.0, np.abs(A).max()))
 
 
 def _commutant_dims(ctx, rng, inputs):

@@ -18,8 +18,8 @@ from qybe import (
     membership,
     principal_angles,
 )
-from qybe.commutant import _nullspace_from_system, _sector_layout, _sectors_of
-from qybe.coupling import ladder_weights
+from qybe.commutant import _nullspace_from_system, _sector_layout
+from qybe.coupling import ladder_weights, weight_sectors
 from qybe.repspace import nfold_coproduct
 from qybe.toolkit import family_guards, random_points
 from conftest import params_for, pair_table
@@ -258,7 +258,7 @@ def test_commutant_budget_from_sector_layout(r, fits, params_sl):
     # r = 4 gives 11544 x 6021 entries, r = 5 gives 61600 x 31652
     U = composite_space(hecke_family(pair_table(SLQ2, r, params_sl)), n=2)
     co = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
-    sectors = _sectors_of(ladder_weights(co))
+    sectors = weight_sectors(ladder_weights(co))
     if fits:
         _sector_layout(sectors, co.dim)
     else:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qybe import (
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
     hecke_family,
+    sector_blocks,
     spectrum,
     transfer_matrix,
 )
@@ -237,6 +240,95 @@ def test_coupled_elements_p23p14(algebra, r):
         assert abs(row[2]) < 1e-9 and abs(col[2]) < 1e-9
         assert abs(row[0] - row[1]) < 1e-9 and abs(col[0] - col[1]) < 1e-9
         assert row[0] > 0 and col[0] > 0
+
+
+def _pair_composite(algebra, r):
+    rep = build_irrep(algebra, r, params_for(algebra))
+    return composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+
+
+def _pairing_gap(a, b):
+    """Largest distance when each value of a takes the nearest value of b
+    not yet taken."""
+    rest = list(b)
+    worst = 0.0
+    for x in a:
+        j = int(np.argmin(np.abs(np.asarray(rest) - x)))
+        worst = max(worst, abs(rest.pop(j) - x))
+    return worst
+
+
+def _same_table(ca, cb, tol):
+    """Each level of one table is a level of the other, at the same
+    degeneracy."""
+    rest = list(cb)
+    for lead, count in ca:
+        hits = [k for k, (other, n) in enumerate(rest) if n == count and abs(other - lead) < tol]
+        if not hits:
+            return False
+        rest.pop(hits[0])
+    return not rest
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_sector_route_matches_whole_space(algebra, r, n_sites):
+    # a chain spec without site weights is one sector, the whole space: the
+    # dense oracle of the blocked spectrum and log-derivative
+    U = _pair_composite(algebra, r)
+    spec = ChainSpec.from_composite(U, n_sites)
+    whole = dataclasses.replace(spec, weights=None)
+    H = hamiltonian_projector_form(U, n_sites).H
+    vals, clusters = spectrum(H, spec.sectors())
+    want_vals, want_clusters = spectrum(H, whole.sectors())
+    assert _pairing_gap(vals, want_vals) < 1e-10
+    assert _same_table(clusters, want_clusters, 1e-7)
+    fam = descendant_family(U)
+    Hlog = hamiltonian_log_derivative(spec, fam).matrix
+    assert rel_residual(Hlog, hamiltonian_log_derivative(whole, fam).matrix) < 1e-9
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_sector_blocks_refuse_an_off_sector_entry(algebra):
+    U = _pair_composite(algebra, 3)
+    sectors = ChainSpec.from_composite(U, 2).sectors()
+    H = hamiltonian_projector_form(U, 2).H.matrix.copy()
+    blocks = sector_blocks(H, sectors)
+    for s, b in zip(sectors, blocks):
+        assert np.array_equal(b, H[np.ix_(s, s)])
+    H[sectors[0][0], sectors[1][0]] = 1e-6
+    with pytest.raises(QybeError, match="outside the weight sectors"):
+        sector_blocks(H, sectors)
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r,n_sites,count,largest", [(2, 3, 7, 7), (3, 3, 13, 92),
+                                                     (3, 4, 17, 646)])
+def test_sector_sizes(algebra, r, n_sites, count, largest):
+    # sizes come from the site weights alone; nothing of chain size is built
+    spec = ChainSpec.from_composite(_pair_composite(algebra, r), n_sites)
+    sectors = spec.sectors()
+    assert (len(sectors), max(len(s) for s in sectors)) == (count, largest)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(spec.site_dim ** n_sites))
+
+
+def test_spectrum_clusters_levels_the_sort_separates():
+    # 1j and 2e-19 + 1j are one level although 1e-19 + 2j sorts between them
+    vals, clusters = spectrum(np.diag([1j, 1e-19 + 2j, 2e-19 + 1j]))
+    assert [count for _, count in clusters] == [2, 1]
+    assert abs(clusters[0][0] - 1j) < 1e-15
+
+
+def test_spectrum_table_is_basis_independent():
+    # the osp_q(1|2) r = 3 two-site chain has a 7-fold level on the imaginary
+    # axis whose members sort among the other levels of real part 0
+    H = hamiltonian_projector_form(_pair_composite(OSPQ12, 3), 2).H.matrix
+    perm = np.random.default_rng(7).permutation(H.shape[0])
+    _, clusters = spectrum(H)
+    _, permuted = spectrum(H[np.ix_(perm, perm)])
+    assert _same_table(clusters, permuted, 1e-7)
+    assert sorted(count for _, count in clusters) == [1, 1, 1, 7, 7, 47]
 
 
 def test_spectrum_zero_matrix():

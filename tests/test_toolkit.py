@@ -61,6 +61,11 @@ def test_malformed_document(rng):
         bad["entries"] = doc["entries"][:-1] + [entry]
         with pytest.raises(MalformedDocumentError):
             deserialize_operator(bad)
+    no_dims = {k: v for k, v in doc["meta"].items() if k != "domain_dims"}
+    odd_parity = dict(doc["meta"], parities_domain=[["a"] * 3])
+    for field, value in (("meta", no_dims), ("meta", 5), ("rows", "x"), ("meta", odd_parity)):
+        with pytest.raises(MalformedDocumentError):
+            deserialize_operator(dict(doc, **{field: value}))
 
 
 def test_fixture_roundtrip_preserves_ybe(rng):
@@ -296,13 +301,19 @@ def test_routes_agree_in_a_generic_annulus(algebra, r, modulus, arg):
     # q anywhere in a generic annulus, the real axis included: the two
     # projector routes, the triple-overlap scalar, the Hecke family and, at
     # the r of the battery's fused checks, the fused family built from it
-    # hold at complex q too (even graded irreps shift h off the real axis)
+    # hold at complex q too (even graded irreps shift h off the real axis);
+    # at r = 2 so do both chain checks, whose weight sectors rely on that
+    # shift
     ctx = Context(RunConfig(algebra=algebra, q=modulus * np.exp(1j * arg)))
     names = ["cgc-biorthogonality", "projector-routes", "chi-closed-form", "hecke-ybe"]
     if r <= 3:
         names += ["descendant-closed-vs-product", "descendant-regular-point"]
-    for name in names:
-        assert ctx.check(name, r=r), ctx.report.checks[-1]
+    checks = [(name, {"r": r}) for name in names]
+    if r == 2:
+        checks += [(name, {"r": r, "N": N}) for N in (2, 3)
+                   for name in ("transfer-commutation", "hamiltonian-routes")]
+    for name, inputs in checks:
+        assert ctx.check(name, **inputs), ctx.report.checks[-1]
 
 
 def test_cli_verify_all_records_unbuildable_fixture(tmp_path):
