@@ -72,12 +72,12 @@ class ChainSpec:
         return list(weight_sectors(total).values())
 
 
-def sector_blocks(M, sectors, tol=1e-12):
+def sector_blocks(M, sectors):
     """The diagonal blocks M[s, s] of a matrix over the index arrays
     `sectors`, which partition its rows.
 
     Raises QybeError when an entry outside the blocks exceeds
-    tol * max(1, max|M|): the blocks would then not carry M, and their
+    1e-12 * max(1, max|M|): the blocks would then not carry M, and their
     spectra would not be its spectrum."""
     m = M.matrix if isinstance(M, GradedOperator) else np.asarray(M)
     scale = off = 0.0
@@ -86,9 +86,10 @@ def sector_blocks(M, sectors, tol=1e-12):
         scale = max(scale, rows.max(initial=0.0))
         rows[:, s] = 0.0
         off = max(off, rows.max(initial=0.0))
-    if off > tol * max(1.0, scale):
+    bound = 1e-12 * max(1.0, scale)
+    if off > bound:
         raise QybeError(f"an entry of modulus {off:.3e} lies outside the weight sectors "
-                        f"(bound {tol * max(1.0, scale):.1e})")
+                        f"(bound {bound:.1e})")
     return [m[np.ix_(s, s)] for s in sectors]
 
 

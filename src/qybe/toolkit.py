@@ -408,22 +408,21 @@ def _lax_rll(ctx, rng, inputs):
     return rel_residual(lhs, rhs)
 
 
+def _entries(blocks):
+    """The entries of a list of sector blocks, as one flat array."""
+    return np.concatenate([b.ravel() for b in blocks])
+
+
 def _transfer_commutation(ctx, rng, inputs):
-    """[tau(u), tau(w)] sector by sector, relative to the largest entry of
-    the two products, as rel_residual measures it on whole matrices."""
+    """[tau(u), tau(w)] on the entries of their weight-sector blocks."""
     dfam = ctx.descendant(inputs["r"])
     spec = chains.ChainSpec.from_composite(ctx.composite(inputs["r"], 2), inputs["N"])
     sectors = spec.sectors()
     pts = random_points(rng, 4, guards=family_guards(dfam))
     t = [chains.sector_blocks(chains.transfer_matrix(spec, dfam, u), sectors) for u in pts]
-    worst = 0.0
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            ab = [a @ b for a, b in zip(t[i], t[j])]
-            ba = [b @ a for a, b in zip(t[i], t[j])]
-            scale = max(1.0, *(np.abs(x).max() for x in ab + ba))
-            worst = max(worst, max(np.abs(x - y).max() for x, y in zip(ab, ba)) / scale)
-    return float(worst)
+    return max(rel_residual(_entries(a @ b for a, b in zip(t[i], t[j])),
+                            _entries(b @ a for a, b in zip(t[i], t[j])))
+               for i in range(len(t)) for j in range(i + 1, len(t)))
 
 
 def _hamiltonian_routes(ctx, rng, inputs):
@@ -433,14 +432,10 @@ def _hamiltonian_routes(ctx, rng, inputs):
     r, N = inputs["r"], inputs["N"]
     spec = chains.ChainSpec.from_composite(ctx.composite(r, 2), N)
     sectors = spec.sectors()
-
-    def entries(blocks):
-        return np.concatenate([b.ravel() for b in blocks])
-
-    A = entries(chains.sector_blocks(
+    A = _entries(chains.sector_blocks(
         chains.hamiltonian_log_derivative(spec, ctx.descendant(r)), sectors))
-    B = entries(chains.sector_blocks(ctx.hamiltonian(r, N).H, sectors))
-    X = np.stack([B, entries(np.eye(len(s)) for s in sectors)], axis=1)
+    B = _entries(chains.sector_blocks(ctx.hamiltonian(r, N).H, sectors))
+    X = np.stack([B, _entries(np.eye(len(s)) for s in sectors)], axis=1)
     coef, *_ = np.linalg.lstsq(X, A, rcond=None)
     return float(np.abs(X @ coef - A).max() / max(1.0, np.abs(A).max()))
 
