@@ -32,7 +32,6 @@ from .repspace import (
 )
 from .coupling import (
     CouplingTable,
-    Projector,
     casimir_projector,
     cgc_table,
     chi_closed,
@@ -65,7 +64,7 @@ from .fusion import (
 )
 from .spinchain import (
     ChainSpec,
-    HamiltonianBundle,
+    chain_bond,
     coupled_matrix_elements,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,

@@ -133,14 +133,11 @@ def cmd_lax(args, ctx):
 
 def cmd_chain(args, ctx):
     cfg, N = ctx.config, args.sites
-    too_big = [r for r in cfg.r_list if fusion.dims_recurrence(r, 2) ** N > DESK_BOUND]
-    if too_big:
-        raise QybeError(f"chain of {N} sites at r = {too_big} exceeds the desk bound "
-                        f"of {DESK_BOUND} dimensions")
     for r in cfg.r_list:
-        sectors = chains.ChainSpec.from_composite(ctx.composite(r, 2), N).sectors()
+        ctx.chain(r, N)  # every chain first: a chain the spec refuses ends the command
+    for r in cfg.r_list:
         _write(cfg.outdir, f"spectrum_{cfg.algebra}_r{r}_N{N}.csv",
-               spectrum_csv(*chains.spectrum(ctx.hamiltonian(r, N).H, sectors)))
+               spectrum_csv(*chains.spectrum(ctx.hamiltonian(r, N), ctx.chain(r, N).sectors())))
         ctx.check("transfer-commutation", r=r, N=N)
         ctx.check("hamiltonian-routes", r=r, N=N)
 

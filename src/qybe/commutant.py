@@ -72,7 +72,6 @@ class CommutantBasis:
     dim_space: int
     n: int
     vectors: np.ndarray
-    provenance: str
     rank_gap: float = np.inf
 
     @property
@@ -211,7 +210,7 @@ def commutant_nullspace(U, n, gap_tol=1e3):
                     blk[row, off2 + t * m2 + t2] -= A[t2, s_]
     null, gap = _nullspace_from_system(sys_mat, total, gap_tol)
     return CommutantBasis(dim_space=dU, n=n, vectors=_scatter_sectors(null, flat, d),
-                          provenance="nullspace-svd", rank_gap=gap)
+                          rank_gap=gap)
 
 
 def _block_ladder_data(U):
@@ -317,7 +316,7 @@ def constraint_system(U, n, gap_tol=1e3):
                     blk[t * m1 + a, off2 + t * m2 + t2] -= coef
     null, gap = _nullspace_from_system(sys_mat, total, gap_tol)
     basis = CommutantBasis(dim_space=dU, n=n, vectors=_scatter_sectors(null, flat, d),
-                           provenance="ladder-constraints", rank_gap=gap)
+                           rank_gap=gap)
     return basis, sys_mat
 
 

@@ -70,7 +70,6 @@ class Decomposition:
     complement of the decomposed subspace.
     """
 
-    algebra: str
     blocks: list
     basis: np.ndarray
     dual: np.ndarray
@@ -194,7 +193,6 @@ def decompose(rep_like, params, within=None):
         gram = basis.T @ (metric[:, None] * basis)
         dual = np.linalg.solve(gram, (metric[:, None] * basis).T)
     return Decomposition(
-        algebra=R.algebra,
         blocks=blocks,
         basis=basis,
         dual=dual,
@@ -262,14 +260,6 @@ def cgc_table(rep1, rep2):
     return CouplingTable(rep1, rep2, dec)
 
 
-@dataclass
-class Projector(GradedOperator):
-    """Invariant idempotent selecting one irreducible block."""
-
-    target_dim: int = 0
-    provenance: str = "cgc"
-
-
 def projector(table, r0):
     """CGC-route projector onto the dimension-r0 block of the table's pair."""
     if r0 not in table.targets:
@@ -282,7 +272,7 @@ def projector(table, r0):
             sel[list(b.cols)] = 1.0
     m = dec.basis @ (sel[:, None] * dec.dual)
     sp = table.space()
-    return Projector(m, sp, sp, label=f"P^{r0}", target_dim=r0, provenance="cgc")
+    return GradedOperator(m, sp, sp, label=f"P^{r0}")
 
 
 def casimir_projector(rep1, rep2, r0):
@@ -305,7 +295,7 @@ def casimir_projector(rep1, rep2, r0):
         if t != r0:
             out = out @ (C - vals[t] * np.eye(C.shape[0])) / (vals[r0] - vals[t])
     sp = Space.single(rep1.parities).tensor(Space.single(rep2.parities))
-    return Projector(out, sp, sp, label=f"P^{r0}", target_dim=r0, provenance="casimir-spectral")
+    return GradedOperator(out, sp, sp, label=f"P^{r0}")
 
 
 def chi_quartic(table, t):

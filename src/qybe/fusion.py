@@ -274,7 +274,7 @@ def descendant_family(U):
         return ((s - 1) * X * z0 + (s + 1)) * ((s - 1) * X + (s + 1))
 
     return SpectralRMatrix(
-        algebra=U.rep.algebra, r1=U.dim, r2=U.dim, family="fused", params=U.params,
+        r1=U.dim, r2=U.dim, family="fused", params=U.params,
         chi=fam.chi, u0=0.0, check_fn=check_fn,
         swap=graded_permutation(U.gens, U.gens).matrix,
         space=U.space().tensor(U.space()), parities=U.parities,

@@ -83,7 +83,6 @@ class SpectralRMatrix:
     spectral_decompose fits.
     """
 
-    algebra: str
     r1: int
     r2: int
     family: str
@@ -141,7 +140,7 @@ def hecke_family(table, chi=None):
         return (x - 1) * (-1.0) + s * (x + 1)
 
     return SpectralRMatrix(
-        algebra=rep.algebra, r1=rep.r, r2=rep.r, family="hecke", params=params,
+        r1=rep.r, r2=rep.r, family="hecke", params=params,
         chi=chi, u0=u0_point(chi, a), check_fn=check_fn, swap=swap, space=sp,
         parities=rep.parities,
         poly_weight=poly_weight,
@@ -196,7 +195,7 @@ def r33_family(kind, table):
         raise QybeError(f"fixture kind must be 1, 2 or 3, got {kind}")
 
     return SpectralRMatrix(
-        algebra=SLQ2, r1=3, r2=3, family=f"r33_{kind}", params=params,
+        r1=3, r2=3, family=f"r33_{kind}", params=params,
         check_fn=check_fn, swap=graded_permutation(rep, rep).matrix, space=table.space(),
         parities=rep.parities,
         poly_weight=lambda u: q ** complex(u),

@@ -1,6 +1,7 @@
 """Periodic chains over composite sites: transfer matrices, the fused-chain
 Hamiltonian in projector form, coupled-basis matrix elements and desk-scale
-spectra.
+spectra.  `chain_bond` defines the bond operator of the fused chain in one
+place; the projector-form Hamiltonian is f0 times its sum over the bonds.
 
 Transfer matrices of graded and ungraded chains share one contraction: the
 monodromy is built along the auxiliary bond by tensor contractions, with the
@@ -14,15 +15,16 @@ H and tau(u) conserve the total weight Delta^N(h), so the O(D^3) steps (the
 spectrum, the solve of the log-derivative, the products of the commutation
 check) run on their diagonal blocks, one weight sector at a time.
 `sector_blocks` refuses a matrix with an entry outside the blocks, so the
-block spectra are the spectrum.  A chain without site weights is one sector:
-the whole space.
+block spectra are the spectrum.  The log-derivative Hamiltonian is returned
+as its sector blocks and never assembled.  A chain without site weights is
+one sector: the whole space.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import DESK_BOUND, DeformParams, QybeError
+from .qarith import DESK_BOUND, QybeError
 from .repspace import GradedOperator, Space, embed_at
 from .coupling import coupled_basis, ladder_weights, weight_sectors
 from .fusion import descendant_coefficients, pair_cells, _four_site_ops
@@ -31,19 +33,16 @@ from .rmatrix import SpectralRMatrix
 
 @dataclass
 class ChainSpec:
-    """Periodic chain with identical site spaces and a chosen auxiliary;
-    `weights` are the ladder weights of the site states, when known."""
+    """Periodic chain of `n_sites` identical sites with the given state
+    parities and a chosen auxiliary (the site space unless given); `weights`
+    are the ladder weights of the site states, when known."""
 
-    site_dim: int
+    parities: tuple
     n_sites: int
-    params: DeformParams
-    parities: tuple = ()
     aux_parities: tuple = None
     weights: tuple = None
 
     def __post_init__(self):
-        if not self.parities:
-            self.parities = tuple(0 for _ in range(self.site_dim))
         if self.aux_parities is None:
             self.aux_parities = self.parities
         if self.n_sites < 1:
@@ -54,10 +53,13 @@ class ChainSpec:
         if self.weights is not None and len(self.weights) != self.site_dim:
             raise QybeError(f"{len(self.weights)} site weights for {self.site_dim} site states")
 
+    @property
+    def site_dim(self):
+        return len(self.parities)
+
     @staticmethod
     def from_composite(U, n_sites):
-        return ChainSpec(U.dim, n_sites, U.params, U.parities,
-                         weights=tuple(ladder_weights(U.replike())))
+        return ChainSpec(U.parities, n_sites, weights=tuple(ladder_weights(U.replike())))
 
     def sectors(self):
         """Index arrays of the product states of each total weight, in
@@ -151,50 +153,35 @@ def bond_expansion_coefficients(U, step=1e-6):
     return complex(out[0]), complex(out[1])
 
 
-@dataclass
-class HamiltonianBundle:
-    """Chain Hamiltonian with its per-bond building blocks.
-
-    H = f0 * sum_i (Pbar_{i+1,i} + chibar * Phat_{i+1,i}) holds exactly with
-    the stored f0 and chibar (the measured expansion coefficients of the
-    fused solution at its regular point)."""
-
-    H: GradedOperator
-    f0: complex
-    chibar: complex
-    pbar_cell: np.ndarray
-    phat_cell: np.ndarray
-    terms: list
+def chain_bond(U):
+    """The slope f0 and the bond operator Pbar + chibar Phat on U (x) U of
+    the fused chain, chibar the ratio of the two measured expansion
+    coefficients: the bond term of sites (i+1, i) is f0 times the bond."""
+    pbar, phat = pair_cells(U)
+    c1p, c2p = bond_expansion_coefficients(U)
+    return c1p, pbar + (c2p / c1p) * phat
 
 
 def hamiltonian_projector_form(U, n_sites):
     """Nearest-neighbour Hamiltonian of the fused chain on (U^{r^2-1})^(x N),
-    assembled from the sandwiched singlet projectors of each two-cell block
-    and closed periodically.  Bond i couples sites (i+1, i), the orientation
-    of the transfer matrix's log-derivative."""
+    f0 times the sum of the bond operator over the bonds, closed
+    periodically.  Bond i couples sites (i+1, i), the orientation of the
+    transfer matrix's log-derivative."""
     if n_sites < 2:
         raise QybeError(f"the chain Hamiltonian needs at least two sites, got {n_sites}")
-    pbar, phat = pair_cells(U)
-    c1p, c2p = bond_expansion_coefficients(U)
-    f0 = c1p
-    chibar = c2p / c1p
-    dU = U.dim
-    dims = [dU] * n_sites
+    f0, bond = chain_bond(U)
+    dims = [U.dim] * n_sites
     pars = [U.parities] * n_sites
-    bond = pbar + chibar * phat
-    terms = [embed_at(bond, ((i + 1) % n_sites, i), dims, pars) for i in range(n_sites)]
-    H = f0 * sum(terms)
+    H = f0 * sum(embed_at(bond, ((i + 1) % n_sites, i), dims, pars) for i in range(n_sites))
     sp = Space(tuple(dims), tuple(pars))
-    return HamiltonianBundle(
-        H=GradedOperator(H, sp, sp, label="H"),
-        f0=f0, chibar=chibar, pbar_cell=pbar, phat_cell=phat, terms=terms,
-    )
+    return GradedOperator(H, sp, sp, label="H")
 
 
 def hamiltonian_log_derivative(spec, fam, point=None, step=1e-6):
     """tau(u*)^-1 dtau/du at the regular point u* by central differences with
     one Richardson step, solved in each weight sector of the chain; each
-    tau is cut into its sector blocks as soon as it is built."""
+    tau is cut into its sector blocks as soon as it is built.  Returns the
+    blocks of the Hamiltonian, in the order of `spec.sectors()`."""
     point = point if point is not None else (fam.u0 or 0.0)
     sectors = spec.sectors()
 
@@ -204,11 +191,8 @@ def hamiltonian_log_derivative(spec, fam, point=None, step=1e-6):
     def ddu(h):
         return [(tp - tm) / (2 * h) for tp, tm in zip(blocks(point + h), blocks(point - h))]
 
-    sp = Space(tuple([spec.site_dim] * spec.n_sites), tuple([spec.parities] * spec.n_sites))
-    m = np.zeros((sp.dim, sp.dim), dtype=complex)
-    for s, t0, d1, d2 in zip(sectors, blocks(point), ddu(step), ddu(step / 2)):
-        m[np.ix_(s, s)] = np.linalg.solve(t0, (4 * d2 - d1) / 3)
-    return GradedOperator(m, sp, sp, label="Hlog")
+    return [np.linalg.solve(t0, (4 * d2 - d1) / 3)
+            for t0, d1, d2 in zip(blocks(point), ddu(step), ddu(step / 2))]
 
 
 @dataclass
@@ -309,8 +293,10 @@ def _sum_route(table, cb, term):
 
 
 def spectrum(H, sectors=None, cluster_tol=1e-7):
-    """Eigenvalues sorted by real part, then imaginary part, plus a
-    degeneracy table of clustered levels.
+    """Eigenvalues sorted by real part rounded at the cluster tolerance, then
+    by imaginary part, plus a degeneracy table of clustered levels.  The
+    rounding keeps round-off in a real part from deciding the order of
+    levels that share it.
 
     With `sectors` (index arrays of states that H does not mix, such as
     ChainSpec.sectors) each diagonal block is diagonalized on its own.  Each
@@ -320,7 +306,7 @@ def spectrum(H, sectors=None, cluster_tol=1e-7):
     if sectors is None:
         sectors = [np.arange(m.shape[0])]
     vals = np.concatenate([np.linalg.eigvals(b) for b in sector_blocks(m, sectors)])
-    vals = vals[np.lexsort((vals.imag, vals.real))]
+    vals = vals[np.lexsort((vals.imag, np.round(vals.real / cluster_tol)))]
     leads = np.zeros(len(vals), dtype=complex)
     counts = np.zeros(len(vals), dtype=int)
     k = 0

@@ -285,6 +285,11 @@ class Context:
     def composite(self, r, n):
         return self._once(("composite", r, n), fusion.composite_space, self.hecke(r), n)
 
+    def chain(self, r, n_sites):
+        """The periodic chain of n_sites pair spaces of r."""
+        return self._once(("chain", r, n_sites), chains.ChainSpec.from_composite,
+                          self.composite(r, 2), n_sites)
+
     def hamiltonian(self, r, n_sites):
         return self._once(("hamiltonian", r, n_sites), chains.hamiltonian_projector_form,
                           self.composite(r, 2), n_sites)
@@ -416,7 +421,7 @@ def _entries(blocks):
 def _transfer_commutation(ctx, rng, inputs):
     """[tau(u), tau(w)] on the entries of their weight-sector blocks."""
     dfam = ctx.descendant(inputs["r"])
-    spec = chains.ChainSpec.from_composite(ctx.composite(inputs["r"], 2), inputs["N"])
+    spec = ctx.chain(inputs["r"], inputs["N"])
     sectors = spec.sectors()
     pts = random_points(rng, 4, guards=family_guards(dfam))
     t = [chains.sector_blocks(chains.transfer_matrix(spec, dfam, u), sectors) for u in pts]
@@ -430,11 +435,10 @@ def _hamiltonian_routes(ctx, rng, inputs):
     projector-form one; relative residual of the least-squares fit on the
     entries of their weight-sector blocks."""
     r, N = inputs["r"], inputs["N"]
-    spec = chains.ChainSpec.from_composite(ctx.composite(r, 2), N)
+    spec = ctx.chain(r, N)
     sectors = spec.sectors()
-    A = _entries(chains.sector_blocks(
-        chains.hamiltonian_log_derivative(spec, ctx.descendant(r)), sectors))
-    B = _entries(chains.sector_blocks(ctx.hamiltonian(r, N).H, sectors))
+    A = _entries(chains.hamiltonian_log_derivative(spec, ctx.descendant(r)))
+    B = _entries(chains.sector_blocks(ctx.hamiltonian(r, N), sectors))
     X = np.stack([B, _entries(np.eye(len(s)) for s in sectors)], axis=1)
     coef, *_ = np.linalg.lstsq(X, A, rcond=None)
     return float(np.abs(X @ coef - A).max() / max(1.0, np.abs(A).max()))

@@ -131,13 +131,12 @@ def test_descendant_samples_are_members(params_sl, rng):
 
 
 def test_bond_terms_are_centralizer_elements(params_sl):
-    from qybe import hamiltonian_projector_form
+    from qybe.fusion import pair_cells
 
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
-    bundle = hamiltonian_projector_form(U, 2)
-    for term in (bundle.pbar_cell, bundle.phat_cell):
+    for term in pair_cells(U):
         ok, coef, resid = membership(term, nb)
         assert ok and resid < 1e-9
 

@@ -296,7 +296,7 @@ def test_extended_lax_r2_spectral_two_terms(rng):
         return out
 
     fam = SpectralRMatrix(
-        algebra=SLQ2, r1=2, r2=U.dim, family="lax", params=plat, chi=chi, u0=u0,
+        r1=2, r2=U.dim, family="lax", params=plat, chi=chi, u0=u0,
         check_fn=check_fn, swap=np.eye(2 * U.dim), space=None,
         parities=rep.parities,
         poly_weight=poly_weight,

@@ -157,6 +157,20 @@ def test_cli_chain_writes_spectrum(tmp_path):
         [float(x) for x in line.split(",")]
 
 
+def test_cli_chain_builds_each_chain_once(tmp_path, monkeypatch):
+    # the spectrum and both chain checks share one spec per r
+    built = []
+    post_init = spinchain.ChainSpec.__post_init__
+
+    def counting(spec):
+        post_init(spec)
+        built.append(spec.site_dim)
+
+    monkeypatch.setattr(spinchain.ChainSpec, "__post_init__", counting)
+    assert cli_dispatch(["--out", str(tmp_path), "chain", "--r", "2", "3", "--sites", "2"]) == 0
+    assert built == [3, 8]
+
+
 def test_cli_commutant(tmp_path):
     code = cli_dispatch([
         "--algebra", "slq2", "--out", str(tmp_path),
