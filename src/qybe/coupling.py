@@ -101,6 +101,15 @@ def ladder_weights(rep_like):
     return w if R.algebra == OSPQ12 else w / 2.0
 
 
+def product_weights(*site_weights):
+    """Total weight of every product state of the sites, in flat order: the
+    sum of its site weights (the coproduct of h is additive)."""
+    total = np.zeros(1)
+    for w in site_weights:
+        total = np.add.outer(total, np.asarray(w)).ravel()
+    return total
+
+
 def weight_sectors(weights):
     """Indices of the states of each ladder weight, keyed by twice the
     weight rounded to an integer (one ladder step moves the key by 2), in
@@ -111,7 +120,13 @@ def weight_sectors(weights):
 
 def _hw_vectors(e_mat, weights, target_weight, within=None, tol=1e-9):
     """Vectors at one ladder weight annihilated by e, inside an optional
-    restriction span.  Columns returned in the ambient space."""
+    restriction span.  Columns returned in the ambient space.
+
+    Inside a restriction span the vectors are combinations of its columns
+    whose components off the target weight vanish to the rank tolerance;
+    those components are set to exact zeros, so the vectors, the states
+    lowered from them and the dual rows solved for them are exactly graded
+    by weight."""
     mask = np.abs(weights - target_weight) < 1e-7
     if not mask.any():
         return np.zeros((e_mat.shape[0], 0), dtype=complex)
@@ -128,6 +143,7 @@ def _hw_vectors(e_mat, weights, target_weight, within=None, tol=1e-9):
     rank = int(np.sum(s > tol * max(1.0, smax)))
     null = vh.conj().T[:, rank:]
     out = sub @ null
+    out[~mask] = 0.0
     keep = [c for c in range(out.shape[1]) if np.abs(out[:, c]).max() > tol]
     return out[:, keep]
 

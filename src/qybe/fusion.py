@@ -14,9 +14,17 @@ closed form even though individual f-factors blow up there.
 
 `composite_space` takes the Hecke family (which keeps its coupling table and
 so its irrep); the fused, Lax and chain builders take the composite space.
+
+The composite basis is exactly graded by weight: `embed` and `project` are
+exact zeros between states of different weight.  The extended Lax operators
+commute with the total weight, so they are built one total-weight sector at
+a time (the crossing train on the sector of (V^r)^(x(n+1)), sandwiched
+between the matching slices of 1 (x) project and 1 (x) embed), and every
+entry between sectors is an exact zero.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +38,14 @@ from .repspace import (
     invariant_metric,
     nfold_coproduct,
 )
-from .coupling import Decomposition, decompose, projector
+from .coupling import (
+    Decomposition,
+    decompose,
+    ladder_weights,
+    product_weights,
+    projector,
+    weight_sectors,
+)
 from .rmatrix import SpectralRMatrix, hecke_f, u0_point
 
 
@@ -93,6 +108,38 @@ class CompositeSpace:
 
     def replike(self):
         return self.gens
+
+    @cached_property
+    def lax_sectors(self):
+        """Index data of the extended Lax operators on V^r (x) U, built once
+        per space.  One entry per total weight: the places t x t of its
+        block in V^r (x) U, the rows t of 1 (x) project and the columns t of
+        1 (x) embed over the states s of (V^r)^(x(n+1)) at that weight, and,
+        stacked over the crossings of the train in train order, the index
+        into the crossings' concatenated entries and the Koszul sign of every
+        entry of their s x s blocks (sign 0 where an embedding vanishes)."""
+        r, n = self.rep.r, self.n
+        site = ladder_weights(self.rep)
+        dims, pars = [r] * (n + 1), [self.rep.parities] * (n + 1)
+        ambient = weight_sectors(product_weights(*[site] * (n + 1)))
+        sectors = [(t, ambient[key]) for key, t in
+                   weight_sectors(product_weights(site, ladder_weights(self.gens))).items()]
+        numbers = [[] for _ in sectors]
+        code = np.arange(1.0, r ** 4 + 1).reshape(r * r, r * r)
+        for k, m in enumerate(range(n, 0, -1)):
+            # the entries of crossing k numbered on from those before it,
+            # carried with their signs to their places in its embedding
+            placed = embed_at(code + k * r ** 4, (0, m), dims, pars)
+            for blocks, (t, s) in zip(numbers, sectors):
+                blocks.append(placed[s[:, None], s])
+        lift = np.kron(np.eye(r), self.project)
+        drop = np.kron(np.eye(r), self.embed)
+        out = []
+        for blocks, (t, s) in zip(numbers, sectors):
+            num = np.stack(blocks)
+            out.append(((t[:, None], t), lift[t[:, None], s], np.abs(num).astype(np.intp) - 1,
+                        np.sign(num), drop[s[:, None], t]))
+        return out
 
 
 def _singlet(fam):
@@ -308,20 +355,27 @@ def f_product_by_recurrence(chi, a, n, u):
 def extended_lax(U, u=0.0):
     """Descendant operator on V^r (x) U^{R_n}: the crossing train of pair
     R-matrices restricted to the truncated quantum space (which the train
-    preserves exactly, so no output projector is needed)."""
+    preserves exactly, so no output projector is needed).
+
+    Every crossing conserves the total weight, and so does the graded
+    composite basis, so the train is multiplied on one total-weight sector
+    of (V^r)^(x(n+1)) at a time, starting from the rows of 1 (x) project
+    and ending on the columns of 1 (x) embed (`U.lax_sectors`).  The
+    entries between sectors are exact zeros."""
     rep, fam, n = U.rep, U.hecke, U.n
     if rep.r ** (n + 1) > DESK_BOUND:
         raise QybeError(f"extended Lax {rep.r}^{n + 1} exceeds the desk bound {DESK_BOUND}")
-    u0 = fam.u0
-    dims = [rep.r] * (n + 1)
-    pars = [rep.parities] * (n + 1)
-    B = np.eye(rep.r ** (n + 1), dtype=complex)
-    for m in range(n, 0, -1):  # auxiliary line crosses factor 1 first
-        op = fam.swap @ fam.check_fn(u + (n - m) * u0)
-        B = B @ embed_at(op, (0, m), dims, pars)
-    m_ = np.kron(np.eye(rep.r), U.project) @ B @ np.kron(np.eye(rep.r), U.embed)
+    # written from factor n down to factor 1: the auxiliary line crosses factor 1 first
+    ops = np.concatenate([(fam.swap @ fam.check_fn(u + (n - m) * fam.u0)).ravel()
+                          for m in range(n, 0, -1)])
+    out = np.zeros((rep.r * U.dim,) * 2, dtype=complex)
+    for place, rows, index, sign, cols in U.lax_sectors:
+        blk = rows
+        for crossing in sign * ops[index]:
+            blk = blk @ crossing
+        out[place] = blk @ cols
     sp = Space.single(rep.parities).tensor(U.space())
-    return GradedOperator(m_, sp, sp, label=f"L[{rep.r},{n}]({u})")
+    return GradedOperator(out, sp, sp, label=f"L[{rep.r},{n}]({u})")
 
 
 def lax_lower_projector(U):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
 from .repspace import GradedOperator, Space, embed_at
-from .coupling import coupled_basis, ladder_weights, weight_sectors
+from .coupling import coupled_basis, ladder_weights, product_weights, weight_sectors
 from .fusion import descendant_coefficients, pair_cells, _four_site_ops
 from .rmatrix import SpectralRMatrix
 
@@ -68,10 +68,7 @@ class ChainSpec:
         sector."""
         if self.weights is None:
             return [np.arange(self.site_dim ** self.n_sites)]
-        total = np.zeros(1)
-        for _ in range(self.n_sites):
-            total = np.add.outer(total, self.weights).ravel()
-        return list(weight_sectors(total).values())
+        return list(weight_sectors(product_weights(*[self.weights] * self.n_sites)).values())
 
 
 def sector_blocks(M, sectors):
@@ -301,7 +298,9 @@ def spectrum(H, sectors=None, cluster_tol=1e-7):
     With `sectors` (index arrays of states that H does not mix, such as
     ChainSpec.sectors) each diagonal block is diagonalized on its own.  Each
     eigenvalue joins the nearest level within the tolerance, so a level
-    whose members are not neighbours in the sort order stays whole."""
+    whose members are not neighbours in the sort order stays whole; a
+    level's value is the mean of its members in `np.sort_complex` order,
+    which does not depend on the order the eigenvalues come in."""
     m = H.matrix if isinstance(H, GradedOperator) else np.asarray(H)
     if sectors is None:
         sectors = [np.arange(m.shape[0])]
@@ -309,14 +308,17 @@ def spectrum(H, sectors=None, cluster_tol=1e-7):
     vals = vals[np.lexsort((vals.imag, np.round(vals.real / cluster_tol)))]
     leads = np.zeros(len(vals), dtype=complex)
     counts = np.zeros(len(vals), dtype=int)
+    level = np.zeros(len(vals), dtype=int)
     k = 0
-    for v in vals:
+    for i, v in enumerate(vals):
         gap = np.abs(leads[:k] - v)
         j = int(np.argmin(gap)) if k else 0
         if k and gap[j] < cluster_tol * max(1.0, abs(v)) + cluster_tol:
             leads[j] = (leads[j] * counts[j] + v) / (counts[j] + 1)
             counts[j] += 1
         else:
-            leads[k], counts[k] = v, 1
+            j, leads[k], counts[k] = k, v, 1
             k += 1
-    return vals, list(zip(leads[:k], counts[:k].tolist()))
+        level[i] = j
+    means = [np.mean(np.sort_complex(vals[level == j])) for j in range(k)]
+    return vals, list(zip(means, counts[:k].tolist()))

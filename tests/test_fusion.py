@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qybe import (
+    DeformParams,
     OSPQ12,
     PoleError,
     SLQ2,
@@ -21,6 +22,7 @@ from qybe import (
     u0_point,
     ybe_residual,
 )
+from qybe.coupling import ladder_weights, product_weights
 from qybe.fusion import (
     adjacent_singlet_kernel,
     f_product,
@@ -28,6 +30,7 @@ from qybe.fusion import (
     truncation_cascade,
 )
 from qybe.repspace import embed_at, nfold_coproduct
+from qybe.qarith import DESK_BOUND
 from qybe.rmatrix import r33_family, rel_residual
 from conftest import params_for, pair_table
 
@@ -78,6 +81,30 @@ def test_composite_space_dims(algebra, r, n):
     assert np.abs(U.project @ U.embed - np.eye(U.dim)).max() < 1e-10
     Q = U.embed @ U.project
     assert abs(np.trace(Q) - U.dim) < 1e-8
+
+
+def _composite(algebra, q, r, n):
+    rep = build_irrep(algebra, r, DeformParams(q=q, algebra=algebra))
+    return composite_space(hecke_family(cgc_table(rep, rep)), n=n)
+
+
+def _off_sector(row_weights, col_weights):
+    """Mask of the entries between states of different weight."""
+    return np.not_equal.outer(np.round(2 * row_weights), np.round(2 * col_weights))
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("q", [1.3, 0.9 + 0.4j])
+@pytest.mark.parametrize("r,n", [(r, n) for r in range(2, 7) for n in (2, 3)
+                                 if r ** (n + 1) <= DESK_BOUND])
+def test_composite_basis_is_weight_graded(algebra, q, r, n):
+    # embed and project hold exact zeros between states of different weight
+    U = _composite(algebra, q, r, n)
+    off = _off_sector(product_weights(*[ladder_weights(U.rep)] * n),
+                      ladder_weights(U.replike()))
+    assert off.mean() > 0.5
+    assert not U.embed[off].any()
+    assert not U.project.T[off].any()
 
 
 def test_composite_blocks_r3(params_sl):
@@ -254,6 +281,33 @@ def test_extended_lax_rll(r, n, params_sl, rng):
     rhs = embed_at(L23, (1, 2), dims, pars) @ embed_at(L13, (0, 2), dims, pars) \
         @ embed_at(Rm, (0, 1), dims, pars)
     assert rel_residual(lhs, rhs) < 1e-9
+
+
+def _dense_lax(U, u):
+    """The whole crossing train on (V^r)^(x(n+1)), sandwiched densely."""
+    rep, fam, n = U.rep, U.hecke, U.n
+    dims, pars = [rep.r] * (n + 1), [rep.parities] * (n + 1)
+    B = np.eye(rep.r ** (n + 1), dtype=complex)
+    for m in range(n, 0, -1):
+        B = B @ embed_at(fam.swap @ fam.check_fn(u + (n - m) * fam.u0), (0, m), dims, pars)
+    return np.kron(np.eye(rep.r), U.project) @ B @ np.kron(np.eye(rep.r), U.embed)
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("q", [1.3, 0.9 + 0.4j])
+@pytest.mark.parametrize("r,n", [(r, n) for r in (2, 3, 4, 5) for n in (2, 3)]
+                         + [(2, 4), (3, 4)])
+def test_extended_lax_by_sector_matches_dense_train(algebra, q, r, n):
+    # the sector build is exactly zero between total-weight sectors and is
+    # the dense crossing train everywhere else
+    U = _composite(algebra, q, r, n)
+    w = product_weights(ladder_weights(U.rep), ladder_weights(U.replike()))
+    off = _off_sector(w, w)
+    for u in (0.37, 0.21 - 0.13j):
+        L = extended_lax(U, u).matrix
+        dense = _dense_lax(U, u)
+        assert not L[off].any()
+        assert np.abs(L - dense).max() < 1e-12 * np.abs(dense).max()
 
 
 def test_extended_lax_n1_is_pair_matrix(params_sl):

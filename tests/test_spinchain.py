@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -332,6 +333,14 @@ def test_spectrum_order_ignores_real_round_off():
     for re in (1e-16, -1e-16):
         vals, _ = spectrum(np.diag([re + 2j, -re + 1j]))
         assert np.array_equal(vals.imag, [1.0, 2.0])
+
+
+def test_spectrum_levels_ignore_eigenvalue_order():
+    # a level is the mean of its members in one canonical order, so the
+    # order of round-off-split members does not reach its last digits
+    v = 1 + 0.1j + np.array([0, 3e-16, 7e-16, 1e-16, -5e-16])
+    levels = {spectrum(np.diag(v[list(p)]))[1][0] for p in itertools.permutations(range(5))}
+    assert len(levels) == 1
 
 
 def test_hamiltonian_projector_form_peak_memory():

@@ -316,13 +316,15 @@ def test_routes_agree_in_a_generic_annulus(algebra, r, modulus, arg):
     # projector routes, the triple-overlap scalar, the Hecke family and, at
     # the r of the battery's fused checks, the fused family built from it
     # hold at complex q too (even graded irreps shift h off the real axis);
-    # at r = 2 so do both chain checks, whose weight sectors rely on that
-    # shift
+    # at r = 2 so do both chain checks, and at r <= 3 the RLL relation of
+    # the extended Lax operators: their weight sectors rely on that shift
     ctx = Context(RunConfig(algebra=algebra, q=modulus * np.exp(1j * arg)))
     names = ["cgc-biorthogonality", "projector-routes", "chi-closed-form", "hecke-ybe"]
     if r <= 3:
         names += ["descendant-closed-vs-product", "descendant-regular-point"]
     checks = [(name, {"r": r}) for name in names]
+    if r <= 3:
+        checks += [("lax-rll", {"r": r, "n": n}) for n in (2, 3)]
     if r == 2:
         checks += [(name, {"r": r, "N": N}) for N in (2, 3)
                    for name in ("transfer-commutation", "hamiltonian-routes")]
@@ -375,6 +377,18 @@ SUBCOMMANDS = {
     "commutant n=3 2": (["commutant", "--r", "2", "--n", "3", "2"], 4, []),
     "export": (["export", "--what", "fused", "--r", "2"], 1, ["export_fused_slq2_r2.json"]),
 }
+
+
+def test_cli_lax_artifact_is_zero_off_sector(tmp_path):
+    # the Lax artifact holds exact zeros between total-weight sectors
+    assert cli_dispatch(["--out", str(tmp_path), "lax", "--r", "3", "--n", "3"]) == 0
+    entries = json.loads((tmp_path / "lax_slq2_r3_n3.json").read_text())["entries"]
+    U = Context(RunConfig()).composite(3, 3)
+    w = np.round(2 * coupling.product_weights(coupling.ladder_weights(U.rep),
+                                              coupling.ladder_weights(U.replike())))
+    off = np.flatnonzero(np.not_equal.outer(w, w))
+    assert len(entries) == w.size ** 2 and len(off) > 0.8 * len(entries)
+    assert all(entries[k] == [0.0, 0.0] for k in off)
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
