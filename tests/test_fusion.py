@@ -84,8 +84,8 @@ def test_composite_space_dims(algebra, r, n):
 
 
 def _composite(algebra, q, r, n):
-    rep = build_irrep(algebra, r, DeformParams(q=q, algebra=algebra))
-    return composite_space(hecke_family(cgc_table(rep, rep)), n=n)
+    return composite_space(hecke_family(pair_table(algebra, r, DeformParams(q=q, algebra=algebra))),
+                           n=n)
 
 
 def _off_sector(row_weights, col_weights):
