@@ -118,6 +118,11 @@ def weight_sectors(weights):
     return {int(k): np.flatnonzero(keys == k) for k in np.unique(keys)}
 
 
+def product_sectors(*site_weights):
+    """Index arrays of the product states of each total weight, ascending."""
+    return list(weight_sectors(product_weights(*site_weights)).values())
+
+
 def _hw_vectors(e_mat, weights, target_weight, within=None, tol=1e-9):
     """Vectors at one ladder weight annihilated by e, inside an optional
     restriction span.  Columns returned in the ambient space.

@@ -20,7 +20,8 @@ exact zeros between states of different weight.  The extended Lax operators
 commute with the total weight, so they are built one total-weight sector at
 a time (the crossing train on the sector of (V^r)^(x(n+1)), sandwiched
 between the matching slices of 1 (x) project and 1 (x) embed), and every
-entry between sectors is an exact zero.
+entry between sectors is an exact zero.  Each crossing's sector block is
+gathered from its own entries by `repspace.block_index`.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .repspace import (
     GradedOperator,
     RepLike,
     Space,
+    block_index,
     embed_at,
     graded_permutation,
     invariant_metric,
@@ -114,31 +116,21 @@ class CompositeSpace:
         """Index data of the extended Lax operators on V^r (x) U, built once
         per space.  One entry per total weight: the places t x t of its
         block in V^r (x) U, the rows t of 1 (x) project and the columns t of
-        1 (x) embed over the states s of (V^r)^(x(n+1)) at that weight, and,
-        stacked over the crossings of the train in train order, the index
-        into the crossings' concatenated entries and the Koszul sign of every
-        entry of their s x s blocks (sign 0 where an embedding vanishes)."""
+        1 (x) embed over the states s of (V^r)^(x(n+1)) at that weight, and
+        the `block_index` (index, sign) of the s x s block of each crossing
+        of the train, in train order."""
         r, n = self.rep.r, self.n
         site = ladder_weights(self.rep)
         dims, pars = [r] * (n + 1), [self.rep.parities] * (n + 1)
         ambient = weight_sectors(product_weights(*[site] * (n + 1)))
-        sectors = [(t, ambient[key]) for key, t in
-                   weight_sectors(product_weights(site, ladder_weights(self.gens))).items()]
-        numbers = [[] for _ in sectors]
-        code = np.arange(1.0, r ** 4 + 1).reshape(r * r, r * r)
-        for k, m in enumerate(range(n, 0, -1)):
-            # the entries of crossing k numbered on from those before it,
-            # carried with their signs to their places in its embedding
-            placed = embed_at(code + k * r ** 4, (0, m), dims, pars)
-            for blocks, (t, s) in zip(numbers, sectors):
-                blocks.append(placed[s[:, None], s])
         lift = np.kron(np.eye(r), self.project)
         drop = np.kron(np.eye(r), self.embed)
+        gathers = [block_index((0, m), dims, pars) for m in range(n, 0, -1)]
         out = []
-        for blocks, (t, s) in zip(numbers, sectors):
-            num = np.stack(blocks)
-            out.append(((t[:, None], t), lift[t[:, None], s], np.abs(num).astype(np.intp) - 1,
-                        np.sign(num), drop[s[:, None], t]))
+        for key, t in weight_sectors(product_weights(site, ladder_weights(self.gens))).items():
+            s = ambient[key]
+            index, sign = zip(*[gather(s) for gather in gathers])
+            out.append(((t[:, None], t), lift[t[:, None], s], index, sign, drop[s[:, None], t]))
         return out
 
 
@@ -154,7 +146,7 @@ def adjacent_singlet_kernel(fam, n):
     dims = [fam.r1] * n
     pars = [fam.parities] * n
     rows = np.vstack([embed_at(P1, (k, k + 1), dims, pars) for k in range(n - 1)])
-    u, s, vh = np.linalg.svd(rows)
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
     tol = 1e-10 * max(1.0, s.max())
     rank = int(np.sum(s > tol))
     return vh.conj().T[:, rank:]
@@ -366,13 +358,12 @@ def extended_lax(U, u=0.0):
     if rep.r ** (n + 1) > DESK_BOUND:
         raise QybeError(f"extended Lax {rep.r}^{n + 1} exceeds the desk bound {DESK_BOUND}")
     # written from factor n down to factor 1: the auxiliary line crosses factor 1 first
-    ops = np.concatenate([(fam.swap @ fam.check_fn(u + (n - m) * fam.u0)).ravel()
-                          for m in range(n, 0, -1)])
+    ops = [(fam.swap @ fam.check_fn(u + (n - m) * fam.u0)).ravel() for m in range(n, 0, -1)]
     out = np.zeros((rep.r * U.dim,) * 2, dtype=complex)
     for place, rows, index, sign, cols in U.lax_sectors:
         blk = rows
-        for crossing in sign * ops[index]:
-            blk = blk @ crossing
+        for op, i, s in zip(ops, index, sign):
+            blk = blk @ (s * op[i])
         out[place] = blk @ cols
     sp = Space.single(rep.parities).tensor(U.space())
     return GradedOperator(out, sp, sp, label=f"L[{rep.r},{n}]({u})")

@@ -14,8 +14,8 @@ with p the domain/codomain parities, which makes operator products of graded
 Kroneckers plain matrix products.
 """
 
-import string
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class GradedOperator:
                 f"matrix shape {self.matrix.shape} does not match spaces "
                 f"({self.codomain.dim}, {self.domain.dim})"
             )
-
-    @property
-    def m(self):
-        return self.matrix
 
     def __matmul__(self, other):
         if isinstance(other, GradedOperator):
@@ -378,46 +374,41 @@ def embed_at(op, pos, dims, parities):
     return out
 
 
-def local_product(factors, dims, parities):
-    """embed_at(A, p) @ embed_at(B, q) @ ... for factors [(A, p), (B, q), ...],
-    contracted leg by leg in one einsum: each operator acts on its own legs
-    and the others pass through.
+def block_index(pos, dims, parities):
+    """The blocks of embed_at(op, pos, dims, parities) as gathers from op: a
+    function of an index array idx returning (index, sign), with the
+    idx x idx block equal to sign * op.ravel()[index].  sign is the Koszul
+    sign of `_signed_perm`, and 0 wherever the embedding vanishes (states
+    whose other legs differ).  The signs are computed once, for any number
+    of blocks."""
+    pos = tuple(pos)
+    rest = [k for k in range(len(dims)) if k not in pos]
+    tgt, sign = _signed_perm(list(pos) + rest, dims, parities)
+    dop = int(np.prod([dims[k] for k in pos]))
 
-    embed_at(op, p) = S_p plain_p(op) S_p with S_p the diagonal Koszul sign
-    vector of `_signed_perm`, so the signs enter as the vectors S_p (left
-    end), S_p S_q (between neighbours) and S_last (right end); vectors that
-    are all +1 are left out."""
-    labels = iter(string.ascii_letters)
-    legs = [next(labels) for _ in dims]
-    out = "".join(legs)
-    operands, subs = [], []
+    def gather(idx):
+        a, b = np.divmod(tgt[idx], len(tgt) // dop)  # op index, index on the other legs
+        s = sign[idx]
+        return a[:, None] * dop + a, np.outer(s, s) * (b[:, None] == b)
 
-    def signs(vec):
-        if (vec != 1).any():
-            operands.append(vec.reshape(dims))
-            subs.append("".join(legs))
+    return gather
 
-    left = 1.0
-    for op, pos in factors:
-        pos = tuple(pos)
-        _, s = _signed_perm(list(pos) + [k for k in range(len(dims)) if k not in pos],
-                            dims, parities)
-        signs(left * s)
-        new = [next(labels) for _ in pos]
-        operands.append(np.asarray(op).reshape([dims[k] for k in pos] * 2))
-        subs.append("".join(legs[k] for k in pos) + "".join(new))
-        for k, label in zip(pos, new):
-            legs[k] = label
-        left = s
-    signs(left)
-    for k, d in enumerate(dims):
-        if legs[k] == out[k]:  # a leg no factor acts on
-            legs[k] = next(labels)
-            operands.append(np.eye(d))
-            subs.append(out[k] + legs[k])
-    D = int(np.prod(dims))
-    return np.einsum(",".join(subs) + "->" + out + "".join(legs), *operands,
-                     optimize=True).reshape(D, D)
+
+def local_product(factors, dims, parities, sectors):
+    """The diagonal blocks of embed_at(A, p) @ embed_at(B, q) @ ... over the
+    index arrays `sectors`, for factors [(A, p), (B, q), ...]: per sector,
+    the product of the factors' blocks gathered by `block_index`.
+
+    These are the blocks of the product only when every embedded factor
+    maps each sector into itself; the whole space, [np.arange(D)], always
+    qualifies."""
+    gathers = [(np.asarray(op).ravel(), block_index(pos, dims, parities)) for op, pos in factors]
+
+    def block(op, gather, s):
+        index, sign = gather(s)
+        return sign * op[index]
+
+    return [reduce(np.matmul, [block(op, gather, s) for op, gather in gathers]) for s in sectors]
 
 
 def casimir_matrix(algebra, rep_like, q):

@@ -282,8 +282,9 @@ def ybe_residual(R_a, R_b, R_c, u=0.0, w=0.0, form="check", parities=None):
         lhs = a12 @ b23 @ c12
         rhs = c23 @ b12 @ a23
     elif form == "noncheck":
-        lhs = local_product([(A, (0, 1)), (B, (0, 2)), (C, (1, 2))], dims, pars)
-        rhs = local_product([(C, (1, 2)), (B, (0, 2)), (A, (0, 1))], dims, pars)
+        whole = [np.arange(r ** 3)]
+        [lhs] = local_product([(A, (0, 1)), (B, (0, 2)), (C, (1, 2))], dims, pars, whole)
+        [rhs] = local_product([(C, (1, 2)), (B, (0, 2)), (A, (0, 1))], dims, pars, whole)
     else:
         raise QybeError(f"unknown YBE form {form!r}")
     return rel_residual(lhs, rhs)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
 from .repspace import GradedOperator, Space, embed_at
-from .coupling import coupled_basis, ladder_weights, product_weights, weight_sectors
+from .coupling import coupled_basis, ladder_weights, product_sectors
 from .fusion import descendant_coefficients, pair_cells, _four_site_ops
 from .rmatrix import SpectralRMatrix
 
@@ -68,7 +68,7 @@ class ChainSpec:
         sector."""
         if self.weights is None:
             return [np.arange(self.site_dim ** self.n_sites)]
-        return list(weight_sectors(product_weights(*[self.weights] * self.n_sites)).values())
+        return product_sectors(*[self.weights] * self.n_sites)
 
 
 def sector_blocks(M, sectors):

@@ -13,6 +13,8 @@ from .coupling import (
     casimir_projector,
     cgc_table,
     chi_closed,
+    ladder_weights,
+    product_sectors,
     projector,
     tensor_decompose,
 )
@@ -405,12 +407,18 @@ def _lax_rll(ctx, rng, inputs):
     u, w = random_points(rng, 2, guards=(-fam.u0,))
     L13 = fusion.extended_lax(U, u).matrix
     L23 = fusion.extended_lax(U, w).matrix
-    Rm = (fam.swap @ fam.check_fn(u - w))
+    Rm = fam.swap @ fam.check_fn(u - w)
+    site, weights = ladder_weights(rep), ladder_weights(U.gens)
+    # the sector blocks carry both sides only if every factor conserves the weight
+    chains.sector_blocks(Rm, product_sectors(site, site))
+    for L in (L13, L23):
+        chains.sector_blocks(L, product_sectors(site, weights))
     dims = [rep.r, rep.r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
-    lhs = local_product([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))], dims, pars)
-    rhs = local_product([(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))], dims, pars)
-    return rel_residual(lhs, rhs)
+    sectors = product_sectors(site, site, weights)
+    lhs = local_product([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))], dims, pars, sectors)
+    rhs = local_product([(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))], dims, pars, sectors)
+    return rel_residual(_entries(lhs), _entries(rhs))
 
 
 def _entries(blocks):

@@ -19,6 +19,7 @@ from qybe.repspace import (
     Space,
     alpha_closed,
     alpha_sum,
+    block_index,
     coproduct_pair,
     diag_power,
     embed_at,
@@ -28,6 +29,7 @@ from qybe.repspace import (
     nfold_coproduct,
     perm_matrix,
 )
+from qybe.coupling import product_sectors, product_weights
 from conftest import params_for
 
 
@@ -259,11 +261,28 @@ def test_embed_at_matches_signed_permutation_reference(case):
     assert np.array_equal(embed_at(op, pos, dims, pars), _embed_reference(op, pos, dims, pars))
 
 
-def _assert_local_product_matches_embed_at(factors, dims, pars):
+@settings(max_examples=60, deadline=None)
+@given(_embeddings(), st.data())
+def test_block_index_gathers_the_embedded_block(case, data):
+    [(op, pos)], dims, pars = case
+    D = int(np.prod(dims))
+    idx = np.array(data.draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=D,
+                                      unique=True)))
+    index, sign = block_index(pos, dims, pars)(idx)
+    assert np.array_equal(embed_at(op, pos, dims, pars)[np.ix_(idx, idx)],
+                          sign * op.ravel()[index])
+
+
+def _dense_product(factors, dims, pars):
     dense = np.eye(int(np.prod(dims)))
     for op, pos in factors:
         dense = dense @ embed_at(op, pos, dims, pars)
-    local = local_product(factors, dims, pars)
+    return dense
+
+
+def _assert_local_product_matches_embed_at(factors, dims, pars):
+    dense = _dense_product(factors, dims, pars)
+    [local] = local_product(factors, dims, pars, [np.arange(int(np.prod(dims)))])
     assert np.abs(local - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
 
 
@@ -279,6 +298,29 @@ def test_local_product_odd_legs_crossing(rng):
     dims, pars = [2, 2, 2], [(0, 1)] * 3
     A, B, C = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
     _assert_local_product_matches_embed_at([(A, (0, 1)), (B, (2, 0)), (C, (1, 2))], dims, pars)
+
+
+def test_local_product_weight_sectors(rng):
+    """Factors that conserve the summed leg weights: the per-sector blocks
+    are the dense product's diagonal blocks, and the product is exactly
+    zero off them."""
+    dims, pars = [2, 3, 2], [(0, 1), (0, 1, 0), (0, 1)]
+    weights = [np.array([0.5, -0.5]), np.array([1.0, 0.0, -1.0]), np.array([0.5, -0.5])]
+
+    def conserving(pos):
+        w = product_weights(*[weights[k] for k in pos])
+        keep = w[:, None] == w[None, :]
+        return keep * (rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape))
+
+    factors = [(conserving(pos), pos) for pos in [(0, 1), (2, 0), (1, 2), (0, 2)]]
+    sectors = product_sectors(*weights)
+    blocks = local_product(factors, dims, pars, sectors)
+    dense = _dense_product(factors, dims, pars)
+    inside = np.zeros(dense.shape, dtype=bool)
+    for s, blk in zip(sectors, blocks):
+        assert np.abs(blk - dense[np.ix_(s, s)]).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+        inside[np.ix_(s, s)] = True
+    assert not dense[~inside].any()
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 4), (OSPQ12, 3), (OSPQ12, 4)])

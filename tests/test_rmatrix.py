@@ -308,6 +308,14 @@ def test_ybe_negative_control(params_sl):
     assert res > 1e-4
 
 
+def test_ybe_noncheck_negative_control(params_sl):
+    # the same perturbation through the graded non-check form
+    rep = build_irrep(SLQ2, 2, params_sl)
+    chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
+    fam = hecke_family(cgc_table(rep, rep), chi=chi)
+    assert ybe_residual(fam, fam, fam, 0.7, -0.3, form="noncheck") > 1e-4
+
+
 def test_ybe_noncheck_graded(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
     fam = hecke_family(cgc_table(rep, rep))

@@ -269,6 +269,26 @@ def test_keyless_checks_ignore_config_tolerances():
     assert [c["tolerance"] for c in ctx.report.checks] == [0.5, 1e-3]
 
 
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_lax_rll_refuses_a_factor_that_mixes_weights(algebra, monkeypatch):
+    # an entry of 1e-6 between two weight sectors of L: the check compares
+    # sector blocks only, so it must fail on the sector_blocks error rather
+    # than pass without seeing the entry
+    build = fusion.extended_lax
+
+    def planted(U, u=0.0):
+        L = build(U, u)
+        w = coupling.product_weights(coupling.ladder_weights(U.rep),
+                                     coupling.ladder_weights(U.gens))
+        L.matrix[np.argmax(w), np.argmin(w)] += 1e-6
+        return L
+
+    monkeypatch.setattr(fusion, "extended_lax", planted)
+    ctx = Context(RunConfig(algebra=algebra))
+    assert not ctx.check("lax-rll", r=2, n=2)
+    assert "outside the weight sectors" in ctx.report.checks[-1]["error"]
+
+
 def test_verify_all_into_context_builds_shared_objects_once(monkeypatch):
     # each builder, wherever in the package it is called, keyed by what it built
     keys = {
