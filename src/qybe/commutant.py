@@ -1,23 +1,24 @@
 """Centralizer operators on tensor powers of composite spaces.
 
-Two independent constructions of the same subspace:
+Two routes to the same subspace.  They differ in where the n-fold
+generators Delta^n(e), Delta^n(f) and the weight sectors come from:
 
-* commutant_nullspace works with the dense coproduct generator matrices and
-  solves the commutator equations blocked by total-weight sectors (the h
-  commutator forces weight conservation, so the unknown coefficient tensor
-  is sector diagonal).
+* commutant_nullspace takes the generators from the dense iterated
+  coproduct (repspace.nfold_coproduct) and the sectors from its h.
 
-* constraint_system never touches a dense generator: it assembles the ladder
-  recursions on the coefficients of elementary-operator products directly
-  from per-block matrix-element data (beta, gamma, weights, parities),
-  i.e. the weight-conservation rule plus one raising and one lowering family
-  of equations with the graded prefix factors of the iterated coproduct.
+* constraint_system writes the generators from per-block matrix-element
+  data (beta, gamma, h eigenvalues, parities) with the graded prefix factors
+  of the iterated coproduct, and sums the sectors from the per-state
+  weights (coupling.product_weights).
 
-Both return bases of the same space; principal angles compare them.  The
-two systems are assembled independently but share one solver: the system
-splits into the connected components of its sparsity pattern (16 for the
-1200 x 646 system of U8 (x) U8, none larger than 160 x 85), and each
-component gets its own small SVD.
+Everything after that is shared.  The h commutator forces weight
+conservation, so the unknown coefficient matrix is sector diagonal
+(_sector_layout); the equations A C_k - C_{k+-2} A = 0 of each pair of
+sectors are written as two Kronecker blocks (_centralizer); and one solver
+splits the system into the connected components of its sparsity pattern
+(16 for the 1200 x 646 system of U8 (x) U8, none larger than 160 x 85),
+each with its own small SVD.  Principal angles between the two bases
+therefore check the generators and sectors, not the shared assembly.
 """
 
 import itertools
@@ -27,7 +28,7 @@ import numpy as np
 
 from .qarith import COMMUTANT_BUDGET, DESK_BOUND, OSPQ12, QybeError
 from .repspace import GradedOperator, nfold_coproduct
-from .coupling import ladder_weights, weight_sectors
+from .coupling import ladder_weights, product_weights, weight_sectors
 
 
 @dataclass
@@ -159,7 +160,9 @@ def _nullspace_from_system(sys_mat, total, gap_tol=1e3):
         cols = np.flatnonzero(label == lab)
         rows = np.flatnonzero(live & (row_label == lab))
         if rows.size:
-            _, s, vh = np.linalg.svd(sys_mat[np.ix_(rows, cols)])
+            # the null space needs every row of vh, but never the square u
+            _, s, vh = np.linalg.svd(sys_mat[np.ix_(rows, cols)],
+                                     full_matrices=rows.size < cols.size)
         else:
             s, vh = np.zeros(0), np.eye(cols.size)
         parts.append((cols, s, vh))
@@ -185,54 +188,66 @@ def _nullspace_from_system(sys_mat, total, gap_tol=1e3):
     return null, gap
 
 
-def commutant_nullspace(U, n, gap_tol=1e3):
-    """Joint null space of [Delta^n g, c] = 0 for g in {e, f, h}, solved by
-    SVD over the weight-sector blocks of the coefficient matrix."""
-    gens = U.replike()
-    dU = gens.dim
+def _product_dim(dU, n):
+    """dU^n, refusing n < 1 and a product space past the desk bound."""
     if n < 1:
         raise QybeError(f"commutant needs n >= 1, got {n}")
     if dU ** n > DESK_BOUND:
         raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
-    co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
-    d = co.dim
-    total, flat, rows, blocks = _sector_layout(weight_sectors(ladder_weights(co)), d)
+    return dU ** n
+
+
+def _centralizer(layout, E, F, dU, n, gap_tol):
+    """Centralizer of the n-fold generators E = Delta^n(e), F = Delta^n(f)
+    over a `_sector_layout`.  The pair of sectors (k, k + step) gives the
+    rows of A C_k - C_{k+step} A = 0 with A = (E or F)[tgt, src]; in
+    row-major vectorization that is kron(A, 1) on the unknowns of C_k and
+    -kron(1, A^T) on those of C_{k+step}.  Returns (CommutantBasis, system
+    matrix)."""
+    total, flat, rows, blocks = layout
     sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
     for step, src, tgt, off1, off2, block_rows in blocks:
-        A = (co.E if step == 2 else co.F)[np.ix_(tgt, src)]
-        blk, m1, m2 = sys_mat[block_rows], len(src), len(tgt)
-        for t in range(m2):
-            for s_ in range(m1):
-                row = t * m1 + s_
-                for s2 in range(m1):
-                    blk[row, off1 + s2 * m1 + s_] += A[t, s2]
-                for t2 in range(m2):
-                    blk[row, off2 + t * m2 + t2] -= A[t2, s_]
+        A = (E if step == 2 else F)[np.ix_(tgt, src)]
+        m1, m2 = len(src), len(tgt)
+        sys_mat[block_rows, off1:off1 + m1 * m1] = np.kron(A, np.eye(m1))
+        sys_mat[block_rows, off2:off2 + m2 * m2] = -np.kron(np.eye(m2), A.T)
     null, gap = _nullspace_from_system(sys_mat, total, gap_tol)
-    return CommutantBasis(dim_space=dU, n=n, vectors=_scatter_sectors(null, flat, d),
-                          rank_gap=gap)
+    basis = CommutantBasis(dim_space=dU, n=n, rank_gap=gap,
+                           vectors=_scatter_sectors(null, flat, dU ** n))
+    return basis, sys_mat
+
+
+def commutant_nullspace(U, n, gap_tol=1e3):
+    """Joint null space of [Delta^n g, c] = 0 for g in {e, f, h}, solved by
+    SVD over the weight-sector blocks of the coefficient matrix."""
+    gens = U.replike()
+    d = _product_dim(gens.dim, n)
+    co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
+    layout = _sector_layout(weight_sectors(ladder_weights(co)), d)
+    return _centralizer(layout, co.E, co.F, gens.dim, n, gap_tol)[0]
 
 
 def _block_ladder_data(U):
-    """Per-state (block, weight, parity, beta, gamma) read from the compressed
-    generators: beta[s] raises state s within its block, gamma[s] lowers."""
+    """Per-state ladder data in basis order, read from the compressed
+    generators: weight, h eigenvalue lam, parity, and the neighbours in the
+    block with e|s> = beta |up> and f|s> = gamma |down> (None past the ends
+    of the ladder)."""
     gens = U.replike()
     dec = U.decomposition
     E, F, H = gens.E, gens.F, gens.H
     states = []
-    for bi, b in enumerate(dec.blocks):
+    for b in dec.blocks:
         cols = list(b.cols)
         for k, col in enumerate(cols):
             beta = E[cols[k - 1], col] if k > 0 else 0j
             gamma = F[cols[k + 1], col] if k + 1 < len(cols) else 0j
             states.append({
                 "index": col,
-                "block": bi,
                 "weight": b.hw_weight - k,
                 "lam": complex(H[col, col]),
                 "parity": int(dec.parities[col]),
-                "beta": complex(beta),       # e|s> = beta |s raised>
-                "gamma": complex(gamma),     # f|s> = gamma |s lowered>
+                "beta": complex(beta),
+                "gamma": complex(gamma),
                 "up": cols[k - 1] if k > 0 else None,
                 "down": cols[k + 1] if k + 1 < len(cols) else None,
             })
@@ -240,84 +255,55 @@ def _block_ladder_data(U):
     return states
 
 
-def _coproduct_action(states, n, q, algebra, which):
-    """Sparse action of the n-fold coproduct of e (which='e') or f on the
-    product basis of states^n, as {multi-index: [(multi-index', coeff)]}.
+def _coproduct_generators(states, n, q, algebra):
+    """Dense n-fold coproducts (E, F) of e and f on the product basis of
+    states^n, written from the per-state ladder data.
 
     The raising/lowering entry at slot m carries the exchange prefix of the
     iterated coproduct: products of q^{lam} (or q^{+-lam/2}) over the other
     slots, and for the graded algebra the Koszul sign of moving an odd
     generator past the leading slots."""
     dU = len(states)
-    action = {}
-    for multi in itertools.product(range(dU), repeat=n):
-        out = []
-        for m in range(n):
-            st = states[multi[m]]
-            nxt = st["up"] if which == "e" else st["down"]
-            coef = st["beta"] if which == "e" else st["gamma"]
-            if nxt is None or coef == 0:
-                continue
-            pref = complex(1.0)
-            if algebra == OSPQ12:
-                for p in range(m):
-                    pref *= q ** (states[multi[p]]["lam"] / 2)
-                    pref *= (-1.0) ** states[multi[p]]["parity"]
-                for p in range(m + 1, n):
-                    pref *= q ** (-states[multi[p]]["lam"] / 2)
-            else:
-                if which == "e":
+    E, F = np.zeros((2, dU ** n, dU ** n), dtype=complex)
+    for which, G in (("e", E), ("f", F)):
+        for src, multi in enumerate(itertools.product(range(dU), repeat=n)):
+            for m in range(n):
+                st = states[multi[m]]
+                nxt = st["up"] if which == "e" else st["down"]
+                if nxt is None:
+                    continue
+                pref = complex(1.0)
+                if algebra == OSPQ12:
+                    for p in range(m):
+                        pref *= q ** (states[multi[p]]["lam"] / 2)
+                        pref *= (-1.0) ** states[multi[p]]["parity"]
+                    for p in range(m + 1, n):
+                        pref *= q ** (-states[multi[p]]["lam"] / 2)
+                elif which == "e":
                     for p in range(m):
                         pref *= q ** states[multi[p]]["lam"]
                 else:
                     for p in range(m + 1, n):
                         pref *= q ** (-states[multi[p]]["lam"])
-            tgt = multi[:m] + (nxt,) + multi[m + 1:]
-            out.append((tgt, coef * pref))
-        action[multi] = out
-    return action
+                coef = st["beta"] if which == "e" else st["gamma"]
+                G[src + (nxt - multi[m]) * dU ** (n - 1 - m), src] = coef * pref
+    return E, F
 
 
 def constraint_system(U, n, gap_tol=1e3):
-    """Centralizer coefficients from the structured ladder equations.
+    """Centralizer from the structured ladder equations.
 
-    Unknowns are coefficients of elementary-operator products, keyed by
-    weight sector (the conservation rule); one equation family per generator
-    relates coefficients along the raising and lowering ladders.  Returns
+    The unknowns are grouped by the total weight of the product states (the
+    conservation rule), summed from the per-state weights; the raising and
+    lowering equations take their coefficients from Delta^n(e) and
+    Delta^n(f) written from the per-state ladder data.  Returns
     (CommutantBasis, system matrix)."""
     states = _block_ladder_data(U)
-    dU = len(states)
-    if n < 1:
-        raise QybeError(f"commutant needs n >= 1, got {n}")
-    if dU ** n > DESK_BOUND:
-        raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
-    d = dU ** n
-    multis = list(itertools.product(range(dU), repeat=n))
-    wts = np.array([sum(states[i]["weight"] for i in multi) for multi in multis])
-    sectors = weight_sectors(wts)
-    # position of each multi-index within its weight sector
-    pos = {multis[idx]: a for states_k in sectors.values() for a, idx in enumerate(states_k)}
-    total, flat, rows, blocks = _sector_layout(sectors, d)
-    sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
-    acts = {step: _coproduct_action(states, n, U.params.q, U.rep.algebra, which)
-            for which, step in (("e", 2), ("f", -2))}
-    for step, src, tgt, off1, off2, block_rows in blocks:
-        act, blk, m1, m2 = acts[step], sys_mat[block_rows], len(src), len(tgt)
-        # + (A c): A from src-sector states upward/downward into tgt
-        for a, idx in enumerate(src):
-            for tgt_multi, coef in act[multis[idx]]:
-                for s_ in range(m1):
-                    blk[pos[tgt_multi] * m1 + s_, off1 + a * m1 + s_] += coef
-        # - (c A): same A entries acting on the right index
-        for a, idx in enumerate(src):
-            for tgt_multi, coef in act[multis[idx]]:
-                t2 = pos[tgt_multi]
-                for t in range(m2):
-                    blk[t * m1 + a, off2 + t * m2 + t2] -= coef
-    null, gap = _nullspace_from_system(sys_mat, total, gap_tol)
-    basis = CommutantBasis(dim_space=dU, n=n, vectors=_scatter_sectors(null, flat, d),
-                           rank_gap=gap)
-    return basis, sys_mat
+    d = _product_dim(len(states), n)
+    weights = [st["weight"] for st in states]
+    layout = _sector_layout(weight_sectors(product_weights(*[weights] * n)), d)
+    E, F = _coproduct_generators(states, n, U.params.q, U.rep.algebra)
+    return _centralizer(layout, E, F, len(states), n, gap_tol)
 
 
 def principal_angles(basis_a, basis_b):

@@ -397,7 +397,8 @@ def block_index(pos, dims, parities):
 def local_product(factors, dims, parities, sectors):
     """The diagonal blocks of embed_at(A, p) @ embed_at(B, q) @ ... over the
     index arrays `sectors`, for factors [(A, p), (B, q), ...]: per sector,
-    the product of the factors' blocks gathered by `block_index`.
+    the product of the factors' blocks gathered by `block_index`, made one
+    at a time as the returned iterator is consumed.
 
     These are the blocks of the product only when every embedded factor
     maps each sector into itself; the whole space, [np.arange(D)], always
@@ -408,7 +409,7 @@ def local_product(factors, dims, parities, sectors):
         index, sign = gather(s)
         return sign * op[index]
 
-    return [reduce(np.matmul, [block(op, gather, s) for op, gather in gathers]) for s in sectors]
+    return (reduce(np.matmul, [block(op, gather, s) for op, gather in gathers]) for s in sectors)
 
 
 def casimir_matrix(algebra, rep_like, q):

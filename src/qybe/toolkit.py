@@ -418,7 +418,18 @@ def _lax_rll(ctx, rng, inputs):
     sectors = product_sectors(site, site, weights)
     lhs = local_product([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))], dims, pars, sectors)
     rhs = local_product([(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))], dims, pars, sectors)
-    return rel_residual(_entries(lhs), _entries(rhs))
+    return _blockwise_residual(zip(lhs, rhs))
+
+
+def _blockwise_residual(pairs):
+    """rel_residual of the concatenated entries of (lhs, rhs) sector-block
+    pairs, reduced one pair at a time: the maxima it takes are the same (a
+    NaN entry still propagates)."""
+    diff = scale = 0.0
+    for a, b in pairs:
+        diff = np.maximum(diff, np.abs(a - b).max())
+        scale = np.maximum(scale, np.maximum(np.abs(a).max(), np.abs(b).max()))
+    return float(diff / max(1.0, scale))
 
 
 def _entries(blocks):
@@ -433,8 +444,7 @@ def _transfer_commutation(ctx, rng, inputs):
     sectors = spec.sectors()
     pts = random_points(rng, 4, guards=family_guards(dfam))
     t = [chains.sector_blocks(chains.transfer_matrix(spec, dfam, u), sectors) for u in pts]
-    return max(rel_residual(_entries(a @ b for a, b in zip(t[i], t[j])),
-                            _entries(b @ a for a, b in zip(t[i], t[j])))
+    return max(_blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
                for i in range(len(t)) for j in range(i + 1, len(t)))
 
 

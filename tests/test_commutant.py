@@ -18,8 +18,14 @@ from qybe import (
     membership,
     principal_angles,
 )
-from qybe.commutant import _nullspace_from_system, _sector_layout
-from qybe.coupling import ladder_weights, weight_sectors
+from qybe import commutant
+from qybe.commutant import (
+    _block_ladder_data,
+    _coproduct_generators,
+    _nullspace_from_system,
+    _sector_layout,
+)
+from qybe.coupling import ladder_weights, product_weights, weight_sectors
 from qybe.repspace import nfold_coproduct
 from qybe.toolkit import family_guards, random_points
 from conftest import params_for, pair_table
@@ -263,3 +269,54 @@ def test_commutant_budget_from_sector_layout(r, fits, params_sl):
     else:
         with pytest.raises(QybeError, match="budget"):
             _sector_layout(sectors, co.dim)
+
+
+@pytest.mark.parametrize("r,n_U,n", [(2, 1, 2), (2, 2, 3), (3, 2, 1), (3, 2, 2), (4, 2, 2)])
+@pytest.mark.parametrize("q", [1.3, 0.7, complex(1.1, 0.4)])
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_ladder_generators_match_dense_coproduct(algebra, q, r, n_U, n):
+    # what the two routes do not share: constraint_system writes Delta^n(e),
+    # Delta^n(f) from the per-state ladder data and sums the sectors from
+    # the per-state weights; commutant_nullspace takes both from the dense
+    # iterated coproduct
+    p = DeformParams(q=q, algebra=algebra)
+    U = composite_space(hecke_family(pair_table(algebra, r, p)), n=n_U)
+    states = _block_ladder_data(U)
+    co = nfold_coproduct(algebra, [U.replike()] * n, q)
+    for ladder, dense in zip(_coproduct_generators(states, n, q, algebra), (co.E, co.F)):
+        assert np.abs(ladder - dense).max() <= 1e-12 * np.abs(dense).max()
+    ladder = weight_sectors(product_weights(*[[st["weight"] for st in states]] * n))
+    dense = weight_sectors(ladder_weights(co))
+    assert list(ladder) == list(dense)
+    assert all(np.array_equal(ladder[k], dense[k]) for k in dense)
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("q", [1.3, complex(1.1, 0.4)])
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_basis_commutes_with_dense_generators(algebra, q, r, n):
+    # both routes share the system assembly, so their principal angles
+    # cannot see a fault in it: check every basis matrix against the dense
+    # Delta^n(e), Delta^n(f), Delta^n(h) directly
+    p = DeformParams(q=q, algebra=algebra)
+    U = composite_space(hecke_family(pair_table(algebra, r, p)), n=2)
+    co = nfold_coproduct(algebra, [U.replike()] * n, q)
+    for basis in (commutant_nullspace(U, n), constraint_system(U, n)[0]):
+        assert basis.dim > 0
+        for C in basis.matrices():
+            for X in (co.E, co.F, co.H):
+                comm = np.abs(X @ C - C @ X).max()
+                assert comm <= 1e-12 * np.abs(X).max() * np.abs(C).max()
+
+
+def test_constraint_system_refuses_before_writing_generators(params_sl, monkeypatch):
+    # r = 5, n = 2 is a 61600 x 31652 system: the layout refuses it from the
+    # per-state weights, before any d x d generator exists
+    U = composite_space(hecke_family(pair_table(SLQ2, 5, params_sl)), n=2)
+
+    def written(*args):
+        raise AssertionError("generators written for a refused request")
+
+    monkeypatch.setattr(commutant, "_coproduct_generators", written)
+    with pytest.raises(QybeError, match="budget"):
+        constraint_system(U, 2)

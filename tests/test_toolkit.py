@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,40 @@ def test_lax_rll_refuses_a_factor_that_mixes_weights(algebra, monkeypatch):
     ctx = Context(RunConfig(algebra=algebra))
     assert not ctx.check("lax-rll", r=2, n=2)
     assert "outside the weight sectors" in ctx.report.checks[-1]["error"]
+
+
+def test_blockwise_residual_equals_rel_residual_of_the_entries(rng):
+    # the same maxima as rel_residual on the concatenated entries, also
+    # below and above scale 1, and a NaN entry is not lost
+    for size in (1e-3, 1.0, 1e3):
+        A = [size * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) for k in (1, 4, 2)]
+        B = [a + 1e-9 * rng.normal(size=a.shape) for a in A]
+        flat = [np.concatenate([x.ravel() for x in side]) for side in (A, B)]
+        assert toolkit._blockwise_residual(zip(A, B)) == rmatrix.rel_residual(*flat)
+    B[1][0, 0] = np.nan
+    assert np.isnan(toolkit._blockwise_residual(zip(A, B)))
+
+
+def test_lax_rll_peak_memory():
+    # the sector blocks of the two sides are made and compared one pair at a
+    # time: beyond the two Lax operators the check holds less than two
+    # sides' worth of blocks (whole sides and their concatenated copies
+    # take more than four)
+    r, n = 5, 3
+    ctx = Context(RunConfig())
+    U = ctx.composite(r, n)
+    U.lax_sectors
+    site = coupling.ladder_weights(U.rep)
+    sectors = coupling.product_sectors(site, site, coupling.ladder_weights(U.gens))
+    side = 16 * sum(len(s) ** 2 for s in sectors)
+    lax = 2 * 16 * (r * U.dim) ** 2
+    tracemalloc.start()
+    try:
+        assert ctx.check("lax-rll", r=r, n=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= lax + 2 * side
 
 
 def test_verify_all_into_context_builds_shared_objects_once(monkeypatch):
