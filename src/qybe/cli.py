@@ -7,6 +7,7 @@ Exit codes: 0 all checks passed, 1 computation failure or failed checks,
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -16,15 +17,19 @@ from .repspace import GradedOperator, Space
 from .coupling import projector, tensor_decompose
 from . import fusion
 from . import spinchain as chains
-from .toolkit import Context, Report, RunConfig, serialize_operator, spectrum_csv, verify_all
+from .toolkit import Context, Report, RunConfig, spectrum_csv, verify_all, write_operator
+
+
+def _open(outdir, name):
+    """A new text file outdir/name, the directory made if needed."""
+    os.makedirs(outdir, exist_ok=True)
+    return open(os.path.join(outdir, name), "w")
 
 
 def _write(outdir, name, text):
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
+    with _open(outdir, name) as fh:
         fh.write(text)
-    return path
+    return fh.name
 
 
 def _write_json(outdir, name, payload):
@@ -61,9 +66,10 @@ def _config_from_file(path):
 # qybe.toolkit.  A QybeError while building an artifact ends the command.
 
 def _write_op(ctx, name, op, algebra=None):
-    """One-line JSON: without `indent`, json runs its C encoder."""
-    doc = serialize_operator(op, algebra or ctx.config.algebra, ctx.params.q)
-    return _write(ctx.config.outdir, name, json.dumps(doc, sort_keys=True))
+    """The operator's document as one line of JSON, streamed to the file."""
+    with _open(ctx.config.outdir, name) as fh:
+        write_operator(fh, op, algebra or ctx.config.algebra, ctx.params.q)
+    return fh.name
 
 
 def cmd_build_rep(args, ctx):
@@ -185,36 +191,39 @@ def build_parser():
     p.add_argument("--config", help="JSON run configuration; flags override its fields")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, **extra):
         sp = sub.add_parser(name)
-        sp.set_defaults(fn=fn)
         sp.add_argument("--r", type=int, nargs="*", default=None)
         sp.add_argument("--n", type=int, nargs="*", default=None)
         sp.add_argument("--u", type=float, default=0.3)
         sp.add_argument("--ui", type=float, default=0.0)
         for flag, kw in extra.items():
             sp.add_argument(flag, **kw)
-        return sp
 
-    add("build-rep", cmd_build_rep)
-    add("cgc", cmd_cgc)
-    add("projectors", cmd_projectors)
-    add("hecke", cmd_hecke)
-    add("fixtures", cmd_fixtures, **{"--kind": {"type": int, "default": None}})
-    add("fuse", cmd_fuse)
-    add("lax", cmd_lax)
-    add("chain", cmd_chain, **{"--sites": {"type": int, "default": 2}})
-    add("commutant", cmd_commutant)
-    sp = add("verify-all", cmd_verify_all)
-    add("export", cmd_export, **{"--what": {"default": "hecke"},
-                                 "--target": {"type": int, "default": None}})
+    add("build-rep")
+    add("cgc")
+    add("projectors")
+    add("hecke")
+    add("fixtures", **{"--kind": {"type": int, "default": None}})
+    add("fuse")
+    add("lax")
+    add("chain", **{"--sites": {"type": int, "default": 2}})
+    add("commutant")
+    add("verify-all")
+    add("export", **{"--what": {"default": "hecke"},
+                     "--target": {"type": int, "default": None}})
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built at the first dispatch."""
+    return build_parser()
+
+
 def cli_dispatch(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     cfg = _config_from_args(args, RunConfig())  # where the report of a bad --config goes
@@ -222,7 +231,8 @@ def cli_dispatch(argv=None):
         if args.config:
             cfg = _config_from_args(args, _config_from_file(args.config))
         ctx = Context(cfg)  # validates the parameters before any work
-        args.fn(args, ctx)
+        # looked up by name at each dispatch: a replaced cmd_* is the one run
+        globals()["cmd_" + args.command.replace("-", "_")](args, ctx)
     except (QybeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report = Report(cfg)

@@ -84,16 +84,26 @@ class CommutantBasis:
         return [self.vectors[:, k].reshape(d, d) for k in range(self.dim)]
 
 
+def _refuse_over_budget(sectors):
+    """Raise QybeError when the centralizer system over the weight sectors,
+    one row per (sector, sector +-2) entry pair and one column per unknown,
+    would pass COMMUTANT_BUDGET; it needs only the sector sizes."""
+    size = {k: len(idx) for k, idx in sectors.items()}
+    total = sum(s * s for s in size.values())
+    rows = 2 * sum(s * size.get(k + 2, 0) for k, s in size.items())
+    if rows * total > COMMUTANT_BUDGET:
+        raise QybeError(f"commutant system {rows} x {total} exceeds the budget "
+                        f"of {COMMUTANT_BUDGET:.0e} entries")
+
+
 def _sector_layout(sectors, d):
     """Layout of the dense centralizer system over the weight sectors: the
     number of unknowns (the sector blocks one after the other), the flat
     position in a vectorized d x d matrix of every unknown, the row count,
     and in row order one (step, source states, target states, source
     offset, target offset, rows) per sector pair (k, k + step), step 2 then
-    -2.
-
-    Raises QybeError when the system, one row per (sector, sector +-2)
-    entry pair and one column per unknown, would pass COMMUTANT_BUDGET."""
+    -2.  Refuses a system over the budget (_refuse_over_budget) first."""
+    _refuse_over_budget(sectors)
     offsets, total, flat = {}, 0, []
     for k in sorted(sectors):
         idx = np.asarray(sectors[k])
@@ -108,9 +118,6 @@ def _sector_layout(sectors, d):
                 blocks.append((step, src, tgt, offsets[k], offsets[k + step],
                                slice(rows, rows + len(src) * len(tgt))))
                 rows += len(src) * len(tgt)
-    if rows * total > COMMUTANT_BUDGET:
-        raise QybeError(f"commutant system {rows} x {total} exceeds the budget "
-                        f"of {COMMUTANT_BUDGET:.0e} entries")
     return total, np.concatenate(flat), rows, blocks
 
 
@@ -222,6 +229,9 @@ def commutant_nullspace(U, n, gap_tol=1e3):
     SVD over the weight-sector blocks of the coefficient matrix."""
     gens = U.replike()
     d = _product_dim(gens.dim, n)
+    # refused from the summed per-state weights, before any d x d generator
+    # exists; the layout solved on still comes from the coproduct's own h
+    _refuse_over_budget(weight_sectors(product_weights(*[ladder_weights(gens)] * n)))
     co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
     layout = _sector_layout(weight_sectors(ladder_weights(co)), d)
     return _centralizer(layout, co.E, co.F, gens.dim, n, gap_tol)[0]

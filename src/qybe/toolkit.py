@@ -38,11 +38,10 @@ class MalformedDocumentError(QybeError):
     """Serialized operator document fails schema validation."""
 
 
-def serialize_operator(op, algebra="", q=0j, label=None):
-    """JSON document for a GradedOperator: meta block plus row-major entries
-    as [re, im] pairs.  Floats round-trip exactly through repr."""
+def _document(op, algebra, q, label):
+    """The document of `serialize_operator` without its entries."""
     q = complex(q)
-    doc = {
+    return {
         "meta": {
             "algebra": algebra,
             "q": [q.real, q.imag],
@@ -54,9 +53,60 @@ def serialize_operator(op, algebra="", q=0j, label=None):
         },
         "rows": op.matrix.shape[0],
         "cols": op.matrix.shape[1],
-        "entries": np.ascontiguousarray(op.matrix).view(float).reshape(-1, 2).tolist(),
     }
+
+
+def serialize_operator(op, algebra="", q=0j, label=None):
+    """JSON document for a GradedOperator: meta block plus row-major entries
+    as [re, im] pairs.  Floats round-trip exactly through repr."""
+    doc = _document(op, algebra, q, label)
+    doc["entries"] = np.ascontiguousarray(op.matrix).view(float).reshape(-1, 2).tolist()
     return doc
+
+
+# Entries written per row block by `write_operator`, and the text of one
+# exact-zero entry with the separator in front of it.
+_BLOCK_ENTRIES = 1 << 14
+_ZERO_ENTRY = ", [0.0, 0.0]"
+
+
+def write_operator(fh, op, algebra="", q=0j, label=None):
+    """Write json.dumps(serialize_operator(op, algebra, q, label),
+    sort_keys=True) to the text file `fh`, byte for byte, one row block at
+    a time.
+
+    The entries of a block that are not exact zeros (both parts with all
+    bits clear; -0.0 is not one) go through one json encoding; each run of
+    exact zeros between them is a slice of one string of zero entries.  No
+    per-entry list of the whole matrix and no whole text are ever held."""
+    m = op.matrix
+    rows, cols = m.shape
+    head, key, tail = json.dumps(dict(_document(op, algebra, q, label), entries=[]),
+                                 sort_keys=True).partition('"entries": [')
+    fh.write(head + key)
+    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    zeros = _ZERO_ENTRY * (step * cols)
+    width = len(_ZERO_ENTRY)
+    for i in range(0, rows if cols else 0, step):
+        pairs = np.ascontiguousarray(m[i:i + step]).view(float).reshape(-1, 2)
+        live = pairs.view(np.uint64).any(axis=1)
+        # src: ", [re, im]" for each live entry in order (the json text
+        # without its outer brackets), then the zero entries
+        text = ", " + json.dumps(pairs[live].tolist())[1:-1]
+        src = text + zeros
+        starts = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord("[")) - 2
+        starts = np.append(starts, len(text))
+        # the runs of live or of zero entries [first, first + count)
+        first = np.flatnonzero(np.diff(live, prepend=~live[0]))
+        count = np.diff(first, append=live.size)
+        done = np.concatenate(([0], np.cumsum(live)))  # live entries before each one
+        lo = np.where(live[first], starts[done[first]], len(text))
+        hi = np.where(live[first], starts[done[first + count]], len(text) + width * count)
+        parts = [src[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+        if i == 0:
+            parts[0] = parts[0][2:]
+        fh.write("".join(parts))
+    fh.write(tail)
 
 
 def deserialize_operator(doc):

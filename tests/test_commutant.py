@@ -320,3 +320,18 @@ def test_constraint_system_refuses_before_writing_generators(params_sl, monkeypa
     monkeypatch.setattr(commutant, "_coproduct_generators", written)
     with pytest.raises(QybeError, match="budget"):
         constraint_system(U, 2)
+
+
+@pytest.mark.parametrize("r,n", [(5, 2), (2, 7)])
+def test_commutant_nullspace_refuses_before_the_dense_coproduct(r, n, params_sl, monkeypatch):
+    # r = 5, n = 2 is a 61600 x 31652 system and r = 2, n = 7 one on 2187
+    # states: both are refused from the summed per-state weights, before the
+    # d x d coproduct generators exist
+    U = composite_space(hecke_family(pair_table(SLQ2, r, params_sl)), n=2)
+
+    def built(*args):
+        raise AssertionError("dense coproduct built for a refused request")
+
+    monkeypatch.setattr(commutant, "nfold_coproduct", built)
+    with pytest.raises(QybeError, match="budget"):
+        commutant_nullspace(U, n)

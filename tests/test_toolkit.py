@@ -1,10 +1,12 @@
+import io
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qybe import (
     OSPQ12,
@@ -22,7 +24,7 @@ from qybe.toolkit import (
     RunConfig,
     verify_all,
 )
-from qybe import coupling, fusion, repspace, rmatrix, spinchain, toolkit
+from qybe import cli, coupling, fusion, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
 from conftest import params_for, pair_table
 
@@ -41,6 +43,78 @@ def test_roundtrip_bit_exact(rng):
     assert (back.matrix == op.matrix).all()
     assert back.domain == op.domain
     assert back.label == op.label
+
+
+def _plain_op(m):
+    rows, cols = m.shape
+    return GradedOperator(m, Space((cols,), ((0,) * cols,)), Space((rows,), ((0,) * rows,)),
+                          label="random")
+
+
+_part = st.one_of(st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+                  st.floats())
+_entries_with_zero_runs = st.lists(
+    st.one_of(st.just((0.0, 0.0)), st.just((0.0, 0.0)), st.tuples(_part, _part)),  # 2/3 zeros
+    min_size=1, max_size=6)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Complex matrices whose entries come in runs of exact zeros or of
+    other pairs, -0.0, nan and +-inf among them."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pairs = []
+    while len(pairs) < rows * cols:
+        pairs += draw(_entries_with_zero_runs) * draw(st.integers(1, 5))
+    return np.array(pairs[:rows * cols], dtype=float).view(complex).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_sparse_matrices(), block=st.integers(1, 90))
+@example(m=np.zeros((6, 7), dtype=complex), block=8)
+@example(m=np.array([[complex(-0.0, float("nan"))]]), block=1)
+@example(m=np.array([[0j]]), block=1)
+def test_write_operator_matches_json_dumps(m, block):
+    # byte for byte the json text of the document, at every row-block size
+    # (blocks of whole rows, at least one)
+    op = _plain_op(m)
+    q = complex(1.3, -0.0)
+    fh = io.StringIO()
+    with mock.patch.object(toolkit, "_BLOCK_ENTRIES", block):
+        toolkit.write_operator(fh, op, SLQ2, q)
+    assert fh.getvalue() == json.dumps(serialize_operator(op, SLQ2, q), sort_keys=True)
+
+
+def test_write_operator_peak_memory(tmp_path):
+    # the document is written one row block at a time: the Lax operator of
+    # (r, n) = (5, 3) is 575 x 575 and about 90% exact zeros, and writing
+    # it holds no more than twice the length of its text
+    op = fusion.extended_lax(Context(RunConfig()).composite(5, 3), 0.37)
+    path = tmp_path / "lax.json"
+    with open(path, "w") as fh:
+        tracemalloc.start()
+        try:
+            toolkit.write_operator(fh, op, SLQ2, 1.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
+
+
+def test_cli_parser_is_built_once_and_finds_handlers_by_name(tmp_path, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert cli_dispatch(["--out", str(tmp_path), "build-rep", "--r", "2"]) == 0
+        ran = []
+        monkeypatch.setattr(cli, "cmd_build_rep", lambda args, ctx: ran.append(args.r))
+        assert cli_dispatch(["--out", str(tmp_path), "build-rep", "--r", "3"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert ran == [[3]]
+    assert built == [1]
 
 
 def test_entries_length_schema(rng):
@@ -447,14 +521,24 @@ def test_cli_lax_artifact_is_zero_off_sector(tmp_path):
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
-def test_cli_subcommand(command, tmp_path):
+def test_cli_subcommand(command, tmp_path, monkeypatch):
     argv, checks, artifacts = SUBCOMMANDS[command]
+    dumped = {}  # each operator written, as json.dumps of its document
+
+    def write_operator(fh, op, algebra="", q=0j, label=None):
+        dumped[os.path.basename(fh.name)] = json.dumps(
+            serialize_operator(op, algebra, q, label), sort_keys=True)
+        toolkit.write_operator(fh, op, algebra, q, label)
+
+    monkeypatch.setattr(cli, "write_operator", write_operator)
     assert cli_dispatch(["--out", str(tmp_path)] + argv) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["summary"] == {"total": checks, "passed": checks, "failed": 0}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(artifacts + ["report.json"])
+    assert sorted(dumped) == sorted(name for name in artifacts if name.endswith(".json"))
     for name in artifacts:
         if name.endswith(".json"):
+            assert (tmp_path / name).read_text() == dumped[name]
             doc = json.loads((tmp_path / name).read_text())
             op = deserialize_operator(doc)
             meta = doc["meta"]
