@@ -14,15 +14,18 @@ generators Delta^n(e), Delta^n(f) and the weight sectors come from:
 Everything after that is shared.  The h commutator forces weight
 conservation, so the unknown coefficient matrix is sector diagonal
 (_sector_layout); the equations A C_k - C_{k+-2} A = 0 of each pair of
-sectors are written as two Kronecker blocks (_centralizer); and one solver
-splits the system into the connected components of its sparsity pattern
-(16 for the 1200 x 646 system of U8 (x) U8, none larger than 160 x 85),
-each with its own small SVD.  Principal angles between the two bases
-therefore check the generators and sectors, not the shared assembly.
+sectors are the two Kronecker blocks kron(A, 1) and -kron(1, A^T), written
+as a list of their nonzero entries (_centralizer, SystemEntries: the
+1200 x 646 system of U8 (x) U8 is 3992 entries); and one solver splits the
+system into the connected components of its sparsity pattern (16 for
+U8 (x) U8, none larger than 160 x 85), each scattered into a small dense
+block with its own SVD.  Principal angles between the two bases therefore
+check the generators and sectors, not the shared assembly.
 """
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +100,7 @@ def _refuse_over_budget(sectors):
 
 
 def _sector_layout(sectors, d):
-    """Layout of the dense centralizer system over the weight sectors: the
+    """Layout of the centralizer system over the weight sectors: the
     number of unknowns (the sector blocks one after the other), the flat
     position in a vectorized d x d matrix of every unknown, the row count,
     and in row order one (step, source states, target states, source
@@ -130,15 +133,26 @@ def _scatter_sectors(null, flat, d):
     return vecs
 
 
-def _column_components(pattern):
-    """Connected-component label of every column of a boolean system
-    pattern: two columns are connected when an equation row touches both.
-    Min-label propagation over the row/column incidence, with pointer
-    jumping; each label is the smallest column index of its component."""
-    rows, cols = np.nonzero(pattern)
-    label = np.arange(pattern.shape[1])
+class SystemEntries(NamedTuple):
+    """A linear system by its nonzero entries: the value val[k] at
+    (row[k], col[k]), each position at most once, in a matrix of the given
+    shape (equations, unknowns)."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple
+
+
+def _column_components(rows, cols, shape):
+    """Connected-component label of every column of a system whose pattern
+    holds the entries (rows, cols): two columns are connected when an
+    equation row touches both.  Min-label propagation over the row/column
+    incidence, with pointer jumping; each label is the smallest column index
+    of its component."""
+    label = np.arange(shape[1])
     while True:
-        row_min = np.full(pattern.shape[0], label.size)
+        row_min = np.full(shape[0], label.size)
         np.minimum.at(row_min, rows, label[cols])
         new = label.copy()
         np.minimum.at(new, cols, row_min[rows])
@@ -148,32 +162,42 @@ def _column_components(pattern):
         label = new
 
 
-def _nullspace_from_system(sys_mat, total, gap_tol=1e3):
-    """Orthonormal null space of sys_mat, one SVD per connected component of
-    its sparsity pattern.
+def _nullspace_from_system(system, gap_tol=1e3):
+    """Orthonormal null space of a SystemEntries, one SVD per connected
+    component of its sparsity pattern.
 
     Entries below 1e-12 of the largest one are round-off fill-in and do not
-    connect components.  The null space is the direct sum of the component
-    null spaces; columns no equation touches are free.  The rank threshold
-    and the gap test see the singular values of all components together,
-    and the assembled basis must satisfy the full, uncut system."""
-    mags = np.abs(sys_mat)
-    pattern = mags > 1e-12 * mags.max()
-    label = _column_components(pattern)
-    row_label = label[np.argmax(pattern, axis=1)]
-    live = pattern.any(axis=1)
+    connect components.  Each component's columns and the rows they touch,
+    in ascending order, form a dense block of the system; its rows whose
+    entries pass the cut-off go to the SVD.  The null space is the direct
+    sum of the component null spaces; columns no equation touches are free.
+    The rank threshold and the gap test see the singular values of all
+    components together, and the assembled basis must satisfy the full,
+    uncut system: each block times its component's null vectors."""
+    row, col, val, (n_rows, total) = system
+    mags = np.abs(val)
+    cut = mags > 1e-12 * mags.max(initial=0.0)
+    label = _column_components(row[cut], col[cut], (n_rows, total))
+    row_label = np.full(n_rows, -1)
+    row_label[row[cut]] = label[col[cut]]
+    entry_label = label[col]
+    col_pos = np.empty(total, dtype=np.intp)  # position in its component
     parts = []
     for lab in np.unique(label):
         cols = np.flatnonzero(label == lab)
-        rows = np.flatnonzero(live & (row_label == lab))
-        if rows.size:
+        col_pos[cols] = np.arange(cols.size)
+        touch = entry_label == lab
+        rows, row_pos = np.unique(row[touch], return_inverse=True)
+        block = np.zeros((rows.size, cols.size), dtype=complex)
+        block[row_pos, col_pos[col[touch]]] = val[touch]
+        own = block[row_label[rows] == lab]
+        if own.size:
             # the null space needs every row of vh, but never the square u
-            _, s, vh = np.linalg.svd(sys_mat[np.ix_(rows, cols)],
-                                     full_matrices=rows.size < cols.size)
+            _, s, vh = np.linalg.svd(own, full_matrices=own.shape[0] < cols.size)
         else:
             s, vh = np.zeros(0), np.eye(cols.size)
-        parts.append((cols, s, vh))
-    s_all = np.sort(np.concatenate([s for _, s, _ in parts]))[::-1]
+        parts.append((cols, block, s, vh))
+    s_all = np.sort(np.concatenate([s for _, _, s, _ in parts]))[::-1]
     smax = s_all[0] if s_all.size else 0.0
     thresh = max(1.0, smax) * max(total, 1) * 1e-11
     rank = int(np.sum(s_all > thresh))
@@ -182,13 +206,13 @@ def _nullspace_from_system(sys_mat, total, gap_tol=1e3):
         gap = float(s_all[rank - 1] / s_all[rank])
         if gap < gap_tol and s_all[rank] > thresh / gap_tol:
             raise QybeError(f"rank ambiguity in the null space (gap {gap:.1e})")
-    kerns = [(cols, vh[int(np.sum(s > thresh)):].conj().T) for cols, s, vh in parts]
-    null = np.zeros((total, sum(k.shape[1] for _, k in kerns)), dtype=complex)
-    j = 0
-    for cols, kern in kerns:
+    null = np.zeros((total, total - rank), dtype=complex)
+    j, resid = 0, 0.0
+    for cols, block, s, vh in parts:
+        kern = vh[int(np.sum(s > thresh)):].conj().T
         null[cols, j:j + kern.shape[1]] = kern
         j += kern.shape[1]
-    resid = np.linalg.norm(sys_mat @ null, axis=0).max(initial=0.0)
+        resid = max(resid, np.linalg.norm(block @ kern, axis=0).max(initial=0.0))
     if resid > thresh:
         raise QybeError(f"null-space residual {resid:.1e} exceeds the rank "
                         f"threshold {thresh:.1e}")
@@ -209,19 +233,31 @@ def _centralizer(layout, E, F, dU, n, gap_tol):
     over a `_sector_layout`.  The pair of sectors (k, k + step) gives the
     rows of A C_k - C_{k+step} A = 0 with A = (E or F)[tgt, src]; in
     row-major vectorization that is kron(A, 1) on the unknowns of C_k and
-    -kron(1, A^T) on those of C_{k+step}.  Returns (CommutantBasis, system
-    matrix)."""
-    total, flat, rows, blocks = layout
-    sys_mat = np.zeros((max(rows, 1), total), dtype=complex)
+    -kron(1, A^T) on those of C_{k+step}, written entry by entry from the
+    nonzero A[i, a]: row i m1 + j meets column a m1 + j of C_k with A[i, a]
+    and column i m2 + b of C_{k+step} with -A[b, j].  Returns
+    (CommutantBasis, SystemEntries)."""
+    total, flat, n_rows, blocks = layout
+    row, col = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    val = [np.zeros(0, dtype=complex)]
     for step, src, tgt, off1, off2, block_rows in blocks:
         A = (E if step == 2 else F)[np.ix_(tgt, src)]
         m1, m2 = len(src), len(tgt)
-        sys_mat[block_rows, off1:off1 + m1 * m1] = np.kron(A, np.eye(m1))
-        sys_mat[block_rows, off2:off2 + m2 * m2] = -np.kron(np.eye(m2), A.T)
-    null, gap = _nullspace_from_system(sys_mat, total, gap_tol)
+        i, a = np.nonzero(A)
+        v = A[i, a]
+        j1, i2 = np.arange(m1), np.arange(m2)
+        # the second pair of lists is -kron(1, A^T), with (b, j) = (i, a)
+        row += [((block_rows.start + i * m1)[:, None] + j1).ravel(),
+                (block_rows.start + i2 * m1 + a[:, None]).ravel()]
+        col += [((off1 + a * m1)[:, None] + j1).ravel(),
+                (off2 + i2 * m2 + i[:, None]).ravel()]
+        val += [np.repeat(v, m1), np.repeat(-v, m2)]
+    system = SystemEntries(np.concatenate(row), np.concatenate(col),
+                           np.concatenate(val), (n_rows, total))
+    null, gap = _nullspace_from_system(system, gap_tol)
     basis = CommutantBasis(dim_space=dU, n=n, rank_gap=gap,
                            vectors=_scatter_sectors(null, flat, dU ** n))
-    return basis, sys_mat
+    return basis, system
 
 
 def commutant_nullspace(U, n, gap_tol=1e3):
@@ -307,7 +343,7 @@ def constraint_system(U, n, gap_tol=1e3):
     conservation rule), summed from the per-state weights; the raising and
     lowering equations take their coefficients from Delta^n(e) and
     Delta^n(f) written from the per-state ladder data.  Returns
-    (CommutantBasis, system matrix)."""
+    (CommutantBasis, SystemEntries of the system)."""
     states = _block_ladder_data(U)
     d = _product_dim(len(states), n)
     weights = [st["weight"] for st in states]
@@ -317,16 +353,21 @@ def constraint_system(U, n, gap_tol=1e3):
 
 
 def principal_angles(basis_a, basis_b):
-    """Principal angles (radians) between two commutant bases, computed with
-    the sine formulation so that near-zero angles are resolved to machine
-    precision instead of the arccos floor."""
+    """Principal angles (radians) between two subspaces, given by bases or
+    CommutantBasis objects, computed with the sine formulation so that
+    near-zero angles are resolved to machine precision instead of the
+    arccos floor.  There are min(dim a, dim b) of them: the smaller basis is
+    projected off the larger.  Both bases are first cut to the rows where
+    either has an entry, which spans the same subspaces."""
     A = basis_a.vectors if isinstance(basis_a, CommutantBasis) else basis_a
     B = basis_b.vectors if isinstance(basis_b, CommutantBasis) else basis_b
-    qa, _ = np.linalg.qr(A)
-    qb, _ = np.linalg.qr(B)
+    support = np.flatnonzero(A.any(axis=1) | B.any(axis=1))
+    qa, _ = np.linalg.qr(A[support])
+    qb, _ = np.linalg.qr(B[support])
+    if qa.shape[1] < qb.shape[1]:
+        qa, qb = qb, qa
     resid = qb - qa @ (qa.conj().T @ qb)
-    sines = np.linalg.svd(resid, compute_uv=False)
-    sines = np.clip(sines[: min(qa.shape[1], qb.shape[1])], 0.0, 1.0)
+    sines = np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0)
     return np.sort(np.arcsin(sines))
 
 

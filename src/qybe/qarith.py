@@ -15,8 +15,9 @@ ALGEBRAS = (SLQ2, OSPQ12)
 
 # Largest space a dense chain, composite, Lax or commutant computation builds.
 DESK_BOUND = 4096
-# Largest dense centralizer system in complex entries; r = 4 needs 7e7.  With
-# the solver's magnitudes and pattern that is 25 bytes an entry: 2.5 GB here.
+# Largest centralizer system, counted as rows x unknowns of its sector layout;
+# r = 4 at n = 2 needs 7e7.  The system is held as its nonzero entries, so the
+# count does not size memory; it fixes which sizes `commutant` accepts.
 COMMUTANT_BUDGET = 10 ** 8
 
 

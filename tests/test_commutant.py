@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from qybe import (
 )
 from qybe import commutant
 from qybe.commutant import (
+    SystemEntries,
     _block_ladder_data,
     _coproduct_generators,
     _nullspace_from_system,
@@ -103,10 +106,10 @@ def test_constraint_system_matches_nullspace_v2(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
     nb = commutant_nullspace(U, 2)
-    cb, sys_mat = constraint_system(U, 2)
+    cb, system = constraint_system(U, 2)
     assert nb.dim == cb.dim == 2
     assert float(np.max(principal_angles(nb, cb))) < 1e-10
-    assert sys_mat.shape[1] == 6  # weight sectors 1 + 4 + 1 coefficients
+    assert system.shape[1] == 6  # weight sectors 1 + 4 + 1 coefficients
 
 
 def test_weight_conservation_is_built_in(params_sl):
@@ -190,6 +193,12 @@ def _dense_nullspace(sys_mat, total):
     return vh.conj().T[:, int(np.sum(s > thresh)):]
 
 
+def _entry_system(mat):
+    """The nonzero entries of a dense system, in the solver's input form."""
+    row, col = np.nonzero(mat)
+    return SystemEntries(row, col, mat[row, col], mat.shape)
+
+
 @st.composite
 def _hidden_block_systems(draw):
     """Block-diagonal systems with well-separated singular values (in
@@ -220,7 +229,7 @@ def _hidden_block_systems(draw):
 @given(_hidden_block_systems())
 def test_blocked_nullspace_matches_dense_svd(case):
     mat, kernel_dim = case
-    null, _ = _nullspace_from_system(mat, mat.shape[1])
+    null, _ = _nullspace_from_system(_entry_system(mat))
     dense = _dense_nullspace(mat, mat.shape[1])
     assert null.shape == dense.shape == (mat.shape[1], kernel_dim)
     assert np.abs(null.conj().T @ null - np.eye(kernel_dim)).max(initial=0.0) < 1e-12
@@ -232,7 +241,7 @@ def test_rank_ambiguity_raises():
     # singular values 1, 1e-10 | 1e-11, 0 around the threshold 4e-11: a
     # gap of 10 cannot tell the rank
     with pytest.raises(QybeError, match="rank ambiguity"):
-        _nullspace_from_system(np.diag([1.0, 1e-10, 1e-11, 0.0]), 4)
+        _nullspace_from_system(_entry_system(np.diag([1.0, 1e-10, 1e-11, 0.0])))
 
 
 def test_nullspace_residual_guard_raises():
@@ -243,7 +252,7 @@ def test_nullspace_residual_guard_raises():
     sys_mat[0, 0] = 1.0
     sys_mat[1:, 1] = 9e-13
     with pytest.raises(QybeError, match="residual"):
-        _nullspace_from_system(sys_mat, 2)
+        _nullspace_from_system(_entry_system(sys_mat))
 
 
 @pytest.mark.parametrize("q", [0.7, 1.9, complex(1.1, 0.4)])
@@ -259,7 +268,7 @@ def test_commutant_routes_agree_at_generic_q(algebra, q):
 
 @pytest.mark.parametrize("r,fits", [(4, True), (5, False)])
 def test_commutant_budget_from_sector_layout(r, fits, params_sl):
-    # the layout sizes the dense system before anything of that size exists:
+    # the layout sizes the system, rows x unknowns, before anything is built:
     # r = 4 gives 11544 x 6021 entries, r = 5 gives 61600 x 31652
     U = composite_space(hecke_family(pair_table(SLQ2, r, params_sl)), n=2)
     co = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
@@ -335,3 +344,92 @@ def test_commutant_nullspace_refuses_before_the_dense_coproduct(r, n, params_sl,
     monkeypatch.setattr(commutant, "nfold_coproduct", built)
     with pytest.raises(QybeError, match="budget"):
         commutant_nullspace(U, n)
+
+
+def _kron_system(layout, E, F):
+    """Reference: the dense centralizer system written with np.kron, the
+    pair of sectors (k, k + step) as kron(A, 1) on the unknowns of C_k and
+    -kron(1, A^T) on those of C_{k+step}, A = (E or F)[tgt, src]."""
+    total, _, rows, blocks = layout
+    sys_mat = np.zeros((rows, total), dtype=complex)
+    for step, src, tgt, off1, off2, block_rows in blocks:
+        A = (E if step == 2 else F)[np.ix_(tgt, src)]
+        m1, m2 = len(src), len(tgt)
+        sys_mat[block_rows, off1:off1 + m1 * m1] = np.kron(A, np.eye(m1))
+        sys_mat[block_rows, off2:off2 + m2 * m2] = -np.kron(np.eye(m2), A.T)
+    return sys_mat
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_entry_system_matches_kron_assembly(algebra, r, n, monkeypatch):
+    # each route's system, written entry by entry, is the Kronecker
+    # assembly of its own generators and layout, entry for entry
+    U = composite_space(hecke_family(pair_table(algebra, r)), n=2)
+    seen = []
+    centralizer = commutant._centralizer
+
+    def recording(layout, E, F, *args):
+        out = centralizer(layout, E, F, *args)
+        seen.append((layout, E, F, out[1]))
+        return out
+
+    monkeypatch.setattr(commutant, "_centralizer", recording)
+    commutant_nullspace(U, n)
+    _, returned = constraint_system(U, n)
+    assert len(seen) == 2 and seen[1][3] is returned
+    for layout, E, F, system in seen:
+        expect = _kron_system(layout, E, F)
+        assert system.shape == expect.shape
+        assert len(set(zip(system.row.tolist(), system.col.tolist()))) == system.row.size
+        dense = np.zeros(system.shape, dtype=complex)
+        dense[system.row, system.col] = system.val
+        assert np.array_equal(dense, expect)
+
+
+def test_principal_angles_are_symmetric_for_unequal_dimensions(rng):
+    # span(A) inside span(B), dim 2 and 5: both orders give two zero
+    # angles; for a generic pair both orders give the same two angles,
+    # those of the cosines of the orthonormal bases.  Rows where both bases
+    # vanish do not change the angles.
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    B = np.zeros((20, 5), dtype=complex)
+    B[:12] = rand(12, 5)
+    A = B @ rand(5, 2)
+    for pair in ((A, B), (B, A)):
+        angles = principal_angles(*pair)
+        assert angles.shape == (2,) and angles.max() < 1e-12
+    C = np.zeros((20, 2), dtype=complex)
+    C[4:16] = rand(12, 2)
+    cos = np.linalg.svd(np.linalg.qr(C)[0].conj().T @ np.linalg.qr(B)[0], compute_uv=False)
+    expect = np.sort(np.arccos(np.clip(cos, 0.0, 1.0)))
+    for pair in ((C, B), (B, C), (C[:16], B[:16])):
+        angles = principal_angles(*pair)
+        assert angles.shape == (2,) and np.abs(angles - expect).max() < 1e-8
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_constraint_system_peak_memory_u8():
+    # U8 (x) U8: the centralizer system is 1200 x 646, and written densely
+    # it alone would take 12.4 MB
+    U = composite_space(hecke_family(pair_table(SLQ2, 3)), n=2)
+    assert _traced_peak(constraint_system, U, 2) < 1200 * 646 * 16
+
+
+def test_principal_angles_peak_memory_u8():
+    # the two 46-dimensional bases of U8 (x) U8 are 4096 x 46 each (3 MB),
+    # but only 646 of their rows can be nonzero
+    U = composite_space(hecke_family(pair_table(SLQ2, 3)), n=2)
+    nb, cb = commutant_nullspace(U, 2), constraint_system(U, 2)[0]
+    assert nb.dim == cb.dim == 46
+    assert _traced_peak(principal_angles, nb, cb) < 4 * 2 ** 20

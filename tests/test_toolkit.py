@@ -446,7 +446,8 @@ def test_routes_agree_in_a_generic_annulus(algebra, r, modulus, arg):
     # the r of the battery's fused checks, the fused family built from it
     # hold at complex q too (even graded irreps shift h off the real axis);
     # at r = 2 so do both chain checks, and at r <= 3 the RLL relation of
-    # the extended Lax operators: their weight sectors rely on that shift
+    # the extended Lax operators and both commutant routes on the pair
+    # space: their weight sectors rely on that shift
     ctx = Context(RunConfig(algebra=algebra, q=modulus * np.exp(1j * arg)))
     names = ["cgc-biorthogonality", "projector-routes", "chi-closed-form", "hecke-ybe"]
     if r <= 3:
@@ -454,6 +455,7 @@ def test_routes_agree_in_a_generic_annulus(algebra, r, modulus, arg):
     checks = [(name, {"r": r}) for name in names]
     if r <= 3:
         checks += [("lax-rll", {"r": r, "n": n}) for n in (2, 3)]
+        checks += [(name, {"r": r, "n": 2}) for name in ("commutant-dims", "commutant-angle")]
     if r == 2:
         checks += [(name, {"r": r, "N": N}) for N in (2, 3)
                    for name in ("transfer-commutation", "hamiltonian-routes")]
