@@ -143,7 +143,7 @@ def cmd_chain(args, ctx):
         ctx.chain(r, N)  # every chain first: a chain the spec refuses ends the command
     for r in cfg.r_list:
         _write(cfg.outdir, f"spectrum_{cfg.algebra}_r{r}_N{N}.csv",
-               spectrum_csv(*chains.spectrum(ctx.hamiltonian(r, N), ctx.chain(r, N).sectors())))
+               spectrum_csv(*chains.spectrum(ctx.hamiltonian(r, N))))
         ctx.check("transfer-commutation", r=r, N=N)
         ctx.check("hamiltonian-routes", r=r, N=N)
 

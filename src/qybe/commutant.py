@@ -183,7 +183,7 @@ def _nullspace_from_system(system, gap_tol=1e3):
     entry_label = label[col]
     col_pos = np.empty(total, dtype=np.intp)  # position in its component
     parts = []
-    for lab in np.unique(label):
+    for lab in np.flatnonzero(label == np.arange(label.size)):  # component roots
         cols = np.flatnonzero(label == lab)
         col_pos[cols] = np.arange(cols.size)
         touch = entry_label == lab

@@ -113,9 +113,12 @@ def product_weights(*site_weights):
 def weight_sectors(weights):
     """Indices of the states of each ladder weight, keyed by twice the
     weight rounded to an integer (one ladder step moves the key by 2), in
-    increasing key order."""
+    increasing key order.  The states are grouped by one stable argsort, so
+    each index array is ascending."""
     keys = np.round(2 * np.asarray(weights)).astype(int)
-    return {int(k): np.flatnonzero(keys == k) for k in np.unique(keys)}
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if keys.size else []
+    return {int(keys[g[0]]): g for g in groups}
 
 
 def product_sectors(*site_weights):

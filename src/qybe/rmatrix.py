@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qarith import (
+    DegenerateParameterError,
     DeformParams,
     OSPQ12,
     SLQ2,
@@ -119,10 +120,17 @@ def hecke_family(table, chi=None):
     the singlet projector of `table`, the coupling table of V^r (x) V^r.
 
     The coefficient function is parameterized by the triple-overlap scalar
-    chi alone, so one code path covers both symmetry classes."""
+    chi alone, so one code path covers both symmetry classes.  Raises
+    DegenerateParameterError when the degeneration point u0 is not finite
+    (at extreme q, chi is so small that 1 - 4 chi rounds to 1)."""
     rep, params = table.rep1, table.rep1.params
     if chi is None:
         chi = chi_factor(table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u0 = u0_point(chi, params.a)
+    if not np.isfinite(u0):
+        raise DegenerateParameterError(f"the degeneration point u0 = {u0} is not finite "
+                                       f"at chi = {chi}")
     P1 = projector(table, 1).matrix
     I = np.eye(rep.r ** 2)
     a = params.a
@@ -141,7 +149,7 @@ def hecke_family(table, chi=None):
 
     return SpectralRMatrix(
         r1=rep.r, r2=rep.r, family="hecke", params=params,
-        chi=chi, u0=u0_point(chi, a), check_fn=check_fn, swap=swap, space=sp,
+        chi=chi, u0=u0, check_fn=check_fn, swap=swap, space=sp,
         parities=rep.parities,
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * a * complex(u)),

@@ -8,24 +8,23 @@ monodromy is built along the auxiliary bond by tensor contractions, with the
 Koszul signs of an even R reduced to sign vectors, and the auxiliary trace is
 taken inside the last contraction.  A 512-dimensional three-site chain thus
 costs tensor contractions instead of products of 4096-dimensional matrices,
-for sl_q(2) and osp_q(1|2) alike.  The dense Hamiltonians and spectra keep
-chains within `qarith.DESK_BOUND` dimensions.
+for sl_q(2) and osp_q(1|2) alike, within `qarith.DESK_BOUND` dimensions.
 
-H and tau(u) conserve the total weight Delta^N(h), so the O(D^3) steps (the
-spectrum, the solve of the log-derivative, the products of the commutation
-check) run on their diagonal blocks, one weight sector at a time.
-`sector_blocks` refuses a matrix with an entry outside the blocks, so the
-block spectra are the spectrum.  The log-derivative Hamiltonian is returned
-as its sector blocks and never assembled.  A chain without site weights is
-one sector: the whole space.
+H and tau(u) conserve the total weight Delta^N(h), so every chain operator
+is returned as its diagonal blocks over `ChainSpec.sectors`, in that order,
+and the spectra and solves run one sector at a time.  H is summed bond by
+bond into its blocks; tau(u) is cut by `sector_blocks`, which refuses an
+entry outside the blocks, so the block spectra are the spectrum.  A chain
+without site weights is one sector: its one block is the whole matrix.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
-from .repspace import GradedOperator, Space, embed_at
+from .repspace import Space, local_product
 from .coupling import coupled_basis, ladder_weights, product_sectors
 from .fusion import descendant_coefficients, pair_cells, _four_site_ops
 from .rmatrix import SpectralRMatrix
@@ -61,27 +60,27 @@ class ChainSpec:
     def from_composite(U, n_sites):
         return ChainSpec(U.parities, n_sites, weights=tuple(ladder_weights(U.replike())))
 
+    @cached_property
     def sectors(self):
         """Index arrays of the product states of each total weight, in
-        increasing weight; Delta^N(h) is additive, so a state's weight is
-        the sum of its site weights.  Without site weights the chain is one
-        sector."""
+        increasing weight, built once per spec; Delta^N(h) is additive, so a
+        state's weight is the sum of its site weights.  Without site weights
+        the chain is one sector."""
         if self.weights is None:
             return [np.arange(self.site_dim ** self.n_sites)]
         return product_sectors(*[self.weights] * self.n_sites)
 
 
 def sector_blocks(M, sectors):
-    """The diagonal blocks M[s, s] of a matrix over the index arrays
+    """The diagonal blocks M[s, s] of an array over the index arrays
     `sectors`, which partition its rows.
 
     Raises QybeError when an entry outside the blocks exceeds
     1e-12 * max(1, max|M|): the blocks would then not carry M, and their
     spectra would not be its spectrum."""
-    m = M.matrix if isinstance(M, GradedOperator) else np.asarray(M)
     scale = off = 0.0
     for s in sectors:
-        rows = np.abs(m[s])
+        rows = np.abs(M[s])
         scale = max(scale, rows.max(initial=0.0))
         rows[:, s] = 0.0
         off = max(off, rows.max(initial=0.0))
@@ -89,12 +88,13 @@ def sector_blocks(M, sectors):
     if off > bound:
         raise QybeError(f"an entry of modulus {off:.3e} lies outside the weight sectors "
                         f"(bound {bound:.1e})")
-    return [m[np.ix_(s, s)] for s in sectors]
+    return [M[np.ix_(s, s)] for s in sectors]
 
 
 def transfer_matrix(spec, fam, u):
     """tau(u): graded partial trace over the auxiliary space of the ordered
-    product of non-check R-matrices along the chain.
+    product of non-check R-matrices along the chain, cut into its blocks
+    over `spec.sectors` by `sector_blocks`.
 
     The monodromy is contracted along the auxiliary bond one site at a time,
     and the last contraction sums the bond and the traced auxiliary index
@@ -124,8 +124,7 @@ def transfer_matrix(spec, fam, u):
     T = T * (-1.0) ** np.outer(pa, 1 + cols)[:, None, None, :]
     tau = np.tensordot(T, R4, axes=([0, 2], [2, 0]))  # (so, si, s_out, s_in)
     tau = tau.transpose(0, 2, 1, 3).reshape(d * ds, d * ds)
-    sp = Space(tuple([ds] * N), tuple([spec.parities] * N))
-    return GradedOperator(tau, sp, sp, label=f"tau({u})")
+    return sector_blocks(tau, spec.sectors)
 
 
 def bond_expansion_coefficients(U, step=1e-6):
@@ -153,43 +152,48 @@ def bond_expansion_coefficients(U, step=1e-6):
 def chain_bond(U):
     """The slope f0 and the bond operator Pbar + chibar Phat on U (x) U of
     the fused chain, chibar the ratio of the two measured expansion
-    coefficients: the bond term of sites (i+1, i) is f0 times the bond."""
+    coefficients: the bond term of sites (i+1, i) is f0 times the bond.
+    A zero or non-finite slope (it underflows as a -> 0) raises QybeError."""
     pbar, phat = pair_cells(U)
     c1p, c2p = bond_expansion_coefficients(U)
+    if c1p == 0 or not np.isfinite(c1p):
+        raise QybeError(f"the bond slope f0 = {c1p} is zero or not finite")
     return c1p, pbar + (c2p / c1p) * phat
 
 
-def hamiltonian_projector_form(U, n_sites):
-    """Nearest-neighbour Hamiltonian of the fused chain on (U^{r^2-1})^(x N),
-    f0 times the sum of the bond operator over the bonds, closed
-    periodically.  Bond i couples sites (i+1, i), the orientation of the
-    transfer matrix's log-derivative."""
-    if n_sites < 2:
-        raise QybeError(f"the chain Hamiltonian needs at least two sites, got {n_sites}")
+def hamiltonian_projector_form(U, spec):
+    """Nearest-neighbour Hamiltonian of the periodic chain `spec` of U sites,
+    f0 times the bond summed over the bonds, as its blocks over
+    `spec.sectors`; each block is summed bond by bond from the bond's
+    entries (`local_product`).  Bond i couples sites (i+1, i), the
+    orientation of the transfer matrix's log-derivative.  A spec whose site
+    is not U raises QybeError."""
+    N = spec.n_sites
+    if N < 2:
+        raise QybeError(f"the chain Hamiltonian needs at least two sites, got {N}")
+    if (tuple(spec.parities) != tuple(U.parities)
+            or spec.weights not in (None, tuple(ladder_weights(U.replike())))):
+        raise QybeError("the chain's site is not the composite space U")
     f0, bond = chain_bond(U)
-    dims = [U.dim] * n_sites
-    pars = [U.parities] * n_sites
-    H = f0 * sum(embed_at(bond, ((i + 1) % n_sites, i), dims, pars) for i in range(n_sites))
-    sp = Space(tuple(dims), tuple(pars))
-    return GradedOperator(H, sp, sp, label="H")
+    dims, pars = [U.dim] * N, [U.parities] * N
+    bonds = [local_product([(bond, ((i + 1) % N, i))], dims, pars, spec.sectors)
+             for i in range(N)]
+    return [f0 * sum(terms) for terms in zip(*bonds)]
 
 
 def hamiltonian_log_derivative(spec, fam, point=None, step=1e-6):
     """tau(u*)^-1 dtau/du at the regular point u* by central differences with
-    one Richardson step, solved in each weight sector of the chain; each
-    tau is cut into its sector blocks as soon as it is built.  Returns the
-    blocks of the Hamiltonian, in the order of `spec.sectors()`."""
+    one Richardson step, solved in each weight sector of the chain from the
+    sector blocks of tau.  Returns the blocks of the Hamiltonian, in the
+    order of `spec.sectors`."""
     point = point if point is not None else (fam.u0 or 0.0)
-    sectors = spec.sectors()
-
-    def blocks(u):
-        return sector_blocks(transfer_matrix(spec, fam, u), sectors)
 
     def ddu(h):
-        return [(tp - tm) / (2 * h) for tp, tm in zip(blocks(point + h), blocks(point - h))]
+        return [(tp - tm) / (2 * h) for tp, tm in zip(transfer_matrix(spec, fam, point + h),
+                                                      transfer_matrix(spec, fam, point - h))]
 
     return [np.linalg.solve(t0, (4 * d2 - d1) / 3)
-            for t0, d1, d2 in zip(blocks(point), ddu(step), ddu(step / 2))]
+            for t0, d1, d2 in zip(transfer_matrix(spec, fam, point), ddu(step), ddu(step / 2))]
 
 
 @dataclass
@@ -289,22 +293,18 @@ def _sum_route(table, cb, term):
     return np.outer(left, right)
 
 
-def spectrum(H, sectors=None, cluster_tol=1e-7):
-    """Eigenvalues sorted by real part rounded at the cluster tolerance, then
-    by imaginary part, plus a degeneracy table of clustered levels.  The
-    rounding keeps round-off in a real part from deciding the order of
-    levels that share it.
+def spectrum(blocks, cluster_tol=1e-7):
+    """Eigenvalues of the diagonal blocks of an operator (such as those the
+    chain builders return), sorted by real part rounded at the cluster
+    tolerance, then by imaginary part, plus a degeneracy table of clustered
+    levels.  The rounding keeps round-off in a real part from deciding the
+    order of levels that share it.
 
-    With `sectors` (index arrays of states that H does not mix, such as
-    ChainSpec.sectors) each diagonal block is diagonalized on its own.  Each
-    eigenvalue joins the nearest level within the tolerance, so a level
+    Each eigenvalue joins the nearest level within the tolerance, so a level
     whose members are not neighbours in the sort order stays whole; a
     level's value is the mean of its members in `np.sort_complex` order,
     which does not depend on the order the eigenvalues come in."""
-    m = H.matrix if isinstance(H, GradedOperator) else np.asarray(H)
-    if sectors is None:
-        sectors = [np.arange(m.shape[0])]
-    vals = np.concatenate([np.linalg.eigvals(b) for b in sector_blocks(m, sectors)])
+    vals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     vals = vals[np.lexsort((vals.imag, np.round(vals.real / cluster_tol)))]
     leads = np.zeros(len(vals), dtype=complex)
     counts = np.zeros(len(vals), dtype=int)

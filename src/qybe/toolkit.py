@@ -343,8 +343,9 @@ class Context:
                           self.composite(r, 2), n_sites)
 
     def hamiltonian(self, r, n_sites):
+        """The sector blocks of the projector-form Hamiltonian of that chain."""
         return self._once(("hamiltonian", r, n_sites), chains.hamiltonian_projector_form,
-                          self.composite(r, 2), n_sites)
+                          self.composite(r, 2), self.chain(r, n_sites))
 
     def commutant(self, r, n):
         """Centralizer bases of U^(x n) by both routes, U the pair space of r."""
@@ -460,9 +461,9 @@ def _lax_rll(ctx, rng, inputs):
     Rm = fam.swap @ fam.check_fn(u - w)
     site, weights = ladder_weights(rep), ladder_weights(U.gens)
     # the sector blocks carry both sides only if every factor conserves the weight
-    chains.sector_blocks(Rm, product_sectors(site, site))
-    for L in (L13, L23):
-        chains.sector_blocks(L, product_sectors(site, weights))
+    vu = product_sectors(site, weights)
+    for M, sectors in ((Rm, product_sectors(site, site)), (L13, vu), (L23, vu)):
+        chains.sector_blocks(M, sectors)
     dims = [rep.r, rep.r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
     sectors = product_sectors(site, site, weights)
@@ -491,9 +492,8 @@ def _transfer_commutation(ctx, rng, inputs):
     """[tau(u), tau(w)] on the entries of their weight-sector blocks."""
     dfam = ctx.descendant(inputs["r"])
     spec = ctx.chain(inputs["r"], inputs["N"])
-    sectors = spec.sectors()
     pts = random_points(rng, 4, guards=family_guards(dfam))
-    t = [chains.sector_blocks(chains.transfer_matrix(spec, dfam, u), sectors) for u in pts]
+    t = [chains.transfer_matrix(spec, dfam, u) for u in pts]
     return max(_blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
                for i in range(len(t)) for j in range(i + 1, len(t)))
 
@@ -503,11 +503,9 @@ def _hamiltonian_routes(ctx, rng, inputs):
     projector-form one; relative residual of the least-squares fit on the
     entries of their weight-sector blocks."""
     r, N = inputs["r"], inputs["N"]
-    spec = ctx.chain(r, N)
-    sectors = spec.sectors()
-    A = _entries(chains.hamiltonian_log_derivative(spec, ctx.descendant(r)))
-    B = _entries(chains.sector_blocks(ctx.hamiltonian(r, N), sectors))
-    X = np.stack([B, _entries(np.eye(len(s)) for s in sectors)], axis=1)
+    A = _entries(chains.hamiltonian_log_derivative(ctx.chain(r, N), ctx.descendant(r)))
+    H = ctx.hamiltonian(r, N)
+    X = np.stack([_entries(H), _entries(np.eye(len(h)) for h in H)], axis=1)
     coef, *_ = np.linalg.lstsq(X, A, rcond=None)
     return float(np.abs(X @ coef - A).max() / max(1.0, np.abs(A).max()))
 

@@ -1,8 +1,6 @@
 """Acceptance battery: one test per criterion, each printing a pass/fail line
 with the measured residual and its pinned tolerance."""
 
-import dataclasses
-
 import numpy as np
 
 from qybe import (
@@ -260,19 +258,19 @@ def test_criterion_09_chain_suite():
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     for N in (2, 3):
-        spec = ChainSpec.from_composite(U, N)
+        spec = ChainSpec(U.parities, N)  # no site weights: one block, the whole tau
         dim = U.dim ** N
         pts = random_points(rng, 10, guards=family_guards(fam), min_dist=0.1)
-        taus = [transfer_matrix(spec, fam, x).matrix for x in pts]
+        taus = [transfer_matrix(spec, fam, x)[0] for x in pts]
         worst = 0.0
         for k in range(5):
             t1, t2 = taus[2 * k], taus[2 * k + 1]
             worst = max(worst, rel_residual(t1 @ t2, t2 @ t1) / dim)
         report(9, f"commuting transfer matrices, N = {N} ({dim}-dim)",
                worst, 1e-12)
-    spec = ChainSpec.from_composite(U, 2)
-    Hlog = hamiltonian_log_derivative(dataclasses.replace(spec, weights=None), fam)[0]
-    H = hamiltonian_projector_form(U, 2).matrix
+    spec = ChainSpec(U.parities, 2)
+    Hlog = hamiltonian_log_derivative(spec, fam)[0]
+    H = hamiltonian_projector_form(U, spec)[0]
     X = np.stack([H.ravel(), np.eye(U.dim ** 2).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(X, Hlog.ravel(), rcond=None)
     resid = np.abs(X @ coef - Hlog.ravel()).max() / max(1, np.abs(Hlog).max())
@@ -289,7 +287,7 @@ def test_criterion_09_chain_suite():
     report(9, "bond terms commute with the algebra action on two cells",
            worst_inv, 1e-9)
     u = random_points(rng, 1, guards=family_guards(fam), min_dist=0.1)[0]
-    tau = transfer_matrix(spec, fam, u).matrix
+    tau = transfer_matrix(spec, fam, u)[0]
     report(9, "Hamiltonian commutes with the transfer matrix",
            rel_residual(H @ tau, tau @ H), 1e-8)
 

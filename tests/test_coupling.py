@@ -245,3 +245,17 @@ def test_coupled_basis_diagonalizes_pair_casimirs(params_sl):
     c34_full = np.kron(np.eye(d2), c12)
     both = cb.dual @ (c12_full + c34_full) @ cb.basis
     assert np.abs(both - np.diag(np.diag(both))).max() < 1e-9
+
+
+def test_weight_sectors_match_the_unique_reference(rng):
+    # the argsort grouping keeps np.unique's keys, key order and index arrays
+    from qybe.coupling import weight_sectors
+
+    for size in (0, 1, 7, 60):
+        for span in (1, 4, 20):
+            w = rng.integers(-span, span + 1, size=size) / 2 + rng.normal(scale=1e-9, size=size)
+            keys = np.round(2 * w).astype(int)
+            want = {int(k): np.flatnonzero(keys == k) for k in np.unique(keys)}
+            got = weight_sectors(w)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[k], want[k]) for k in want)

@@ -35,6 +35,12 @@ def chain_points(rng, count, fam):
     return random_points(rng, count, guards=family_guards(fam), min_dist=0.1)
 
 
+def whole(spec):
+    """The chain without site weights: one sector, so each chain builder
+    returns the whole matrix as its one block."""
+    return dataclasses.replace(spec, weights=None)
+
+
 def test_f0_matches_finite_difference(params_sl):
     from qybe import hecke_f
 
@@ -70,9 +76,9 @@ def test_transfer_matrices_commute_n2(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = ChainSpec.from_composite(U, 2)
+    spec = whole(ChainSpec.from_composite(U, 2))
     pts = chain_points(rng, 4, fam)
-    taus = [transfer_matrix(spec, fam, u).matrix for u in pts]
+    taus = [transfer_matrix(spec, fam, u)[0] for u in pts]
     for i in range(len(taus)):
         for j in range(i + 1, len(taus)):
             assert rel_residual(taus[i] @ taus[j], taus[j] @ taus[i]) < 64 * 1e-12
@@ -82,8 +88,8 @@ def test_transfer_matrix_regular_point_is_shift(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = ChainSpec.from_composite(U, 2)
-    t0 = transfer_matrix(spec, fam, 0.0).matrix
+    spec = whole(ChainSpec.from_composite(U, 2))
+    t0 = transfer_matrix(spec, fam, 0.0)[0]
     d = U.dim
     shift = np.zeros((d * d, d * d))
     for a in range(d):
@@ -97,9 +103,9 @@ def test_single_site_transfer_invariant(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = ChainSpec.from_composite(U, 1)
+    spec = whole(ChainSpec.from_composite(U, 1))
     u = chain_points(rng, 1, fam)[0]
-    tau = transfer_matrix(spec, fam, u).matrix
+    tau = transfer_matrix(spec, fam, u)[0]
     h = U.replike().H
     assert rel_residual(tau @ h, h @ tau) < 1e-10
 
@@ -112,9 +118,9 @@ def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
     rep = build_irrep(algebra, r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = dataclasses.replace(ChainSpec.from_composite(U, n_sites), weights=None)
+    spec = whole(ChainSpec.from_composite(U, n_sites))
     Hlog = hamiltonian_log_derivative(spec, fam)[0]
-    H = hamiltonian_projector_form(U, n_sites).matrix
+    H = hamiltonian_projector_form(U, spec)[0]
     X = np.stack([H.ravel(), np.eye(H.shape[0]).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(X, Hlog.ravel(), rcond=None)
     resid = np.abs(X @ coef - Hlog.ravel()).max() / max(1, np.abs(Hlog).max())
@@ -125,8 +131,23 @@ def test_chain_size_validation(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     with pytest.raises(QybeError):
         ChainSpec((0, 0, 0), 0)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     with pytest.raises(QybeError):
-        hamiltonian_projector_form(composite_space(hecke_family(cgc_table(rep, rep)), n=2), 1)
+        hamiltonian_projector_form(U, ChainSpec.from_composite(U, 1))
+
+
+@pytest.mark.parametrize("change", [
+    {"parities": (0,) * 8, "weights": None},  # eight states, as at r = 3
+    {"parities": (1, 0, 0)},  # one odd state
+    {"weights": (1.0, 0.0, -2.0)},
+])
+def test_hamiltonian_refuses_a_chain_of_other_sites(change, params_sl):
+    # the sectors of the spec decide the blocks, so they must be U's
+    rep = build_irrep(SLQ2, 2, params_sl)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    spec = dataclasses.replace(ChainSpec.from_composite(U, 2), **change)
+    with pytest.raises(QybeError, match="site is not"):
+        hamiltonian_projector_form(U, spec)
 
 
 def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
@@ -138,16 +159,16 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    H = hamiltonian_projector_form(U, 2).matrix
+    spec = whole(ChainSpec.from_composite(U, 2))
+    H = hamiltonian_projector_form(U, spec)[0]
     pair = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     bond = chain_bond(U)[1]
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
         assert rel_residual(bond @ D, D @ bond) < 1e-9
     assert rel_residual(H @ pair.H, pair.H @ H) < 1e-10
-    spec = ChainSpec.from_composite(U, 2)
     u = chain_points(rng, 1, fam)[0]
-    tau = transfer_matrix(spec, fam, u).matrix
+    tau = transfer_matrix(spec, fam, u)[0]
     assert rel_residual(H @ tau, tau @ H) < 1e-8
 
 
@@ -155,7 +176,7 @@ def test_hamiltonian_step_halving(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = dataclasses.replace(ChainSpec.from_composite(U, 3), weights=None)
+    spec = whole(ChainSpec.from_composite(U, 3))
     H1 = hamiltonian_log_derivative(spec, fam, step=1e-5)[0]
     H2 = hamiltonian_log_derivative(spec, fam, step=5e-6)[0]
     assert rel_residual(H1, H2) < 1e-6
@@ -266,20 +287,27 @@ def _same_table(ca, cb, tol):
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("n_sites", [2, 3])
-def test_sector_route_matches_whole_space(algebra, r, n_sites):
+def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
     # a chain spec without site weights is one sector, the whole space: the
-    # dense oracle of the blocked spectrum and log-derivative
+    # dense oracle of the blocks, the blocked spectrum and the log-derivative
     U = _pair_composite(algebra, r)
     spec = ChainSpec.from_composite(U, n_sites)
-    whole = dataclasses.replace(spec, weights=None)
-    H = hamiltonian_projector_form(U, n_sites)
-    vals, clusters = spectrum(H, spec.sectors())
-    want_vals, want_clusters = spectrum(H, whole.sectors())
+    fam = descendant_family(U)
+    u = chain_points(rng, 1, fam)[0]
+    # H summed per sector and the cut tau hold exactly the entries of the
+    # sector blocks of their whole-space matrices
+    for build in (lambda s: hamiltonian_projector_form(U, s),
+                  lambda s: transfer_matrix(s, fam, u)):
+        blocks = build(spec)
+        want = sector_blocks(build(whole(spec))[0], spec.sectors)
+        assert len(blocks) == len(want) == len(spec.sectors)
+        assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+    vals, clusters = spectrum(hamiltonian_projector_form(U, spec))
+    want_vals, want_clusters = spectrum(hamiltonian_projector_form(U, whole(spec)))
     assert _pairing_gap(vals, want_vals) < 1e-10
     assert _same_table(clusters, want_clusters, 1e-7)
-    fam = descendant_family(U)
     blocks = hamiltonian_log_derivative(spec, fam)
-    want = sector_blocks(hamiltonian_log_derivative(whole, fam)[0], spec.sectors())
+    want = sector_blocks(hamiltonian_log_derivative(whole(spec), fam)[0], spec.sectors)
     assert len(blocks) == len(want)
     for b, w in zip(blocks, want):
         assert rel_residual(b, w) < 1e-9
@@ -288,8 +316,9 @@ def test_sector_route_matches_whole_space(algebra, r, n_sites):
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_sector_blocks_refuse_an_off_sector_entry(algebra):
     U = _pair_composite(algebra, 3)
-    sectors = ChainSpec.from_composite(U, 2).sectors()
-    H = hamiltonian_projector_form(U, 2).matrix.copy()
+    spec = ChainSpec.from_composite(U, 2)
+    sectors = spec.sectors
+    H = hamiltonian_projector_form(U, whole(spec))[0]
     blocks = sector_blocks(H, sectors)
     for s, b in zip(sectors, blocks):
         assert np.array_equal(b, H[np.ix_(s, s)])
@@ -304,14 +333,15 @@ def test_sector_blocks_refuse_an_off_sector_entry(algebra):
 def test_sector_sizes(algebra, r, n_sites, count, largest):
     # sizes come from the site weights alone; nothing of chain size is built
     spec = ChainSpec.from_composite(_pair_composite(algebra, r), n_sites)
-    sectors = spec.sectors()
+    sectors = spec.sectors
+    assert spec.sectors is sectors  # built once per spec
     assert (len(sectors), max(len(s) for s in sectors)) == (count, largest)
     assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(spec.site_dim ** n_sites))
 
 
 def test_spectrum_clusters_levels_the_sort_separates():
     # 1j and 2e-19 + 1j are one level although 1e-19 + 2j sorts between them
-    vals, clusters = spectrum(np.diag([1j, 1e-19 + 2j, 2e-19 + 1j]))
+    vals, clusters = spectrum([np.diag([1j, 1e-19 + 2j, 2e-19 + 1j])])
     assert [count for _, count in clusters] == [2, 1]
     assert abs(clusters[0][0] - 1j) < 1e-15
 
@@ -319,10 +349,11 @@ def test_spectrum_clusters_levels_the_sort_separates():
 def test_spectrum_table_is_basis_independent():
     # the osp_q(1|2) r = 3 two-site chain has a 7-fold level on the imaginary
     # axis whose members sort among the other levels of real part 0
-    H = hamiltonian_projector_form(_pair_composite(OSPQ12, 3), 2).matrix
+    U = _pair_composite(OSPQ12, 3)
+    H = hamiltonian_projector_form(U, ChainSpec(U.parities, 2))[0]
     perm = np.random.default_rng(7).permutation(H.shape[0])
-    _, clusters = spectrum(H)
-    _, permuted = spectrum(H[np.ix_(perm, perm)])
+    _, clusters = spectrum([H])
+    _, permuted = spectrum([H[np.ix_(perm, perm)]])
     assert _same_table(clusters, permuted, 1e-7)
     assert sorted(count for _, count in clusters) == [1, 1, 1, 7, 7, 47]
 
@@ -331,7 +362,7 @@ def test_spectrum_order_ignores_real_round_off():
     # levels whose real parts differ by round-off sort by imaginary part,
     # whichever of them carries the larger real part
     for re in (1e-16, -1e-16):
-        vals, _ = spectrum(np.diag([re + 2j, -re + 1j]))
+        vals, _ = spectrum([np.diag([re + 2j, -re + 1j])])
         assert np.array_equal(vals.imag, [1.0, 2.0])
 
 
@@ -339,25 +370,28 @@ def test_spectrum_levels_ignore_eigenvalue_order():
     # a level is the mean of its members in one canonical order, so the
     # order of round-off-split members does not reach its last digits
     v = 1 + 0.1j + np.array([0, 3e-16, 7e-16, 1e-16, -5e-16])
-    levels = {spectrum(np.diag(v[list(p)]))[1][0] for p in itertools.permutations(range(5))}
+    levels = {spectrum([np.diag(v[list(p)])])[1][0] for p in itertools.permutations(range(5))}
     assert len(levels) == 1
 
 
 def test_hamiltonian_projector_form_peak_memory():
-    # H is summed bond by bond: no list of whole-space bond terms is kept
+    # H is summed bond by bond into its sector blocks: not even one
+    # whole-space complex matrix is formed
     U = _pair_composite(SLQ2, 3)
+    spec = ChainSpec.from_composite(U, 3)
+    spec.sectors  # built before tracing, so the peak is H's own
     D = U.dim ** 3
     tracemalloc.start()
     try:
-        hamiltonian_projector_form(U, 3)
+        hamiltonian_projector_form(U, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * D * D * 16
+    assert peak < D * D * 16
 
 
 def test_spectrum_zero_matrix():
-    vals, clusters = spectrum(np.zeros((5, 5)))
+    vals, clusters = spectrum([np.zeros((5, 5))])
     assert np.abs(vals).max() == 0
     assert clusters[0][1] == 5
 
@@ -368,13 +402,13 @@ def test_spectrum_descendant_chain_consistency(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = dataclasses.replace(ChainSpec.from_composite(U, 2), weights=None)
+    spec = whole(ChainSpec.from_composite(U, 2))
     Hlog = hamiltonian_log_derivative(spec, fam)[0]
-    H = hamiltonian_projector_form(U, 2).matrix
+    H = hamiltonian_projector_form(U, spec)[0]
     X = np.stack([H.ravel(), np.eye(9).ravel()], axis=1)
     coef, *_ = np.linalg.lstsq(X, Hlog.ravel(), rcond=None)
-    vals1, _ = spectrum(Hlog)
-    vals2, _ = spectrum(coef[0] * H + coef[1] * np.eye(9))
+    vals1, _ = spectrum([Hlog])
+    vals2, _ = spectrum([coef[0] * H + coef[1] * np.eye(9)])
     assert np.abs(np.sort(vals1.real) - np.sort(vals2.real)).max() < 1e-6
 
 
@@ -385,7 +419,8 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
 
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    vals, clusters = spectrum(hamiltonian_projector_form(U, 2), cluster_tol=1e-6)
+    vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec.from_composite(U, 2)),
+                              cluster_tol=1e-6)
     chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
     dims = sorted(b.r for b in decompose(chain, params_sl).blocks)
     reachable = {0}
@@ -400,10 +435,10 @@ def test_graded_chain_transfer_commutes(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = ChainSpec.from_composite(U, 2)
+    spec = whole(ChainSpec.from_composite(U, 2))
     pts = chain_points(rng, 2, fam)
-    t1 = transfer_matrix(spec, fam, pts[0]).matrix
-    t2 = transfer_matrix(spec, fam, pts[1]).matrix
+    t1 = transfer_matrix(spec, fam, pts[0])[0]
+    t2 = transfer_matrix(spec, fam, pts[1])[0]
     assert rel_residual(t1 @ t2, t2 @ t1) < 64 * 1e-12
 
 
@@ -427,7 +462,7 @@ def _dense_transfer_times(spec, R, V):
 def _check_against_dense(spec, R, rng):
     d = spec.site_dim ** spec.n_sites
     V = rng.normal(size=(d, 8)) + 1j * rng.normal(size=(d, 8))
-    tau = transfer_matrix(spec, R, 0.0).matrix
+    tau = transfer_matrix(whole(spec), R, 0.0)[0]
     want = _dense_transfer_times(spec, R, V)
     assert np.abs(tau @ V - want).max() < 1e-12 * np.abs(want).max()
 

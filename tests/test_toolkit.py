@@ -1,6 +1,10 @@
+import argparse
 import io
 import json
 import os
+import shlex
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -246,6 +250,20 @@ def test_cli_chain_builds_each_chain_once(tmp_path, monkeypatch):
     assert built == [3, 8]
 
 
+def test_cli_chain_computes_each_chain_sectors_once(tmp_path, monkeypatch):
+    # the spectrum, tau and both Hamiltonians of a chain share its sectors
+    calls = []
+    product_sectors = spinchain.product_sectors
+
+    def counting(*weights):
+        calls.append(len(weights))
+        return product_sectors(*weights)
+
+    monkeypatch.setattr(spinchain, "product_sectors", counting)
+    assert cli_dispatch(["--out", str(tmp_path), "chain", "--r", "2", "3", "--sites", "3"]) == 0
+    assert calls == [3, 3]
+
+
 def test_cli_commutant(tmp_path):
     code = cli_dispatch([
         "--algebra", "slq2", "--out", str(tmp_path),
@@ -268,6 +286,8 @@ def test_cli_computation_failure_exits_1(tmp_path):
     ["--qi", "inf", "verify-all", "--r", "2"],
     ["--a", "nan", "verify-all", "--r", "2"],
     ["--q", "1e30", "verify-all", "--r", "2"],
+    ["--q", "1e9", "chain", "--r", "2", "--sites", "2"],   # u0 is not finite
+    ["--a", "1e-12", "chain", "--r", "2", "--sites", "2"],  # the bond slope underflows
     ["chain", "--r", "2", "--sites", "0"],
     ["chain", "--r", "2", "--sites", "1"],
     ["chain", "--r", "3", "--sites", "5"],
@@ -291,6 +311,17 @@ def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     assert report["checks"][0]["error"]
     # the request is refused before any artifact is written
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_cli_degenerate_q_fails_each_check_with_its_error(tmp_path):
+    # at q = 1e-9 the Hecke family has no finite degeneration point: every
+    # check that needs it fails with that error, and the report is written
+    assert cli_dispatch(["--q", "1e-9", "--out", str(tmp_path), "verify-all", "--r", "2"]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert failed and report["summary"]["failed"] == len(failed)
+    assert all(c["error"] and c["residual"] is None for c in failed)
+    assert any("degeneration point" in c["error"] for c in failed)
 
 
 @pytest.mark.parametrize("text", [
@@ -545,3 +576,45 @@ def test_cli_subcommand(command, tmp_path, monkeypatch):
             op = deserialize_operator(doc)
             meta = doc["meta"]
             assert serialize_operator(op, meta["algebra"], complex(*meta["q"])) == doc
+
+
+def _readme_section(title):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's command-line block is a valid command,
+    # and every subcommand has a row in its table
+    section = _readme_section("Command line")
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("qybe ")]
+    assert len(lines) >= 10
+    for line in lines:
+        cli._parser().parse_args(shlex.split(line, comments=True)[1:])
+    rows = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+    commands = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) <= rows
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique without return flags imports numpy.ma (13-20 ms a process
+    # under numpy 2.4); the sector grouping and the component solver do not
+    import qybe
+
+    script = """
+import sys
+from qybe.cli import cli_dispatch
+for argv in (["verify-all", "--r", "2"], ["commutant", "--r", "2"],
+             ["chain", "--r", "2", "--sites", "2"]):
+    assert cli_dispatch(["--out", sys.argv[1]] + argv) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qybe.__file__)))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
