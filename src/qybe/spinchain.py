@@ -4,18 +4,24 @@ spectra.  `chain_bond` defines the bond operator of the fused chain in one
 place; the projector-form Hamiltonian is f0 times its sum over the bonds.
 
 Transfer matrices of graded and ungraded chains share one contraction: the
-monodromy is built along the auxiliary bond by tensor contractions, with the
+monodromy is built along the auxiliary bond one site at a time, with the
 Koszul signs of an even R reduced to sign vectors, and the auxiliary trace is
-taken inside the last contraction.  A 512-dimensional three-site chain thus
-costs tensor contractions instead of products of 4096-dimensional matrices,
-for sl_q(2) and osp_q(1|2) alike, within `qarith.DESK_BOUND` dimensions.
+taken inside the last contraction.  R conserves the weight, so the
+contraction runs over the weight-allowed monodromy entries only, one GEMM
+per pair of auxiliary weights (the block-sparse contraction of U(1)-symmetric
+tensors, Singh, Pfeifer & Vidal, Phys. Rev. B 83, 115125 (2011)), from a
+gather/scatter plan built once per `ChainSpec`.  No array of the chain's
+squared dimension is formed, for sl_q(2) and osp_q(1|2) alike, within
+`qarith.DESK_BOUND` dimensions.
 
 H and tau(u) conserve the total weight Delta^N(h), so every chain operator
 is returned as its diagonal blocks over `ChainSpec.sectors`, in that order,
 and the spectra and solves run one sector at a time.  H is summed bond by
-bond into its blocks; tau(u) is cut by `sector_blocks`, which refuses an
-entry outside the blocks, so the block spectra are the spectrum.  A chain
-without site weights is one sector: its one block is the whole matrix.
+bond into its blocks; tau(u) is contracted into its blocks once
+`sector_blocks` has found no R entry between the aux (x) site sectors, so
+the block spectra are the spectrum.  A chain without site weights is one
+sector: its one block is the whole matrix, and tau runs the same GEMMs with
+one weight group.
 """
 
 from dataclasses import dataclass
@@ -24,8 +30,14 @@ from functools import cached_property
 import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
-from .repspace import Space, local_product
-from .coupling import coupled_basis, ladder_weights, product_sectors
+from .repspace import local_product
+from .coupling import (
+    coupled_basis,
+    ladder_weights,
+    product_sectors,
+    product_weights,
+    weight_sectors,
+)
 from .fusion import descendant_coefficients, pair_cells, _four_site_ops
 from .rmatrix import SpectralRMatrix
 
@@ -34,14 +46,20 @@ from .rmatrix import SpectralRMatrix
 class ChainSpec:
     """Periodic chain of `n_sites` identical sites with the given state
     parities and a chosen auxiliary (the site space unless given); `weights`
-    are the ladder weights of the site states, when known."""
+    are the ladder weights of the site states, when known, and `aux_weights`
+    those of the auxiliary states.  An auxiliary with the site's parities is
+    the site, and its weights default to the site's; a distinct auxiliary of
+    a chain with site weights must be given its own.  Without site weights
+    the chain is one sector and no weight is used."""
 
     parities: tuple
     n_sites: int
     aux_parities: tuple = None
     weights: tuple = None
+    aux_weights: tuple = None
 
     def __post_init__(self):
+        aux_is_site = self.aux_parities is None or tuple(self.aux_parities) == tuple(self.parities)
         if self.aux_parities is None:
             self.aux_parities = self.parities
         if self.n_sites < 1:
@@ -51,6 +69,14 @@ class ChainSpec:
                             f"{DESK_BOUND}")
         if self.weights is not None and len(self.weights) != self.site_dim:
             raise QybeError(f"{len(self.weights)} site weights for {self.site_dim} site states")
+        if self.aux_weights is None and self.weights is not None:
+            if not aux_is_site:
+                raise QybeError("a chain with site weights and a distinct auxiliary needs "
+                                "aux_weights")
+            self.aux_weights = self.weights
+        if self.aux_weights is not None and len(self.aux_weights) != len(self.aux_parities):
+            raise QybeError(f"{len(self.aux_weights)} auxiliary weights for "
+                            f"{len(self.aux_parities)} auxiliary states")
 
     @property
     def site_dim(self):
@@ -69,6 +95,11 @@ class ChainSpec:
         if self.weights is None:
             return [np.arange(self.site_dim ** self.n_sites)]
         return product_sectors(*[self.weights] * self.n_sites)
+
+    @cached_property
+    def transfer_plan(self):
+        """The gathers and scatters of `transfer_matrix`, built once per spec."""
+        return _TransferPlan(self)
 
 
 def sector_blocks(M, sectors):
@@ -91,40 +122,186 @@ def sector_blocks(M, sectors):
     return [M[np.ix_(s, s)] for s in sectors]
 
 
+def _groups(keys):
+    """Indices of equal integer keys, keyed by the key, in increasing key
+    order (`weight_sectors` keys by twice a weight)."""
+    return weight_sectors(np.asarray(keys) / 2)
+
+
+def _rank(groups, size):
+    """The position of each index within its group."""
+    out = np.empty(size, dtype=np.intp)
+    for g in groups.values():
+        out[g] = np.arange(g.size)
+    return out
+
+
+class _TransferPlan:
+    """Where each entry of the blocked monodromy comes from and goes to.
+
+    Weights enter as integer keys, twice the weights.  The monodromy of k
+    sites T(a, S_out, b, S_in) obeys w(a) + W(S_out) = w(b) + W(S_in), w the
+    weight of an auxiliary state and W the total weight of a run of site
+    states.  T is held as one flat array: for each weight beta of b, its
+    rows (a, S_out, S_in) times the states b of that weight; then one zero.
+    A site step multiplies the rows of beta by the R entries
+    (b, s_out, b', s_in) with b of weight beta and b' of weight beta', one
+    GEMM per (beta, beta'), and its product rows (a, S_out s_out, S_in s_in)
+    are a slice of the rows of beta' in the next T: it writes in place.
+
+    The closing crossing, with the supertrace over a = b_N, is one GEMM per
+    difference delta = w(b) - w(a): rows the (S_out, S_in) with
+    W(S_out) - W(S_in) = delta, gathered from T (the trailing zero where the
+    intermediate weights had no auxiliary state), inner index the pairs
+    (a, b), columns the last site's (s_out, s_in).  The products are
+    scattered into one flat buffer whose slices are the tau blocks over
+    `spec.sectors`."""
+
+    def __init__(self, spec):
+        da, ds, N = len(spec.aux_parities), spec.site_dim, spec.n_sites
+        if spec.weights is None:  # one weight group
+            ka, ks = np.zeros(da, int), np.zeros(ds, int)
+        else:
+            ka, ks = (np.round(2 * np.asarray(w)).astype(int)
+                      for w in (spec.aux_weights, spec.weights))
+        aux = _groups(ka)
+        site_pairs = _groups(np.subtract.outer(ks, ks).ravel())  # s_out * ds + s_in
+        self.r_sectors = list(_groups(np.add.outer(ka, ks).ravel()).values())
+
+        # the R entries of each (beta, beta') block, (b, pair, b') row-major
+        gather, blocks = [], {}
+        for b2, ib2 in aux.items():
+            for b, ib in aux.items():
+                if b2 - b in site_pairs:
+                    so, si = np.divmod(site_pairs[b2 - b], ds)
+                    idx = ((ib[:, None, None] * ds + so[:, None]) * da + ib2) * ds + si[:, None]
+                    w0 = sum(g.size for g in gather)
+                    blocks[b, b2] = (slice(w0, w0 + idx.size), so.size * ib2.size)
+                    gather.append(idx.ravel())
+        self.step = np.concatenate(gather)
+
+        # the labels (a, S_out, S_in) of the rows of each beta
+        rows = {b: (ib, np.zeros(ib.size, int), np.zeros(ib.size, int)) for b, ib in aux.items()}
+        self.start = np.concatenate([np.eye(ib.size).ravel() for ib in aux.values()] + [[0.0]])
+        self.steps = []
+        for _ in range(N - 1):
+            t0 = np.cumsum([0] + [rows[b][0].size * ib.size for b, ib in aux.items()])
+            offset = dict(zip(aux, t0.tolist()))
+            moves, new, o0 = [], {}, 0
+            for b2 in aux:
+                labels = []
+                for b, ib in aux.items():
+                    A, So, Si = rows[b]
+                    if (b, b2) not in blocks or not A.size:
+                        continue
+                    w, cols = blocks[b, b2]
+                    moves.append((slice(offset[b], offset[b] + A.size * ib.size), ib.size, w,
+                                  slice(o0, o0 + A.size * cols), A.size))
+                    o0 += A.size * cols
+                    so, si = np.divmod(site_pairs[b2 - b], ds)
+                    labels.append((np.repeat(A, so.size), (So[:, None] * ds + so).ravel(),
+                                   (Si[:, None] * ds + si).ravel()))
+                new[b2] = (tuple(np.concatenate(x) for x in zip(*labels)) if labels
+                           else (np.zeros(0, int),) * 3)
+            self.steps.append((moves, o0))
+            rows = new
+
+        # the closing GEMMs, one per delta: L rows (S_out, S_in) as
+        # S_out * d + S_in, inner index (a, b) as a * da + b
+        d = ds ** (N - 1)
+        WS = product_weights(*[ks] * (N - 1)).astype(int)
+        chain_pairs = _groups(np.subtract.outer(WS, WS).ravel())
+        aux_pairs = _groups(np.subtract.outer(ka, ka).T.ravel())
+        bsize = np.array([s.size for s in spec.sectors])
+        boff = np.cumsum(np.concatenate(([0], bsize ** 2)))
+        sec, loc = np.empty(d * ds, np.intp), np.empty(d * ds, np.intp)
+        for k, s in enumerate(spec.sectors):
+            sec[s], loc[s] = k, np.arange(s.size)
+        self.size = int(boff[-1])
+        self.blocks = list(zip(boff.tolist(), bsize.tolist()))
+        loff, lwidth, self.ends, rgather, scatter = {}, {}, [], [], []
+        l0 = c0 = s0 = 0
+        for delta, iab in aux_pairs.items():
+            P, Q = chain_pairs.get(delta), site_pairs.get(-delta)
+            loff[delta], lwidth[delta] = l0, iab.size
+            l0 += (0 if P is None else P.size) * iab.size
+            if P is None or Q is None:
+                continue
+            a, b = np.divmod(iab, da)
+            so, si = np.divmod(Q, ds)
+            rgather.append((((b[:, None] * ds + so) * da + a[:, None]) * ds + si).ravel())
+            So, Si = np.divmod(P, d)
+            I, J = So[:, None] * ds + so, Si[:, None] * ds + si
+            scatter.append((boff[sec[I]] + loc[I] * bsize[sec[I]] + loc[J]).ravel())
+            self.ends.append((slice(loff[delta], l0), P.size, slice(c0, c0 + iab.size * Q.size),
+                              Q.size, slice(s0, s0 + P.size * Q.size)))
+            c0 += iab.size * Q.size
+            s0 += P.size * Q.size
+        self.rclose = np.concatenate(rgather or [np.zeros(0, np.intp)])
+        self.scatter = np.concatenate(scatter or [np.zeros(0, np.intp)])
+
+        # where each entry of T sits in the closing rows, and the closing
+        # weight (-1)^(p(a) (1 + p(S_in))) of its row
+        pa = np.asarray(spec.aux_parities)
+        PS = product_weights(*[spec.parities] * (N - 1)).astype(int) % 2
+        prow, pab = _rank(chain_pairs, d * d), _rank(aux_pairs, da * da)
+        size = sum(rows[b][0].size * ib.size for b, ib in aux.items())
+        self.close = np.full(l0, size, dtype=np.intp)
+        self.flip = np.zeros(l0, bool) if pa.any() else None
+        t0 = 0
+        for b, ib in aux.items():
+            A, So, Si = rows[b]
+            lo = np.array([loff.get(b - k, 0) for k in ka.tolist()])
+            width = np.array([lwidth.get(b - k, 0) for k in ka.tolist()])
+            dest = (lo[A] + prow[So * d + Si] * width[A])[:, None] + pab[A[:, None] * da + ib]
+            dest = dest.ravel()
+            self.close[dest] = np.arange(t0, t0 + dest.size)
+            if self.flip is not None:
+                self.flip[dest] = np.repeat(pa[A] * (1 + PS[Si]) % 2 == 1, ib.size)
+            t0 += dest.size
+
+
 def transfer_matrix(spec, fam, u):
     """tau(u): graded partial trace over the auxiliary space of the ordered
-    product of non-check R-matrices along the chain, cut into its blocks
-    over `spec.sectors` by `sector_blocks`.
+    product of non-check R-matrices along the chain, as its blocks over
+    `spec.sectors`.
 
-    The monodromy is contracted along the auxiliary bond one site at a time,
-    and the last contraction sums the bond and the traced auxiliary index
-    together, so the full aux (x) chain monodromy is never formed.  R is
-    even, so the Koszul signs of the graded product reduce to a factor
-    (-1)^(p(a_in) p(s_in)) on each crossing and a closing weight on the
-    traced index a: (-1)^p(a) on even-parity columns, 1 on odd ones.  The
-    last crossing's own factor cancels against its share of that weight."""
+    R must conserve the weight: `sector_blocks` refuses an R entry between
+    the aux (x) site sectors, and then tau conserves the weight too.  The
+    monodromy is contracted along the auxiliary bond one site at a time,
+    over the weight-allowed entries only (`_TransferPlan`), and the last
+    contraction sums the bond and the traced auxiliary index together and
+    writes the tau blocks, so neither the aux (x) chain monodromy nor the
+    whole tau is formed.  R is even, so the Koszul signs of the graded
+    product reduce to a factor (-1)^(p(a_in) p(s_in)) on each crossing and a
+    closing weight on the traced index a: (-1)^p(a) on even-parity columns,
+    1 on odd ones.  The last crossing's own factor cancels against its share
+    of that weight.  A chain without site weights is one block, contracted
+    by the same GEMMs with one weight group."""
     R = fam.noncheck(u).matrix if isinstance(fam, SpectralRMatrix) else np.asarray(fam)
-    da = len(spec.aux_parities)
-    ds = spec.site_dim
-    N = spec.n_sites
+    da, ds = len(spec.aux_parities), spec.site_dim
     if R.shape != (da * ds, da * ds):
         raise QybeError("R does not act on aux (x) site")
+    plan = spec.transfer_plan
+    sector_blocks(R, plan.r_sectors)
     pa = np.asarray(spec.aux_parities)
-    R4 = R.reshape(da, ds, da, ds)  # (a_out, s_out, a_in, s_in)
-    W = R4 * (-1.0) ** np.outer(pa, spec.parities)[None, None]
-    T = np.eye(da, dtype=complex)[:, None, :, None]  # (a, s_out, b, s_in), no sites yet
-    for _ in range(N - 1):
-        d = T.shape[1]
-        T = np.tensordot(T, W, axes=([2], [0]))  # (a, so, si, s_out, b, s_in)
-        T = T.transpose(0, 1, 3, 4, 2, 5).reshape(da, d * ds, da, d * ds)
-    # closing weight of the traced index a (= a_0 = a_N) against the column
-    # parity of the first N-1 sites; the last crossing then goes unsigned
-    d = T.shape[1]
-    cols = Space(tuple([ds] * (N - 1)), tuple([spec.parities] * (N - 1))).flat_parities()
-    T = T * (-1.0) ** np.outer(pa, 1 + cols)[:, None, None, :]
-    tau = np.tensordot(T, R4, axes=([0, 2], [2, 0]))  # (so, si, s_out, s_in)
-    tau = tau.transpose(0, 2, 1, 3).reshape(d * ds, d * ds)
-    return sector_blocks(tau, spec.sectors)
+    W = (R.reshape(da, ds, da, ds) * (-1.0) ** np.outer(pa, spec.parities)).ravel()[plan.step]
+    T = plan.start
+    for moves, size in plan.steps:
+        out = np.empty(size + 1, dtype=complex)
+        out[size] = 0.0
+        for t, nb, w, o, rows in moves:
+            np.matmul(T[t].reshape(rows, nb), W[w].reshape(nb, -1),
+                      out=out[o].reshape(rows, -1))
+        T = out
+    Rc = R.ravel()[plan.rclose]
+    tau = np.zeros(plan.size, dtype=complex)
+    for l, rows, c, cols, s in plan.ends:
+        L = T[plan.close[l]]
+        if plan.flip is not None:
+            np.negative(L, out=L, where=plan.flip[l])
+        tau[plan.scatter[s]] = (L.reshape(rows, -1) @ Rc[c].reshape(-1, cols)).ravel()
+    return [tau[o:o + n * n].reshape(n, n) for o, n in plan.blocks]
 
 
 def bond_expansion_coefficients(U, step=1e-6):

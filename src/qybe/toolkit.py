@@ -13,6 +13,7 @@ from .coupling import (
     casimir_projector,
     cgc_table,
     chi_closed,
+    chi_factor,
     ladder_weights,
     product_sectors,
     projector,
@@ -293,7 +294,8 @@ class Context:
     stream of the sample points, and the objects that checks and artifacts
     share, each built once per input.  Every object is built from the one of
     the layer below it: irrep -> coupling table -> Hecke family -> composite
-    space; the spin-1 fixtures use the sl_q(2) table of V^3 (x) V^3."""
+    space; chi is built from the table, and the Hecke family from both.  The
+    spin-1 fixtures use the sl_q(2) table of V^3 (x) V^3."""
 
     def __init__(self, config):
         self.config = config
@@ -313,8 +315,13 @@ class Context:
     def cgc(self, r1, r2):
         return self._once(("cgc", r1, r2), cgc_table, self.rep(r1), self.rep(r2))
 
+    def chi(self, r):
+        """The triple-overlap scalar of V^r (x) V^r, which needs no Hecke
+        family: it is computable where the family is refused."""
+        return self._once(("chi", r), chi_factor, self.cgc(r, r))
+
     def hecke(self, r):
-        return self._once(("hecke", r), hecke_family, self.cgc(r, r))
+        return self._once(("hecke", r), hecke_family, self.cgc(r, r), self.chi(r))
 
     def descendant(self, r):
         return self._once(("descendant", r), fusion.descendant_family, self.composite(r, 2))
@@ -394,7 +401,7 @@ def _projector_routes(ctx, rng, inputs):
 
 def _chi_closed_form(ctx, rng, inputs):
     algebra, r = ctx.config.algebra, inputs["r"]
-    return abs(ctx.hecke(r).chi - chi_closed(algebra, r, ctx.params.q))
+    return abs(ctx.chi(r) - chi_closed(algebra, r, ctx.params.q))
 
 
 def _family_ybe(fam, pts):

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, set before numpy is first imported: the suite's timings
+# and memory peaks then do not depend on how the library splits its work
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qybe import (
     OSPQ12,
@@ -17,6 +18,7 @@ from qybe import (
     composite_space,
     coupled_matrix_elements,
     descendant_family,
+    extended_lax,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
     hecke_family,
@@ -24,10 +26,11 @@ from qybe import (
     spectrum,
     transfer_matrix,
 )
+from qybe.coupling import ladder_weights, product_sectors
 from qybe.rmatrix import f_slope, rel_residual
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.spinchain import bond_expansion_coefficients
-from qybe.toolkit import family_guards, random_points
+from qybe.toolkit import Context, RunConfig, family_guards, random_points
 from conftest import params_for, pair_table
 
 
@@ -294,14 +297,18 @@ def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
     spec = ChainSpec.from_composite(U, n_sites)
     fam = descendant_family(U)
     u = chain_points(rng, 1, fam)[0]
-    # H summed per sector and the cut tau hold exactly the entries of the
-    # sector blocks of their whole-space matrices
-    for build in (lambda s: hamiltonian_projector_form(U, s),
-                  lambda s: transfer_matrix(s, fam, u)):
-        blocks = build(spec)
-        want = sector_blocks(build(whole(spec))[0], spec.sectors)
-        assert len(blocks) == len(want) == len(spec.sectors)
-        assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+    # H summed per sector holds exactly the entries of the sector blocks of
+    # the whole-space H; the blocked tau sums its GEMMs in another order than
+    # the one-group contraction, so it matches them to round-off
+    blocks = hamiltonian_projector_form(U, spec)
+    want = sector_blocks(hamiltonian_projector_form(U, whole(spec))[0], spec.sectors)
+    assert len(blocks) == len(want) == len(spec.sectors)
+    assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+    blocks = transfer_matrix(spec, fam, u)
+    tau = transfer_matrix(whole(spec), fam, u)[0]
+    want = sector_blocks(tau, spec.sectors)
+    assert len(blocks) == len(want)
+    assert max(np.abs(b - w).max() for b, w in zip(blocks, want)) <= 1e-14 * np.abs(tau).max()
     vals, clusters = spectrum(hamiltonian_projector_form(U, spec))
     want_vals, want_clusters = spectrum(hamiltonian_projector_form(U, whole(spec)))
     assert _pairing_gap(vals, want_vals) < 1e-10
@@ -460,11 +467,16 @@ def _dense_transfer_times(spec, R, V):
 
 
 def _check_against_dense(spec, R, rng):
+    """tau of the spec, from its sector blocks, and tau of the whole space
+    both apply as the dense product does."""
     d = spec.site_dim ** spec.n_sites
     V = rng.normal(size=(d, 8)) + 1j * rng.normal(size=(d, 8))
-    tau = transfer_matrix(whole(spec), R, 0.0)[0]
     want = _dense_transfer_times(spec, R, V)
-    assert np.abs(tau @ V - want).max() < 1e-12 * np.abs(want).max()
+    for s in [spec] if spec.weights is None else [spec, whole(spec)]:
+        got = np.zeros_like(V)
+        for rows, block in zip(s.sectors, transfer_matrix(s, R, 0.0)):
+            got[rows] = block @ V[rows]
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -476,6 +488,108 @@ def test_graded_transfer_matches_dense_product(r, n_sites, params_osp, rng):
     spec = ChainSpec.from_composite(U, n_sites)
     R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
     _check_against_dense(spec, R, rng)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_weighted_transfer_matches_dense_product(r, n_sites, params_sl, rng):
+    # the sl_q(2) chains, weighted; the osp_q(1|2) ones are the case above
+    U = _pair_composite(SLQ2, r)
+    fam = descendant_family(U)
+    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
+    _check_against_dense(ChainSpec.from_composite(U, n_sites), R, rng)
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_lax_auxiliary_transfer_matches_dense_product(algebra, n_sites, rng):
+    # tau_V: the extended Lax operator on V^r (x) U, the auxiliary V^r
+    U = _pair_composite(algebra, 2)
+    spec = ChainSpec(U.parities, n_sites, aux_parities=U.rep.parities,
+                     weights=tuple(ladder_weights(U.replike())),
+                     aux_weights=tuple(ladder_weights(U.rep)))
+    _check_against_dense(spec, extended_lax(U, 0.37 + 0.11j).matrix, rng)
+
+
+@st.composite
+def _weighted_chains(draw):
+    """A random chain with integer weights on site and auxiliary, and an R
+    that conserves both the weight and the parity."""
+    def states(max_size):
+        n = draw(st.integers(1, max_size))
+        return (tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+                tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+
+    (site, ws), (aux, wa) = states(3), states(3)
+    n_sites = draw(st.integers(1, 4))
+    spec = ChainSpec(site, n_sites, aux_parities=aux, weights=ws, aux_weights=wa)
+    par = np.add.outer(aux, site).ravel() % 2
+    weight = np.add.outer(wa, ws).ravel()
+    keep = (par[:, None] == par[None, :]) & (weight[:, None] == weight[None, :])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    R = (rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape)) * keep
+    return spec, R, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_chains())
+def test_weighted_transfer_matches_dense_product_random(case):
+    _check_against_dense(*case)
+
+
+def test_transfer_refuses_an_r_that_moves_the_weight(rng):
+    U = _pair_composite(SLQ2, 3)
+    fam = descendant_family(U)
+    spec = ChainSpec.from_composite(U, 2)
+    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix.copy()
+    sectors = product_sectors(spec.aux_weights, spec.weights)
+    R[sectors[0][0], sectors[1][0]] = 1e-6
+    with pytest.raises(QybeError, match="outside the weight sectors"):
+        transfer_matrix(spec, R, 0.0)
+
+
+def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
+    ctx = Context(RunConfig(r_list=(2,)))
+    dfam = ctx.descendant(2)
+    w = ladder_weights(ctx.composite(2, 2).replike())
+    sectors = product_sectors(w, w)
+
+    def planted(u):
+        m = dfam.check_fn(u).copy()
+        m[sectors[0][0], sectors[1][0]] = 1e-6
+        return m
+
+    ctx._built["descendant", 2] = dataclasses.replace(dfam, check_fn=planted)
+    assert not ctx.check("transfer-commutation", r=2, N=2)
+    assert "outside the weight sectors" in ctx.report.checks[-1]["error"]
+
+
+def test_distinct_auxiliary_needs_its_weights():
+    with pytest.raises(QybeError, match="aux_weights"):
+        ChainSpec((0, 0, 0), 2, aux_parities=(0, 0), weights=(1.0, 0.0, -1.0))
+    with pytest.raises(QybeError, match="auxiliary weights"):
+        ChainSpec((0, 0, 0), 2, aux_parities=(0, 0), weights=(1.0, 0.0, -1.0),
+                  aux_weights=(0.5,))
+    spec = ChainSpec((0, 0, 0), 2, weights=(1.0, 0.0, -1.0))
+    assert spec.aux_weights == spec.weights
+
+
+def test_transfer_matrix_peak_memory(rng):
+    # with its plan built, tau is contracted over the weight-allowed entries
+    # only: not even one whole-space complex matrix is formed
+    U = _pair_composite(SLQ2, 3)
+    fam = descendant_family(U)
+    spec = ChainSpec.from_composite(U, 3)
+    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
+    spec.transfer_plan
+    D = U.dim ** 3
+    tracemalloc.start()
+    try:
+        transfer_matrix(spec, R, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < D * D * 16
 
 
 @pytest.mark.parametrize("aux,site", [((0, 1), (0, 0, 0)), ((1, 0, 1), (0, 1))])

@@ -322,6 +322,10 @@ def test_cli_degenerate_q_fails_each_check_with_its_error(tmp_path):
     assert failed and report["summary"]["failed"] == len(failed)
     assert all(c["error"] and c["residual"] is None for c in failed)
     assert any("degeneration point" in c["error"] for c in failed)
+    # chi = chi_closed = 1e-18 needs no Hecke family, so its check passes
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["chi-closed-form r=2"]["passed"]
+    assert "degeneration point" in checks["hecke-ybe r=2"]["error"]
 
 
 @pytest.mark.parametrize("text", [
