@@ -16,15 +16,10 @@ from .qarith import (
     qr_shift,
 )
 from .repspace import (
-    GradedOperator,
     Irrep,
-    Space,
     build_irrep,
-    casimir,
     casimir_value,
-    coproduct,
     embed_at,
-    graded_kron,
     graded_permutation,
     invariant_metric,
     local_product,
@@ -65,10 +60,10 @@ from .fusion import (
 from .spinchain import (
     ChainSpec,
     chain_bond,
+    check_sectors,
     coupled_matrix_elements,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
-    sector_blocks,
     spectrum,
     transfer_matrix,
 )
@@ -82,8 +77,10 @@ from .commutant import (
     principal_angles,
 )
 from .toolkit import (
+    GradedOperator,
     Report,
     RunConfig,
+    Space,
     deserialize_operator,
     serialize_operator,
     verify_all,

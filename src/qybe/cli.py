@@ -13,11 +13,19 @@ import os
 import sys
 
 from .qarith import DESK_BOUND, OSPQ12, SLQ2, QybeError
-from .repspace import GradedOperator, Space
 from .coupling import projector, tensor_decompose
 from . import fusion
 from . import spinchain as chains
-from .toolkit import Context, Report, RunConfig, spectrum_csv, verify_all, write_operator
+from .toolkit import (
+    Context,
+    GradedOperator,
+    Report,
+    RunConfig,
+    Space,
+    spectrum_csv,
+    verify_all,
+    write_operator,
+)
 
 
 def _open(outdir, name):
@@ -64,12 +72,36 @@ def _config_from_file(path):
 
 # Each command writes its artifacts, then runs its checks from the table in
 # qybe.toolkit.  A QybeError while building an artifact ends the command.
+# The library returns plain arrays; here each one is given the label and the
+# factor parities of its document.
 
-def _write_op(ctx, name, op, algebra=None):
-    """The operator's document as one line of JSON, streamed to the file."""
+def _write_op(ctx, name, matrix, label, factors, codomain=None, algebra=None):
+    """The document of `matrix` on the product of `factors` (parity vectors;
+    the codomain's are `codomain` when they differ) as one line of JSON,
+    streamed to the file."""
+    domain = Space.of(*factors)
+    op = GradedOperator(matrix, domain, Space.of(*codomain) if codomain else domain, label)
     with _open(ctx.config.outdir, name) as fh:
         write_operator(fh, op, algebra or ctx.config.algebra, ctx.params.q)
     return fh.name
+
+
+def _write_check(ctx, name, fam, u, algebra=None):
+    """The check form of the spectral family `fam` at u."""
+    return _write_op(ctx, name, fam.check_fn(u), f"Rcheck[{fam.family}]({u})",
+                     [fam.parities] * 2, algebra=algebra)
+
+
+def _write_lax(ctx, name, U, u):
+    """The extended Lax operator on V^r (x) U at u."""
+    return _write_op(ctx, name, fusion.extended_lax(U, u), f"L[{U.rep.r},{U.n}]({u})",
+                     [U.rep.parities, U.parities])
+
+
+def _write_projector(ctx, name, r, r0):
+    """The projector onto the dimension-r0 block of V^r (x) V^r."""
+    return _write_op(ctx, name, projector(ctx.cgc(r, r), r0), f"P^{r0}",
+                     [ctx.rep(r).parities] * 2)
 
 
 def cmd_build_rep(args, ctx):
@@ -77,62 +109,58 @@ def cmd_build_rep(args, ctx):
     for r in ctx.config.r_list:
         rep = ctx.rep(r)
         for name, m in (("E", rep.E), ("F", rep.F), ("H", rep.H)):
-            _write_op(ctx, f"rep_{alg}_r{r}_{name}.json",
-                      GradedOperator(m, rep.space(), rep.space(), label=f"{name}[r={r}]"))
+            _write_op(ctx, f"rep_{alg}_r{r}_{name}.json", m, f"{name}[r={r}]", [rep.parities])
         ctx.check("algebra-relations", r=r)
 
 
 def cmd_cgc(args, ctx):
     r1, r2 = (ctx.config.r_list + ctx.config.r_list)[:2]
     dec = ctx.cgc(r1, r2).decomposition
-    op = GradedOperator(dec.basis, Space((dec.dim,), (tuple(int(p) for p in dec.parities),)),
-                        Space((r1, r2), (ctx.rep(r1).parities, ctx.rep(r2).parities)),
-                        label=f"cgc[{r1}x{r2}]")
-    _write_op(ctx, f"cgc_{ctx.config.algebra}_{r1}x{r2}.json", op)
+    _write_op(ctx, f"cgc_{ctx.config.algebra}_{r1}x{r2}.json", dec.basis, f"cgc[{r1}x{r2}]",
+              [dec.parities], codomain=[ctx.rep(r1).parities, ctx.rep(r2).parities])
     ctx.check("cgc-biorthogonality", r=r1, r2=r2)
 
 
 def cmd_projectors(args, ctx):
     for r in ctx.config.r_list:
         for r0 in tensor_decompose(r, r):
-            _write_op(ctx, f"projector_{ctx.config.algebra}_r{r}_P{r0}.json",
-                      projector(ctx.cgc(r, r), r0))
+            _write_projector(ctx, f"projector_{ctx.config.algebra}_r{r}_P{r0}.json", r, r0)
         ctx.check("cgc-biorthogonality", r=r)
         ctx.check("projector-routes", r=r)
 
 
 def cmd_hecke(args, ctx):
     for r in ctx.config.r_list:
-        _write_op(ctx, f"hecke_{ctx.config.algebra}_r{r}_u{args.u}.json",
-                  ctx.hecke(r).check(complex(args.u, args.ui)))
+        _write_check(ctx, f"hecke_{ctx.config.algebra}_r{r}_u{args.u}.json", ctx.hecke(r),
+                     complex(args.u, args.ui))
         ctx.check("hecke-ybe", r=r)
 
 
 def cmd_fixtures(args, ctx):
     for kind in (args.kind,) if args.kind else (1, 2, 3):
-        _write_op(ctx, f"fixture_{kind}.json", ctx.fixture(kind).check(complex(args.u, args.ui)),
-                  SLQ2)
+        _write_check(ctx, f"fixture_{kind}.json", ctx.fixture(kind), complex(args.u, args.ui),
+                     SLQ2)
         ctx.check("fixture-{kind}-ybe", kind=kind)
 
 
 def cmd_fuse(args, ctx):
     for r in ctx.config.r_list:
-        _write_op(ctx, f"fused_{ctx.config.algebra}_r{r}.json",
-                  ctx.descendant(r).check(complex(args.u, args.ui)))
+        _write_check(ctx, f"fused_{ctx.config.algebra}_r{r}.json", ctx.descendant(r),
+                     complex(args.u, args.ui))
         ctx.check("descendant-closed-vs-product", r=r)
         ctx.check("descendant-regular-point", r=r)
 
 
 def cmd_lax(args, ctx):
     cfg = ctx.config
-    too_big = [(r, n) for r in cfg.r_list for n in cfg.n_list if r ** (n + 1) > DESK_BOUND]
+    too_big = [(r, n) for r in cfg.r_list for n in cfg.n_list if not fusion.lax_fits(r, n)]
     if too_big:
         raise QybeError(f"extended Lax at (r, n) = {too_big} exceeds the desk bound "
                         f"of {DESK_BOUND} dimensions")
     for r in cfg.r_list:
         for n in cfg.n_list:
-            _write_op(ctx, f"lax_{cfg.algebra}_r{r}_n{n}.json",
-                      fusion.extended_lax(ctx.composite(r, n), complex(args.u, args.ui)))
+            _write_lax(ctx, f"lax_{cfg.algebra}_r{r}_n{n}.json", ctx.composite(r, n),
+                       complex(args.u, args.ui))
             ctx.check("lax-dims", r=r, n=n)
             ctx.check("lax-rll", r=r, n=n)
 
@@ -163,17 +191,17 @@ def cmd_verify_all(args, ctx):
 
 def cmd_export(args, ctx):
     r, what, u = ctx.config.r_list[0], args.what, complex(args.u, args.ui)
+    name = f"export_{what}_{ctx.config.algebra}_r{r}.json"
     if what == "hecke":
-        op = ctx.hecke(r).check(u)
+        path = _write_check(ctx, name, ctx.hecke(r), u)
     elif what == "fused":
-        op = ctx.descendant(r).check(u)
+        path = _write_check(ctx, name, ctx.descendant(r), u)
     elif what == "lax":
-        op = fusion.extended_lax(ctx.composite(r, ctx.config.n_list[0]), u)
+        path = _write_lax(ctx, name, ctx.composite(r, ctx.config.n_list[0]), u)
     elif what == "projector":
-        op = projector(ctx.cgc(r, r), args.target or tensor_decompose(r, r)[-1])
+        path = _write_projector(ctx, name, r, args.target or tensor_decompose(r, r)[-1])
     else:
         raise QybeError(f"nothing exportable named {what!r}")
-    path = _write_op(ctx, f"export_{what}_{ctx.config.algebra}_r{r}.json", op)
     ctx.report.add(f"export {what}", 0.0, 1.0, {"path": path})
 
 

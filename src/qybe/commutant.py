@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qarith import COMMUTANT_BUDGET, DESK_BOUND, OSPQ12, QybeError
-from .repspace import GradedOperator, nfold_coproduct
+from .repspace import nfold_coproduct
 from .coupling import ladder_weights, product_weights, weight_sectors
 
 
@@ -263,7 +263,7 @@ def _centralizer(layout, E, F, dU, n, gap_tol):
 def commutant_nullspace(U, n, gap_tol=1e3):
     """Joint null space of [Delta^n g, c] = 0 for g in {e, f, h}, solved by
     SVD over the weight-sector blocks of the coefficient matrix."""
-    gens = U.replike()
+    gens = U.gens
     d = _product_dim(gens.dim, n)
     # refused from the summed per-state weights, before any d x d generator
     # exists; the layout solved on still comes from the coproduct's own h
@@ -278,7 +278,7 @@ def _block_ladder_data(U):
     generators: weight, h eigenvalue lam, parity, and the neighbours in the
     block with e|s> = beta |up> and f|s> = gamma |down> (None past the ends
     of the ladder)."""
-    gens = U.replike()
+    gens = U.gens
     dec = U.decomposition
     E, F, H = gens.E, gens.F, gens.H
     states = []
@@ -374,8 +374,7 @@ def principal_angles(basis_a, basis_b):
 def membership(op, basis, tol=1e-8):
     """Least-squares expansion of an operator over a commutant basis.
     Returns (is_member, coefficients, residual)."""
-    m = op.matrix if isinstance(op, GradedOperator) else np.asarray(op)
-    v = m.reshape(-1)
+    v = np.asarray(op).reshape(-1)
     coef, *_ = np.linalg.lstsq(basis.vectors, v, rcond=None)
     resid = np.abs(basis.vectors @ coef - v).max() / max(1.0, np.abs(v).max())
     return bool(resid < tol), coef, float(resid)

@@ -18,10 +18,8 @@ import numpy as np
 
 from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
-    GradedOperator,
     Irrep,
     RepLike,
-    Space,
     as_replike,
     casimir_matrix,
     casimir_value,
@@ -240,9 +238,6 @@ class CouplingTable:
     rep2: Irrep
     decomposition: Decomposition
 
-    def space(self):
-        return self.rep1.space().tensor(self.rep2.space())
-
     @property
     def targets(self):
         return sorted(b.r for b in self.decomposition.blocks)
@@ -294,9 +289,7 @@ def projector(table, r0):
     for b in dec.blocks:
         if b.r == r0:
             sel[list(b.cols)] = 1.0
-    m = dec.basis @ (sel[:, None] * dec.dual)
-    sp = table.space()
-    return GradedOperator(m, sp, sp, label=f"P^{r0}")
+    return dec.basis @ (sel[:, None] * dec.dual)
 
 
 def casimir_projector(rep1, rep2, r0):
@@ -318,8 +311,7 @@ def casimir_projector(rep1, rep2, r0):
     for t in targets:
         if t != r0:
             out = out @ (C - vals[t] * np.eye(C.shape[0])) / (vals[r0] - vals[t])
-    sp = Space.single(rep1.parities).tensor(Space.single(rep2.parities))
-    return GradedOperator(out, sp, sp, label=f"P^{r0}")
+    return out
 
 
 def chi_quartic(table, t):
@@ -347,7 +339,7 @@ def chi_factor(table):
     r = table.rep1.r
     if r < 2:
         raise QybeError("chi_factor needs r >= 2")
-    P1 = projector(table, 1).matrix
+    P1 = projector(table, 1)
     I = np.eye(r)
     P12 = np.kron(P1, I)
     P23 = np.kron(I, P1)

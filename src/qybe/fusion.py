@@ -31,9 +31,7 @@ import numpy as np
 
 from .qarith import DESK_BOUND, PoleError, QybeError
 from .repspace import (
-    GradedOperator,
     RepLike,
-    Space,
     block_index,
     embed_at,
     graded_permutation,
@@ -100,16 +98,15 @@ class CompositeSpace:
     def parities(self):
         return tuple(int(x) for x in self.decomposition.parities)
 
-    def space(self):
-        return Space.single(self.parities)
-
     def compress_pair(self, full_matrix):
         """An operator on the ambient factors of U (x) U, in block coordinates."""
         return np.kron(self.project, self.project) @ full_matrix \
             @ np.kron(self.embed, self.embed)
 
-    def replike(self):
-        return self.gens
+    @cached_property
+    def cells(self):
+        """`pair_cells` of this space, built once per space."""
+        return pair_cells(self)
 
     @cached_property
     def lax_sectors(self):
@@ -162,8 +159,7 @@ def truncation_cascade(fam, n):
     out = np.eye(fam.r1 ** n, dtype=complex)
     for k in range(2, n + 1):
         for p in range(1, k):
-            op = fam.swap @ fam.check_fn((k - p) * u0)
-            out = out @ embed_at(op, (k - 1, p - 1), dims, pars)
+            out = out @ embed_at(fam.noncheck((k - p) * u0), (k - 1, p - 1), dims, pars)
     return out
 
 
@@ -235,7 +231,7 @@ def _plain_placements(P1, r, pairs):
 def _four_site_ops(table):
     """(1 - P12)(1 - P34), P23 and P14 on (V^r)^(x4), P1 the table's singlet."""
     r = table.rep1.r
-    P12, P34, P23, P14 = _plain_placements(projector(table, 1).matrix, r,
+    P12, P34, P23, P14 = _plain_placements(projector(table, 1), r,
                                            ((0, 1), (2, 3), (1, 2), (0, 3)))
     I = np.eye(r ** 4)
     return (I - P12) @ (I - P34), P23, P14
@@ -244,7 +240,7 @@ def _four_site_ops(table):
 def pair_cells(U):
     """The sandwiched singlet projectors P23 and P23 P14 on U (x) U, in block
     coordinates.  The outer projectors P12 and P34 vanish on U (x) U, so
-    they need not enter the sandwich."""
+    they need not enter the sandwich.  `U.cells` keeps them per space."""
     _require_pair(U)
     P23, P14 = _plain_placements(_singlet(U.hecke), U.rep.r, ((1, 2), (0, 3)))
     return U.compress_pair(P23), U.compress_pair(P23 @ P14)
@@ -253,9 +249,7 @@ def pair_cells(U):
 def descendant_r_closed(U, u):
     """Closed fused solution on U (x) U at outer line difference u: the
     descendant family at u - u0."""
-    fam = descendant_family(U)
-    return GradedOperator(fam.check_fn(u - U.hecke.u0), fam.space, fam.space,
-                          label=f"Rfused({u})")
+    return descendant_family(U).check_fn(u - U.hecke.u0)
 
 
 def descendant_r_product(U, u, guard=1e-6):
@@ -267,14 +261,12 @@ def descendant_r_product(U, u, guard=1e-6):
     _require_pair(U)
     fam = U.hecke
     u0 = fam.u0
-    sp = U.space().tensor(U.space())
     if abs(complex(u) - u0) < guard:
         h = 1e-3
-        mats = [descendant_r_product(U, u0 + dz, guard=0.0).matrix
-                for dz in (h, -h, h / 2, -h / 2)]
+        mats = [descendant_r_product(U, u0 + dz, guard=0.0) for dz in (h, -h, h / 2, -h / 2)]
         coarse = (mats[0] + mats[1]) / 2
         fine = (mats[2] + mats[3]) / 2
-        return GradedOperator((4 * fine - coarse) / 3, sp, sp, label=f"Rfused({u})")
+        return (4 * fine - coarse) / 3
     dims = [U.rep.r] * 4
     pars = [fam.parities] * 4
     Rc = lambda x, pos: embed_at(fam.check_fn(x), pos, dims, pars)
@@ -282,7 +274,7 @@ def descendant_r_product(U, u, guard=1e-6):
             @ Rc(u, (1, 2)) @ Rc(u - u0, (0, 1)) @ Rc(u - u0, (2, 3))
             @ Rc(u - 2 * u0, (1, 2))
             @ Rc(u0, (0, 1)) @ Rc(u0, (2, 3)))
-    return GradedOperator(U.compress_pair(full), sp, sp, label=f"Rfused({u})")
+    return U.compress_pair(full)
 
 
 def descendant_family(U):
@@ -294,7 +286,7 @@ def descendant_family(U):
     where the standard additive triple-product relation holds:
     check_fn(x) is the closed fused form at outer difference x + u0, and
     check_fn(0) is the identity."""
-    B1, B2 = pair_cells(U)
+    B1, B2 = U.cells
     fam = U.hecke
     B0 = np.eye(U.dim ** 2)
     a = U.params.a
@@ -315,8 +307,7 @@ def descendant_family(U):
     return SpectralRMatrix(
         r1=U.dim, r2=U.dim, family="fused", params=U.params,
         chi=fam.chi, u0=0.0, check_fn=check_fn,
-        swap=graded_permutation(U.gens, U.gens).matrix,
-        space=U.space().tensor(U.space()), parities=U.parities,
+        swap=graded_permutation(U.gens, U.gens), parities=U.parities,
         poly_weight=poly_weight,
         poly_base=lambda x: np.exp(2 * a * complex(x)),
         nterms=3,
@@ -344,6 +335,12 @@ def f_product_by_recurrence(chi, a, n, u):
     return out
 
 
+def lax_fits(r, n):
+    """Whether the extended Lax operator on V^r (x) U^{R_n} is within the
+    desk bound: its crossing train acts on (V^r)^(x(n+1))."""
+    return r ** (n + 1) <= DESK_BOUND
+
+
 def extended_lax(U, u=0.0):
     """Descendant operator on V^r (x) U^{R_n}: the crossing train of pair
     R-matrices restricted to the truncated quantum space (which the train
@@ -355,18 +352,17 @@ def extended_lax(U, u=0.0):
     and ending on the columns of 1 (x) embed (`U.lax_sectors`).  The
     entries between sectors are exact zeros."""
     rep, fam, n = U.rep, U.hecke, U.n
-    if rep.r ** (n + 1) > DESK_BOUND:
+    if not lax_fits(rep.r, n):
         raise QybeError(f"extended Lax {rep.r}^{n + 1} exceeds the desk bound {DESK_BOUND}")
     # written from factor n down to factor 1: the auxiliary line crosses factor 1 first
-    ops = [(fam.swap @ fam.check_fn(u + (n - m) * fam.u0)).ravel() for m in range(n, 0, -1)]
+    ops = [fam.noncheck(u + (n - m) * fam.u0).ravel() for m in range(n, 0, -1)]
     out = np.zeros((rep.r * U.dim,) * 2, dtype=complex)
     for place, rows, index, sign, cols in U.lax_sectors:
         blk = rows
         for op, i, s in zip(ops, index, sign):
             blk = blk @ (s * op[i])
         out[place] = blk @ cols
-    sp = Space.single(rep.parities).tensor(U.space())
-    return GradedOperator(out, sp, sp, label=f"L[{rep.r},{n}]({u})")
+    return out
 
 
 def lax_lower_projector(U):
@@ -404,17 +400,15 @@ def extended_lax_closed(U):
     fit_u = 0.31 + 0.05j
     chi, a, n = U.hecke.chi, U.params.a, U.n
     Plow = lax_lower_projector(U)
-    K0 = extended_lax(U, 0.0).matrix
-    Lfit = extended_lax(U, fit_u).matrix
+    K0 = extended_lax(U, 0.0)
+    Lfit = extended_lax(U, fit_u)
     M = np.linalg.inv(K0) @ Lfit - np.eye(K0.shape[0])
     coef = np.vdot(Plow, M) / np.vdot(Plow, Plow)
     resid = np.abs(M - coef * Plow).max() / max(1.0, np.abs(M).max())
     scale = coef / f_product(chi, a, n, fit_u)
-    sp = Space.single(U.rep.parities).tensor(U.space())
 
     def evaluate(u):
-        m = K0 @ (np.eye(K0.shape[0]) + scale * f_product(chi, a, n, u) * Plow)
-        return GradedOperator(m, sp, sp, label=f"Lclosed[{U.rep.r},{n}]({u})")
+        return K0 @ (np.eye(K0.shape[0]) + scale * f_product(chi, a, n, u) * Plow)
 
     return evaluate, complex(scale), float(resid)
 

@@ -31,67 +31,6 @@ from .qarith import (
 
 
 @dataclass(frozen=True)
-class Space:
-    """Ordered factors of a tensor product with per-factor parity vectors."""
-
-    dims: tuple
-    parities: tuple  # one tuple of 0/1 per factor
-
-    def __post_init__(self):
-        if len(self.dims) != len(self.parities):
-            raise QybeError("dims and parities must pair up factor by factor")
-        for d, p in zip(self.dims, self.parities):
-            if d != len(p):
-                raise QybeError("parity vector length must match factor dimension")
-
-    @property
-    def dim(self):
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
-    def flat_parities(self):
-        """Parity of each product basis state (XOR over factors)."""
-        out = np.zeros(1, dtype=int)
-        for p in self.parities:
-            out = (out[:, None] + np.asarray(p)[None, :]).reshape(-1) % 2
-        return out
-
-    @staticmethod
-    def single(parities):
-        return Space((len(parities),), (tuple(int(x) for x in parities),))
-
-    def tensor(self, other):
-        return Space(self.dims + other.dims, self.parities + other.parities)
-
-
-@dataclass
-class GradedOperator:
-    """Dense complex matrix with domain/codomain space descriptors."""
-
-    matrix: np.ndarray
-    domain: Space
-    codomain: Space
-    label: str = ""
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (self.codomain.dim, self.domain.dim):
-            raise QybeError(
-                f"matrix shape {self.matrix.shape} does not match spaces "
-                f"({self.codomain.dim}, {self.domain.dim})"
-            )
-
-    def __matmul__(self, other):
-        if isinstance(other, GradedOperator):
-            if other.codomain.dim != self.domain.dim:
-                raise QybeError("operator composition: space mismatch")
-            return GradedOperator(self.matrix @ other.matrix, other.domain, self.codomain)
-        return self.matrix @ other
-
-
-@dataclass(frozen=True)
 class Irrep:
     """Irreducible representation data.
 
@@ -118,23 +57,6 @@ class Irrep:
     def weights(self):
         """Ladder weights i = j - k, highest first (without the qr shift)."""
         return np.array([self.ladder_j - k for k in range(self.r)])
-
-    def space(self):
-        return Space.single(self.parities)
-
-    def beta(self, i):
-        """Raising coefficient: E v_i = beta_i v_{i+1}; 0 off the ladder."""
-        k = int(round(self.ladder_j - i))
-        if k < 1 or k > self.r - 1:
-            return 0j
-        return complex(self.E[k - 1, k])
-
-    def gamma(self, i):
-        """Lowering coefficient: F v_i = gamma_i v_{i-1}; 0 off the ladder."""
-        k = int(round(self.ladder_j - i))
-        if k < 0 or k > self.r - 2:
-            return 0j
-        return complex(self.F[k + 1, k])
 
 
 def alpha_sum(algebra, r, i, q):
@@ -249,16 +171,6 @@ def graded_kron_raw(A, B, pA_dom, pA_cod, pB_dom, pB_cod):
     return (out * sign).reshape(m1 * m2, n1 * n2)
 
 
-def graded_kron(A, B):
-    """Graded Kronecker product of two GradedOperators."""
-    m = graded_kron_raw(
-        A.matrix, B.matrix,
-        A.domain.flat_parities(), A.codomain.flat_parities(),
-        B.domain.flat_parities(), B.codomain.flat_parities(),
-    )
-    return GradedOperator(m, A.domain.tensor(B.domain), A.codomain.tensor(B.codomain))
-
-
 class RepLike:
     """Minimal (E, F, H, parities) bundle; irreps and composite blocks both
     feed the coproduct and coupling machinery through this."""
@@ -301,16 +213,6 @@ def coproduct_pair(algebra, repA, repB, q):
     return RepLike(algebra, e, f, h, pars)
 
 
-def coproduct(generator, rep1, rep2):
-    """Coproduct of one generator on the tensor product of two irreps."""
-    if rep1.algebra != rep2.algebra:
-        raise QybeError("mixed-algebra coproduct")
-    pair = coproduct_pair(rep1.algebra, rep1, rep2, rep1.params.q)
-    mat = {"e": pair.E, "f": pair.F, "h": pair.H}[generator]
-    sp = Space.single(rep1.parities).tensor(Space.single(rep2.parities))
-    return GradedOperator(mat, sp, sp, label=f"Delta[{generator}]")
-
-
 def nfold_coproduct(algebra, reps, q):
     """Iterated coproduct over a list of RepLike factors (coassociative, so
     the left-nested bracketing is as good as any)."""
@@ -324,10 +226,7 @@ def graded_permutation(rep1, rep2):
     """Swap operator P: V1 (x) V2 -> V2 (x) V1 with the Koszul sign
     (-1)^(p_a p_b); P^2 = 1 exactly on matching factors."""
     p1, p2 = rep1.parities, rep2.parities
-    out = perm_matrix([1, 0], [len(p1), len(p2)], [p1, p2])
-    dom = Space.single(p1).tensor(Space.single(p2))
-    cod = Space.single(p2).tensor(Space.single(p1))
-    return GradedOperator(out, dom, cod, label="P")
+    return perm_matrix([1, 0], [len(p1), len(p2)], [p1, p2])
 
 
 def _signed_perm(sigma, dims, parities):
@@ -348,9 +247,10 @@ def _signed_perm(sigma, dims, parities):
 
 def perm_matrix(sigma, dims, parities):
     """Signed permutation matrix on a product of factors: target slot t holds
-    source slot sigma[t]; Koszul sign counts inverted odd pairs."""
+    source slot sigma[t]; Koszul sign counts inverted odd pairs.  Complex,
+    like the operators it multiplies, so a product casts neither factor."""
     tgt, sign = _signed_perm(sigma, dims, parities)
-    out = np.zeros((len(tgt), len(tgt)))
+    out = np.zeros((len(tgt), len(tgt)), dtype=complex)
     out[tgt, np.arange(len(tgt))] = sign
     return out
 
@@ -424,17 +324,6 @@ def casimir_matrix(algebra, rep_like, q):
         return A @ A
     g = np.diag(((qc ** ((d - 1) / 2.0) - qc ** (-(d - 1) / 2.0)) / (qc - 1.0 / qc)) ** 2)
     return R.E @ R.F + g
-
-
-def casimir(rep, rep2=None):
-    """Casimir operator on an irrep, or the coproduct Casimir on a pair."""
-    q = rep.params.q
-    if rep2 is None:
-        sp = Space.single(rep.parities)
-        return GradedOperator(casimir_matrix(rep.algebra, rep, q), sp, sp, label="c")
-    pair = coproduct_pair(rep.algebra, rep, rep2, q)
-    sp = Space.single(rep.parities).tensor(Space.single(rep2.parities))
-    return GradedOperator(casimir_matrix(rep.algebra, pair, q), sp, sp, label="Delta(c)")
 
 
 def verify_algebra(rep):

@@ -24,8 +24,6 @@ from .qarith import (
     bracket_plus_factorial,
 )
 from .repspace import (
-    GradedOperator,
-    Space,
     coproduct_pair,
     diag_power,
     embed_at,
@@ -78,10 +76,10 @@ def braid_limit_f(chi, sign):
 class SpectralRMatrix:
     """A one-parameter family u -> R(u) on a fixed pair of factors.
 
-    check_fn evaluates the check form; the non-check form composes with the
-    graded swap.  poly_weight/poly_base, when set, polynomialize the family:
-    poly_weight(u) * R(u) = sum_p poly_base(u)**(p-1) * M_p, which is what
-    spectral_decompose fits.
+    check_fn evaluates the check form as an array; `noncheck` composes it
+    with the graded swap.  poly_weight/poly_base, when set, polynomialize the
+    family: poly_weight(u) * R(u) = sum_p poly_base(u)**(p-1) * M_p, which is
+    what spectral_decompose fits.
     """
 
     r1: int
@@ -92,20 +90,15 @@ class SpectralRMatrix:
     u0: complex = None
     check_fn: callable = field(repr=False, default=None)
     swap: np.ndarray = field(repr=False, default=None)
-    space: Space = field(repr=False, default=None)
     parities: tuple = ()
     poly_weight: callable = field(repr=False, default=None)
     poly_base: callable = field(repr=False, default=None)
     nterms: int = 0
     table: CouplingTable = field(repr=False, default=None)
 
-    def check(self, u):
-        return GradedOperator(self.check_fn(u), self.space, self.space,
-                              label=f"Rcheck[{self.family}]({u})")
-
     def noncheck(self, u):
-        return GradedOperator(self.swap @ self.check_fn(u), self.space, self.space,
-                              label=f"R[{self.family}]({u})")
+        """The non-check form swap @ check_fn(u)."""
+        return self.swap @ self.check_fn(u)
 
     def braid_limit(self, sign, big=40.0):
         """Constant matrix limit of the normalized check form at u -> +-inf,
@@ -131,12 +124,10 @@ def hecke_family(table, chi=None):
     if not np.isfinite(u0):
         raise DegenerateParameterError(f"the degeneration point u0 = {u0} is not finite "
                                        f"at chi = {chi}")
-    P1 = projector(table, 1).matrix
+    P1 = projector(table, 1)
     I = np.eye(rep.r ** 2)
     a = params.a
     s = np.sqrt(1 - 4 * chi + 0j)
-    sp = table.space()
-    swap = graded_permutation(rep, rep).matrix
 
     def check_fn(u):
         return I + hecke_f(u, chi, a) * P1
@@ -149,7 +140,7 @@ def hecke_family(table, chi=None):
 
     return SpectralRMatrix(
         r1=rep.r, r2=rep.r, family="hecke", params=params,
-        chi=chi, u0=u0, check_fn=check_fn, swap=swap, space=sp,
+        chi=chi, u0=u0, check_fn=check_fn, swap=graded_permutation(rep, rep),
         parities=rep.parities,
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * a * complex(u)),
@@ -169,7 +160,7 @@ def r33_family(kind, table):
     if rep.algebra != SLQ2 or (rep.r, table.rep2.r) != (3, 3):
         raise QybeError("the spin-1 families need the sl_q(2) table of V^3 (x) V^3")
     q = params.q
-    P5, P3, P1 = (projector(table, r0).matrix for r0 in (5, 3, 1))
+    P5, P3, P1 = (projector(table, r0) for r0 in (5, 3, 1))
 
     if kind == 1:
         abar = (q ** 2 - q ** -2) * (q - 1 / q)
@@ -204,7 +195,7 @@ def r33_family(kind, table):
 
     return SpectralRMatrix(
         r1=3, r2=3, family=f"r33_{kind}", params=params,
-        check_fn=check_fn, swap=graded_permutation(rep, rep).matrix, space=table.space(),
+        check_fn=check_fn, swap=graded_permutation(rep, rep),
         parities=rep.parities,
         poly_weight=lambda u: q ** complex(u),
         poly_base=lambda u: q ** complex(u),
@@ -234,10 +225,7 @@ def universal_r(rep1, rep2, sign=+1):
         B = np.linalg.matrix_power(F2, n) @ diag_power(q, n * H2 / 2)
         out += coef * graded_kron_raw(A, B, p1, p1, p2, p2)
     m = np.diag(khh) @ out
-    if sign < 0:
-        m = m.T
-    sp = Space.single(p1).tensor(Space.single(p2))
-    return GradedOperator(m, sp, sp, label=f"R{'+' if sign > 0 else '-'}")
+    return m.T if sign < 0 else m
 
 
 def intertwining_residual(R, rep1, rep2):
@@ -246,13 +234,12 @@ def intertwining_residual(R, rep1, rep2):
     q = rep1.params.q
     pair = coproduct_pair(rep1.algebra, rep1, rep2, q)
     pair_flip = coproduct_pair(rep1.algebra, rep2, rep1, q)
-    P = graded_permutation(rep2, rep1).matrix  # V2 x V1 -> V1 x V2
-    m = R.matrix if isinstance(R, GradedOperator) else R
+    P = graded_permutation(rep2, rep1)  # V2 x V1 -> V1 x V2
     worst = 0.0
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
         Dp = P @ getattr(pair_flip, g) @ np.linalg.inv(P)
-        worst = max(worst, rel_residual(m @ D, Dp @ m))
+        worst = max(worst, rel_residual(R @ D, Dp @ R))
     return worst
 
 
@@ -265,12 +252,12 @@ def ybe_residual(R_a, R_b, R_c, u=0.0, w=0.0, form="check", parities=None):
               1-3 leg embedded through graded permutations.
 
     Each argument is a SpectralRMatrix (evaluated at u, u+w, w respectively)
-    or a constant matrix / GradedOperator used at every slot.
+    or a constant matrix used at every slot.
     """
     def get(Rx, uu):
         if isinstance(Rx, SpectralRMatrix):
-            return Rx.check_fn(uu) if form == "check" else Rx.swap @ Rx.check_fn(uu)
-        return Rx.matrix if isinstance(Rx, GradedOperator) else np.asarray(Rx)
+            return Rx.check_fn(uu) if form == "check" else Rx.noncheck(uu)
+        return np.asarray(Rx)
 
     if parities is None:
         if isinstance(R_a, SpectralRMatrix):
@@ -308,8 +295,7 @@ def mixed_braid_check(Rplus, Rminus, parities):
     not).  alt holds as stated for the pair extracted from one spectral
     family; alt_balanced reports its scale-free content, the proportionality
     of the two difference terms, together with the balancing scalar."""
-    Rp = Rplus.matrix if isinstance(Rplus, GradedOperator) else np.asarray(Rplus)
-    Rm = Rminus.matrix if isinstance(Rminus, GradedOperator) else np.asarray(Rminus)
+    Rp, Rm = np.asarray(Rplus), np.asarray(Rminus)
     r = len(parities)
     dims, pars = [r, r, r], [parities] * 3
     P12 = lambda X: embed_at(X, (0, 1), dims, pars)
@@ -362,7 +348,7 @@ def spectral_decompose(fam, r1=None, samples=None, rng=None):
     for k, u in enumerate(samples):
         x = fam.poly_base(u)
         V[k] = [x ** p for p in range(r1)]
-        Y[k] = (fam.poly_weight(u) * (fam.swap @ fam.check_fn(u))).ravel()
+        Y[k] = (fam.poly_weight(u) * fam.noncheck(u)).ravel()
     cond = np.linalg.cond(V)
     if cond > 1e10:
         raise IllConditionedFitError(f"Vandermonde condition number {cond:.1e}")

@@ -1,5 +1,10 @@
-"""Run configuration, operator serialization, check reports, and the one
-table of named checks behind `verify_all` and every `qybe` subcommand."""
+"""Run configuration, operator documents, check reports, and the one table
+of named checks behind `verify_all` and every `qybe` subcommand.
+
+Every operator of the library is a plain complex array.  `Space` and
+`GradedOperator` describe an operator document: the array with the dims and
+parities of its domain and codomain factors and a label.  `cli` builds them
+when it writes an artifact, and `deserialize_operator` when it reads one."""
 
 import json
 import time
@@ -7,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qarith import DESK_BOUND, DeformParams, OSPQ12, SLQ2, QybeError
-from .repspace import GradedOperator, Space, build_irrep, local_product, verify_algebra
+from .qarith import DeformParams, OSPQ12, SLQ2, QybeError
+from .repspace import build_irrep, local_product, verify_algebra
 from .coupling import (
     casimir_projector,
     cgc_table,
@@ -37,6 +42,54 @@ from . import commutant as cz
 
 class MalformedDocumentError(QybeError):
     """Serialized operator document fails schema validation."""
+
+
+@dataclass(frozen=True)
+class Space:
+    """Ordered factors of a tensor product with per-factor parity vectors."""
+
+    dims: tuple
+    parities: tuple  # one tuple of 0/1 per factor
+
+    def __post_init__(self):
+        if len(self.dims) != len(self.parities):
+            raise QybeError("dims and parities must pair up factor by factor")
+        for d, p in zip(self.dims, self.parities):
+            if d != len(p):
+                raise QybeError("parity vector length must match factor dimension")
+
+    @property
+    def dim(self):
+        out = 1
+        for d in self.dims:
+            out *= d
+        return out
+
+    @staticmethod
+    def of(*parities):
+        """The product of factors with these parity vectors, in order."""
+        return Space(tuple(len(p) for p in parities),
+                     tuple(tuple(int(x) for x in p) for p in parities))
+
+
+@dataclass
+class GradedOperator:
+    """An operator document: a dense complex matrix with the spaces of its
+    domain and codomain and a label.  The matrix shape must match the
+    spaces, which checks a document read from outside the program."""
+
+    matrix: np.ndarray
+    domain: Space
+    codomain: Space
+    label: str = ""
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=complex)
+        if self.matrix.shape != (self.codomain.dim, self.domain.dim):
+            raise QybeError(
+                f"matrix shape {self.matrix.shape} does not match spaces "
+                f"({self.codomain.dim}, {self.domain.dim})"
+            )
 
 
 def _document(op, algebra, q, label):
@@ -386,7 +439,7 @@ def _cgc_residual(ctx, rng, inputs):
     worst = np.abs(dec.dual @ dec.basis - np.eye(dec.dim)).max()
     total = np.zeros((dec.dim, dec.dim), dtype=complex)
     for r0 in tab.targets:
-        P = projector(tab, r0).matrix
+        P = projector(tab, r0)
         worst = max(worst, np.abs(P @ P - P).max())
         total += P
     return max(worst, np.abs(total - np.eye(dec.dim)).max())
@@ -394,8 +447,8 @@ def _cgc_residual(ctx, rng, inputs):
 
 def _projector_routes(ctx, rng, inputs):
     r = inputs["r"]
-    return max(rel_residual(projector(ctx.cgc(r, r), r0).matrix,
-                            casimir_projector(ctx.rep(r), ctx.rep(r), r0).matrix)
+    return max(rel_residual(projector(ctx.cgc(r, r), r0),
+                            casimir_projector(ctx.rep(r), ctx.rep(r), r0))
                for r0 in tensor_decompose(r, r))
 
 
@@ -444,8 +497,8 @@ def _universal_braid(ctx, rng, inputs):
 def _descendant_agreement(ctx, rng, inputs, count=5):
     U = ctx.composite(inputs["r"], 2)
     u0 = U.hecke.u0
-    return max(rel_residual(fusion.descendant_r_closed(U, u).matrix,
-                            fusion.descendant_r_product(U, u).matrix)
+    return max(rel_residual(fusion.descendant_r_closed(U, u),
+                            fusion.descendant_r_product(U, u))
                for u in random_points(rng, count, guards=(0.0, -u0, u0)))
 
 
@@ -463,14 +516,14 @@ def _lax_rll(ctx, rng, inputs):
     U = ctx.composite(inputs["r"], inputs["n"])
     rep, fam = U.rep, U.hecke
     u, w = random_points(rng, 2, guards=(-fam.u0,))
-    L13 = fusion.extended_lax(U, u).matrix
-    L23 = fusion.extended_lax(U, w).matrix
-    Rm = fam.swap @ fam.check_fn(u - w)
+    L13 = fusion.extended_lax(U, u)
+    L23 = fusion.extended_lax(U, w)
+    Rm = fam.noncheck(u - w)
     site, weights = ladder_weights(rep), ladder_weights(U.gens)
     # the sector blocks carry both sides only if every factor conserves the weight
     vu = product_sectors(site, weights)
     for M, sectors in ((Rm, product_sectors(site, site)), (L13, vu), (L23, vu)):
-        chains.sector_blocks(M, sectors)
+        chains.check_sectors(M, sectors)
     dims = [rep.r, rep.r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
     sectors = product_sectors(site, site, weights)
@@ -576,7 +629,7 @@ def battery(config):
         plan += [("descendant-closed-vs-product", {"r": r}),
                  ("descendant-regular-point", {"r": r})]
         plan += [("lax-rll", {"r": r, "n": n}) for n in config.n_list
-                 if r ** (n + 1) <= DESK_BOUND]
+                 if fusion.lax_fits(r, n)]
     if 3 in config.r_list and config.algebra == SLQ2:
         plan.append(("commutant-dimension-46", {}))
     return plan

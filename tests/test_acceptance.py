@@ -118,7 +118,7 @@ def test_criterion_04_fixtures():
     from qybe.coupling import projector
 
     hfam = hecke_family(pair_table(SLQ2, 3, p))
-    P1 = projector(hfam.table, 1).matrix
+    P1 = projector(hfam.table, 1)
     nrm = np.vdot(P1, P1)
 
     def ghat(v):
@@ -162,8 +162,8 @@ def test_criterion_06_fusion_cross_check():
             u0 = u0_point(chi_factor(pair_table(algebra, r, p)), p.a)
             guards = (0.0, u0, -u0, 2 * u0, -2 * u0)
             for u in random_points(rng, 20, guards=guards):
-                A = descendant_r_closed(U, u).matrix
-                B = descendant_r_product(U, u).matrix
+                A = descendant_r_closed(U, u)
+                B = descendant_r_product(U, u)
                 worst = max(worst, rel_residual(A, B))
     report(6, "fused product form equals closed form, r = 2, 3", worst, 1e-9)
     worst_id = 0.0
@@ -172,7 +172,7 @@ def test_criterion_06_fusion_cross_check():
         for r in (2, 3):
             U = composite_space(hecke_family(pair_table(algebra, r, p)), n=2)
             u0 = u0_point(chi_factor(pair_table(algebra, r, p)), p.a)
-            m = descendant_r_closed(U, u0).matrix
+            m = descendant_r_closed(U, u0)
             worst_id = max(worst_id, np.abs(m - np.eye((r * r - 1) ** 2)).max())
     report(6, "fused solution is the identity at the degeneration point",
            worst_id, 1e-10)
@@ -191,7 +191,7 @@ def test_criterion_07_composite_pair_structure():
     p = params_for(SLQ2)
     rep = build_irrep(SLQ2, 3, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    pair = nfold_coproduct(SLQ2, [U.replike()] * 2, p.q)
+    pair = nfold_coproduct(SLQ2, [U.gens] * 2, p.q)
     mult = decompose(pair, p).block_multiplicities()
     ok = mult == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
     report(7, "composite pair multiplicities (2,4,4,3,1)", 0.0 if ok else 1.0, 0.5)
@@ -216,8 +216,8 @@ def test_criterion_08_extended_lax():
         fam = hecke_family(cgc_table(rep, rep))
         U = composite_space(fam, n=n)
         u, w = random_points(rng, 2, guards=(-fam.u0,))
-        L13 = extended_lax(U, u).matrix
-        L23 = extended_lax(U, w).matrix
+        L13 = extended_lax(U, u)
+        L23 = extended_lax(U, w)
         Rm = fam.swap @ fam.check_fn(u - w)
         dims = [r, r, U.dim]
         pars = [rep.parities, rep.parities, U.parities]
@@ -244,8 +244,8 @@ def test_criterion_08_extended_lax():
         U = composite_space(fam, n=n)
         evaluate, scale, fit_res = extended_lax_closed(U)
         for u in random_points(rng, 20, guards=(-fam.u0,)):
-            A = evaluate(u).matrix
-            B = extended_lax(U, u).matrix
+            A = evaluate(u)
+            B = extended_lax(U, u)
             worst_closed = max(worst_closed, rel_residual(A, B))
     report(8, "two-projector closed form after one-point scalar fit",
            worst_closed, 1e-8)
@@ -278,7 +278,7 @@ def test_criterion_09_chain_suite():
            resid, 1e-7)
     # bond terms are two-cell centralizer elements; the periodic sum
     # preserves the weight operator and the commuting family
-    pair = nfold_coproduct(SLQ2, [U.replike()] * 2, p.q)
+    pair = nfold_coproduct(SLQ2, [U.gens] * 2, p.q)
     bond = chain_bond(U)[1]
     worst_inv = max(rel_residual(bond @ getattr(pair, g), getattr(pair, g) @ bond)
                     for g in ("E", "F", "H"))

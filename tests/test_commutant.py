@@ -97,7 +97,7 @@ def test_commutant_dim_matches_multiplicities(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)  # single triplet block
     nb = commutant_nullspace(U, 2)
-    chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
+    chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     mult = decompose(chain, params_sl).block_multiplicities()
     assert nb.dim == sum(m * m for m in mult.values())
 
@@ -117,7 +117,7 @@ def test_weight_conservation_is_built_in(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
-    wts = np.real(np.diag(nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q).H)) / 2
+    wts = np.real(np.diag(nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q).H)) / 2
     for m in nb.matrices()[:5]:
         for i in range(m.shape[0]):
             for j in range(m.shape[1]):
@@ -172,7 +172,7 @@ def test_generator_is_not_member(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
-    chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
+    chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     ok, coef, resid = membership(chain.E, nb)
     assert not ok and resid > 1e-3
 
@@ -271,7 +271,7 @@ def test_commutant_budget_from_sector_layout(r, fits, params_sl):
     # the layout sizes the system, rows x unknowns, before anything is built:
     # r = 4 gives 11544 x 6021 entries, r = 5 gives 61600 x 31652
     U = composite_space(hecke_family(pair_table(SLQ2, r, params_sl)), n=2)
-    co = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
+    co = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     sectors = weight_sectors(ladder_weights(co))
     if fits:
         _sector_layout(sectors, co.dim)
@@ -291,7 +291,7 @@ def test_ladder_generators_match_dense_coproduct(algebra, q, r, n_U, n):
     p = DeformParams(q=q, algebra=algebra)
     U = composite_space(hecke_family(pair_table(algebra, r, p)), n=n_U)
     states = _block_ladder_data(U)
-    co = nfold_coproduct(algebra, [U.replike()] * n, q)
+    co = nfold_coproduct(algebra, [U.gens] * n, q)
     for ladder, dense in zip(_coproduct_generators(states, n, q, algebra), (co.E, co.F)):
         assert np.abs(ladder - dense).max() <= 1e-12 * np.abs(dense).max()
     ladder = weight_sectors(product_weights(*[[st["weight"] for st in states]] * n))
@@ -309,7 +309,7 @@ def test_basis_commutes_with_dense_generators(algebra, q, r, n):
     # Delta^n(e), Delta^n(f), Delta^n(h) directly
     p = DeformParams(q=q, algebra=algebra)
     U = composite_space(hecke_family(pair_table(algebra, r, p)), n=2)
-    co = nfold_coproduct(algebra, [U.replike()] * n, q)
+    co = nfold_coproduct(algebra, [U.gens] * n, q)
     for basis in (commutant_nullspace(U, n), constraint_system(U, n)[0]):
         assert basis.dim > 0
         for C in basis.matrices():

@@ -101,7 +101,7 @@ def test_composite_basis_is_weight_graded(algebra, q, r, n):
     # embed and project hold exact zeros between states of different weight
     U = _composite(algebra, q, r, n)
     off = _off_sector(product_weights(*[ladder_weights(U.rep)] * n),
-                      ladder_weights(U.replike()))
+                      ladder_weights(U.gens))
     assert off.mean() > 0.5
     assert not U.embed[off].any()
     assert not U.project.T[off].any()
@@ -141,7 +141,7 @@ def test_u8_pair_multiplicities(params_sl):
 
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    pair = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
+    pair = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     dec = decompose(pair, params_sl)
     assert dec.block_multiplicities() == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
 
@@ -154,8 +154,8 @@ def test_descendant_product_equals_closed(algebra, r, rng):
     pts = sample_points(rng, 6, guards=desc_guards(rep, p))
     worst = 0.0
     for u in pts:
-        A = descendant_r_closed(U, u).matrix
-        B = descendant_r_product(U, u).matrix
+        A = descendant_r_closed(U, u)
+        B = descendant_r_product(U, u)
         worst = max(worst, rel_residual(A, B))
     assert worst < 1e-9
 
@@ -166,13 +166,13 @@ def test_descendant_identity_at_u0(algebra, r):
     rep = build_irrep(algebra, r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     u0 = u0_point(chi_factor(pair_table(algebra, r, p)), p.a)
-    m = descendant_r_closed(U, u0).matrix
+    m = descendant_r_closed(U, u0)
     assert np.abs(m - np.eye((r * r - 1) ** 2)).max() < 1e-10
     # the family regular point sits at zero in the additive variable
     fam = descendant_family(U)
     assert np.abs(fam.check_fn(0.0) - np.eye(fam.r1 ** 2)).max() < 1e-10
     # the product form reaches the same limit through extrapolation
-    m2 = descendant_r_product(U, u0).matrix
+    m2 = descendant_r_product(U, u0)
     assert np.abs(m2 - np.eye((r * r - 1) ** 2)).max() < 1e-8
 
 
@@ -191,7 +191,7 @@ def test_descendant_invariance(algebra, r, rng):
     rep = build_irrep(algebra, r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    pair = nfold_coproduct(algebra, [U.replike()] * 2, p.q)
+    pair = nfold_coproduct(algebra, [U.gens] * 2, p.q)
     u = sample_points(rng, 1, guards=fam_guards(rep, p))[0]
     R = fam.check_fn(u)
     for g in ("E", "F", "H"):
@@ -271,8 +271,8 @@ def test_extended_lax_rll(r, n, params_sl, rng):
     fam = hecke_family(cgc_table(rep, rep))
     U = composite_space(fam, n=n)
     u, w = sample_points(rng, 2, guards=(-fam.u0,))
-    L13 = extended_lax(U, u).matrix
-    L23 = extended_lax(U, w).matrix
+    L13 = extended_lax(U, u)
+    L23 = extended_lax(U, w)
     Rm = fam.swap @ fam.check_fn(u - w)
     dims = [r, r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
@@ -301,10 +301,10 @@ def test_extended_lax_by_sector_matches_dense_train(algebra, q, r, n):
     # the sector build is exactly zero between total-weight sectors and is
     # the dense crossing train everywhere else
     U = _composite(algebra, q, r, n)
-    w = product_weights(ladder_weights(U.rep), ladder_weights(U.replike()))
+    w = product_weights(ladder_weights(U.rep), ladder_weights(U.gens))
     off = _off_sector(w, w)
     for u in (0.37, 0.21 - 0.13j):
-        L = extended_lax(U, u).matrix
+        L = extended_lax(U, u)
         dense = _dense_lax(U, u)
         assert not L[off].any()
         assert np.abs(L - dense).max() < 1e-12 * np.abs(dense).max()
@@ -316,7 +316,7 @@ def test_extended_lax_n1_is_pair_matrix(params_sl):
     u = 0.37 + 0.08j
     # n = 1 composite is the irrep itself in its block basis
     U = composite_space(fam, n=1)
-    L = extended_lax(U, u).matrix
+    L = extended_lax(U, u)
     R = fam.swap @ fam.check_fn(u)
     big = np.kron(np.eye(3), U.project) @ R @ np.kron(np.eye(3), U.embed)
     assert rel_residual(L, big) < 1e-12
@@ -338,7 +338,7 @@ def test_extended_lax_r2_spectral_two_terms(rng):
     def check_fn(u):
         # non-check train in U-coordinates; treated as a family over the
         # mixed pair for the polynomial fit
-        return extended_lax(U, u).matrix
+        return extended_lax(U, u)
 
     s = np.sqrt(1 - 4 * chi + 0j)
 
@@ -351,7 +351,7 @@ def test_extended_lax_r2_spectral_two_terms(rng):
 
     fam = SpectralRMatrix(
         r1=2, r2=U.dim, family="lax", params=plat, chi=chi, u0=u0,
-        check_fn=check_fn, swap=np.eye(2 * U.dim), space=None,
+        check_fn=check_fn, swap=np.eye(2 * U.dim),
         parities=rep.parities,
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * plat.a * complex(u)),
@@ -378,8 +378,8 @@ def test_extended_lax_closed_form(r, n, params_sl, rng):
     pts = sample_points(rng, 20, guards=(-fam.u0,))
     worst = 0.0
     for u in pts:
-        A = evaluate(u).matrix
-        B = extended_lax(U, u).matrix
+        A = evaluate(u)
+        B = extended_lax(U, u)
         worst = max(worst, rel_residual(A, B))
     assert worst < 1e-8
 
@@ -493,6 +493,6 @@ def test_complex_deformation_parameter():
         fam = hecke_family(table)
         assert ybe(fam, fam, fam, 0.37 + 0.1j, -0.22 + 0.03j) < 1e-11
         U = composite_space(fam, n=2)
-        A = descendant_r_closed(U, 0.8 + 0.1j).matrix
-        B = descendant_r_product(U, 0.8 + 0.1j).matrix
+        A = descendant_r_closed(U, 0.8 + 0.1j)
+        B = descendant_r_product(U, 0.8 + 0.1j)
         assert rel_residual(A, B) < 1e-10

@@ -22,7 +22,7 @@ from qybe import (
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
     hecke_family,
-    sector_blocks,
+    check_sectors,
     spectrum,
     transfer_matrix,
 )
@@ -109,7 +109,7 @@ def test_single_site_transfer_invariant(params_sl, rng):
     spec = whole(ChainSpec.from_composite(U, 1))
     u = chain_points(rng, 1, fam)[0]
     tau = transfer_matrix(spec, fam, u)[0]
-    h = U.replike().H
+    h = U.gens.H
     assert rel_residual(tau @ h, h @ tau) < 1e-10
 
 
@@ -164,7 +164,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     fam = descendant_family(U)
     spec = whole(ChainSpec.from_composite(U, 2))
     H = hamiltonian_projector_form(U, spec)[0]
-    pair = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
+    pair = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     bond = chain_bond(U)[1]
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
@@ -234,7 +234,8 @@ def test_spin_structure_block_transitions(params_sl):
         assert found == expect_offdiag
 
 
-@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
+@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (SLQ2, 4),
+                                      (OSPQ12, 2), (OSPQ12, 3), (OSPQ12, 4)])
 def test_coupled_elements_p23(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
@@ -246,13 +247,14 @@ def test_coupled_elements_p23(algebra, r):
         assert row[0] > 0 and row[1] > 0 and col[0] > 0 and col[1] > 0
 
 
-@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
+@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (SLQ2, 4),
+                                      (OSPQ12, 2), (OSPQ12, 3), (OSPQ12, 4)])
 def test_coupled_elements_p23p14(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
     out = coupled_matrix_elements(cgc_table(rep, rep), "P23P14")
     assert out.route_residual < 1e-9
-    # support только on total singlet with equal pair labels
+    # support only on the total singlet with equal pair labels
     for row, col in out.support:
         assert abs(row[2]) < 1e-9 and abs(col[2]) < 1e-9
         assert abs(row[0] - row[1]) < 1e-9 and abs(col[0] - col[1]) < 1e-9
@@ -287,6 +289,13 @@ def _same_table(ca, cb, tol):
     return not rest
 
 
+def _cut(M, sectors):
+    """The diagonal blocks of M over `sectors`, once `check_sectors` has
+    found no entry of M between them."""
+    check_sectors(M, sectors)
+    return [M[np.ix_(s, s)] for s in sectors]
+
+
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("n_sites", [2, 3])
@@ -301,12 +310,12 @@ def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
     # the whole-space H; the blocked tau sums its GEMMs in another order than
     # the one-group contraction, so it matches them to round-off
     blocks = hamiltonian_projector_form(U, spec)
-    want = sector_blocks(hamiltonian_projector_form(U, whole(spec))[0], spec.sectors)
+    want = _cut(hamiltonian_projector_form(U, whole(spec))[0], spec.sectors)
     assert len(blocks) == len(want) == len(spec.sectors)
     assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
     blocks = transfer_matrix(spec, fam, u)
     tau = transfer_matrix(whole(spec), fam, u)[0]
-    want = sector_blocks(tau, spec.sectors)
+    want = _cut(tau, spec.sectors)
     assert len(blocks) == len(want)
     assert max(np.abs(b - w).max() for b, w in zip(blocks, want)) <= 1e-14 * np.abs(tau).max()
     vals, clusters = spectrum(hamiltonian_projector_form(U, spec))
@@ -314,7 +323,7 @@ def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
     assert _pairing_gap(vals, want_vals) < 1e-10
     assert _same_table(clusters, want_clusters, 1e-7)
     blocks = hamiltonian_log_derivative(spec, fam)
-    want = sector_blocks(hamiltonian_log_derivative(whole(spec), fam)[0], spec.sectors)
+    want = _cut(hamiltonian_log_derivative(whole(spec), fam)[0], spec.sectors)
     assert len(blocks) == len(want)
     for b, w in zip(blocks, want):
         assert rel_residual(b, w) < 1e-9
@@ -326,12 +335,10 @@ def test_sector_blocks_refuse_an_off_sector_entry(algebra):
     spec = ChainSpec.from_composite(U, 2)
     sectors = spec.sectors
     H = hamiltonian_projector_form(U, whole(spec))[0]
-    blocks = sector_blocks(H, sectors)
-    for s, b in zip(sectors, blocks):
-        assert np.array_equal(b, H[np.ix_(s, s)])
+    check_sectors(H, sectors)
     H[sectors[0][0], sectors[1][0]] = 1e-6
     with pytest.raises(QybeError, match="outside the weight sectors"):
-        sector_blocks(H, sectors)
+        check_sectors(H, sectors)
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
@@ -428,7 +435,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec.from_composite(U, 2)),
                               cluster_tol=1e-6)
-    chain = nfold_coproduct(SLQ2, [U.replike()] * 2, params_sl.q)
+    chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     dims = sorted(b.r for b in decompose(chain, params_sl).blocks)
     reachable = {0}
     for d in dims:
@@ -486,7 +493,7 @@ def test_graded_transfer_matches_dense_product(r, n_sites, params_osp, rng):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, n_sites)
-    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
+    R = fam.noncheck(chain_points(rng, 1, fam)[0])
     _check_against_dense(spec, R, rng)
 
 
@@ -496,7 +503,7 @@ def test_weighted_transfer_matches_dense_product(r, n_sites, params_sl, rng):
     # the sl_q(2) chains, weighted; the osp_q(1|2) ones are the case above
     U = _pair_composite(SLQ2, r)
     fam = descendant_family(U)
-    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
+    R = fam.noncheck(chain_points(rng, 1, fam)[0])
     _check_against_dense(ChainSpec.from_composite(U, n_sites), R, rng)
 
 
@@ -506,9 +513,9 @@ def test_lax_auxiliary_transfer_matches_dense_product(algebra, n_sites, rng):
     # tau_V: the extended Lax operator on V^r (x) U, the auxiliary V^r
     U = _pair_composite(algebra, 2)
     spec = ChainSpec(U.parities, n_sites, aux_parities=U.rep.parities,
-                     weights=tuple(ladder_weights(U.replike())),
+                     weights=tuple(ladder_weights(U.gens)),
                      aux_weights=tuple(ladder_weights(U.rep)))
-    _check_against_dense(spec, extended_lax(U, 0.37 + 0.11j).matrix, rng)
+    _check_against_dense(spec, extended_lax(U, 0.37 + 0.11j), rng)
 
 
 @st.composite
@@ -541,7 +548,7 @@ def test_transfer_refuses_an_r_that_moves_the_weight(rng):
     U = _pair_composite(SLQ2, 3)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 2)
-    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix.copy()
+    R = fam.noncheck(chain_points(rng, 1, fam)[0]).copy()
     sectors = product_sectors(spec.aux_weights, spec.weights)
     R[sectors[0][0], sectors[1][0]] = 1e-6
     with pytest.raises(QybeError, match="outside the weight sectors"):
@@ -551,7 +558,7 @@ def test_transfer_refuses_an_r_that_moves_the_weight(rng):
 def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
     ctx = Context(RunConfig(r_list=(2,)))
     dfam = ctx.descendant(2)
-    w = ladder_weights(ctx.composite(2, 2).replike())
+    w = ladder_weights(ctx.composite(2, 2).gens)
     sectors = product_sectors(w, w)
 
     def planted(u):
@@ -580,7 +587,7 @@ def test_transfer_matrix_peak_memory(rng):
     U = _pair_composite(SLQ2, 3)
     fam = descendant_family(U)
     spec = ChainSpec.from_composite(U, 3)
-    R = fam.noncheck(chain_points(rng, 1, fam)[0]).matrix
+    R = fam.noncheck(chain_points(rng, 1, fam)[0])
     spec.transfer_plan
     D = U.dim ** 3
     tracemalloc.start()

@@ -19,16 +19,17 @@ from qybe import (
     serialize_operator,
     ybe_residual,
 )
-from qybe.repspace import GradedOperator, Space
 from qybe.toolkit import (
     CHECKS,
     Context,
+    GradedOperator,
     MalformedDocumentError,
     Report,
     RunConfig,
+    Space,
     verify_all,
 )
-from qybe import cli, coupling, fusion, repspace, rmatrix, spinchain, toolkit
+from qybe import cli, commutant, coupling, fusion, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
 from conftest import params_for, pair_table
 
@@ -93,7 +94,9 @@ def test_write_operator_peak_memory(tmp_path):
     # the document is written one row block at a time: the Lax operator of
     # (r, n) = (5, 3) is 575 x 575 and about 90% exact zeros, and writing
     # it holds no more than twice the length of its text
-    op = fusion.extended_lax(Context(RunConfig()).composite(5, 3), 0.37)
+    U = Context(RunConfig()).composite(5, 3)
+    sp = Space.of(U.rep.parities, U.parities)
+    op = GradedOperator(fusion.extended_lax(U, 0.37), sp, sp)
     path = tmp_path / "lax.json"
     with open(path, "w") as fh:
         tracemalloc.start()
@@ -155,7 +158,9 @@ def test_fixture_roundtrip_preserves_ybe(rng):
     u, w = 0.41 + 0.04j, -0.37 + 0.08j
     ops = {}
     for x in (u, u + w, w):
-        doc = json.loads(json.dumps(serialize_operator(fam.check(x), SLQ2, p.q)))
+        sp = Space.of(fam.parities, fam.parities)
+        op = GradedOperator(fam.check_fn(x), sp, sp)
+        doc = json.loads(json.dumps(serialize_operator(op, SLQ2, p.q)))
         ops[x] = deserialize_operator(doc).matrix
     I3 = np.eye(3)
     lhs = np.kron(ops[u], I3) @ np.kron(I3, ops[u + w]) @ np.kron(ops[w], I3)
@@ -382,7 +387,7 @@ def test_keyless_checks_ignore_config_tolerances():
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_lax_rll_refuses_a_factor_that_mixes_weights(algebra, monkeypatch):
     # an entry of 1e-6 between two weight sectors of L: the check compares
-    # sector blocks only, so it must fail on the sector_blocks error rather
+    # sector blocks only, so it must fail on the check_sectors error rather
     # than pass without seeing the entry
     build = fusion.extended_lax
 
@@ -390,7 +395,7 @@ def test_lax_rll_refuses_a_factor_that_mixes_weights(algebra, monkeypatch):
         L = build(U, u)
         w = coupling.product_weights(coupling.ladder_weights(U.rep),
                                      coupling.ladder_weights(U.gens))
-        L.matrix[np.argmax(w), np.argmin(w)] += 1e-6
+        L[np.argmax(w), np.argmin(w)] += 1e-6
         return L
 
     monkeypatch.setattr(fusion, "extended_lax", planted)
@@ -551,7 +556,7 @@ def test_cli_lax_artifact_is_zero_off_sector(tmp_path):
     entries = json.loads((tmp_path / "lax_slq2_r3_n3.json").read_text())["entries"]
     U = Context(RunConfig()).composite(3, 3)
     w = np.round(2 * coupling.product_weights(coupling.ladder_weights(U.rep),
-                                              coupling.ladder_weights(U.replike())))
+                                              coupling.ladder_weights(U.gens)))
     off = np.flatnonzero(np.not_equal.outer(w, w))
     assert len(entries) == w.size ** 2 and len(off) > 0.8 * len(entries)
     assert all(entries[k] == [0.0, 0.0] for k in off)
@@ -580,6 +585,100 @@ def test_cli_subcommand(command, tmp_path, monkeypatch):
             op = deserialize_operator(doc)
             meta = doc["meta"]
             assert serialize_operator(op, meta["algebra"], complex(*meta["q"])) == doc
+
+
+# The parity vectors of the factors the r = 2, n = 2 artifacts live on:
+# V^2, V^3, the pair space U of V^2 and the coupled states of V^2 (x) V^3.
+_FACTORS = {
+    SLQ2: {"V2": [0, 0], "V3": [0, 0, 0], "U": [0, 0, 0], "C23": [0] * 6},
+    OSPQ12: {"V2": [0, 1], "V3": [0, 1, 0], "U": [0, 1, 0], "C23": [0, 1, 0, 1, 1, 0]},
+}
+# (argv, file, algebra written or None for the run's, label, domain factors,
+# codomain factors or None for the domain's); {a} is the run's algebra
+_ARTIFACT_META = [
+    (["build-rep", "--r", "2"], "rep_{a}_r2_E.json", None, "E[r=2]", ["V2"], None),
+    (["build-rep", "--r", "2"], "rep_{a}_r2_H.json", None, "H[r=2]", ["V2"], None),
+    (["cgc", "--r", "2", "3"], "cgc_{a}_2x3.json", None, "cgc[2x3]", ["C23"], ["V2", "V3"]),
+    (["projectors", "--r", "2"], "projector_{a}_r2_P1.json", None, "P^1", ["V2", "V2"], None),
+    (["projectors", "--r", "2"], "projector_{a}_r2_P3.json", None, "P^3", ["V2", "V2"], None),
+    (["hecke", "--r", "2"], "hecke_{a}_r2_u0.3.json", None, "Rcheck[hecke]((0.3+0j))",
+     ["V2", "V2"], None),
+    (["fixtures", "--kind", "1"], "fixture_1.json", SLQ2, "Rcheck[r33_1]((0.3+0j))",
+     ["V3", "V3"], None),
+    (["fuse", "--r", "2"], "fused_{a}_r2.json", None, "Rcheck[fused]((0.3+0j))",
+     ["U", "U"], None),
+    (["lax", "--r", "2", "--n", "2"], "lax_{a}_r2_n2.json", None, "L[2,2]((0.3+0j))",
+     ["V2", "U"], None),
+    (["export", "--what", "hecke", "--r", "2"], "export_hecke_{a}_r2.json", None,
+     "Rcheck[hecke]((0.3+0j))", ["V2", "V2"], None),
+    (["export", "--what", "fused", "--r", "2"], "export_fused_{a}_r2.json", None,
+     "Rcheck[fused]((0.3+0j))", ["U", "U"], None),
+    (["export", "--what", "lax", "--r", "2", "--n", "2"], "export_lax_{a}_r2.json", None,
+     "L[2,2]((0.3+0j))", ["V2", "U"], None),
+    (["export", "--what", "projector", "--r", "2"], "export_projector_{a}_r2.json", None,
+     "P^3", ["V2", "V2"], None),
+]
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_cli_artifact_meta(algebra, tmp_path):
+    # the label, dims and parities of every kind of artifact, which the
+    # command line alone attaches to the arrays it writes
+    for argv, name, written, label, domain, codomain in _ARTIFACT_META:
+        out = tmp_path / argv[0]
+        assert cli_dispatch(["--algebra", algebra, "--out", str(out)] + argv) == 0
+        meta = json.loads((out / name.format(a=algebra)).read_text())["meta"]
+        pars = _FACTORS[SLQ2 if written == SLQ2 else algebra]
+        dom = [pars[f] for f in domain]
+        cod = [pars[f] for f in codomain] if codomain else dom
+        assert meta == {
+            "algebra": written or algebra, "q": [1.3, 0.0], "label": label,
+            "domain_dims": [len(p) for p in dom], "codomain_dims": [len(p) for p in cod],
+            "parities_domain": dom, "parities_codomain": cod,
+        }, name
+
+
+def test_math_layers_do_not_name_the_document_types():
+    # operators are arrays below the command line: only toolkit defines the
+    # document types, and no math module imports or names them
+    import ast
+    import inspect
+
+    for module in (repspace, coupling, rmatrix, fusion, spinchain, commutant):
+        tree = ast.parse(inspect.getsource(module))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"GradedOperator", "Space"}, module.__name__
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_verify_all_builds_the_pair_cells_once_per_pair_space(algebra, monkeypatch):
+    built = []
+    real = fusion.pair_cells
+    monkeypatch.setattr(fusion, "pair_cells", lambda U: built.append((U.rep.r, U.n)) or real(U))
+    cfg = RunConfig(algebra=algebra, r_list=(2, 3))
+    ctx = Context(cfg)
+    verify_all(cfg, ctx)
+    assert ctx.report.all_passed
+    assert built == [(2, 2), (3, 2)]
+
+
+def test_one_lax_size_rule(tmp_path):
+    # the extended Lax at (r, n) acts on (V^r)^(x(n+1)): the command refuses
+    # every pair beyond the desk bound before it writes anything, and the
+    # battery plans the RLL check exactly where the rule allows it
+    assert fusion.lax_fits(8, 3) and fusion.lax_fits(2, 11)
+    assert not fusion.lax_fits(8, 4) and not fusion.lax_fits(3, 8)
+    assert cli_dispatch(["--out", str(tmp_path), "lax", "--r", "2", "8", "--n", "2", "4"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    error = json.loads((tmp_path / "report.json").read_text())["checks"][0]["error"]
+    assert error == ("extended Lax at (r, n) = [(8, 4)] exceeds the desk bound "
+                     "of 4096 dimensions")
+    cfg = RunConfig(r_list=(2, 3), n_list=(2, 6, 11))
+    planned = [(i["r"], i["n"]) for name, i in toolkit.battery(cfg) if name == "lax-rll"]
+    assert planned == [(2, 2), (2, 6), (2, 11), (3, 2), (3, 6)]
 
 
 def _readme_section(title):
