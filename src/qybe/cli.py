@@ -98,6 +98,15 @@ def _write_lax(ctx, name, U, u):
                      [U.rep.parities, U.parities])
 
 
+def _at_most(args, flag, count):
+    """Refuse more than `count` values of the list flag --`flag`, which is
+    all the command reads, before anything is written."""
+    values = getattr(args, flag)
+    if values is not None and len(values) > count:
+        raise QybeError(f"{args.command} reads at most {count} --{flag} "
+                        f"value{'s' * (count > 1)}, got {values}")
+
+
 def _write_projector(ctx, name, r, r0):
     """The projector onto the dimension-r0 block of V^r (x) V^r."""
     return _write_op(ctx, name, projector(ctx.cgc(r, r), r0), f"P^{r0}",
@@ -114,6 +123,7 @@ def cmd_build_rep(args, ctx):
 
 
 def cmd_cgc(args, ctx):
+    _at_most(args, "r", 2)
     r1, r2 = (ctx.config.r_list + ctx.config.r_list)[:2]
     dec = ctx.cgc(r1, r2).decomposition
     _write_op(ctx, f"cgc_{ctx.config.algebra}_{r1}x{r2}.json", dec.basis, f"cgc[{r1}x{r2}]",
@@ -137,7 +147,7 @@ def cmd_hecke(args, ctx):
 
 
 def cmd_fixtures(args, ctx):
-    for kind in (args.kind,) if args.kind else (1, 2, 3):
+    for kind in (args.kind,) if args.kind is not None else (1, 2, 3):
         _write_check(ctx, f"fixture_{kind}.json", ctx.fixture(kind), complex(args.u, args.ui),
                      SLQ2)
         ctx.check("fixture-{kind}-ybe", kind=kind)
@@ -190,6 +200,8 @@ def cmd_verify_all(args, ctx):
 
 
 def cmd_export(args, ctx):
+    _at_most(args, "r", 1)
+    _at_most(args, "n", 1)
     r, what, u = ctx.config.r_list[0], args.what, complex(args.u, args.ui)
     name = f"export_{what}_{ctx.config.algebra}_r{r}.json"
     if what == "hecke":
@@ -199,7 +211,8 @@ def cmd_export(args, ctx):
     elif what == "lax":
         path = _write_lax(ctx, name, ctx.composite(r, ctx.config.n_list[0]), u)
     elif what == "projector":
-        path = _write_projector(ctx, name, r, args.target or tensor_decompose(r, r)[-1])
+        r0 = args.target if args.target is not None else tensor_decompose(r, r)[-1]
+        path = _write_projector(ctx, name, r, r0)
     else:
         raise QybeError(f"nothing exportable named {what!r}")
     ctx.report.add(f"export {what}", 0.0, 1.0, {"path": path})

@@ -162,7 +162,7 @@ def _column_components(rows, cols, shape):
         label = new
 
 
-def _nullspace_from_system(system, gap_tol=1e3):
+def _nullspace_from_system(system):
     """Orthonormal null space of a SystemEntries, one SVD per connected
     component of its sparsity pattern.
 
@@ -171,7 +171,8 @@ def _nullspace_from_system(system, gap_tol=1e3):
     in ascending order, form a dense block of the system; its rows whose
     entries pass the cut-off go to the SVD.  The null space is the direct
     sum of the component null spaces; columns no equation touches are free.
-    The rank threshold and the gap test see the singular values of all
+    The rank threshold and the gap test (a gap below 1e3 between singular
+    values above thresh / 1e3 is ambiguous) see the singular values of all
     components together, and the assembled basis must satisfy the full,
     uncut system: each block times its component's null vectors."""
     row, col, val, (n_rows, total) = system
@@ -204,7 +205,7 @@ def _nullspace_from_system(system, gap_tol=1e3):
     gap = np.inf
     if 0 < rank < len(s_all) and s_all[rank] > 0:
         gap = float(s_all[rank - 1] / s_all[rank])
-        if gap < gap_tol and s_all[rank] > thresh / gap_tol:
+        if gap < 1e3 and s_all[rank] > thresh / 1e3:
             raise QybeError(f"rank ambiguity in the null space (gap {gap:.1e})")
     null = np.zeros((total, total - rank), dtype=complex)
     j, resid = 0, 0.0
@@ -228,7 +229,7 @@ def _product_dim(dU, n):
     return dU ** n
 
 
-def _centralizer(layout, E, F, dU, n, gap_tol):
+def _centralizer(layout, E, F, dU, n):
     """Centralizer of the n-fold generators E = Delta^n(e), F = Delta^n(f)
     over a `_sector_layout`.  The pair of sectors (k, k + step) gives the
     rows of A C_k - C_{k+step} A = 0 with A = (E or F)[tgt, src]; in
@@ -254,13 +255,13 @@ def _centralizer(layout, E, F, dU, n, gap_tol):
         val += [np.repeat(v, m1), np.repeat(-v, m2)]
     system = SystemEntries(np.concatenate(row), np.concatenate(col),
                            np.concatenate(val), (n_rows, total))
-    null, gap = _nullspace_from_system(system, gap_tol)
+    null, gap = _nullspace_from_system(system)
     basis = CommutantBasis(dim_space=dU, n=n, rank_gap=gap,
                            vectors=_scatter_sectors(null, flat, dU ** n))
     return basis, system
 
 
-def commutant_nullspace(U, n, gap_tol=1e3):
+def commutant_nullspace(U, n):
     """Joint null space of [Delta^n g, c] = 0 for g in {e, f, h}, solved by
     SVD over the weight-sector blocks of the coefficient matrix."""
     gens = U.gens
@@ -270,7 +271,7 @@ def commutant_nullspace(U, n, gap_tol=1e3):
     _refuse_over_budget(weight_sectors(product_weights(*[ladder_weights(gens)] * n)))
     co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
     layout = _sector_layout(weight_sectors(ladder_weights(co)), d)
-    return _centralizer(layout, co.E, co.F, gens.dim, n, gap_tol)[0]
+    return _centralizer(layout, co.E, co.F, gens.dim, n)[0]
 
 
 def _block_ladder_data(U):
@@ -336,7 +337,7 @@ def _coproduct_generators(states, n, q, algebra):
     return E, F
 
 
-def constraint_system(U, n, gap_tol=1e3):
+def constraint_system(U, n):
     """Centralizer from the structured ladder equations.
 
     The unknowns are grouped by the total weight of the product states (the
@@ -349,7 +350,7 @@ def constraint_system(U, n, gap_tol=1e3):
     weights = [st["weight"] for st in states]
     layout = _sector_layout(weight_sectors(product_weights(*[weights] * n)), d)
     E, F = _coproduct_generators(states, n, U.params.q, U.rep.algebra)
-    return _centralizer(layout, E, F, len(states), n, gap_tol)
+    return _centralizer(layout, E, F, len(states), n)
 
 
 def principal_angles(basis_a, basis_b):
@@ -371,10 +372,11 @@ def principal_angles(basis_a, basis_b):
     return np.sort(np.arcsin(sines))
 
 
-def membership(op, basis, tol=1e-8):
+def membership(op, basis):
     """Least-squares expansion of an operator over a commutant basis.
-    Returns (is_member, coefficients, residual)."""
+    Returns (is_member, coefficients, residual); a member's residual is
+    below 1e-8."""
     v = np.asarray(op).reshape(-1)
     coef, *_ = np.linalg.lstsq(basis.vectors, v, rcond=None)
     resid = np.abs(basis.vectors @ coef - v).max() / max(1.0, np.abs(v).max())
-    return bool(resid < tol), coef, float(resid)
+    return bool(resid < 1e-8), coef, float(resid)

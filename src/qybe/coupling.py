@@ -20,7 +20,6 @@ from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
     Irrep,
     RepLike,
-    as_replike,
     casimir_matrix,
     casimir_value,
     coproduct_pair,
@@ -86,13 +85,12 @@ class Decomposition:
         return dict(sorted(mult.items()))
 
 
-def ladder_weights(rep_like):
+def ladder_weights(R):
     """Real ladder weights of the diagonal h (the factor 2 of the sl_q(2)
     convention stripped off).  Even graded irreps shift h by i pi / (2 log q),
     the same constant on every state of a product: the midpoint of the
     symmetric weights.  It is imaginary at real q, where h.real is kept as
     it is, and is subtracted at complex q."""
-    R = as_replike(rep_like)
     h = np.diag(R.H)
     shift = (h.max() + h.min()) / 2
     w = np.real(h - shift) if abs(shift.real) > 1e-9 else np.real(h)
@@ -124,7 +122,7 @@ def product_sectors(*site_weights):
     return list(weight_sectors(product_weights(*site_weights)).values())
 
 
-def _hw_vectors(e_mat, weights, target_weight, within=None, tol=1e-9):
+def _hw_vectors(e_mat, weights, target_weight, within=None):
     """Vectors at one ladder weight annihilated by e, inside an optional
     restriction span.  Columns returned in the ambient space.
 
@@ -146,17 +144,17 @@ def _hw_vectors(e_mat, weights, target_weight, within=None, tol=1e-9):
         A = np.vstack([e_mat @ sub, off])
     u, s, vh = np.linalg.svd(A, full_matrices=True)
     smax = s.max() if s.size else 0.0
-    rank = int(np.sum(s > tol * max(1.0, smax)))
+    rank = int(np.sum(s > 1e-9 * max(1.0, smax)))
     null = vh.conj().T[:, rank:]
     out = sub @ null
     out[~mask] = 0.0
-    keep = [c for c in range(out.shape[1]) if np.abs(out[:, c]).max() > tol]
+    keep = [c for c in range(out.shape[1]) if np.abs(out[:, c]).max() > 1e-9]
     return out[:, keep]
 
 
-def decompose(rep_like, params, within=None):
-    """Block-decompose a RepLike space (optionally restricted to the span of
-    the columns of `within`) into irreducible ladders.
+def decompose(R, params, within=None):
+    """Block-decompose an irrep or a RepLike space (optionally restricted to
+    the span of the columns of `within`) into irreducible ladders.
 
     Multiplicity spaces are orthogonalized with modified Gram-Schmidt in the
     invariant bilinear metric, scanning weights from the top, which fixes the
@@ -164,7 +162,6 @@ def decompose(rep_like, params, within=None):
     sizable component made real positive), normalized to unit metric norm and
     lowered with the standard gamma of the matching ladder.
     """
-    R = as_replike(rep_like)
     metric, mres = invariant_metric(R.E, R.F)
     if mres > 1e-6:
         raise QybeError(f"invariant metric propagation inconsistent (residual {mres:.2e})")
@@ -301,7 +298,7 @@ def casimir_projector(rep1, rep2, r0):
         raise QybeError(f"target {r0} not in the decomposition of ({rep1.r},{rep2.r})")
     vals = {t: casimir_value(rep1.algebra, t, params.q) for t in targets}
     for t in targets:
-        if t != r0 and abs(vals[t] - vals[r0]) < 1e4 * params.precision:
+        if t != r0 and abs(vals[t] - vals[r0]) < 1e-8:
             raise EigenvalueCollisionError(
                 f"casimir eigenvalues for blocks {r0} and {t} collide at this q"
             )

@@ -109,6 +109,11 @@ class CompositeSpace:
         return pair_cells(self)
 
     @cached_property
+    def descendant(self):
+        """`descendant_family` of this space, built once per space."""
+        return descendant_family(self)
+
+    @cached_property
     def lax_sectors(self):
         """Index data of the extended Lax operators on V^r (x) U, built once
         per space.  One entry per total weight: the places t x t of its
@@ -199,12 +204,12 @@ def _require_pair(U):
         raise QybeError(f"the pair builders act on U^(r^2-1) (n = 2), got n = {U.n}")
 
 
-def descendant_coefficients(u, chi, a, u0=None):
+def descendant_coefficients(u, chi, a, u0):
     """Coefficient pair (c1, c2) of the closed fused form, as pole-free
-    rationals in x = exp(2a(u-u0)); exact at u = u0 where both vanish."""
+    rationals in x = exp(2a(u-u0)), u0 the degeneration point of (chi, a);
+    exact at u = u0 where both vanish."""
     s = np.sqrt(1 - 4 * chi + 0j)
     z0 = (1 - s) / (1 + s)
-    u0 = u0 if u0 is not None else u0_point(chi, a)
     x = np.exp(2 * a * (complex(u) - u0))
     d1 = (s - 1) * x * z0 + (s + 1)      # f14 denominator
     d2 = (s - 1) * x + (s + 1)           # f13 = f24 denominator
@@ -248,8 +253,8 @@ def pair_cells(U):
 
 def descendant_r_closed(U, u):
     """Closed fused solution on U (x) U at outer line difference u: the
-    descendant family at u - u0."""
-    return descendant_family(U).check_fn(u - U.hecke.u0)
+    descendant family (`U.descendant`) at u - u0."""
+    return U.descendant.check_fn(u - U.hecke.u0)
 
 
 def descendant_r_product(U, u, guard=1e-6):
@@ -310,7 +315,6 @@ def descendant_family(U):
         swap=graded_permutation(U.gens, U.gens), parities=U.parities,
         poly_weight=poly_weight,
         poly_base=lambda x: np.exp(2 * a * complex(x)),
-        nterms=3,
     )
 
 

@@ -37,20 +37,17 @@ class PoleError(QybeError):
 class DeformParams:
     """Deformation data shared by every construction.
 
-    q         deformation parameter, must be generic (not 0, +-1, nor a root of
-              unity of order <= 2*r_max)
-    a         scale of the spectral parameter in the baxterized coefficient
-              f(u); a = log(q) makes trigonometric families polynomial in q**u
-    algebra   SLQ2 or OSPQ12
-    precision base tolerance unit used by numerical checks
-    r_max     largest representation dimension the root-of-unity guard covers
+    q        deformation parameter, must be generic: not 0, +-1, nor a root
+             of unity of order <= 16, which covers every irrep up to
+             dimension 8
+    a        scale of the spectral parameter in the baxterized coefficient
+             f(u); a = log(q) makes trigonometric families polynomial in q**u
+    algebra  SLQ2 or OSPQ12
     """
 
     q: complex = 1.3
     a: complex = 1.0
     algebra: str = SLQ2
-    precision: float = 1e-12
-    r_max: int = 8
 
     def __post_init__(self):
         q = complex(self.q)
@@ -62,7 +59,7 @@ class DeformParams:
             raise DegenerateParameterError("q and a must be nonzero")
         if abs(q - 1.0) < 1e-6 or abs(q + 1.0) < 1e-6:
             raise DegenerateParameterError("q too close to +-1")
-        for k in range(1, 2 * self.r_max + 1):
+        for k in range(1, 17):
             try:
                 qk = q ** k
             except OverflowError:
@@ -73,7 +70,7 @@ class DeformParams:
         object.__setattr__(self, "a", complex(self.a))
 
     def with_algebra(self, algebra):
-        return DeformParams(self.q, self.a, algebra, self.precision, self.r_max)
+        return DeformParams(self.q, self.a, algebra)
 
 
 def q_number(x, q):

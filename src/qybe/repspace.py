@@ -50,6 +50,10 @@ class Irrep:
     params: DeformParams = field(repr=False, default=None)
 
     @property
+    def dim(self):
+        return self.r
+
+    @property
     def ladder_j(self):
         return (self.r - 1) / 2.0
 
@@ -105,7 +109,7 @@ def ladder_coefficients(algebra, r, params):
     gamma = np.zeros(max(r - 1, 0), dtype=complex)
     for k in range(r - 1):  # gamma_i lowers v_i, beta_{i-1} raises v_{i-1}
         a = alpha_sum(algebra, r, j - k, params.q)
-        if abs(a) < 1e3 * params.precision and 0 < k:
+        if abs(a) < 1e-9 and 0 < k:
             raise DegenerateParameterError(
                 f"alpha vanished at interior weight i={j - k}; q is not generic"
             )
@@ -172,8 +176,8 @@ def graded_kron_raw(A, B, pA_dom, pA_cod, pB_dom, pB_cod):
 
 
 class RepLike:
-    """Minimal (E, F, H, parities) bundle; irreps and composite blocks both
-    feed the coproduct and coupling machinery through this."""
+    """Minimal (E, F, H, parities) bundle of a coproduct or a composite
+    block; it and `Irrep` both feed the coproduct and coupling machinery."""
 
     __slots__ = ("algebra", "E", "F", "H", "parities")
 
@@ -189,16 +193,9 @@ class RepLike:
         return len(self.parities)
 
 
-def as_replike(rep):
-    if isinstance(rep, RepLike):
-        return rep
-    return RepLike(rep.algebra, rep.E, rep.F, rep.H, rep.parities)
-
-
-def coproduct_pair(algebra, repA, repB, q):
-    """Two-fold coproduct matrices (e, f, h) on the graded product, returned
-    as a RepLike on the pair space."""
-    A, B = as_replike(repA), as_replike(repB)
+def coproduct_pair(algebra, A, B, q):
+    """Two-fold coproduct matrices (e, f, h) on the graded product of two
+    irreps or RepLikes, returned as a RepLike on the pair space."""
     pa, pb = A.parities, B.parities
     gk = lambda X, Y: graded_kron_raw(X, Y, pa, pa, pb, pb)
     IA, IB = np.eye(A.dim), np.eye(B.dim)
@@ -214,11 +211,11 @@ def coproduct_pair(algebra, repA, repB, q):
 
 
 def nfold_coproduct(algebra, reps, q):
-    """Iterated coproduct over a list of RepLike factors (coassociative, so
-    the left-nested bracketing is as good as any)."""
-    cur = as_replike(reps[0])
+    """Iterated coproduct over a list of irrep or RepLike factors
+    (coassociative, so the left-nested bracketing is as good as any)."""
+    cur = reps[0]
     for nxt in reps[1:]:
-        cur = coproduct_pair(algebra, cur, as_replike(nxt), q)
+        cur = coproduct_pair(algebra, cur, nxt, q)
     return cur
 
 
@@ -312,9 +309,8 @@ def local_product(factors, dims, parities, sectors):
     return (reduce(np.matmul, [block(op, gather, s) for op, gather in gathers]) for s in sectors)
 
 
-def casimir_matrix(algebra, rep_like, q):
-    """Casimir as a matrix over a RepLike (works for irreps and coproducts)."""
-    R = as_replike(rep_like)
+def casimir_matrix(algebra, R, q):
+    """Casimir as a matrix over an irrep or a RepLike (a coproduct)."""
     d = np.diag(R.H)
     qc = complex(q)
     if algebra == OSPQ12:
@@ -346,7 +342,7 @@ def verify_algebra(rep):
     return out
 
 
-def invariant_metric(e_mat, f_mat, tol=1e-9):
+def invariant_metric(e_mat, f_mat):
     """Diagonal bilinear form M with e^T M = M f, found by propagating the
     ladder relations over the weight graph.  Anchored at the first basis
     state; disconnected components are anchored at 1.  Returns (diagonal,
@@ -366,9 +362,9 @@ def invariant_metric(e_mat, f_mat, tol=1e-9):
             for y in range(n):
                 if known[y]:
                     continue
-                if abs(e_mat[x, y]) > tol and abs(f_mat[y, x]) > tol:
+                if abs(e_mat[x, y]) > 1e-9 and abs(f_mat[y, x]) > 1e-9:
                     d[y] = e_mat[x, y] * d[x] / f_mat[y, x]
-                elif abs(e_mat[y, x]) > tol and abs(f_mat[x, y]) > tol:
+                elif abs(e_mat[y, x]) > 1e-9 and abs(f_mat[x, y]) > 1e-9:
                     d[y] = d[x] * f_mat[x, y] / e_mat[y, x]
                 else:
                     continue

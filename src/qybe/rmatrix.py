@@ -40,7 +40,7 @@ def rel_residual(A, B):
     return float(np.abs(A - B).max() / sc)
 
 
-def hecke_f(u, chi, a=1.0, tol=1e-12):
+def hecke_f(u, chi, a=1.0):
     """Baxterized coefficient f(u) = 2 / (-1 + s coth(a u)), s = sqrt(1-4 chi).
 
     f(0) = 0 by the coth limit; a pole sits where the denominator vanishes
@@ -50,7 +50,7 @@ def hecke_f(u, chi, a=1.0, tol=1e-12):
         return 0j
     s = np.sqrt(1 - 4 * chi + 0j)
     den = -1.0 + s / np.tanh(a * u)
-    if abs(den) < 1e3 * tol:
+    if abs(den) < 1e-9:
         raise PoleError(f"f(u) pole at u={u}")
     return 2.0 / den
 
@@ -93,18 +93,17 @@ class SpectralRMatrix:
     parities: tuple = ()
     poly_weight: callable = field(repr=False, default=None)
     poly_base: callable = field(repr=False, default=None)
-    nterms: int = 0
     table: CouplingTable = field(repr=False, default=None)
 
     def noncheck(self, u):
         """The non-check form swap @ check_fn(u)."""
         return self.swap @ self.check_fn(u)
 
-    def braid_limit(self, sign, big=40.0):
+    def braid_limit(self, sign):
         """Constant matrix limit of the normalized check form at u -> +-inf,
-        evaluated at a saturating argument."""
+        evaluated at the saturating argument u = +-40 / |a|."""
         a = self.params.a if self.family == "hecke" else np.log(self.params.q)
-        u = sign * big / max(abs(a), 1e-3)
+        u = sign * 40.0 / max(abs(a), 1e-3)
         return self.check_fn(u)
 
 
@@ -144,7 +143,6 @@ def hecke_family(table, chi=None):
         parities=rep.parities,
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * a * complex(u)),
-        nterms=2,
         table=table,
     )
 
@@ -199,7 +197,6 @@ def r33_family(kind, table):
         parities=rep.parities,
         poly_weight=lambda u: q ** complex(u),
         poly_base=lambda u: q ** complex(u),
-        nterms=3,
         table=table,
     )
 
@@ -243,33 +240,20 @@ def intertwining_residual(R, rep1, rep2):
     return worst
 
 
-def ybe_residual(R_a, R_b, R_c, u=0.0, w=0.0, form="check", parities=None):
-    """Relative residual of the triple-product relation.
+def ybe_residual(fam, u, w, form="check"):
+    """Relative residual of the triple-product relation of the spectral
+    family `fam`, with A = R(u), B = R(u+w), C = R(w).
 
-    check:    R12(u) R23(u+w) R12(w) = R23(w) R12(u+w) R23(u), plain
-              embeddings (the check form carries no grading signs).
-    noncheck: R12(u) R13(u+w) R23(w) = R23(w) R13(u+w) R12(u), with the
-              1-3 leg embedded through graded permutations.
-
-    Each argument is a SpectralRMatrix (evaluated at u, u+w, w respectively)
-    or a constant matrix used at every slot.
+    check:    A12 B23 C12 = C23 B12 A23, plain embeddings (the check form
+              carries no grading signs).
+    noncheck: A12 B13 C23 = C23 B13 A12, with the 1-3 leg embedded through
+              graded permutations.
     """
-    def get(Rx, uu):
-        if isinstance(Rx, SpectralRMatrix):
-            return Rx.check_fn(uu) if form == "check" else Rx.noncheck(uu)
-        return np.asarray(Rx)
-
-    if parities is None:
-        if isinstance(R_a, SpectralRMatrix):
-            parities = R_a.parities
-        else:
-            raise QybeError("parities must be given for constant-matrix input")
-    r = len(parities)
-    A, B, C = get(R_a, u), get(R_b, u + w), get(R_c, w)
+    get = fam.check_fn if form == "check" else fam.noncheck
+    r = len(fam.parities)
+    A, B, C = get(u), get(u + w), get(w)
     if A.shape[0] != r * r:
         raise QybeError("operator does not act on a like-factor pair")
-    dims = [r, r, r]
-    pars = [parities] * 3
     if form == "check":
         I = np.eye(r)
         a12, b23, c12 = np.kron(A, I), np.kron(I, B), np.kron(C, I)
@@ -277,7 +261,7 @@ def ybe_residual(R_a, R_b, R_c, u=0.0, w=0.0, form="check", parities=None):
         lhs = a12 @ b23 @ c12
         rhs = c23 @ b12 @ a23
     elif form == "noncheck":
-        whole = [np.arange(r ** 3)]
+        dims, pars, whole = [r] * 3, [fam.parities] * 3, [np.arange(r ** 3)]
         [lhs] = local_product([(A, (0, 1)), (B, (0, 2)), (C, (1, 2))], dims, pars, whole)
         [rhs] = local_product([(C, (1, 2)), (B, (0, 2)), (A, (0, 1))], dims, pars, whole)
     else:
@@ -328,15 +312,15 @@ class IllConditionedFitError(QybeError):
     """Spectral decomposition sampling produced an ill-conditioned system."""
 
 
-def spectral_decompose(fam, r1=None, samples=None, rng=None):
-    """Fit poly_weight(u) R(u) = sum_p poly_base(u)^(p-1) M_p over >= r1
-    sample points of the non-check family; returns (list of M_p, residual).
+def spectral_decompose(fam, r1, samples=None, rng=None):
+    """Fit poly_weight(u) R(u) = sum_p poly_base(u)^(p-1) M_p, p = 1..r1,
+    over >= r1 sample points of the non-check family; returns (list of M_p,
+    residual).
 
     Trigonometric families only: the family must declare its polynomial
     weight and elementary power."""
     if fam.poly_weight is None or fam.poly_base is None:
         raise QybeError("family does not declare a polynomialization")
-    r1 = r1 or fam.nterms or fam.r1
     rng = rng or np.random.default_rng(42)
     if samples is None:
         samples = [complex(x) for x in rng.uniform(0.2, 1.4, 2 * r1)]

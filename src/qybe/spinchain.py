@@ -303,9 +303,10 @@ def transfer_matrix(spec, fam, u):
     return [tau[o:o + n * n].reshape(n, n) for o, n in plan.blocks]
 
 
-def bond_expansion_coefficients(U, step=1e-6):
+def bond_expansion_coefficients(U):
     """First-order expansion of the fused solution on U (x) U at its regular
-    point: d/du of the two closed coefficients, Richardson-extrapolated.
+    point: d/du of the two closed coefficients, central differences at the
+    steps 1e-6 and 5e-7, Richardson-extrapolated.
 
     Both derivatives equal the slope f0 for every r, algebra and scale a, so
     the chain bond operator is f0 (Pbar + Phat); the ratio is returned rather
@@ -319,8 +320,8 @@ def bond_expansion_coefficients(U, step=1e-6):
 
     out = []
     for ix in range(2):
-        d1 = der(ix, step)
-        d2 = der(ix, step / 2)
+        d1 = der(ix, 1e-6)
+        d2 = der(ix, 1e-6 / 2)
         out.append((4 * d2 - d1) / 3)
     return complex(out[0]), complex(out[1])
 
@@ -384,7 +385,7 @@ class CoupledElements:
     support: list  # labels of rows/cols with nonzero blocks
 
 
-def coupled_matrix_elements(table, term, tol=1e-9):
+def coupled_matrix_elements(table, term):
     """Matrix elements of a sandwiched bond operator on (V^r)^(x4) in the
     coupled basis |j12, j34; J, i>, computed two ways from the coupling
     table of V^r (x) V^r: direct conjugation of the dense operator, and
@@ -411,13 +412,13 @@ def coupled_matrix_elements(table, term, tol=1e-9):
     conserves = True
     for ci, li in enumerate(cb.labels):
         for cj, lj in enumerate(cb.labels):
-            if abs(direct[ci, cj]) > tol and (abs(li[2] - lj[2]) > 1e-9
+            if abs(direct[ci, cj]) > 1e-9 and (abs(li[2] - lj[2]) > 1e-9
                                               or abs(li[3] - lj[3]) > 1e-9):
                 conserves = False
     support = sorted({
         (cb.labels[ci][:3], cb.labels[cj][:3])
         for ci in range(len(cb.labels)) for cj in range(len(cb.labels))
-        if abs(direct[ci, cj]) > tol
+        if abs(direct[ci, cj]) > 1e-9
     })
     return CoupledElements(
         labels=cb.labels, direct=direct, summed=summed,

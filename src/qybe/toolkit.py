@@ -92,14 +92,14 @@ class GradedOperator:
             )
 
 
-def _document(op, algebra, q, label):
+def _document(op, algebra, q):
     """The document of `serialize_operator` without its entries."""
     q = complex(q)
     return {
         "meta": {
             "algebra": algebra,
             "q": [q.real, q.imag],
-            "label": label if label is not None else op.label,
+            "label": op.label,
             "domain_dims": list(op.domain.dims),
             "codomain_dims": list(op.codomain.dims),
             "parities_domain": [list(p) for p in op.domain.parities],
@@ -110,10 +110,10 @@ def _document(op, algebra, q, label):
     }
 
 
-def serialize_operator(op, algebra="", q=0j, label=None):
+def serialize_operator(op, algebra="", q=0j):
     """JSON document for a GradedOperator: meta block plus row-major entries
     as [re, im] pairs.  Floats round-trip exactly through repr."""
-    doc = _document(op, algebra, q, label)
+    doc = _document(op, algebra, q)
     doc["entries"] = np.ascontiguousarray(op.matrix).view(float).reshape(-1, 2).tolist()
     return doc
 
@@ -124,8 +124,8 @@ _BLOCK_ENTRIES = 1 << 14
 _ZERO_ENTRY = ", [0.0, 0.0]"
 
 
-def write_operator(fh, op, algebra="", q=0j, label=None):
-    """Write json.dumps(serialize_operator(op, algebra, q, label),
+def write_operator(fh, op, algebra="", q=0j):
+    """Write json.dumps(serialize_operator(op, algebra, q),
     sort_keys=True) to the text file `fh`, byte for byte, one row block at
     a time.
 
@@ -135,7 +135,7 @@ def write_operator(fh, op, algebra="", q=0j, label=None):
     per-entry list of the whole matrix and no whole text are ever held."""
     m = op.matrix
     rows, cols = m.shape
-    head, key, tail = json.dumps(dict(_document(op, algebra, q, label), entries=[]),
+    head, key, tail = json.dumps(dict(_document(op, algebra, q), entries=[]),
                                  sort_keys=True).partition('"entries": [')
     fh.write(head + key)
     step = max(1, _BLOCK_ENTRIES // max(cols, 1))
@@ -321,12 +321,13 @@ class Report:
         return json.dumps(self.to_json(with_timings=False), sort_keys=True)
 
 
-def random_points(rng, count, guards=(), box=(-1.0, 1.0, -0.2, 0.2), min_dist=0.05):
-    """Sample spectral points u in the configured box, rejecting any within
-    min_dist of a guard point (poles of the coefficient functions)."""
+def random_points(rng, count, guards=(), min_dist=0.05):
+    """Sample spectral points u in the box |Re u| < 1, |Im u| < 0.2,
+    rejecting any within min_dist of a guard point (poles of the coefficient
+    functions)."""
     out = []
     while len(out) < count:
-        u = complex(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
+        u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
         if all(abs(u - g) > min_dist for g in guards):
             out.append(u)
     return out
@@ -377,7 +378,7 @@ class Context:
         return self._once(("hecke", r), hecke_family, self.cgc(r, r), self.chi(r))
 
     def descendant(self, r):
-        return self._once(("descendant", r), fusion.descendant_family, self.composite(r, 2))
+        return self.composite(r, 2).descendant
 
     def spin1(self):
         """The sl_q(2) table of V^3 (x) V^3: the run's own in an sl_q(2) run."""
@@ -458,8 +459,7 @@ def _chi_closed_form(ctx, rng, inputs):
 
 
 def _family_ybe(fam, pts):
-    return max(ybe_residual(fam, fam, fam, u, w, form="check")
-               for u in pts for w in pts[:2])
+    return max(ybe_residual(fam, u, w) for u in pts for w in pts[:2])
 
 
 def _hecke_ybe(ctx, rng, inputs):
@@ -467,11 +467,11 @@ def _hecke_ybe(ctx, rng, inputs):
     return _family_ybe(fam, random_points(rng, 5, guards=family_guards(fam)))
 
 
-def _eqf_residual(ctx, rng, inputs, count=200):
+def _eqf_residual(ctx, rng, inputs):
     fam = ctx.hecke(inputs["r"])
-    pts = random_points(rng, 2 * count, guards=family_guards(fam))
+    pts = random_points(rng, 400, guards=family_guards(fam))
     worst = 0.0
-    for k in range(count):
+    for k in range(200):
         u, w = pts[2 * k], pts[2 * k + 1]
         if abs(u + w + fam.u0) < 0.05:
             continue
@@ -494,12 +494,12 @@ def _universal_braid(ctx, rng, inputs):
     return mixed_braid_check(*ctx.universal(), ctx.rep(2).parities)["max_balanced"]
 
 
-def _descendant_agreement(ctx, rng, inputs, count=5):
+def _descendant_agreement(ctx, rng, inputs):
     U = ctx.composite(inputs["r"], 2)
     u0 = U.hecke.u0
     return max(rel_residual(fusion.descendant_r_closed(U, u),
                             fusion.descendant_r_product(U, u))
-               for u in random_points(rng, count, guards=(0.0, -u0, u0)))
+               for u in random_points(rng, 5, guards=(0.0, -u0, u0)))
 
 
 def _descendant_regular_point(ctx, rng, inputs):

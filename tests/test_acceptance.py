@@ -63,7 +63,7 @@ def test_criterion_01_hecke_ybe_suite():
                     [(u, w) for u in pts[:3] for w in pts[3:8]]
             pairs = pairs[:20]
             for u, w in pairs:
-                res = ybe_residual(fam, fam, fam, u, w, form="check")
+                res = ybe_residual(fam, u, w, form="check")
                 worst_by_dim = max(worst_by_dim, res / (r ** 3))
     report(1, "baxterized family YBE, both algebras, r in 2..5",
            worst_by_dim, 1e-12)
@@ -105,7 +105,7 @@ def test_criterion_04_fixtures():
     for k, fam in fams.items():
         pts = random_points(rng, 8)
         for u, w in zip(pts[:4], pts[4:]):
-            worst_ybe = max(worst_ybe, ybe_residual(fam, fam, fam, u, w, form="check"))
+            worst_ybe = max(worst_ybe, ybe_residual(fam, u, w, form="check"))
     report(4, "three spin-1 solutions satisfy the YBE", worst_ybe, 1e-9)
     worst_braid = 0.0
     for sign in (+1, -1):
@@ -180,7 +180,7 @@ def test_criterion_06_fusion_cross_check():
     fam = descendant_family(composite_space(hecke_family(pair_table(SLQ2, 3, p)), n=2))
     guards = family_guards(fam)
     pts = random_points(rng, 4, guards=guards, min_dist=0.1)
-    worst_ybe = max(ybe_residual(fam, fam, fam, u, w, form="check")
+    worst_ybe = max(ybe_residual(fam, u, w, form="check")
                     for u in pts[:2] for w in pts[2:]
                     if all(abs(u + w - g) > 0.06 for g in guards))
     report(6, "fused solution YBE on the 512-dimensional triple space",

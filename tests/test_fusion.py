@@ -204,7 +204,7 @@ def test_descendant_ybe_r2(params_sl, rng):
     fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
-    worst = max(ybe_residual(fam, fam, fam, u, w, form="check")
+    worst = max(ybe_residual(fam, u, w, form="check")
                 for u in pts[:2] for w in pts[2:]
                 if all(abs(u + w - g) > 0.06 for g in guards))
     assert worst < 1e-9
@@ -218,7 +218,7 @@ def test_descendant_ybe_r3_512(params_sl, rng):
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
     pairs = [(u, w) for u in pts[:2] for w in pts[2:]
              if all(abs(u + w - g) > 0.06 for g in guards)]
-    worst = max(ybe_residual(fam, fam, fam, u, w, form="check") for u, w in pairs)
+    worst = max(ybe_residual(fam, u, w, form="check") for u, w in pairs)
     assert worst < 1e-9
 
 
@@ -229,7 +229,7 @@ def test_descendant_ybe_osp_r3(params_osp, rng):
     pts = sample_points(rng, 2, guards=guards, min_dist=0.1)
     u, w = pts
     if all(abs(u + w - g) > 0.06 for g in guards):
-        assert ybe_residual(fam, fam, fam, u, w, form="check") < 1e-9
+        assert ybe_residual(fam, u, w, form="check") < 1e-9
 
 
 def test_descendant_r2_matches_fixture1(params_sl, rng):
@@ -355,7 +355,6 @@ def test_extended_lax_r2_spectral_two_terms(rng):
         parities=rep.parities,
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * plat.a * complex(u)),
-        nterms=4,
     )
     mats, resid = spectral_decompose(fam, r1=4, rng=rng)
     assert resid < 1e-8
@@ -491,7 +490,7 @@ def test_complex_deformation_parameter():
         dec = table.decomposition
         assert np.abs(dec.dual @ dec.basis - np.eye(9)).max() < 1e-10
         fam = hecke_family(table)
-        assert ybe(fam, fam, fam, 0.37 + 0.1j, -0.22 + 0.03j) < 1e-11
+        assert ybe(fam, 0.37 + 0.1j, -0.22 + 0.03j) < 1e-11
         U = composite_space(fam, n=2)
         A = descendant_r_closed(U, 0.8 + 0.1j)
         B = descendant_r_product(U, 0.8 + 0.1j)

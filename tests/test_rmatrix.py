@@ -94,7 +94,7 @@ def test_hecke_ybe(algebra, r, rng):
     p = params_for(algebra)
     fam = hecke_family(pair_table(algebra, r, p))
     pts = sample_points(rng, 6, guards=(-fam.u0,))
-    worst = max(ybe_residual(fam, fam, fam, u, w, form="check")
+    worst = max(ybe_residual(fam, u, w, form="check")
                 for u in pts[:3] for w in pts[3:])
     assert worst < r ** 3 * 1e-12
 
@@ -142,7 +142,7 @@ def test_fixture_normalization(kind, params_sl):
 def test_fixture_ybe(kind, params_sl, rng):
     fam = r33_family(kind, pair_table(SLQ2, 3, params_sl))
     pts = sample_points(rng, 6, guards=())
-    worst = max(ybe_residual(fam, fam, fam, u, w, form="check")
+    worst = max(ybe_residual(fam, u, w, form="check")
                 for u in pts[:3] for w in pts[3:])
     assert worst < 1e-9
 
@@ -296,7 +296,7 @@ def test_spectral_decompose_fixture1_three_terms(params_sl, rng):
 
 def test_ybe_trivial_at_zero(params_osp):
     fam = hecke_family(pair_table(OSPQ12, 3, params_osp))
-    assert ybe_residual(fam, fam, fam, 0.0, 0.0, form="check") < 1e-13
+    assert ybe_residual(fam, 0.0, 0.0, form="check") < 1e-13
 
 
 def test_ybe_negative_control(params_sl):
@@ -304,7 +304,7 @@ def test_ybe_negative_control(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
     fam = hecke_family(cgc_table(rep, rep), chi=chi)
-    res = ybe_residual(fam, fam, fam, 0.7, -0.3, form="check")
+    res = ybe_residual(fam, 0.7, -0.3, form="check")
     assert res > 1e-4
 
 
@@ -313,14 +313,14 @@ def test_ybe_noncheck_negative_control(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
     fam = hecke_family(cgc_table(rep, rep), chi=chi)
-    assert ybe_residual(fam, fam, fam, 0.7, -0.3, form="noncheck") > 1e-4
+    assert ybe_residual(fam, 0.7, -0.3, form="noncheck") > 1e-4
 
 
 def test_ybe_noncheck_graded(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
     fam = hecke_family(cgc_table(rep, rep))
     pts = sample_points(rng, 4, guards=(-fam.u0,))
-    worst = max(ybe_residual(fam, fam, fam, u, w, form="noncheck")
+    worst = max(ybe_residual(fam, u, w, form="noncheck")
                 for u in pts[:2] for w in pts[2:])
     assert worst < 1e-11
 

@@ -557,8 +557,9 @@ def test_transfer_refuses_an_r_that_moves_the_weight(rng):
 
 def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
     ctx = Context(RunConfig(r_list=(2,)))
+    U = ctx.composite(2, 2)
     dfam = ctx.descendant(2)
-    w = ladder_weights(ctx.composite(2, 2).gens)
+    w = ladder_weights(U.gens)
     sectors = product_sectors(w, w)
 
     def planted(u):
@@ -566,7 +567,7 @@ def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
         m[sectors[0][0], sectors[1][0]] = 1e-6
         return m
 
-    ctx._built["descendant", 2] = dataclasses.replace(dfam, check_fn=planted)
+    U.descendant = dataclasses.replace(dfam, check_fn=planted)
     assert not ctx.check("transfer-commutation", r=2, N=2)
     assert "outside the weight sectors" in ctx.report.checks[-1]["error"]
 

@@ -165,7 +165,7 @@ def test_fixture_roundtrip_preserves_ybe(rng):
     I3 = np.eye(3)
     lhs = np.kron(ops[u], I3) @ np.kron(I3, ops[u + w]) @ np.kron(ops[w], I3)
     rhs = np.kron(I3, ops[w]) @ np.kron(ops[u + w], I3) @ np.kron(I3, ops[u])
-    direct = ybe_residual(fam, fam, fam, u, w, form="check")
+    direct = ybe_residual(fam, u, w, form="check")
     reloaded = np.abs(lhs - rhs).max() / max(1.0, np.abs(lhs).max())
     assert abs(direct - reloaded) < 1e-12
 
@@ -303,6 +303,12 @@ def test_cli_computation_failure_exits_1(tmp_path):
     ["commutant", "--r", "2", "--n", "0"],
     ["commutant", "--r", "5"],
     ["commutant", "--r", "2", "--n", "2", "0"],
+    ["fixtures", "--kind", "0"],
+    ["export", "--what", "projector", "--target", "0"],
+    # more values than the command reads: refused, not cut to the first ones
+    ["cgc", "--r", "2", "3", "4"],
+    ["export", "--what", "hecke", "--r", "2", "3"],
+    ["export", "--what", "lax", "--n", "3", "4"],
 ])
 def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     assert cli_dispatch(["--out", str(tmp_path)] + argv) == 1
@@ -567,10 +573,10 @@ def test_cli_subcommand(command, tmp_path, monkeypatch):
     argv, checks, artifacts = SUBCOMMANDS[command]
     dumped = {}  # each operator written, as json.dumps of its document
 
-    def write_operator(fh, op, algebra="", q=0j, label=None):
+    def write_operator(fh, op, algebra="", q=0j):
         dumped[os.path.basename(fh.name)] = json.dumps(
-            serialize_operator(op, algebra, q, label), sort_keys=True)
-        toolkit.write_operator(fh, op, algebra, q, label)
+            serialize_operator(op, algebra, q), sort_keys=True)
+        toolkit.write_operator(fh, op, algebra, q)
 
     monkeypatch.setattr(cli, "write_operator", write_operator)
     assert cli_dispatch(["--out", str(tmp_path)] + argv) == 0
@@ -653,11 +659,110 @@ def test_math_layers_do_not_name_the_document_types():
         assert not names & {"GradedOperator", "Space"}, module.__name__
 
 
+def _defaults_no_call_passes(root):
+    """(owner, name) of each defaulted parameter of a def and each valued
+    field of a class in src/qybe that no call in src/, tests/ or perfbench/
+    passes.  A call matches a definition by the name it calls, and its
+    positional arguments count from after a method's `self`.  An argument
+    that forwards the caller's own parameter or field of the same name
+    (`x=x`, `self.x`) passes the callee's only where the caller's is
+    passed, so a default threaded through required parameters is found."""
+    import ast
+
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    params = {}  # (owner, name) -> (positional index or None, has a default)
+    for path, tree in trees.items():
+        if path.parent.name != "qybe":
+            continue
+        for node in ast.walk(tree):  # breadth first: a class before its methods
+            if isinstance(node, ast.ClassDef):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                params.update({(node.name, f.target.id): (i, f.value is not None)
+                               for i, f in enumerate(fields)})
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and not f.decorator_list:
+                        f.shift = 1
+            elif isinstance(node, ast.FunctionDef):
+                a, shift = node.args, getattr(node, "shift", 0)
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                params.update({(node.name, p.arg): (i - shift, i >= first)
+                               for i, p in enumerate(pos) if i >= shift})
+                params.update({(node.name, p.arg): (None, d is not None)
+                               for p, d in zip(a.kwonlyargs, a.kw_defaults)})
+    passed, forwards = set(), []
+
+    def visit(node, scopes):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                call(child, scopes)
+            visit(child, scopes + [child] if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else scopes)
+
+    def call(node, scopes):
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        unpacked = (any(k.arg is None for k in node.keywords)
+                    or any(isinstance(a, ast.Starred) for a in node.args))
+        named = {k.arg: k.value for k in node.keywords}
+        for (owner, name), (index, _) in params.items():
+            if owner != callee:
+                continue
+            arg = named.get(name)
+            if arg is None and index is not None and index < len(node.args):
+                arg = node.args[index]
+            if arg is None and not unpacked:
+                continue
+            source = None
+            if isinstance(arg, ast.Name) and arg.id == name and scopes:
+                source = (scopes[-1].name, name)
+            elif (isinstance(arg, ast.Attribute) and arg.attr == name
+                  and getattr(arg.value, "id", None) == "self"):
+                classes = [s for s in scopes if isinstance(s, ast.ClassDef)]
+                source = (classes[-1].name, name) if classes else None
+            if source in params:
+                forwards.append((source, (owner, name)))
+            else:
+                passed.add((owner, name))
+
+    for tree in trees.values():
+        visit(tree, [])
+    for _ in forwards:
+        passed |= {callee for caller, callee in forwards if caller in passed}
+    return sorted(key for key, (_, default) in params.items()
+                  if default and key not in passed)
+
+
+def test_every_default_is_passed_by_some_call():
+    # a default that no caller overrides is a constant: the code states the
+    # constant instead of a parameter, a field or a fallback branch
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert _defaults_no_call_passes(root) == []
+
+
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_verify_all_builds_the_pair_cells_once_per_pair_space(algebra, monkeypatch):
     built = []
     real = fusion.pair_cells
     monkeypatch.setattr(fusion, "pair_cells", lambda U: built.append((U.rep.r, U.n)) or real(U))
+    cfg = RunConfig(algebra=algebra, r_list=(2, 3))
+    ctx = Context(cfg)
+    verify_all(cfg, ctx)
+    assert ctx.report.all_passed
+    assert built == [(2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_verify_all_builds_one_fused_family_per_pair_space(algebra, monkeypatch):
+    # the closed fused form and the chain checks read the one family that
+    # each pair space keeps
+    built = []
+    real = fusion.descendant_family
+    monkeypatch.setattr(fusion, "descendant_family",
+                        lambda U: built.append((U.rep.r, U.n)) or real(U))
     cfg = RunConfig(algebra=algebra, r_list=(2, 3))
     ctx = Context(cfg)
     verify_all(cfg, ctx)
