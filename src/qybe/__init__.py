@@ -28,6 +28,7 @@ from .repspace import (
 from .coupling import (
     CouplingTable,
     casimir_projector,
+    check_sectors,
     cgc_table,
     chi_closed,
     chi_factor,
@@ -60,7 +61,6 @@ from .fusion import (
 from .spinchain import (
     ChainSpec,
     chain_bond,
-    check_sectors,
     coupled_matrix_elements,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,

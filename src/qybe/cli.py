@@ -62,12 +62,20 @@ def _config_from_args(args, base):
     return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _config_from_file(path):
+def _config_from_file(args):
+    """The --config file's configuration with the flags given in its place.
+    A list the file holds is given to the command as if by its flag, so
+    `_at_most` refuses it just the same."""
     try:
-        with open(path) as fh:
-            return RunConfig.from_json(json.load(fh))
+        with open(args.config) as fh:
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise QybeError(f"cannot read the config {path}: {exc}") from exc
+        raise QybeError(f"cannot read the config {args.config}: {exc}") from exc
+    base = RunConfig.from_json(doc)
+    for flag in ("r", "n"):
+        if not getattr(args, flag):
+            setattr(args, flag, doc.get(f"{flag}_list"))
+    return _config_from_args(args, base)
 
 
 # Each command writes its artifacts, then runs its checks from the table in
@@ -99,8 +107,9 @@ def _write_lax(ctx, name, U, u):
 
 
 def _at_most(args, flag, count):
-    """Refuse more than `count` values of the list flag --`flag`, which is
-    all the command reads, before anything is written."""
+    """Refuse more than `count` values of the list flag --`flag`, or of its
+    list in the --config file, which is all the command reads, before
+    anything is written."""
     values = getattr(args, flag)
     if values is not None and len(values) > count:
         raise QybeError(f"{args.command} reads at most {count} --{flag} "
@@ -270,7 +279,7 @@ def cli_dispatch(argv=None):
     cfg = _config_from_args(args, RunConfig())  # where the report of a bad --config goes
     try:
         if args.config:
-            cfg = _config_from_args(args, _config_from_file(args.config))
+            cfg = _config_from_file(args)
         ctx = Context(cfg)  # validates the parameters before any work
         # looked up by name at each dispatch: a replaced cmd_* is the one run
         globals()["cmd_" + args.command.replace("-", "_")](args, ctx)

@@ -122,6 +122,29 @@ def product_sectors(*site_weights):
     return list(weight_sectors(product_weights(*site_weights)).values())
 
 
+def check_sectors(M, sectors):
+    """Require an array, or each array of a stack on the last two axes, to
+    be carried by its diagonal blocks M[s, s] over the index arrays
+    `sectors`, which partition its rows.
+
+    Raises QybeError when an entry outside the blocks exceeds
+    1e-12 * max(1, max|M|) of its own array: the blocks would then not
+    carry M, and their spectra would not be its spectrum.  No block is
+    gathered."""
+    M = np.asarray(M)
+    scale = off = np.zeros(M.shape[:-2])
+    for s in sectors:
+        rows = np.abs(M[..., s, :])
+        scale = np.maximum(scale, rows.max(axis=(-2, -1), initial=0.0))
+        rows[..., s] = 0.0
+        off = np.maximum(off, rows.max(axis=(-2, -1), initial=0.0))
+    bound = 1e-12 * np.maximum(1.0, scale)
+    if np.any(off > bound):
+        worst = np.argmax(off / bound)
+        raise QybeError(f"an entry of modulus {off.flat[worst]:.3e} lies outside the weight "
+                        f"sectors (bound {bound.flat[worst]:.1e})")
+
+
 def _hw_vectors(e_mat, weights, target_weight, within=None):
     """Vectors at one ladder weight annihilated by e, inside an optional
     restriction span.  Columns returned in the ambient space.

@@ -32,6 +32,7 @@ import numpy as np
 from .qarith import DESK_BOUND, PoleError, QybeError
 from .repspace import (
     RepLike,
+    apply_at,
     block_index,
     embed_at,
     graded_permutation,
@@ -98,10 +99,19 @@ class CompositeSpace:
     def parities(self):
         return tuple(int(x) for x in self.decomposition.parities)
 
+    @cached_property
+    def pair_project(self):
+        """project (x) project, built once per space."""
+        return np.kron(self.project, self.project)
+
+    @cached_property
+    def pair_embed(self):
+        """embed (x) embed, built once per space."""
+        return np.kron(self.embed, self.embed)
+
     def compress_pair(self, full_matrix):
         """An operator on the ambient factors of U (x) U, in block coordinates."""
-        return np.kron(self.project, self.project) @ full_matrix \
-            @ np.kron(self.embed, self.embed)
+        return self.pair_project @ full_matrix @ self.pair_embed
 
     @cached_property
     def cells(self):
@@ -257,29 +267,42 @@ def descendant_r_closed(U, u):
     return U.descendant.check_fn(u - U.hecke.u0)
 
 
-def descendant_r_product(U, u, guard=1e-6):
-    """Fused solution on U (x) U as the six-factor product of pair R-matrices.
+def descendant_r_product(U, us, guard=1e-6):
+    """Fused solution on U (x) U as the six-factor product of pair R-matrices,
+    at a point u or stacked over a sequence of points.
 
-    The inner factor at argument u - 2 u0 has a pole at u = u0; within the
-    guard the limit is taken by fourth-order Richardson extrapolation from
-    nearby points (the limit exists, the direct product does not evaluate)."""
+    The eight adjacent factors are applied leg by leg to the columns of
+    embed (x) embed, the ones at the constant argument u0 built once for
+    all points.  The inner factor at argument u - 2 u0 has a pole at
+    u = u0; every point within the guard takes the limit there, by
+    fourth-order Richardson extrapolation from points around u0 (the limit
+    exists, the direct product does not evaluate)."""
     _require_pair(U)
     fam = U.hecke
     u0 = fam.u0
-    if abs(complex(u) - u0) < guard:
+    dims, pars = [U.rep.r] * 4, [fam.parities] * 4
+    us = np.asarray(us, dtype=complex)
+    pts = us.ravel()
+    near = np.abs(pts - u0) < guard
+    out = np.empty((pts.size,) + (U.dim ** 2,) * 2, dtype=complex)
+    if near.any():
         h = 1e-3
-        mats = [descendant_r_product(U, u0 + dz, guard=0.0) for dz in (h, -h, h / 2, -h / 2)]
+        mats = descendant_r_product(U, u0 + np.array([h, -h, h / 2, -h / 2]), guard=0.0)
         coarse = (mats[0] + mats[1]) / 2
         fine = (mats[2] + mats[3]) / 2
-        return (4 * fine - coarse) / 3
-    dims = [U.rep.r] * 4
-    pars = [fam.parities] * 4
-    Rc = lambda x, pos: embed_at(fam.check_fn(x), pos, dims, pars)
-    full = (Rc(u0, (0, 1)) @ Rc(u0, (2, 3))
-            @ Rc(u, (1, 2)) @ Rc(u - u0, (0, 1)) @ Rc(u - u0, (2, 3))
-            @ Rc(u - 2 * u0, (1, 2))
-            @ Rc(u0, (0, 1)) @ Rc(u0, (2, 3)))
-    return U.compress_pair(full)
+        out[near] = (4 * fine - coarse) / 3
+    far = pts[~near]
+    R0 = fam.check_fn(u0)
+    at = lambda xs: np.reshape([fam.check_fn(x) for x in xs], (-1,) + R0.shape)
+    R1 = at(far - u0)
+    # R01(u0) R23(u0) R12(u) R01(u-u0) R23(u-u0) R12(u-2u0) R01(u0) R23(u0),
+    # applied from the right
+    X = U.pair_embed
+    for op, pos in ((R0, (2, 3)), (R0, (0, 1)), (at(far - 2 * u0), (1, 2)), (R1, (2, 3)),
+                    (R1, (0, 1)), (at(far), (1, 2)), (R0, (2, 3)), (R0, (0, 1))):
+        X = apply_at(op, pos, dims, pars, X)
+    out[~near] = U.pair_project @ X
+    return out.reshape(us.shape + out.shape[-2:])
 
 
 def descendant_family(U):

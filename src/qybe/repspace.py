@@ -271,6 +271,25 @@ def embed_at(op, pos, dims, parities):
     return out
 
 
+def apply_at(op, pos, dims, parities, X):
+    """embed_at(op, pos, dims, parities) @ X without forming the embedding,
+    for pos a run of consecutive legs in order: the rows of X carry the
+    Koszul signs of `_signed_perm` before and after, and op contracts the
+    run's legs by a reshape.  X may be a stack of matrices on its last two
+    axes and op a stack matched to X's, or either one a single matrix."""
+    pos = tuple(pos)
+    if pos != tuple(range(pos[0], pos[0] + len(pos))):
+        raise QybeError(f"apply_at takes a run of consecutive legs in order, got {pos}")
+    rest = [k for k in range(len(dims)) if k not in pos]
+    sign = _signed_perm(list(pos) + rest, dims, parities)[1][:, None]
+    rows, cols = X.shape[-2:]
+    head, dop = int(np.prod(dims[:pos[0]])), op.shape[-1]
+    Y = op[..., None, :, :] @ (sign * X).reshape(X.shape[:-2] + (head, dop, rows // head // dop * cols))
+    Y = Y.reshape(Y.shape[:-3] + (rows, cols))
+    Y *= sign
+    return Y
+
+
 def block_index(pos, dims, parities):
     """The blocks of embed_at(op, pos, dims, parities) as gathers from op: a
     function of an index array idx returning (index, sign), with the
@@ -295,16 +314,19 @@ def local_product(factors, dims, parities, sectors):
     """The diagonal blocks of embed_at(A, p) @ embed_at(B, q) @ ... over the
     index arrays `sectors`, for factors [(A, p), (B, q), ...]: per sector,
     the product of the factors' blocks gathered by `block_index`, made one
-    at a time as the returned iterator is consumed.
+    at a time as the returned iterator is consumed.  A factor may be a
+    stack of operators on its last two axes; the blocks are then stacks,
+    multiplied point by point.
 
     These are the blocks of the product only when every embedded factor
     maps each sector into itself; the whole space, [np.arange(D)], always
     qualifies."""
-    gathers = [(np.asarray(op).ravel(), block_index(pos, dims, parities)) for op, pos in factors]
+    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(pos, dims, parities))
+               for op, pos in factors]
 
     def block(op, gather, s):
         index, sign = gather(s)
-        return sign * op[index]
+        return sign * op[..., index]
 
     return (reduce(np.matmul, [block(op, gather, s) for op, gather in gathers]) for s in sectors)
 

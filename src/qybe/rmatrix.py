@@ -31,7 +31,14 @@ from .repspace import (
     graded_permutation,
     local_product,
 )
-from .coupling import CouplingTable, chi_factor, projector
+from .coupling import (
+    CouplingTable,
+    check_sectors,
+    chi_factor,
+    ladder_weights,
+    product_sectors,
+    projector,
+)
 
 
 def rel_residual(A, B):
@@ -40,19 +47,33 @@ def rel_residual(A, B):
     return float(np.abs(A - B).max() / sc)
 
 
+def blockwise_residual(pairs):
+    """rel_residual of the concatenated entries of (lhs, rhs) sector-block
+    pairs, reduced one pair at a time: the maxima it takes are the same (a
+    NaN entry still propagates).  Stacked blocks (on the last two axes) are
+    reduced per stacked pair, and the largest of those residuals returned."""
+    top = lambda x: np.abs(x).max(axis=(-2, -1))
+    diff = scale = 0.0
+    for a, b in pairs:
+        diff = np.maximum(diff, top(a - b))
+        scale = np.maximum(scale, np.maximum(top(a), top(b)))
+    return float(np.max(diff / np.maximum(1.0, scale)))
+
+
 def hecke_f(u, chi, a=1.0):
-    """Baxterized coefficient f(u) = 2 / (-1 + s coth(a u)), s = sqrt(1-4 chi).
+    """Baxterized coefficient f(u) = 2 / (-1 + s coth(a u)), s = sqrt(1-4 chi),
+    at a point or elementwise at an array of points.
 
     f(0) = 0 by the coth limit; a pole sits where the denominator vanishes
     (at u = -u0 modulo the period of coth)."""
-    u = complex(u)
-    if abs(u) < 1e-14:
-        return 0j
+    u = np.asarray(u, dtype=complex)
+    zero = np.abs(u) < 1e-14
     s = np.sqrt(1 - 4 * chi + 0j)
-    den = -1.0 + s / np.tanh(a * u)
-    if abs(den) < 1e-9:
-        raise PoleError(f"f(u) pole at u={u}")
-    return 2.0 / den
+    den = -1.0 + s / np.tanh(a * np.where(zero, 1.0, u))
+    pole = ~zero & (np.abs(den) < 1e-9)
+    if pole.any():
+        raise PoleError(f"f(u) pole at u={u[pole][0]}")
+    return np.where(zero, 0j, 2.0 / den)[()]
 
 
 def u0_point(chi, a=1.0):
@@ -242,31 +263,44 @@ def intertwining_residual(R, rep1, rep2):
 
 def ybe_residual(fam, u, w, form="check"):
     """Relative residual of the triple-product relation of the spectral
-    family `fam`, with A = R(u), B = R(u+w), C = R(w).
+    family `fam`, with A = R(u), B = R(u+w), C = R(w), at a pair of points
+    or the largest over the pairs of two equal-length sequences u and w.
 
     check:    A12 B23 C12 = C23 B12 A23, plain embeddings (the check form
               carries no grading signs).
     noncheck: A12 B13 C23 = C23 B13 A12, with the 1-3 leg embedded through
               graded permutations.
-    """
-    get = fam.check_fn if form == "check" else fam.noncheck
+
+    A, B and C are stacked over the pairs, and both sides are contracted
+    per total-weight sector of the three sites (`product_sectors`) once
+    every stacked factor has passed `check_sectors` on the pair sectors.  A
+    family without a coupling table, such as the fused one, is contracted
+    as one whole-space sector."""
     r = len(fam.parities)
-    A, B, C = get(u), get(u + w), get(w)
-    if A.shape[0] != r * r:
-        raise QybeError("operator does not act on a like-factor pair")
     if form == "check":
-        I = np.eye(r)
-        a12, b23, c12 = np.kron(A, I), np.kron(I, B), np.kron(C, I)
-        c23, b12, a23 = np.kron(I, C), np.kron(B, I), np.kron(I, A)
-        lhs = a12 @ b23 @ c12
-        rhs = c23 @ b12 @ a23
+        get, pars = fam.check_fn, [(0,) * r] * 3
+        legs = ((0, 1), (1, 2), (0, 1)), ((1, 2), (0, 1), (1, 2))
     elif form == "noncheck":
-        dims, pars, whole = [r] * 3, [fam.parities] * 3, [np.arange(r ** 3)]
-        [lhs] = local_product([(A, (0, 1)), (B, (0, 2)), (C, (1, 2))], dims, pars, whole)
-        [rhs] = local_product([(C, (1, 2)), (B, (0, 2)), (A, (0, 1))], dims, pars, whole)
+        get, pars = fam.noncheck, [fam.parities] * 3
+        legs = ((0, 1), (0, 2), (1, 2)), ((1, 2), (0, 2), (0, 1))
     else:
         raise QybeError(f"unknown YBE form {form!r}")
-    return rel_residual(lhs, rhs)
+    u, w = np.atleast_1d(u), np.atleast_1d(w)
+    A, B, C = (np.stack([get(x) for x in xs]) for xs in (u, u + w, w))
+    if A.shape[-1] != r * r:
+        raise QybeError("operator does not act on a like-factor pair")
+    if fam.table is None:
+        sectors = [np.arange(r ** 3)]
+    else:
+        site = ladder_weights(fam.table.rep1)
+        pair = product_sectors(site, site)
+        for M in (A, B, C):
+            check_sectors(M, pair)
+        sectors = product_sectors(site, site, site)
+    dims = [r] * 3
+    lhs = local_product(list(zip((A, B, C), legs[0])), dims, pars, sectors)
+    rhs = local_product(list(zip((C, B, A), legs[1])), dims, pars, sectors)
+    return blockwise_residual(zip(lhs, rhs))
 
 
 def mixed_braid_check(Rplus, Rminus, parities):

@@ -32,6 +32,7 @@ import numpy as np
 from .qarith import DESK_BOUND, QybeError
 from .repspace import local_product
 from .coupling import (
+    check_sectors,
     coupled_basis,
     ladder_weights,
     product_sectors,
@@ -100,25 +101,6 @@ class ChainSpec:
     def transfer_plan(self):
         """The gathers and scatters of `transfer_matrix`, built once per spec."""
         return _TransferPlan(self)
-
-
-def check_sectors(M, sectors):
-    """Require an array to be carried by its diagonal blocks M[s, s] over
-    the index arrays `sectors`, which partition its rows.
-
-    Raises QybeError when an entry outside the blocks exceeds
-    1e-12 * max(1, max|M|): the blocks would then not carry M, and their
-    spectra would not be its spectrum.  No block is gathered."""
-    scale = off = 0.0
-    for s in sectors:
-        rows = np.abs(M[s])
-        scale = max(scale, rows.max(initial=0.0))
-        rows[:, s] = 0.0
-        off = max(off, rows.max(initial=0.0))
-    bound = 1e-12 * max(1.0, scale)
-    if off > bound:
-        raise QybeError(f"an entry of modulus {off:.3e} lies outside the weight sectors "
-                        f"(bound {bound:.1e})")
 
 
 def _groups(keys):

@@ -17,6 +17,7 @@ from .repspace import build_irrep, local_product, verify_algebra
 from .coupling import (
     casimir_projector,
     cgc_table,
+    check_sectors,
     chi_closed,
     chi_factor,
     ladder_weights,
@@ -25,6 +26,7 @@ from .coupling import (
     tensor_decompose,
 )
 from .rmatrix import (
+    blockwise_residual,
     hecke_f,
     hecke_family,
     intertwining_residual,
@@ -327,9 +329,13 @@ def random_points(rng, count, guards=(), min_dist=0.05):
     functions)."""
     out = []
     while len(out) < count:
-        u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
-        if all(abs(u - g) > min_dist for g in guards):
-            out.append(u)
+        # one round of the candidates still needed, drawn in the order (and
+        # so with the values) of one (Re, Im) draw per candidate: the last
+        # round is all kept, so no candidate past the count-th is drawn
+        cand = rng.uniform((-1.0, -0.2), (1.0, 0.2), size=(count - len(out), 2))
+        u = cand[:, 0] + 1j * cand[:, 1]
+        keep = np.all(np.abs(np.subtract.outer(u, guards)) > min_dist, axis=1)
+        out += [complex(x, y) for x, y in cand[keep]]
     return out
 
 
@@ -459,7 +465,9 @@ def _chi_closed_form(ctx, rng, inputs):
 
 
 def _family_ybe(fam, pts):
-    return max(ybe_residual(fam, u, w) for u in pts for w in pts[:2])
+    # every point as u against each of the first two as w, in one call
+    w = pts[:2]
+    return ybe_residual(fam, np.repeat(pts, len(w)), np.tile(w, len(pts)))
 
 
 def _hecke_ybe(ctx, rng, inputs):
@@ -469,15 +477,12 @@ def _hecke_ybe(ctx, rng, inputs):
 
 def _eqf_residual(ctx, rng, inputs):
     fam = ctx.hecke(inputs["r"])
-    pts = random_points(rng, 400, guards=family_guards(fam))
-    worst = 0.0
-    for k in range(200):
-        u, w = pts[2 * k], pts[2 * k + 1]
-        if abs(u + w + fam.u0) < 0.05:
-            continue
-        fu, fw, fuw = (hecke_f(x, fam.chi, fam.params.a) for x in (u, w, u + w))
-        worst = max(worst, abs(fu + fw - fuw + fu * fw + fam.chi * fu * fw * fuw))
-    return worst
+    pts = np.array(random_points(rng, 400, guards=family_guards(fam)))
+    u, w = pts[0::2], pts[1::2]
+    near = np.abs(u + w + fam.u0) < 0.05  # u + w too close to the pole
+    u, w = u[~near], w[~near]
+    fu, fw, fuw = (hecke_f(x, fam.chi, fam.params.a) for x in (u, w, u + w))
+    return np.max(np.abs(fu + fw - fuw + fu * fw + fam.chi * fu * fw * fuw), initial=0.0)
 
 
 def _fixture_ybe(ctx, rng, inputs):
@@ -497,9 +502,9 @@ def _universal_braid(ctx, rng, inputs):
 def _descendant_agreement(ctx, rng, inputs):
     U = ctx.composite(inputs["r"], 2)
     u0 = U.hecke.u0
-    return max(rel_residual(fusion.descendant_r_closed(U, u),
-                            fusion.descendant_r_product(U, u))
-               for u in random_points(rng, 5, guards=(0.0, -u0, u0)))
+    pts = random_points(rng, 5, guards=(0.0, -u0, u0))
+    return max(rel_residual(fusion.descendant_r_closed(U, u), product)
+               for u, product in zip(pts, fusion.descendant_r_product(U, pts)))
 
 
 def _descendant_regular_point(ctx, rng, inputs):
@@ -523,24 +528,13 @@ def _lax_rll(ctx, rng, inputs):
     # the sector blocks carry both sides only if every factor conserves the weight
     vu = product_sectors(site, weights)
     for M, sectors in ((Rm, product_sectors(site, site)), (L13, vu), (L23, vu)):
-        chains.check_sectors(M, sectors)
+        check_sectors(M, sectors)
     dims = [rep.r, rep.r, U.dim]
     pars = [rep.parities, rep.parities, U.parities]
     sectors = product_sectors(site, site, weights)
     lhs = local_product([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))], dims, pars, sectors)
     rhs = local_product([(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))], dims, pars, sectors)
-    return _blockwise_residual(zip(lhs, rhs))
-
-
-def _blockwise_residual(pairs):
-    """rel_residual of the concatenated entries of (lhs, rhs) sector-block
-    pairs, reduced one pair at a time: the maxima it takes are the same (a
-    NaN entry still propagates)."""
-    diff = scale = 0.0
-    for a, b in pairs:
-        diff = np.maximum(diff, np.abs(a - b).max())
-        scale = np.maximum(scale, np.maximum(np.abs(a).max(), np.abs(b).max()))
-    return float(diff / max(1.0, scale))
+    return blockwise_residual(zip(lhs, rhs))
 
 
 def _entries(blocks):
@@ -554,7 +548,7 @@ def _transfer_commutation(ctx, rng, inputs):
     spec = ctx.chain(inputs["r"], inputs["N"])
     pts = random_points(rng, 4, guards=family_guards(dfam))
     t = [chains.transfer_matrix(spec, dfam, u) for u in pts]
-    return max(_blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
+    return max(blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
                for i in range(len(t)) for j in range(i + 1, len(t)))
 
 

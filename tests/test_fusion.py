@@ -160,6 +160,41 @@ def test_descendant_product_equals_closed(algebra, r, rng):
     assert worst < 1e-9
 
 
+def _product_by_embeddings(U, u):
+    # the six-factor product through dense embed_at factors, one point at a
+    # time, compressed to U (x) U: the oracle of the stacked product
+    fam = U.hecke
+    u0 = fam.u0
+    dims, pars = [U.rep.r] * 4, [fam.parities] * 4
+    Rc = lambda x, pos: embed_at(fam.check_fn(x), pos, dims, pars)
+    full = (Rc(u0, (0, 1)) @ Rc(u0, (2, 3))
+            @ Rc(u, (1, 2)) @ Rc(u - u0, (0, 1)) @ Rc(u - u0, (2, 3))
+            @ Rc(u - 2 * u0, (1, 2))
+            @ Rc(u0, (0, 1)) @ Rc(u0, (2, 3)))
+    return np.kron(U.project, U.project) @ full @ np.kron(U.embed, U.embed)
+
+
+@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
+def test_stacked_descendant_product_equals_the_product_per_point(algebra, r, rng):
+    p = params_for(algebra)
+    rep = build_irrep(algebra, r, p)
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    u0 = U.hecke.u0
+    pts = sample_points(rng, 4, guards=desc_guards(rep, p)) + [u0 + 1e-8]
+    stacked = descendant_r_product(U, pts)
+    assert stacked.shape == (5, U.dim ** 2, U.dim ** 2)
+    for u, B in zip(pts[:4], stacked):
+        assert rel_residual(B, _product_by_embeddings(U, u)) < 1e-11
+    # inside the Richardson window: the extrapolation of the same products
+    h = 1e-3
+    mats = [_product_by_embeddings(U, u0 + dz) for dz in (h, -h, h / 2, -h / 2)]
+    limit = (4 * (mats[2] + mats[3]) / 2 - (mats[0] + mats[1]) / 2) / 3
+    assert rel_residual(stacked[4], limit) < 1e-8
+    # a point alone is the matching member of the stack
+    assert np.array_equal(descendant_r_product(U, pts[1]), stacked[1])
+    assert np.array_equal(descendant_r_product(U, pts[4]), stacked[4])
+
+
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
 def test_descendant_identity_at_u0(algebra, r):
     p = params_for(algebra)

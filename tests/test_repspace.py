@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qybe import (
     OSPQ12,
+    QybeError,
     SLQ2,
     build_irrep,
     casimir_value,
@@ -14,6 +15,7 @@ from qybe import (
 from qybe.repspace import (
     alpha_closed,
     alpha_sum,
+    apply_at,
     block_index,
     casimir_matrix,
     coproduct_pair,
@@ -267,6 +269,34 @@ def test_block_index_gathers_the_embedded_block(case, data):
     index, sign = block_index(pos, dims, pars)(idx)
     assert np.array_equal(embed_at(op, pos, dims, pars)[np.ix_(idx, idx)],
                           sign * op.ravel()[index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_embeddings(), st.data())
+def test_apply_at_matches_the_embedded_product(case, data):
+    # a run of consecutive legs on one matrix, on a stack of them, and a
+    # stack of operators on one matrix
+    _, dims, pars = case
+    k = data.draw(st.integers(0, len(dims) - 1))
+    pos = tuple(range(k, data.draw(st.integers(k + 1, len(dims)))))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dop, D, cols = int(np.prod([dims[j] for j in pos])), int(np.prod(dims)), 3
+    op = gen.normal(size=(dop, dop)) + 1j * gen.normal(size=(dop, dop))
+    X = gen.normal(size=(2, D, cols)) + 1j * gen.normal(size=(2, D, cols))
+    ops = np.stack([op, op.T])
+    embed = lambda A: embed_at(A, pos, dims, pars)
+    tol = 1e-13 * max(1.0, np.abs(op).max() * np.abs(X).max() * dop)
+    assert np.abs(apply_at(op, pos, dims, pars, X[0]) - embed(op) @ X[0]).max() <= tol
+    assert np.abs(apply_at(op, pos, dims, pars, X) - embed(op) @ X).max() <= tol
+    want = np.stack([embed(A) @ X[0] for A in ops])
+    assert np.abs(apply_at(ops, pos, dims, pars, X[0]) - want).max() <= tol
+
+
+def test_apply_at_refuses_legs_out_of_order():
+    op, X = np.eye(4), np.ones((8, 1))
+    for pos in [(1, 0), (0, 2)]:
+        with pytest.raises(QybeError, match="consecutive legs"):
+            apply_at(op, pos, [2, 2, 2], [(0, 1)] * 3, X)
 
 
 def _dense_product(factors, dims, pars):

@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qybe import (
     OSPQ12,
     PoleError,
+    QybeError,
     SLQ2,
     build_irrep,
     cgc_table,
     chi_factor,
+    composite_space,
+    descendant_family,
     hecke_f,
     hecke_family,
     mixed_braid_check,
@@ -17,8 +22,9 @@ from qybe import (
     universal_r,
     ybe_residual,
 )
-from qybe.coupling import projector
+from qybe.coupling import ladder_weights, product_weights, projector
 from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual
+from qybe.toolkit import family_guards
 from conftest import params_for, pair_table
 
 
@@ -46,6 +52,21 @@ def test_hecke_f_pole():
     u0 = u0_point(chi)
     with pytest.raises(PoleError):
         hecke_f(-u0, chi)
+
+
+@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (OSPQ12, 5)])
+def test_hecke_f_on_arrays_equals_its_values_point_by_point(algebra, r, rng):
+    p = params_for(algebra)
+    chi = chi_factor(pair_table(algebra, r, p))
+    u0 = u0_point(chi, p.a)
+    pts = np.array(sample_points(rng, 50, guards=(-u0,)) + [0.0, 1e-15, u0, 2 * u0])
+    values = hecke_f(pts, chi, p.a)
+    assert values.shape == pts.shape
+    assert values.tolist() == [hecke_f(u, chi, p.a) for u in pts]
+    assert values[-4] == 0 and values[-3] == 0  # the coth limit at u = 0
+    assert hecke_f(np.zeros((2, 3)), chi, p.a).tolist() == [[0j] * 3] * 2
+    with pytest.raises(PoleError, match="pole"):
+        hecke_f(np.append(pts, -u0), chi, p.a)
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 5), (OSPQ12, 2), (OSPQ12, 5)])
@@ -292,6 +313,60 @@ def test_spectral_decompose_fixture1_three_terms(params_sl, rng):
     assert resid < 1e-9
     norms = [np.abs(m).max() for m in mats]
     assert all(nm > 1e-6 * max(norms) for nm in norms)
+
+
+def _dense_check_ybe(fam, u, w):
+    # A12 B23 C12 - C23 B12 A23 through dense kron embeddings: the oracle
+    A, B, C = fam.check_fn(u), fam.check_fn(u + w), fam.check_fn(w)
+    I = np.eye(len(fam.parities))
+    lhs = np.kron(A, I) @ np.kron(I, B) @ np.kron(C, I)
+    rhs = np.kron(I, C) @ np.kron(B, I) @ np.kron(I, A)
+    return rel_residual(lhs, rhs)
+
+
+def _ybe_families():
+    for algebra in (SLQ2, OSPQ12):
+        for r in (2, 3, 4, 5):
+            yield f"hecke-{algebra}-{r}", lambda a=algebra, r=r: hecke_family(pair_table(a, r))
+    for kind in (1, 2, 3):
+        yield f"fixture-{kind}", lambda k=kind: r33_family(k, pair_table(SLQ2, 3))
+    yield "fused-2", lambda: descendant_family(composite_space(hecke_family(
+        pair_table(SLQ2, 2)), n=2))
+
+
+@pytest.mark.parametrize("build", [b for _, b in _ybe_families()],
+                         ids=[name for name, _ in _ybe_families()])
+def test_stacked_ybe_equals_the_largest_dense_pair_residual(build, rng):
+    # the check form contracted per weight sector over a stack of pairs
+    # (one whole-space sector for the fused family, which has no table)
+    fam = build()
+    guards = family_guards(fam)
+    pts = sample_points(rng, 5, guards=guards, min_dist=0.1)
+    us, ws = np.array([(u, w) for u in pts[:3] for w in pts[3:]
+                       if all(abs(u + w - g) > 0.1 for g in guards)]).T
+    dense = [_dense_check_ybe(fam, u, w) for u, w in zip(us, ws)]
+    stacked = ybe_residual(fam, us, ws, form="check")
+    r = len(fam.parities)
+    assert stacked < r ** 3 * 1e-12
+    assert abs(stacked - max(dense)) < 1e-15
+    assert ybe_residual(fam, us[0], ws[0], form="check") == pytest.approx(dense[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_stacked_ybe_negative_controls(algebra):
+    # chi * 1.01 fails at the hecke-ybe tolerance r^3 1e-12, and a factor
+    # with a 1e-6 entry between two weights is refused, not contracted
+    table = pair_table(algebra, 3)
+    us, ws = np.array([0.7, 0.2 + 0.1j]), np.array([-0.3, 0.4 - 0.05j])
+    fam = hecke_family(table, chi=chi_factor(table) * 1.01)
+    assert ybe_residual(fam, us, ws) > 3 ** 3 * 1e-12
+    fam = hecke_family(table)
+    w = product_weights(*[ladder_weights(table.rep1)] * 2)
+    planted = np.zeros((9, 9))
+    planted[np.argmax(w), np.argmin(w)] = 1e-6
+    leaky = dataclasses.replace(fam, check_fn=lambda u: fam.check_fn(u) + planted)
+    with pytest.raises(QybeError, match="outside the weight sectors"):
+        ybe_residual(leaky, us, ws)
 
 
 def test_ybe_trivial_at_zero(params_osp):

@@ -324,6 +324,29 @@ def test_cli_bad_input_exits_1(argv, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("command, lists", [
+    (["cgc"], {"r_list": [2, 3, 4]}),
+    (["export", "--what", "hecke"], {"r_list": [2, 3]}),
+    (["export", "--what", "lax"], {"r_list": [2], "n_list": [3, 4]}),
+])
+def test_cli_refuses_extra_values_from_the_config_file(command, lists, tmp_path, capsys):
+    # the config file's list is read like the flag's: more values than the
+    # command reads are refused, not cut to the first ones
+    config, out = tmp_path / "cfg.json", tmp_path / "out"
+    config.write_text(json.dumps(lists))
+    assert cli_dispatch(["--config", str(config), "--out", str(out)] + command) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert "reads at most" in report["checks"][0]["error"]
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    # one value from the file, or none at all, is read as before
+    config.write_text(json.dumps({k: v[:1] for k, v in lists.items()}))
+    assert cli_dispatch(["--config", str(config), "--out", str(out)] + command) == 0
+    config.write_text(json.dumps({}))
+    assert cli_dispatch(["--config", str(config), "--out", str(out), "export"]) == 0
+
+
 def test_cli_degenerate_q_fails_each_check_with_its_error(tmp_path):
     # at q = 1e-9 the Hecke family has no finite degeneration point: every
     # check that needs it fails with that error, and the report is written
@@ -417,9 +440,45 @@ def test_blockwise_residual_equals_rel_residual_of_the_entries(rng):
         A = [size * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) for k in (1, 4, 2)]
         B = [a + 1e-9 * rng.normal(size=a.shape) for a in A]
         flat = [np.concatenate([x.ravel() for x in side]) for side in (A, B)]
-        assert toolkit._blockwise_residual(zip(A, B)) == rmatrix.rel_residual(*flat)
+        assert rmatrix.blockwise_residual(zip(A, B)) == rmatrix.rel_residual(*flat)
     B[1][0, 0] = np.nan
-    assert np.isnan(toolkit._blockwise_residual(zip(A, B)))
+    assert np.isnan(rmatrix.blockwise_residual(zip(A, B)))
+
+
+def test_blockwise_residual_of_stacks_is_the_largest_per_stacked_pair(rng):
+    # each stacked pair is reduced against its own scale, not the stack's
+    A = [np.stack([s * rng.normal(size=(k, k)) for s in (1e-3, 1.0, 1e3)]) for k in (3, 1, 2)]
+    B = [a + 1e-9 * rng.normal(size=a.shape) for a in A]
+    per_pair = [rmatrix.blockwise_residual((a[p], b[p]) for a, b in zip(A, B)) for p in range(3)]
+    assert rmatrix.blockwise_residual(zip(A, B)) == max(per_pair)
+
+
+def _random_points_by_loop(rng, count, guards, min_dist):
+    # one candidate at a time, as (Re, Im) draws: the oracle of the draws
+    out = []
+    while len(out) < count:
+        u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
+        if all(abs(u - g) > min_dist for g in guards):
+            out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("count, guards, min_dist", [
+    (5, (), 0.05),
+    (400, (-0.3 + 0.1j,), 0.05),
+    (7, (0.0, 0.4, -0.4), 0.3),   # rejects about two candidates in five
+    (3, (0.2j,), 0.9),            # rejects most candidates, over several rounds
+    (0, (0.0,), 0.05),
+])
+def test_random_points_draws_as_one_candidate_at_a_time(count, guards, min_dist):
+    # the same points, and the generator left in the same state, so every
+    # later draw of a report is unchanged
+    for seed in range(20):
+        loop, rounds = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _random_points_by_loop(loop, count, guards, min_dist)
+        got = toolkit.random_points(rounds, count, guards=guards, min_dist=min_dist)
+        assert got == want and all(type(u) is complex for u in got)
+        assert rounds.bit_generator.state == loop.bit_generator.state
 
 
 def test_lax_rll_peak_memory():
