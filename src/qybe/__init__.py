@@ -22,7 +22,6 @@ from .repspace import (
     embed_at,
     graded_permutation,
     invariant_metric,
-    local_product,
     verify_algebra,
 )
 from .coupling import (
@@ -33,6 +32,7 @@ from .coupling import (
     chi_closed,
     chi_factor,
     coupled_basis,
+    local_product,
     projector,
     tensor_decompose,
 )
@@ -42,6 +42,7 @@ from .rmatrix import (
     hecke_family,
     mixed_braid_check,
     r33_family,
+    sector_residual,
     spectral_decompose,
     u0_point,
     universal_r,

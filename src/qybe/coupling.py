@@ -13,6 +13,7 @@ per-state norms are measured in the propagated invariant metric.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
     Irrep,
     RepLike,
+    block_index,
     casimir_matrix,
     casimir_value,
     coproduct_pair,
@@ -143,6 +145,33 @@ def check_sectors(M, sectors):
         worst = np.argmax(off / bound)
         raise QybeError(f"an entry of modulus {off.flat[worst]:.3e} lies outside the weight "
                         f"sectors (bound {bound.flat[worst]:.1e})")
+
+
+def local_product(factors, sites):
+    """The diagonal blocks of embed_at(A, p) @ embed_at(B, q) @ ... on the
+    product of `sites`, for factors [(A, p), (B, q), ...]: each site is the
+    pair (parities, weights) of one tensor factor, and the blocks are taken
+    over the total-weight sectors of the sites (`product_sectors`), in that
+    order.  Per sector, the product of the factors' blocks gathered by
+    `block_index`, made one at a time as the returned iterator is consumed.
+    A factor may be a stack of operators on its last two axes; the blocks
+    are then stacks, multiplied point by point.
+
+    These are the blocks of the product only when every embedded factor
+    conserves the weight (`check_sectors` over the sectors of its legs);
+    sites of zero weight are one sector, the whole space, which always
+    qualifies."""
+    parities, weights = zip(*sites)
+    dims = [len(p) for p in parities]
+    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(pos, dims, parities))
+               for op, pos in factors]
+
+    def block(op, gather, s):
+        index, sign = gather(s)
+        return sign * op[..., index]
+
+    return (reduce(np.matmul, [block(op, gather, s) for op, gather in gathers])
+            for s in product_sectors(*weights))
 
 
 def _hw_vectors(e_mat, weights, target_weight, within=None):

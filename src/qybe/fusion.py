@@ -148,14 +148,14 @@ class CompositeSpace:
 
 def _singlet(fam):
     # the Hecke family's check form at its degenerate point is 1 - P1
-    return np.eye(fam.r1 ** 2) - fam.check_fn(fam.u0)
+    return np.eye(fam.dim ** 2) - fam.check_fn(fam.u0)
 
 
 def adjacent_singlet_kernel(fam, n):
     """Orthonormal basis of the joint kernel of all adjacent-pair singlet
     projectors on (V^r)^(x n), fam the Hecke family on V^r (x) V^r."""
     P1 = _singlet(fam)
-    dims = [fam.r1] * n
+    dims = [fam.dim] * n
     pars = [fam.parities] * n
     rows = np.vstack([embed_at(P1, (k, k + 1), dims, pars) for k in range(n - 1)])
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
@@ -169,9 +169,9 @@ def truncation_cascade(fam, n):
     over all factor pairs (the step-by-step truncation); its image spans
     U^{R_n}."""
     u0 = fam.u0
-    dims = [fam.r1] * n
+    dims = [fam.dim] * n
     pars = [fam.parities] * n
-    out = np.eye(fam.r1 ** n, dtype=complex)
+    out = np.eye(fam.dim ** n, dtype=complex)
     for k in range(2, n + 1):
         for p in range(1, k):
             out = out @ embed_at(fam.noncheck((k - p) * u0), (k - 1, p - 1), dims, pars)
@@ -267,16 +267,18 @@ def descendant_r_closed(U, u):
     return U.descendant.check_fn(u - U.hecke.u0)
 
 
-def descendant_r_product(U, us, guard=1e-6):
+def descendant_r_product(U, us, guard=1e-4):
     """Fused solution on U (x) U as the six-factor product of pair R-matrices,
     at a point u or stacked over a sequence of points.
 
     The eight adjacent factors are applied leg by leg to the columns of
     embed (x) embed, the ones at the constant argument u0 built once for
     all points.  The inner factor at argument u - 2 u0 has a pole at
-    u = u0; every point within the guard takes the limit there, by
-    fourth-order Richardson extrapolation from points around u0 (the limit
-    exists, the direct product does not evaluate)."""
+    u = u0, and the product loses digits to cancellation near it (the
+    limit exists, the direct product does not evaluate at u0).  So each
+    point p within the guard takes its value by fourth-order Richardson
+    extrapolation from the products at p +- h and p +- h/2, h = 1e-3, a
+    stencil centred on p whose points stay at least h/2 - guard from u0."""
     _require_pair(U)
     fam = U.hecke
     u0 = fam.u0
@@ -287,9 +289,10 @@ def descendant_r_product(U, us, guard=1e-6):
     out = np.empty((pts.size,) + (U.dim ** 2,) * 2, dtype=complex)
     if near.any():
         h = 1e-3
-        mats = descendant_r_product(U, u0 + np.array([h, -h, h / 2, -h / 2]), guard=0.0)
-        coarse = (mats[0] + mats[1]) / 2
-        fine = (mats[2] + mats[3]) / 2
+        stencil = pts[near, None] + np.array([h, -h, h / 2, -h / 2])
+        mats = descendant_r_product(U, stencil, guard=0.0)
+        coarse = (mats[:, 0] + mats[:, 1]) / 2
+        fine = (mats[:, 2] + mats[:, 3]) / 2
         out[near] = (4 * fine - coarse) / 3
     far = pts[~near]
     R0 = fam.check_fn(u0)
@@ -333,7 +336,7 @@ def descendant_family(U):
         return ((s - 1) * X * z0 + (s + 1)) * ((s - 1) * X + (s + 1))
 
     return SpectralRMatrix(
-        r1=U.dim, r2=U.dim, family="fused", params=U.params,
+        family="fused", params=U.params, weights=tuple(ladder_weights(U.gens)),
         chi=fam.chi, u0=0.0, check_fn=check_fn,
         swap=graded_permutation(U.gens, U.gens), parities=U.parities,
         poly_weight=poly_weight,

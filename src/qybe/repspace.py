@@ -15,8 +15,6 @@ Kroneckers plain matrix products.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
-
 import numpy as np
 
 from .qarith import (
@@ -308,27 +306,6 @@ def block_index(pos, dims, parities):
         return a[:, None] * dop + a, np.outer(s, s) * (b[:, None] == b)
 
     return gather
-
-
-def local_product(factors, dims, parities, sectors):
-    """The diagonal blocks of embed_at(A, p) @ embed_at(B, q) @ ... over the
-    index arrays `sectors`, for factors [(A, p), (B, q), ...]: per sector,
-    the product of the factors' blocks gathered by `block_index`, made one
-    at a time as the returned iterator is consumed.  A factor may be a
-    stack of operators on its last two axes; the blocks are then stacks,
-    multiplied point by point.
-
-    These are the blocks of the product only when every embedded factor
-    maps each sector into itself; the whole space, [np.arange(D)], always
-    qualifies."""
-    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(pos, dims, parities))
-               for op, pos in factors]
-
-    def block(op, gather, s):
-        index, sign = gather(s)
-        return sign * op[..., index]
-
-    return (reduce(np.matmul, [block(op, gather, s) for op, gather in gathers]) for s in sectors)
 
 
 def casimir_matrix(algebra, R, q):

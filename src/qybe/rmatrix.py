@@ -29,13 +29,13 @@ from .repspace import (
     embed_at,
     graded_kron_raw,
     graded_permutation,
-    local_product,
 )
 from .coupling import (
     CouplingTable,
     check_sectors,
     chi_factor,
     ladder_weights,
+    local_product,
     product_sectors,
     projector,
 )
@@ -58,6 +58,23 @@ def blockwise_residual(pairs):
         diff = np.maximum(diff, top(a - b))
         scale = np.maximum(scale, np.maximum(top(a), top(b)))
     return float(np.max(diff / np.maximum(1.0, scale)))
+
+
+def sector_residual(lhs, rhs, sites):
+    """blockwise_residual of the products of embedded factors `lhs` and
+    `rhs`, lists [(op, legs), ...] on the product of `sites` as for
+    `local_product`, compared per total-weight sector.
+
+    The sector blocks carry the products only if every factor conserves the
+    weight, so each distinct factor (by identity), in order of first
+    appearance, first passes `check_sectors` over the sectors of its own
+    legs: one with an entry between them is refused, not contracted."""
+    guarded = []
+    for op, legs in lhs + rhs:
+        if not any(op is seen for seen in guarded):
+            check_sectors(op, product_sectors(*[sites[k][1] for k in legs]))
+            guarded.append(op)
+    return blockwise_residual(zip(local_product(lhs, sites), local_product(rhs, sites)))
 
 
 def hecke_f(u, chi, a=1.0):
@@ -95,7 +112,8 @@ def braid_limit_f(chi, sign):
 
 @dataclass
 class SpectralRMatrix:
-    """A one-parameter family u -> R(u) on a fixed pair of factors.
+    """A one-parameter family u -> R(u) on a pair of like sites, each site
+    the states of `parities` with the ladder weights `weights`.
 
     check_fn evaluates the check form as an array; `noncheck` composes it
     with the graded swap.  poly_weight/poly_base, when set, polynomialize the
@@ -103,10 +121,9 @@ class SpectralRMatrix:
     what spectral_decompose fits.
     """
 
-    r1: int
-    r2: int
     family: str
     params: DeformParams
+    weights: tuple
     chi: complex = None
     u0: complex = None
     check_fn: callable = field(repr=False, default=None)
@@ -115,6 +132,11 @@ class SpectralRMatrix:
     poly_weight: callable = field(repr=False, default=None)
     poly_base: callable = field(repr=False, default=None)
     table: CouplingTable = field(repr=False, default=None)
+
+    @property
+    def dim(self):
+        """The number of states of one site."""
+        return len(self.weights)
 
     def noncheck(self, u):
         """The non-check form swap @ check_fn(u)."""
@@ -159,7 +181,7 @@ def hecke_family(table, chi=None):
         return (x - 1) * (-1.0) + s * (x + 1)
 
     return SpectralRMatrix(
-        r1=rep.r, r2=rep.r, family="hecke", params=params,
+        family="hecke", params=params, weights=tuple(ladder_weights(rep)),
         chi=chi, u0=u0, check_fn=check_fn, swap=graded_permutation(rep, rep),
         parities=rep.parities,
         poly_weight=poly_weight,
@@ -213,7 +235,7 @@ def r33_family(kind, table):
         raise QybeError(f"fixture kind must be 1, 2 or 3, got {kind}")
 
     return SpectralRMatrix(
-        r1=3, r2=3, family=f"r33_{kind}", params=params,
+        family=f"r33_{kind}", params=params, weights=tuple(ladder_weights(rep)),
         check_fn=check_fn, swap=graded_permutation(rep, rep),
         parities=rep.parities,
         poly_weight=lambda u: q ** complex(u),
@@ -271,36 +293,23 @@ def ybe_residual(fam, u, w, form="check"):
     noncheck: A12 B13 C23 = C23 B13 A12, with the 1-3 leg embedded through
               graded permutations.
 
-    A, B and C are stacked over the pairs, and both sides are contracted
-    per total-weight sector of the three sites (`product_sectors`) once
-    every stacked factor has passed `check_sectors` on the pair sectors.  A
-    family without a coupling table, such as the fused one, is contracted
-    as one whole-space sector."""
-    r = len(fam.parities)
+    A, B and C are stacked over the pairs, and both sides are compared per
+    total-weight sector of three sites of the family (`sector_residual`),
+    once each stacked factor has passed `check_sectors`."""
     if form == "check":
-        get, pars = fam.check_fn, [(0,) * r] * 3
+        get, pars = fam.check_fn, (0,) * fam.dim
         legs = ((0, 1), (1, 2), (0, 1)), ((1, 2), (0, 1), (1, 2))
     elif form == "noncheck":
-        get, pars = fam.noncheck, [fam.parities] * 3
+        get, pars = fam.noncheck, fam.parities
         legs = ((0, 1), (0, 2), (1, 2)), ((1, 2), (0, 2), (0, 1))
     else:
         raise QybeError(f"unknown YBE form {form!r}")
     u, w = np.atleast_1d(u), np.atleast_1d(w)
     A, B, C = (np.stack([get(x) for x in xs]) for xs in (u, u + w, w))
-    if A.shape[-1] != r * r:
+    if A.shape[-1] != fam.dim ** 2:
         raise QybeError("operator does not act on a like-factor pair")
-    if fam.table is None:
-        sectors = [np.arange(r ** 3)]
-    else:
-        site = ladder_weights(fam.table.rep1)
-        pair = product_sectors(site, site)
-        for M in (A, B, C):
-            check_sectors(M, pair)
-        sectors = product_sectors(site, site, site)
-    dims = [r] * 3
-    lhs = local_product(list(zip((A, B, C), legs[0])), dims, pars, sectors)
-    rhs = local_product(list(zip((C, B, A), legs[1])), dims, pars, sectors)
-    return blockwise_residual(zip(lhs, rhs))
+    return sector_residual(list(zip((A, B, C), legs[0])), list(zip((C, B, A), legs[1])),
+                           [(pars, fam.weights)] * 3)
 
 
 def mixed_braid_check(Rplus, Rminus, parities):
@@ -360,18 +369,15 @@ def spectral_decompose(fam, r1, samples=None, rng=None):
         samples = [complex(x) for x in rng.uniform(0.2, 1.4, 2 * r1)]
     if len(samples) < r1:
         raise QybeError("need at least r1 sample points")
-    d = fam.r1 * fam.r2
-    V = np.zeros((len(samples), r1), dtype=complex)
-    Y = np.zeros((len(samples), d * d), dtype=complex)
-    for k, u in enumerate(samples):
-        x = fam.poly_base(u)
-        V[k] = [x ** p for p in range(r1)]
-        Y[k] = (fam.poly_weight(u) * fam.noncheck(u)).ravel()
+    V = np.array([[x ** p for p in range(r1)] for x in map(fam.poly_base, samples)],
+                 dtype=complex)
+    R = np.stack([fam.poly_weight(u) * fam.noncheck(u) for u in samples])
+    Y = R.reshape(len(samples), -1)
     cond = np.linalg.cond(V)
     if cond > 1e10:
         raise IllConditionedFitError(f"Vandermonde condition number {cond:.1e}")
     coefs, res, rank, sv = np.linalg.lstsq(V, Y, rcond=None)
     fitted = V @ coefs
     resid = np.abs(fitted - Y).max() / max(1.0, np.abs(Y).max())
-    mats = [coefs[p].reshape(d, d) for p in range(r1)]
+    mats = list(coefs.reshape((r1,) + R.shape[1:]))
     return mats, float(resid)

@@ -17,11 +17,12 @@ squared dimension is formed, for sl_q(2) and osp_q(1|2) alike, within
 H and tau(u) conserve the total weight Delta^N(h), so every chain operator
 is returned as its diagonal blocks over `ChainSpec.sectors`, in that order,
 and the spectra and solves run one sector at a time.  H is summed bond by
-bond into its blocks; tau(u) is contracted into its blocks once
-`check_sectors` has found no R entry between the aux (x) site sectors, so
-the block spectra are the spectrum.  A chain without site weights is one
-sector: its one block is the whole matrix, and tau runs the same GEMMs with
-one weight group.
+bond into its blocks (`coupling.local_product` over the chain's sites);
+tau(u) is contracted into its blocks once `check_sectors` has found no R
+entry between the aux (x) site sectors, so the block spectra are the
+spectrum.  Every site carries weights: a chain built without them has zero
+weights, so it is one sector, its one block is the whole matrix, and tau
+runs the same GEMMs with one weight group.
 """
 
 from dataclasses import dataclass
@@ -30,28 +31,27 @@ from functools import cached_property
 import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
-from .repspace import local_product
 from .coupling import (
     check_sectors,
     coupled_basis,
     ladder_weights,
+    local_product,
     product_sectors,
     product_weights,
     weight_sectors,
 )
 from .fusion import descendant_coefficients, _four_site_ops
-from .rmatrix import SpectralRMatrix
 
 
 @dataclass
 class ChainSpec:
     """Periodic chain of `n_sites` identical sites with the given state
     parities and a chosen auxiliary (the site space unless given); `weights`
-    are the ladder weights of the site states, when known, and `aux_weights`
-    those of the auxiliary states.  An auxiliary with the site's parities is
-    the site, and its weights default to the site's; a distinct auxiliary of
-    a chain with site weights must be given its own.  Without site weights
-    the chain is one sector and no weight is used."""
+    are the ladder weights of the site states and `aux_weights` those of the
+    auxiliary states.  An auxiliary with the site's parities is the site,
+    and its weights default to the site's; a distinct auxiliary of a chain
+    with site weights must be given its own.  A chain given no site weights
+    is one sector: every weight, on the site and the auxiliary, is zero."""
 
     parities: tuple
     n_sites: int
@@ -68,16 +68,20 @@ class ChainSpec:
         if self.site_dim ** self.n_sites > DESK_BOUND:
             raise QybeError(f"chain {self.site_dim}^{self.n_sites} exceeds the desk bound "
                             f"{DESK_BOUND}")
-        if self.weights is not None and len(self.weights) != self.site_dim:
+        weighted, aux_given = self.weights is not None, self.aux_weights is not None
+        if weighted and len(self.weights) != self.site_dim:
             raise QybeError(f"{len(self.weights)} site weights for {self.site_dim} site states")
-        if self.aux_weights is None and self.weights is not None:
-            if not aux_is_site:
-                raise QybeError("a chain with site weights and a distinct auxiliary needs "
-                                "aux_weights")
-            self.aux_weights = self.weights
-        if self.aux_weights is not None and len(self.aux_weights) != len(self.aux_parities):
+        if weighted and not aux_given and not aux_is_site:
+            raise QybeError("a chain with site weights and a distinct auxiliary needs "
+                            "aux_weights")
+        if aux_given and len(self.aux_weights) != len(self.aux_parities):
             raise QybeError(f"{len(self.aux_weights)} auxiliary weights for "
                             f"{len(self.aux_parities)} auxiliary states")
+        if not weighted:
+            self.weights = (0.0,) * self.site_dim
+            self.aux_weights = (0.0,) * len(self.aux_parities)
+        elif not aux_given:
+            self.aux_weights = self.weights
 
     @property
     def site_dim(self):
@@ -91,10 +95,7 @@ class ChainSpec:
     def sectors(self):
         """Index arrays of the product states of each total weight, in
         increasing weight, built once per spec; Delta^N(h) is additive, so a
-        state's weight is the sum of its site weights.  Without site weights
-        the chain is one sector."""
-        if self.weights is None:
-            return [np.arange(self.site_dim ** self.n_sites)]
+        state's weight is the sum of its site weights."""
         return product_sectors(*[self.weights] * self.n_sites)
 
     @cached_property
@@ -140,11 +141,8 @@ class _TransferPlan:
 
     def __init__(self, spec):
         da, ds, N = len(spec.aux_parities), spec.site_dim, spec.n_sites
-        if spec.weights is None:  # one weight group
-            ka, ks = np.zeros(da, int), np.zeros(ds, int)
-        else:
-            ka, ks = (np.round(2 * np.asarray(w)).astype(int)
-                      for w in (spec.aux_weights, spec.weights))
+        ka, ks = (np.round(2 * np.asarray(w)).astype(int)
+                  for w in (spec.aux_weights, spec.weights))
         aux = _groups(ka)
         site_pairs = _groups(np.subtract.outer(ks, ks).ravel())  # s_out * ds + s_in
         self.r_sectors = list(_groups(np.add.outer(ka, ks).ravel()).values())
@@ -242,10 +240,10 @@ class _TransferPlan:
             t0 += dest.size
 
 
-def transfer_matrix(spec, fam, u):
-    """tau(u): graded partial trace over the auxiliary space of the ordered
-    product of non-check R-matrices along the chain, as its blocks over
-    `spec.sectors`.
+def transfer_matrix(spec, R):
+    """tau: graded partial trace over the auxiliary space of the ordered
+    product of the non-check R-matrix `R` (an array on aux (x) site) along
+    the chain, as its blocks over `spec.sectors`.
 
     R must conserve the weight: `check_sectors` refuses an R entry between
     the aux (x) site sectors, and then tau conserves the weight too.  The
@@ -257,9 +255,9 @@ def transfer_matrix(spec, fam, u):
     product reduce to a factor (-1)^(p(a_in) p(s_in)) on each crossing and a
     closing weight on the traced index a: (-1)^p(a) on even-parity columns,
     1 on odd ones.  The last crossing's own factor cancels against its share
-    of that weight.  A chain without site weights is one block, contracted
-    by the same GEMMs with one weight group."""
-    R = fam.noncheck(u) if isinstance(fam, SpectralRMatrix) else np.asarray(fam)
+    of that weight.  A chain of zero weights is one block, contracted by the
+    same GEMMs with one weight group."""
+    R = np.asarray(R)
     da, ds = len(spec.aux_parities), spec.site_dim
     if R.shape != (da * ds, da * ds):
         raise QybeError("R does not act on aux (x) site")
@@ -324,19 +322,23 @@ def hamiltonian_projector_form(U, spec):
     """Nearest-neighbour Hamiltonian of the periodic chain `spec` of U sites,
     f0 times the bond summed over the bonds, as its blocks over
     `spec.sectors`; each block is summed bond by bond from the bond's
-    entries (`local_product`).  Bond i couples sites (i+1, i), the
-    orientation of the transfer matrix's log-derivative.  A spec whose site
-    is not U raises QybeError."""
+    entries (`local_product` over the chain's sites).  Bond i couples sites
+    (i+1, i), the orientation of the transfer matrix's log-derivative.  A
+    spec whose site is not U raises QybeError: one with other parities, or
+    with weights the bond does not conserve, whose blocks would not carry H."""
     N = spec.n_sites
     if N < 2:
         raise QybeError(f"the chain Hamiltonian needs at least two sites, got {N}")
-    if (tuple(spec.parities) != tuple(U.parities)
-            or spec.weights not in (None, tuple(ladder_weights(U.gens)))):
-        raise QybeError("the chain's site is not the composite space U")
+    not_u = QybeError("the chain's site is not the composite space U")
+    if tuple(spec.parities) != tuple(U.parities):
+        raise not_u
     f0, bond = chain_bond(U)
-    dims, pars = [U.dim] * N, [U.parities] * N
-    bonds = [local_product([(bond, ((i + 1) % N, i))], dims, pars, spec.sectors)
-             for i in range(N)]
+    try:
+        check_sectors(bond, product_sectors(spec.weights, spec.weights))
+    except QybeError as exc:
+        raise not_u from exc
+    sites = [(spec.parities, spec.weights)] * N
+    bonds = [local_product([(bond, ((i + 1) % N, i))], sites) for i in range(N)]
     return [f0 * sum(terms) for terms in zip(*bonds)]
 
 
@@ -347,12 +349,13 @@ def hamiltonian_log_derivative(spec, fam, point=None, step=1e-6):
     order of `spec.sectors`."""
     point = point if point is not None else (fam.u0 or 0.0)
 
+    tau = lambda x: transfer_matrix(spec, fam.noncheck(x))
+
     def ddu(h):
-        return [(tp - tm) / (2 * h) for tp, tm in zip(transfer_matrix(spec, fam, point + h),
-                                                      transfer_matrix(spec, fam, point - h))]
+        return [(tp - tm) / (2 * h) for tp, tm in zip(tau(point + h), tau(point - h))]
 
     return [np.linalg.solve(t0, (4 * d2 - d1) / 3)
-            for t0, d1, d2 in zip(transfer_matrix(spec, fam, point), ddu(step), ddu(step / 2))]
+            for t0, d1, d2 in zip(tau(point), ddu(step), ddu(step / 2))]
 
 
 @dataclass

@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qarith import DeformParams, OSPQ12, SLQ2, QybeError
-from .repspace import build_irrep, local_product, verify_algebra
+from .repspace import build_irrep, verify_algebra
 from .coupling import (
     casimir_projector,
     cgc_table,
-    check_sectors,
     chi_closed,
     chi_factor,
     ladder_weights,
-    product_sectors,
     projector,
     tensor_decompose,
 )
@@ -33,6 +31,7 @@ from .rmatrix import (
     mixed_braid_check,
     r33_family,
     rel_residual,
+    sector_residual,
     u0_point,
     universal_r,
     ybe_residual,
@@ -509,7 +508,7 @@ def _descendant_agreement(ctx, rng, inputs):
 
 def _descendant_regular_point(ctx, rng, inputs):
     dfam = ctx.descendant(inputs["r"])
-    return rel_residual(dfam.check_fn(dfam.u0), np.eye(dfam.r1 ** 2))
+    return rel_residual(dfam.check_fn(dfam.u0), np.eye(dfam.dim ** 2))
 
 
 def _lax_dims(ctx, rng, inputs):
@@ -519,22 +518,15 @@ def _lax_dims(ctx, rng, inputs):
 
 def _lax_rll(ctx, rng, inputs):
     U = ctx.composite(inputs["r"], inputs["n"])
-    rep, fam = U.rep, U.hecke
+    fam = U.hecke
     u, w = random_points(rng, 2, guards=(-fam.u0,))
     L13 = fusion.extended_lax(U, u)
     L23 = fusion.extended_lax(U, w)
     Rm = fam.noncheck(u - w)
-    site, weights = ladder_weights(rep), ladder_weights(U.gens)
-    # the sector blocks carry both sides only if every factor conserves the weight
-    vu = product_sectors(site, weights)
-    for M, sectors in ((Rm, product_sectors(site, site)), (L13, vu), (L23, vu)):
-        check_sectors(M, sectors)
-    dims = [rep.r, rep.r, U.dim]
-    pars = [rep.parities, rep.parities, U.parities]
-    sectors = product_sectors(site, site, weights)
-    lhs = local_product([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))], dims, pars, sectors)
-    rhs = local_product([(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))], dims, pars, sectors)
-    return blockwise_residual(zip(lhs, rhs))
+    V = (fam.parities, fam.weights)
+    return sector_residual([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))],
+                           [(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))],
+                           [V, V, (U.parities, ladder_weights(U.gens))])
 
 
 def _entries(blocks):
@@ -547,7 +539,7 @@ def _transfer_commutation(ctx, rng, inputs):
     dfam = ctx.descendant(inputs["r"])
     spec = ctx.chain(inputs["r"], inputs["N"])
     pts = random_points(rng, 4, guards=family_guards(dfam))
-    t = [chains.transfer_matrix(spec, dfam, u) for u in pts]
+    t = [chains.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
     return max(blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
                for i in range(len(t)) for j in range(i + 1, len(t)))
 

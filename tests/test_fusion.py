@@ -185,14 +185,27 @@ def test_stacked_descendant_product_equals_the_product_per_point(algebra, r, rng
     assert stacked.shape == (5, U.dim ** 2, U.dim ** 2)
     for u, B in zip(pts[:4], stacked):
         assert rel_residual(B, _product_by_embeddings(U, u)) < 1e-11
-    # inside the Richardson window: the extrapolation of the same products
+    # inside the Richardson window: the extrapolation of the same products,
+    # from a stencil centred on the point
     h = 1e-3
-    mats = [_product_by_embeddings(U, u0 + dz) for dz in (h, -h, h / 2, -h / 2)]
+    mats = [_product_by_embeddings(U, pts[4] + dz) for dz in (h, -h, h / 2, -h / 2)]
     limit = (4 * (mats[2] + mats[3]) / 2 - (mats[0] + mats[1]) / 2) / 3
     assert rel_residual(stacked[4], limit) < 1e-8
     # a point alone is the matching member of the stack
     assert np.array_equal(descendant_r_product(U, pts[1]), stacked[1])
     assert np.array_equal(descendant_r_product(U, pts[4]), stacked[4])
+
+
+@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
+def test_descendant_product_near_u0_equals_closed(algebra, r):
+    # near the pole of the inner factor each point takes its own value: inside
+    # the Richardson window from a stencil centred on it, outside it directly
+    rep = build_irrep(algebra, r, params_for(algebra))
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    u0 = U.hecke.u0
+    pts = [u0 + dist * way for way in (1, 1j) for dist in (0, 1e-8, 5e-7, 2e-6, 1e-5, 1e-4)]
+    for u, product in zip(pts, descendant_r_product(U, pts)):
+        assert rel_residual(descendant_r_closed(U, u), product) < 1e-9, u - u0
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
@@ -205,7 +218,7 @@ def test_descendant_identity_at_u0(algebra, r):
     assert np.abs(m - np.eye((r * r - 1) ** 2)).max() < 1e-10
     # the family regular point sits at zero in the additive variable
     fam = descendant_family(U)
-    assert np.abs(fam.check_fn(0.0) - np.eye(fam.r1 ** 2)).max() < 1e-10
+    assert np.abs(fam.check_fn(0.0) - np.eye(fam.dim ** 2)).max() < 1e-10
     # the product form reaches the same limit through extrapolation
     m2 = descendant_r_product(U, u0)
     assert np.abs(m2 - np.eye((r * r - 1) ** 2)).max() < 1e-8
@@ -385,7 +398,7 @@ def test_extended_lax_r2_spectral_two_terms(rng):
         return out
 
     fam = SpectralRMatrix(
-        r1=2, r2=U.dim, family="lax", params=plat, chi=chi, u0=u0,
+        family="lax", params=plat, weights=tuple(ladder_weights(rep)), chi=chi, u0=u0,
         check_fn=check_fn, swap=np.eye(2 * U.dim),
         parities=rep.parities,
         poly_weight=poly_weight,

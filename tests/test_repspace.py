@@ -23,11 +23,10 @@ from qybe.repspace import (
     embed_at,
     graded_kron_raw,
     invariant_metric,
-    local_product,
     nfold_coproduct,
     perm_matrix,
 )
-from qybe.coupling import product_sectors, product_weights
+from qybe.coupling import local_product, product_sectors, product_weights
 from qybe.toolkit import GradedOperator, Space
 from conftest import params_for
 
@@ -308,7 +307,8 @@ def _dense_product(factors, dims, pars):
 
 def _assert_local_product_matches_embed_at(factors, dims, pars):
     dense = _dense_product(factors, dims, pars)
-    [local] = local_product(factors, dims, pars, [np.arange(int(np.prod(dims)))])
+    # sites of zero weight: one sector, the whole space
+    [local] = local_product(factors, [(p, np.zeros(d)) for p, d in zip(pars, dims)])
     assert np.abs(local - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
 
 
@@ -340,7 +340,7 @@ def test_local_product_weight_sectors(rng):
 
     factors = [(conserving(pos), pos) for pos in [(0, 1), (2, 0), (1, 2), (0, 2)]]
     sectors = product_sectors(*weights)
-    blocks = local_product(factors, dims, pars, sectors)
+    blocks = local_product(factors, list(zip(pars, weights)))
     dense = _dense_product(factors, dims, pars)
     inside = np.zeros(dense.shape, dtype=bool)
     for s, blk in zip(sectors, blocks):

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from qybe import (
     universal_r,
     ybe_residual,
 )
-from qybe.coupling import ladder_weights, product_weights, projector
-from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual
+from qybe import rmatrix
+from qybe.coupling import ladder_weights, product_sectors, product_weights, projector
+from qybe.repspace import embed_at
+from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
 from conftest import params_for, pair_table
 
@@ -337,8 +340,8 @@ def _ybe_families():
 @pytest.mark.parametrize("build", [b for _, b in _ybe_families()],
                          ids=[name for name, _ in _ybe_families()])
 def test_stacked_ybe_equals_the_largest_dense_pair_residual(build, rng):
-    # the check form contracted per weight sector over a stack of pairs
-    # (one whole-space sector for the fused family, which has no table)
+    # the check form contracted per weight sector over a stack of pairs,
+    # the fused family's sectors those of its composite site
     fam = build()
     guards = family_guards(fam)
     pts = sample_points(rng, 5, guards=guards, min_dist=0.1)
@@ -367,6 +370,68 @@ def test_stacked_ybe_negative_controls(algebra):
     leaky = dataclasses.replace(fam, check_fn=lambda u: fam.check_fn(u) + planted)
     with pytest.raises(QybeError, match="outside the weight sectors"):
         ybe_residual(leaky, us, ws)
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_fused_ybe_negative_control(algebra):
+    # the fused family is contracted per weight sector like every other
+    # family: chi * 1.01 in its coefficients fails at the fused YBE bound
+    U = composite_space(hecke_family(pair_table(algebra, 2)), n=2)
+    us, ws = np.array([0.7, 0.2 + 0.1j]), np.array([-0.3, 0.4 - 0.05j])
+    assert ybe_residual(descendant_family(U), us, ws) < 1e-9
+    off = dataclasses.replace(U, hecke=dataclasses.replace(U.hecke, chi=U.hecke.chi * 1.01))
+    assert ybe_residual(descendant_family(off), us, ws) > 1e-9
+
+
+# three unlike graded sites (parities, weights); the third is the first's twin
+_SITES = [((0, 1), np.array([0.5, -0.5])), ((0, 1, 0), np.array([1.0, 0.0, -1.0])),
+          ((1, 0), np.array([0.5, -0.5]))]
+
+
+def _conserving(rng, legs):
+    """A random operator on the legs that conserves their summed weight."""
+    w = product_weights(*[_SITES[k][1] for k in legs])
+    keep = w[:, None] == w[None, :]
+    return keep * (rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape))
+
+
+def _sides(rng):
+    A, B, C = (_conserving(rng, legs) for legs in ((0, 1), (1, 2), (0, 2)))
+    return [(A, (0, 1)), (B, (1, 2)), (C, (0, 2))], [(C, (0, 2)), (B, (1, 2)), (A, (0, 1))]
+
+
+def test_sector_residual_equals_the_dense_residual(rng, monkeypatch):
+    # each distinct factor is checked once, in order of first appearance,
+    # over the sectors of its own legs
+    lhs, rhs = _sides(rng)
+    checked = []
+    check = rmatrix.check_sectors
+
+    def counting(M, sectors):
+        checked.append((id(M), [len(s) for s in sectors]))
+        check(M, sectors)
+
+    monkeypatch.setattr(rmatrix, "check_sectors", counting)
+    got = sector_residual(lhs, rhs, _SITES)
+    assert checked == [(id(op), [len(s) for s in product_sectors(*[_SITES[k][1] for k in legs])])
+                       for op, legs in lhs]
+    dims, pars = [len(p) for p, _ in _SITES], [p for p, _ in _SITES]
+    dense = [reduce(np.matmul, [embed_at(op, legs, dims, pars) for op, legs in side])
+             for side in (lhs, rhs)]
+    assert got > 1e-3
+    assert got == pytest.approx(rel_residual(*dense), rel=1e-12)
+    assert sector_residual(lhs, lhs, _SITES) == 0.0
+
+
+def test_sector_residual_refuses_an_entry_between_sectors(rng):
+    # a 1e-6 entry between the sectors of the legs (0, 2), those of the
+    # third site, is refused with the check_sectors message
+    lhs, rhs = _sides(rng)
+    C = lhs[2][0]
+    sectors = product_sectors(_SITES[0][1], _SITES[2][1])
+    C[sectors[0][0], sectors[-1][0]] = 1e-6
+    with pytest.raises(QybeError, match="outside the weight sectors"):
+        sector_residual(lhs, rhs, _SITES)
 
 
 def test_ybe_trivial_at_zero(params_osp):

@@ -81,7 +81,7 @@ def test_transfer_matrices_commute_n2(params_sl, rng):
     fam = descendant_family(U)
     spec = whole(ChainSpec.from_composite(U, 2))
     pts = chain_points(rng, 4, fam)
-    taus = [transfer_matrix(spec, fam, u)[0] for u in pts]
+    taus = [transfer_matrix(spec, fam.noncheck(u))[0] for u in pts]
     for i in range(len(taus)):
         for j in range(i + 1, len(taus)):
             assert rel_residual(taus[i] @ taus[j], taus[j] @ taus[i]) < 64 * 1e-12
@@ -92,7 +92,7 @@ def test_transfer_matrix_regular_point_is_shift(params_sl):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec.from_composite(U, 2))
-    t0 = transfer_matrix(spec, fam, 0.0)[0]
+    t0 = transfer_matrix(spec, fam.noncheck(0.0))[0]
     d = U.dim
     shift = np.zeros((d * d, d * d))
     for a in range(d):
@@ -108,7 +108,7 @@ def test_single_site_transfer_invariant(params_sl, rng):
     fam = descendant_family(U)
     spec = whole(ChainSpec.from_composite(U, 1))
     u = chain_points(rng, 1, fam)[0]
-    tau = transfer_matrix(spec, fam, u)[0]
+    tau = transfer_matrix(spec, fam.noncheck(u))[0]
     h = U.gens.H
     assert rel_residual(tau @ h, h @ tau) < 1e-10
 
@@ -171,7 +171,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
         assert rel_residual(bond @ D, D @ bond) < 1e-9
     assert rel_residual(H @ pair.H, pair.H @ H) < 1e-10
     u = chain_points(rng, 1, fam)[0]
-    tau = transfer_matrix(spec, fam, u)[0]
+    tau = transfer_matrix(spec, fam.noncheck(u))[0]
     assert rel_residual(H @ tau, tau @ H) < 1e-8
 
 
@@ -313,8 +313,8 @@ def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
     want = _cut(hamiltonian_projector_form(U, whole(spec))[0], spec.sectors)
     assert len(blocks) == len(want) == len(spec.sectors)
     assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
-    blocks = transfer_matrix(spec, fam, u)
-    tau = transfer_matrix(whole(spec), fam, u)[0]
+    blocks = transfer_matrix(spec, fam.noncheck(u))
+    tau = transfer_matrix(whole(spec), fam.noncheck(u))[0]
     want = _cut(tau, spec.sectors)
     assert len(blocks) == len(want)
     assert max(np.abs(b - w).max() for b, w in zip(blocks, want)) <= 1e-14 * np.abs(tau).max()
@@ -451,8 +451,8 @@ def test_graded_chain_transfer_commutes(params_osp, rng):
     fam = descendant_family(U)
     spec = whole(ChainSpec.from_composite(U, 2))
     pts = chain_points(rng, 2, fam)
-    t1 = transfer_matrix(spec, fam, pts[0])[0]
-    t2 = transfer_matrix(spec, fam, pts[1])[0]
+    t1 = transfer_matrix(spec, fam.noncheck(pts[0]))[0]
+    t2 = transfer_matrix(spec, fam.noncheck(pts[1]))[0]
     assert rel_residual(t1 @ t2, t2 @ t1) < 64 * 1e-12
 
 
@@ -479,9 +479,9 @@ def _check_against_dense(spec, R, rng):
     d = spec.site_dim ** spec.n_sites
     V = rng.normal(size=(d, 8)) + 1j * rng.normal(size=(d, 8))
     want = _dense_transfer_times(spec, R, V)
-    for s in [spec] if spec.weights is None else [spec, whole(spec)]:
+    for s in [spec, whole(spec)]:
         got = np.zeros_like(V)
-        for rows, block in zip(s.sectors, transfer_matrix(s, R, 0.0)):
+        for rows, block in zip(s.sectors, transfer_matrix(s, R)):
             got[rows] = block @ V[rows]
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -552,7 +552,7 @@ def test_transfer_refuses_an_r_that_moves_the_weight(rng):
     sectors = product_sectors(spec.aux_weights, spec.weights)
     R[sectors[0][0], sectors[1][0]] = 1e-6
     with pytest.raises(QybeError, match="outside the weight sectors"):
-        transfer_matrix(spec, R, 0.0)
+        transfer_matrix(spec, R)
 
 
 def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
@@ -582,6 +582,13 @@ def test_distinct_auxiliary_needs_its_weights():
     assert spec.aux_weights == spec.weights
 
 
+def test_hand_built_chain_is_one_sector():
+    # a spec given no site weights gets zeros on the site and the auxiliary
+    spec = ChainSpec((0, 1, 0), 3, aux_parities=(0, 1))
+    assert (spec.weights, spec.aux_weights) == ((0.0,) * 3, (0.0,) * 2)
+    assert len(spec.sectors) == 1 and np.array_equal(spec.sectors[0], np.arange(27))
+
+
 def test_transfer_matrix_peak_memory(rng):
     # with its plan built, tau is contracted over the weight-allowed entries
     # only: not even one whole-space complex matrix is formed
@@ -593,7 +600,7 @@ def test_transfer_matrix_peak_memory(rng):
     D = U.dim ** 3
     tracemalloc.start()
     try:
-        transfer_matrix(spec, R, 0.0)
+        transfer_matrix(spec, R)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -256,7 +256,10 @@ def test_cli_chain_builds_each_chain_once(tmp_path, monkeypatch):
 
 
 def test_cli_chain_computes_each_chain_sectors_once(tmp_path, monkeypatch):
-    # the spectrum, tau and both Hamiltonians of a chain share its sectors
+    # tau and the log-derivative Hamiltonian of a chain share its sectors
+    # (the 3); the projector-form Hamiltonian first checks its bond over the
+    # sectors of the bond's two sites (the 2), and `local_product` takes its
+    # blocks' sectors from the chain's sites
     calls = []
     product_sectors = spinchain.product_sectors
 
@@ -266,7 +269,7 @@ def test_cli_chain_computes_each_chain_sectors_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(spinchain, "product_sectors", counting)
     assert cli_dispatch(["--out", str(tmp_path), "chain", "--r", "2", "3", "--sites", "3"]) == 0
-    assert calls == [3, 3]
+    assert calls == [2, 3, 2, 3]
 
 
 def test_cli_commutant(tmp_path):
@@ -508,7 +511,7 @@ def test_verify_all_into_context_builds_shared_objects_once(monkeypatch):
     keys = {
         "build_irrep": lambda rep: rep.r,
         "cgc_table": lambda table: (table.rep1.r, table.rep2.r),
-        "hecke_family": lambda fam: fam.r1,
+        "hecke_family": lambda fam: fam.dim,
         "composite_space": lambda U: (U.rep.r, U.n),
     }
     calls = {name: [] for name in keys}
