@@ -17,6 +17,7 @@ from .qarith import (
 )
 from .repspace import (
     Irrep,
+    Site,
     build_irrep,
     casimir_value,
     embed_at,

@@ -97,13 +97,13 @@ def _write_op(ctx, name, matrix, label, factors, codomain=None, algebra=None):
 def _write_check(ctx, name, fam, u, algebra=None):
     """The check form of the spectral family `fam` at u."""
     return _write_op(ctx, name, fam.check_fn(u), f"Rcheck[{fam.family}]({u})",
-                     [fam.parities] * 2, algebra=algebra)
+                     [fam.site.parities] * 2, algebra=algebra)
 
 
 def _write_lax(ctx, name, U, u):
     """The extended Lax operator on V^r (x) U at u."""
     return _write_op(ctx, name, fusion.extended_lax(U, u), f"L[{U.rep.r},{U.n}]({u})",
-                     [U.rep.parities, U.parities])
+                     [U.rep.parities, U.site.parities])
 
 
 def _at_most(args, flag, count):

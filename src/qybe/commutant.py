@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .qarith import COMMUTANT_BUDGET, DESK_BOUND, OSPQ12, QybeError
-from .repspace import nfold_coproduct
-from .coupling import ladder_weights, product_weights, weight_sectors
+from .repspace import ladder_weights, nfold_coproduct
+from .coupling import product_weights, weight_sectors
 
 
 @dataclass
@@ -268,7 +268,7 @@ def commutant_nullspace(U, n):
     d = _product_dim(gens.dim, n)
     # refused from the summed per-state weights, before any d x d generator
     # exists; the layout solved on still comes from the coproduct's own h
-    _refuse_over_budget(weight_sectors(product_weights(*[ladder_weights(gens)] * n)))
+    _refuse_over_budget(weight_sectors(product_weights(*[U.site.weights] * n)))
     co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
     layout = _sector_layout(weight_sectors(ladder_weights(co)), d)
     return _centralizer(layout, co.E, co.F, gens.dim, n)[0]

@@ -28,6 +28,7 @@ from .repspace import (
     graded_kron_raw,
     invariant_metric,
     ladder_coefficients,
+    ladder_weights,
 )
 
 
@@ -87,18 +88,6 @@ class Decomposition:
         return dict(sorted(mult.items()))
 
 
-def ladder_weights(R):
-    """Real ladder weights of the diagonal h (the factor 2 of the sl_q(2)
-    convention stripped off).  Even graded irreps shift h by i pi / (2 log q),
-    the same constant on every state of a product: the midpoint of the
-    symmetric weights.  It is imaginary at real q, where h.real is kept as
-    it is, and is subtracted at complex q."""
-    h = np.diag(R.H)
-    shift = (h.max() + h.min()) / 2
-    w = np.real(h - shift) if abs(shift.real) > 1e-9 else np.real(h)
-    return w if R.algebra == OSPQ12 else w / 2.0
-
-
 def product_weights(*site_weights):
     """Total weight of every product state of the sites, in flat order: the
     sum of its site weights (the coproduct of h is additive)."""
@@ -150,9 +139,9 @@ def check_sectors(M, sectors):
 def local_product(factors, sites):
     """The diagonal blocks of embed_at(A, p) @ embed_at(B, q) @ ... on the
     product of `sites`, for factors [(A, p), (B, q), ...]: each site is the
-    pair (parities, weights) of one tensor factor, and the blocks are taken
-    over the total-weight sectors of the sites (`product_sectors`), in that
-    order.  Per sector, the product of the factors' blocks gathered by
+    `Site` of one tensor factor, and the blocks are taken over the
+    total-weight sectors of the sites (`product_sectors`), in that order.
+    Per sector, the product of the factors' blocks gathered by
     `block_index`, made one at a time as the returned iterator is consumed.
     A factor may be a stack of operators on its last two axes; the blocks
     are then stacks, multiplied point by point.
@@ -161,9 +150,8 @@ def local_product(factors, sites):
     conserves the weight (`check_sectors` over the sectors of its legs);
     sites of zero weight are one sector, the whole space, which always
     qualifies."""
-    parities, weights = zip(*sites)
-    dims = [len(p) for p in parities]
-    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(pos, dims, parities))
+    parities = [site.parities for site in sites]
+    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(pos, parities))
                for op, pos in factors]
 
     def block(op, gather, s):
@@ -171,7 +159,7 @@ def local_product(factors, sites):
         return sign * op[..., index]
 
     return (reduce(np.matmul, [block(op, gather, s) for op, gather in gathers])
-            for s in product_sectors(*weights))
+            for s in product_sectors(*[site.weights for site in sites]))
 
 
 def _hw_vectors(e_mat, weights, target_weight, within=None):

@@ -32,17 +32,17 @@ import numpy as np
 from .qarith import DESK_BOUND, PoleError, QybeError
 from .repspace import (
     RepLike,
+    Site,
     apply_at,
     block_index,
     embed_at,
-    graded_permutation,
     invariant_metric,
+    ladder_weights,
     nfold_coproduct,
 )
 from .coupling import (
     Decomposition,
     decompose,
-    ladder_weights,
     product_weights,
     projector,
     weight_sectors,
@@ -95,9 +95,11 @@ class CompositeSpace:
         """(irrep dimension, multiplicity) pairs, ascending."""
         return sorted(self.decomposition.block_multiplicities().items())
 
-    @property
-    def parities(self):
-        return tuple(int(x) for x in self.decomposition.parities)
+    @cached_property
+    def site(self):
+        """The space as a tensor factor: the parities and ladder weights of
+        its block states."""
+        return Site(self.decomposition.parities, ladder_weights(self.gens))
 
     @cached_property
     def pair_project(self):
@@ -131,15 +133,13 @@ class CompositeSpace:
         1 (x) embed over the states s of (V^r)^(x(n+1)) at that weight, and
         the `block_index` (index, sign) of the s x s block of each crossing
         of the train, in train order."""
-        r, n = self.rep.r, self.n
-        site = ladder_weights(self.rep)
-        dims, pars = [r] * (n + 1), [self.rep.parities] * (n + 1)
-        ambient = weight_sectors(product_weights(*[site] * (n + 1)))
+        r, n, site = self.rep.r, self.n, self.rep.site
+        ambient = weight_sectors(product_weights(*[site.weights] * (n + 1)))
         lift = np.kron(np.eye(r), self.project)
         drop = np.kron(np.eye(r), self.embed)
-        gathers = [block_index((0, m), dims, pars) for m in range(n, 0, -1)]
+        gathers = [block_index((0, m), [site.parities] * (n + 1)) for m in range(n, 0, -1)]
         out = []
-        for key, t in weight_sectors(product_weights(site, ladder_weights(self.gens))).items():
+        for key, t in weight_sectors(product_weights(site.weights, self.site.weights)).items():
             s = ambient[key]
             index, sign = zip(*[gather(s) for gather in gathers])
             out.append(((t[:, None], t), lift[t[:, None], s], index, sign, drop[s[:, None], t]))
@@ -155,9 +155,8 @@ def adjacent_singlet_kernel(fam, n):
     """Orthonormal basis of the joint kernel of all adjacent-pair singlet
     projectors on (V^r)^(x n), fam the Hecke family on V^r (x) V^r."""
     P1 = _singlet(fam)
-    dims = [fam.dim] * n
-    pars = [fam.parities] * n
-    rows = np.vstack([embed_at(P1, (k, k + 1), dims, pars) for k in range(n - 1)])
+    pars = [fam.site.parities] * n
+    rows = np.vstack([embed_at(P1, (k, k + 1), pars) for k in range(n - 1)])
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     tol = 1e-10 * max(1.0, s.max())
     rank = int(np.sum(s > tol))
@@ -169,12 +168,11 @@ def truncation_cascade(fam, n):
     over all factor pairs (the step-by-step truncation); its image spans
     U^{R_n}."""
     u0 = fam.u0
-    dims = [fam.dim] * n
-    pars = [fam.parities] * n
+    pars = [fam.site.parities] * n
     out = np.eye(fam.dim ** n, dtype=complex)
     for k in range(2, n + 1):
         for p in range(1, k):
-            out = out @ embed_at(fam.noncheck((k - p) * u0), (k - 1, p - 1), dims, pars)
+            out = out @ embed_at(fam.noncheck((k - p) * u0), (k - 1, p - 1), pars)
     return out
 
 
@@ -238,9 +236,8 @@ def _plain_placements(P1, r, pairs):
     # check-formalism products sign-free as well (the Koszul-decorated
     # embedding differs for even-dimensional graded irreps, whose pair
     # singlet is odd, and does not satisfy the composite triple identity)
-    dims = [r] * 4
-    plain = [tuple(0 for _ in range(r))] * 4
-    return [embed_at(P1, pair, dims, plain) for pair in pairs]
+    plain = [(0,) * r] * 4
+    return [embed_at(P1, pair, plain) for pair in pairs]
 
 
 def _four_site_ops(table):
@@ -282,7 +279,7 @@ def descendant_r_product(U, us, guard=1e-4):
     _require_pair(U)
     fam = U.hecke
     u0 = fam.u0
-    dims, pars = [U.rep.r] * 4, [fam.parities] * 4
+    pars = [fam.site.parities] * 4
     us = np.asarray(us, dtype=complex)
     pts = us.ravel()
     near = np.abs(pts - u0) < guard
@@ -303,7 +300,7 @@ def descendant_r_product(U, us, guard=1e-4):
     X = U.pair_embed
     for op, pos in ((R0, (2, 3)), (R0, (0, 1)), (at(far - 2 * u0), (1, 2)), (R1, (2, 3)),
                     (R1, (0, 1)), (at(far), (1, 2)), (R0, (2, 3)), (R0, (0, 1))):
-        X = apply_at(op, pos, dims, pars, X)
+        X = apply_at(op, pos, pars, X)
     out[~near] = U.pair_project @ X
     return out.reshape(us.shape + out.shape[-2:])
 
@@ -336,9 +333,8 @@ def descendant_family(U):
         return ((s - 1) * X * z0 + (s + 1)) * ((s - 1) * X + (s + 1))
 
     return SpectralRMatrix(
-        family="fused", params=U.params, weights=tuple(ladder_weights(U.gens)),
+        family="fused", params=U.params, site=U.site,
         chi=fam.chi, u0=0.0, check_fn=check_fn,
-        swap=graded_permutation(U.gens, U.gens), parities=U.parities,
         poly_weight=poly_weight,
         poly_base=lambda x: np.exp(2 * a * complex(x)),
     )

@@ -11,10 +11,14 @@ The graded Kronecker product uses the matrix sign rule
     (A (x) B)[(i,j),(k,l)] = A[i,k] B[j,l] (-1)^(p_k (p_j + p_l))
 
 with p the domain/codomain parities, which makes operator products of graded
-Kroneckers plain matrix products.
+Kroneckers plain matrix products.  A tensor factor is a `Site`, the parity
+and ladder weight of each state; the index kernels take its parities.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
 
 from .qarith import (
@@ -55,10 +59,10 @@ class Irrep:
     def ladder_j(self):
         return (self.r - 1) / 2.0
 
-    @property
-    def weights(self):
-        """Ladder weights i = j - k, highest first (without the qr shift)."""
-        return np.array([self.ladder_j - k for k in range(self.r)])
+    @cached_property
+    def site(self):
+        """The irrep as a tensor factor: its parities and ladder weights."""
+        return Site(self.parities, ladder_weights(self))
 
 
 def alpha_sum(algebra, r, i, q):
@@ -220,14 +224,15 @@ def nfold_coproduct(algebra, reps, q):
 def graded_permutation(rep1, rep2):
     """Swap operator P: V1 (x) V2 -> V2 (x) V1 with the Koszul sign
     (-1)^(p_a p_b); P^2 = 1 exactly on matching factors."""
-    p1, p2 = rep1.parities, rep2.parities
-    return perm_matrix([1, 0], [len(p1), len(p2)], [p1, p2])
+    return perm_matrix([1, 0], [rep1.parities, rep2.parities])
 
 
-def _signed_perm(sigma, dims, parities):
-    """The signed permutation taking target slot t to source slot sigma[t],
-    as (target flat index, +-1 Koszul sign) of every source basis state in
-    flat order.  The sign counts the odd pairs whose order sigma inverts."""
+def _signed_perm(sigma, parities):
+    """The signed permutation taking target slot t to source slot sigma[t]
+    of a product of factors with these parity vectors, as (target flat
+    index, +-1 Koszul sign) of every source basis state in flat order.  The
+    sign counts the odd pairs whose order sigma inverts."""
+    dims = [len(p) for p in parities]
     n = len(dims)
     src = np.indices(dims).reshape(n, -1)
     par = [np.asarray(parities[k], dtype=int)[src[k]] for k in range(n)]
@@ -240,37 +245,39 @@ def _signed_perm(sigma, dims, parities):
     return tgt, (-1.0) ** odd
 
 
-def perm_matrix(sigma, dims, parities):
-    """Signed permutation matrix on a product of factors: target slot t holds
-    source slot sigma[t]; Koszul sign counts inverted odd pairs.  Complex,
-    like the operators it multiplies, so a product casts neither factor."""
-    tgt, sign = _signed_perm(sigma, dims, parities)
+def perm_matrix(sigma, parities):
+    """Signed permutation matrix on a product of factors with these parity
+    vectors: target slot t holds source slot sigma[t]; Koszul sign counts
+    inverted odd pairs.  Complex, like the operators it multiplies, so a
+    product casts neither factor."""
+    tgt, sign = _signed_perm(sigma, parities)
     out = np.zeros((len(tgt), len(tgt)), dtype=complex)
     out[tgt, np.arange(len(tgt))] = sign
     return out
 
 
-def embed_at(op, pos, dims, parities):
+def embed_at(op, pos, parities):
     """Embed an operator acting on the ordered factor pair/tuple pos into the
-    full product, moving factors with graded permutations.
+    product of factors with these parity vectors, moving factors with graded
+    permutations.
 
     With P the signed permutation bringing pos to the front, this is
     P^T (op (x) 1) P; only its nonzero entries are written, each one a
     Koszul-signed entry of op."""
     op = np.asarray(op)
     pos = tuple(pos)
-    rest = [k for k in range(len(dims)) if k not in pos]
-    tgt, sign = _signed_perm(list(pos) + rest, dims, parities)
+    rest = [k for k in range(len(parities)) if k not in pos]
+    tgt, sign = _signed_perm(list(pos) + rest, parities)
     # src[i, j]: the source state sent to op index i and rest index j
-    src = np.argsort(tgt).reshape(int(np.prod([dims[k] for k in pos])), -1)
+    src = np.argsort(tgt).reshape(int(np.prod([len(parities[k]) for k in pos])), -1)
     s = sign[src]
     out = np.zeros((len(tgt), len(tgt)), dtype=np.result_type(op, float))
     out[src[:, None, :], src[None, :, :]] = (s[:, None, :] * s[None, :, :]) * op[:, :, None]
     return out
 
 
-def apply_at(op, pos, dims, parities, X):
-    """embed_at(op, pos, dims, parities) @ X without forming the embedding,
+def apply_at(op, pos, parities, X):
+    """embed_at(op, pos, parities) @ X without forming the embedding,
     for pos a run of consecutive legs in order: the rows of X carry the
     Koszul signs of `_signed_perm` before and after, and op contracts the
     run's legs by a reshape.  X may be a stack of matrices on its last two
@@ -278,27 +285,27 @@ def apply_at(op, pos, dims, parities, X):
     pos = tuple(pos)
     if pos != tuple(range(pos[0], pos[0] + len(pos))):
         raise QybeError(f"apply_at takes a run of consecutive legs in order, got {pos}")
-    rest = [k for k in range(len(dims)) if k not in pos]
-    sign = _signed_perm(list(pos) + rest, dims, parities)[1][:, None]
+    rest = [k for k in range(len(parities)) if k not in pos]
+    sign = _signed_perm(list(pos) + rest, parities)[1][:, None]
     rows, cols = X.shape[-2:]
-    head, dop = int(np.prod(dims[:pos[0]])), op.shape[-1]
+    head, dop = int(np.prod([len(p) for p in parities[:pos[0]]])), op.shape[-1]
     Y = op[..., None, :, :] @ (sign * X).reshape(X.shape[:-2] + (head, dop, rows // head // dop * cols))
     Y = Y.reshape(Y.shape[:-3] + (rows, cols))
     Y *= sign
     return Y
 
 
-def block_index(pos, dims, parities):
-    """The blocks of embed_at(op, pos, dims, parities) as gathers from op: a
+def block_index(pos, parities):
+    """The blocks of embed_at(op, pos, parities) as gathers from op: a
     function of an index array idx returning (index, sign), with the
     idx x idx block equal to sign * op.ravel()[index].  sign is the Koszul
     sign of `_signed_perm`, and 0 wherever the embedding vanishes (states
     whose other legs differ).  The signs are computed once, for any number
     of blocks."""
     pos = tuple(pos)
-    rest = [k for k in range(len(dims)) if k not in pos]
-    tgt, sign = _signed_perm(list(pos) + rest, dims, parities)
-    dop = int(np.prod([dims[k] for k in pos]))
+    rest = [k for k in range(len(parities)) if k not in pos]
+    tgt, sign = _signed_perm(list(pos) + rest, parities)
+    dop = int(np.prod([len(parities[k]) for k in pos]))
 
     def gather(idx):
         a, b = np.divmod(tgt[idx], len(tgt) // dop)  # op index, index on the other legs
@@ -306,6 +313,37 @@ def block_index(pos, dims, parities):
         return a[:, None] * dop + a, np.outer(s, s) * (b[:, None] == b)
 
     return gather
+
+
+class Site(NamedTuple("Site", [("parities", tuple), ("weights", tuple)])):
+    """One tensor factor: the parity and the ladder weight of each of its
+    states, as tuples of Python numbers, so sites compare and hash.  A
+    factor's dimension follows from them."""
+
+    __slots__ = ()
+
+    def __new__(cls, parities, weights):
+        parities = tuple(int(p) for p in parities)
+        weights = tuple(float(w) for w in weights)
+        if len(parities) != len(weights):
+            raise QybeError(f"{len(weights)} weights for {len(parities)} states")
+        return super().__new__(cls, parities, weights)
+
+    @property
+    def dim(self):
+        return len(self.parities)
+
+
+def ladder_weights(R):
+    """Real ladder weights of the diagonal h (the factor 2 of the sl_q(2)
+    convention stripped off).  Even graded irreps shift h by i pi / (2 log q),
+    the same constant on every state of a product: the midpoint of the
+    symmetric weights.  It is imaginary at real q, where h.real is kept as
+    it is, and is subtracted at complex q."""
+    h = np.diag(R.H)
+    shift = (h.max() + h.min()) / 2
+    w = np.real(h - shift) if abs(shift.real) > 1e-9 else np.real(h)
+    return w if R.algebra == OSPQ12 else w / 2.0
 
 
 def casimir_matrix(algebra, R, q):

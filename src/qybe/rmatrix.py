@@ -11,6 +11,7 @@ orders of magnitude, so absolute residuals would be meaningless there.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,17 +25,18 @@ from .qarith import (
     bracket_plus_factorial,
 )
 from .repspace import (
+    Site,
     coproduct_pair,
     diag_power,
     embed_at,
     graded_kron_raw,
     graded_permutation,
+    perm_matrix,
 )
 from .coupling import (
     CouplingTable,
     check_sectors,
     chi_factor,
-    ladder_weights,
     local_product,
     product_sectors,
     projector,
@@ -72,7 +74,7 @@ def sector_residual(lhs, rhs, sites):
     guarded = []
     for op, legs in lhs + rhs:
         if not any(op is seen for seen in guarded):
-            check_sectors(op, product_sectors(*[sites[k][1] for k in legs]))
+            check_sectors(op, product_sectors(*[sites[k].weights for k in legs]))
             guarded.append(op)
     return blockwise_residual(zip(local_product(lhs, sites), local_product(rhs, sites)))
 
@@ -112,23 +114,22 @@ def braid_limit_f(chi, sign):
 
 @dataclass
 class SpectralRMatrix:
-    """A one-parameter family u -> R(u) on a pair of like sites, each site
-    the states of `parities` with the ladder weights `weights`.
+    """A one-parameter family u -> R(u) on a pair of like tensor factors,
+    each of them the `Site` `site`, whose parities and weights are those of
+    the object the family acts on (`Irrep.site`, `CompositeSpace.site`).
 
     check_fn evaluates the check form as an array; `noncheck` composes it
-    with the graded swap.  poly_weight/poly_base, when set, polynomialize the
-    family: poly_weight(u) * R(u) = sum_p poly_base(u)**(p-1) * M_p, which is
-    what spectral_decompose fits.
+    with the graded swap of the two sites.  poly_weight/poly_base, when set,
+    polynomialize the family: poly_weight(u) * R(u) = sum_p
+    poly_base(u)**(p-1) * M_p, which is what spectral_decompose fits.
     """
 
     family: str
     params: DeformParams
-    weights: tuple
+    site: Site
     chi: complex = None
     u0: complex = None
     check_fn: callable = field(repr=False, default=None)
-    swap: np.ndarray = field(repr=False, default=None)
-    parities: tuple = ()
     poly_weight: callable = field(repr=False, default=None)
     poly_base: callable = field(repr=False, default=None)
     table: CouplingTable = field(repr=False, default=None)
@@ -136,7 +137,12 @@ class SpectralRMatrix:
     @property
     def dim(self):
         """The number of states of one site."""
-        return len(self.weights)
+        return self.site.dim
+
+    @cached_property
+    def swap(self):
+        """The graded swap of the two sites, built once per family."""
+        return perm_matrix([1, 0], [self.site.parities] * 2)
 
     def noncheck(self, u):
         """The non-check form swap @ check_fn(u)."""
@@ -181,9 +187,8 @@ def hecke_family(table, chi=None):
         return (x - 1) * (-1.0) + s * (x + 1)
 
     return SpectralRMatrix(
-        family="hecke", params=params, weights=tuple(ladder_weights(rep)),
-        chi=chi, u0=u0, check_fn=check_fn, swap=graded_permutation(rep, rep),
-        parities=rep.parities,
+        family="hecke", params=params, site=rep.site,
+        chi=chi, u0=u0, check_fn=check_fn,
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * a * complex(u)),
         table=table,
@@ -235,9 +240,7 @@ def r33_family(kind, table):
         raise QybeError(f"fixture kind must be 1, 2 or 3, got {kind}")
 
     return SpectralRMatrix(
-        family=f"r33_{kind}", params=params, weights=tuple(ladder_weights(rep)),
-        check_fn=check_fn, swap=graded_permutation(rep, rep),
-        parities=rep.parities,
+        family=f"r33_{kind}", params=params, site=rep.site, check_fn=check_fn,
         poly_weight=lambda u: q ** complex(u),
         poly_base=lambda u: q ** complex(u),
         table=table,
@@ -297,10 +300,11 @@ def ybe_residual(fam, u, w, form="check"):
     total-weight sector of three sites of the family (`sector_residual`),
     once each stacked factor has passed `check_sectors`."""
     if form == "check":
-        get, pars = fam.check_fn, (0,) * fam.dim
+        # even parities, but the family's weights: its sectors stay small
+        get, site = fam.check_fn, Site((0,) * fam.dim, fam.site.weights)
         legs = ((0, 1), (1, 2), (0, 1)), ((1, 2), (0, 1), (1, 2))
     elif form == "noncheck":
-        get, pars = fam.noncheck, fam.parities
+        get, site = fam.noncheck, fam.site
         legs = ((0, 1), (0, 2), (1, 2)), ((1, 2), (0, 2), (0, 1))
     else:
         raise QybeError(f"unknown YBE form {form!r}")
@@ -309,7 +313,7 @@ def ybe_residual(fam, u, w, form="check"):
     if A.shape[-1] != fam.dim ** 2:
         raise QybeError("operator does not act on a like-factor pair")
     return sector_residual(list(zip((A, B, C), legs[0])), list(zip((C, B, A), legs[1])),
-                           [(pars, fam.weights)] * 3)
+                           [site] * 3)
 
 
 def mixed_braid_check(Rplus, Rminus, parities):
@@ -322,14 +326,8 @@ def mixed_braid_check(Rplus, Rminus, parities):
     not).  alt holds as stated for the pair extracted from one spectral
     family; alt_balanced reports its scale-free content, the proportionality
     of the two difference terms, together with the balancing scalar."""
-    Rp, Rm = np.asarray(Rplus), np.asarray(Rminus)
-    r = len(parities)
-    dims, pars = [r, r, r], [parities] * 3
-    P12 = lambda X: embed_at(X, (0, 1), dims, pars)
-    P13 = lambda X: embed_at(X, (0, 2), dims, pars)
-    P23 = lambda X: embed_at(X, (1, 2), dims, pars)
-    p12, p13, p23 = P12(Rp), P13(Rp), P23(Rp)
-    m12, m13, m23 = P12(Rm), P13(Rm), P23(Rm)
+    place = lambda X: [embed_at(X, legs, [parities] * 3) for legs in ((0, 1), (0, 2), (1, 2))]
+    (p12, p13, p23), (m12, m13, m23) = place(np.asarray(Rplus)), place(np.asarray(Rminus))
     t_linear = p12 @ m13 @ p23 - p23 @ m13 @ p12
     t_square = m12 @ p13 @ m23 - m23 @ p13 @ m12
     scale = np.vdot(t_square, t_linear) / max(np.vdot(t_square, t_square).real, 1e-300)

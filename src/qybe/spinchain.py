@@ -20,9 +20,9 @@ and the spectra and solves run one sector at a time.  H is summed bond by
 bond into its blocks (`coupling.local_product` over the chain's sites);
 tau(u) is contracted into its blocks once `check_sectors` has found no R
 entry between the aux (x) site sectors, so the block spectra are the
-spectrum.  Every site carries weights: a chain built without them has zero
-weights, so it is one sector, its one block is the whole matrix, and tau
-runs the same GEMMs with one weight group.
+spectrum.  A chain's site and auxiliary are `repspace.Site`s, read from the
+objects that own them; a site of zero weights is one sector, its one block
+is the whole matrix, and tau runs the same GEMMs with one weight group.
 """
 
 from dataclasses import dataclass
@@ -31,10 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
+from .repspace import Site
 from .coupling import (
     check_sectors,
     coupled_basis,
-    ladder_weights,
     local_product,
     product_sectors,
     product_weights,
@@ -45,58 +45,30 @@ from .fusion import descendant_coefficients, _four_site_ops
 
 @dataclass
 class ChainSpec:
-    """Periodic chain of `n_sites` identical sites with the given state
-    parities and a chosen auxiliary (the site space unless given); `weights`
-    are the ladder weights of the site states and `aux_weights` those of the
-    auxiliary states.  An auxiliary with the site's parities is the site,
-    and its weights default to the site's; a distinct auxiliary of a chain
-    with site weights must be given its own.  A chain given no site weights
-    is one sector: every weight, on the site and the auxiliary, is zero."""
+    """Periodic chain of `n_sites` copies of the tensor factor `site` (a
+    `Site`), and `aux`, the auxiliary factor of its transfer matrix (the
+    site unless given).  The chain's weight sectors follow from the sites'
+    weights; a site of zero weights makes the chain one sector."""
 
-    parities: tuple
+    site: Site
     n_sites: int
-    aux_parities: tuple = None
-    weights: tuple = None
-    aux_weights: tuple = None
+    aux: Site = None
 
     def __post_init__(self):
-        aux_is_site = self.aux_parities is None or tuple(self.aux_parities) == tuple(self.parities)
-        if self.aux_parities is None:
-            self.aux_parities = self.parities
+        if self.aux is None:
+            self.aux = self.site
         if self.n_sites < 1:
             raise QybeError(f"a chain needs at least one site, got {self.n_sites}")
-        if self.site_dim ** self.n_sites > DESK_BOUND:
-            raise QybeError(f"chain {self.site_dim}^{self.n_sites} exceeds the desk bound "
+        if self.site.dim ** self.n_sites > DESK_BOUND:
+            raise QybeError(f"chain {self.site.dim}^{self.n_sites} exceeds the desk bound "
                             f"{DESK_BOUND}")
-        weighted, aux_given = self.weights is not None, self.aux_weights is not None
-        if weighted and len(self.weights) != self.site_dim:
-            raise QybeError(f"{len(self.weights)} site weights for {self.site_dim} site states")
-        if weighted and not aux_given and not aux_is_site:
-            raise QybeError("a chain with site weights and a distinct auxiliary needs "
-                            "aux_weights")
-        if aux_given and len(self.aux_weights) != len(self.aux_parities):
-            raise QybeError(f"{len(self.aux_weights)} auxiliary weights for "
-                            f"{len(self.aux_parities)} auxiliary states")
-        if not weighted:
-            self.weights = (0.0,) * self.site_dim
-            self.aux_weights = (0.0,) * len(self.aux_parities)
-        elif not aux_given:
-            self.aux_weights = self.weights
-
-    @property
-    def site_dim(self):
-        return len(self.parities)
-
-    @staticmethod
-    def from_composite(U, n_sites):
-        return ChainSpec(U.parities, n_sites, weights=tuple(ladder_weights(U.gens)))
 
     @cached_property
     def sectors(self):
         """Index arrays of the product states of each total weight, in
         increasing weight, built once per spec; Delta^N(h) is additive, so a
         state's weight is the sum of its site weights."""
-        return product_sectors(*[self.weights] * self.n_sites)
+        return product_sectors(*[self.site.weights] * self.n_sites)
 
     @cached_property
     def transfer_plan(self):
@@ -140,9 +112,9 @@ class _TransferPlan:
     `spec.sectors`."""
 
     def __init__(self, spec):
-        da, ds, N = len(spec.aux_parities), spec.site_dim, spec.n_sites
+        da, ds, N = spec.aux.dim, spec.site.dim, spec.n_sites
         ka, ks = (np.round(2 * np.asarray(w)).astype(int)
-                  for w in (spec.aux_weights, spec.weights))
+                  for w in (spec.aux.weights, spec.site.weights))
         aux = _groups(ka)
         site_pairs = _groups(np.subtract.outer(ks, ks).ravel())  # s_out * ds + s_in
         self.r_sectors = list(_groups(np.add.outer(ka, ks).ravel()).values())
@@ -221,8 +193,8 @@ class _TransferPlan:
 
         # where each entry of T sits in the closing rows, and the closing
         # weight (-1)^(p(a) (1 + p(S_in))) of its row
-        pa = np.asarray(spec.aux_parities)
-        PS = product_weights(*[spec.parities] * (N - 1)).astype(int) % 2
+        pa = np.asarray(spec.aux.parities)
+        PS = product_weights(*[spec.site.parities] * (N - 1)).astype(int) % 2
         prow, pab = _rank(chain_pairs, d * d), _rank(aux_pairs, da * da)
         size = sum(rows[b][0].size * ib.size for b, ib in aux.items())
         self.close = np.full(l0, size, dtype=np.intp)
@@ -258,13 +230,13 @@ def transfer_matrix(spec, R):
     of that weight.  A chain of zero weights is one block, contracted by the
     same GEMMs with one weight group."""
     R = np.asarray(R)
-    da, ds = len(spec.aux_parities), spec.site_dim
+    da, ds = spec.aux.dim, spec.site.dim
     if R.shape != (da * ds, da * ds):
         raise QybeError("R does not act on aux (x) site")
     plan = spec.transfer_plan
     check_sectors(R, plan.r_sectors)
-    pa = np.asarray(spec.aux_parities)
-    W = (R.reshape(da, ds, da, ds) * (-1.0) ** np.outer(pa, spec.parities)).ravel()[plan.step]
+    sign = (-1.0) ** np.outer(spec.aux.parities, spec.site.parities)  # on (a_in, s_in)
+    W = (R.reshape(da, ds, da, ds) * sign).ravel()[plan.step]
     T = plan.start
     for moves, size in plan.steps:
         out = np.empty(size + 1, dtype=complex)
@@ -330,15 +302,14 @@ def hamiltonian_projector_form(U, spec):
     if N < 2:
         raise QybeError(f"the chain Hamiltonian needs at least two sites, got {N}")
     not_u = QybeError("the chain's site is not the composite space U")
-    if tuple(spec.parities) != tuple(U.parities):
+    if spec.site.parities != U.site.parities:
         raise not_u
     f0, bond = chain_bond(U)
     try:
-        check_sectors(bond, product_sectors(spec.weights, spec.weights))
+        check_sectors(bond, product_sectors(spec.site.weights, spec.site.weights))
     except QybeError as exc:
         raise not_u from exc
-    sites = [(spec.parities, spec.weights)] * N
-    bonds = [local_product([(bond, ((i + 1) % N, i))], sites) for i in range(N)]
+    bonds = [local_product([(bond, ((i + 1) % N, i))], [spec.site] * N) for i in range(N)]
     return [f0 * sum(terms) for terms in zip(*bonds)]
 
 

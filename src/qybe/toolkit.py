@@ -19,7 +19,6 @@ from .coupling import (
     cgc_table,
     chi_closed,
     chi_factor,
-    ladder_weights,
     projector,
     tensor_decompose,
 )
@@ -405,8 +404,8 @@ class Context:
 
     def chain(self, r, n_sites):
         """The periodic chain of n_sites pair spaces of r."""
-        return self._once(("chain", r, n_sites), chains.ChainSpec.from_composite,
-                          self.composite(r, 2), n_sites)
+        return self._once(("chain", r, n_sites), chains.ChainSpec,
+                          self.composite(r, 2).site, n_sites)
 
     def hamiltonian(self, r, n_sites):
         """The sector blocks of the projector-form Hamiltonian of that chain."""
@@ -523,10 +522,9 @@ def _lax_rll(ctx, rng, inputs):
     L13 = fusion.extended_lax(U, u)
     L23 = fusion.extended_lax(U, w)
     Rm = fam.noncheck(u - w)
-    V = (fam.parities, fam.weights)
     return sector_residual([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))],
                            [(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))],
-                           [V, V, (U.parities, ladder_weights(U.gens))])
+                           [fam.site, fam.site, U.site])
 
 
 def _entries(blocks):

@@ -8,6 +8,7 @@ from qybe import (
     SLQ2,
     ChainSpec,
     DeformParams,
+    Site,
     build_irrep,
     cgc_table,
     chain_bond,
@@ -219,12 +220,11 @@ def test_criterion_08_extended_lax():
         L13 = extended_lax(U, u)
         L23 = extended_lax(U, w)
         Rm = fam.swap @ fam.check_fn(u - w)
-        dims = [r, r, U.dim]
-        pars = [rep.parities, rep.parities, U.parities]
-        lhs = embed_at(Rm, (0, 1), dims, pars) \
-            @ embed_at(L13, (0, 2), dims, pars) @ embed_at(L23, (1, 2), dims, pars)
-        rhs = embed_at(L23, (1, 2), dims, pars) \
-            @ embed_at(L13, (0, 2), dims, pars) @ embed_at(Rm, (0, 1), dims, pars)
+        pars = [rep.parities, rep.parities, U.site.parities]
+        lhs = embed_at(Rm, (0, 1), pars) \
+            @ embed_at(L13, (0, 2), pars) @ embed_at(L23, (1, 2), pars)
+        rhs = embed_at(L23, (1, 2), pars) \
+            @ embed_at(L13, (0, 2), pars) @ embed_at(Rm, (0, 1), pars)
         worst_rll = max(worst_rll, rel_residual(lhs, rhs))
     report(8, "exchange relation RLL = LLR for (r,n) up to (3,3)", worst_rll, 1e-9)
     plat = DeformParams(q=Q, a=np.log(Q), algebra=SLQ2)
@@ -257,8 +257,9 @@ def test_criterion_09_chain_suite():
     rep = build_irrep(SLQ2, 3, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
+    whole = Site(U.site.parities, (0,) * U.dim)  # zero weights: one block, the whole tau
     for N in (2, 3):
-        spec = ChainSpec(U.parities, N)  # no site weights: one block, the whole tau
+        spec = ChainSpec(whole, N)
         dim = U.dim ** N
         pts = random_points(rng, 10, guards=family_guards(fam), min_dist=0.1)
         taus = [transfer_matrix(spec, fam.noncheck(x))[0] for x in pts]
@@ -268,7 +269,7 @@ def test_criterion_09_chain_suite():
             worst = max(worst, rel_residual(t1 @ t2, t2 @ t1) / dim)
         report(9, f"commuting transfer matrices, N = {N} ({dim}-dim)",
                worst, 1e-12)
-    spec = ChainSpec(U.parities, 2)
+    spec = ChainSpec(whole, 2)
     Hlog = hamiltonian_log_derivative(spec, fam)[0]
     H = hamiltonian_projector_form(U, spec)[0]
     X = np.stack([H.ravel(), np.eye(U.dim ** 2).ravel()], axis=1)

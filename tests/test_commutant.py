@@ -28,8 +28,8 @@ from qybe.commutant import (
     _nullspace_from_system,
     _sector_layout,
 )
-from qybe.coupling import ladder_weights, product_weights, weight_sectors
-from qybe.repspace import nfold_coproduct
+from qybe.coupling import product_weights, weight_sectors
+from qybe.repspace import ladder_weights, nfold_coproduct
 from qybe.toolkit import family_guards, random_points
 from conftest import params_for, pair_table
 

@@ -206,12 +206,11 @@ def test_triple_projector_identities():
             t = pair_table(algebra, r, p)
             chi = chi_factor(t)
             P1 = projector(t, 1)
-            dims = [r] * 4
             plain = [tuple(0 for _ in range(r))] * 4
-            P12 = embed_at(P1, (0, 1), dims, plain)
-            P23 = embed_at(P1, (1, 2), dims, plain)
-            P34 = embed_at(P1, (2, 3), dims, plain)
-            P14 = embed_at(P1, (0, 3), dims, plain)
+            P12 = embed_at(P1, (0, 1), plain)
+            P23 = embed_at(P1, (1, 2), plain)
+            P34 = embed_at(P1, (2, 3), plain)
+            P14 = embed_at(P1, (0, 3), plain)
             sc = max(1.0, abs(chi))
             assert np.abs(P12 @ P23 @ P12 - chi * P12).max() / sc < 1e-10
             assert np.abs(P23 @ P12 @ P23 - chi * P23).max() / sc < 1e-10

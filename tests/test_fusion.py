@@ -22,7 +22,7 @@ from qybe import (
     u0_point,
     ybe_residual,
 )
-from qybe.coupling import ladder_weights, product_weights
+from qybe.coupling import product_weights
 from qybe.fusion import (
     adjacent_singlet_kernel,
     f_product,
@@ -100,8 +100,7 @@ def _off_sector(row_weights, col_weights):
 def test_composite_basis_is_weight_graded(algebra, q, r, n):
     # embed and project hold exact zeros between states of different weight
     U = _composite(algebra, q, r, n)
-    off = _off_sector(product_weights(*[ladder_weights(U.rep)] * n),
-                      ladder_weights(U.gens))
+    off = _off_sector(product_weights(*[U.rep.site.weights] * n), np.array(U.site.weights))
     assert off.mean() > 0.5
     assert not U.embed[off].any()
     assert not U.project.T[off].any()
@@ -165,8 +164,8 @@ def _product_by_embeddings(U, u):
     # time, compressed to U (x) U: the oracle of the stacked product
     fam = U.hecke
     u0 = fam.u0
-    dims, pars = [U.rep.r] * 4, [fam.parities] * 4
-    Rc = lambda x, pos: embed_at(fam.check_fn(x), pos, dims, pars)
+    pars = [fam.site.parities] * 4
+    Rc = lambda x, pos: embed_at(fam.check_fn(x), pos, pars)
     full = (Rc(u0, (0, 1)) @ Rc(u0, (2, 3))
             @ Rc(u, (1, 2)) @ Rc(u - u0, (0, 1)) @ Rc(u - u0, (2, 3))
             @ Rc(u - 2 * u0, (1, 2))
@@ -322,22 +321,21 @@ def test_extended_lax_rll(r, n, params_sl, rng):
     L13 = extended_lax(U, u)
     L23 = extended_lax(U, w)
     Rm = fam.swap @ fam.check_fn(u - w)
-    dims = [r, r, U.dim]
-    pars = [rep.parities, rep.parities, U.parities]
-    lhs = embed_at(Rm, (0, 1), dims, pars) @ embed_at(L13, (0, 2), dims, pars) \
-        @ embed_at(L23, (1, 2), dims, pars)
-    rhs = embed_at(L23, (1, 2), dims, pars) @ embed_at(L13, (0, 2), dims, pars) \
-        @ embed_at(Rm, (0, 1), dims, pars)
+    pars = [rep.parities, rep.parities, U.site.parities]
+    lhs = embed_at(Rm, (0, 1), pars) @ embed_at(L13, (0, 2), pars) \
+        @ embed_at(L23, (1, 2), pars)
+    rhs = embed_at(L23, (1, 2), pars) @ embed_at(L13, (0, 2), pars) \
+        @ embed_at(Rm, (0, 1), pars)
     assert rel_residual(lhs, rhs) < 1e-9
 
 
 def _dense_lax(U, u):
     """The whole crossing train on (V^r)^(x(n+1)), sandwiched densely."""
     rep, fam, n = U.rep, U.hecke, U.n
-    dims, pars = [rep.r] * (n + 1), [rep.parities] * (n + 1)
+    pars = [rep.parities] * (n + 1)
     B = np.eye(rep.r ** (n + 1), dtype=complex)
     for m in range(n, 0, -1):
-        B = B @ embed_at(fam.swap @ fam.check_fn(u + (n - m) * fam.u0), (0, m), dims, pars)
+        B = B @ embed_at(fam.swap @ fam.check_fn(u + (n - m) * fam.u0), (0, m), pars)
     return np.kron(np.eye(rep.r), U.project) @ B @ np.kron(np.eye(rep.r), U.embed)
 
 
@@ -349,7 +347,7 @@ def test_extended_lax_by_sector_matches_dense_train(algebra, q, r, n):
     # the sector build is exactly zero between total-weight sectors and is
     # the dense crossing train everywhere else
     U = _composite(algebra, q, r, n)
-    w = product_weights(ladder_weights(U.rep), ladder_weights(U.gens))
+    w = product_weights(U.rep.site.weights, U.site.weights)
     off = _off_sector(w, w)
     for u in (0.37, 0.21 - 0.13j):
         L = extended_lax(U, u)
@@ -372,8 +370,7 @@ def test_extended_lax_n1_is_pair_matrix(params_sl):
 
 def test_extended_lax_r2_spectral_two_terms(rng):
     # the fundamental-irrep tower gives the standard two-term operator
-    from qybe.qarith import DeformParams
-    from qybe.rmatrix import SpectralRMatrix
+    from types import SimpleNamespace
 
     q = 1.3
     plat = DeformParams(q=q, a=np.log(q), algebra=SLQ2)
@@ -382,11 +379,6 @@ def test_extended_lax_r2_spectral_two_terms(rng):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
     chi = chi_factor(pair_table(SLQ2, 2, plat))
     u0 = u0_point(chi, plat.a)
-
-    def check_fn(u):
-        # non-check train in U-coordinates; treated as a family over the
-        # mixed pair for the polynomial fit
-        return extended_lax(U, u)
 
     s = np.sqrt(1 - 4 * chi + 0j)
 
@@ -397,10 +389,10 @@ def test_extended_lax_r2_spectral_two_terms(rng):
             out = out * ((x - 1) * (-1.0) + s * (x + 1))
         return out
 
-    fam = SpectralRMatrix(
-        family="lax", params=plat, weights=tuple(ladder_weights(rep)), chi=chi, u0=u0,
-        check_fn=check_fn, swap=np.eye(2 * U.dim),
-        parities=rep.parities,
+    # the non-check train on the mixed pair V^2 (x) U, in U-coordinates, as
+    # the polynomialized family the fit reads
+    fam = SimpleNamespace(
+        noncheck=lambda u: extended_lax(U, u),
         poly_weight=poly_weight,
         poly_base=lambda u: np.exp(2 * plat.a * complex(u)),
     )

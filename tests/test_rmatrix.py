@@ -24,8 +24,8 @@ from qybe import (
     ybe_residual,
 )
 from qybe import rmatrix
-from qybe.coupling import ladder_weights, product_sectors, product_weights, projector
-from qybe.repspace import embed_at
+from qybe.coupling import product_sectors, product_weights, projector
+from qybe.repspace import Site, embed_at
 from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
 from conftest import params_for, pair_table
@@ -321,7 +321,7 @@ def test_spectral_decompose_fixture1_three_terms(params_sl, rng):
 def _dense_check_ybe(fam, u, w):
     # A12 B23 C12 - C23 B12 A23 through dense kron embeddings: the oracle
     A, B, C = fam.check_fn(u), fam.check_fn(u + w), fam.check_fn(w)
-    I = np.eye(len(fam.parities))
+    I = np.eye(fam.dim)
     lhs = np.kron(A, I) @ np.kron(I, B) @ np.kron(C, I)
     rhs = np.kron(I, C) @ np.kron(B, I) @ np.kron(I, A)
     return rel_residual(lhs, rhs)
@@ -349,7 +349,7 @@ def test_stacked_ybe_equals_the_largest_dense_pair_residual(build, rng):
                        if all(abs(u + w - g) > 0.1 for g in guards)]).T
     dense = [_dense_check_ybe(fam, u, w) for u, w in zip(us, ws)]
     stacked = ybe_residual(fam, us, ws, form="check")
-    r = len(fam.parities)
+    r = fam.dim
     assert stacked < r ** 3 * 1e-12
     assert abs(stacked - max(dense)) < 1e-15
     assert ybe_residual(fam, us[0], ws[0], form="check") == pytest.approx(dense[0], abs=1e-15)
@@ -364,7 +364,7 @@ def test_stacked_ybe_negative_controls(algebra):
     fam = hecke_family(table, chi=chi_factor(table) * 1.01)
     assert ybe_residual(fam, us, ws) > 3 ** 3 * 1e-12
     fam = hecke_family(table)
-    w = product_weights(*[ladder_weights(table.rep1)] * 2)
+    w = product_weights(*[table.rep1.site.weights] * 2)
     planted = np.zeros((9, 9))
     planted[np.argmax(w), np.argmin(w)] = 1e-6
     leaky = dataclasses.replace(fam, check_fn=lambda u: fam.check_fn(u) + planted)
@@ -383,14 +383,13 @@ def test_fused_ybe_negative_control(algebra):
     assert ybe_residual(descendant_family(off), us, ws) > 1e-9
 
 
-# three unlike graded sites (parities, weights); the third is the first's twin
-_SITES = [((0, 1), np.array([0.5, -0.5])), ((0, 1, 0), np.array([1.0, 0.0, -1.0])),
-          ((1, 0), np.array([0.5, -0.5]))]
+# three unlike graded sites; the third is the first's twin
+_SITES = [Site((0, 1), (0.5, -0.5)), Site((0, 1, 0), (1.0, 0.0, -1.0)), Site((1, 0), (0.5, -0.5))]
 
 
 def _conserving(rng, legs):
     """A random operator on the legs that conserves their summed weight."""
-    w = product_weights(*[_SITES[k][1] for k in legs])
+    w = product_weights(*[_SITES[k].weights for k in legs])
     keep = w[:, None] == w[None, :]
     return keep * (rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape))
 
@@ -413,10 +412,11 @@ def test_sector_residual_equals_the_dense_residual(rng, monkeypatch):
 
     monkeypatch.setattr(rmatrix, "check_sectors", counting)
     got = sector_residual(lhs, rhs, _SITES)
-    assert checked == [(id(op), [len(s) for s in product_sectors(*[_SITES[k][1] for k in legs])])
+    assert checked == [(id(op), [len(s) for s in product_sectors(*[_SITES[k].weights
+                                                                    for k in legs])])
                        for op, legs in lhs]
-    dims, pars = [len(p) for p, _ in _SITES], [p for p, _ in _SITES]
-    dense = [reduce(np.matmul, [embed_at(op, legs, dims, pars) for op, legs in side])
+    pars = [site.parities for site in _SITES]
+    dense = [reduce(np.matmul, [embed_at(op, legs, pars) for op, legs in side])
              for side in (lhs, rhs)]
     assert got > 1e-3
     assert got == pytest.approx(rel_residual(*dense), rel=1e-12)
@@ -428,7 +428,7 @@ def test_sector_residual_refuses_an_entry_between_sectors(rng):
     # third site, is refused with the check_sectors message
     lhs, rhs = _sides(rng)
     C = lhs[2][0]
-    sectors = product_sectors(_SITES[0][1], _SITES[2][1])
+    sectors = product_sectors(_SITES[0].weights, _SITES[2].weights)
     C[sectors[0][0], sectors[-1][0]] = 1e-6
     with pytest.raises(QybeError, match="outside the weight sectors"):
         sector_residual(lhs, rhs, _SITES)

@@ -11,6 +11,7 @@ from qybe import (
     SLQ2,
     ChainSpec,
     QybeError,
+    Site,
     build_irrep,
     cgc_table,
     chain_bond,
@@ -26,7 +27,7 @@ from qybe import (
     spectrum,
     transfer_matrix,
 )
-from qybe.coupling import ladder_weights, product_sectors
+from qybe.coupling import product_sectors
 from qybe.rmatrix import f_slope, rel_residual
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.spinchain import bond_expansion_coefficients
@@ -38,10 +39,15 @@ def chain_points(rng, count, fam):
     return random_points(rng, count, guards=family_guards(fam), min_dist=0.1)
 
 
+def plain(parities):
+    """The site of these parities with zero weights."""
+    return Site(parities, (0,) * len(parities))
+
+
 def whole(spec):
-    """The chain without site weights: one sector, so each chain builder
-    returns the whole matrix as its one block."""
-    return dataclasses.replace(spec, weights=None)
+    """The chain with zero weights on site and auxiliary: one sector, so
+    each chain builder returns the whole matrix as its one block."""
+    return ChainSpec(plain(spec.site.parities), spec.n_sites, plain(spec.aux.parities))
 
 
 def test_f0_matches_finite_difference(params_sl):
@@ -79,7 +85,7 @@ def test_transfer_matrices_commute_n2(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, 2))
+    spec = whole(ChainSpec(U.site, 2))
     pts = chain_points(rng, 4, fam)
     taus = [transfer_matrix(spec, fam.noncheck(u))[0] for u in pts]
     for i in range(len(taus)):
@@ -91,7 +97,7 @@ def test_transfer_matrix_regular_point_is_shift(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, 2))
+    spec = whole(ChainSpec(U.site, 2))
     t0 = transfer_matrix(spec, fam.noncheck(0.0))[0]
     d = U.dim
     shift = np.zeros((d * d, d * d))
@@ -106,7 +112,7 @@ def test_single_site_transfer_invariant(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, 1))
+    spec = whole(ChainSpec(U.site, 1))
     u = chain_points(rng, 1, fam)[0]
     tau = transfer_matrix(spec, fam.noncheck(u))[0]
     h = U.gens.H
@@ -121,7 +127,7 @@ def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
     rep = build_irrep(algebra, r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, n_sites))
+    spec = whole(ChainSpec(U.site, n_sites))
     Hlog = hamiltonian_log_derivative(spec, fam)[0]
     H = hamiltonian_projector_form(U, spec)[0]
     X = np.stack([H.ravel(), np.eye(H.shape[0]).ravel()], axis=1)
@@ -133,14 +139,14 @@ def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
 def test_chain_size_validation(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     with pytest.raises(QybeError):
-        ChainSpec((0, 0, 0), 0)
+        ChainSpec(plain((0, 0, 0)), 0)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     with pytest.raises(QybeError):
-        hamiltonian_projector_form(U, ChainSpec.from_composite(U, 1))
+        hamiltonian_projector_form(U, ChainSpec(U.site, 1))
 
 
 @pytest.mark.parametrize("change", [
-    {"parities": (0,) * 8, "weights": None},  # eight states, as at r = 3
+    {"parities": (0,) * 8, "weights": (0,) * 8},  # eight states, as at r = 3
     {"parities": (1, 0, 0)},  # one odd state
     {"weights": (1.0, 0.0, -2.0)},
 ])
@@ -148,7 +154,8 @@ def test_hamiltonian_refuses_a_chain_of_other_sites(change, params_sl):
     # the sectors of the spec decide the blocks, so they must be U's
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    spec = dataclasses.replace(ChainSpec.from_composite(U, 2), **change)
+    site = Site(change.get("parities", U.site.parities), change.get("weights", U.site.weights))
+    spec = ChainSpec(site, 2)
     with pytest.raises(QybeError, match="site is not"):
         hamiltonian_projector_form(U, spec)
 
@@ -162,7 +169,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, 2))
+    spec = whole(ChainSpec(U.site, 2))
     H = hamiltonian_projector_form(U, spec)[0]
     pair = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     bond = chain_bond(U)[1]
@@ -179,7 +186,7 @@ def test_hamiltonian_step_halving(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, 3))
+    spec = whole(ChainSpec(U.site, 3))
     H1 = hamiltonian_log_derivative(spec, fam, step=1e-5)[0]
     H2 = hamiltonian_log_derivative(spec, fam, step=5e-6)[0]
     assert rel_residual(H1, H2) < 1e-6
@@ -190,14 +197,13 @@ def test_hecke_chain_locality(params_sl, rng):
     # two-site terms, so it commutes with single-site operators two sites away
     rep = build_irrep(SLQ2, 2, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
-    spec = ChainSpec((0, 0), 3)
+    spec = ChainSpec(plain((0, 0)), 3)
     H = hamiltonian_log_derivative(spec, fam, point=0.0)[0]
     # bond terms on (0,1),(1,2),(2,0) wrap the ring; any single-site operator
     # commutes with the one bond not touching it, so check the bond split:
     # H reconstructs from two-site blocks fitted on each pair
     from qybe.repspace import embed_at
 
-    dims = [2, 2, 2]
     pars = [rep.parities] * 3
     basis = []
     rng2 = np.random.default_rng(0)
@@ -205,7 +211,7 @@ def test_hecke_chain_locality(params_sl, rng):
         for k in range(16):
             m = np.zeros((4, 4))
             m[k // 4, k % 4] = 1.0
-            basis.append(embed_at(m, pair, dims, pars).ravel())
+            basis.append(embed_at(m, pair, pars).ravel())
     X = np.stack(basis, axis=1)
     coef, *_ = np.linalg.lstsq(X, H.ravel(), rcond=None)
     resid = np.abs(X @ coef - H.ravel()).max() / max(1, np.abs(H).max())
@@ -300,10 +306,10 @@ def _cut(M, sectors):
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
-    # a chain spec without site weights is one sector, the whole space: the
+    # a chain spec of zero weights is one sector, the whole space: the
     # dense oracle of the blocks, the blocked spectrum and the log-derivative
     U = _pair_composite(algebra, r)
-    spec = ChainSpec.from_composite(U, n_sites)
+    spec = ChainSpec(U.site, n_sites)
     fam = descendant_family(U)
     u = chain_points(rng, 1, fam)[0]
     # H summed per sector holds exactly the entries of the sector blocks of
@@ -332,7 +338,7 @@ def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_sector_blocks_refuse_an_off_sector_entry(algebra):
     U = _pair_composite(algebra, 3)
-    spec = ChainSpec.from_composite(U, 2)
+    spec = ChainSpec(U.site, 2)
     sectors = spec.sectors
     H = hamiltonian_projector_form(U, whole(spec))[0]
     check_sectors(H, sectors)
@@ -346,11 +352,11 @@ def test_sector_blocks_refuse_an_off_sector_entry(algebra):
                                                      (3, 4, 17, 646)])
 def test_sector_sizes(algebra, r, n_sites, count, largest):
     # sizes come from the site weights alone; nothing of chain size is built
-    spec = ChainSpec.from_composite(_pair_composite(algebra, r), n_sites)
+    spec = ChainSpec(_pair_composite(algebra, r).site, n_sites)
     sectors = spec.sectors
     assert spec.sectors is sectors  # built once per spec
     assert (len(sectors), max(len(s) for s in sectors)) == (count, largest)
-    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(spec.site_dim ** n_sites))
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(spec.site.dim ** n_sites))
 
 
 def test_spectrum_clusters_levels_the_sort_separates():
@@ -364,7 +370,7 @@ def test_spectrum_table_is_basis_independent():
     # the osp_q(1|2) r = 3 two-site chain has a 7-fold level on the imaginary
     # axis whose members sort among the other levels of real part 0
     U = _pair_composite(OSPQ12, 3)
-    H = hamiltonian_projector_form(U, ChainSpec(U.parities, 2))[0]
+    H = hamiltonian_projector_form(U, ChainSpec(plain(U.site.parities), 2))[0]
     perm = np.random.default_rng(7).permutation(H.shape[0])
     _, clusters = spectrum([H])
     _, permuted = spectrum([H[np.ix_(perm, perm)]])
@@ -392,7 +398,7 @@ def test_hamiltonian_projector_form_peak_memory():
     # H is summed bond by bond into its sector blocks: not even one
     # whole-space complex matrix is formed
     U = _pair_composite(SLQ2, 3)
-    spec = ChainSpec.from_composite(U, 3)
+    spec = ChainSpec(U.site, 3)
     spec.sectors  # built before tracing, so the peak is H's own
     D = U.dim ** 3
     tracemalloc.start()
@@ -416,7 +422,7 @@ def test_spectrum_descendant_chain_consistency(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, 2))
+    spec = whole(ChainSpec(U.site, 2))
     Hlog = hamiltonian_log_derivative(spec, fam)[0]
     H = hamiltonian_projector_form(U, spec)[0]
     X = np.stack([H.ravel(), np.eye(9).ravel()], axis=1)
@@ -433,7 +439,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
 
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec.from_composite(U, 2)),
+    vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec(U.site, 2)),
                               cluster_tol=1e-6)
     chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     dims = sorted(b.r for b in decompose(chain, params_sl).blocks)
@@ -449,7 +455,7 @@ def test_graded_chain_transfer_commutes(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = whole(ChainSpec.from_composite(U, 2))
+    spec = whole(ChainSpec(U.site, 2))
     pts = chain_points(rng, 2, fam)
     t1 = transfer_matrix(spec, fam.noncheck(pts[0]))[0]
     t2 = transfer_matrix(spec, fam.noncheck(pts[1]))[0]
@@ -461,13 +467,12 @@ def _dense_transfer_times(spec, R, V):
     with its Koszul signs, and the parity-signed trace over the auxiliary
     factor 0.  The product is applied to e_a (x) V block by block, so no
     monodromy matrix is formed."""
-    pa = spec.aux_parities
+    pa = spec.aux.parities
     da, N = len(pa), spec.n_sites
-    dims = [da] + [spec.site_dim] * N
-    pars = [pa] + [spec.parities] * N
+    pars = [pa] + [spec.site.parities] * N
     X = np.concatenate([np.kron(np.eye(da)[:, [a]], V) for a in range(da)], axis=1)
     for i in range(N, 0, -1):
-        X = embed_at(R, (0, i), dims, pars) @ X
+        X = embed_at(R, (0, i), pars) @ X
     k = V.shape[1]
     d = V.shape[0]
     return sum((-1.0) ** pa[a] * X[a * d:(a + 1) * d, a * k:(a + 1) * k] for a in range(da))
@@ -476,7 +481,7 @@ def _dense_transfer_times(spec, R, V):
 def _check_against_dense(spec, R, rng):
     """tau of the spec, from its sector blocks, and tau of the whole space
     both apply as the dense product does."""
-    d = spec.site_dim ** spec.n_sites
+    d = spec.site.dim ** spec.n_sites
     V = rng.normal(size=(d, 8)) + 1j * rng.normal(size=(d, 8))
     want = _dense_transfer_times(spec, R, V)
     for s in [spec, whole(spec)]:
@@ -492,7 +497,7 @@ def test_graded_transfer_matches_dense_product(r, n_sites, params_osp, rng):
     rep = build_irrep(OSPQ12, r, params_osp)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    spec = ChainSpec.from_composite(U, n_sites)
+    spec = ChainSpec(U.site, n_sites)
     R = fam.noncheck(chain_points(rng, 1, fam)[0])
     _check_against_dense(spec, R, rng)
 
@@ -504,7 +509,7 @@ def test_weighted_transfer_matches_dense_product(r, n_sites, params_sl, rng):
     U = _pair_composite(SLQ2, r)
     fam = descendant_family(U)
     R = fam.noncheck(chain_points(rng, 1, fam)[0])
-    _check_against_dense(ChainSpec.from_composite(U, n_sites), R, rng)
+    _check_against_dense(ChainSpec(U.site, n_sites), R, rng)
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
@@ -512,9 +517,7 @@ def test_weighted_transfer_matches_dense_product(r, n_sites, params_sl, rng):
 def test_lax_auxiliary_transfer_matches_dense_product(algebra, n_sites, rng):
     # tau_V: the extended Lax operator on V^r (x) U, the auxiliary V^r
     U = _pair_composite(algebra, 2)
-    spec = ChainSpec(U.parities, n_sites, aux_parities=U.rep.parities,
-                     weights=tuple(ladder_weights(U.gens)),
-                     aux_weights=tuple(ladder_weights(U.rep)))
+    spec = ChainSpec(U.site, n_sites, aux=U.rep.site)
     _check_against_dense(spec, extended_lax(U, 0.37 + 0.11j), rng)
 
 
@@ -529,7 +532,7 @@ def _weighted_chains(draw):
 
     (site, ws), (aux, wa) = states(3), states(3)
     n_sites = draw(st.integers(1, 4))
-    spec = ChainSpec(site, n_sites, aux_parities=aux, weights=ws, aux_weights=wa)
+    spec = ChainSpec(Site(site, ws), n_sites, Site(aux, wa))
     par = np.add.outer(aux, site).ravel() % 2
     weight = np.add.outer(wa, ws).ravel()
     keep = (par[:, None] == par[None, :]) & (weight[:, None] == weight[None, :])
@@ -547,9 +550,9 @@ def test_weighted_transfer_matches_dense_product_random(case):
 def test_transfer_refuses_an_r_that_moves_the_weight(rng):
     U = _pair_composite(SLQ2, 3)
     fam = descendant_family(U)
-    spec = ChainSpec.from_composite(U, 2)
+    spec = ChainSpec(U.site, 2)
     R = fam.noncheck(chain_points(rng, 1, fam)[0]).copy()
-    sectors = product_sectors(spec.aux_weights, spec.weights)
+    sectors = product_sectors(spec.aux.weights, spec.site.weights)
     R[sectors[0][0], sectors[1][0]] = 1e-6
     with pytest.raises(QybeError, match="outside the weight sectors"):
         transfer_matrix(spec, R)
@@ -559,8 +562,7 @@ def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
     ctx = Context(RunConfig(r_list=(2,)))
     U = ctx.composite(2, 2)
     dfam = ctx.descendant(2)
-    w = ladder_weights(U.gens)
-    sectors = product_sectors(w, w)
+    sectors = product_sectors(U.site.weights, U.site.weights)
 
     def planted(u):
         m = dfam.check_fn(u).copy()
@@ -572,20 +574,31 @@ def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
     assert "outside the weight sectors" in ctx.report.checks[-1]["error"]
 
 
-def test_distinct_auxiliary_needs_its_weights():
-    with pytest.raises(QybeError, match="aux_weights"):
-        ChainSpec((0, 0, 0), 2, aux_parities=(0, 0), weights=(1.0, 0.0, -1.0))
-    with pytest.raises(QybeError, match="auxiliary weights"):
-        ChainSpec((0, 0, 0), 2, aux_parities=(0, 0), weights=(1.0, 0.0, -1.0),
-                  aux_weights=(0.5,))
-    spec = ChainSpec((0, 0, 0), 2, weights=(1.0, 0.0, -1.0))
-    assert spec.aux_weights == spec.weights
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r", [2, 3])
+def test_each_layer_reads_one_site(algebra, r):
+    # the irrep, its Hecke family, the pair space, its descendant family and
+    # the chain over it each hold the site they act on, built in one place
+    ctx = Context(RunConfig(algebra=algebra, r_list=(r,)))
+    rep, U = ctx.rep(r), ctx.composite(r, 2)
+    assert ctx.hecke(r).site == rep.site
+    assert U.descendant.site == U.site
+    assert ctx.chain(r, 2).site == U.site
+    assert ctx.chain(r, 2).aux == U.site  # the auxiliary is the site unless given
+    assert rep.site.weights == tuple(rep.ladder_j - k for k in range(r))
+    assert U.site.dim == U.dim and U.site.parities == tuple(U.decomposition.parities)
+
+
+def test_site_refuses_mismatched_lengths():
+    with pytest.raises(QybeError, match="2 weights for 3 states"):
+        Site((0, 1, 0), (0.5, -0.5))
+    with pytest.raises(QybeError, match="1 weights for 2 states"):
+        ChainSpec(Site((0, 0, 0), (1.0, 0.0, -1.0)), 2, Site((0, 0), (0.5,)))
 
 
 def test_hand_built_chain_is_one_sector():
-    # a spec given no site weights gets zeros on the site and the auxiliary
-    spec = ChainSpec((0, 1, 0), 3, aux_parities=(0, 1))
-    assert (spec.weights, spec.aux_weights) == ((0.0,) * 3, (0.0,) * 2)
+    # zero weights on the site and the auxiliary: the whole space is one sector
+    spec = ChainSpec(plain((0, 1, 0)), 3, plain((0, 1)))
     assert len(spec.sectors) == 1 and np.array_equal(spec.sectors[0], np.arange(27))
 
 
@@ -594,7 +607,7 @@ def test_transfer_matrix_peak_memory(rng):
     # only: not even one whole-space complex matrix is formed
     U = _pair_composite(SLQ2, 3)
     fam = descendant_family(U)
-    spec = ChainSpec.from_composite(U, 3)
+    spec = ChainSpec(U.site, 3)
     R = fam.noncheck(chain_points(rng, 1, fam)[0])
     spec.transfer_plan
     D = U.dim ** 3
@@ -611,7 +624,7 @@ def test_transfer_matrix_peak_memory(rng):
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
 def test_transfer_odd_auxiliary_matches_dense_product(aux, site, n_sites, params_sl, rng):
     # a random even R on aux (x) site, the auxiliary holding odd states
-    spec = ChainSpec(site, n_sites, aux_parities=aux)
+    spec = ChainSpec(plain(site), n_sites, plain(aux))
     par = np.add.outer(aux, site).reshape(-1) % 2
     D = len(par)
     R = (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))) * (par[:, None] == par[None, :])

@@ -95,7 +95,7 @@ def test_write_operator_peak_memory(tmp_path):
     # (r, n) = (5, 3) is 575 x 575 and about 90% exact zeros, and writing
     # it holds no more than twice the length of its text
     U = Context(RunConfig()).composite(5, 3)
-    sp = Space.of(U.rep.parities, U.parities)
+    sp = Space.of(U.rep.parities, U.site.parities)
     op = GradedOperator(fusion.extended_lax(U, 0.37), sp, sp)
     path = tmp_path / "lax.json"
     with open(path, "w") as fh:
@@ -158,7 +158,7 @@ def test_fixture_roundtrip_preserves_ybe(rng):
     u, w = 0.41 + 0.04j, -0.37 + 0.08j
     ops = {}
     for x in (u, u + w, w):
-        sp = Space.of(fam.parities, fam.parities)
+        sp = Space.of(fam.site.parities, fam.site.parities)
         op = GradedOperator(fam.check_fn(x), sp, sp)
         doc = json.loads(json.dumps(serialize_operator(op, SLQ2, p.q)))
         ops[x] = deserialize_operator(doc).matrix
@@ -248,7 +248,7 @@ def test_cli_chain_builds_each_chain_once(tmp_path, monkeypatch):
 
     def counting(spec):
         post_init(spec)
-        built.append(spec.site_dim)
+        built.append(spec.site.dim)
 
     monkeypatch.setattr(spinchain.ChainSpec, "__post_init__", counting)
     assert cli_dispatch(["--out", str(tmp_path), "chain", "--r", "2", "3", "--sites", "2"]) == 0
@@ -425,8 +425,7 @@ def test_lax_rll_refuses_a_factor_that_mixes_weights(algebra, monkeypatch):
 
     def planted(U, u=0.0):
         L = build(U, u)
-        w = coupling.product_weights(coupling.ladder_weights(U.rep),
-                                     coupling.ladder_weights(U.gens))
+        w = coupling.product_weights(U.rep.site.weights, U.site.weights)
         L[np.argmax(w), np.argmin(w)] += 1e-6
         return L
 
@@ -493,8 +492,8 @@ def test_lax_rll_peak_memory():
     ctx = Context(RunConfig())
     U = ctx.composite(r, n)
     U.lax_sectors
-    site = coupling.ladder_weights(U.rep)
-    sectors = coupling.product_sectors(site, site, coupling.ladder_weights(U.gens))
+    site = U.rep.site.weights
+    sectors = coupling.product_sectors(site, site, U.site.weights)
     side = 16 * sum(len(s) ** 2 for s in sectors)
     lax = 2 * 16 * (r * U.dim) ** 2
     tracemalloc.start()
@@ -623,8 +622,7 @@ def test_cli_lax_artifact_is_zero_off_sector(tmp_path):
     assert cli_dispatch(["--out", str(tmp_path), "lax", "--r", "3", "--n", "3"]) == 0
     entries = json.loads((tmp_path / "lax_slq2_r3_n3.json").read_text())["entries"]
     U = Context(RunConfig()).composite(3, 3)
-    w = np.round(2 * coupling.product_weights(coupling.ladder_weights(U.rep),
-                                              coupling.ladder_weights(U.gens)))
+    w = np.round(2 * coupling.product_weights(U.rep.site.weights, U.site.weights))
     off = np.flatnonzero(np.not_equal.outer(w, w))
     assert len(entries) == w.size ** 2 and len(off) > 0.8 * len(entries)
     assert all(entries[k] == [0.0, 0.0] for k in off)
