@@ -18,7 +18,7 @@ from pathlib import Path
 
 if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
+        os.environ[_var] = "1"
 
 import pytest
 
