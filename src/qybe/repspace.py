@@ -386,7 +386,10 @@ def invariant_metric(e_mat, f_mat):
     consistency residual)."""
     n = e_mat.shape[0]
     d = np.zeros(n, dtype=complex)
-    known = np.zeros(n, dtype=bool)
+    # down[x, y]: e lowers y to x and f raises it back; up is the reverse
+    down = (np.abs(e_mat) > 1e-9) & (np.abs(f_mat.T) > 1e-9)
+    linked = [np.flatnonzero(row).tolist() for row in down | down.T]  # ascending
+    known = [False] * n
     for seed in range(n):
         if known[seed]:
             continue
@@ -396,15 +399,13 @@ def invariant_metric(e_mat, f_mat):
         stack = [seed]
         while stack:
             x = stack.pop()
-            for y in range(n):
+            for y in linked[x]:
                 if known[y]:
                     continue
-                if abs(e_mat[x, y]) > 1e-9 and abs(f_mat[y, x]) > 1e-9:
+                if down[x, y]:
                     d[y] = e_mat[x, y] * d[x] / f_mat[y, x]
-                elif abs(e_mat[y, x]) > 1e-9 and abs(f_mat[x, y]) > 1e-9:
-                    d[y] = d[x] * f_mat[x, y] / e_mat[y, x]
                 else:
-                    continue
+                    d[y] = d[x] * f_mat[x, y] / e_mat[y, x]
                 known[y] = True
                 stack.append(y)
     M = np.diag(d)
