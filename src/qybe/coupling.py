@@ -166,35 +166,27 @@ def _hw_vectors(e_mat, weights, target_weight, within=None):
     """Vectors at one ladder weight annihilated by e, inside an optional
     restriction span.  Columns returned in the ambient space.
 
-    Inside a restriction span the vectors are combinations of its columns
-    whose components off the target weight vanish to the rank tolerance;
-    those components are set to exact zeros, so the vectors, the states
-    lowered from them and the dual rows solved for them are exactly graded
-    by weight."""
+    The columns of a restriction span must be weight-pure (exact zeros off
+    one weight, as `decompose` requires); only those at the target weight
+    enter, so the vectors, the states lowered from them and the dual rows
+    solved for them are exactly graded by weight."""
     mask = np.abs(weights - target_weight) < 1e-7
-    if not mask.any():
-        return np.zeros((e_mat.shape[0], 0), dtype=complex)
     if within is None:
         sub = np.zeros((e_mat.shape[0], int(mask.sum())), dtype=complex)
         sub[np.where(mask)[0], np.arange(mask.sum())] = 1.0
-        A = e_mat @ sub
     else:
-        sub = within
-        off = sub[~mask, :] if (~mask).any() else np.zeros((0, sub.shape[1]))
-        A = np.vstack([e_mat @ sub, off])
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    smax = s.max() if s.size else 0.0
-    rank = int(np.sum(s > 1e-9 * max(1.0, smax)))
-    null = vh.conj().T[:, rank:]
-    out = sub @ null
-    out[~mask] = 0.0
-    keep = [c for c in range(out.shape[1]) if np.abs(out[:, c]).max() > 1e-9]
-    return out[:, keep]
+        sub = within[:, np.any(within[mask] != 0, axis=0)]
+    if not sub.shape[1]:
+        return np.zeros((e_mat.shape[0], 0), dtype=complex)
+    _, s, vh = np.linalg.svd(e_mat @ sub, full_matrices=False)
+    rank = int(np.sum(s > 1e-9 * max(1.0, s.max())))
+    return sub @ vh[rank:].conj().T
 
 
 def decompose(R, params, within=None):
     """Block-decompose an irrep or a RepLike space (optionally restricted to
-    the span of the columns of `within`) into irreducible ladders.
+    the span of the columns of `within`, each of which must lie in one
+    weight sector) into irreducible ladders.
 
     Multiplicity spaces are orthogonalized with modified Gram-Schmidt in the
     invariant bilinear metric, scanning weights from the top, which fixes the
@@ -206,6 +198,11 @@ def decompose(R, params, within=None):
     if mres > 1e-6:
         raise QybeError(f"invariant metric propagation inconsistent (residual {mres:.2e})")
     wts = ladder_weights(R)
+    if within is not None:
+        hits = sum(np.any(within[s] != 0, axis=0).astype(int)
+                   for s in weight_sectors(wts).values())
+        if np.any(hits != 1):
+            raise QybeError("a column of the restriction span is not in one weight sector")
     flatpar = np.asarray(R.parities)
     blocks, cols, eps, pars_out = [], [], [], []
     w = float(np.max(wts))

@@ -42,7 +42,9 @@ from .repspace import (
 )
 from .coupling import (
     Decomposition,
+    check_sectors,
     decompose,
+    product_sectors,
     product_weights,
     projector,
     weight_sectors,
@@ -153,14 +155,30 @@ def _singlet(fam):
 
 def adjacent_singlet_kernel(fam, n):
     """Orthonormal basis of the joint kernel of all adjacent-pair singlet
-    projectors on (V^r)^(x n), fam the Hecke family on V^r (x) V^r."""
+    projectors on (V^r)^(x n), fam the Hecke family on V^r (x) V^r.
+
+    Every projector conserves the weight, so the kernel is found one weight
+    sector of (V^r)^(x n) at a time: one thin SVD of the sector's rows of
+    the stacked projectors, gathered by `repspace.block_index`.  Each
+    column is weight-pure (exact zeros off its sector); the columns come
+    sector by sector in increasing weight."""
     P1 = _singlet(fam)
-    pars = [fam.site.parities] * n
-    rows = np.vstack([embed_at(P1, (k, k + 1), pars) for k in range(n - 1)])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    tol = 1e-10 * max(1.0, s.max())
-    rank = int(np.sum(s > tol))
-    return vh.conj().T[:, rank:]
+    site = fam.site
+    check_sectors(P1, product_sectors(site.weights, site.weights))
+    gathers = [block_index((k, k + 1), [site.parities] * n) for k in range(n - 1)]
+    P1 = P1.ravel()
+    out = []
+    for s in weight_sectors(product_weights(*[site.weights] * n)).values():
+        rows = np.vstack([sign * P1[index] for index, sign in (g(s) for g in gathers)])
+        _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+        rank = int(np.sum(sv > 1e-10 * max(1.0, sv.max())))
+        out.append((s, vh[rank:].conj().T))
+    ker = np.zeros((site.dim ** n, sum(v.shape[1] for _, v in out)), dtype=complex)
+    col = 0
+    for s, v in out:
+        ker[s, col:col + v.shape[1]] = v
+        col += v.shape[1]
+    return ker
 
 
 def truncation_cascade(fam, n):
