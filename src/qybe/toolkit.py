@@ -119,9 +119,9 @@ def serialize_operator(op, algebra="", q=0j):
 
 
 # Entries written per row block by `write_operator`, and the text of one
-# exact-zero entry with the separator in front of it.
+# exact-zero entry between its brackets.
 _BLOCK_ENTRIES = 1 << 14
-_ZERO_ENTRY = ", [0.0, 0.0]"
+_ZERO_ENTRY = "0.0, 0.0"
 
 
 def write_operator(fh, op, algebra="", q=0j):
@@ -130,36 +130,27 @@ def write_operator(fh, op, algebra="", q=0j):
     a time.
 
     The entries of a block that are not exact zeros (both parts with all
-    bits clear; -0.0 is not one) go through one json encoding; each run of
-    exact zeros between them is a slice of one string of zero entries.  No
-    per-entry list of the whole matrix and no whole text are ever held."""
+    bits clear; -0.0 is not one) go through one json encoding, split into
+    the texts between their brackets; every exact zero is one shared
+    string, and the block is one join of the entry texts.  No per-entry
+    list of the whole matrix and no whole text are ever held."""
     m = op.matrix
     rows, cols = m.shape
     head, key, tail = json.dumps(dict(_document(op, algebra, q), entries=[]),
                                  sort_keys=True).partition('"entries": [')
     fh.write(head + key)
     step = max(1, _BLOCK_ENTRIES // max(cols, 1))
-    zeros = _ZERO_ENTRY * (step * cols)
-    width = len(_ZERO_ENTRY)
     for i in range(0, rows if cols else 0, step):
         pairs = np.ascontiguousarray(m[i:i + step]).view(float).reshape(-1, 2)
         live = pairs.view(np.uint64).any(axis=1)
-        # src: ", [re, im]" for each live entry in order (the json text
-        # without its outer brackets), then the zero entries
-        text = ", " + json.dumps(pairs[live].tolist())[1:-1]
-        src = text + zeros
-        starts = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord("[")) - 2
-        starts = np.append(starts, len(text))
-        # the runs of live or of zero entries [first, first + count)
-        first = np.flatnonzero(np.diff(live, prepend=~live[0]))
-        count = np.diff(first, append=live.size)
-        done = np.concatenate(([0], np.cumsum(live)))  # live entries before each one
-        lo = np.where(live[first], starts[done[first]], len(text))
-        hi = np.where(live[first], starts[done[first + count]], len(text) + width * count)
-        parts = [src[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
-        if i == 0:
-            parts[0] = parts[0][2:]
-        fh.write("".join(parts))
+        texts = [_ZERO_ENTRY] * len(pairs)
+        if live.any():
+            # "[[re, im], [re, im], ...]" -> "re, im" per entry (no number
+            # text holds a bracket)
+            found = json.dumps(pairs[live].tolist())[2:-2].split("], [")
+            for k, text in zip(np.flatnonzero(live).tolist(), found):
+                texts[k] = text
+        fh.write((", [" if i else "[") + "], [".join(texts) + "]")
     fh.write(tail)
 
 
