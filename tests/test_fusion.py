@@ -5,6 +5,7 @@ from qybe import (
     DeformParams,
     OSPQ12,
     PoleError,
+    QybeError,
     SLQ2,
     build_irrep,
     cgc_table,
@@ -22,7 +23,7 @@ from qybe import (
     u0_point,
     ybe_residual,
 )
-from qybe.coupling import product_weights
+from qybe.coupling import decompose, product_sectors, product_weights
 from qybe.fusion import (
     adjacent_singlet_kernel,
     f_product,
@@ -132,6 +133,69 @@ def test_cascade_image_is_truncated_space(params_sl):
         ker = adjacent_singlet_kernel(fam, n)
         resid = np.abs(G - ker @ (ker.conj().T @ G)).max()
         assert resid < 1e-9 * max(1.0, np.abs(G).max())
+
+
+def _stacked_kernel(fam, n):
+    """The oracle: the joint kernel of the adjacent singlet projectors from
+    one SVD of all their rows stacked over the whole of (V^r)^(x n)."""
+    P1 = np.eye(fam.dim ** 2) - fam.check_fn(fam.u0)
+    pars = [fam.site.parities] * n
+    rows = np.vstack([embed_at(P1, (k, k + 1), pars) for k in range(n - 1)])
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[int(np.sum(s > 1e-10 * max(1.0, s.max()))):].conj().T
+
+
+def _span_projector(M, tol=1e-9):
+    """Orthogonal projector onto the column span of M."""
+    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    u = u[:, s > tol * max(1.0, s.max(initial=0.0))]
+    return u @ u.conj().T
+
+
+_KERNEL_CASES = [(algebra, r, n) for algebra in (SLQ2, OSPQ12)
+                 for r, n in ((2, 3), (3, 3), (4, 3), (3, 4))]
+
+
+@pytest.mark.parametrize("algebra,r,n", _KERNEL_CASES)
+def test_sector_kernel_spans_the_stacked_kernel(algebra, r, n):
+    # per weight sector, the columns found there span the oracle kernel's
+    # part in that sector: the same subspace, whatever the basis inside it
+    fam = hecke_family(pair_table(algebra, r))
+    ker, oracle = adjacent_singlet_kernel(fam, n), _stacked_kernel(fam, n)
+    assert ker.shape == oracle.shape == (r ** n, dims_recurrence(r, n))
+    assert np.allclose(ker.conj().T @ ker, np.eye(ker.shape[1]), atol=1e-12)
+    for s in product_sectors(*[fam.site.weights] * n):
+        cols = np.any(ker[s] != 0, axis=0)
+        mine, theirs = _span_projector(ker[np.ix_(s, cols)]), _span_projector(oracle[s])
+        assert np.abs(mine - theirs).max() < 1e-10
+
+
+@pytest.mark.parametrize("algebra,r,n", _KERNEL_CASES)
+def test_sector_kernel_columns_are_weight_pure(algebra, r, n):
+    # every kernel column has exact zeros off one weight sector, and so do
+    # the composite space's embed and project between weights
+    fam = hecke_family(pair_table(algebra, r))
+    ker = adjacent_singlet_kernel(fam, n)
+    weights = product_weights(*[fam.site.weights] * n)
+    hits = sum(np.any(ker[s] != 0, axis=0).astype(int)
+               for s in product_sectors(*[fam.site.weights] * n))
+    assert (hits == 1).all()
+    U = composite_space(fam, n)
+    off = _off_sector(weights, np.array(U.site.weights))
+    assert not U.embed[off].any()
+    assert not U.project.T[off].any()
+
+
+def test_decompose_refuses_a_span_across_weights():
+    # a restriction span whose column mixes two weights is refused: the
+    # highest-weight search reads each column at one weight only
+    fam = hecke_family(pair_table(SLQ2, 2))
+    co = nfold_coproduct(SLQ2, [fam.table.rep1] * 3, fam.params.q)
+    ker = adjacent_singlet_kernel(fam, 3)
+    mixed = ker.copy()
+    mixed[:, 0] += ker[:, -1]
+    with pytest.raises(QybeError, match="not in one weight sector"):
+        decompose(co, fam.params, within=mixed)
 
 
 def test_u8_pair_multiplicities(params_sl):
