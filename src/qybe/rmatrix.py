@@ -26,6 +26,7 @@ from .qarith import (
 )
 from .repspace import (
     Site,
+    block_index,
     coproduct_pair,
     diag_power,
     embed_at,
@@ -37,7 +38,6 @@ from .coupling import (
     CouplingTable,
     check_sectors,
     chi_factor,
-    local_product,
     product_sectors,
     projector,
 )
@@ -62,21 +62,76 @@ def blockwise_residual(pairs):
     return float(np.max(diff / np.maximum(1.0, scale)))
 
 
-def sector_residual(lhs, rhs, sites):
-    """blockwise_residual of the products of embedded factors `lhs` and
-    `rhs`, lists [(op, legs), ...] on the product of `sites` as for
-    `local_product`, compared per total-weight sector.
+# Random columns per weight sector on which `probed_residual` compares two
+# products (R. Freivalds, 1977).
+PROBES = 4
+
+
+def probed_residual(sectors, rng):
+    """blockwise_residual of two products of sector blocks, each applied to
+    PROBES random unit columns per sector.  `sectors` yields, per sector,
+    the factor blocks (lhs, rhs) of A B C ... and A' B' C' ..., each block
+    an array or a stack on its last two axes; each side is applied to the
+    columns one factor at a time, from the right, so no product of two
+    blocks is formed.
+
+    The columns are drawn from a child of `rng` (`Generator.spawn`), so
+    the draws of `rng` itself are left as they were.  Sides that differ by
+    a nonzero D give a residual of the order of max|D| with probability
+    one, as a random column meets no fixed null space."""
+    probe = rng.spawn(1)[0]
+
+    def apply(blocks, X):
+        for block in reversed(blocks):
+            X = block @ X
+        return X
+
+    def probed():
+        for lhs, rhs in sectors:
+            shape = (lhs[-1].shape[-1], PROBES)
+            X = probe.standard_normal(shape) + 1j * probe.standard_normal(shape)
+            X /= np.linalg.norm(X, axis=0)
+            yield apply(lhs, X), apply(rhs, X)
+
+    return blockwise_residual(probed())
+
+
+def sector_residual(lhs, rhs, sites, rng):
+    """`probed_residual` of the products of embedded factors `lhs` and
+    `rhs`, lists [(op, legs), ...] for embed_at(A, p) @ embed_at(B, q) @ ...
+    on the product of `sites` (one `Site` per tensor factor), per
+    total-weight sector of the sites (`product_sectors`).
 
     The sector blocks carry the products only if every factor conserves the
     weight, so each distinct factor (by identity), in order of first
     appearance, first passes `check_sectors` over the sectors of its own
-    legs: one with an entry between them is refused, not contracted."""
-    guarded = []
+    legs: one with an entry between them is refused, not contracted.  The
+    block of each distinct (factor, legs) pair is gathered once per sector
+    by `block_index`, for both sides; a factor may be a stack of operators
+    on its last two axes, and its blocks are then stacks."""
+    guarded, placed = [], []
     for op, legs in lhs + rhs:
         if not any(op is seen for seen in guarded):
             check_sectors(op, product_sectors(*[sites[k].weights for k in legs]))
             guarded.append(op)
-    return blockwise_residual(zip(local_product(lhs, sites), local_product(rhs, sites)))
+        if not any(op is seen and legs == at for seen, at in placed):
+            placed.append((op, legs))
+    parities = [site.parities for site in sites]
+    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(legs, parities))
+               for op, legs in placed]
+    slot = lambda side: [next(k for k, (seen, at) in enumerate(placed)
+                              if op is seen and legs == at) for op, legs in side]
+    left, right = slot(lhs), slot(rhs)
+
+    def sectors():
+        for s in product_sectors(*[site.weights for site in sites]):
+            blocks = []
+            for op, gather in gathers:
+                index, sign = gather(s)
+                blocks.append(sign * op[..., index])
+            yield [blocks[k] for k in left], [blocks[k] for k in right]
+
+    return probed_residual(sectors(), rng)
 
 
 def hecke_f(u, chi, a=1.0):
@@ -286,7 +341,7 @@ def intertwining_residual(R, rep1, rep2):
     return worst
 
 
-def ybe_residual(fam, u, w, form="check"):
+def ybe_residual(fam, u, w, form="check", rng=None):
     """Relative residual of the triple-product relation of the spectral
     family `fam`, with A = R(u), B = R(u+w), C = R(w), at a pair of points
     or the largest over the pairs of two equal-length sequences u and w.
@@ -296,9 +351,11 @@ def ybe_residual(fam, u, w, form="check"):
     noncheck: A12 B13 C23 = C23 B13 A12, with the 1-3 leg embedded through
               graded permutations.
 
-    A, B and C are stacked over the pairs, and both sides are compared per
-    total-weight sector of three sites of the family (`sector_residual`),
-    once each stacked factor has passed `check_sectors`."""
+    A, B and C are stacked over the pairs, and both sides are applied to
+    random columns per total-weight sector of three sites of the family
+    (`sector_residual`, columns from a child of `rng`, by default of a
+    generator seeded with 42), once each stacked factor has passed
+    `check_sectors`."""
     if form == "check":
         # even parities, but the family's weights: its sectors stay small
         get, site = fam.check_fn, Site((0,) * fam.dim, fam.site.weights)
@@ -313,7 +370,7 @@ def ybe_residual(fam, u, w, form="check"):
     if A.shape[-1] != fam.dim ** 2:
         raise QybeError("operator does not act on a like-factor pair")
     return sector_residual(list(zip((A, B, C), legs[0])), list(zip((C, B, A), legs[1])),
-                           [site] * 3)
+                           [site] * 3, rng or np.random.default_rng(42))
 
 
 def mixed_braid_check(Rplus, Rminus, parities):

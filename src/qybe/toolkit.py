@@ -23,11 +23,12 @@ from .coupling import (
     tensor_decompose,
 )
 from .rmatrix import (
-    blockwise_residual,
+    PROBES,
     hecke_f,
     hecke_family,
     intertwining_residual,
     mixed_braid_check,
+    probed_residual,
     r33_family,
     rel_residual,
     sector_residual,
@@ -416,7 +417,10 @@ class Context:
             tol = self.config.tol(tol_key, tol)
         label = " ".join([name.format(**inputs)] + [
             f"{k}={v}" for k, v in inputs.items() if "{%s}" % k not in name])
-        return self.report.run(label, lambda: residual(self, self.rng, inputs), tol, inputs)
+        passed = self.report.run(label, lambda: residual(self, self.rng, inputs), tol, inputs)
+        if name in PROBED:
+            self.report.checks[-1]["probes"] = PROBES
+        return passed
 
 
 # Check bodies: the residual of (ctx, rng, inputs).  The random spectral
@@ -453,15 +457,15 @@ def _chi_closed_form(ctx, rng, inputs):
     return abs(ctx.chi(r) - chi_closed(algebra, r, ctx.params.q))
 
 
-def _family_ybe(fam, pts):
+def _family_ybe(fam, pts, rng):
     # every point as u against each of the first two as w, in one call
     w = pts[:2]
-    return ybe_residual(fam, np.repeat(pts, len(w)), np.tile(w, len(pts)))
+    return ybe_residual(fam, np.repeat(pts, len(w)), np.tile(w, len(pts)), rng=rng)
 
 
 def _hecke_ybe(ctx, rng, inputs):
     fam = ctx.hecke(inputs["r"])
-    return _family_ybe(fam, random_points(rng, 5, guards=family_guards(fam)))
+    return _family_ybe(fam, random_points(rng, 5, guards=family_guards(fam)), rng)
 
 
 def _eqf_residual(ctx, rng, inputs):
@@ -476,7 +480,7 @@ def _eqf_residual(ctx, rng, inputs):
 
 def _fixture_ybe(ctx, rng, inputs):
     pts = random_points(rng, 4)
-    return _family_ybe(ctx.fixture(inputs["kind"]), pts)
+    return _family_ybe(ctx.fixture(inputs["kind"]), pts, rng)
 
 
 def _universal_intertwining(ctx, rng, inputs):
@@ -515,7 +519,7 @@ def _lax_rll(ctx, rng, inputs):
     Rm = fam.noncheck(u - w)
     return sector_residual([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))],
                            [(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))],
-                           [fam.site, fam.site, U.site])
+                           [fam.site, fam.site, U.site], rng)
 
 
 def _entries(blocks):
@@ -524,13 +528,16 @@ def _entries(blocks):
 
 
 def _transfer_commutation(ctx, rng, inputs):
-    """[tau(u), tau(w)] on the entries of their weight-sector blocks."""
+    """[tau(u), tau(w)] over each pair of four points: tau(u) tau(w) X against
+    tau(w) tau(u) X on random columns X of each weight sector."""
     dfam = ctx.descendant(inputs["r"])
     spec = ctx.chain(inputs["r"], inputs["N"])
     pts = random_points(rng, 4, guards=family_guards(dfam))
     t = [chains.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
-    return max(blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
-               for i in range(len(t)) for j in range(i + 1, len(t)))
+    # per sector, the stack T of the four blocks: T[a] T[b] X against
+    # T[b] T[a] X for every ordered pair (a, b), by broadcasting
+    stacks = (np.stack(blocks) for blocks in zip(*t))
+    return probed_residual((([T[:, None], T], [T, T[:, None]]) for T in stacks), rng)
 
 
 def _hamiltonian_routes(ctx, rng, inputs):
@@ -585,6 +592,11 @@ CHECKS = {
     "commutant-angle": ("commutant", 1e-8, _commutant_angle),
     "commutant-dimension-46": ("commutant", 1e-8, _commutant_46),
 }
+
+
+# The checks that compare two products on PROBES random columns per weight
+# sector (`rmatrix.probed_residual`); their records carry the column count.
+PROBED = {"hecke-ybe", "fixture-{kind}-ybe", "lax-rll", "transfer-commutation"}
 
 
 def battery(config):

@@ -31,6 +31,7 @@ from qybe.toolkit import (
 )
 from qybe import cli, commutant, coupling, fusion, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
+from qybe.repspace import embed_at
 from conftest import params_for, pair_table
 
 
@@ -483,6 +484,146 @@ def test_random_points_draws_as_one_candidate_at_a_time(count, guards, min_dist)
         assert rounds.bit_generator.state == loop.bit_generator.state
 
 
+def _dense_ybe(fam, u, w, form):
+    """The triple-product residual from whole embedded products: the oracle."""
+    get, pars = {"check": (fam.check_fn, [(0,) * fam.dim] * 3),
+                 "noncheck": (fam.noncheck, [fam.site.parities] * 3)}[form]
+    legs = {"check": (((0, 1), (1, 2), (0, 1)), ((1, 2), (0, 1), (1, 2))),
+            "noncheck": (((0, 1), (0, 2), (1, 2)), ((1, 2), (0, 2), (0, 1)))}[form]
+    A, B, C = get(u), get(u + w), get(w)
+    lhs, rhs = ([embed_at(op, at, pars) for op, at in zip(ops, side)]
+                for ops, side in (((A, B, C), legs[0]), ((C, B, A), legs[1])))
+    return rmatrix.rel_residual(np.linalg.multi_dot(lhs), np.linalg.multi_dot(rhs))
+
+
+def _rll_factors(U, u, w):
+    """The factor lists of the lax-rll check at the points u, w."""
+    fam = U.hecke
+    L13, L23, Rm = fusion.extended_lax(U, u), fusion.extended_lax(U, w), fam.noncheck(u - w)
+    return ([(Rm, (0, 1)), (L13, (0, 2)), (L23, (1, 2))],
+            [(L23, (1, 2)), (L13, (0, 2)), (Rm, (0, 1))], [fam.site, fam.site, U.site])
+
+
+def _dense_rll(lhs, rhs, sites):
+    pars = [site.parities for site in sites]
+    return rmatrix.rel_residual(*[np.linalg.multi_dot([embed_at(op, at, pars) for op, at in side])
+                                  for side in (lhs, rhs)])
+
+
+def _probe_and_dense(kind, algebra, r, seed):
+    """(probe residual, dense residual) of one probed check at seed `seed`;
+    the points are drawn from the check's generator as the check draws them."""
+    ctx = Context(RunConfig(algebra=algebra, r_list=(r,), seed=seed))
+    rng, points = ctx.rng, np.random.default_rng(seed)
+    if kind in ("ybe-check", "ybe-noncheck"):
+        fam, form = ctx.hecke(r), kind[4:]
+        u, w = toolkit.random_points(points, 2, guards=toolkit.family_guards(fam))
+        return ybe_residual(fam, u, w, form=form, rng=rng), _dense_ybe(fam, u, w, form)
+    if kind == "lax-rll":
+        U = ctx.composite(r, 2)
+        u, w = toolkit.random_points(points, 2, guards=(-U.hecke.u0,))
+        return (toolkit._lax_rll(ctx, rng, {"r": r, "n": 2}),
+                _dense_rll(*_rll_factors(U, u, w)))
+    dfam, spec = ctx.descendant(r), ctx.chain(r, 2)
+    pts = toolkit.random_points(points, 4, guards=toolkit.family_guards(dfam))
+    t = [spinchain.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
+    dense = max(rmatrix.blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
+                for i in range(4) for j in range(i + 1, 4))
+    return toolkit._transfer_commutation(ctx, rng, {"r": r, "N": 2}), dense
+
+
+_PROBED_KINDS = ["ybe-check", "ybe-noncheck", "lax-rll", "transfer-commutation"]
+
+
+@pytest.mark.parametrize("kind", _PROBED_KINDS)
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r", [2, 3])
+def test_probe_residual_is_at_most_ten_times_the_dense_one(kind, algebra, r):
+    # on working operators both are round-off, and the probe columns see no
+    # more of it than the whole products hold
+    for seed in (7, 8):
+        probe, dense = _probe_and_dense(kind, algebra, r, seed)
+        assert 0.0 <= probe <= 10 * dense
+        assert dense < 1e-12
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_probed_checks_leave_the_run_stream_alone(algebra):
+    # the probe columns come from a spawned child: after a probed check the
+    # run's generator is where the check's own points left it, so every
+    # later check samples the same points; the record carries the column
+    # count outside its name
+    ctx = Context(RunConfig(algebra=algebra, r_list=(2,)))
+    points = np.random.default_rng(ctx.config.seed)
+    ctx.check("hecke-ybe", r=2)
+    toolkit.random_points(points, 5, guards=toolkit.family_guards(ctx.hecke(2)))
+    ctx.check("lax-rll", r=2, n=2)
+    toolkit.random_points(points, 2, guards=(-ctx.hecke(2).u0,))
+    ctx.check("lax-dims", r=2, n=2)
+    assert ctx.rng.bit_generator.state == points.bit_generator.state
+    records = ctx.report.checks
+    assert [c["name"] for c in records] == ["hecke-ybe r=2", "lax-rll r=2 n=2", "lax-dims r=2 n=2"]
+    assert [c.get("probes") for c in records] == [rmatrix.PROBES, rmatrix.PROBES, None]
+    again = Context(RunConfig(algebra=algebra, r_list=(2,)))
+    again.check("hecke-ybe", r=2)
+    again.check("lax-rll", r=2, n=2)
+    assert [c["residual"] for c in again.report.checks] == [c["residual"] for c in records[:2]]
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_lax_rll_fails_on_a_lax_operator_off_by_a_random_diagonal(algebra, monkeypatch):
+    # L scaled by 1 + 1e-6 (random diagonal) on each build: the check
+    # fails at its own tolerance
+    build, noise = fusion.extended_lax, np.random.default_rng(3)
+
+    def scaled(U, u=0.0):
+        L = build(U, u)
+        return (1 + 1e-6 * noise.uniform(-1, 1, len(L)))[:, None] * L
+
+    monkeypatch.setattr(fusion, "extended_lax", scaled)
+    ctx = Context(RunConfig(algebra=algebra))
+    assert not ctx.check("lax-rll", r=2, n=2)
+    record = ctx.report.checks[-1]
+    assert "error" not in record and record["residual"] > 10 * record["tolerance"]
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r", [2, 3])
+def test_lax_rll_fails_with_the_r_matrix_at_a_shifted_q(algebra, r):
+    # the exchange relation with R taken at q (1 + 1e-6) instead of q is
+    # off by far more than the lax-rll tolerance, and the probes see it
+    ctx = Context(RunConfig(algebra=algebra))
+    U, tol = ctx.composite(r, 2), CHECKS["lax-rll"][1]
+    u, w = 0.31 + 0.05j, -0.42 + 0.1j
+    lhs, rhs, sites = _rll_factors(U, u, w)
+    shifted = Context(RunConfig(algebra=algebra, q=1.3 * (1 + 1e-6))).hecke(r).noncheck(u - w)
+    lhs[0], rhs[2] = (shifted, (0, 1)), (shifted, (0, 1))
+    probe = rmatrix.sector_residual(lhs, rhs, sites, np.random.default_rng(0))
+    assert probe > tol
+    assert probe <= 10 * _dense_rll(lhs, rhs, sites)
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_transfer_commutation_fails_with_one_perturbed_tau(algebra, monkeypatch):
+    # the first of the four tau built from R(u) times a random diagonal
+    # 1 + 1e-6 (noise): it leaves the commuting family, and the check fails
+    # at its own tolerance (three sites: on two sites of the ospq12 pair
+    # space of r = 2 such a tau still commutes with the others)
+    build, noise, calls = spinchain.transfer_matrix, np.random.default_rng(5), []
+
+    def perturbed(spec, R):
+        calls.append(1)
+        if len(calls) == 1:
+            R = R * (1 + 1e-6 * noise.uniform(-1, 1, len(R)))
+        return build(spec, R)
+
+    monkeypatch.setattr(spinchain, "transfer_matrix", perturbed)
+    ctx = Context(RunConfig(algebra=algebra))
+    assert not ctx.check("transfer-commutation", r=2, N=3)
+    record = ctx.report.checks[-1]
+    assert "error" not in record and record["residual"] > 10 * record["tolerance"]
+
+
 def test_lax_rll_peak_memory():
     # the sector blocks of the two sides are made and compared one pair at a
     # time: beyond the two Lax operators the check holds less than two
@@ -876,6 +1017,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     script = """
 import sys
 from qybe.cli import cli_dispatch
+from qybe.repspace import embed_at
 for argv in (["verify-all", "--r", "2"], ["commutant", "--r", "2"],
              ["chain", "--r", "2", "--sites", "2"]):
     assert cli_dispatch(["--out", sys.argv[1]] + argv) == 0
