@@ -277,20 +277,28 @@ def embed_at(op, pos, parities):
 
 
 def apply_at(op, pos, parities, X):
-    """embed_at(op, pos, parities) @ X without forming the embedding,
-    for pos a run of consecutive legs in order: the rows of X carry the
-    Koszul signs of `_signed_perm` before and after, and op contracts the
-    run's legs by a reshape.  X may be a stack of matrices on its last two
-    axes and op a stack matched to X's, or either one a single matrix."""
+    """embed_at(op, pos, parities) @ X without forming the embedding: the
+    rows of X carry the Koszul signs of `_signed_perm` before and after,
+    and op contracts the legs pos by a reshape.  A run of consecutive legs
+    in order is contracted where it stands; any other legs are first
+    gathered to the front by the permutation of `_signed_perm`.  X may be
+    a stack of matrices on its last two axes and op a stack matched to
+    X's, or either one a single matrix."""
     pos = tuple(pos)
-    if pos != tuple(range(pos[0], pos[0] + len(pos))):
-        raise QybeError(f"apply_at takes a run of consecutive legs in order, got {pos}")
     rest = [k for k in range(len(parities)) if k not in pos]
-    sign = _signed_perm(list(pos) + rest, parities)[1][:, None]
+    tgt, sign = _signed_perm(list(pos) + rest, parities)
+    sign = sign[:, None]
     rows, cols = X.shape[-2:]
-    head, dop = int(np.prod([len(p) for p in parities[:pos[0]]])), op.shape[-1]
-    Y = op[..., None, :, :] @ (sign * X).reshape(X.shape[:-2] + (head, dop, rows // head // dop * cols))
+    dop = op.shape[-1]
+    run = pos == tuple(range(pos[0], pos[0] + len(pos)))
+    head = int(np.prod([len(p) for p in parities[:pos[0]]])) if run else 1
+    Y = sign * X
+    if not run:
+        Y = Y[..., np.argsort(tgt), :]  # rows in the order (pos, rest)
+    Y = op[..., None, :, :] @ Y.reshape(Y.shape[:-2] + (head, dop, rows // head // dop * cols))
     Y = Y.reshape(Y.shape[:-3] + (rows, cols))
+    if not run:
+        Y = Y[..., tgt, :]
     Y *= sign
     return Y
 

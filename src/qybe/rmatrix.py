@@ -26,7 +26,7 @@ from .qarith import (
 )
 from .repspace import (
     Site,
-    block_index,
+    apply_at,
     coproduct_pair,
     diag_power,
     embed_at,
@@ -62,24 +62,34 @@ def blockwise_residual(pairs):
     return float(np.max(diff / np.maximum(1.0, scale)))
 
 
-# Random columns per weight sector on which `probed_residual` compares two
-# products (R. Freivalds, 1977).
+# Random columns per weight sector on which `probed_residual` and
+# `sector_residual` compare two products (R. Freivalds, 1977).
 PROBES = 4
+
+
+def _probe_columns(rng):
+    """A draw of PROBES random complex unit columns of a given length, from
+    one child of `rng` (`Generator.spawn`): the draws of `rng` itself are
+    left as they were.  The callers draw sector by sector, in order."""
+    probe = rng.spawn(1)[0]
+
+    def draw(size):
+        X = probe.standard_normal((size, PROBES)) + 1j * probe.standard_normal((size, PROBES))
+        return X / np.linalg.norm(X, axis=0)
+
+    return draw
 
 
 def probed_residual(sectors, rng):
     """blockwise_residual of two products of sector blocks, each applied to
-    PROBES random unit columns per sector.  `sectors` yields, per sector,
-    the factor blocks (lhs, rhs) of A B C ... and A' B' C' ..., each block
-    an array or a stack on its last two axes; each side is applied to the
+    the `_probe_columns` of its sector.  `sectors` yields, per sector, the
+    factor blocks (lhs, rhs) of A B C ... and A' B' C' ..., each block an
+    array or a stack on its last two axes; each side is applied to the
     columns one factor at a time, from the right, so no product of two
-    blocks is formed.
-
-    The columns are drawn from a child of `rng` (`Generator.spawn`), so
-    the draws of `rng` itself are left as they were.  Sides that differ by
-    a nonzero D give a residual of the order of max|D| with probability
-    one, as a random column meets no fixed null space."""
-    probe = rng.spawn(1)[0]
+    blocks is formed.  Sides that differ by a nonzero D give a residual of
+    the order of max|D| with probability one, as a random column meets no
+    fixed null space."""
+    draw = _probe_columns(rng)
 
     def apply(blocks, X):
         for block in reversed(blocks):
@@ -88,50 +98,48 @@ def probed_residual(sectors, rng):
 
     def probed():
         for lhs, rhs in sectors:
-            shape = (lhs[-1].shape[-1], PROBES)
-            X = probe.standard_normal(shape) + 1j * probe.standard_normal(shape)
-            X /= np.linalg.norm(X, axis=0)
+            X = draw(lhs[-1].shape[-1])
             yield apply(lhs, X), apply(rhs, X)
 
     return blockwise_residual(probed())
 
 
 def sector_residual(lhs, rhs, sites, rng):
-    """`probed_residual` of the products of embedded factors `lhs` and
-    `rhs`, lists [(op, legs), ...] for embed_at(A, p) @ embed_at(B, q) @ ...
-    on the product of `sites` (one `Site` per tensor factor), per
-    total-weight sector of the sites (`product_sectors`).
+    """The residual of the products of embedded factors `lhs` and `rhs`,
+    lists [(op, legs), ...] for embed_at(A, p) @ embed_at(B, q) @ ... on
+    the product of `sites` (one `Site` per tensor factor), on the
+    `_probe_columns` of each total-weight sector of the sites
+    (`product_sectors`), as `blockwise_residual` reduces them.
 
-    The sector blocks carry the products only if every factor conserves the
-    weight, so each distinct factor (by identity), in order of first
-    appearance, first passes `check_sectors` over the sectors of its own
-    legs: one with an entry between them is refused, not contracted.  The
-    block of each distinct (factor, legs) pair is gathered once per sector
-    by `block_index`, for both sides; a factor may be a stack of operators
-    on its last two axes, and its blocks are then stacks."""
-    guarded, placed = [], []
+    The columns of all sectors are held as PROBES columns of the whole
+    space, each sector's in its own rows, and each side is applied to them
+    one factor at a time through `repspace.apply_at`: no product and no
+    block of an embedded factor is formed.  The rows of a sector carry that
+    sector's products only if every factor conserves the weight, so each
+    distinct factor (by identity), in order of first appearance, first
+    passes `check_sectors` over the sectors of its own legs: one with an
+    entry between them is refused, not contracted.  A factor may be a
+    stack of operators on its last two axes; the sides are then stacks,
+    compared per stacked pair."""
+    guarded = []
     for op, legs in lhs + rhs:
         if not any(op is seen for seen in guarded):
             check_sectors(op, product_sectors(*[sites[k].weights for k in legs]))
             guarded.append(op)
-        if not any(op is seen and legs == at for seen, at in placed):
-            placed.append((op, legs))
     parities = [site.parities for site in sites]
-    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(legs, parities))
-               for op, legs in placed]
-    slot = lambda side: [next(k for k, (seen, at) in enumerate(placed)
-                              if op is seen and legs == at) for op, legs in side]
-    left, right = slot(lhs), slot(rhs)
+    sectors = product_sectors(*[site.weights for site in sites])
+    draw = _probe_columns(rng)
+    X = np.empty((sum(len(s) for s in sectors), PROBES), dtype=complex)
+    for s in sectors:
+        X[s] = draw(len(s))
 
-    def sectors():
-        for s in product_sectors(*[site.weights for site in sites]):
-            blocks = []
-            for op, gather in gathers:
-                index, sign = gather(s)
-                blocks.append(sign * op[..., index])
-            yield [blocks[k] for k in left], [blocks[k] for k in right]
+    def apply(side):
+        Y = X
+        for op, legs in reversed(side):
+            Y = apply_at(op, legs, parities, Y)
+        return Y
 
-    return probed_residual(sectors(), rng)
+    return blockwise_residual([(apply(lhs), apply(rhs))])
 
 
 def hecke_f(u, chi, a=1.0):

@@ -292,11 +292,21 @@ def test_apply_at_matches_the_embedded_product(case, data):
     assert np.abs(apply_at(ops, pos, pars, X[0]) - want).max() <= tol
 
 
-def test_apply_at_refuses_legs_out_of_order():
-    op, X = np.eye(4), np.ones((8, 1))
-    for pos in [(1, 0), (0, 2)]:
-        with pytest.raises(QybeError, match="consecutive legs"):
-            apply_at(op, pos, [(0, 1)] * 3, X)
+@settings(max_examples=60, deadline=None)
+@given(_embeddings(), st.data())
+def test_apply_at_takes_legs_in_any_order(case, data):
+    # legs out of order or apart are gathered to the front and back by the
+    # signed permutation: the same product as the embedding's
+    _, dims, pars = case
+    pos = tuple(data.draw(st.permutations(range(len(dims))))[:data.draw(
+        st.integers(1, len(dims)))])
+    gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dop, D = int(np.prod([dims[j] for j in pos])), int(np.prod(dims))
+    op = gen.normal(size=(2, dop, dop)) + 1j * gen.normal(size=(2, dop, dop))
+    X = gen.normal(size=(D, 3)) + 1j * gen.normal(size=(D, 3))
+    want = np.stack([embed_at(A, pos, pars) @ X for A in op])
+    tol = 1e-13 * max(1.0, np.abs(op).max() * np.abs(X).max() * dop)
+    assert np.abs(apply_at(op, pos, pars, X) - want).max() <= tol
 
 
 def _dense_product(factors, dims, pars):

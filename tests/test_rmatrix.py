@@ -25,7 +25,7 @@ from qybe import (
 )
 from qybe import rmatrix
 from qybe.coupling import product_sectors, product_weights, projector
-from qybe.repspace import Site, embed_at
+from qybe.repspace import Site, block_index, embed_at
 from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
 from conftest import params_for, pair_table
@@ -427,21 +427,22 @@ def test_sector_residual_is_bounded_by_the_dense_residual(rng, monkeypatch):
     assert sector_residual(lhs, lhs, _SITES, rng) == 0.0
 
 
-def test_sector_residual_gathers_each_placed_factor_once_per_sector(rng, monkeypatch):
-    # each side holds the same three placed factors: three gathers per
-    # sector serve both sides
+def test_sector_residual_equals_the_probes_of_the_sector_blocks(rng):
+    # the whole-space columns carry each sector's own probe columns: the
+    # same residual as probing the gathered sector blocks, sector by sector
     lhs, rhs = _sides(rng)
-    made = []
-    real = rmatrix.block_index
+    pars = [site.parities for site in _SITES]
 
-    def counting(pos, parities):
-        gather = real(pos, parities)
-        return lambda idx: made.append(pos) or gather(idx)
+    def blocks(side, s):
+        return [sign * op.ravel()[index] for op, legs in side
+                for index, sign in [block_index(legs, pars)(s)]]
 
-    monkeypatch.setattr(rmatrix, "block_index", counting)
-    sector_residual(lhs, rhs, _SITES, rng)
     sectors = product_sectors(*[site.weights for site in _SITES])
-    assert sorted(made) == sorted([legs for _, legs in lhs] * len(sectors))
+    want = rmatrix.probed_residual(((blocks(lhs, s), blocks(rhs, s)) for s in sectors),
+                                   np.random.default_rng(3))
+    assert want > 1e-3
+    assert sector_residual(lhs, rhs, _SITES, np.random.default_rng(3)) == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_probed_residual_leaves_its_generator_alone(rng):
