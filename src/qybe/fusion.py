@@ -6,7 +6,11 @@ Truncated spaces are realized concretely: U^{R_n} inside (V^r)^(x n) is the
 intersection of the kernels of all adjacent singlet projectors, which the
 step-by-step truncation cascade generates (the cascade product is kept as a
 cross-check; its image equals the kernel intersection and its rank equals the
-recurrence dimension).
+recurrence dimension).  Every singlet projector conserves the weight, so the
+kernel is found one weight sector of (V^r)^(x n) at a time, with one thin
+SVD of the sector's rows of the stacked projectors; its columns are
+weight-pure, and the highest-weight search of `decompose` reads, at each
+weight, only the columns at that weight.
 
 The closed descendant coefficients are evaluated as pole-free rationals in
 x = exp(2a(u-u0)), so the degeneration point u0 is an ordinary point of the

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qybe import (
+    DeformParams,
     OSPQ12,
     QybeError,
     SLQ2,
@@ -421,3 +422,42 @@ def test_space_mismatch_raises():
     sp3 = Space((3,), ((0, 0, 0),))
     with pytest.raises(QybeError):
         GradedOperator(np.eye(2), sp3, sp3)
+
+
+def _invariant_metric_by_scan(e_mat, f_mat):
+    """The ladder propagation scanning every state for each popped one:
+    the reference of `invariant_metric`."""
+    n = e_mat.shape[0]
+    d = np.zeros(n, dtype=complex)
+    known = np.zeros(n, dtype=bool)
+    for seed in range(n):
+        if known[seed]:
+            continue
+        d[seed] = 1.0
+        known[seed] = True
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for y in range(n):
+                if known[y]:
+                    continue
+                if abs(e_mat[x, y]) > 1e-9 and abs(f_mat[y, x]) > 1e-9:
+                    d[y] = e_mat[x, y] * d[x] / f_mat[y, x]
+                elif abs(e_mat[y, x]) > 1e-9 and abs(f_mat[x, y]) > 1e-9:
+                    d[y] = d[x] * f_mat[x, y] / e_mat[y, x]
+                else:
+                    continue
+                known[y] = True
+                stack.append(y)
+    return d
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("q", [1.3, 0.9 + 0.4j])
+@pytest.mark.parametrize("r,n", [(3, 4), (4, 3), (5, 2), (2, 5)])
+def test_invariant_metric_equals_the_full_scan(algebra, q, r, n):
+    # visiting only the linked states, in ascending order, is the full scan
+    # bit for bit
+    p = DeformParams(q=q, algebra=algebra)
+    co = nfold_coproduct(algebra, [build_irrep(algebra, r, p)] * n, q)
+    assert np.array_equal(invariant_metric(co.E, co.F)[0], _invariant_metric_by_scan(co.E, co.F))
