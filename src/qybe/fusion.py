@@ -139,16 +139,20 @@ class CompositeSpace:
         1 (x) embed over the states s of (V^r)^(x(n+1)) at that weight, and
         the `block_index` (index, sign) of the s x s block of each crossing
         of the train, in train order."""
-        r, n, site = self.rep.r, self.n, self.rep.site
+        n, site = self.n, self.rep.site
         ambient = weight_sectors(product_weights(*[site.weights] * (n + 1)))
-        lift = np.kron(np.eye(r), self.project)
-        drop = np.kron(np.eye(r), self.embed)
         gathers = [block_index((0, m), [site.parities] * (n + 1)) for m in range(n, 0, -1)]
         out = []
         for key, t in weight_sectors(product_weights(site.weights, self.site.weights)).items():
             s = ambient[key]
             index, sign = zip(*[gather(s) for gather in gathers])
-            out.append(((t[:, None], t), lift[t[:, None], s], index, sign, drop[s[:, None], t]))
+            # the t x s entries of 1 (x) project and the s x t of 1 (x) embed,
+            # as np.kron(np.eye(r), .) holds them, without forming either
+            a, i = np.divmod(t, self.dim)
+            b, j = np.divmod(s, self.project.shape[1])
+            same = a[:, None] == b
+            out.append(((t[:, None], t), same * self.project[i[:, None], j], index, sign,
+                        same.T * self.embed[j[:, None], i]))
         return out
 
 

@@ -143,7 +143,8 @@ def write_operator(fh, op, algebra="", q=0j):
     step = max(1, _BLOCK_ENTRIES // max(cols, 1))
     for i in range(0, rows if cols else 0, step):
         pairs = np.ascontiguousarray(m[i:i + step]).view(float).reshape(-1, 2)
-        live = pairs.view(np.uint64).any(axis=1)
+        bits = pairs.view(np.uint64)
+        live = (bits[:, 0] | bits[:, 1]) != 0
         texts = [_ZERO_ENTRY] * len(pairs)
         if live.any():
             # "[[re, im], [re, im], ...]" -> "re, im" per entry (no number
