@@ -175,18 +175,15 @@ def adjacent_singlet_kernel(fam, n):
     check_sectors(P1, product_sectors(site.weights, site.weights))
     gathers = [block_index((k, k + 1), [site.parities] * n) for k in range(n - 1)]
     P1 = P1.ravel()
-    out = []
-    for s in weight_sectors(product_weights(*[site.weights] * n)).values():
+    columns = []
+    for s in product_sectors(*[site.weights] * n):
         rows = np.vstack([sign * P1[index] for index, sign in (g(s) for g in gathers)])
         _, sv, vh = np.linalg.svd(rows, full_matrices=False)
-        rank = int(np.sum(sv > 1e-10 * max(1.0, sv.max())))
-        out.append((s, vh[rank:].conj().T))
-    ker = np.zeros((site.dim ** n, sum(v.shape[1] for _, v in out)), dtype=complex)
-    col = 0
-    for s, v in out:
-        ker[s, col:col + v.shape[1]] = v
-        col += v.shape[1]
-    return ker
+        null = vh[int(np.sum(sv > 1e-10 * max(1.0, sv.max()))):].conj().T
+        block = np.zeros((site.dim ** n, null.shape[1]), dtype=complex)
+        block[s] = null
+        columns.append(block)
+    return np.hstack(columns)
 
 
 def truncation_cascade(fam, n):
