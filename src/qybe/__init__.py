@@ -21,7 +21,6 @@ from .repspace import (
     build_irrep,
     casimir_value,
     embed_at,
-    graded_permutation,
     invariant_metric,
     verify_algebra,
 )
@@ -33,7 +32,6 @@ from .coupling import (
     chi_closed,
     chi_factor,
     coupled_basis,
-    local_product,
     projector,
     tensor_decompose,
 )

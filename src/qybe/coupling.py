@@ -10,10 +10,14 @@ the biorthogonality relation hold to machine precision by construction; the
 per-state norms are measured in the propagated invariant metric.
 `cgc_table` takes a pair of irreps; `projector`, `chi_factor` and
 `coupled_basis` take the table, so one table of V^r (x) V^r serves all.
+
+The total-weight sectors of product states (`product_sectors`) and the
+guard `check_sectors`, which refuses an operator with an entry between
+them, live here too; the sector blocks themselves are gathered by
+`repspace.block_index`.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -21,7 +25,6 @@ from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
     Irrep,
     RepLike,
-    block_index,
     casimir_matrix,
     casimir_value,
     coproduct_pair,
@@ -134,32 +137,6 @@ def check_sectors(M, sectors):
         worst = np.argmax(off / bound)
         raise QybeError(f"an entry of modulus {off.flat[worst]:.3e} lies outside the weight "
                         f"sectors (bound {bound.flat[worst]:.1e})")
-
-
-def local_product(factors, sites):
-    """The diagonal blocks of embed_at(A, p) @ embed_at(B, q) @ ... on the
-    product of `sites`, for factors [(A, p), (B, q), ...]: each site is the
-    `Site` of one tensor factor, and the blocks are taken over the
-    total-weight sectors of the sites (`product_sectors`), in that order.
-    Per sector, the product of the factors' blocks gathered by
-    `block_index`, made one at a time as the returned iterator is consumed.
-    A factor may be a stack of operators on its last two axes; the blocks
-    are then stacks, multiplied point by point.
-
-    These are the blocks of the product only when every embedded factor
-    conserves the weight (`check_sectors` over the sectors of its legs);
-    sites of zero weight are one sector, the whole space, which always
-    qualifies."""
-    parities = [site.parities for site in sites]
-    gathers = [(np.reshape(op, np.shape(op)[:-2] + (-1,)), block_index(pos, parities))
-               for op, pos in factors]
-
-    def block(op, gather, s):
-        index, sign = gather(s)
-        return sign * op[..., index]
-
-    return (reduce(np.matmul, [block(op, gather, s) for op, gather in gathers])
-            for s in product_sectors(*[site.weights for site in sites]))
 
 
 def _hw_vectors(e_mat, weights, target_weight, within=None):

@@ -117,10 +117,6 @@ class CompositeSpace:
         """embed (x) embed, built once per space."""
         return np.kron(self.embed, self.embed)
 
-    def compress_pair(self, full_matrix):
-        """An operator on the ambient factors of U (x) U, in block coordinates."""
-        return self.pair_project @ full_matrix @ self.pair_embed
-
     @cached_property
     def cells(self):
         """`pair_cells` of this space, built once per space."""
@@ -278,7 +274,7 @@ def pair_cells(U):
     they need not enter the sandwich.  `U.cells` keeps them per space."""
     _require_pair(U)
     P23, P14 = _plain_placements(_singlet(U.hecke), U.rep.r, ((1, 2), (0, 3)))
-    return U.compress_pair(P23), U.compress_pair(P23 @ P14)
+    return U.pair_project @ P23 @ U.pair_embed, U.pair_project @ (P23 @ P14) @ U.pair_embed
 
 
 def descendant_r_closed(U, u):
@@ -287,44 +283,49 @@ def descendant_r_closed(U, u):
     return U.descendant.check_fn(u - U.hecke.u0)
 
 
-def descendant_r_product(U, us, guard=1e-4):
-    """Fused solution on U (x) U as the six-factor product of pair R-matrices,
-    at a point u or stacked over a sequence of points.
-
-    The eight adjacent factors are applied leg by leg to the columns of
-    embed (x) embed, the ones at the constant argument u0 built once for
-    all points.  The inner factor at argument u - 2 u0 has a pole at
-    u = u0, and the product loses digits to cancellation near it (the
-    limit exists, the direct product does not evaluate at u0).  So each
-    point p within the guard takes its value by fourth-order Richardson
-    extrapolation from the products at p +- h and p +- h/2, h = 1e-3, a
-    stencil centred on p whose points stay at least h/2 - guard from u0."""
-    _require_pair(U)
+def _train(U, pts):
+    """The eight adjacent factors of the fused product at the points `pts`
+    (a 1-d array), applied leg by leg to the columns of embed (x) embed and
+    compressed by project (x) project; the ones at the constant argument u0
+    are built once for all points."""
     fam = U.hecke
     u0 = fam.u0
     pars = [fam.site.parities] * 4
+    R0 = fam.check_fn(u0)
+    at = lambda xs: np.reshape([fam.check_fn(x) for x in xs], (-1,) + R0.shape)
+    R1 = at(pts - u0)
+    # R01(u0) R23(u0) R12(u) R01(u-u0) R23(u-u0) R12(u-2u0) R01(u0) R23(u0),
+    # applied from the right
+    X = U.pair_embed
+    for op, pos in ((R0, (2, 3)), (R0, (0, 1)), (at(pts - 2 * u0), (1, 2)), (R1, (2, 3)),
+                    (R1, (0, 1)), (at(pts), (1, 2)), (R0, (2, 3)), (R0, (0, 1))):
+        X = apply_at(op, pos, pars, X)
+    return U.pair_project @ X
+
+
+def descendant_r_product(U, us):
+    """Fused solution on U (x) U as the six-factor product of pair R-matrices,
+    at a point u or stacked over a sequence of points (`_train`).
+
+    The inner factor at argument u - 2 u0 has a pole at u = u0, and the
+    product loses digits to cancellation near it (the limit exists, the
+    direct product does not evaluate at u0).  So each point p within 1e-4
+    of u0 takes its value by fourth-order Richardson extrapolation from the
+    products at p +- h and p +- h/2, h = 1e-3, a stencil centred on p whose
+    points stay at least h/2 - 1e-4 from u0."""
+    _require_pair(U)
     us = np.asarray(us, dtype=complex)
     pts = us.ravel()
-    near = np.abs(pts - u0) < guard
+    near = np.abs(pts - U.hecke.u0) < 1e-4
     out = np.empty((pts.size,) + (U.dim ** 2,) * 2, dtype=complex)
     if near.any():
         h = 1e-3
         stencil = pts[near, None] + np.array([h, -h, h / 2, -h / 2])
-        mats = descendant_r_product(U, stencil, guard=0.0)
+        mats = _train(U, stencil.ravel()).reshape(stencil.shape + out.shape[-2:])
         coarse = (mats[:, 0] + mats[:, 1]) / 2
         fine = (mats[:, 2] + mats[:, 3]) / 2
         out[near] = (4 * fine - coarse) / 3
-    far = pts[~near]
-    R0 = fam.check_fn(u0)
-    at = lambda xs: np.reshape([fam.check_fn(x) for x in xs], (-1,) + R0.shape)
-    R1 = at(far - u0)
-    # R01(u0) R23(u0) R12(u) R01(u-u0) R23(u-u0) R12(u-2u0) R01(u0) R23(u0),
-    # applied from the right
-    X = U.pair_embed
-    for op, pos in ((R0, (2, 3)), (R0, (0, 1)), (at(far - 2 * u0), (1, 2)), (R1, (2, 3)),
-                    (R1, (0, 1)), (at(far), (1, 2)), (R0, (2, 3)), (R0, (0, 1))):
-        X = apply_at(op, pos, pars, X)
-    out[~near] = U.pair_project @ X
+    out[~near] = _train(U, pts[~near])
     return out.reshape(us.shape + out.shape[-2:])
 
 

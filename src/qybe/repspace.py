@@ -221,12 +221,6 @@ def nfold_coproduct(algebra, reps, q):
     return cur
 
 
-def graded_permutation(rep1, rep2):
-    """Swap operator P: V1 (x) V2 -> V2 (x) V1 with the Koszul sign
-    (-1)^(p_a p_b); P^2 = 1 exactly on matching factors."""
-    return perm_matrix([1, 0], [rep1.parities, rep2.parities])
-
-
 def _signed_perm(sigma, parities):
     """The signed permutation taking target slot t to source slot sigma[t]
     of a product of factors with these parity vectors, as (target flat

@@ -5,9 +5,13 @@ spin-1 solutions, the universal intertwiner and verification helpers.
 V^r (x) V^r and keeps the table; `r33_family` takes the sl_q(2) table of V^3.
 
 All residuals returned by the checkers are relative: max-abs of the mismatch
-divided by the scale of the operators entering the relation.  The universal
-intertwiner on even-dimensional graded irreps has entries spanning many
-orders of magnitude, so absolute residuals would be meaningless there.
+divided by the scale of the operators entering the relation (`rel_residual`,
+the one residual, per pair of a stack).  The universal intertwiner on
+even-dimensional graded irreps has entries spanning many orders of
+magnitude, so absolute residuals would be meaningless there.  Product
+identities are compared on random probe columns of each weight sector by
+one driver, `probed_residual`; `sector_residual` feeds it two chains of
+embedded factors applied through `repspace.apply_at`.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +35,6 @@ from .repspace import (
     diag_power,
     embed_at,
     graded_kron_raw,
-    graded_permutation,
     perm_matrix,
 )
 from .coupling import (
@@ -44,102 +47,65 @@ from .coupling import (
 
 
 def rel_residual(A, B):
-    """max|A - B| / max(1, |A|, |B|)."""
-    sc = max(1.0, np.abs(A).max(), np.abs(B).max())
-    return float(np.abs(A - B).max() / sc)
-
-
-def blockwise_residual(pairs):
-    """rel_residual of the concatenated entries of (lhs, rhs) sector-block
-    pairs, reduced one pair at a time: the maxima it takes are the same (a
-    NaN entry still propagates).  Stacked blocks (on the last two axes) are
-    reduced per stacked pair, and the largest of those residuals returned."""
+    """max|A - B| / max(1, |A|, |B|) over the last two axes; for stacks of
+    matrices on them, the largest per-pair value (a NaN entry propagates)."""
     top = lambda x: np.abs(x).max(axis=(-2, -1))
-    diff = scale = 0.0
-    for a, b in pairs:
-        diff = np.maximum(diff, top(a - b))
-        scale = np.maximum(scale, np.maximum(top(a), top(b)))
-    return float(np.max(diff / np.maximum(1.0, scale)))
+    return float(np.max(top(A - B) / np.maximum(1.0, np.maximum(top(A), top(B)))))
 
 
-# Random columns per weight sector on which `probed_residual` and
-# `sector_residual` compare two products (R. Freivalds, 1977).
+# Random columns per weight sector on which `probed_residual` compares two
+# products (R. Freivalds, 1977).
 PROBES = 4
 
 
-def _probe_columns(rng):
-    """A draw of PROBES random complex unit columns of a given length, from
-    one child of `rng` (`Generator.spawn`): the draws of `rng` itself are
-    left as they were.  The callers draw sector by sector, in order."""
+def probed_residual(lhs, rhs, sectors, rng):
+    """rel_residual of lhs(X) and rhs(X), X the PROBES random complex unit
+    columns of each weight sector, held as columns of the whole space with
+    each sector's in its own rows (the index arrays `sectors`, which
+    partition the rows).  lhs and rhs map X to arrays or to stacks of them
+    on their last two axes.  The columns are drawn sector by sector, in
+    order, from one child of `rng` (`Generator.spawn`), so the draws of
+    `rng` itself are left as they were.  Sides that differ by a nonzero D
+    give a residual of the order of max|D| with probability one, as a
+    random column meets no fixed null space."""
     probe = rng.spawn(1)[0]
-
-    def draw(size):
-        X = probe.standard_normal((size, PROBES)) + 1j * probe.standard_normal((size, PROBES))
-        return X / np.linalg.norm(X, axis=0)
-
-    return draw
-
-
-def probed_residual(sectors, rng):
-    """blockwise_residual of two products of sector blocks, each applied to
-    the `_probe_columns` of its sector.  `sectors` yields, per sector, the
-    factor blocks (lhs, rhs) of A B C ... and A' B' C' ..., each block an
-    array or a stack on its last two axes; each side is applied to the
-    columns one factor at a time, from the right, so no product of two
-    blocks is formed.  Sides that differ by a nonzero D give a residual of
-    the order of max|D| with probability one, as a random column meets no
-    fixed null space."""
-    draw = _probe_columns(rng)
-
-    def apply(blocks, X):
-        for block in reversed(blocks):
-            X = block @ X
-        return X
-
-    def probed():
-        for lhs, rhs in sectors:
-            X = draw(lhs[-1].shape[-1])
-            yield apply(lhs, X), apply(rhs, X)
-
-    return blockwise_residual(probed())
+    X = np.empty((sum(len(s) for s in sectors), PROBES), dtype=complex)
+    for s in sectors:
+        Y = probe.standard_normal((len(s), PROBES)) + 1j * probe.standard_normal((len(s), PROBES))
+        X[s] = Y / np.linalg.norm(Y, axis=0)
+    return rel_residual(lhs(X), rhs(X))
 
 
 def sector_residual(lhs, rhs, sites, rng):
-    """The residual of the products of embedded factors `lhs` and `rhs`,
-    lists [(op, legs), ...] for embed_at(A, p) @ embed_at(B, q) @ ... on
-    the product of `sites` (one `Site` per tensor factor), on the
-    `_probe_columns` of each total-weight sector of the sites
-    (`product_sectors`), as `blockwise_residual` reduces them.
+    """The `probed_residual` of the products of embedded factors `lhs` and
+    `rhs`, lists [(op, legs), ...] for embed_at(A, p) @ embed_at(B, q) @ ...
+    on the product of `sites` (one `Site` per tensor factor), over the
+    total-weight sectors of the sites (`product_sectors`).
 
-    The columns of all sectors are held as PROBES columns of the whole
-    space, each sector's in its own rows, and each side is applied to them
-    one factor at a time through `repspace.apply_at`: no product and no
-    block of an embedded factor is formed.  The rows of a sector carry that
-    sector's products only if every factor conserves the weight, so each
-    distinct factor (by identity), in order of first appearance, first
-    passes `check_sectors` over the sectors of its own legs: one with an
-    entry between them is refused, not contracted.  A factor may be a
-    stack of operators on its last two axes; the sides are then stacks,
-    compared per stacked pair."""
+    Each side is applied to the probe columns one factor at a time through
+    `repspace.apply_at`: no product and no block of an embedded factor is
+    formed.  The rows of a sector carry that sector's products only if
+    every factor conserves the weight, so each distinct factor (by
+    identity), in order of first appearance, first passes `check_sectors`
+    over the sectors of its own legs: one with an entry between them is
+    refused, not contracted.  A factor may be a stack of operators on its
+    last two axes; the sides are then stacks, compared per stacked pair."""
     guarded = []
     for op, legs in lhs + rhs:
         if not any(op is seen for seen in guarded):
             check_sectors(op, product_sectors(*[sites[k].weights for k in legs]))
             guarded.append(op)
     parities = [site.parities for site in sites]
-    sectors = product_sectors(*[site.weights for site in sites])
-    draw = _probe_columns(rng)
-    X = np.empty((sum(len(s) for s in sectors), PROBES), dtype=complex)
-    for s in sectors:
-        X[s] = draw(len(s))
 
     def apply(side):
-        Y = X
-        for op, legs in reversed(side):
-            Y = apply_at(op, legs, parities, Y)
-        return Y
+        def product(Y):
+            for op, legs in reversed(side):
+                Y = apply_at(op, legs, parities, Y)
+            return Y
+        return product
 
-    return blockwise_residual([(apply(lhs), apply(rhs))])
+    return probed_residual(apply(lhs), apply(rhs),
+                           product_sectors(*[site.weights for site in sites]), rng)
 
 
 def hecke_f(u, chi, a=1.0):
@@ -340,7 +306,7 @@ def intertwining_residual(R, rep1, rep2):
     q = rep1.params.q
     pair = coproduct_pair(rep1.algebra, rep1, rep2, q)
     pair_flip = coproduct_pair(rep1.algebra, rep2, rep1, q)
-    P = graded_permutation(rep2, rep1)  # V2 x V1 -> V1 x V2
+    P = perm_matrix([1, 0], [rep2.parities, rep1.parities])  # V2 x V1 -> V1 x V2
     worst = 0.0
     for g in ("E", "F", "H"):
         D = getattr(pair, g)

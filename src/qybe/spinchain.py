@@ -17,7 +17,7 @@ squared dimension is formed, for sl_q(2) and osp_q(1|2) alike, within
 H and tau(u) conserve the total weight Delta^N(h), so every chain operator
 is returned as its diagonal blocks over `ChainSpec.sectors`, in that order,
 and the spectra and solves run one sector at a time.  H is summed bond by
-bond into its blocks (`coupling.local_product` over the chain's sites);
+bond into its blocks (each bond's entries gathered by `repspace.block_index`);
 tau(u) is contracted into its blocks once `check_sectors` has found no R
 entry between the aux (x) site sectors, so the block spectra are the
 spectrum.  A chain's site and auxiliary are `repspace.Site`s, read from the
@@ -31,11 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
-from .repspace import Site
+from .repspace import Site, block_index
 from .coupling import (
     check_sectors,
     coupled_basis,
-    local_product,
     product_sectors,
     product_weights,
     weight_sectors,
@@ -294,7 +293,7 @@ def hamiltonian_projector_form(U, spec):
     """Nearest-neighbour Hamiltonian of the periodic chain `spec` of U sites,
     f0 times the bond summed over the bonds, as its blocks over
     `spec.sectors`; each block is summed bond by bond from the bond's
-    entries (`local_product` over the chain's sites).  Bond i couples sites
+    entries, gathered by `repspace.block_index`.  Bond i couples sites
     (i+1, i), the orientation of the transfer matrix's log-derivative.  A
     spec whose site is not U raises QybeError: one with other parities, or
     with weights the bond does not conserve, whose blocks would not carry H."""
@@ -309,8 +308,10 @@ def hamiltonian_projector_form(U, spec):
         check_sectors(bond, product_sectors(spec.site.weights, spec.site.weights))
     except QybeError as exc:
         raise not_u from exc
-    bonds = [local_product([(bond, ((i + 1) % N, i))], [spec.site] * N) for i in range(N)]
-    return [f0 * sum(terms) for terms in zip(*bonds)]
+    gathers = [block_index(((i + 1) % N, i), [spec.site.parities] * N) for i in range(N)]
+    bond = bond.ravel()
+    return [f0 * sum(sign * bond[index] for index, sign in (g(s) for g in gathers))
+            for s in spec.sectors]
 
 
 def hamiltonian_log_derivative(spec, fam, point=None, step=1e-6):

@@ -537,8 +537,17 @@ def _transfer_commutation(ctx, rng, inputs):
     t = [chains.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
     # per sector, the stack T of the four blocks: T[a] T[b] X against
     # T[b] T[a] X for every ordered pair (a, b), by broadcasting
-    stacks = (np.stack(blocks) for blocks in zip(*t))
-    return probed_residual((([T[:, None], T], [T, T[:, None]]) for T in stacks), rng)
+    stacks = [np.stack(blocks) for blocks in zip(*t)]
+
+    def side(swapped):
+        def product(X):
+            Y = np.empty((len(pts),) * 2 + X.shape, dtype=complex)
+            for s, T in zip(spec.sectors, stacks):
+                Y[..., s, :] = T @ (T[:, None] @ X[s]) if swapped else T[:, None] @ (T @ X[s])
+            return Y
+        return product
+
+    return probed_residual(side(False), side(True), spec.sectors, rng)
 
 
 def _hamiltonian_routes(ctx, rng, inputs):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qybe import DeformParams, OSPQ12, SLQ2, build_irrep, cgc_table
+from qybe.rmatrix import PROBES
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,30 @@ def pair_table(algebra, r, params=None):
     """The coupling table of V^r (x) V^r."""
     rep = build_irrep(algebra, r, params or params_for(algebra))
     return cgc_table(rep, rep)
+
+
+def blockwise_probes(sectors, rng):
+    """The per-sector probe driver that whole-space probe columns replaced,
+    kept as a reference for `rmatrix.probed_residual`: `sectors` yields,
+    per weight sector, the factor blocks (lhs, rhs) of A B C ... and
+    A' B' C' ..., each block an array or a stack on its last two axes.
+    Each side is applied, one block at a time from the right, to PROBES
+    random complex unit columns of its sector, drawn sector by sector from
+    one child of `rng`; the residual is max|lhs - rhs| over all sectors
+    divided by max(1, max|lhs|, max|rhs|) over all sectors, per stacked
+    pair, and the largest of those is returned."""
+    probe = rng.spawn(1)[0]
+    top = lambda x: np.abs(x).max(axis=(-2, -1))
+    diff = scale = 0.0
+    for lhs, rhs in sectors:
+        size = lhs[-1].shape[-1]
+        X = probe.standard_normal((size, PROBES)) + 1j * probe.standard_normal((size, PROBES))
+        X = X / np.linalg.norm(X, axis=0)
+        a, b = X, X
+        for block in reversed(lhs):
+            a = block @ a
+        for block in reversed(rhs):
+            b = block @ b
+        diff = np.maximum(diff, top(a - b))
+        scale = np.maximum(scale, np.maximum(top(a), top(b)))
+    return float(np.max(diff / np.maximum(1.0, scale)))

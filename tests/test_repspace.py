@@ -9,7 +9,6 @@ from qybe import (
     SLQ2,
     build_irrep,
     casimir_value,
-    graded_permutation,
     q_number,
     verify_algebra,
 )
@@ -28,7 +27,7 @@ from qybe.repspace import (
     nfold_coproduct,
     perm_matrix,
 )
-from qybe.coupling import local_product, product_sectors, product_weights
+from qybe.coupling import product_sectors, product_weights
 from qybe.toolkit import GradedOperator, Space
 from conftest import params_for
 
@@ -169,13 +168,13 @@ def test_coassociativity(params_osp):
 def test_permutation_squares_to_identity(algebra):
     p = params_for(algebra)
     rep = build_irrep(algebra, 3, p)
-    P = graded_permutation(rep, rep)
+    P = perm_matrix([1, 0], [rep.parities] * 2)
     assert np.abs(P @ P - np.eye(9)).max() == 0
 
 
 def test_permutation_sign_on_odd_states(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    P = graded_permutation(rep, rep)
+    P = perm_matrix([1, 0], [rep.parities] * 2)
     # state index 1 is odd; v_odd (x) v_odd picks up a minus sign
     vec = np.zeros(9)
     vec[1 * 3 + 1] = 1.0
@@ -184,7 +183,7 @@ def test_permutation_sign_on_odd_states(params_osp):
 
 def test_permutation_all_even_is_swap(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
-    P = graded_permutation(rep, rep)
+    P = perm_matrix([1, 0], [rep.parities] * 2)
     v = np.zeros(4)
     v[0 * 2 + 1] = 1.0
     out = P @ v
@@ -317,31 +316,39 @@ def _dense_product(factors, dims, pars):
     return dense
 
 
-def _assert_local_product_matches_embed_at(factors, dims, pars):
+def _apply_product(factors, pars, X):
+    """embed_at(A, p) @ embed_at(B, q) @ ... @ X through apply_at, one
+    factor at a time from the right."""
+    for op, pos in reversed(factors):
+        X = apply_at(op, pos, pars, X)
+    return X
+
+
+def _assert_apply_product_matches_embed_at(factors, dims, pars):
     dense = _dense_product(factors, dims, pars)
-    # sites of zero weight: one sector, the whole space
-    [local] = local_product(factors, [Site(p, np.zeros(d)) for p, d in zip(pars, dims)])
-    assert np.abs(local - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+    X = np.eye(len(dense), dtype=complex)
+    got = _apply_product(factors, pars, X)
+    assert np.abs(got - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
 
 
 @settings(max_examples=60, deadline=None)
 @given(_embeddings(count=(1, 3)))
-def test_local_product_matches_embed_at_product(case):
-    _assert_local_product_matches_embed_at(*case)
+def test_apply_at_product_matches_embed_at_product(case):
+    _assert_apply_product_matches_embed_at(*case)
 
 
-def test_local_product_odd_legs_crossing(rng):
+def test_apply_at_product_odd_legs_crossing(rng):
     """Odd states on every leg, with the second factor placed in reverse
     order across the leg between: every Koszul sign is exercised."""
     dims, pars = [2, 2, 2], [(0, 1)] * 3
     A, B, C = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
-    _assert_local_product_matches_embed_at([(A, (0, 1)), (B, (2, 0)), (C, (1, 2))], dims, pars)
+    _assert_apply_product_matches_embed_at([(A, (0, 1)), (B, (2, 0)), (C, (1, 2))], dims, pars)
 
 
-def test_local_product_weight_sectors(rng):
-    """Factors that conserve the summed leg weights: the per-sector blocks
-    are the dense product's diagonal blocks, and the product is exactly
-    zero off them."""
+def test_apply_at_product_keeps_weight_sectors(rng):
+    """Factors that conserve the summed leg weights: applied to the unit
+    columns of a sector, the product fills that sector's rows with the
+    dense product's diagonal block, and every other row is exactly zero."""
     dims, pars = [2, 3, 2], [(0, 1), (0, 1, 0), (0, 1)]
     weights = [np.array([0.5, -0.5]), np.array([1.0, 0.0, -1.0]), np.array([0.5, -0.5])]
 
@@ -351,14 +358,13 @@ def test_local_product_weight_sectors(rng):
         return keep * (rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape))
 
     factors = [(conserving(pos), pos) for pos in [(0, 1), (2, 0), (1, 2), (0, 2)]]
-    sectors = product_sectors(*weights)
-    blocks = local_product(factors, [Site(p, w) for p, w in zip(pars, weights)])
     dense = _dense_product(factors, dims, pars)
-    inside = np.zeros(dense.shape, dtype=bool)
-    for s, blk in zip(sectors, blocks):
-        assert np.abs(blk - dense[np.ix_(s, s)]).max() <= 1e-13 * max(1.0, np.abs(dense).max())
-        inside[np.ix_(s, s)] = True
-    assert not dense[~inside].any()
+    for s in product_sectors(*weights):
+        X = np.zeros((len(dense), len(s)), dtype=complex)
+        X[s, np.arange(len(s))] = 1.0
+        got = _apply_product(factors, pars, X)
+        assert np.abs(got[s] - dense[np.ix_(s, s)]).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+        assert not np.delete(got, s, axis=0).any()
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 4), (OSPQ12, 3), (OSPQ12, 4)])

@@ -25,10 +25,10 @@ from qybe import (
 )
 from qybe import rmatrix
 from qybe.coupling import product_sectors, product_weights, projector
-from qybe.repspace import Site, block_index, embed_at
+from qybe.repspace import Site, block_index, embed_at, perm_matrix
 from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
-from conftest import params_for, pair_table
+from conftest import blockwise_probes, params_for, pair_table
 
 
 def sample_points(rng, count, guards, box=(-1, 1, -0.2, 0.2), min_dist=0.05):
@@ -248,12 +248,10 @@ def test_universal_graded_ybe(params_osp):
 
 def test_universal_flip_inverse(params_osp):
     # the minus matrix equals the flipped inverse of the plus one
-    from qybe import graded_permutation
-
     r2 = build_irrep(OSPQ12, 2, params_osp)
     Rp = universal_r(r2, r2, +1)
     Rm = universal_r(r2, r2, -1)
-    P = graded_permutation(r2, r2)
+    P = perm_matrix([1, 0], [r2.parities] * 2)
     assert rel_residual(Rm, P @ np.linalg.inv(Rp) @ P) < 1e-12
 
 
@@ -429,7 +427,8 @@ def test_sector_residual_is_bounded_by_the_dense_residual(rng, monkeypatch):
 
 def test_sector_residual_equals_the_probes_of_the_sector_blocks(rng):
     # the whole-space columns carry each sector's own probe columns: the
-    # same residual as probing the gathered sector blocks, sector by sector
+    # same residual as probing the gathered sector blocks, sector by sector,
+    # with the per-sector reference driver
     lhs, rhs = _sides(rng)
     pars = [site.parities for site in _SITES]
 
@@ -438,8 +437,8 @@ def test_sector_residual_equals_the_probes_of_the_sector_blocks(rng):
                 for index, sign in [block_index(legs, pars)(s)]]
 
     sectors = product_sectors(*[site.weights for site in _SITES])
-    want = rmatrix.probed_residual(((blocks(lhs, s), blocks(rhs, s)) for s in sectors),
-                                   np.random.default_rng(3))
+    want = blockwise_probes(((blocks(lhs, s), blocks(rhs, s)) for s in sectors),
+                            np.random.default_rng(3))
     assert want > 1e-3
     assert sector_residual(lhs, rhs, _SITES, np.random.default_rng(3)) == pytest.approx(
         want, rel=1e-12)
@@ -455,6 +454,26 @@ def test_probed_residual_leaves_its_generator_alone(rng):
     # a second call draws from the next child: other columns, same order
     assert sector_residual(lhs, rhs, _SITES, seen) != first
     assert sector_residual(lhs, rhs, _SITES, np.random.default_rng(11)) == first
+
+
+def test_probed_residual_draws_each_sector_into_its_own_rows():
+    # PROBES unit columns per sector, drawn in sector order from the first
+    # child of the generator, each in its sector's rows of the whole space
+    sectors = [np.array([1, 4]), np.array([0, 2, 3]), np.array([5])]
+    seen = []
+
+    def lhs(X):
+        seen.append(X)
+        return X
+
+    assert rmatrix.probed_residual(lhs, lambda X: X, sectors, np.random.default_rng(5)) == 0.0
+    [X] = seen
+    assert X.shape == (6, rmatrix.PROBES)
+    child = np.random.default_rng(5).spawn(1)[0]
+    for s in sectors:
+        Y = (child.standard_normal((len(s), rmatrix.PROBES))
+             + 1j * child.standard_normal((len(s), rmatrix.PROBES)))
+        assert np.array_equal(X[s], Y / np.linalg.norm(Y, axis=0))
 
 
 def test_sector_residual_refuses_an_entry_between_sectors(rng):

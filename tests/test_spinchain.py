@@ -336,6 +336,24 @@ def test_sector_route_matches_whole_space(algebra, r, n_sites, rng):
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_hamiltonian_blocks_are_the_dense_bond_sum(algebra, r, n_sites):
+    # the dense oracle: f0 times the bond embedded at every (i+1, i), the
+    # ring bond (0, N-1) included, cut to the chain's sectors; the blocks sum
+    # the same signed bond entries in the same bond order
+    U = _pair_composite(algebra, r)
+    spec = ChainSpec(U.site, n_sites)
+    f0, bond = chain_bond(U)
+    pars = [U.site.parities] * n_sites
+    dense = f0 * sum(embed_at(bond, ((i + 1) % n_sites, i), pars) for i in range(n_sites))
+    blocks = hamiltonian_projector_form(U, spec)
+    want = _cut(dense, spec.sectors)
+    assert len(blocks) == len(want) == len(spec.sectors)
+    assert all(np.array_equal(b, w) for b, w in zip(blocks, want))
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_sector_blocks_refuse_an_off_sector_entry(algebra):
     U = _pair_composite(algebra, 3)
     spec = ChainSpec(U.site, 2)

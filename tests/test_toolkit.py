@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from qybe import (
     OSPQ12,
@@ -32,7 +33,7 @@ from qybe.toolkit import (
 from qybe import cli, commutant, coupling, fusion, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
 from qybe.repspace import embed_at
-from conftest import params_for, pair_table
+from conftest import blockwise_probes, params_for, pair_table
 
 
 def random_op(rng, n=8):
@@ -257,10 +258,9 @@ def test_cli_chain_builds_each_chain_once(tmp_path, monkeypatch):
 
 
 def test_cli_chain_computes_each_chain_sectors_once(tmp_path, monkeypatch):
-    # tau and the log-derivative Hamiltonian of a chain share its sectors
-    # (the 3); the projector-form Hamiltonian first checks its bond over the
-    # sectors of the bond's two sites (the 2), and `local_product` takes its
-    # blocks' sectors from the chain's sites
+    # tau and both Hamiltonians of a chain share its sectors (the 3); the
+    # projector-form Hamiltonian first checks its bond over the sectors of
+    # the bond's two sites (the 2)
     calls = []
     product_sectors = spinchain.product_sectors
 
@@ -436,24 +436,30 @@ def test_lax_rll_refuses_a_factor_that_mixes_weights(algebra, monkeypatch):
     assert "outside the weight sectors" in ctx.report.checks[-1]["error"]
 
 
-def test_blockwise_residual_equals_rel_residual_of_the_entries(rng):
-    # the same maxima as rel_residual on the concatenated entries, also
-    # below and above scale 1, and a NaN entry is not lost
+def test_rel_residual_of_matrices_is_the_scaled_largest_difference(rng):
+    # max|A - B| / max(1, max|A|, max|B|) bit for bit, also below and above
+    # scale 1, and a NaN entry is not lost
     for size in (1e-3, 1.0, 1e3):
-        A = [size * (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) for k in (1, 4, 2)]
-        B = [a + 1e-9 * rng.normal(size=a.shape) for a in A]
-        flat = [np.concatenate([x.ravel() for x in side]) for side in (A, B)]
-        assert rmatrix.blockwise_residual(zip(A, B)) == rmatrix.rel_residual(*flat)
-    B[1][0, 0] = np.nan
-    assert np.isnan(rmatrix.blockwise_residual(zip(A, B)))
+        for k in (1, 4):
+            A = size * (rng.normal(size=(k, k + 1)) + 1j * rng.normal(size=(k, k + 1)))
+            B = A + 1e-9 * rng.normal(size=A.shape)
+            want = float(np.abs(A - B).max() / max(1.0, np.abs(A).max(), np.abs(B).max()))
+            assert rmatrix.rel_residual(A, B) == want
+    B[1, 0] = np.nan
+    assert np.isnan(rmatrix.rel_residual(A, B))
 
 
-def test_blockwise_residual_of_stacks_is_the_largest_per_stacked_pair(rng):
-    # each stacked pair is reduced against its own scale, not the stack's
-    A = [np.stack([s * rng.normal(size=(k, k)) for s in (1e-3, 1.0, 1e3)]) for k in (3, 1, 2)]
-    B = [a + 1e-9 * rng.normal(size=a.shape) for a in A]
-    per_pair = [rmatrix.blockwise_residual((a[p], b[p]) for a, b in zip(A, B)) for p in range(3)]
-    assert rmatrix.blockwise_residual(zip(A, B)) == max(per_pair)
+def test_rel_residual_of_stacks_is_the_largest_per_stacked_pair(rng):
+    # each stacked pair is reduced against its own scale, not the stack's,
+    # and a NaN in one pair is not lost
+    A = np.stack([s * rng.normal(size=(3, 2)) for s in (1e-3, 1.0, 1e3)])
+    B = A + 1e-9 * rng.normal(size=A.shape)
+    per_pair = [rmatrix.rel_residual(a, b) for a, b in zip(A, B)]
+    assert rmatrix.rel_residual(A, B) == max(per_pair)
+    assert max(per_pair) > np.abs(A - B).max() / np.abs(A).max()
+    assert rmatrix.rel_residual(A, B[1]) == max(rmatrix.rel_residual(a, B[1]) for a in A)
+    B[2, 0, 1] = np.nan
+    assert np.isnan(rmatrix.rel_residual(A, B))
 
 
 def _random_points_by_loop(rng, count, guards, min_dist):
@@ -526,8 +532,8 @@ def _probe_and_dense(kind, algebra, r, seed):
                 _dense_rll(*_rll_factors(U, u, w)))
     dfam, spec = ctx.descendant(r), ctx.chain(r, 2)
     pts = toolkit.random_points(points, 4, guards=toolkit.family_guards(dfam))
-    t = [spinchain.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
-    dense = max(rmatrix.blockwise_residual((a @ b, b @ a) for a, b in zip(t[i], t[j]))
+    t = [block_diag(*spinchain.transfer_matrix(spec, dfam.noncheck(u))) for u in pts]
+    dense = max(rmatrix.rel_residual(t[i] @ t[j], t[j] @ t[i])
                 for i in range(4) for j in range(i + 1, 4))
     return toolkit._transfer_commutation(ctx, rng, {"r": r, "N": 2}), dense
 
@@ -545,6 +551,23 @@ def test_probe_residual_is_at_most_ten_times_the_dense_one(kind, algebra, r):
         probe, dense = _probe_and_dense(kind, algebra, r, seed)
         assert 0.0 <= probe <= 10 * dense
         assert dense < 1e-12
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r,n_sites", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_transfer_commutation_equals_the_per_sector_reference(algebra, r, n_sites):
+    # each sector's rows of the whole-space columns hold that sector's own
+    # probe columns and its blocks' products: bit for bit the residual of
+    # the per-sector reference driver on the same stacks and the same child
+    ctx = Context(RunConfig(algebra=algebra, seed=7))
+    got = toolkit._transfer_commutation(ctx, ctx.rng, {"r": r, "N": n_sites})
+    rng = np.random.default_rng(7)
+    dfam, spec = ctx.descendant(r), ctx.chain(r, n_sites)
+    pts = toolkit.random_points(rng, 4, guards=toolkit.family_guards(dfam))
+    t = [spinchain.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
+    stacks = (np.stack(blocks) for blocks in zip(*t))
+    want = blockwise_probes((([T[:, None], T], [T, T[:, None]]) for T in stacks), rng)
+    assert got == want
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
