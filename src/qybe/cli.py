@@ -46,18 +46,19 @@ def _write_json(outdir, name, payload):
 
 def _config_from_args(args, base):
     """`base` with each flag given on the command line in place of its field
-    (--q and --qi set the real and imaginary part of q one by one); the
-    QYBE_OUT environment variable names the output directory over both."""
+    (--q and --qi set the real and imaginary part of q one by one; --r and
+    --n only where the subcommand has them)."""
     q = complex(base.q)
+    r, n = getattr(args, "r", None), getattr(args, "n", None)
     flags = {
         "algebra": args.algebra,
         "q": complex(q.real if args.q is None else args.q,
                      q.imag if args.qi is None else args.qi),
         "a": complex(base.a if args.a is None else args.a),
-        "r_list": tuple(args.r) if args.r else None,
-        "n_list": tuple(args.n) if args.n else None,
+        "r_list": tuple(r) if r else None,
+        "n_list": tuple(n) if n else None,
         "seed": args.seed,
-        "outdir": os.environ.get("QYBE_OUT") or args.out,
+        "outdir": args.out,
     }
     return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
@@ -73,7 +74,7 @@ def _config_from_file(args):
         raise QybeError(f"cannot read the config {args.config}: {exc}") from exc
     base = RunConfig.from_json(doc)
     for flag in ("r", "n"):
-        if not getattr(args, flag):
+        if getattr(args, flag, None) is None:
             setattr(args, flag, doc.get(f"{flag}_list"))
     return _config_from_args(args, base)
 
@@ -196,7 +197,7 @@ def cmd_chain(args, ctx):
 
 
 def cmd_commutant(args, ctx):
-    pairs = [(r, n) for r in ctx.config.r_list for n in ctx.config.n_list or (2,)]
+    pairs = [(r, n) for r in ctx.config.r_list for n in ctx.config.n_list]
     for r, n in pairs:
         ctx.commutant(r, n)  # every basis first: a request the routes refuse ends the command
     for r, n in pairs:
@@ -240,28 +241,26 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--config", help="JSON run configuration; flags override its fields")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, **extra):
+    flags = {
+        "--r": {"type": int, "nargs": "+"},
+        "--n": {"type": int, "nargs": "+"},
+        "--u": {"type": float, "default": 0.3},
+        "--ui": {"type": float, "default": 0.0},
+        "--kind": {"type": int},
+        "--sites": {"type": int, "default": 2},
+        "--what": {"default": "hecke"},
+        "--target": {"type": int},
+    }
+    # each subcommand takes the flags its cmd_* reads and no other
+    for name, own in (("build-rep", "--r"), ("cgc", "--r"), ("projectors", "--r"),
+                      ("hecke", "--r --u --ui"), ("fixtures", "--kind --u --ui"),
+                      ("fuse", "--r --u --ui"), ("lax", "--r --n --u --ui"),
+                      ("chain", "--r --sites"), ("commutant", "--r --n"),
+                      ("verify-all", "--r --n"),
+                      ("export", "--r --n --u --ui --what --target")):
         sp = sub.add_parser(name)
-        sp.add_argument("--r", type=int, nargs="*", default=None)
-        sp.add_argument("--n", type=int, nargs="*", default=None)
-        sp.add_argument("--u", type=float, default=0.3)
-        sp.add_argument("--ui", type=float, default=0.0)
-        for flag, kw in extra.items():
-            sp.add_argument(flag, **kw)
-
-    add("build-rep")
-    add("cgc")
-    add("projectors")
-    add("hecke")
-    add("fixtures", **{"--kind": {"type": int, "default": None}})
-    add("fuse")
-    add("lax")
-    add("chain", **{"--sites": {"type": int, "default": 2}})
-    add("commutant")
-    add("verify-all")
-    add("export", **{"--what": {"default": "hecke"},
-                     "--target": {"type": int, "default": None}})
+        for flag in own.split():
+            sp.add_argument(flag, **flags[flag])
     return p
 
 

@@ -315,35 +315,26 @@ def intertwining_residual(R, rep1, rep2):
     return worst
 
 
-def ybe_residual(fam, u, w, form="check", rng=None):
+def ybe_residual(fam, u, w, rng=None):
     """Relative residual of the triple-product relation of the spectral
-    family `fam`, with A = R(u), B = R(u+w), C = R(w), at a pair of points
-    or the largest over the pairs of two equal-length sequences u and w.
-
-    check:    A12 B23 C12 = C23 B12 A23, plain embeddings (the check form
-              carries no grading signs).
-    noncheck: A12 B13 C23 = C23 B13 A12, with the 1-3 leg embedded through
-              graded permutations.
+    family `fam` in its check form, A12 B23 C12 = C23 B12 A23 with
+    A = R(u), B = R(u+w), C = R(w) and plain embeddings (the check form
+    carries no grading signs), at a pair of points or the largest over the
+    pairs of two equal-length sequences u and w.
 
     A, B and C are stacked over the pairs, and both sides are applied to
     random columns per total-weight sector of three sites of the family
     (`sector_residual`, columns from a child of `rng`, by default of a
     generator seeded with 42), once each stacked factor has passed
     `check_sectors`."""
-    if form == "check":
-        # even parities, but the family's weights: its sectors stay small
-        get, site = fam.check_fn, Site((0,) * fam.dim, fam.site.weights)
-        legs = ((0, 1), (1, 2), (0, 1)), ((1, 2), (0, 1), (1, 2))
-    elif form == "noncheck":
-        get, site = fam.noncheck, fam.site
-        legs = ((0, 1), (0, 2), (1, 2)), ((1, 2), (0, 2), (0, 1))
-    else:
-        raise QybeError(f"unknown YBE form {form!r}")
+    # even parities, but the family's weights: its sectors stay small
+    site = Site((0,) * fam.dim, fam.site.weights)
     u, w = np.atleast_1d(u), np.atleast_1d(w)
-    A, B, C = (np.stack([get(x) for x in xs]) for xs in (u, u + w, w))
+    A, B, C = (np.stack([fam.check_fn(x) for x in xs]) for xs in (u, u + w, w))
     if A.shape[-1] != fam.dim ** 2:
         raise QybeError("operator does not act on a like-factor pair")
-    return sector_residual(list(zip((A, B, C), legs[0])), list(zip((C, B, A), legs[1])),
+    return sector_residual([(A, (0, 1)), (B, (1, 2)), (C, (0, 1))],
+                           [(C, (1, 2)), (B, (0, 1)), (A, (1, 2))],
                            [site] * 3, rng or np.random.default_rng(42))
 
 

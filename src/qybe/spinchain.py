@@ -314,20 +314,20 @@ def hamiltonian_projector_form(U, spec):
             for s in spec.sectors]
 
 
-def hamiltonian_log_derivative(spec, fam, point=None, step=1e-6):
-    """tau(u*)^-1 dtau/du at the regular point u* by central differences with
-    one Richardson step, solved in each weight sector of the chain from the
-    sector blocks of tau.  Returns the blocks of the Hamiltonian, in the
-    order of `spec.sectors`."""
-    point = point if point is not None else (fam.u0 or 0.0)
-
+def hamiltonian_log_derivative(spec, fam):
+    """tau(0)^-1 dtau/du at u = 0, the regular point of every family
+    (hecke_f(0) = 0, the fused family is shifted to make it so, and the
+    spin-1 families are normalised there), by central differences of step
+    1e-6 with one Richardson step, solved in each weight sector of the
+    chain from the sector blocks of tau.  Returns the blocks of the
+    Hamiltonian, in the order of `spec.sectors`."""
     tau = lambda x: transfer_matrix(spec, fam.noncheck(x))
 
     def ddu(h):
-        return [(tp - tm) / (2 * h) for tp, tm in zip(tau(point + h), tau(point - h))]
+        return [(tp - tm) / (2 * h) for tp, tm in zip(tau(h), tau(-h))]
 
     return [np.linalg.solve(t0, (4 * d2 - d1) / 3)
-            for t0, d1, d2 in zip(tau(point), ddu(step), ddu(step / 2))]
+            for t0, d1, d2 in zip(tau(0.0), ddu(1e-6), ddu(1e-6 / 2))]
 
 
 @dataclass
@@ -429,19 +429,20 @@ def _sum_route(table, cb, term):
     return np.outer(left, right)
 
 
-def spectrum(blocks, cluster_tol=1e-7):
+def spectrum(blocks):
     """Eigenvalues of the diagonal blocks of an operator (such as those the
     chain builders return), sorted by real part rounded at the cluster
-    tolerance, then by imaginary part, plus a degeneracy table of clustered
-    levels.  The rounding keeps round-off in a real part from deciding the
-    order of levels that share it.
+    tolerance 1e-7, then by imaginary part, plus a degeneracy table of
+    clustered levels.  The rounding keeps round-off in a real part from
+    deciding the order of levels that share it.
 
     Each eigenvalue joins the nearest level within the tolerance, so a level
     whose members are not neighbours in the sort order stays whole; a
     level's value is the mean of its members in `np.sort_complex` order,
     which does not depend on the order the eigenvalues come in."""
+    tol = 1e-7
     vals = np.concatenate([np.linalg.eigvals(b) for b in blocks])
-    vals = vals[np.lexsort((vals.imag, np.round(vals.real / cluster_tol)))]
+    vals = vals[np.lexsort((vals.imag, np.round(vals.real / tol)))]
     leads = np.zeros(len(vals), dtype=complex)
     counts = np.zeros(len(vals), dtype=int)
     level = np.zeros(len(vals), dtype=int)
@@ -449,7 +450,7 @@ def spectrum(blocks, cluster_tol=1e-7):
     for i, v in enumerate(vals):
         gap = np.abs(leads[:k] - v)
         j = int(np.argmin(gap)) if k else 0
-        if k and gap[j] < cluster_tol * max(1.0, abs(v)) + cluster_tol:
+        if k and gap[j] < tol * max(1.0, abs(v)) + tol:
             leads[j] = (leads[j] * counts[j] + v) / (counts[j] + 1)
             counts[j] += 1
         else:

@@ -220,23 +220,24 @@ class RunConfig:
 
     @staticmethod
     def from_json(doc):
-        """The configuration of a JSON document; a field of the wrong type
-        raises QybeError."""
+        """The configuration of a JSON document, each field it leaves out at
+        its default; a field that is unknown or of the wrong type, a
+        tolerance key that no check reads and an empty list raise QybeError."""
         if type(doc) is not dict:
             raise QybeError(f"a config is a JSON object, got {doc!r}")
+        unknown = sorted(set(doc) - set(CONFIG_FIELDS))
+        if unknown:
+            raise QybeError(f"config fields {unknown} are not among {sorted(CONFIG_FIELDS)}")
         for key, (what, valid) in CONFIG_FIELDS.items():
             if key in doc and not valid(doc[key]):
                 raise QybeError(f"config field {key!r} must be {what}, got {doc[key]!r}")
-        return RunConfig(
-            algebra=doc.get("algebra", SLQ2),
-            q=complex(*doc.get("q", [1.3, 0.0])),
-            a=complex(*doc.get("a", [1.0, 0.0])),
-            r_list=tuple(doc.get("r_list", [2, 3])),
-            n_list=tuple(doc.get("n_list", [2])),
-            seed=int(doc.get("seed", 42)),
-            outdir=doc.get("outdir", "qybe-out"),
-            tolerances=doc.get("tolerances", {}),
-        )
+        unknown = sorted(set(doc.get("tolerances", {})) - {key for key, _, _ in CHECKS.values()})
+        if unknown:
+            raise QybeError(f"no check reads the tolerances {unknown}")
+        convert = {"q": lambda v: complex(*v), "a": lambda v: complex(*v),
+                   "r_list": tuple, "n_list": tuple}
+        return RunConfig(**{key: convert.get(key, lambda v: v)(value)
+                            for key, value in doc.items()})
 
 
 def _numbers(v, count=None, kinds=(int, float)):
@@ -248,8 +249,8 @@ CONFIG_FIELDS = {
     "algebra": ("a string", lambda v: type(v) is str),
     "q": ("[re, im]", lambda v: _numbers(v, 2)),
     "a": ("[re, im]", lambda v: _numbers(v, 2)),
-    "r_list": ("a list of integers", lambda v: _numbers(v, kinds=(int,))),
-    "n_list": ("a list of integers", lambda v: _numbers(v, kinds=(int,))),
+    "r_list": ("a non-empty list of integers", lambda v: _numbers(v, kinds=(int,)) and v != []),
+    "n_list": ("a non-empty list of integers", lambda v: _numbers(v, kinds=(int,)) and v != []),
     "seed": ("an integer", lambda v: type(v) is int),
     "outdir": ("a string", lambda v: type(v) is str),
     "tolerances": ("an object of numbers", lambda v: type(v) is dict and _numbers(
@@ -314,9 +315,9 @@ class Report:
         return json.dumps(self.to_json(with_timings=False), sort_keys=True)
 
 
-def random_points(rng, count, guards=(), min_dist=0.05):
+def random_points(rng, count, guards=()):
     """Sample spectral points u in the box |Re u| < 1, |Im u| < 0.2,
-    rejecting any within min_dist of a guard point (poles of the coefficient
+    rejecting any within 0.05 of a guard point (poles of the coefficient
     functions)."""
     out = []
     while len(out) < count:
@@ -325,7 +326,7 @@ def random_points(rng, count, guards=(), min_dist=0.05):
         # round is all kept, so no candidate past the count-th is drawn
         cand = rng.uniform((-1.0, -0.2), (1.0, 0.2), size=(count - len(out), 2))
         u = cand[:, 0] + 1j * cand[:, 1]
-        keep = np.all(np.abs(np.subtract.outer(u, guards)) > min_dist, axis=1)
+        keep = np.all(np.abs(np.subtract.outer(u, guards)) > 0.05, axis=1)
         out += [complex(x, y) for x, y in cand[keep]]
     return out
 
@@ -536,18 +537,22 @@ def _transfer_commutation(ctx, rng, inputs):
     pts = random_points(rng, 4, guards=family_guards(dfam))
     t = [chains.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
     # per sector, the stack T of the four blocks: T[a] T[b] X against
-    # T[b] T[a] X for every ordered pair (a, b), by broadcasting
+    # T[b] T[a] X for each of the six pairs a < b (a pair with itself
+    # commutes, and (b, a) is the negation of (a, b))
     stacks = [np.stack(blocks) for blocks in zip(*t)]
+    pairs = np.triu_indices(len(pts), 1)
 
-    def side(swapped):
+    def side(first, second):
         def product(X):
-            Y = np.empty((len(pts),) * 2 + X.shape, dtype=complex)
+            Y = np.empty((len(first),) + X.shape, dtype=complex)
             for s, T in zip(spec.sectors, stacks):
-                Y[..., s, :] = T @ (T[:, None] @ X[s]) if swapped else T[:, None] @ (T @ X[s])
+                TX = T @ X[s]
+                for k, (a, b) in enumerate(zip(first, second)):
+                    Y[k, s] = T[a] @ TX[b]
             return Y
         return product
 
-    return probed_residual(side(False), side(True), spec.sectors, rng)
+    return probed_residual(side(*pairs), side(*pairs[::-1]), spec.sectors, rng)
 
 
 def _hamiltonian_routes(ctx, rng, inputs):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qybe import DeformParams, OSPQ12, SLQ2, build_irrep, cgc_table
-from qybe.rmatrix import PROBES
+from qybe.rmatrix import PROBES, sector_residual
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,27 @@ def pair_table(algebra, r, params=None):
     """The coupling table of V^r (x) V^r."""
     rep = build_irrep(algebra, r, params or params_for(algebra))
     return cgc_table(rep, rep)
+
+
+def sample_points(rng, count, guards=(), min_dist=0.05):
+    """`count` points of the box |Re u| < 1, |Im u| < 0.2, drawn one (Re, Im)
+    pair at a time, rejecting any within min_dist of a guard: at the
+    default min_dist, the points and draws of `toolkit.random_points`."""
+    out = []
+    while len(out) < count:
+        u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
+        if all(abs(u - g) > min_dist for g in guards):
+            out.append(u)
+    return out
+
+
+def noncheck_ybe(fam, u, w, rng):
+    """The probed residual of A12 B13 C23 = C23 B13 A12, A = R(u),
+    B = R(u+w), C = R(w) the non-check matrices of `fam`, the 1-3 leg
+    embedded through graded permutations, on three sites of the family."""
+    A, B, C = (fam.noncheck(x) for x in (u, u + w, w))
+    return sector_residual([(A, (0, 1)), (B, (0, 2)), (C, (1, 2))],
+                           [(C, (1, 2)), (B, (0, 2)), (A, (0, 1))], [fam.site] * 3, rng)
 
 
 def blockwise_probes(sectors, rng):

@@ -41,7 +41,7 @@ from qybe.fusion import f_product
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.rmatrix import intertwining_residual, rel_residual
 from qybe.toolkit import RunConfig, family_guards, random_points, verify_all
-from conftest import params_for, pair_table
+from conftest import pair_table, params_for, sample_points
 
 Q = 1.3
 
@@ -64,7 +64,7 @@ def test_criterion_01_hecke_ybe_suite():
                     [(u, w) for u in pts[:3] for w in pts[3:8]]
             pairs = pairs[:20]
             for u, w in pairs:
-                res = ybe_residual(fam, u, w, form="check")
+                res = ybe_residual(fam, u, w)
                 worst_by_dim = max(worst_by_dim, res / (r ** 3))
     report(1, "baxterized family YBE, both algebras, r in 2..5",
            worst_by_dim, 1e-12)
@@ -106,7 +106,7 @@ def test_criterion_04_fixtures():
     for k, fam in fams.items():
         pts = random_points(rng, 8)
         for u, w in zip(pts[:4], pts[4:]):
-            worst_ybe = max(worst_ybe, ybe_residual(fam, u, w, form="check"))
+            worst_ybe = max(worst_ybe, ybe_residual(fam, u, w))
     report(4, "three spin-1 solutions satisfy the YBE", worst_ybe, 1e-9)
     worst_braid = 0.0
     for sign in (+1, -1):
@@ -180,8 +180,8 @@ def test_criterion_06_fusion_cross_check():
     p = params_for(SLQ2)
     fam = descendant_family(composite_space(hecke_family(pair_table(SLQ2, 3, p)), n=2))
     guards = family_guards(fam)
-    pts = random_points(rng, 4, guards=guards, min_dist=0.1)
-    worst_ybe = max(ybe_residual(fam, u, w, form="check")
+    pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
+    worst_ybe = max(ybe_residual(fam, u, w)
                     for u in pts[:2] for w in pts[2:]
                     if all(abs(u + w - g) > 0.06 for g in guards))
     report(6, "fused solution YBE on the 512-dimensional triple space",
@@ -261,7 +261,7 @@ def test_criterion_09_chain_suite():
     for N in (2, 3):
         spec = ChainSpec(whole, N)
         dim = U.dim ** N
-        pts = random_points(rng, 10, guards=family_guards(fam), min_dist=0.1)
+        pts = sample_points(rng, 10, guards=family_guards(fam), min_dist=0.1)
         taus = [transfer_matrix(spec, fam.noncheck(x))[0] for x in pts]
         worst = 0.0
         for k in range(5):
@@ -287,7 +287,7 @@ def test_criterion_09_chain_suite():
                     rel_residual(H @ pair.H, pair.H @ H))
     report(9, "bond terms commute with the algebra action on two cells",
            worst_inv, 1e-9)
-    u = random_points(rng, 1, guards=family_guards(fam), min_dist=0.1)[0]
+    u = sample_points(rng, 1, guards=family_guards(fam), min_dist=0.1)[0]
     tau = transfer_matrix(spec, fam.noncheck(u))[0]
     report(9, "Hamiltonian commutes with the transfer matrix",
            rel_residual(H @ tau, tau @ H), 1e-8)

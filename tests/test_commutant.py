@@ -31,7 +31,7 @@ from qybe.commutant import (
 from qybe.coupling import product_weights, weight_sectors
 from qybe.repspace import ladder_weights, nfold_coproduct
 from qybe.toolkit import family_guards, random_points
-from conftest import params_for, pair_table
+from conftest import pair_table, params_for, sample_points
 
 
 def test_elementary_ops_count_and_composition(params_sl, rng):
@@ -133,7 +133,7 @@ def test_descendant_samples_are_members(params_sl, rng):
     nb = commutant_nullspace(U, 2)
     cb, _ = constraint_system(U, 2)
     fam = descendant_family(U)
-    for u in random_points(rng, 3, guards=family_guards(fam), min_dist=0.1):
+    for u in sample_points(rng, 3, guards=family_guards(fam), min_dist=0.1):
         for basis in (nb, cb):
             ok, coef, resid = membership(fam.check_fn(u), basis)
             assert ok and resid < 1e-9

@@ -33,16 +33,7 @@ from qybe.fusion import (
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.qarith import DESK_BOUND
 from qybe.rmatrix import r33_family, rel_residual
-from conftest import params_for, pair_table
-
-
-def sample_points(rng, count, guards, box=(-1, 1, -0.2, 0.2), min_dist=0.06):
-    out = []
-    while len(out) < count:
-        u = complex(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
-        if all(abs(u - g) > min_dist for g in guards):
-            out.append(u)
-    return out
+from conftest import pair_table, params_for, sample_points
 
 
 def desc_guards(rep, params):
@@ -214,7 +205,7 @@ def test_descendant_product_equals_closed(algebra, r, rng):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    pts = sample_points(rng, 6, guards=desc_guards(rep, p))
+    pts = sample_points(rng, 6, guards=desc_guards(rep, p), min_dist=0.06)
     worst = 0.0
     for u in pts:
         A = descendant_r_closed(U, u)
@@ -243,7 +234,7 @@ def test_stacked_descendant_product_equals_the_product_per_point(algebra, r, rng
     rep = build_irrep(algebra, r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     u0 = U.hecke.u0
-    pts = sample_points(rng, 4, guards=desc_guards(rep, p)) + [u0 + 1e-8]
+    pts = sample_points(rng, 4, guards=desc_guards(rep, p), min_dist=0.06) + [u0 + 1e-8]
     stacked = descendant_r_product(U, pts)
     assert stacked.shape == (5, U.dim ** 2, U.dim ** 2)
     for u, B in zip(pts[:4], stacked):
@@ -304,7 +295,7 @@ def test_descendant_invariance(algebra, r, rng):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     pair = nfold_coproduct(algebra, [U.gens] * 2, p.q)
-    u = sample_points(rng, 1, guards=fam_guards(rep, p))[0]
+    u = sample_points(rng, 1, guards=fam_guards(rep, p), min_dist=0.06)[0]
     R = fam.check_fn(u)
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
@@ -316,7 +307,7 @@ def test_descendant_ybe_r2(params_sl, rng):
     fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
-    worst = max(ybe_residual(fam, u, w, form="check")
+    worst = max(ybe_residual(fam, u, w)
                 for u in pts[:2] for w in pts[2:]
                 if all(abs(u + w - g) > 0.06 for g in guards))
     assert worst < 1e-9
@@ -330,7 +321,7 @@ def test_descendant_ybe_r3_512(params_sl, rng):
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
     pairs = [(u, w) for u in pts[:2] for w in pts[2:]
              if all(abs(u + w - g) > 0.06 for g in guards)]
-    worst = max(ybe_residual(fam, u, w, form="check") for u, w in pairs)
+    worst = max(ybe_residual(fam, u, w) for u, w in pairs)
     assert worst < 1e-9
 
 
@@ -341,7 +332,7 @@ def test_descendant_ybe_osp_r3(params_osp, rng):
     pts = sample_points(rng, 2, guards=guards, min_dist=0.1)
     u, w = pts
     if all(abs(u + w - g) > 0.06 for g in guards):
-        assert ybe_residual(fam, u, w, form="check") < 1e-9
+        assert ybe_residual(fam, u, w) < 1e-9
 
 
 def test_descendant_r2_matches_fixture1(params_sl, rng):
@@ -382,7 +373,7 @@ def test_extended_lax_rll(r, n, params_sl, rng):
     rep = build_irrep(SLQ2, r, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
     U = composite_space(fam, n=n)
-    u, w = sample_points(rng, 2, guards=(-fam.u0,))
+    u, w = sample_points(rng, 2, guards=(-fam.u0,), min_dist=0.06)
     L13 = extended_lax(U, u)
     L23 = extended_lax(U, w)
     Rm = fam.swap @ fam.check_fn(u - w)
@@ -479,7 +470,7 @@ def test_extended_lax_closed_form(r, n, params_sl, rng):
     evaluate, scale, fit_resid = extended_lax_closed(U)
     assert fit_resid < 1e-10
     fam = U.hecke
-    pts = sample_points(rng, 20, guards=(-fam.u0,))
+    pts = sample_points(rng, 20, guards=(-fam.u0,), min_dist=0.06)
     worst = 0.0
     for u in pts:
         A = evaluate(u)

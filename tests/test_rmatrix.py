@@ -28,16 +28,7 @@ from qybe.coupling import product_sectors, product_weights, projector
 from qybe.repspace import Site, block_index, embed_at, perm_matrix
 from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
-from conftest import blockwise_probes, params_for, pair_table
-
-
-def sample_points(rng, count, guards, box=(-1, 1, -0.2, 0.2), min_dist=0.05):
-    out = []
-    while len(out) < count:
-        u = complex(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
-        if all(abs(u - g) > min_dist for g in guards):
-            out.append(u)
-    return out
+from conftest import blockwise_probes, noncheck_ybe, pair_table, params_for, sample_points
 
 
 def test_hecke_f_zero():
@@ -118,7 +109,7 @@ def test_hecke_ybe(algebra, r, rng):
     p = params_for(algebra)
     fam = hecke_family(pair_table(algebra, r, p))
     pts = sample_points(rng, 6, guards=(-fam.u0,))
-    worst = max(ybe_residual(fam, u, w, form="check")
+    worst = max(ybe_residual(fam, u, w)
                 for u in pts[:3] for w in pts[3:])
     assert worst < r ** 3 * 1e-12
 
@@ -166,7 +157,7 @@ def test_fixture_normalization(kind, params_sl):
 def test_fixture_ybe(kind, params_sl, rng):
     fam = r33_family(kind, pair_table(SLQ2, 3, params_sl))
     pts = sample_points(rng, 6, guards=())
-    worst = max(ybe_residual(fam, u, w, form="check")
+    worst = max(ybe_residual(fam, u, w)
                 for u in pts[:3] for w in pts[3:])
     assert worst < 1e-9
 
@@ -348,7 +339,7 @@ def test_stacked_ybe_equals_the_largest_dense_pair_residual(build, rng):
     us, ws = np.array([(u, w) for u in pts[:3] for w in pts[3:]
                        if all(abs(u + w - g) > 0.1 for g in guards)]).T
     dense = [_dense_check_ybe(fam, u, w) for u, w in zip(us, ws)]
-    probe = lambda u, w: ybe_residual(fam, u, w, form="check", rng=np.random.default_rng(0))
+    probe = lambda u, w: ybe_residual(fam, u, w, rng=np.random.default_rng(0))
     stacked = probe(us, ws)
     r = fam.dim
     assert stacked < r ** 3 * 1e-12
@@ -489,7 +480,7 @@ def test_sector_residual_refuses_an_entry_between_sectors(rng):
 
 def test_ybe_trivial_at_zero(params_osp):
     fam = hecke_family(pair_table(OSPQ12, 3, params_osp))
-    assert ybe_residual(fam, 0.0, 0.0, form="check") < 1e-13
+    assert ybe_residual(fam, 0.0, 0.0) < 1e-13
 
 
 def test_ybe_negative_control(params_sl):
@@ -497,7 +488,7 @@ def test_ybe_negative_control(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
     fam = hecke_family(cgc_table(rep, rep), chi=chi)
-    res = ybe_residual(fam, 0.7, -0.3, form="check")
+    res = ybe_residual(fam, 0.7, -0.3)
     assert res > 1e-4
 
 
@@ -506,14 +497,14 @@ def test_ybe_noncheck_negative_control(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
     fam = hecke_family(cgc_table(rep, rep), chi=chi)
-    assert ybe_residual(fam, 0.7, -0.3, form="noncheck") > 1e-4
+    assert noncheck_ybe(fam, 0.7, -0.3, np.random.default_rng(42)) > 1e-4
 
 
 def test_ybe_noncheck_graded(params_osp, rng):
     rep = build_irrep(OSPQ12, 3, params_osp)
     fam = hecke_family(cgc_table(rep, rep))
     pts = sample_points(rng, 4, guards=(-fam.u0,))
-    worst = max(ybe_residual(fam, u, w, form="noncheck")
+    worst = max(noncheck_ybe(fam, u, w, np.random.default_rng(42))
                 for u in pts[:2] for w in pts[2:])
     assert worst < 1e-11
 

@@ -96,8 +96,7 @@ def test_moved_lists_each_changed_value_old_to_new():
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_seed42_outputs_are_pinned(argv, tmp_path, monkeypatch):
-    monkeypatch.delenv("QYBE_OUT", raising=False)
+def test_seed42_outputs_are_pinned(argv, tmp_path):
     pins = json.loads(PINS.read_text())
     assert outputs(argv, tmp_path) == pins[" ".join(argv)]
 
@@ -105,7 +104,6 @@ def test_seed42_outputs_are_pinned(argv, tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("QYBE_OUT", None)
     pins = {}
     for argv in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:

@@ -31,12 +31,12 @@ from qybe.coupling import product_sectors
 from qybe.rmatrix import f_slope, rel_residual
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.spinchain import bond_expansion_coefficients
-from qybe.toolkit import Context, RunConfig, family_guards, random_points
-from conftest import params_for, pair_table
+from qybe.toolkit import Context, RunConfig, family_guards
+from conftest import pair_table, params_for, sample_points
 
 
 def chain_points(rng, count, fam):
-    return random_points(rng, count, guards=family_guards(fam), min_dist=0.1)
+    return sample_points(rng, count, guards=family_guards(fam), min_dist=0.1)
 
 
 def plain(parities):
@@ -182,23 +182,13 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     assert rel_residual(H @ tau, tau @ H) < 1e-8
 
 
-def test_hamiltonian_step_halving(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
-    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    fam = descendant_family(U)
-    spec = whole(ChainSpec(U.site, 3))
-    H1 = hamiltonian_log_derivative(spec, fam, step=1e-5)[0]
-    H2 = hamiltonian_log_derivative(spec, fam, step=5e-6)[0]
-    assert rel_residual(H1, H2) < 1e-6
-
-
 def test_hecke_chain_locality(params_sl, rng):
     # N = 3 fundamental chain: the log-derivative Hamiltonian is a sum of
     # two-site terms, so it commutes with single-site operators two sites away
     rep = build_irrep(SLQ2, 2, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
     spec = ChainSpec(plain((0, 0)), 3)
-    H = hamiltonian_log_derivative(spec, fam, point=0.0)[0]
+    H = hamiltonian_log_derivative(spec, fam)[0]
     # bond terms on (0,1),(1,2),(2,0) wrap the ring; any single-site operator
     # commutes with the one bond not touching it, so check the bond split:
     # H reconstructs from two-site blocks fitted on each pair
@@ -457,8 +447,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
 
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec(U.site, 2)),
-                              cluster_tol=1e-6)
+    vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec(U.site, 2)))
     chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
     dims = sorted(b.r for b in decompose(chain, params_sl).blocks)
     reachable = {0}

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -33,7 +34,7 @@ from qybe.toolkit import (
 from qybe import cli, commutant, coupling, fusion, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
 from qybe.repspace import embed_at
-from conftest import blockwise_probes, params_for, pair_table
+from conftest import blockwise_probes, noncheck_ybe, pair_table, params_for, sample_points
 
 
 def random_op(rng, n=8):
@@ -167,7 +168,7 @@ def test_fixture_roundtrip_preserves_ybe(rng):
     I3 = np.eye(3)
     lhs = np.kron(ops[u], I3) @ np.kron(I3, ops[u + w]) @ np.kron(ops[w], I3)
     rhs = np.kron(I3, ops[w]) @ np.kron(ops[u + w], I3) @ np.kron(I3, ops[u])
-    direct = ybe_residual(fam, u, w, form="check")
+    direct = ybe_residual(fam, u, w)
     reloaded = np.abs(lhs - rhs).max() / max(1.0, np.abs(lhs).max())
     assert abs(direct - reloaded) < 1e-12
 
@@ -388,6 +389,58 @@ def test_cli_malformed_config_exits_1(text, tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("doc, error", [
+    ({"r_lst": [7]}, "config fields ['r_lst'] are not among"),
+    ({"tolerances": {"ybe": 1e-10, "ybee": 5}}, "no check reads the tolerances ['ybee']"),
+    ({"r_list": []}, "'r_list' must be a non-empty list of integers"),
+    ({"n_list": []}, "'n_list' must be a non-empty list of integers"),
+])
+def test_cli_refuses_config_settings_that_nothing_reads(doc, error, tmp_path, capsys):
+    # a key no field has, a tolerance no check reads and an empty list end
+    # like any other bad config, not in a run that drops them
+    config, out = tmp_path / "c.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    assert cli_dispatch(["--config", str(config), "--out", str(out), "hecke"]) == 1
+    assert error in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"] == {"total": 1, "passed": 0, "failed": 1}
+    assert error in report["checks"][0]["error"]
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+def _subcommands():
+    """Each subcommand's parser by name."""
+    return next(a for a in cli._parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(parser):
+    """The option strings of a subcommand's parser, help aside, in order."""
+    return [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_cli_subcommands_refuse_the_flags_they_do_not_read(command, tmp_path, capsys):
+    # a flag the command does not read is a usage error, as is --r or --n
+    # without a value; nothing is written
+    own = _flags(_subcommands()[command])
+    argvs = [[command, flag, "2"] for flag in ("--r", "--n", "--u", "--ui") if flag not in own]
+    argvs += [[command, flag] for flag in ("--r", "--n") if flag in own]
+    assert argvs
+    for argv in argvs:
+        assert cli_dispatch(["--out", str(tmp_path / "out")] + argv) == 2, argv
+        assert "usage: qybe" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_subcommand_table_lists_each_parser_flag():
+    # the flags column of each row is the subcommand's own option strings
+    rows = [line.split("|") for line in _readme_section("Command line").splitlines()
+            if line.startswith("| `")]
+    table = {cells[1].strip().strip("`"): re.findall(r"--[\w-]+", cells[2]) for cells in rows}
+    assert table == {name: _flags(sp) for name, sp in _subcommands().items()}
+
+
 def test_cli_flags_override_config(tmp_path, monkeypatch):
     # a flag given on the command line overrides the file's field, and the
     # file's value stands for each flag left out
@@ -462,30 +515,31 @@ def test_rel_residual_of_stacks_is_the_largest_per_stacked_pair(rng):
     assert np.isnan(rmatrix.rel_residual(A, B))
 
 
-def _random_points_by_loop(rng, count, guards, min_dist):
-    # one candidate at a time, as (Re, Im) draws: the oracle of the draws
-    out = []
-    while len(out) < count:
-        u = complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.2, 0.2))
-        if all(abs(u - g) > min_dist for g in guards):
-            out.append(u)
-    return out
+def _guard_cloud(centres, radius):
+    """The centres and each point of a grid of spacing 0.05 over the
+    sampling box that lies within radius - 0.05 of one: the discs of radius
+    0.05 that `random_points` keeps clear of them cover the discs of
+    `radius` around the centres."""
+    grid = [complex(x / 20, y / 20) for x in range(-20, 21) for y in range(-4, 5)]
+    return tuple(centres) + tuple(g for g in grid if any(abs(g - c) < radius - 0.05
+                                                          for c in centres))
 
 
-@pytest.mark.parametrize("count, guards, min_dist", [
+@pytest.mark.parametrize("count, guards, radius", [
     (5, (), 0.05),
     (400, (-0.3 + 0.1j,), 0.05),
-    (7, (0.0, 0.4, -0.4), 0.3),   # rejects about two candidates in five
+    (7, (0.0, 0.4, -0.4), 0.3),   # rejects about three candidates in five
     (3, (0.2j,), 0.9),            # rejects most candidates, over several rounds
     (0, (0.0,), 0.05),
 ])
-def test_random_points_draws_as_one_candidate_at_a_time(count, guards, min_dist):
-    # the same points, and the generator left in the same state, so every
-    # later draw of a report is unchanged
+def test_random_points_draws_as_one_candidate_at_a_time(count, guards, radius):
+    # the same points as one (Re, Im) draw per candidate, and the generator
+    # left in the same state, so every later draw of a report is unchanged
+    cloud = _guard_cloud(guards, radius)
     for seed in range(20):
         loop, rounds = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = _random_points_by_loop(loop, count, guards, min_dist)
-        got = toolkit.random_points(rounds, count, guards=guards, min_dist=min_dist)
+        want = sample_points(loop, count, cloud)
+        got = toolkit.random_points(rounds, count, guards=cloud)
         assert got == want and all(type(u) is complex for u in got)
         assert rounds.bit_generator.state == loop.bit_generator.state
 
@@ -524,7 +578,8 @@ def _probe_and_dense(kind, algebra, r, seed):
     if kind in ("ybe-check", "ybe-noncheck"):
         fam, form = ctx.hecke(r), kind[4:]
         u, w = toolkit.random_points(points, 2, guards=toolkit.family_guards(fam))
-        return ybe_residual(fam, u, w, form=form, rng=rng), _dense_ybe(fam, u, w, form)
+        probe = ybe_residual(fam, u, w, rng=rng) if form == "check" else noncheck_ybe(fam, u, w, rng)
+        return probe, _dense_ybe(fam, u, w, form)
     if kind == "lax-rll":
         U = ctx.composite(r, 2)
         u, w = toolkit.random_points(points, 2, guards=(-U.hecke.u0,))
@@ -753,13 +808,6 @@ def test_cli_export(tmp_path):
     ])
     assert code == 0
     assert (tmp_path / "export_hecke_slq2_r3.json").exists()
-
-
-def test_cli_outdir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QYBE_OUT", str(tmp_path / "envdir"))
-    code = cli_dispatch(["--algebra", "slq2", "hecke", "--r", "2", "--u", "0"])
-    assert code == 0
-    assert (tmp_path / "envdir" / "report.json").exists()
 
 
 SUBCOMMANDS = {
