@@ -31,7 +31,6 @@ from .coupling import (
     cgc_table,
     chi_closed,
     chi_factor,
-    coupled_basis,
     projector,
     tensor_decompose,
 )
@@ -42,7 +41,6 @@ from .rmatrix import (
     mixed_braid_check,
     r33_family,
     sector_residual,
-    spectral_decompose,
     u0_point,
     universal_r,
     ybe_residual,
@@ -50,18 +48,15 @@ from .rmatrix import (
 from .fusion import (
     CompositeSpace,
     composite_space,
-    composite_states,
     descendant_family,
     descendant_r_closed,
     descendant_r_product,
     dims_recurrence,
     extended_lax,
-    extended_lax_closed,
 )
 from .spinchain import (
     ChainSpec,
     chain_bond,
-    coupled_matrix_elements,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
     spectrum,
@@ -69,11 +64,8 @@ from .spinchain import (
 )
 from .commutant import (
     CommutantBasis,
-    ElementaryOp,
     commutant_nullspace,
     constraint_system,
-    elementary_ops,
-    membership,
     principal_angles,
 )
 from .toolkit import (

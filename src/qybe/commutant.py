@@ -35,40 +35,6 @@ from .coupling import product_weights, weight_sectors
 
 
 @dataclass
-class ElementaryOp:
-    """|target><source| between two ladder states of a composite space."""
-
-    source: tuple  # (block index, spin j, weight i)
-    target: tuple
-    dim: int
-    row: int
-    col: int
-
-    def matrix(self):
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[self.row, self.col] = 1.0
-        return m
-
-
-def elementary_ops(U):
-    """Complete basis of dim(U)^2 elementary operators on the block
-    coordinates of a composite space."""
-    dec = U.decomposition
-    states = []
-    for bi, b in enumerate(dec.blocks):
-        jb = (b.r - 1) / 2.0
-        for k, col in enumerate(b.cols):
-            states.append((bi, jb, jb - k, col))
-    ops = []
-    for tgt in states:
-        for src in states:
-            ops.append(ElementaryOp(
-                source=src[:3], target=tgt[:3], dim=U.dim, row=tgt[3], col=src[3],
-            ))
-    return ops
-
-
-@dataclass
 class CommutantBasis:
     """Orthonormal basis of the operators commuting with the n-fold coproduct
     action on U^(x n), stored as vectorized matrices (columns, row-major)."""
@@ -81,10 +47,6 @@ class CommutantBasis:
     @property
     def dim(self):
         return self.vectors.shape[1]
-
-    def matrices(self):
-        d = self.dim_space ** self.n
-        return [self.vectors[:, k].reshape(d, d) for k in range(self.dim)]
 
 
 def _refuse_over_budget(sectors):
@@ -370,13 +332,3 @@ def principal_angles(basis_a, basis_b):
     resid = qb - qa @ (qa.conj().T @ qb)
     sines = np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0)
     return np.sort(np.arcsin(sines))
-
-
-def membership(op, basis):
-    """Least-squares expansion of an operator over a commutant basis.
-    Returns (is_member, coefficients, residual); a member's residual is
-    below 1e-8."""
-    v = np.asarray(op).reshape(-1)
-    coef, *_ = np.linalg.lstsq(basis.vectors, v, rcond=None)
-    resid = np.abs(basis.vectors @ coef - v).max() / max(1.0, np.abs(v).max())
-    return bool(resid < 1e-8), coef, float(resid)

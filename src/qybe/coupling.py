@@ -8,8 +8,8 @@ textbook generator matrix elements.
 Dual coefficients come from the exact matrix inverse of the basis, which makes
 the biorthogonality relation hold to machine precision by construction; the
 per-state norms are measured in the propagated invariant metric.
-`cgc_table` takes a pair of irreps; `projector`, `chi_factor` and
-`coupled_basis` take the table, so one table of V^r (x) V^r serves all.
+`cgc_table` takes a pair of irreps; `projector` and `chi_factor` take the
+table, so one table of V^r (x) V^r serves both.
 
 The total-weight sectors of product states (`product_sectors`) and the
 guard `check_sectors`, which refuses an operator with an entry between
@@ -24,11 +24,9 @@ import numpy as np
 from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
     Irrep,
-    RepLike,
     casimir_matrix,
     casimir_value,
     coproduct_pair,
-    graded_kron_raw,
     invariant_metric,
     ladder_coefficients,
     ladder_weights,
@@ -253,28 +251,6 @@ class CouplingTable:
     def targets(self):
         return sorted(b.r for b in self.decomposition.blocks)
 
-    def _flat(self, i1, i2):
-        k1 = int(round(self.rep1.ladder_j - i1))
-        k2 = int(round(self.rep2.ladder_j - i2))
-        if not (0 <= k1 < self.rep1.r and 0 <= k2 < self.rep2.r):
-            raise QybeError(f"weights ({i1},{i2}) outside the ladders")
-        return k1 * self.rep2.r + k2
-
-    def _col(self, r0, i):
-        for b in self.decomposition.blocks:
-            if b.r == r0:
-                k = int(round((r0 - 1) / 2.0 - i))
-                if not 0 <= k < r0:
-                    raise QybeError(f"weight {i} outside target ladder {r0}")
-                return b.start + k
-        raise QybeError(f"target dimension {r0} not in the decomposition")
-
-    def coefficient(self, r0, i1, i2):
-        return complex(self.decomposition.basis[self._flat(i1, i2), self._col(r0, i1 + i2)])
-
-    def inverse_coefficient(self, r0, i1, i2):
-        return complex(self.decomposition.dual[self._col(r0, i1 + i2), self._flat(i1, i2)])
-
 
 def cgc_table(rep1, rep2):
     """Coupling table for a pair of irreps of the same algebra."""
@@ -325,17 +301,6 @@ def casimir_projector(rep1, rep2, r0):
     return out
 
 
-def chi_quartic(table, t):
-    """Quartic coefficient product C Cbar C Cbar at opposite weights (t, -t)
-    in the singlet block; t-independent for a consistent table."""
-    return (
-        table.coefficient(1, t, -t)
-        * table.inverse_coefficient(1, t, -t)
-        * table.coefficient(1, -t, t)
-        * table.inverse_coefficient(1, -t, t)
-    )
-
-
 def chi_closed(algebra, r, q):
     """Closed form of the triple-overlap scalar: 1/[r]^2 at base i*sqrt(q)
     for the graded algebra, 1/[r]_q^2 for sl_q(2)."""
@@ -360,78 +325,3 @@ def chi_factor(table):
     if resid > 1e-8:
         raise QybeError(f"projector product not proportional to P1 (residual {resid:.2e})")
     return complex(chi)
-
-
-@dataclass
-class CoupledBasis:
-    """Iterated pair coupling of four like factors bracketed ((1,2),(3,4)).
-
-    Column c is the state |j12, j34; J, i> with labels[c] = (j12, j34, J, i);
-    dual rows give the matching bra family.  sectors maps a pair of pair-block
-    dimensions to its inner coupling data (used by the table-only evaluation
-    of bond matrix elements)."""
-
-    labels: list
-    basis: np.ndarray
-    dual: np.ndarray
-    eps: np.ndarray
-    metric: np.ndarray
-    sectors: dict
-
-
-def _block_replike(algebra, dec, pair_gens, block):
-    cols = list(block.cols)
-    return RepLike(
-        algebra,
-        pair_gens.E[np.ix_(cols, cols)],
-        pair_gens.F[np.ix_(cols, cols)],
-        pair_gens.H[np.ix_(cols, cols)],
-        dec.parities[cols],
-    )
-
-
-def coupled_basis(table):
-    """Four-factor coupled basis |j12, j34; J, i> for (V^r)^(x4), from the
-    coupling table of V^r (x) V^r.
-
-    Pair blocks are coupled with their measured ladder data (an embedded
-    block can carry the opposite parity convention to a standalone irrep,
-    e.g. an odd pair singlet), so the sector couplings are rebuilt from the
-    block generators rather than from standard tables."""
-    rep, params = table.rep1, table.rep1.params
-    dec = table.decomposition
-    d2 = rep.r ** 2
-    pair_co = coproduct_pair(rep.algebra, rep, rep, params.q)
-    gens = RepLike(rep.algebra, dec.dual @ pair_co.E @ dec.basis,
-                   dec.dual @ pair_co.F @ dec.basis,
-                   dec.dual @ pair_co.H @ dec.basis, dec.parities)
-    pprod = (np.add.outer(np.asarray(rep.parities), np.asarray(rep.parities)) % 2).reshape(-1)
-    B1 = graded_kron_raw(dec.basis, dec.basis, dec.parities, pprod, dec.parities, pprod)
-    total = np.zeros((d2 * d2, d2 * d2), dtype=complex)
-    labels = []
-    sectors = {}
-    for ai, bA in enumerate(dec.blocks):
-        Alike = _block_replike(rep.algebra, dec, gens, bA)
-        for bi, bB in enumerate(dec.blocks):
-            Blike = _block_replike(rep.algebra, dec, gens, bB)
-            sector = decompose(coproduct_pair(rep.algebra, Alike, Blike, params.q), params)
-            sectors[(ai, bi)] = (bA, bB, sector)
-            rows = [cA * d2 + cB for cA in bA.cols for cB in bB.cols]
-            for bT in sector.blocks:
-                for k, col in enumerate(bT.cols):
-                    vec = np.zeros(d2 * d2, dtype=complex)
-                    vec[rows] = sector.basis[:, col]
-                    total[:, len(labels)] = vec
-                    labels.append((
-                        (bA.r - 1) / 2.0,
-                        (bB.r - 1) / 2.0,
-                        (bT.r - 1) / 2.0,
-                        (bT.r - 1) / 2.0 - k,
-                    ))
-    basis = B1 @ total
-    dual = np.linalg.inv(basis)
-    four = coproduct_pair(rep.algebra, pair_co, pair_co, params.q)
-    metric, _ = invariant_metric(four.E, four.F)
-    eps = np.array([basis[:, c] @ (metric * basis[:, c]) for c in range(basis.shape[1])])
-    return CoupledBasis(labels=labels, basis=basis, dual=dual, eps=eps,
-                        metric=metric, sectors=sectors)

@@ -4,13 +4,12 @@ Lax operators on V^r (x) U^{R_n}.
 
 Truncated spaces are realized concretely: U^{R_n} inside (V^r)^(x n) is the
 intersection of the kernels of all adjacent singlet projectors, which the
-step-by-step truncation cascade generates (the cascade product is kept as a
-cross-check; its image equals the kernel intersection and its rank equals the
-recurrence dimension).  Every singlet projector conserves the weight, so the
-kernel is found one weight sector of (V^r)^(x n) at a time, with one thin
-SVD of the sector's rows of the stacked projectors; its columns are
-weight-pure, and the highest-weight search of `decompose` reads, at each
-weight, only the columns at that weight.
+step-by-step truncation cascade generates.  Every singlet projector
+conserves the weight, so the kernel is found one weight sector of
+(V^r)^(x n) at a time, with one thin SVD of the sector's rows of the
+stacked projectors; its columns are weight-pure, and the highest-weight
+search of `decompose` reads, at each weight, only the columns at that
+weight.
 
 The closed descendant coefficients are evaluated as pole-free rationals in
 x = exp(2a(u-u0)), so the degeneration point u0 is an ordinary point of the
@@ -40,7 +39,6 @@ from .repspace import (
     apply_at,
     block_index,
     embed_at,
-    invariant_metric,
     ladder_weights,
     nfold_coproduct,
 )
@@ -50,10 +48,9 @@ from .coupling import (
     decompose,
     product_sectors,
     product_weights,
-    projector,
     weight_sectors,
 )
-from .rmatrix import SpectralRMatrix, hecke_f, u0_point
+from .rmatrix import SpectralRMatrix
 
 
 def dims_recurrence(r, n):
@@ -182,19 +179,6 @@ def adjacent_singlet_kernel(fam, n):
     return np.hstack(columns)
 
 
-def truncation_cascade(fam, n):
-    """Pairwise product of degenerate-point R-matrices of the Hecke family
-    over all factor pairs (the step-by-step truncation); its image spans
-    U^{R_n}."""
-    u0 = fam.u0
-    pars = [fam.site.parities] * n
-    out = np.eye(fam.dim ** n, dtype=complex)
-    for k in range(2, n + 1):
-        for p in range(1, k):
-            out = out @ embed_at(fam.noncheck((k - p) * u0), (k - 1, p - 1), pars)
-    return out
-
-
 def composite_space(fam, n):
     """Build U^{R_n} with block structure, embedding and compressed generators,
     cut out of (V^r)^(x n) by the Hecke family `fam` on V^r (x) V^r.
@@ -257,15 +241,6 @@ def _plain_placements(P1, r, pairs):
     # singlet is odd, and does not satisfy the composite triple identity)
     plain = [(0,) * r] * 4
     return [embed_at(P1, pair, plain) for pair in pairs]
-
-
-def _four_site_ops(table):
-    """(1 - P12)(1 - P34), P23 and P14 on (V^r)^(x4), P1 the table's singlet."""
-    r = table.rep1.r
-    P12, P34, P23, P14 = _plain_placements(projector(table, 1), r,
-                                           ((0, 1), (2, 3), (1, 2), (0, 3)))
-    I = np.eye(r ** 4)
-    return (I - P12) @ (I - P34), P23, P14
 
 
 def pair_cells(U):
@@ -364,27 +339,6 @@ def descendant_family(U):
     )
 
 
-def f_product(chi, a, n, u):
-    """prod_{k=1..n} f(u + (n-k) u0)."""
-    u0 = u0_point(chi, a)
-    out = complex(1.0)
-    for k in range(1, n + 1):
-        out *= hecke_f(u + (n - k) * u0, chi, a)
-    return out
-
-
-def f_product_by_recurrence(chi, a, n, u):
-    """Same product, but each factor after the first generated by the shift
-    recurrence f(u + u0) = -1 / (1 + chi f(u))."""
-    u0 = u0_point(chi, a)
-    f = hecke_f(u, chi, a)
-    out = f
-    for _ in range(n - 1):
-        f = -1.0 / (1.0 + chi * f)
-        out *= f
-    return out
-
-
 def lax_fits(r, n):
     """Whether the extended Lax operator on V^r (x) U^{R_n} is within the
     desk bound: its crossing train acts on (V^r)^(x(n+1))."""
@@ -413,84 +367,3 @@ def extended_lax(U, u=0.0):
             blk = blk @ (s * op[i])
         out[place] = blk @ cols
     return out
-
-
-def lax_lower_projector(U):
-    """Invariant projector onto the U^{R_{n-1}} component of V^r (x) U^{R_n},
-    complementary (in the invariant metric) to the embedded U^{R_{n+1}}."""
-    rep, n = U.rep, U.n
-    Tn1 = adjacent_singlet_kernel(U.hecke, n + 1)  # U^{R_{n+1}} in the ambient
-    if Tn1.shape[1] != dims_recurrence(rep.r, n + 1):
-        raise QybeError("upper component rank mismatch")
-    Efull = np.kron(np.eye(rep.r), U.embed)
-    co = nfold_coproduct(rep.algebra, [rep] * (n + 1), U.params.q)
-    md, res = invariant_metric(co.E, co.F)
-    if res > 1e-6:
-        raise QybeError("invariant metric inconsistent on the Lax space")
-    A = (md[:, None] * Tn1).T @ Efull
-    uu, ss, vv = np.linalg.svd(A)
-    rank = int(np.sum(ss > 1e-9 * max(1.0, ss.max())))
-    lower = vv.conj().T[:, rank:]  # metric-orthogonal to the upper component
-    if lower.shape[1] != dims_recurrence(rep.r, n - 1):
-        raise QybeError("lower component rank mismatch")
-    upper = np.linalg.lstsq(Efull, Tn1, rcond=None)[0]  # upper block in U-coords
-    W = np.hstack([upper, lower])
-    Winv = np.linalg.inv(W)
-    k = upper.shape[1]
-    return W[:, k:] @ Winv[k:, :]
-
-
-def extended_lax_closed(U):
-    """Two-projector closed form of the extended Lax operator on V^r (x) U.
-
-    Returns (evaluate, scale, fit_residual): evaluate(u) reproduces the train
-    product as L(0) (1 + scale * F_n(u) * P_lower), with the single scalar
-    fitted at the generic point u = 0.31 + 0.05i and F_n the shifted
-    f-product."""
-    fit_u = 0.31 + 0.05j
-    chi, a, n = U.hecke.chi, U.params.a, U.n
-    Plow = lax_lower_projector(U)
-    K0 = extended_lax(U, 0.0)
-    Lfit = extended_lax(U, fit_u)
-    M = np.linalg.inv(K0) @ Lfit - np.eye(K0.shape[0])
-    coef = np.vdot(Plow, M) / np.vdot(Plow, Plow)
-    resid = np.abs(M - coef * Plow).max() / max(1.0, np.abs(M).max())
-    scale = coef / f_product(chi, a, n, fit_u)
-
-    def evaluate(u):
-        return K0 @ (np.eye(K0.shape[0]) + scale * f_product(chi, a, n, u) * Plow)
-
-    return evaluate, complex(scale), float(resid)
-
-
-def composite_states(U):
-    """Normalized pair states of U = U^{r^2-1} induced from the product basis:
-    psi_(i,k) = (1 - P1)(v_i (x) v_k), written in composite-block coordinates
-    and normalized to unit invariant-metric norm.  One weight-zero pair is
-    linearly dependent on the rest and is dropped; the returned family spans
-    the whole composite space."""
-    _require_pair(U)
-    rep = U.rep
-    dec = U.decomposition
-    j = rep.ladder_j
-    states, labels = [], []
-    drop_done = False
-    for k1 in range(rep.r):
-        for k2 in range(rep.r):
-            i, k = j - k1, j - k2
-            flat = k1 * rep.r + k2
-            vec = np.zeros(rep.r ** 2, dtype=complex)
-            vec[flat] = 1.0
-            coords = U.project @ vec
-            if abs(i + k) < 1e-9 and not drop_done:
-                drop_done = True  # drop the first weight-zero pair
-                continue
-            nrm = coords @ (dec.eps * coords)
-            if abs(nrm) < 1e-12:
-                raise QybeError(f"pair state ({i},{k}) has null metric norm")
-            states.append(coords / np.sqrt(nrm + 0j))
-            labels.append((float(i), float(k)))
-    rank = np.linalg.matrix_rank(np.array(states).T, tol=1e-9)
-    if rank != U.dim or len(states) != rep.r ** 2 - 1:
-        raise QybeError(f"pair states span rank {rank}, expected {U.dim}")
-    return labels, np.array(states).T

@@ -16,7 +16,7 @@ and ladder weight of each state; the index kernels take its parities.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,16 +34,12 @@ from .qarith import (
 
 @dataclass(frozen=True)
 class Irrep:
-    """Irreducible representation data.
-
-    j is the algebra spin value ((r-1)/2 for sl_q(2), (r-1)/4 + shift/2 for
-    osp_q(1|2)); ladder_j = (r-1)/2 is the weight-ladder half-width used for
-    all index bookkeeping.
-    """
+    """Irreducible representation data: the generators E, F, H of the
+    r-dimensional ladder, the parity of each state and the Casimir
+    eigenvalue."""
 
     algebra: str
     r: int
-    j: complex
     E: np.ndarray
     F: np.ndarray
     H: np.ndarray
@@ -54,10 +50,6 @@ class Irrep:
     @property
     def dim(self):
         return self.r
-
-    @property
-    def ladder_j(self):
-        return (self.r - 1) / 2.0
 
     @cached_property
     def site(self):
@@ -78,22 +70,6 @@ def alpha_sum(algebra, r, i, q):
     return q_number(j + i, q) * q_number(j - i + 1, q)
 
 
-def alpha_closed(algebra, r, i, q):
-    """Closed form of alpha_i.
-
-    For osp_q(1|2) the sign of the [r/2 + shift] term alternates with the
-    ladder depth, (-1)^((r-1)/2 - i); this is the resummation of alpha_sum and
-    is what the recursion actually produces.
-    """
-    j = (r - 1) / 2.0
-    if algebra == OSPQ12:
-        qr = qr_shift(r, q)
-        sgn = (-1.0) ** int(round(j - i))
-        num = sgn * q_number(r / 2.0 + qr, q) + q_number(i + qr - 0.5, q)
-        return num / (np.sqrt(complex(q)) + 1.0 / np.sqrt(complex(q)))
-    return q_number(j + 0.5, q) ** 2 - q_number(i - 0.5, q) ** 2
-
-
 def casimir_value(algebra, r, q):
     """Casimir eigenvalue on the r-dimensional irrep."""
     if algebra == OSPQ12:
@@ -101,11 +77,16 @@ def casimir_value(algebra, r, q):
     return q_number(r / 2.0, q) ** 2
 
 
+@lru_cache(maxsize=256)
 def ladder_coefficients(algebra, r, params):
     """Raising and lowering coefficients (beta, gamma) of the r-dimensional
     ladder, E = diag(beta, 1) and F = diag(gamma, -1) highest weight first,
     with beta_{i-1} = (-1)^(j-i) gamma_i (osp) or beta = gamma (sl_q(2)).
-    Raises DegenerateParameterError where q is not generic."""
+    Raises DegenerateParameterError where q is not generic.
+
+    Summed once per (algebra, r, params) while it is among the 256 most
+    recent, and shared by `build_irrep` and every `coupling.decompose`
+    that lowers a ladder of that dimension, so both arrays are read-only."""
     j = (r - 1) / 2.0
     sign = np.ones(max(r - 1, 0))
     gamma = np.zeros(max(r - 1, 0), dtype=complex)
@@ -118,7 +99,9 @@ def ladder_coefficients(algebra, r, params):
         if algebra == OSPQ12:
             sign[k] = (-1.0) ** k
         gamma[k] = np.sqrt(a * sign[k] + 0j)
-    return sign * gamma, gamma
+    beta = sign * gamma
+    beta.flags.writeable = gamma.flags.writeable = False
+    return beta, gamma
 
 
 def build_irrep(algebra, r, params=None):
@@ -134,18 +117,15 @@ def build_irrep(algebra, r, params=None):
         qr = qr_shift(r, q)
         lam = np.array([(j - k) + qr for k in range(r)])
         parities = tuple(k % 2 for k in range(r))
-        spin = (r - 1) / 4.0 + qr / 2.0
     elif algebra == SLQ2:
         lam = np.array([2.0 * (j - k) for k in range(r)], dtype=complex)
         parities = tuple(0 for _ in range(r))
-        spin = j
     else:
         raise QybeError(f"unknown algebra {algebra!r}")
     beta, gamma = ladder_coefficients(algebra, r, params)
     return Irrep(
         algebra=algebra,
         r=r,
-        j=complex(spin),
         E=np.diag(beta, 1),
         F=np.diag(gamma, -1),
         H=np.diag(lam),

@@ -130,17 +130,6 @@ def u0_point(chi, a=1.0):
     return np.arctanh(-s + 0j) / a
 
 
-def f_slope(chi, a=1.0):
-    """f'(0) = 2a / sqrt(1 - 4 chi)."""
-    return 2.0 * a / np.sqrt(1 - 4 * chi + 0j)
-
-
-def braid_limit_f(chi, sign):
-    """f at u -> +-infinity: 2 / (-1 +- sqrt(1-4 chi))."""
-    s = np.sqrt(1 - 4 * chi + 0j)
-    return 2.0 / (-1.0 + sign * s)
-
-
 @dataclass
 class SpectralRMatrix:
     """A one-parameter family u -> R(u) on a pair of like tensor factors,
@@ -150,7 +139,8 @@ class SpectralRMatrix:
     check_fn evaluates the check form as an array; `noncheck` composes it
     with the graded swap of the two sites.  poly_weight/poly_base, when set,
     polynomialize the family: poly_weight(u) * R(u) = sum_p
-    poly_base(u)**(p-1) * M_p, which is what spectral_decompose fits.
+    poly_base(u)**(p-1) * M_p, a form known only to the function that
+    makes the family.
     """
 
     family: str
@@ -176,13 +166,6 @@ class SpectralRMatrix:
     def noncheck(self, u):
         """The non-check form swap @ check_fn(u)."""
         return self.swap @ self.check_fn(u)
-
-    def braid_limit(self, sign):
-        """Constant matrix limit of the normalized check form at u -> +-inf,
-        evaluated at the saturating argument u = +-40 / |a|."""
-        a = self.params.a if self.family == "hecke" else np.log(self.params.q)
-        u = sign * 40.0 / max(abs(a), 1e-3)
-        return self.check_fn(u)
 
 
 def hecke_family(table, chi=None):
@@ -369,35 +352,3 @@ def mixed_braid_check(Rplus, Rminus, parities):
     out["max_balanced"] = max(v for k, v in out.items()
                               if k not in ("balance_scale", "alt", "max"))
     return out
-
-
-class IllConditionedFitError(QybeError):
-    """Spectral decomposition sampling produced an ill-conditioned system."""
-
-
-def spectral_decompose(fam, r1, samples=None, rng=None):
-    """Fit poly_weight(u) R(u) = sum_p poly_base(u)^(p-1) M_p, p = 1..r1,
-    over >= r1 sample points of the non-check family; returns (list of M_p,
-    residual).
-
-    Trigonometric families only: the family must declare its polynomial
-    weight and elementary power."""
-    if fam.poly_weight is None or fam.poly_base is None:
-        raise QybeError("family does not declare a polynomialization")
-    rng = rng or np.random.default_rng(42)
-    if samples is None:
-        samples = [complex(x) for x in rng.uniform(0.2, 1.4, 2 * r1)]
-    if len(samples) < r1:
-        raise QybeError("need at least r1 sample points")
-    V = np.array([[x ** p for p in range(r1)] for x in map(fam.poly_base, samples)],
-                 dtype=complex)
-    R = np.stack([fam.poly_weight(u) * fam.noncheck(u) for u in samples])
-    Y = R.reshape(len(samples), -1)
-    cond = np.linalg.cond(V)
-    if cond > 1e10:
-        raise IllConditionedFitError(f"Vandermonde condition number {cond:.1e}")
-    coefs, res, rank, sv = np.linalg.lstsq(V, Y, rcond=None)
-    fitted = V @ coefs
-    resid = np.abs(fitted - Y).max() / max(1.0, np.abs(Y).max())
-    mats = list(coefs.reshape((r1,) + R.shape[1:]))
-    return mats, float(resid)

@@ -1,7 +1,7 @@
 """Periodic chains over composite sites: transfer matrices, the fused-chain
-Hamiltonian in projector form, coupled-basis matrix elements and desk-scale
-spectra.  `chain_bond` defines the bond operator of the fused chain in one
-place; the projector-form Hamiltonian is f0 times its sum over the bonds.
+Hamiltonian in projector form and desk-scale spectra.  `chain_bond` defines
+the bond operator of the fused chain in one place; the projector-form
+Hamiltonian is f0 times its sum over the bonds.
 
 Transfer matrices of graded and ungraded chains share one contraction: the
 monodromy is built along the auxiliary bond one site at a time, with the
@@ -34,12 +34,11 @@ from .qarith import DESK_BOUND, QybeError
 from .repspace import Site, block_index
 from .coupling import (
     check_sectors,
-    coupled_basis,
     product_sectors,
     product_weights,
     weight_sectors,
 )
-from .fusion import descendant_coefficients, _four_site_ops
+from .fusion import descendant_coefficients
 
 
 @dataclass
@@ -328,105 +327,6 @@ def hamiltonian_log_derivative(spec, fam):
 
     return [np.linalg.solve(t0, (4 * d2 - d1) / 3)
             for t0, d1, d2 in zip(tau(0.0), ddu(1e-6), ddu(1e-6 / 2))]
-
-
-@dataclass
-class CoupledElements:
-    """Bond-term matrix elements in the four-factor coupled basis."""
-
-    labels: list
-    direct: np.ndarray
-    summed: np.ndarray
-    route_residual: float
-    conserves_total: bool
-    support: list  # labels of rows/cols with nonzero blocks
-
-
-def coupled_matrix_elements(table, term):
-    """Matrix elements of a sandwiched bond operator on (V^r)^(x4) in the
-    coupled basis |j12, j34; J, i>, computed two ways from the coupling
-    table of V^r (x) V^r: direct conjugation of the dense operator, and
-    contraction of coefficient-table data only.
-
-    term: "P23" for the single middle projector, "P23P14" for the double one.
-    Both routes place the projectors without Koszul signs (the direct one
-    through `_four_site_ops`, the table one by plain index contractions), so
-    they agree for either algebra: for r = 2, 3, 4 the route residual is at
-    most 4.4e-16 for sl_q(2) and 5.6e-13 for osp_q(1|2)."""
-    if term not in ("P23", "P23P14"):
-        raise QybeError("term must be 'P23' or 'P23P14'")
-    cb = coupled_basis(table)
-    ext, P23, P14 = _four_site_ops(table)
-    op = ext @ P23 @ ext if term == "P23" else ext @ P23 @ P14 @ ext
-    direct = cb.dual @ op @ cb.basis
-    summed = _sum_route(table, cb, term)
-    # the outer projectors are diagonal in the coupled basis: they kill any
-    # state whose pair label is a singlet
-    keep = np.array([1.0 if (l[0] > 0 and l[1] > 0) else 0.0 for l in cb.labels])
-    summed = keep[:, None] * summed * keep[None, :]
-    residual = float(np.abs(summed - direct).max() / max(1.0, np.abs(direct).max()))
-
-    conserves = True
-    for ci, li in enumerate(cb.labels):
-        for cj, lj in enumerate(cb.labels):
-            if abs(direct[ci, cj]) > 1e-9 and (abs(li[2] - lj[2]) > 1e-9
-                                              or abs(li[3] - lj[3]) > 1e-9):
-                conserves = False
-    support = sorted({
-        (cb.labels[ci][:3], cb.labels[cj][:3])
-        for ci in range(len(cb.labels)) for cj in range(len(cb.labels))
-        if abs(direct[ci, cj]) > 1e-9
-    })
-    return CoupledElements(
-        labels=cb.labels, direct=direct, summed=summed,
-        route_residual=residual, conserves_total=conserves, support=support,
-    )
-
-
-def _sum_route(table, cb, term):
-    """Assemble the bond-term matrix from coefficient data alone: pair and
-    sector coupling coefficients plus singlet components, no dense
-    conjugations."""
-    r = table.rep1.r
-    dec = table.decomposition
-    Cp = dec.basis.reshape(r, r, r * r)
-    Cpb = dec.dual.reshape(r * r, r, r)
-    scol = next(b.start for b in dec.blocks if b.r == 1)
-    sing = Cp[:, :, scol]
-    sing_bar = Cpb[scol]
-
-    ncols = len(cb.labels)
-    K = np.zeros((ncols, r, r, r, r), dtype=complex)
-    B = np.zeros((ncols, r, r, r, r), dtype=complex)
-    c = 0
-    for (ai, bi), (bA, bB, sector) in cb.sectors.items():
-        for bT in sector.blocks:
-            for k in range(bT.r):
-                vec = sector.basis[:, bT.start + k]
-                dvec = sector.dual[bT.start + k, :]
-                for p12 in range(bA.r):
-                    c12 = Cp[:, :, bA.start + p12]
-                    c12b = Cpb[bA.start + p12]
-                    for p34 in range(bB.r):
-                        sc = vec[p12 * bB.r + p34]
-                        scb = dvec[p12 * bB.r + p34]
-                        if abs(sc) < 1e-14 and abs(scb) < 1e-14:
-                            continue
-                        c34 = Cp[:, :, bB.start + p34]
-                        c34b = Cpb[bB.start + p34]
-                        if abs(sc) > 1e-14:
-                            K[c] += sc * np.einsum("ab,cd->abcd", c12, c34)
-                        if abs(scb) > 1e-14:
-                            B[c] += scb * np.einsum("ab,cd->abcd", c12b, c34b)
-                c += 1
-    if term == "P23":
-        left = np.einsum("cabxd,bx->cad", B, sing)
-        right = np.einsum("cabxd,bx->cad", K, sing_bar)
-        return np.einsum("cad,ead->ce", left, right)
-    # P23 P14: both middle and outer singlets contract
-    left = np.einsum("cabxd,bx,ad->c", B, sing, sing)
-    right = np.einsum("cabxd,bx,ad->c", K, sing_bar, sing_bar)
-    return np.outer(left, right)
 
 
 def spectrum(blocks):

@@ -16,13 +16,11 @@ from qybe import (
     commutant_nullspace,
     composite_space,
     constraint_system,
-    coupled_matrix_elements,
     descendant_family,
     descendant_r_closed,
     descendant_r_product,
     dims_recurrence,
     extended_lax,
-    extended_lax_closed,
     hamiltonian_log_derivative,
     hamiltonian_projector_form,
     hecke_f,
@@ -37,11 +35,11 @@ from qybe import (
     ybe_residual,
 )
 from qybe.coupling import decompose
-from qybe.fusion import f_product
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.rmatrix import intertwining_residual, rel_residual
 from qybe.toolkit import RunConfig, family_guards, random_points, verify_all
 from conftest import pair_table, params_for, sample_points
+from oracles import braid_limit, coupled_matrix_elements, extended_lax_closed, f_product
 
 Q = 1.3
 
@@ -110,8 +108,8 @@ def test_criterion_04_fixtures():
     report(4, "three spin-1 solutions satisfy the YBE", worst_ybe, 1e-9)
     worst_braid = 0.0
     for sign in (+1, -1):
-        B1 = fams[1].braid_limit(sign)
-        B2 = fams[2].braid_limit(sign)
+        B1 = braid_limit(fams[1], sign)
+        B2 = braid_limit(fams[2], sign)
         lam = np.vdot(B2, B1) / np.vdot(B2, B2)
         worst_braid = max(worst_braid, rel_residual(B1, lam * B2))
     report(4, "kinds 1 and 2 share braid-limit ratios", worst_braid, 1e-9)

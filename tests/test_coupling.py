@@ -9,16 +9,15 @@ from qybe import (
     casimir_projector,
     cgc_table,
     chi_factor,
-    coupled_basis,
     projector,
     q_number,
     q_sub_bracket,
     qr_shift,
     tensor_decompose,
 )
-from qybe.coupling import chi_quartic
 from qybe.repspace import coproduct_pair, embed_at
 from conftest import params_for, pair_table
+from oracles import coupled_basis
 
 
 def test_tensor_decompose_values():
@@ -44,9 +43,9 @@ def test_trivial_factor(params_osp):
     r4 = build_irrep(OSPQ12, 4, params_osp)
     t = cgc_table(one, r4)
     assert t.targets == [4]
-    j = r4.ladder_j
-    for k in range(4):
-        assert abs(abs(t.coefficient(4, 0, j - k)) - 1) < 1e-10
+    # the coupled state k of the one block has a unit-modulus component on
+    # the product state (0, k)
+    assert np.abs(np.abs(np.diag(t.decomposition.basis)) - 1).max() < 1e-10
 
 
 @pytest.mark.parametrize("algebra,r1,r2", [
@@ -82,17 +81,19 @@ def test_hw_product_formula_osp33(params_osp):
     # equals -(-1)^{p_{i1+1}} q^{-(j+1)/2} beta_{i1} / beta_{j-i1-1}
     rep = build_irrep(OSPQ12, 3, params_osp)
     q = params_osp.q
-    t = cgc_table(rep, rep)
+    dec = cgc_table(rep, rep).decomposition
+    jl = (rep.r - 1) / 2
     for r0 in (3, 5):
         j0 = (r0 - 1) / 2.0
-        jl = rep.ladder_j
+        # the highest-weight state of block r0 on the product states (k1, k2)
+        top = dec.basis[:, next(b.start for b in dec.blocks if b.r == r0)].reshape(rep.r, rep.r)
         for i1 in np.arange(-jl, jl):
             i1n = i1 + 1
             i2, i2n = j0 - i1, j0 - i1n
             if abs(i2) > jl or abs(i2n) > jl:
                 continue
-            c0 = t.coefficient(r0, i1, i2)
-            c1 = t.coefficient(r0, i1n, i2n)
+            c0 = top[int(round(jl - i1)), int(round(jl - i2))]
+            c1 = top[int(round(jl - i1n)), int(round(jl - i2n))]
             if abs(c0) < 1e-12:
                 continue
             par = rep.parities[int(round(jl - i1n))]
@@ -184,11 +185,12 @@ def test_chi_equals_quartic_product(algebra, r):
     rep = build_irrep(algebra, r, p)
     t = cgc_table(rep, rep)
     chi = chi_factor(t)
-    j = rep.ladder_j
-    vals = []
-    for t_ in np.arange(-j, j + 1):
-        vals.append(chi_quartic(t, t_))
-    vals = np.array(vals)
+    # C Cbar of the singlet on each product state (k1, k2); the quartic
+    # product at opposite weights (t, -t) pairs (k, r-1-k) with (r-1-k, k)
+    dec = t.decomposition
+    s = next(b.start for b in dec.blocks if b.r == 1)
+    pair = np.fliplr((dec.basis[:, s] * dec.dual[s]).reshape(r, r)).diagonal()
+    vals = pair * pair[::-1]
     # independent of the weight index, and equal to the projector scalar
     assert np.abs(vals - vals[0]).max() < 1e-10
     assert abs(vals[0] - chi) < 1e-10
@@ -198,8 +200,6 @@ def test_triple_projector_identities():
     # the sign-free placement of the outer-pair projector closes all four
     # composite identities for both algebras, including even ladders whose
     # pair singlet is odd
-    from qybe.fusion import _four_site_ops
-
     for algebra in (SLQ2, OSPQ12):
         p = params_for(algebra)
         for r in (2, 3):

@@ -11,29 +11,30 @@ from qybe import (
     cgc_table,
     chi_factor,
     composite_space,
-    composite_states,
     descendant_family,
     descendant_r_closed,
     descendant_r_product,
     dims_recurrence,
     extended_lax,
-    extended_lax_closed,
     hecke_family,
-    spectral_decompose,
     u0_point,
     ybe_residual,
 )
 from qybe.coupling import decompose, product_sectors, product_weights
-from qybe.fusion import (
-    adjacent_singlet_kernel,
-    f_product,
-    f_product_by_recurrence,
-    truncation_cascade,
-)
+from qybe.fusion import adjacent_singlet_kernel
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.qarith import DESK_BOUND
 from qybe.rmatrix import r33_family, rel_residual
 from conftest import pair_table, params_for, sample_points
+from oracles import (
+    _four_site_ops,
+    composite_states,
+    extended_lax_closed,
+    f_product,
+    f_slope,
+    spectral_decompose,
+    truncation_cascade,
+)
 
 
 def desc_guards(rep, params):
@@ -497,18 +498,6 @@ def test_f_product_closed_rational_r2(rng):
             assert abs(got - want) < 1e-10 * max(1, abs(want))
 
 
-@pytest.mark.parametrize("algebra,r", [(SLQ2, 3), (OSPQ12, 3)])
-def test_f_product_recurrence_route(algebra, r, rng):
-    p = params_for(algebra)
-    chi = chi_factor(pair_table(algebra, r, p))
-    for n in (2, 3):
-        for _ in range(5):
-            u = complex(rng.uniform(0.2, 1), rng.uniform(-0.2, 0.2))
-            a_ = f_product(chi, p.a, n, u)
-            b_ = f_product_by_recurrence(chi, p.a, n, u)
-            assert abs(a_ - b_) < 1e-9 * max(1, abs(a_))
-
-
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 3)])
 def test_composite_states(algebra, r):
     p = params_for(algebra)
@@ -535,9 +524,6 @@ def test_composite_states_r2_span_triplet(params_sl):
 def test_first_order_expansion_at_u0(params_sl):
     # linear response at the regular point has the two-projector structure
     # with equal coefficients f0 (finite differences + Richardson)
-    from qybe.fusion import _four_site_ops
-    from qybe.rmatrix import f_slope
-
     rep = build_irrep(SLQ2, 3, params_sl)
     chi = chi_factor(pair_table(SLQ2, 3, params_sl))
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)

@@ -18,7 +18,6 @@ from qybe import (
     hecke_family,
     mixed_braid_check,
     r33_family,
-    spectral_decompose,
     u0_point,
     universal_r,
     ybe_residual,
@@ -26,9 +25,10 @@ from qybe import (
 from qybe import rmatrix
 from qybe.coupling import product_sectors, product_weights, projector
 from qybe.repspace import Site, block_index, embed_at, perm_matrix
-from qybe.rmatrix import braid_limit_f, intertwining_residual, rel_residual, sector_residual
+from qybe.rmatrix import intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
 from conftest import blockwise_probes, noncheck_ybe, pair_table, params_for, sample_points
+from oracles import IllConditionedFitError, braid_limit, braid_limit_f, spectral_decompose
 
 
 def test_hecke_f_zero():
@@ -131,7 +131,7 @@ def test_braid_limits_two_eigenvalues(algebra, r):
     p = params_for(algebra)
     fam = hecke_family(pair_table(algebra, r, p))
     for sign in (+1, -1):
-        B = fam.braid_limit(sign)
+        B = braid_limit(fam, sign)
         vals = np.linalg.eigvals(B)
         f_inf = braid_limit_f(fam.chi, sign)
         distinct = {1.0, complex(1 + f_inf)}
@@ -168,7 +168,7 @@ def test_fixtures_1_2_share_braid_ratios(params_sl):
     f1 = r33_family(1, pair_table(SLQ2, 3, params_sl))
     f2 = r33_family(2, pair_table(SLQ2, 3, params_sl))
     for sign in (+1, -1):
-        B1, B2 = f1.braid_limit(sign), f2.braid_limit(sign)
+        B1, B2 = braid_limit(f1, sign), braid_limit(f2, sign)
         lam = np.vdot(B2, B1) / np.vdot(B2, B2)
         assert rel_residual(B1, lam * B2) < 1e-9
 
@@ -265,8 +265,8 @@ def test_spectral_decompose_rnn_pair(params_sl, rng):
     fam = hecke_family(cgc_table(rep, rep))
     mats, resid = spectral_decompose(fam, r1=2, rng=rng)
     assert resid < 1e-10
-    Bp = fam.swap @ fam.braid_limit(+1)
-    Bm = fam.swap @ fam.braid_limit(-1)
+    Bp = fam.swap @ braid_limit(fam, +1)
+    Bm = fam.swap @ braid_limit(fam, -1)
     s = np.sqrt(1 - 4 * fam.chi + 0j)
     lam_p = np.vdot(Bp, mats[1]) / np.vdot(Bp, Bp)
     lam_m = np.vdot(Bm, mats[0]) / np.vdot(Bm, Bm)
@@ -510,8 +510,6 @@ def test_ybe_noncheck_graded(params_osp, rng):
 
 
 def test_spectral_decompose_ill_conditioned(params_sl):
-    from qybe.rmatrix import IllConditionedFitError
-
     rep = build_irrep(SLQ2, 2, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
     with pytest.raises(IllConditionedFitError):

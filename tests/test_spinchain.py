@@ -17,7 +17,6 @@ from qybe import (
     chain_bond,
     chi_factor,
     composite_space,
-    coupled_matrix_elements,
     descendant_family,
     extended_lax,
     hamiltonian_log_derivative,
@@ -28,11 +27,12 @@ from qybe import (
     transfer_matrix,
 )
 from qybe.coupling import product_sectors
-from qybe.rmatrix import f_slope, rel_residual
+from qybe.rmatrix import rel_residual
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.spinchain import bond_expansion_coefficients
 from qybe.toolkit import Context, RunConfig, family_guards
 from conftest import pair_table, params_for, sample_points
+from oracles import coupled_matrix_elements, f_slope
 
 
 def chain_points(rng, count, fam):
@@ -592,7 +592,7 @@ def test_each_layer_reads_one_site(algebra, r):
     assert U.descendant.site == U.site
     assert ctx.chain(r, 2).site == U.site
     assert ctx.chain(r, 2).aux == U.site  # the auxiliary is the site unless given
-    assert rep.site.weights == tuple(rep.ladder_j - k for k in range(r))
+    assert rep.site.weights == tuple((r - 1) / 2 - k for k in range(r))
     assert U.site.dim == U.dim and U.site.parities == tuple(U.decomposition.parities)
 
 

@@ -12,7 +12,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import block_diag
 
 from qybe import (
     OSPQ12,
@@ -587,7 +586,12 @@ def _probe_and_dense(kind, algebra, r, seed):
                 _dense_rll(*_rll_factors(U, u, w)))
     dfam, spec = ctx.descendant(r), ctx.chain(r, 2)
     pts = toolkit.random_points(points, 4, guards=toolkit.family_guards(dfam))
-    t = [block_diag(*spinchain.transfer_matrix(spec, dfam.noncheck(u))) for u in pts]
+    t = []
+    for u in pts:
+        tau = np.zeros((sum(map(len, spec.sectors)),) * 2, dtype=complex)
+        for s, block in zip(spec.sectors, spinchain.transfer_matrix(spec, dfam.noncheck(u))):
+            tau[np.ix_(s, s)] = block  # the whole tau, each block on its states
+        t.append(tau)
     dense = max(rmatrix.rel_residual(t[i] @ t[j], t[j] @ t[i])
                 for i in range(4) for j in range(i + 1, 4))
     return toolkit._transfer_commutation(ctx, rng, {"r": r, "N": 2}), dense
@@ -1013,6 +1017,63 @@ def test_every_default_is_passed_by_some_call():
 
     root = pathlib.Path(__file__).resolve().parents[1]
     assert _defaults_no_call_passes(root) == []
+
+
+def _defs_no_command_reaches(root, kept):
+    """Each def of src/qybe, as module.name or module.Class.method, that no
+    command reaches.  The walk starts from the cmd_* of cli, the statements
+    each module runs at import (the table of checks, `if __name__`) and the
+    qualified names `kept`.  It reaches a def by its name, read as a name or
+    an attribute in reached code; a method only once its class is reached,
+    and a class's dunder methods with the class."""
+    import ast
+
+    defs, code = {}, []
+    for path in sorted((root / "src" / "qybe").glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its re-exports read nothing
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    defs.update({f"{path.stem}.{node.name}.{f.name}": f for f in node.body
+                                 if isinstance(f, ast.FunctionDef)})
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                code.append(node)
+    reached = {name for name in defs if name.startswith("cli.cmd_")} | set(kept)
+    while True:
+        bodies = list(code)
+        for name in reached:
+            node = defs[name]
+            bodies += ([s for s in node.body if not isinstance(s, ast.FunctionDef)]
+                       + node.bases + node.decorator_list
+                       if isinstance(node, ast.ClassDef) else [node])
+        read = {getattr(n, "id", getattr(n, "attr", None)) for b in bodies for n in ast.walk(b)}
+        grown = set(reached)
+        for name in defs:
+            owner, _, last = name.rpartition(".")
+            if owner not in defs and last in read:
+                grown.add(name)
+            elif owner in reached and (last in read or last.startswith("__")):
+                grown.add(name)
+        if grown == reached:
+            return sorted(set(defs) - reached)
+        reached = grown
+
+
+def test_every_src_name_has_a_program_reader():
+    # a def that only tests read is a test oracle (tests/oracles.py) or dead;
+    # these four have readers outside the walk
+    import pathlib
+
+    kept = (
+        "toolkit.serialize_operator",  # perfbench/tracer.py FUNCTIONS
+        "toolkit.deserialize_operator",  # perfbench/run.py::_check_operator
+        "toolkit.MalformedDocumentError",  # raised to _check_operator by the reader
+        "toolkit.Report.comparable_json",  # the determinism contract of report.json
+    )
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert _defs_no_command_reaches(root, kept) == []
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
