@@ -4,12 +4,13 @@ Two routes to the same subspace.  They differ in where the n-fold
 generators Delta^n(e), Delta^n(f) and the weight sectors come from:
 
 * commutant_nullspace takes the generators from the dense iterated
-  coproduct (repspace.nfold_coproduct) and the sectors from its h.
+  coproduct (repspace.nfold_coproduct) and the sectors from its h
+  (repspace.ladder_weights).
 
 * constraint_system writes the generators from per-block matrix-element
   data (beta, gamma, h eigenvalues, parities) with the graded prefix factors
-  of the iterated coproduct, and sums the sectors from the per-state
-  weights (coupling.product_weights).
+  of the iterated coproduct, and sums the sectors from the integer keys of
+  the space's site, read from its blocks (Site.product, Site.sectors).
 
 Everything after that is shared.  The h commutator forces weight
 conservation, so the unknown coefficient matrix is sector diagonal
@@ -30,8 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qarith import COMMUTANT_BUDGET, DESK_BOUND, OSPQ12, QybeError
-from .repspace import ladder_weights, nfold_coproduct
-from .coupling import product_weights, weight_sectors
+from .repspace import Site, ladder_weights, nfold_coproduct
 
 
 @dataclass
@@ -39,8 +39,6 @@ class CommutantBasis:
     """Orthonormal basis of the operators commuting with the n-fold coproduct
     action on U^(x n), stored as vectorized matrices (columns, row-major)."""
 
-    dim_space: int
-    n: int
     vectors: np.ndarray
     rank_gap: float = np.inf
 
@@ -191,7 +189,7 @@ def _product_dim(dU, n):
     return dU ** n
 
 
-def _centralizer(layout, E, F, dU, n):
+def _centralizer(layout, E, F):
     """Centralizer of the n-fold generators E = Delta^n(e), F = Delta^n(f)
     over a `_sector_layout`.  The pair of sectors (k, k + step) gives the
     rows of A C_k - C_{k+step} A = 0 with A = (E or F)[tgt, src]; in
@@ -218,8 +216,7 @@ def _centralizer(layout, E, F, dU, n):
     system = SystemEntries(np.concatenate(row), np.concatenate(col),
                            np.concatenate(val), (n_rows, total))
     null, gap = _nullspace_from_system(system)
-    basis = CommutantBasis(dim_space=dU, n=n, rank_gap=gap,
-                           vectors=_scatter_sectors(null, flat, dU ** n))
+    basis = CommutantBasis(rank_gap=gap, vectors=_scatter_sectors(null, flat, E.shape[0]))
     return basis, system
 
 
@@ -228,17 +225,17 @@ def commutant_nullspace(U, n):
     SVD over the weight-sector blocks of the coefficient matrix."""
     gens = U.gens
     d = _product_dim(gens.dim, n)
-    # refused from the summed per-state weights, before any d x d generator
+    # refused from the summed per-state keys, before any d x d generator
     # exists; the layout solved on still comes from the coproduct's own h
-    _refuse_over_budget(weight_sectors(product_weights(*[U.site.weights] * n)))
-    co = nfold_coproduct(gens.algebra, [gens] * n, U.params.q)
-    layout = _sector_layout(weight_sectors(ladder_weights(co)), d)
-    return _centralizer(layout, co.E, co.F, gens.dim, n)[0]
+    _refuse_over_budget(Site.product(*[U.site] * n).sectors)
+    co = nfold_coproduct([gens] * n)
+    layout = _sector_layout(Site(co.parities, ladder_weights(co)).sectors, d)
+    return _centralizer(layout, co.E, co.F)[0]
 
 
 def _block_ladder_data(U):
     """Per-state ladder data in basis order, read from the compressed
-    generators: weight, h eigenvalue lam, parity, and the neighbours in the
+    generators: h eigenvalue lam, parity, and the neighbours in the
     block with e|s> = beta |up> and f|s> = gamma |down> (None past the ends
     of the ladder)."""
     gens = U.gens
@@ -252,7 +249,6 @@ def _block_ladder_data(U):
             gamma = F[cols[k + 1], col] if k + 1 < len(cols) else 0j
             states.append({
                 "index": col,
-                "weight": b.hw_weight - k,
                 "lam": complex(H[col, col]),
                 "parity": int(dec.parities[col]),
                 "beta": complex(beta),
@@ -303,16 +299,15 @@ def constraint_system(U, n):
     """Centralizer from the structured ladder equations.
 
     The unknowns are grouped by the total weight of the product states (the
-    conservation rule), summed from the per-state weights; the raising and
+    conservation rule), summed from the keys of `U.site`; the raising and
     lowering equations take their coefficients from Delta^n(e) and
     Delta^n(f) written from the per-state ladder data.  Returns
     (CommutantBasis, SystemEntries of the system)."""
     states = _block_ladder_data(U)
     d = _product_dim(len(states), n)
-    weights = [st["weight"] for st in states]
-    layout = _sector_layout(weight_sectors(product_weights(*[weights] * n)), d)
+    layout = _sector_layout(Site.product(*[U.site] * n).sectors, d)
     E, F = _coproduct_generators(states, n, U.params.q, U.rep.algebra)
-    return _centralizer(layout, E, F, len(states), n)
+    return _centralizer(layout, E, F)
 
 
 def principal_angles(basis_a, basis_b):

@@ -11,10 +11,10 @@ per-state norms are measured in the propagated invariant metric.
 `cgc_table` takes a pair of irreps; `projector` and `chi_factor` take the
 table, so one table of V^r (x) V^r serves both.
 
-The total-weight sectors of product states (`product_sectors`) and the
-guard `check_sectors`, which refuses an operator with an entry between
-them, live here too; the sector blocks themselves are gathered by
-`repspace.block_index`.
+The total-weight sectors of product states (`product_sectors`, a lookup of
+`Site.product` keys) and the guard `check_sectors`, which refuses an
+operator with an entry between them, live here too; the sector blocks
+themselves are gathered by `repspace.block_index`.
 """
 
 from dataclasses import dataclass
@@ -24,12 +24,12 @@ import numpy as np
 from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
     Irrep,
+    Site,
     casimir_matrix,
     casimir_value,
     coproduct_pair,
     invariant_metric,
     ladder_coefficients,
-    ladder_weights,
 )
 
 
@@ -82,36 +82,17 @@ class Decomposition:
     def dim(self):
         return self.basis.shape[1]
 
-    def block_multiplicities(self):
-        mult = {}
-        for b in self.blocks:
-            mult[b.r] = mult.get(b.r, 0) + 1
-        return dict(sorted(mult.items()))
+    @property
+    def site(self):
+        """The coupled states as a tensor factor: in basis order, block by
+        block, their parities and the weights hw - k down each ladder."""
+        return Site(self.parities, [b.hw_weight - k for b in self.blocks for k in range(b.r)])
 
 
-def product_weights(*site_weights):
-    """Total weight of every product state of the sites, in flat order: the
-    sum of its site weights (the coproduct of h is additive)."""
-    total = np.zeros(1)
-    for w in site_weights:
-        total = np.add.outer(total, np.asarray(w)).ravel()
-    return total
-
-
-def weight_sectors(weights):
-    """Indices of the states of each ladder weight, keyed by twice the
-    weight rounded to an integer (one ladder step moves the key by 2), in
-    increasing key order.  The states are grouped by one stable argsort, so
-    each index array is ascending."""
-    keys = np.round(2 * np.asarray(weights)).astype(int)
-    order = np.argsort(keys, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if keys.size else []
-    return {int(keys[g[0]]): g for g in groups}
-
-
-def product_sectors(*site_weights):
-    """Index arrays of the product states of each total weight, ascending."""
-    return list(weight_sectors(product_weights(*site_weights)).values())
+def product_sectors(*sites):
+    """Index arrays of the product states of the sites of each total
+    weight, ascending, in increasing weight."""
+    return list(Site.product(*sites).sectors.values())
 
 
 def check_sectors(M, sectors):
@@ -137,20 +118,19 @@ def check_sectors(M, sectors):
                         f"sectors (bound {bound.flat[worst]:.1e})")
 
 
-def _hw_vectors(e_mat, weights, target_weight, within=None):
-    """Vectors at one ladder weight annihilated by e, inside an optional
-    restriction span.  Columns returned in the ambient space.
+def _hw_vectors(e_mat, states, within=None):
+    """Vectors on the states of one weight sector annihilated by e, inside an
+    optional restriction span.  Columns returned in the ambient space.
 
     The columns of a restriction span must be weight-pure (exact zeros off
-    one weight, as `decompose` requires); only those at the target weight
-    enter, so the vectors, the states lowered from them and the dual rows
-    solved for them are exactly graded by weight."""
-    mask = np.abs(weights - target_weight) < 1e-7
+    one weight, as `decompose` requires); only those on `states` enter, so
+    the vectors, the states lowered from them and the dual rows solved for
+    them are exactly graded by weight."""
     if within is None:
-        sub = np.zeros((e_mat.shape[0], int(mask.sum())), dtype=complex)
-        sub[np.where(mask)[0], np.arange(mask.sum())] = 1.0
+        sub = np.zeros((e_mat.shape[0], states.size), dtype=complex)
+        sub[states, np.arange(states.size)] = 1.0
     else:
-        sub = within[:, np.any(within[mask] != 0, axis=0)]
+        sub = within[:, np.any(within[states] != 0, axis=0)]
     if not sub.shape[1]:
         return np.zeros((e_mat.shape[0], 0), dtype=complex)
     _, s, vh = np.linalg.svd(e_mat @ sub, full_matrices=False)
@@ -158,31 +138,31 @@ def _hw_vectors(e_mat, weights, target_weight, within=None):
     return sub @ vh[rank:].conj().T
 
 
-def decompose(R, params, within=None):
+def decompose(R, within=None):
     """Block-decompose an irrep or a RepLike space (optionally restricted to
-    the span of the columns of `within`, each of which must lie in one
-    weight sector) into irreducible ladders.
+    the span of the columns of `within`, each of which must lie in one weight
+    sector of `R.site`) into irreducible ladders, with R's parameters.
 
-    Multiplicity spaces are orthogonalized with modified Gram-Schmidt in the
-    invariant bilinear metric, scanning weights from the top, which fixes the
-    gauge deterministically.  Each highest-weight vector is phase-fixed (first
-    sizable component made real positive), normalized to unit metric norm and
-    lowered with the standard gamma of the matching ladder.
+    The keys of `R.site` are scanned from the top down to 0: a highest
+    weight of key k heads k + 1 states.  Multiplicity spaces are
+    orthogonalized with modified Gram-Schmidt in the invariant bilinear
+    metric, which fixes the gauge deterministically.  Each highest-weight
+    vector is phase-fixed (first sizable component made real positive),
+    normalized to unit metric norm and lowered with the standard gamma of
+    the matching ladder.
     """
     metric, mres = invariant_metric(R.E, R.F)
     if mres > 1e-6:
         raise QybeError(f"invariant metric propagation inconsistent (residual {mres:.2e})")
-    wts = ladder_weights(R)
+    sectors = R.site.sectors
     if within is not None:
-        hits = sum(np.any(within[s] != 0, axis=0).astype(int)
-                   for s in weight_sectors(wts).values())
+        hits = sum(np.any(within[s] != 0, axis=0).astype(int) for s in sectors.values())
         if np.any(hits != 1):
             raise QybeError("a column of the restriction span is not in one weight sector")
     flatpar = np.asarray(R.parities)
     blocks, cols, eps, pars_out = [], [], [], []
-    w = float(np.max(wts))
-    while w > -0.25:
-        hw = _hw_vectors(R.E, wts, w, within=within)
+    for key in range(max(sectors), -1, -1):
+        hw = _hw_vectors(R.E, sectors.get(key, np.zeros(0, dtype=int)), within=within)
         if hw.shape[1]:
             kept = []
             for c in range(hw.shape[1]):
@@ -192,8 +172,8 @@ def decompose(R, params, within=None):
                     v = v - u_ * ((u_ @ (metric * v)) / nrm)
                 if np.abs(v).max() > 1e-8:
                     kept.append(v)
-            r0 = int(round(2 * w + 1))
-            gamma = ladder_coefficients(R.algebra, r0, params)[1]
+            r0 = key + 1
+            gamma = ladder_coefficients(R.algebra, r0, R.params)[1]
             for v in kept:
                 nz = np.nonzero(np.abs(v) > 1e-8 * np.abs(v).max())[0][0]
                 v = v * (np.abs(v[nz]) / v[nz])
@@ -211,8 +191,7 @@ def decompose(R, params, within=None):
                     supp = np.abs(state) > 1e-9 * max(1.0, np.abs(state).max())
                     ps = set(flatpar[supp].tolist())
                     pars_out.append(ps.pop() if len(ps) == 1 else 0)
-                blocks.append(Block(r=r0, start=start, hw_weight=w))
-        w -= 0.5
+                blocks.append(Block(r=r0, start=start, hw_weight=key / 2))
     basis = np.array(cols).T if cols else np.zeros((R.dim, 0), dtype=complex)
     if within is None:
         if basis.shape[1] != R.dim:
@@ -256,8 +235,7 @@ def cgc_table(rep1, rep2):
     """Coupling table for a pair of irreps of the same algebra."""
     if rep1.algebra != rep2.algebra:
         raise QybeError("mixed-algebra coupling")
-    pair = coproduct_pair(rep1.algebra, rep1, rep2, rep1.params.q)
-    dec = decompose(pair, rep1.params)
+    dec = decompose(coproduct_pair(rep1, rep2))
     found = sorted(b.r for b in dec.blocks)
     if found != tensor_decompose(rep1.r, rep2.r):
         raise RankDeficiencyError(
@@ -292,8 +270,7 @@ def casimir_projector(rep1, rep2, r0):
             raise EigenvalueCollisionError(
                 f"casimir eigenvalues for blocks {r0} and {t} collide at this q"
             )
-    pair = coproduct_pair(rep1.algebra, rep1, rep2, params.q)
-    C = casimir_matrix(rep1.algebra, pair, params.q)
+    C = casimir_matrix(coproduct_pair(rep1, rep2))
     out = np.eye(C.shape[0], dtype=complex)
     for t in targets:
         if t != r0:

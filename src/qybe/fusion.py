@@ -39,7 +39,6 @@ from .repspace import (
     apply_at,
     block_index,
     embed_at,
-    ladder_weights,
     nfold_coproduct,
 )
 from .coupling import (
@@ -47,8 +46,6 @@ from .coupling import (
     check_sectors,
     decompose,
     product_sectors,
-    product_weights,
-    weight_sectors,
 )
 from .rmatrix import SpectralRMatrix
 
@@ -94,15 +91,10 @@ class CompositeSpace:
         return self.hecke.params
 
     @property
-    def blocks(self):
-        """(irrep dimension, multiplicity) pairs, ascending."""
-        return sorted(self.decomposition.block_multiplicities().items())
-
-    @cached_property
     def site(self):
-        """The space as a tensor factor: the parities and ladder weights of
-        its block states."""
-        return Site(self.decomposition.parities, ladder_weights(self.gens))
+        """The space as a tensor factor: the site of its decomposition,
+        read from the blocks."""
+        return self.gens.site
 
     @cached_property
     def pair_project(self):
@@ -133,10 +125,10 @@ class CompositeSpace:
         the `block_index` (index, sign) of the s x s block of each crossing
         of the train, in train order."""
         n, site = self.n, self.rep.site
-        ambient = weight_sectors(product_weights(*[site.weights] * (n + 1)))
+        ambient = Site.product(*[site] * (n + 1)).sectors
         gathers = [block_index((0, m), [site.parities] * (n + 1)) for m in range(n, 0, -1)]
         out = []
-        for key, t in weight_sectors(product_weights(site.weights, self.site.weights)).items():
+        for key, t in Site.product(site, self.site).sectors.items():
             s = ambient[key]
             index, sign = zip(*[gather(s) for gather in gathers])
             # the t x s entries of 1 (x) project and the s x t of 1 (x) embed,
@@ -165,11 +157,11 @@ def adjacent_singlet_kernel(fam, n):
     sector by sector in increasing weight."""
     P1 = _singlet(fam)
     site = fam.site
-    check_sectors(P1, product_sectors(site.weights, site.weights))
+    check_sectors(P1, product_sectors(site, site))
     gathers = [block_index((k, k + 1), [site.parities] * n) for k in range(n - 1)]
     P1 = P1.ravel()
     columns = []
-    for s in product_sectors(*[site.weights] * n):
+    for s in product_sectors(*[site] * n):
         rows = np.vstack([sign * P1[index] for index, sign in (g(s) for g in gathers)])
         _, sv, vh = np.linalg.svd(rows, full_matrices=False)
         null = vh[int(np.sum(sv > 1e-10 * max(1.0, sv.max()))):].conj().T
@@ -185,26 +177,26 @@ def composite_space(fam, n):
 
     Raises on a rank mismatch between the kernel intersection and the
     recurrence dimension."""
-    rep, params = fam.table.rep1, fam.params
+    rep = fam.table.rep1
     if n < 1:
         raise QybeError(f"composite space needs n >= 1, got {n}")
     want = dims_recurrence(rep.r, n)
     if rep.r ** n > DESK_BOUND:
         raise QybeError(f"composite space {rep.r}^{n} exceeds the desk bound {DESK_BOUND}")
-    co = nfold_coproduct(rep.algebra, [rep] * n, params.q)
+    co = nfold_coproduct([rep] * n)
     if n == 1:
-        dec = decompose(rep, params)
+        dec = decompose(rep)
     else:
         within = adjacent_singlet_kernel(fam, n)
         if within.shape[1] != want:
             raise QybeError(
                 f"truncated-space rank {within.shape[1]} != recurrence value {want}"
             )
-        dec = decompose(co, params, within=within)
+        dec = decompose(co, within=within)
     E, D = dec.basis, dec.dual
     if E.shape[1] != want:
         raise QybeError(f"block basis rank {E.shape[1]} != recurrence value {want}")
-    gens = RepLike(rep.algebra, D @ co.E @ E, D @ co.F @ E, D @ co.H @ E, dec.parities)
+    gens = RepLike(rep.algebra, D @ co.E @ E, D @ co.F @ E, D @ co.H @ E, dec.site, rep.params)
     return CompositeSpace(
         hecke=fam, n=n, dim=want, decomposition=dec, embed=E, project=D, gens=gens,
     )

@@ -12,7 +12,8 @@ The graded Kronecker product uses the matrix sign rule
 
 with p the domain/codomain parities, which makes operator products of graded
 Kroneckers plain matrix products.  A tensor factor is a `Site`, the parity
-and ladder weight of each state; the index kernels take its parities.
+and the integer sector key of each state; the index kernels take its
+parities, and a weight sector of a product is a lookup of summed keys.
 """
 
 from dataclasses import dataclass, field
@@ -53,8 +54,8 @@ class Irrep:
 
     @cached_property
     def site(self):
-        """The irrep as a tensor factor: its parities and ladder weights."""
-        return Site(self.parities, ladder_weights(self))
+        """The irrep as a tensor factor: its parities and the weights j - k."""
+        return Site(self.parities, [(self.r - 1) / 2 - k for k in range(self.r)])
 
 
 def alpha_sum(algebra, r, i, q):
@@ -145,7 +146,7 @@ def _qnum_diag(H, q):
     return np.diag((complex(q) ** d - complex(q) ** (-d)) / (complex(q) - 1.0 / complex(q)))
 
 
-def graded_kron_raw(A, B, pA_dom, pA_cod, pB_dom, pB_cod):
+def graded_kron_raw(A, B, pA_dom, pB_dom, pB_cod):
     """Graded Kronecker product of raw matrices with explicit parity vectors."""
     m1, n1 = A.shape
     m2, n2 = B.shape
@@ -158,28 +159,35 @@ def graded_kron_raw(A, B, pA_dom, pA_cod, pB_dom, pB_cod):
 
 
 class RepLike:
-    """Minimal (E, F, H, parities) bundle of a coproduct or a composite
+    """Minimal (E, F, H, site, params) bundle of a coproduct or a composite
     block; it and `Irrep` both feed the coproduct and coupling machinery."""
 
-    __slots__ = ("algebra", "E", "F", "H", "parities")
+    __slots__ = ("algebra", "E", "F", "H", "site", "params")
 
-    def __init__(self, algebra, E, F, H, parities):
+    def __init__(self, algebra, E, F, H, site, params):
         self.algebra = algebra
         self.E = np.asarray(E, dtype=complex)
         self.F = np.asarray(F, dtype=complex)
         self.H = np.asarray(H, dtype=complex)
-        self.parities = tuple(int(x) for x in parities)
+        self.site = site
+        self.params = params
+
+    @property
+    def parities(self):
+        return self.site.parities
 
     @property
     def dim(self):
-        return len(self.parities)
+        return self.site.dim
 
 
-def coproduct_pair(algebra, A, B, q):
+def coproduct_pair(A, B):
     """Two-fold coproduct matrices (e, f, h) on the graded product of two
-    irreps or RepLikes, returned as a RepLike on the pair space."""
+    irreps or RepLikes of A's algebra and parameters, returned as a RepLike
+    on the pair space, whose site is `Site.product` of theirs."""
     pa, pb = A.parities, B.parities
-    gk = lambda X, Y: graded_kron_raw(X, Y, pa, pa, pb, pb)
+    algebra, q = A.algebra, A.params.q
+    gk = lambda X, Y: graded_kron_raw(X, Y, pa, pb, pb)
     IA, IB = np.eye(A.dim), np.eye(B.dim)
     if algebra == OSPQ12:
         e = gk(A.E, diag_power(q, -B.H / 2)) + gk(diag_power(q, A.H / 2), B.E)
@@ -188,16 +196,15 @@ def coproduct_pair(algebra, A, B, q):
         e = gk(A.E, IB) + gk(diag_power(q, A.H), B.E)
         f = gk(A.F, diag_power(q, -B.H)) + gk(IA, B.F)
     h = gk(A.H, IB) + gk(IA, B.H)
-    pars = (np.add.outer(np.asarray(pa), np.asarray(pb)) % 2).reshape(-1)
-    return RepLike(algebra, e, f, h, pars)
+    return RepLike(algebra, e, f, h, Site.product(A.site, B.site), A.params)
 
 
-def nfold_coproduct(algebra, reps, q):
+def nfold_coproduct(reps):
     """Iterated coproduct over a list of irrep or RepLike factors
     (coassociative, so the left-nested bracketing is as good as any)."""
     cur = reps[0]
     for nxt in reps[1:]:
-        cur = coproduct_pair(algebra, cur, nxt, q)
+        cur = coproduct_pair(cur, nxt)
     return cur
 
 
@@ -297,19 +304,52 @@ def block_index(pos, parities):
     return gather
 
 
-class Site(NamedTuple("Site", [("parities", tuple), ("weights", tuple)])):
-    """One tensor factor: the parity and the ladder weight of each of its
-    states, as tuples of Python numbers, so sites compare and hash.  A
-    factor's dimension follows from them."""
+def weight_sectors(keys):
+    """Indices of the states of each integer sector key, keyed by the key,
+    in increasing key order.  The states are grouped by one stable argsort,
+    so each index array is ascending."""
+    keys = np.asarray(keys, dtype=int)
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if keys.size else []
+    return {int(keys[g[0]]): g for g in groups}
+
+
+class Site(NamedTuple("Site", [("parities", tuple), ("keys", tuple)])):
+    """One tensor factor: the parity and the sector key (twice the ladder
+    weight) of each of its states, as tuples of Python ints, so sites
+    compare and hash and states of one weight share a key exactly.  Built
+    from the weights, the one place where a weight becomes a key; one more
+    than 1e-7 from a half-integer raises QybeError."""
 
     __slots__ = ()
 
     def __new__(cls, parities, weights):
         parities = tuple(int(p) for p in parities)
-        weights = tuple(float(w) for w in weights)
-        if len(parities) != len(weights):
-            raise QybeError(f"{len(weights)} weights for {len(parities)} states")
-        return super().__new__(cls, parities, weights)
+        weights = np.asarray(weights, dtype=float)
+        keys = np.round(2 * weights)
+        if len(parities) != keys.size:
+            raise QybeError(f"{keys.size} weights for {len(parities)} states")
+        off = np.abs(weights - keys / 2) > 1e-7
+        if off.any():
+            raise QybeError(f"the weight {weights[off][0]} is not a half-integer")
+        return super().__new__(cls, parities, tuple(keys.astype(int).tolist()))
+
+    @classmethod
+    def product(cls, *sites):
+        """The product of the sites, its states in flat order: parities
+        added mod 2 and keys summed (the coproduct of h is additive).  The
+        product of no sites is the one state of key 0."""
+        parities, keys = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+        for site in sites:
+            parities = np.add.outer(parities, site.parities).ravel() % 2
+            keys = np.add.outer(keys, site.keys).ravel()
+        return cls._make((tuple(parities.tolist()), tuple(keys.tolist())))
+
+    @property
+    def sectors(self):
+        """`weight_sectors` of the keys: the ascending indices of the states
+        of each key, in increasing key order."""
+        return weight_sectors(self.keys)
 
     @property
     def dim(self):
@@ -328,11 +368,11 @@ def ladder_weights(R):
     return w if R.algebra == OSPQ12 else w / 2.0
 
 
-def casimir_matrix(algebra, R, q):
+def casimir_matrix(R):
     """Casimir as a matrix over an irrep or a RepLike (a coproduct)."""
     d = np.diag(R.H)
-    qc = complex(q)
-    if algebra == OSPQ12:
+    qc = complex(R.params.q)
+    if R.algebra == OSPQ12:
         A = (qc ** 0.5 + qc ** -0.5) * (R.E @ R.F) - np.diag(
             (qc ** (d - 0.5) - qc ** (-(d - 0.5))) / (qc - 1.0 / qc)
         )
@@ -356,7 +396,7 @@ def verify_algebra(rep):
         ).max()
         out["e qh-shift"] = np.abs(E @ diag_power(q, H + 2 * np.eye(rep.r)) - diag_power(q, H) @ E).max()
         out["f qh-shift"] = np.abs(F @ diag_power(q, H) - diag_power(q, H + 2 * np.eye(rep.r)) @ F).max()
-    c = casimir_matrix(rep.algebra, rep, q)
+    c = casimir_matrix(rep)
     out["casimir-scalar"] = np.abs(c - rep.casimir_value * np.eye(rep.r)).max()
     return out
 

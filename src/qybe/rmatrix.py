@@ -93,7 +93,7 @@ def sector_residual(lhs, rhs, sites, rng):
     guarded = []
     for op, legs in lhs + rhs:
         if not any(op is seen for seen in guarded):
-            check_sectors(op, product_sectors(*[sites[k].weights for k in legs]))
+            check_sectors(op, product_sectors(*[sites[k] for k in legs]))
             guarded.append(op)
     parities = [site.parities for site in sites]
 
@@ -104,8 +104,7 @@ def sector_residual(lhs, rhs, sites, rng):
             return Y
         return product
 
-    return probed_residual(apply(lhs), apply(rhs),
-                           product_sectors(*[site.weights for site in sites]), rng)
+    return probed_residual(apply(lhs), apply(rhs), product_sectors(*sites), rng)
 
 
 def hecke_f(u, chi, a=1.0):
@@ -278,7 +277,7 @@ def universal_r(rep1, rep2, sign=+1):
                 / bracket_plus_factorial(n, q))
         A = diag_power(q, -n * H1 / 2) @ np.linalg.matrix_power(E1, n)
         B = np.linalg.matrix_power(F2, n) @ diag_power(q, n * H2 / 2)
-        out += coef * graded_kron_raw(A, B, p1, p1, p2, p2)
+        out += coef * graded_kron_raw(A, B, p1, p2, p2)
     m = np.diag(khh) @ out
     return m.T if sign < 0 else m
 
@@ -286,14 +285,12 @@ def universal_r(rep1, rep2, sign=+1):
 def intertwining_residual(R, rep1, rep2):
     """Relative residual of R Delta[g] = Delta'[g] R over all generators,
     with Delta' the flipped coproduct."""
-    q = rep1.params.q
-    pair = coproduct_pair(rep1.algebra, rep1, rep2, q)
-    pair_flip = coproduct_pair(rep1.algebra, rep2, rep1, q)
+    pair, pair_flip = coproduct_pair(rep1, rep2), coproduct_pair(rep2, rep1)
     P = perm_matrix([1, 0], [rep2.parities, rep1.parities])  # V2 x V1 -> V1 x V2
     worst = 0.0
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
-        Dp = P @ getattr(pair_flip, g) @ np.linalg.inv(P)
+        Dp = P @ getattr(pair_flip, g) @ P.T  # a signed permutation is orthogonal
         worst = max(worst, rel_residual(R @ D, Dp @ R))
     return worst
 
@@ -311,7 +308,7 @@ def ybe_residual(fam, u, w, rng=None):
     generator seeded with 42), once each stacked factor has passed
     `check_sectors`."""
     # even parities, but the family's weights: its sectors stay small
-    site = Site((0,) * fam.dim, fam.site.weights)
+    site = fam.site._replace(parities=(0,) * fam.dim)
     u, w = np.atleast_1d(u), np.atleast_1d(w)
     A, B, C = (np.stack([fam.check_fn(x) for x in xs]) for xs in (u, u + w, w))
     if A.shape[-1] != fam.dim ** 2:

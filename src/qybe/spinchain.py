@@ -21,8 +21,9 @@ bond into its blocks (each bond's entries gathered by `repspace.block_index`);
 tau(u) is contracted into its blocks once `check_sectors` has found no R
 entry between the aux (x) site sectors, so the block spectra are the
 spectrum.  A chain's site and auxiliary are `repspace.Site`s, read from the
-objects that own them; a site of zero weights is one sector, its one block
-is the whole matrix, and tau runs the same GEMMs with one weight group.
+objects that own them, and its sectors a lookup of their summed keys; a site
+of zero weights is one sector, its one block is the whole matrix, and tau
+runs the same GEMMs with one weight group.
 """
 
 from dataclasses import dataclass
@@ -31,13 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .qarith import DESK_BOUND, QybeError
-from .repspace import Site, block_index
-from .coupling import (
-    check_sectors,
-    product_sectors,
-    product_weights,
-    weight_sectors,
-)
+from .repspace import Site, block_index, weight_sectors
+from .coupling import check_sectors, product_sectors
 from .fusion import descendant_coefficients
 
 
@@ -45,8 +41,8 @@ from .fusion import descendant_coefficients
 class ChainSpec:
     """Periodic chain of `n_sites` copies of the tensor factor `site` (a
     `Site`), and `aux`, the auxiliary factor of its transfer matrix (the
-    site unless given).  The chain's weight sectors follow from the sites'
-    weights; a site of zero weights makes the chain one sector."""
+    site unless given).  The chain's weight sectors are the summed keys of
+    the sites (`Site.keys`); a site of zero keys makes the chain one sector."""
 
     site: Site
     n_sites: int
@@ -65,19 +61,13 @@ class ChainSpec:
     def sectors(self):
         """Index arrays of the product states of each total weight, in
         increasing weight, built once per spec; Delta^N(h) is additive, so a
-        state's weight is the sum of its site weights."""
-        return product_sectors(*[self.site.weights] * self.n_sites)
+        state's key is the sum of its site keys."""
+        return product_sectors(*[self.site] * self.n_sites)
 
     @cached_property
     def transfer_plan(self):
         """The gathers and scatters of `transfer_matrix`, built once per spec."""
         return _TransferPlan(self)
-
-
-def _groups(keys):
-    """Indices of equal integer keys, keyed by the key, in increasing key
-    order (`weight_sectors` keys by twice a weight)."""
-    return weight_sectors(np.asarray(keys) / 2)
 
 
 def _rank(groups, size):
@@ -91,8 +81,8 @@ def _rank(groups, size):
 class _TransferPlan:
     """Where each entry of the blocked monodromy comes from and goes to.
 
-    Weights enter as integer keys, twice the weights.  The monodromy of k
-    sites T(a, S_out, b, S_in) obeys w(a) + W(S_out) = w(b) + W(S_in), w the
+    Weights enter as the sites' integer keys (`Site.keys`).  The monodromy of
+    k sites T(a, S_out, b, S_in) obeys w(a) + W(S_out) = w(b) + W(S_in), w the
     weight of an auxiliary state and W the total weight of a run of site
     states.  T is held as one flat array: for each weight beta of b, its
     rows (a, S_out, S_in) times the states b of that weight; then one zero.
@@ -111,11 +101,10 @@ class _TransferPlan:
 
     def __init__(self, spec):
         da, ds, N = spec.aux.dim, spec.site.dim, spec.n_sites
-        ka, ks = (np.round(2 * np.asarray(w)).astype(int)
-                  for w in (spec.aux.weights, spec.site.weights))
-        aux = _groups(ka)
-        site_pairs = _groups(np.subtract.outer(ks, ks).ravel())  # s_out * ds + s_in
-        self.r_sectors = list(_groups(np.add.outer(ka, ks).ravel()).values())
+        ka, ks = np.array(spec.aux.keys), np.array(spec.site.keys)
+        aux = weight_sectors(ka)
+        site_pairs = weight_sectors(np.subtract.outer(ks, ks).ravel())  # s_out * ds + s_in
+        self.r_sectors = list(weight_sectors(np.add.outer(ka, ks).ravel()).values())
 
         # the R entries of each (beta, beta') block, (b, pair, b') row-major
         gather, blocks = [], {}
@@ -158,9 +147,9 @@ class _TransferPlan:
         # the closing GEMMs, one per delta: L rows (S_out, S_in) as
         # S_out * d + S_in, inner index (a, b) as a * da + b
         d = ds ** (N - 1)
-        WS = product_weights(*[ks] * (N - 1)).astype(int)
-        chain_pairs = _groups(np.subtract.outer(WS, WS).ravel())
-        aux_pairs = _groups(np.subtract.outer(ka, ka).T.ravel())
+        run = Site.product(*[spec.site] * (N - 1))
+        chain_pairs = weight_sectors(np.subtract.outer(run.keys, run.keys).ravel())
+        aux_pairs = weight_sectors(np.subtract.outer(ka, ka).T.ravel())
         bsize = np.array([s.size for s in spec.sectors])
         boff = np.cumsum(np.concatenate(([0], bsize ** 2)))
         sec, loc = np.empty(d * ds, np.intp), np.empty(d * ds, np.intp)
@@ -192,7 +181,7 @@ class _TransferPlan:
         # where each entry of T sits in the closing rows, and the closing
         # weight (-1)^(p(a) (1 + p(S_in))) of its row
         pa = np.asarray(spec.aux.parities)
-        PS = product_weights(*[spec.site.parities] * (N - 1)).astype(int) % 2
+        PS = np.array(run.parities)
         prow, pab = _rank(chain_pairs, d * d), _rank(aux_pairs, da * da)
         size = sum(rows[b][0].size * ib.size for b, ib in aux.items())
         self.close = np.full(l0, size, dtype=np.intp)
@@ -304,7 +293,7 @@ def hamiltonian_projector_form(U, spec):
         raise not_u
     f0, bond = chain_bond(U)
     try:
-        check_sectors(bond, product_sectors(spec.site.weights, spec.site.weights))
+        check_sectors(bond, product_sectors(spec.site, spec.site))
     except QybeError as exc:
         raise not_u from exc
     gathers = [block_index(((i + 1) % N, i), [spec.site.parities] * N) for i in range(N)]

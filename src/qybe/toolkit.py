@@ -515,7 +515,7 @@ def _lax_dims(ctx, rng, inputs):
 def _lax_rll(ctx, rng, inputs):
     U = ctx.composite(inputs["r"], inputs["n"])
     fam = U.hecke
-    u, w = random_points(rng, 2, guards=(-fam.u0,))
+    u, w = random_points(rng, 2, guards=family_guards(fam))
     L13 = fusion.extended_lax(U, u)
     L23 = fusion.extended_lax(U, w)
     Rm = fam.noncheck(u - w)

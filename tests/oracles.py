@@ -6,9 +6,10 @@ Grouped by the layer whose objects they take: the ladder coefficients
 (`repspace`), the baxterized coefficient and the polynomial fit of a
 spectral family (`rmatrix`), the truncation cascade, f-product and
 two-projector closed form of the extended Lax operator and the induced
-pair states (`fusion`), the four-factor coupled basis (`coupling`) and the
-bond matrix elements in it (`spinchain`), and the membership test of a
-centralizer basis (`commutant`)."""
+pair states (`fusion`), the block multiplicities of a decomposition and
+the four-factor coupled basis (`coupling`), the bond matrix elements in
+it (`spinchain`), and the membership test of a centralizer basis
+(`commutant`)."""
 
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ import numpy as np
 from qybe.qarith import OSPQ12, QybeError, q_number, qr_shift
 from qybe.repspace import (
     RepLike,
+    Site,
     coproduct_pair,
     embed_at,
     graded_kron_raw,
@@ -147,7 +149,7 @@ def lax_lower_projector(U):
     if Tn1.shape[1] != dims_recurrence(rep.r, n + 1):
         raise QybeError("upper component rank mismatch")
     Efull = np.kron(np.eye(rep.r), U.embed)
-    co = nfold_coproduct(rep.algebra, [rep] * (n + 1), U.params.q)
+    co = nfold_coproduct([rep] * (n + 1))
     md, res = invariant_metric(co.E, co.F)
     if res > 1e-6:
         raise QybeError("invariant metric inconsistent on the Lax space")
@@ -222,6 +224,14 @@ def composite_states(U):
 
 # coupling
 
+def block_multiplicities(dec):
+    """{irrep dimension: number of blocks} of a decomposition, ascending."""
+    mult = {}
+    for b in dec.blocks:
+        mult[b.r] = mult.get(b.r, 0) + 1
+    return dict(sorted(mult.items()))
+
+
 @dataclass
 class CoupledBasis:
     """Iterated pair coupling of four like factors bracketed ((1,2),(3,4)).
@@ -239,14 +249,15 @@ class CoupledBasis:
     sectors: dict
 
 
-def _block_replike(algebra, dec, pair_gens, block):
+def _block_replike(dec, pair_gens, block):
     cols = list(block.cols)
     return RepLike(
-        algebra,
+        pair_gens.algebra,
         pair_gens.E[np.ix_(cols, cols)],
         pair_gens.F[np.ix_(cols, cols)],
         pair_gens.H[np.ix_(cols, cols)],
-        dec.parities[cols],
+        Site(dec.parities[cols], [block.hw_weight - k for k in range(block.r)]),
+        pair_gens.params,
     )
 
 
@@ -258,23 +269,22 @@ def coupled_basis(table):
     block can carry the opposite parity convention to a standalone irrep,
     e.g. an odd pair singlet), so the sector couplings are rebuilt from the
     block generators rather than from standard tables."""
-    rep, params = table.rep1, table.rep1.params
+    rep = table.rep1
     dec = table.decomposition
     d2 = rep.r ** 2
-    pair_co = coproduct_pair(rep.algebra, rep, rep, params.q)
+    pair_co = coproduct_pair(rep, rep)
     gens = RepLike(rep.algebra, dec.dual @ pair_co.E @ dec.basis,
                    dec.dual @ pair_co.F @ dec.basis,
-                   dec.dual @ pair_co.H @ dec.basis, dec.parities)
-    pprod = (np.add.outer(np.asarray(rep.parities), np.asarray(rep.parities)) % 2).reshape(-1)
-    B1 = graded_kron_raw(dec.basis, dec.basis, dec.parities, pprod, dec.parities, pprod)
+                   dec.dual @ pair_co.H @ dec.basis, dec.site, rep.params)
+    B1 = graded_kron_raw(dec.basis, dec.basis, dec.parities, dec.parities, pair_co.parities)
     total = np.zeros((d2 * d2, d2 * d2), dtype=complex)
     labels = []
     sectors = {}
     for ai, bA in enumerate(dec.blocks):
-        Alike = _block_replike(rep.algebra, dec, gens, bA)
+        Alike = _block_replike(dec, gens, bA)
         for bi, bB in enumerate(dec.blocks):
-            Blike = _block_replike(rep.algebra, dec, gens, bB)
-            sector = decompose(coproduct_pair(rep.algebra, Alike, Blike, params.q), params)
+            Blike = _block_replike(dec, gens, bB)
+            sector = decompose(coproduct_pair(Alike, Blike))
             sectors[(ai, bi)] = (bA, bB, sector)
             rows = [cA * d2 + cB for cA in bA.cols for cB in bB.cols]
             for bT in sector.blocks:
@@ -290,7 +300,7 @@ def coupled_basis(table):
                     ))
     basis = B1 @ total
     dual = np.linalg.inv(basis)
-    four = coproduct_pair(rep.algebra, pair_co, pair_co, params.q)
+    four = coproduct_pair(pair_co, pair_co)
     metric, _ = invariant_metric(four.E, four.F)
     eps = np.array([basis[:, c] @ (metric * basis[:, c]) for c in range(basis.shape[1])])
     return CoupledBasis(labels=labels, basis=basis, dual=dual, eps=eps,

@@ -39,7 +39,13 @@ from qybe.repspace import embed_at, nfold_coproduct
 from qybe.rmatrix import intertwining_residual, rel_residual
 from qybe.toolkit import RunConfig, family_guards, random_points, verify_all
 from conftest import pair_table, params_for, sample_points
-from oracles import braid_limit, coupled_matrix_elements, extended_lax_closed, f_product
+from oracles import (
+    block_multiplicities,
+    braid_limit,
+    coupled_matrix_elements,
+    extended_lax_closed,
+    f_product,
+)
 
 Q = 1.3
 
@@ -190,8 +196,7 @@ def test_criterion_07_composite_pair_structure():
     p = params_for(SLQ2)
     rep = build_irrep(SLQ2, 3, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    pair = nfold_coproduct(SLQ2, [U.gens] * 2, p.q)
-    mult = decompose(pair, p).block_multiplicities()
+    mult = block_multiplicities(decompose(nfold_coproduct([U.gens] * 2)))
     ok = mult == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
     report(7, "composite pair multiplicities (2,4,4,3,1)", 0.0 if ok else 1.0, 0.5)
     nb = commutant_nullspace(U, 2)
@@ -277,7 +282,7 @@ def test_criterion_09_chain_suite():
            resid, 1e-7)
     # bond terms are two-cell centralizer elements; the periodic sum
     # preserves the weight operator and the commuting family
-    pair = nfold_coproduct(SLQ2, [U.gens] * 2, p.q)
+    pair = nfold_coproduct([U.gens] * 2)
     bond = chain_bond(U)[1]
     worst_inv = max(rel_residual(bond @ getattr(pair, g), getattr(pair, g) @ bond)
                     for g in ("E", "F", "H"))

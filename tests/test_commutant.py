@@ -26,11 +26,10 @@ from qybe.commutant import (
     _nullspace_from_system,
     _sector_layout,
 )
-from qybe.coupling import product_weights, weight_sectors
-from qybe.repspace import ladder_weights, nfold_coproduct
+from qybe.repspace import Site, ladder_weights, nfold_coproduct
 from qybe.toolkit import family_guards, random_points
 from conftest import pair_table, params_for, sample_points
-from oracles import membership
+from oracles import block_multiplicities, membership
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
@@ -75,8 +74,8 @@ def test_commutant_dim_matches_multiplicities(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)  # single triplet block
     nb = commutant_nullspace(U, 2)
-    chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
-    mult = decompose(chain, params_sl).block_multiplicities()
+    chain = nfold_coproduct([U.gens] * 2)
+    mult = block_multiplicities(decompose(chain))
     assert nb.dim == sum(m * m for m in mult.values())
 
 
@@ -95,7 +94,7 @@ def test_weight_conservation_is_built_in(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
-    wts = np.real(np.diag(nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q).H)) / 2
+    wts = np.real(np.diag(nfold_coproduct([U.gens] * 2).H)) / 2
     d = U.dim ** 2
     for m in nb.vectors[:, :5].T.reshape(-1, d, d):
         for i in range(m.shape[0]):
@@ -151,7 +150,7 @@ def test_generator_is_not_member(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
-    chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
+    chain = nfold_coproduct([U.gens] * 2)
     ok, coef, resid = membership(chain.E, nb)
     assert not ok and resid > 1e-3
 
@@ -250,8 +249,8 @@ def test_commutant_budget_from_sector_layout(r, fits, params_sl):
     # the layout sizes the system, rows x unknowns, before anything is built:
     # r = 4 gives 11544 x 6021 entries, r = 5 gives 61600 x 31652
     U = composite_space(hecke_family(pair_table(SLQ2, r, params_sl)), n=2)
-    co = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
-    sectors = weight_sectors(ladder_weights(co))
+    co = nfold_coproduct([U.gens] * 2)
+    sectors = Site(co.parities, ladder_weights(co)).sectors
     if fits:
         _sector_layout(sectors, co.dim)
     else:
@@ -265,16 +264,16 @@ def test_commutant_budget_from_sector_layout(r, fits, params_sl):
 def test_ladder_generators_match_dense_coproduct(algebra, q, r, n_U, n):
     # what the two routes do not share: constraint_system writes Delta^n(e),
     # Delta^n(f) from the per-state ladder data and sums the sectors from
-    # the per-state weights; commutant_nullspace takes both from the dense
+    # the keys of U.site; commutant_nullspace takes both from the dense
     # iterated coproduct
     p = DeformParams(q=q, algebra=algebra)
     U = composite_space(hecke_family(pair_table(algebra, r, p)), n=n_U)
     states = _block_ladder_data(U)
-    co = nfold_coproduct(algebra, [U.gens] * n, q)
+    co = nfold_coproduct([U.gens] * n)
     for ladder, dense in zip(_coproduct_generators(states, n, q, algebra), (co.E, co.F)):
         assert np.abs(ladder - dense).max() <= 1e-12 * np.abs(dense).max()
-    ladder = weight_sectors(product_weights(*[[st["weight"] for st in states]] * n))
-    dense = weight_sectors(ladder_weights(co))
+    ladder = Site.product(*[U.site] * n).sectors
+    dense = Site(co.parities, ladder_weights(co)).sectors
     assert list(ladder) == list(dense)
     assert all(np.array_equal(ladder[k], dense[k]) for k in dense)
 
@@ -288,7 +287,7 @@ def test_basis_commutes_with_dense_generators(algebra, q, r, n):
     # Delta^n(e), Delta^n(f), Delta^n(h) directly
     p = DeformParams(q=q, algebra=algebra)
     U = composite_space(hecke_family(pair_table(algebra, r, p)), n=2)
-    co = nfold_coproduct(algebra, [U.gens] * n, q)
+    co = nfold_coproduct([U.gens] * n)
     for basis in (commutant_nullspace(U, n), constraint_system(U, n)[0]):
         assert basis.dim > 0
         for C in basis.vectors.T.reshape(basis.dim, U.dim ** n, U.dim ** n):
@@ -299,7 +298,7 @@ def test_basis_commutes_with_dense_generators(algebra, q, r, n):
 
 def test_constraint_system_refuses_before_writing_generators(params_sl, monkeypatch):
     # r = 5, n = 2 is a 61600 x 31652 system: the layout refuses it from the
-    # per-state weights, before any d x d generator exists
+    # summed per-state keys, before any d x d generator exists
     U = composite_space(hecke_family(pair_table(SLQ2, 5, params_sl)), n=2)
 
     def written(*args):
@@ -313,7 +312,7 @@ def test_constraint_system_refuses_before_writing_generators(params_sl, monkeypa
 @pytest.mark.parametrize("r,n", [(5, 2), (2, 7)])
 def test_commutant_nullspace_refuses_before_the_dense_coproduct(r, n, params_sl, monkeypatch):
     # r = 5, n = 2 is a 61600 x 31652 system and r = 2, n = 7 one on 2187
-    # states: both are refused from the summed per-state weights, before the
+    # states: both are refused from the summed per-state keys, before the
     # d x d coproduct generators exist
     U = composite_space(hecke_family(pair_table(SLQ2, r, params_sl)), n=2)
 

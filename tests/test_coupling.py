@@ -131,7 +131,7 @@ def test_projector_laws(algebra, r):
 def test_projector_invariance(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    pair = coproduct_pair(algebra, rep, rep, p.q)
+    pair = coproduct_pair(rep, rep)
     t = cgc_table(rep, rep)
     for r0 in tensor_decompose(r, r):
         P = projector(t, r0)
@@ -239,8 +239,7 @@ def test_coupled_basis_diagonalizes_pair_casimirs(params_sl):
 
     rep = build_irrep(SLQ2, 2, params_sl)
     cb = coupled_basis(cgc_table(rep, rep))
-    pair = coproduct_pair(SLQ2, rep, rep, params_sl.q)
-    c12 = casimir_matrix(SLQ2, pair, params_sl.q)
+    c12 = casimir_matrix(coproduct_pair(rep, rep))
     d2 = rep.r ** 2
     c12_full = np.kron(c12, np.eye(d2))
     c34_full = np.kron(np.eye(d2), c12)
@@ -249,14 +248,15 @@ def test_coupled_basis_diagonalizes_pair_casimirs(params_sl):
 
 
 def test_weight_sectors_match_the_unique_reference(rng):
-    # the argsort grouping keeps np.unique's keys, key order and index arrays
-    from qybe.coupling import weight_sectors
+    # the argsort grouping keeps np.unique's keys, key order and index
+    # arrays, on integer keys and on the keys a Site rounds from weights
+    from qybe.repspace import Site, weight_sectors
 
     for size in (0, 1, 7, 60):
         for span in (1, 4, 20):
-            w = rng.integers(-span, span + 1, size=size) / 2 + rng.normal(scale=1e-9, size=size)
-            keys = np.round(2 * w).astype(int)
+            keys = rng.integers(-span, span + 1, size=size)
             want = {int(k): np.flatnonzero(keys == k) for k in np.unique(keys)}
-            got = weight_sectors(w)
-            assert list(got) == list(want)
-            assert all(np.array_equal(got[k], want[k]) for k in want)
+            noisy = Site((0,) * size, keys / 2 + rng.normal(scale=1e-9, size=size))
+            for got in (weight_sectors(keys), noisy.sectors):
+                assert list(got) == list(want)
+                assert all(np.array_equal(got[k], want[k]) for k in want)

@@ -20,14 +20,15 @@ from qybe import (
     u0_point,
     ybe_residual,
 )
-from qybe.coupling import decompose, product_sectors, product_weights
+from qybe.coupling import decompose, product_sectors
 from qybe.fusion import adjacent_singlet_kernel
-from qybe.repspace import embed_at, nfold_coproduct
+from qybe.repspace import Site, embed_at, nfold_coproduct
 from qybe.qarith import DESK_BOUND
 from qybe.rmatrix import r33_family, rel_residual
 from conftest import pair_table, params_for, sample_points
 from oracles import (
     _four_site_ops,
+    block_multiplicities,
     composite_states,
     extended_lax_closed,
     f_product,
@@ -81,9 +82,9 @@ def _composite(algebra, q, r, n):
                            n=n)
 
 
-def _off_sector(row_weights, col_weights):
+def _off_sector(row_site, col_site):
     """Mask of the entries between states of different weight."""
-    return np.not_equal.outer(np.round(2 * row_weights), np.round(2 * col_weights))
+    return np.not_equal.outer(row_site.keys, col_site.keys)
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
@@ -93,7 +94,7 @@ def _off_sector(row_weights, col_weights):
 def test_composite_basis_is_weight_graded(algebra, q, r, n):
     # embed and project hold exact zeros between states of different weight
     U = _composite(algebra, q, r, n)
-    off = _off_sector(product_weights(*[U.rep.site.weights] * n), np.array(U.site.weights))
+    off = _off_sector(Site.product(*[U.rep.site] * n), U.site)
     assert off.mean() > 0.5
     assert not U.embed[off].any()
     assert not U.project.T[off].any()
@@ -102,16 +103,16 @@ def test_composite_basis_is_weight_graded(algebra, q, r, n):
 def test_composite_blocks_r3(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     U2 = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    assert U2.blocks == [(3, 1), (5, 1)]
+    assert block_multiplicities(U2.decomposition) == {3: 1, 5: 1}
     U3 = composite_space(hecke_family(cgc_table(rep, rep)), n=3)
-    assert U3.blocks == [(1, 1), (3, 1), (5, 2), (7, 1)]
+    assert block_multiplicities(U3.decomposition) == {1: 1, 3: 1, 5: 2, 7: 1}
 
 
 def test_composite_r2_single_block(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     for n in (2, 3, 4):
         U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
-        assert U.blocks == [(n + 1, 1)]
+        assert block_multiplicities(U.decomposition) == {n + 1: 1}
 
 
 def test_cascade_image_is_truncated_space(params_sl):
@@ -156,7 +157,7 @@ def test_sector_kernel_spans_the_stacked_kernel(algebra, r, n):
     ker, oracle = adjacent_singlet_kernel(fam, n), _stacked_kernel(fam, n)
     assert ker.shape == oracle.shape == (r ** n, dims_recurrence(r, n))
     assert np.allclose(ker.conj().T @ ker, np.eye(ker.shape[1]), atol=1e-12)
-    for s in product_sectors(*[fam.site.weights] * n):
+    for s in product_sectors(*[fam.site] * n):
         cols = np.any(ker[s] != 0, axis=0)
         mine, theirs = _span_projector(ker[np.ix_(s, cols)]), _span_projector(oracle[s])
         assert np.abs(mine - theirs).max() < 1e-10
@@ -168,12 +169,11 @@ def test_sector_kernel_columns_are_weight_pure(algebra, r, n):
     # the composite space's embed and project between weights
     fam = hecke_family(pair_table(algebra, r))
     ker = adjacent_singlet_kernel(fam, n)
-    weights = product_weights(*[fam.site.weights] * n)
     hits = sum(np.any(ker[s] != 0, axis=0).astype(int)
-               for s in product_sectors(*[fam.site.weights] * n))
+               for s in product_sectors(*[fam.site] * n))
     assert (hits == 1).all()
     U = composite_space(fam, n)
-    off = _off_sector(weights, np.array(U.site.weights))
+    off = _off_sector(Site.product(*[fam.site] * n), U.site)
     assert not U.embed[off].any()
     assert not U.project.T[off].any()
 
@@ -182,12 +182,12 @@ def test_decompose_refuses_a_span_across_weights():
     # a restriction span whose column mixes two weights is refused: the
     # highest-weight search reads each column at one weight only
     fam = hecke_family(pair_table(SLQ2, 2))
-    co = nfold_coproduct(SLQ2, [fam.table.rep1] * 3, fam.params.q)
+    co = nfold_coproduct([fam.table.rep1] * 3)
     ker = adjacent_singlet_kernel(fam, 3)
     mixed = ker.copy()
     mixed[:, 0] += ker[:, -1]
     with pytest.raises(QybeError, match="not in one weight sector"):
-        decompose(co, fam.params, within=mixed)
+        decompose(co, within=mixed)
 
 
 def test_u8_pair_multiplicities(params_sl):
@@ -196,9 +196,8 @@ def test_u8_pair_multiplicities(params_sl):
 
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    pair = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
-    dec = decompose(pair, params_sl)
-    assert dec.block_multiplicities() == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
+    dec = decompose(nfold_coproduct([U.gens] * 2))
+    assert block_multiplicities(dec) == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
 
 
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
@@ -295,7 +294,7 @@ def test_descendant_invariance(algebra, r, rng):
     rep = build_irrep(algebra, r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
-    pair = nfold_coproduct(algebra, [U.gens] * 2, p.q)
+    pair = nfold_coproduct([U.gens] * 2)
     u = sample_points(rng, 1, guards=fam_guards(rep, p), min_dist=0.06)[0]
     R = fam.check_fn(u)
     for g in ("E", "F", "H"):
@@ -404,7 +403,7 @@ def test_extended_lax_by_sector_matches_dense_train(algebra, q, r, n):
     # the sector build is exactly zero between total-weight sectors and is
     # the dense crossing train everywhere else
     U = _composite(algebra, q, r, n)
-    w = product_weights(U.rep.site.weights, U.site.weights)
+    w = Site.product(U.rep.site, U.site)
     off = _off_sector(w, w)
     for u in (0.37, 0.21 - 0.13j):
         L = extended_lax(U, u)
@@ -517,7 +516,7 @@ def test_composite_states_r2_span_triplet(params_sl):
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     labels, psi = composite_states(U)
-    assert U.blocks == [(3, 1)]
+    assert block_multiplicities(U.decomposition) == {3: 1}
     assert psi.shape == (3, 3)
 
 

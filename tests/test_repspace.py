@@ -11,6 +11,9 @@ from qybe import (
     SLQ2,
     build_irrep,
     casimir_value,
+    cgc_table,
+    composite_space,
+    hecke_family,
     q_number,
     verify_algebra,
 )
@@ -25,10 +28,11 @@ from qybe.repspace import (
     embed_at,
     graded_kron_raw,
     invariant_metric,
+    ladder_weights,
     nfold_coproduct,
     perm_matrix,
 )
-from qybe.coupling import product_sectors, product_weights
+from qybe.coupling import product_sectors
 from oracles import alpha_closed
 from qybe.toolkit import GradedOperator, Space
 from conftest import params_for
@@ -100,7 +104,7 @@ def test_corrupted_rep_is_detected(params_osp):
 def test_graded_kron_identity(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
     p = rep.parities
-    II = graded_kron_raw(np.eye(3), np.eye(3), p, p, p, p)
+    II = graded_kron_raw(np.eye(3), np.eye(3), p, p, p)
     assert np.abs(II - np.eye(9)).max() == 0
 
 
@@ -108,7 +112,7 @@ def test_graded_kron_all_even_is_plain(rng):
     A = rng.normal(size=(3, 3))
     B = rng.normal(size=(2, 2))
     pz3, pz2 = (0, 0, 0), (0, 0)
-    out = graded_kron_raw(A, B, pz3, pz3, pz2, pz2)
+    out = graded_kron_raw(A, B, pz3, pz2, pz2)
     assert np.abs(out - np.kron(A, B)).max() == 0
 
 
@@ -123,9 +127,9 @@ def test_graded_kron_product_rule(rng):
                 mask = np.array([[1 - par, par], [par, 1 - par]])
                 return m * mask
             A, B, C, D = hom(0), hom(pB), hom(pC), hom(0)
-            AB = graded_kron_raw(A, B, p, p, p, p)
-            CD = graded_kron_raw(C, D, p, p, p, p)
-            ACBD = graded_kron_raw(A @ C, B @ D, p, p, p, p)
+            AB = graded_kron_raw(A, B, p, p, p)
+            CD = graded_kron_raw(C, D, p, p, p)
+            ACBD = graded_kron_raw(A @ C, B @ D, p, p, p)
             sign = (-1.0) ** (pB * pC)
             assert np.abs(AB @ CD - sign * ACBD).max() < 1e-12
 
@@ -137,7 +141,7 @@ def test_coproduct_homomorphism(algebra, r1, r2):
     p = params_for(algebra)
     a = build_irrep(algebra, r1, p)
     b = build_irrep(algebra, r2, p)
-    pair = coproduct_pair(algebra, a, b, p.q)
+    pair = coproduct_pair(a, b)
     d = np.diag(pair.H)
     qn = np.diag((p.q ** d - p.q ** (-d)) / (p.q - 1 / p.q))
     if algebra == OSPQ12:
@@ -149,7 +153,7 @@ def test_coproduct_homomorphism(algebra, r1, r2):
 
 def test_coproduct_weights_add(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    Dh = coproduct_pair(OSPQ12, rep, rep, params_osp.q).H
+    Dh = coproduct_pair(rep, rep).H
     w = (rep.r - 1) / 2 - np.arange(rep.r)  # the ladder weights, highest first
     expect = np.add.outer(w, w).reshape(-1)
     assert np.abs(np.diag(Dh) - expect).max() < 1e-13
@@ -157,10 +161,9 @@ def test_coproduct_weights_add(params_osp):
 
 def test_coassociativity(params_osp):
     rep = build_irrep(OSPQ12, 2, params_osp)
-    q = params_osp.q
-    pair = coproduct_pair(OSPQ12, rep, rep, q)
-    left = coproduct_pair(OSPQ12, pair, rep, q)
-    right = coproduct_pair(OSPQ12, rep, pair, q)
+    pair = coproduct_pair(rep, rep)
+    left = coproduct_pair(pair, rep)
+    right = coproduct_pair(rep, pair)
     for g in ("E", "F", "H"):
         assert np.abs(getattr(left, g) - getattr(right, g)).max() < 1e-12
 
@@ -351,16 +354,16 @@ def test_apply_at_product_keeps_weight_sectors(rng):
     columns of a sector, the product fills that sector's rows with the
     dense product's diagonal block, and every other row is exactly zero."""
     dims, pars = [2, 3, 2], [(0, 1), (0, 1, 0), (0, 1)]
-    weights = [np.array([0.5, -0.5]), np.array([1.0, 0.0, -1.0]), np.array([0.5, -0.5])]
+    sites = [Site(p, w) for p, w in zip(pars, [(0.5, -0.5), (1.0, 0.0, -1.0), (0.5, -0.5)])]
 
     def conserving(pos):
-        w = product_weights(*[weights[k] for k in pos])
-        keep = w[:, None] == w[None, :]
+        keys = np.array(Site.product(*[sites[k] for k in pos]).keys)
+        keep = keys[:, None] == keys[None, :]
         return keep * (rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape))
 
     factors = [(conserving(pos), pos) for pos in [(0, 1), (2, 0), (1, 2), (0, 2)]]
     dense = _dense_product(factors, dims, pars)
-    for s in product_sectors(*weights):
+    for s in product_sectors(*sites):
         X = np.zeros((len(dense), len(s)), dtype=complex)
         X[s, np.arange(len(s))] = 1.0
         got = _apply_product(factors, pars, X)
@@ -368,11 +371,35 @@ def test_apply_at_product_keeps_weight_sectors(rng):
         assert not np.delete(got, s, axis=0).any()
 
 
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("q", [1.3, 0.7, 1.1 + 0.4j, -1.3])
+def test_every_builder_site_matches_its_ladder_weights(algebra, q):
+    # each builder writes its site from the labels it already knows (j - k,
+    # the factors' summed keys, hw - k down each block); ladder_weights reads
+    # the weights back from h, subtracting the shift of even-r osp at complex
+    # q, and the two agree on every state of irreps, pairs and composites
+    p = DeformParams(q=q, algebra=algebra)
+    reps = [build_irrep(algebra, r, p) for r in range(1, 7)]
+    objs = reps + [coproduct_pair(a, b) for a in reps for b in reps]
+    objs += [composite_space(hecke_family(cgc_table(reps[r - 1], reps[r - 1])), n).gens
+             for r, n in [(2, 4), (3, 3), (4, 3), (3, 4)]]
+    for obj in objs:
+        assert obj.site == Site(obj.parities, ladder_weights(obj))
+
+
+def test_site_keys_are_twice_the_half_integer_weights():
+    assert Site((0, 1, 0), (1.0, 1e-8 - 0.5, -1.5)).keys == (2, -1, -3)
+    with pytest.raises(QybeError, match="weight 0.3 is not a half-integer"):
+        Site((0, 0), (0.5, 0.3))
+    # the product of no sites is the one state of key 0
+    assert Site.product() == Site((0,), (0,))
+
+
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 4), (OSPQ12, 3), (OSPQ12, 4)])
 def test_casimir_scalar(algebra, r):
     p = params_for(algebra)
     rep = build_irrep(algebra, r, p)
-    c = casimir_matrix(algebra, rep, p.q)
+    c = casimir_matrix(rep)
     assert np.abs(c - rep.casimir_value * np.eye(r)).max() < 1e-10
 
 
@@ -384,7 +411,7 @@ def test_casimir_value_sl(params_sl):
 
 def test_casimir_apply_osp4(params_osp):
     rep = build_irrep(OSPQ12, 4, params_osp)
-    c = casimir_matrix(OSPQ12, rep, params_osp.q)
+    c = casimir_matrix(rep)
     for k in range(4):
         v = np.zeros(4)
         v[k] = 1.0
@@ -393,7 +420,7 @@ def test_casimir_apply_osp4(params_osp):
 
 def test_pair_casimir_spectrum(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    cc = casimir_matrix(OSPQ12, coproduct_pair(OSPQ12, rep, rep, params_osp.q), params_osp.q)
+    cc = casimir_matrix(coproduct_pair(rep, rep))
     got = np.sort_complex(np.linalg.eigvals(cc))
     want = []
     for r0 in (1, 3, 5):
@@ -404,8 +431,8 @@ def test_pair_casimir_spectrum(params_osp):
 
 def test_pair_casimir_central(params_osp):
     rep = build_irrep(OSPQ12, 3, params_osp)
-    pair = coproduct_pair(OSPQ12, rep, rep, params_osp.q)
-    cc = casimir_matrix(OSPQ12, pair, params_osp.q)
+    pair = coproduct_pair(rep, rep)
+    cc = casimir_matrix(pair)
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
         assert np.abs(cc @ D - D @ cc).max() < 1e-10
@@ -415,7 +442,7 @@ def test_pair_casimir_central(params_osp):
 def test_invariant_metric_consistency(algebra):
     p = params_for(algebra)
     rep = build_irrep(algebra, 3, p)
-    tri = nfold_coproduct(algebra, [rep] * 3, p.q)
+    tri = nfold_coproduct([rep] * 3)
     md, res = invariant_metric(tri.E, tri.F)
     assert res < 1e-11
     # metric also intertwines f^T with e, up to the residual tolerance
@@ -466,5 +493,5 @@ def test_invariant_metric_equals_the_full_scan(algebra, q, r, n):
     # visiting only the linked states, in ascending order, is the full scan
     # bit for bit
     p = DeformParams(q=q, algebra=algebra)
-    co = nfold_coproduct(algebra, [build_irrep(algebra, r, p)] * n, q)
+    co = nfold_coproduct([build_irrep(algebra, r, p)] * n)
     assert np.array_equal(invariant_metric(co.E, co.F)[0], _invariant_metric_by_scan(co.E, co.F))

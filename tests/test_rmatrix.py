@@ -23,7 +23,7 @@ from qybe import (
     ybe_residual,
 )
 from qybe import rmatrix
-from qybe.coupling import product_sectors, product_weights, projector
+from qybe.coupling import product_sectors, projector
 from qybe.repspace import Site, block_index, embed_at, perm_matrix
 from qybe.rmatrix import intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
@@ -119,7 +119,7 @@ def test_hecke_commutes_with_coproduct(params_osp):
 
     rep = build_irrep(OSPQ12, 3, params_osp)
     fam = hecke_family(cgc_table(rep, rep))
-    pair = coproduct_pair(OSPQ12, rep, rep, params_osp.q)
+    pair = coproduct_pair(rep, rep)
     R = fam.check_fn(0.37 + 0.1j)
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
@@ -357,9 +357,9 @@ def test_stacked_ybe_negative_controls(algebra):
     fam = hecke_family(table, chi=chi_factor(table) * 1.01)
     assert ybe_residual(fam, us, ws) > 3 ** 3 * 1e-12
     fam = hecke_family(table)
-    w = product_weights(*[table.rep1.site.weights] * 2)
+    keys = Site.product(*[table.rep1.site] * 2).keys
     planted = np.zeros((9, 9))
-    planted[np.argmax(w), np.argmin(w)] = 1e-6
+    planted[np.argmax(keys), np.argmin(keys)] = 1e-6
     leaky = dataclasses.replace(fam, check_fn=lambda u: fam.check_fn(u) + planted)
     with pytest.raises(QybeError, match="outside the weight sectors"):
         ybe_residual(leaky, us, ws)
@@ -382,8 +382,8 @@ _SITES = [Site((0, 1), (0.5, -0.5)), Site((0, 1, 0), (1.0, 0.0, -1.0)), Site((1,
 
 def _conserving(rng, legs):
     """A random operator on the legs that conserves their summed weight."""
-    w = product_weights(*[_SITES[k].weights for k in legs])
-    keep = w[:, None] == w[None, :]
+    keys = np.array(Site.product(*[_SITES[k] for k in legs]).keys)
+    keep = keys[:, None] == keys[None, :]
     return keep * (rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape))
 
 
@@ -406,8 +406,7 @@ def test_sector_residual_is_bounded_by_the_dense_residual(rng, monkeypatch):
 
     monkeypatch.setattr(rmatrix, "check_sectors", counting)
     got = sector_residual(lhs, rhs, _SITES, rng)
-    assert checked == [(id(op), [len(s) for s in product_sectors(*[_SITES[k].weights
-                                                                    for k in legs])])
+    assert checked == [(id(op), [len(s) for s in product_sectors(*[_SITES[k] for k in legs])])
                        for op, legs in lhs]
     pars = [site.parities for site in _SITES]
     dense = rel_residual(*[reduce(np.matmul, [embed_at(op, legs, pars) for op, legs in side])
@@ -427,7 +426,7 @@ def test_sector_residual_equals_the_probes_of_the_sector_blocks(rng):
         return [sign * op.ravel()[index] for op, legs in side
                 for index, sign in [block_index(legs, pars)(s)]]
 
-    sectors = product_sectors(*[site.weights for site in _SITES])
+    sectors = product_sectors(*_SITES)
     want = blockwise_probes(((blocks(lhs, s), blocks(rhs, s)) for s in sectors),
                             np.random.default_rng(3))
     assert want > 1e-3
@@ -472,7 +471,7 @@ def test_sector_residual_refuses_an_entry_between_sectors(rng):
     # third site, is refused with the check_sectors message
     lhs, rhs = _sides(rng)
     C = lhs[2][0]
-    sectors = product_sectors(_SITES[0].weights, _SITES[2].weights)
+    sectors = product_sectors(_SITES[0], _SITES[2])
     C[sectors[0][0], sectors[-1][0]] = 1e-6
     with pytest.raises(QybeError, match="outside the weight sectors"):
         sector_residual(lhs, rhs, _SITES, rng)

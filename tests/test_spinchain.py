@@ -154,7 +154,8 @@ def test_hamiltonian_refuses_a_chain_of_other_sites(change, params_sl):
     # the sectors of the spec decide the blocks, so they must be U's
     rep = build_irrep(SLQ2, 2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
-    site = Site(change.get("parities", U.site.parities), change.get("weights", U.site.weights))
+    weights = change.get("weights", np.array(U.site.keys) / 2)
+    site = Site(change.get("parities", U.site.parities), weights)
     spec = ChainSpec(site, 2)
     with pytest.raises(QybeError, match="site is not"):
         hamiltonian_projector_form(U, spec)
@@ -171,7 +172,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, 2))
     H = hamiltonian_projector_form(U, spec)[0]
-    pair = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
+    pair = nfold_coproduct([U.gens] * 2)
     bond = chain_bond(U)[1]
     for g in ("E", "F", "H"):
         D = getattr(pair, g)
@@ -448,8 +449,8 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
     rep = build_irrep(SLQ2, 3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec(U.site, 2)))
-    chain = nfold_coproduct(SLQ2, [U.gens] * 2, params_sl.q)
-    dims = sorted(b.r for b in decompose(chain, params_sl).blocks)
+    chain = nfold_coproduct([U.gens] * 2)
+    dims = sorted(b.r for b in decompose(chain).blocks)
     reachable = {0}
     for d in dims:
         reachable = reachable | {s + d for s in reachable}
@@ -559,7 +560,7 @@ def test_transfer_refuses_an_r_that_moves_the_weight(rng):
     fam = descendant_family(U)
     spec = ChainSpec(U.site, 2)
     R = fam.noncheck(chain_points(rng, 1, fam)[0]).copy()
-    sectors = product_sectors(spec.aux.weights, spec.site.weights)
+    sectors = product_sectors(spec.aux, spec.site)
     R[sectors[0][0], sectors[1][0]] = 1e-6
     with pytest.raises(QybeError, match="outside the weight sectors"):
         transfer_matrix(spec, R)
@@ -569,7 +570,7 @@ def test_transfer_commutation_check_fails_on_an_r_that_moves_the_weight():
     ctx = Context(RunConfig(r_list=(2,)))
     U = ctx.composite(2, 2)
     dfam = ctx.descendant(2)
-    sectors = product_sectors(U.site.weights, U.site.weights)
+    sectors = product_sectors(U.site, U.site)
 
     def planted(u):
         m = dfam.check_fn(u).copy()
@@ -592,7 +593,7 @@ def test_each_layer_reads_one_site(algebra, r):
     assert U.descendant.site == U.site
     assert ctx.chain(r, 2).site == U.site
     assert ctx.chain(r, 2).aux == U.site  # the auxiliary is the site unless given
-    assert rep.site.weights == tuple((r - 1) / 2 - k for k in range(r))
+    assert rep.site.keys == tuple(r - 1 - 2 * k for k in range(r))
     assert U.site.dim == U.dim and U.site.parities == tuple(U.decomposition.parities)
 
 

@@ -32,7 +32,7 @@ from qybe.toolkit import (
 )
 from qybe import cli, commutant, coupling, fusion, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
-from qybe.repspace import embed_at
+from qybe.repspace import Site, embed_at
 from conftest import blockwise_probes, noncheck_ybe, pair_table, params_for, sample_points
 
 
@@ -264,9 +264,9 @@ def test_cli_chain_computes_each_chain_sectors_once(tmp_path, monkeypatch):
     calls = []
     product_sectors = spinchain.product_sectors
 
-    def counting(*weights):
-        calls.append(len(weights))
-        return product_sectors(*weights)
+    def counting(*sites):
+        calls.append(len(sites))
+        return product_sectors(*sites)
 
     monkeypatch.setattr(spinchain, "product_sectors", counting)
     assert cli_dispatch(["--out", str(tmp_path), "chain", "--r", "2", "3", "--sites", "3"]) == 0
@@ -478,8 +478,8 @@ def test_lax_rll_refuses_a_factor_that_mixes_weights(algebra, monkeypatch):
 
     def planted(U, u=0.0):
         L = build(U, u)
-        w = coupling.product_weights(U.rep.site.weights, U.site.weights)
-        L[np.argmax(w), np.argmin(w)] += 1e-6
+        keys = Site.product(U.rep.site, U.site).keys
+        L[np.argmax(keys), np.argmin(keys)] += 1e-6
         return L
 
     monkeypatch.setattr(fusion, "extended_lax", planted)
@@ -715,8 +715,7 @@ def test_lax_rll_peak_memory():
     ctx = Context(RunConfig())
     U = ctx.composite(r, n)
     U.lax_sectors
-    site = U.rep.site.weights
-    sectors = coupling.product_sectors(site, site, U.site.weights)
+    sectors = coupling.product_sectors(U.rep.site, U.rep.site, U.site)
     side = 16 * sum(len(s) ** 2 for s in sectors)
     lax = 2 * 16 * (r * U.dim) ** 2
     tracemalloc.start()
@@ -838,9 +837,9 @@ def test_cli_lax_artifact_is_zero_off_sector(tmp_path):
     assert cli_dispatch(["--out", str(tmp_path), "lax", "--r", "3", "--n", "3"]) == 0
     entries = json.loads((tmp_path / "lax_slq2_r3_n3.json").read_text())["entries"]
     U = Context(RunConfig()).composite(3, 3)
-    w = np.round(2 * coupling.product_weights(U.rep.site.weights, U.site.weights))
-    off = np.flatnonzero(np.not_equal.outer(w, w))
-    assert len(entries) == w.size ** 2 and len(off) > 0.8 * len(entries)
+    keys = Site.product(U.rep.site, U.site).keys
+    off = np.flatnonzero(np.not_equal.outer(keys, keys))
+    assert len(entries) == len(keys) ** 2 and len(off) > 0.8 * len(entries)
     assert all(entries[k] == [0.0, 0.0] for k in off)
 
 
@@ -1149,7 +1148,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     script = """
 import sys
 from qybe.cli import cli_dispatch
-from qybe.repspace import embed_at
+from qybe.repspace import Site, embed_at
 for argv in (["verify-all", "--r", "2"], ["commutant", "--r", "2"],
              ["chain", "--r", "2", "--sites", "2"]):
     assert cli_dispatch(["--out", sys.argv[1]] + argv) == 0
