@@ -6,7 +6,6 @@ Exit codes: 0 all checks passed, 1 computation failure or failed checks,
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -44,39 +43,23 @@ def _write_json(outdir, name, payload):
     return _write(outdir, name, json.dumps(payload, sort_keys=True, indent=1))
 
 
-def _config_from_args(args, base):
-    """`base` with each flag given on the command line in place of its field
-    (--q and --qi set the real and imaginary part of q one by one; --r and
-    --n only where the subcommand has them)."""
-    q = complex(base.q)
+def _config_from_args(args):
+    """The run's RunConfig: each flag given on the command line in place of
+    its default (--q and --qi set the real and imaginary part of q one by
+    one; --r and --n only where the subcommand has them)."""
+    q = complex(RunConfig.q)
     r, n = getattr(args, "r", None), getattr(args, "n", None)
     flags = {
         "algebra": args.algebra,
         "q": complex(q.real if args.q is None else args.q,
                      q.imag if args.qi is None else args.qi),
-        "a": complex(base.a if args.a is None else args.a),
+        "a": complex(RunConfig.a if args.a is None else args.a),
         "r_list": tuple(r) if r else None,
         "n_list": tuple(n) if n else None,
         "seed": args.seed,
         "outdir": args.out,
     }
-    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
-
-
-def _config_from_file(args):
-    """The --config file's configuration with the flags given in its place.
-    A list the file holds is given to the command as if by its flag, so
-    `_at_most` refuses it just the same."""
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise QybeError(f"cannot read the config {args.config}: {exc}") from exc
-    base = RunConfig.from_json(doc)
-    for flag in ("r", "n"):
-        if getattr(args, flag, None) is None:
-            setattr(args, flag, doc.get(f"{flag}_list"))
-    return _config_from_args(args, base)
+    return RunConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 # Each command writes its artifacts, then runs its checks from the table in
@@ -108,9 +91,8 @@ def _write_lax(ctx, name, U, u):
 
 
 def _at_most(args, flag, count):
-    """Refuse more than `count` values of the list flag --`flag`, or of its
-    list in the --config file, which is all the command reads, before
-    anything is written."""
+    """Refuse more than `count` values of the list flag --`flag`, which is
+    all the command reads, before anything is written."""
     values = getattr(args, flag)
     if values is not None and len(values) > count:
         raise QybeError(f"{args.command} reads at most {count} --{flag} "
@@ -232,14 +214,13 @@ def build_parser():
     p = argparse.ArgumentParser(prog="qybe",
                                 description="construct and verify lattice "
                                             "integrable structures")
-    # a flag left out keeps the --config file's field, or RunConfig's default
+    # a flag left out keeps RunConfig's default
     p.add_argument("--algebra", choices=[SLQ2, OSPQ12])
     p.add_argument("--q", type=float, help="real part of q")
     p.add_argument("--qi", type=float, help="imaginary part of q")
     p.add_argument("--a", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--config", help="JSON run configuration; flags override its fields")
     sub = p.add_subparsers(dest="command", required=True)
     flags = {
         "--r": {"type": int, "nargs": "+"},
@@ -275,10 +256,8 @@ def cli_dispatch(argv=None):
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = _config_from_args(args, RunConfig())  # where the report of a bad --config goes
+    cfg = _config_from_args(args)
     try:
-        if args.config:
-            cfg = _config_from_file(args)
         ctx = Context(cfg)  # validates the parameters before any work
         # looked up by name at each dispatch: a replaced cmd_* is the one run
         globals()["cmd_" + args.command.replace("-", "_")](args, ctx)

@@ -146,7 +146,9 @@ def decompose(R, within=None):
     The keys of `R.site` are scanned from the top down to 0: a highest
     weight of key k heads k + 1 states.  Multiplicity spaces are
     orthogonalized with modified Gram-Schmidt in the invariant bilinear
-    metric, which fixes the gauge deterministically.  Each highest-weight
+    metric, so the gauge inside a multiplicity space follows the kernel
+    basis it is given: the same span from other round-off in the kernel
+    gives another basis of it.  Each highest-weight
     vector is phase-fixed (first sizable component made real positive),
     normalized to unit metric norm and lowered with the standard gamma of
     the matching ladder.
@@ -232,9 +234,8 @@ class CouplingTable:
 
 
 def cgc_table(rep1, rep2):
-    """Coupling table for a pair of irreps of the same algebra."""
-    if rep1.algebra != rep2.algebra:
-        raise QybeError("mixed-algebra coupling")
+    """Coupling table for a pair of irreps of the same algebra and
+    parameters (`coproduct_pair` refuses any other pair)."""
     dec = decompose(coproduct_pair(rep1, rep2))
     found = sorted(b.r for b in dec.blocks)
     if found != tensor_decompose(rep1.r, rep2.r):

@@ -183,8 +183,12 @@ class RepLike:
 
 def coproduct_pair(A, B):
     """Two-fold coproduct matrices (e, f, h) on the graded product of two
-    irreps or RepLikes of A's algebra and parameters, returned as a RepLike
-    on the pair space, whose site is `Site.product` of theirs."""
+    irreps or RepLikes of one algebra and parameters, returned as a RepLike
+    on the pair space, whose site is `Site.product` of theirs.  Factors of
+    different algebras or parameters raise QybeError."""
+    if (B.algebra, B.params) != (A.algebra, A.params):
+        raise QybeError(f"no coproduct of a {A.algebra} factor at {A.params} and a "
+                        f"{B.algebra} factor at {B.params}")
     pa, pb = A.parities, B.parities
     algebra, q = A.algebra, A.params.q
     gk = lambda X, Y: graded_kron_raw(X, Y, pa, pb, pb)
@@ -430,7 +434,6 @@ def invariant_metric(e_mat, f_mat):
                     d[y] = d[x] * f_mat[x, y] / e_mat[y, x]
                 known[y] = True
                 stack.append(y)
-    M = np.diag(d)
     scale = max(1.0, np.abs(e_mat).max() * np.abs(d).max())
-    res = np.abs(e_mat.T @ M - M @ f_mat).max() / scale
+    res = np.abs(e_mat.T * d - d[:, None] * f_mat).max() / scale
     return d, res

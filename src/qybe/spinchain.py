@@ -102,9 +102,9 @@ class _TransferPlan:
     def __init__(self, spec):
         da, ds, N = spec.aux.dim, spec.site.dim, spec.n_sites
         ka, ks = np.array(spec.aux.keys), np.array(spec.site.keys)
-        aux = weight_sectors(ka)
+        aux = spec.aux.sectors
         site_pairs = weight_sectors(np.subtract.outer(ks, ks).ravel())  # s_out * ds + s_in
-        self.r_sectors = list(weight_sectors(np.add.outer(ka, ks).ravel()).values())
+        self.r_sectors = product_sectors(spec.aux, spec.site)
 
         # the R entries of each (beta, beta') block, (b, pair, b') row-major
         gather, blocks = [], {}

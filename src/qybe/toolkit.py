@@ -8,7 +8,7 @@ when it writes an artifact, and `deserialize_operator` when it reads one."""
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,13 +198,9 @@ class RunConfig:
     n_list: tuple = (2,)
     seed: int = 42
     outdir: str = "qybe-out"
-    tolerances: dict = field(default_factory=dict)
 
     def params(self):
         return DeformParams(q=self.q, a=self.a, algebra=self.algebra)
-
-    def tol(self, name, default):
-        return float(self.tolerances.get(name, default))
 
     def to_json(self):
         return {
@@ -215,47 +211,11 @@ class RunConfig:
             "n_list": list(self.n_list),
             "seed": self.seed,
             "outdir": self.outdir,
-            "tolerances": dict(self.tolerances),
         }
-
-    @staticmethod
-    def from_json(doc):
-        """The configuration of a JSON document, each field it leaves out at
-        its default; a field that is unknown or of the wrong type, a
-        tolerance key that no check reads and an empty list raise QybeError."""
-        if type(doc) is not dict:
-            raise QybeError(f"a config is a JSON object, got {doc!r}")
-        unknown = sorted(set(doc) - set(CONFIG_FIELDS))
-        if unknown:
-            raise QybeError(f"config fields {unknown} are not among {sorted(CONFIG_FIELDS)}")
-        for key, (what, valid) in CONFIG_FIELDS.items():
-            if key in doc and not valid(doc[key]):
-                raise QybeError(f"config field {key!r} must be {what}, got {doc[key]!r}")
-        unknown = sorted(set(doc.get("tolerances", {})) - {key for key, _, _ in CHECKS.values()})
-        if unknown:
-            raise QybeError(f"no check reads the tolerances {unknown}")
-        convert = {"q": lambda v: complex(*v), "a": lambda v: complex(*v),
-                   "r_list": tuple, "n_list": tuple}
-        return RunConfig(**{key: convert.get(key, lambda v: v)(value)
-                            for key, value in doc.items()})
 
 
 def _numbers(v, count=None, kinds=(int, float)):
     return type(v) is list and count in (None, len(v)) and all(type(x) in kinds for x in v)
-
-
-# what each field of a JSON config must be: (description, test)
-CONFIG_FIELDS = {
-    "algebra": ("a string", lambda v: type(v) is str),
-    "q": ("[re, im]", lambda v: _numbers(v, 2)),
-    "a": ("[re, im]", lambda v: _numbers(v, 2)),
-    "r_list": ("a non-empty list of integers", lambda v: _numbers(v, kinds=(int,)) and v != []),
-    "n_list": ("a non-empty list of integers", lambda v: _numbers(v, kinds=(int,)) and v != []),
-    "seed": ("an integer", lambda v: type(v) is int),
-    "outdir": ("a string", lambda v: type(v) is str),
-    "tolerances": ("an object of numbers", lambda v: type(v) is dict and _numbers(
-        list(v.values()))),
-}
 
 
 class Report:
@@ -413,10 +373,9 @@ class Context:
 
     def check(self, name, **inputs):
         """Run the check `name` of CHECKS at these inputs into the report."""
-        tol_key, default, residual = CHECKS[name]
-        tol = default(**inputs) if callable(default) else default
-        if tol_key is not None:
-            tol = self.config.tol(tol_key, tol)
+        tol, residual = CHECKS[name]
+        if callable(tol):
+            tol = tol(**inputs)
         label = " ".join([name.format(**inputs)] + [
             f"{k}={v}" for k, v in inputs.items() if "{%s}" % k not in name])
         passed = self.report.run(label, lambda: residual(self, self.rng, inputs), tol, inputs)
@@ -582,30 +541,29 @@ def _commutant_46(ctx, rng, inputs):
     return _commutant_angle(ctx, rng, {"r": 3, "n": 2})
 
 
-# name: (tolerance key, default tolerance or a function of the inputs,
-# residual body); a config's `tolerances` override a default by its key, and
-# a check without a key keeps its default.  A record is named by the name
-# formatted with the inputs, followed by every input the name does not show.
+# name: (tolerance or a function of the inputs, residual body).  A record
+# is named by the name formatted with the inputs, followed by every input
+# the name does not show.
 CHECKS = {
-    "algebra-relations": ("algebra", 1e-12, _algebra_relations),
-    "cgc-biorthogonality": ("cgc", 1e-10, _cgc_residual),
-    "projector-routes": ("projector", 1e-9, _projector_routes),
-    "chi-closed-form": ("chi", 1e-10, _chi_closed_form),
-    "hecke-ybe": ("ybe", lambda r: r ** 3 * 1e-12, _hecke_ybe),
-    "functional-identity": ("eqf", 1e-10, _eqf_residual),
-    "fixture-{kind}-ybe": ("fixture", 1e-9, _fixture_ybe),
-    "universal-intertwining": ("universal", 1e-10, _universal_intertwining),
-    "universal-braid-relations": ("universal", 1e-10, _universal_braid),
-    "descendant-closed-vs-product": ("descendant", 1e-9, _descendant_agreement),
-    "descendant-regular-point": ("descendant", 1e-10, _descendant_regular_point),
-    "lax-dims": (None, 0.5, _lax_dims),
-    "lax-rll": ("lax", 1e-9, _lax_rll),
-    "transfer-commutation": (None, lambda r, N: fusion.dims_recurrence(r, 2) ** N * 1e-12,
+    "algebra-relations": (1e-12, _algebra_relations),
+    "cgc-biorthogonality": (1e-10, _cgc_residual),
+    "projector-routes": (1e-9, _projector_routes),
+    "chi-closed-form": (1e-10, _chi_closed_form),
+    "hecke-ybe": (lambda r: r ** 3 * 1e-12, _hecke_ybe),
+    "functional-identity": (1e-10, _eqf_residual),
+    "fixture-{kind}-ybe": (1e-9, _fixture_ybe),
+    "universal-intertwining": (1e-10, _universal_intertwining),
+    "universal-braid-relations": (1e-10, _universal_braid),
+    "descendant-closed-vs-product": (1e-9, _descendant_agreement),
+    "descendant-regular-point": (1e-10, _descendant_regular_point),
+    "lax-dims": (0.5, _lax_dims),
+    "lax-rll": (1e-9, _lax_rll),
+    "transfer-commutation": (lambda r, N: fusion.dims_recurrence(r, 2) ** N * 1e-12,
                              _transfer_commutation),
-    "hamiltonian-routes": (None, 1e-7, _hamiltonian_routes),
-    "commutant-dims": (None, 0.5, _commutant_dims),
-    "commutant-angle": ("commutant", 1e-8, _commutant_angle),
-    "commutant-dimension-46": ("commutant", 1e-8, _commutant_46),
+    "hamiltonian-routes": (1e-7, _hamiltonian_routes),
+    "commutant-dims": (0.5, _commutant_dims),
+    "commutant-angle": (1e-8, _commutant_angle),
+    "commutant-dimension-46": (1e-8, _commutant_46),
 }
 
 

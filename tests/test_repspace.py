@@ -168,6 +168,21 @@ def test_coassociativity(params_osp):
         assert np.abs(getattr(left, g) - getattr(right, g)).max() < 1e-12
 
 
+@pytest.mark.parametrize("other", [DeformParams(q=1.3, algebra=SLQ2),
+                                   DeformParams(q=1.7, algebra=OSPQ12)],
+                         ids=["mixed-algebra", "other-q"])
+def test_coproduct_refuses_factors_of_other_parameters(other):
+    # a factor built at another algebra or q would be coupled at the first
+    # factor's q: the coproduct, and so the coupling table, refuses the pair
+    a = build_irrep(OSPQ12, 2, params_for(OSPQ12))
+    b = build_irrep(other.algebra, 2, other)
+    for pair in ((a, b), (b, a), (coproduct_pair(a, a), b)):
+        with pytest.raises(QybeError, match="no coproduct"):
+            coproduct_pair(*pair)
+    with pytest.raises(QybeError, match="no coproduct"):
+        cgc_table(a, b)
+
+
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_permutation_squares_to_identity(algebra):
     p = params_for(algebra)
@@ -459,8 +474,9 @@ def test_space_mismatch_raises():
 
 
 def _invariant_metric_by_scan(e_mat, f_mat):
-    """The ladder propagation scanning every state for each popped one:
-    the reference of `invariant_metric`."""
+    """The ladder propagation scanning every state for each popped one, and
+    the consistency residual from the dense products e^T M - M f, M =
+    diag(d): the reference of `invariant_metric`."""
     n = e_mat.shape[0]
     d = np.zeros(n, dtype=complex)
     known = np.zeros(n, dtype=bool)
@@ -483,7 +499,9 @@ def _invariant_metric_by_scan(e_mat, f_mat):
                     continue
                 known[y] = True
                 stack.append(y)
-    return d
+    M = np.diag(d)
+    scale = max(1.0, np.abs(e_mat).max() * np.abs(d).max())
+    return d, np.abs(e_mat.T @ M - M @ f_mat).max() / scale
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
@@ -491,7 +509,12 @@ def _invariant_metric_by_scan(e_mat, f_mat):
 @pytest.mark.parametrize("r,n", [(3, 4), (4, 3), (5, 2), (2, 5)])
 def test_invariant_metric_equals_the_full_scan(algebra, q, r, n):
     # visiting only the linked states, in ascending order, is the full scan
-    # bit for bit
+    # bit for bit; the elementwise residual is the dense products' one up to
+    # the rounding of their complex products (they differ at slq2 r = 5,
+    # n = 2, q = 0.9 + 0.4i)
     p = DeformParams(q=q, algebra=algebra)
     co = nfold_coproduct([build_irrep(algebra, r, p)] * n)
-    assert np.array_equal(invariant_metric(co.E, co.F)[0], _invariant_metric_by_scan(co.E, co.F))
+    (d, res), (ref_d, ref_res) = invariant_metric(co.E, co.F), _invariant_metric_by_scan(co.E, co.F)
+    assert np.array_equal(d, ref_d)
+    assert 0 < res < 1e-11 and abs(res - ref_res) <= 4 * np.finfo(float).eps
+
