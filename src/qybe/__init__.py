@@ -16,7 +16,7 @@ from .qarith import (
     qr_shift,
 )
 from .repspace import (
-    Irrep,
+    Rep,
     Site,
     build_irrep,
     casimir_value,

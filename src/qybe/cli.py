@@ -86,7 +86,7 @@ def _write_check(ctx, name, fam, u, algebra=None):
 
 def _write_lax(ctx, name, U, u):
     """The extended Lax operator on V^r (x) U at u."""
-    return _write_op(ctx, name, fusion.extended_lax(U, u), f"L[{U.rep.r},{U.n}]({u})",
+    return _write_op(ctx, name, fusion.extended_lax(U, u), f"L[{U.rep.dim},{U.n}]({u})",
                      [U.rep.parities, U.site.parities])
 
 

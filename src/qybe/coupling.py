@@ -6,8 +6,8 @@ the top weight subspace and lowering with the standard gamma coefficients of
 the target ladder (no irrep is built per block), so every block carries
 textbook generator matrix elements.
 Dual coefficients come from the exact matrix inverse of the basis, which makes
-the biorthogonality relation hold to machine precision by construction; the
-per-state norms are measured in the propagated invariant metric.
+the biorthogonality relation hold to machine precision by construction; each
+highest-weight vector is normalized in the propagated invariant metric.
 `cgc_table` takes a pair of irreps; `projector` and `chi_factor` take the
 table, so one table of V^r (x) V^r serves both.
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .qarith import OSPQ12, QybeError, q_number, q_sub_bracket
 from .repspace import (
-    Irrep,
+    Rep,
     Site,
     casimir_matrix,
     casimir_value,
@@ -74,8 +74,6 @@ class Decomposition:
     blocks: list
     basis: np.ndarray
     dual: np.ndarray
-    eps: np.ndarray     # invariant-metric norm of each coupled state
-    metric: np.ndarray  # diagonal of the ambient invariant metric
     parities: np.ndarray
 
     @property
@@ -139,7 +137,7 @@ def _hw_vectors(e_mat, states, within=None):
 
 
 def decompose(R, within=None):
-    """Block-decompose an irrep or a RepLike space (optionally restricted to
+    """Block-decompose the space of a rep (optionally restricted to
     the span of the columns of `within`, each of which must lie in one weight
     sector of `R.site`) into irreducible ladders, with R's parameters.
 
@@ -162,7 +160,7 @@ def decompose(R, within=None):
         if np.any(hits != 1):
             raise QybeError("a column of the restriction span is not in one weight sector")
     flatpar = np.asarray(R.parities)
-    blocks, cols, eps, pars_out = [], [], [], []
+    blocks, cols, pars_out = [], [], []
     for key in range(max(sectors), -1, -1):
         hw = _hw_vectors(R.E, sectors.get(key, np.zeros(0, dtype=int)), within=within)
         if hw.shape[1]:
@@ -175,7 +173,7 @@ def decompose(R, within=None):
                 if np.abs(v).max() > 1e-8:
                     kept.append(v)
             r0 = key + 1
-            gamma = ladder_coefficients(R.algebra, r0, R.params)[1]
+            gamma = ladder_coefficients(r0, R.params)[1]
             for v in kept:
                 nz = np.nonzero(np.abs(v) > 1e-8 * np.abs(v).max())[0][0]
                 v = v * (np.abs(v[nz]) / v[nz])
@@ -189,7 +187,6 @@ def decompose(R, within=None):
                     ladder.append(R.F @ ladder[-1] / gamma[k])
                 for state in ladder:
                     cols.append(state)
-                    eps.append(state @ (metric * state))
                     supp = np.abs(state) > 1e-9 * max(1.0, np.abs(state).max())
                     ps = set(flatpar[supp].tolist())
                     pars_out.append(ps.pop() if len(ps) == 1 else 0)
@@ -204,14 +201,7 @@ def decompose(R, within=None):
     else:
         gram = basis.T @ (metric[:, None] * basis)
         dual = np.linalg.solve(gram, (metric[:, None] * basis).T)
-    return Decomposition(
-        blocks=blocks,
-        basis=basis,
-        dual=dual,
-        eps=np.array(eps),
-        metric=metric,
-        parities=np.array(pars_out, dtype=int),
-    )
+    return Decomposition(blocks, basis, dual, np.array(pars_out, dtype=int))
 
 
 @dataclass
@@ -219,13 +209,12 @@ class CouplingTable:
     """Clebsch-Gordan data for V^r1 (x) V^r2.
 
     C(r0; i1, i2) is the component of the coupled state |r0, i1+i2> on the
-    product state (i1, i2); Cbar is the inverse family.  eps holds the metric
-    norm of every coupled state, so the entrywise proportionality
-    Cbar = eps * metric * C is a direct consistency check.
+    product state (i1, i2); Cbar is the inverse family, entrywise the
+    product of C, the invariant metric and each coupled state's metric norm.
     """
 
-    rep1: Irrep
-    rep2: Irrep
+    rep1: Rep
+    rep2: Rep
     decomposition: Decomposition
 
     @property
@@ -238,7 +227,7 @@ def cgc_table(rep1, rep2):
     parameters (`coproduct_pair` refuses any other pair)."""
     dec = decompose(coproduct_pair(rep1, rep2))
     found = sorted(b.r for b in dec.blocks)
-    if found != tensor_decompose(rep1.r, rep2.r):
+    if found != tensor_decompose(rep1.dim, rep2.dim):
         raise RankDeficiencyError(
             f"block dimensions {found} do not match the expected decomposition"
         )
@@ -249,7 +238,7 @@ def projector(table, r0):
     """CGC-route projector onto the dimension-r0 block of the table's pair."""
     if r0 not in table.targets:
         raise QybeError(f"target {r0} not in the decomposition of "
-                        f"({table.rep1.r},{table.rep2.r})")
+                        f"({table.rep1.dim},{table.rep2.dim})")
     dec = table.decomposition
     sel = np.zeros(dec.dim)
     for b in dec.blocks:
@@ -262,9 +251,9 @@ def casimir_projector(rep1, rep2, r0):
     """Spectral-route projector: polynomial in the pair Casimir with the known
     block eigenvalues.  Independent of the CGC construction."""
     params = rep1.params
-    targets = tensor_decompose(rep1.r, rep2.r)
+    targets = tensor_decompose(rep1.dim, rep2.dim)
     if r0 not in targets:
-        raise QybeError(f"target {r0} not in the decomposition of ({rep1.r},{rep2.r})")
+        raise QybeError(f"target {r0} not in the decomposition of ({rep1.dim},{rep2.dim})")
     vals = {t: casimir_value(rep1.algebra, t, params.q) for t in targets}
     for t in targets:
         if t != r0 and abs(vals[t] - vals[r0]) < 1e-8:
@@ -290,7 +279,7 @@ def chi_closed(algebra, r, q):
 def chi_factor(table):
     """Scalar in P1_12 P1_23 P1_12 = chi P1_12 on the triple product, by brute
     force from the singlet projector of the table of V^r (x) V^r."""
-    r = table.rep1.r
+    r = table.rep1.dim
     if r < 2:
         raise QybeError("chi_factor needs r >= 2")
     P1 = projector(table, 1)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .qarith import DESK_BOUND, PoleError, QybeError
 from .repspace import (
-    RepLike,
+    Rep,
     Site,
     apply_at,
     block_index,
@@ -80,7 +80,7 @@ class CompositeSpace:
     decomposition: Decomposition
     embed: np.ndarray
     project: np.ndarray
-    gens: RepLike
+    gens: Rep
 
     @property
     def rep(self):
@@ -180,9 +180,9 @@ def composite_space(fam, n):
     rep = fam.table.rep1
     if n < 1:
         raise QybeError(f"composite space needs n >= 1, got {n}")
-    want = dims_recurrence(rep.r, n)
-    if rep.r ** n > DESK_BOUND:
-        raise QybeError(f"composite space {rep.r}^{n} exceeds the desk bound {DESK_BOUND}")
+    want = dims_recurrence(rep.dim, n)
+    if rep.dim ** n > DESK_BOUND:
+        raise QybeError(f"composite space {rep.dim}^{n} exceeds the desk bound {DESK_BOUND}")
     co = nfold_coproduct([rep] * n)
     if n == 1:
         dec = decompose(rep)
@@ -196,7 +196,7 @@ def composite_space(fam, n):
     E, D = dec.basis, dec.dual
     if E.shape[1] != want:
         raise QybeError(f"block basis rank {E.shape[1]} != recurrence value {want}")
-    gens = RepLike(rep.algebra, D @ co.E @ E, D @ co.F @ E, D @ co.H @ E, dec.site, rep.params)
+    gens = Rep(D @ co.E @ E, D @ co.F @ E, D @ co.H @ E, dec.site, rep.params)
     return CompositeSpace(
         hecke=fam, n=n, dim=want, decomposition=dec, embed=E, project=D, gens=gens,
     )
@@ -240,7 +240,7 @@ def pair_cells(U):
     coordinates.  The outer projectors P12 and P34 vanish on U (x) U, so
     they need not enter the sandwich.  `U.cells` keeps them per space."""
     _require_pair(U)
-    P23, P14 = _plain_placements(_singlet(U.hecke), U.rep.r, ((1, 2), (0, 3)))
+    P23, P14 = _plain_placements(_singlet(U.hecke), U.rep.dim, ((1, 2), (0, 3)))
     return U.pair_project @ P23 @ U.pair_embed, U.pair_project @ (P23 @ P14) @ U.pair_embed
 
 
@@ -309,25 +309,15 @@ def descendant_family(U):
     fam = U.hecke
     B0 = np.eye(U.dim ** 2)
     a = U.params.a
-    s = np.sqrt(1 - 4 * fam.chi + 0j)
-    z0 = (1 - s) / (1 + s)
     shift = fam.u0
 
     def check_fn(x):
         c1, c2 = descendant_coefficients(x + shift, fam.chi, a, shift)
         return B0 + c1 * B1 + c2 * B2
 
-    def poly_weight(x):
-        # reduced common denominator of the two coefficients: one pole from
-        # the outer-line factor, one from the diagonal factors
-        X = np.exp(2 * a * complex(x))
-        return ((s - 1) * X * z0 + (s + 1)) * ((s - 1) * X + (s + 1))
-
     return SpectralRMatrix(
         family="fused", params=U.params, site=U.site,
         chi=fam.chi, u0=0.0, check_fn=check_fn,
-        poly_weight=poly_weight,
-        poly_base=lambda x: np.exp(2 * a * complex(x)),
     )
 
 
@@ -348,11 +338,11 @@ def extended_lax(U, u=0.0):
     and ending on the columns of 1 (x) embed (`U.lax_sectors`).  The
     entries between sectors are exact zeros."""
     rep, fam, n = U.rep, U.hecke, U.n
-    if not lax_fits(rep.r, n):
-        raise QybeError(f"extended Lax {rep.r}^{n + 1} exceeds the desk bound {DESK_BOUND}")
+    if not lax_fits(rep.dim, n):
+        raise QybeError(f"extended Lax {rep.dim}^{n + 1} exceeds the desk bound {DESK_BOUND}")
     # written from factor n down to factor 1: the auxiliary line crosses factor 1 first
     ops = [fam.noncheck(u + (n - m) * fam.u0).ravel() for m in range(n, 0, -1)]
-    out = np.zeros((rep.r * U.dim,) * 2, dtype=complex)
+    out = np.zeros((rep.dim * U.dim,) * 2, dtype=complex)
     for place, rows, index, sign, cols in U.lax_sectors:
         blk = rows
         for op, i, s in zip(ops, index, sign):

@@ -16,14 +16,13 @@ and the integer sector key of each state; the index kernels take its
 parities, and a weight sector of a product is a lookup of summed keys.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .qarith import (
-    SLQ2,
     OSPQ12,
     DeformParams,
     DegenerateParameterError,
@@ -34,28 +33,28 @@ from .qarith import (
 
 
 @dataclass(frozen=True)
-class Irrep:
-    """Irreducible representation data: the generators E, F, H of the
-    r-dimensional ladder, the parity of each state and the Casimir
-    eigenvalue."""
+class Rep:
+    """A representation by its generators E, F, H on the states of `site`,
+    at the parameters `params`, which also name its algebra: an irrep, a
+    coproduct of reps or the compressed generators of a composite space."""
 
-    algebra: str
-    r: int
     E: np.ndarray
     F: np.ndarray
     H: np.ndarray
-    parities: tuple
-    casimir_value: complex
-    params: DeformParams = field(repr=False, default=None)
+    site: "Site"
+    params: DeformParams
+
+    @property
+    def algebra(self):
+        return self.params.algebra
+
+    @property
+    def parities(self):
+        return self.site.parities
 
     @property
     def dim(self):
-        return self.r
-
-    @cached_property
-    def site(self):
-        """The irrep as a tensor factor: its parities and the weights j - k."""
-        return Site(self.parities, [(self.r - 1) / 2 - k for k in range(self.r)])
+        return self.site.dim
 
 
 def alpha_sum(algebra, r, i, q):
@@ -79,16 +78,17 @@ def casimir_value(algebra, r, q):
 
 
 @lru_cache(maxsize=256)
-def ladder_coefficients(algebra, r, params):
+def ladder_coefficients(r, params):
     """Raising and lowering coefficients (beta, gamma) of the r-dimensional
-    ladder, E = diag(beta, 1) and F = diag(gamma, -1) highest weight first,
-    with beta_{i-1} = (-1)^(j-i) gamma_i (osp) or beta = gamma (sl_q(2)).
-    Raises DegenerateParameterError where q is not generic.
+    ladder of `params.algebra`, E = diag(beta, 1) and F = diag(gamma, -1)
+    highest weight first, with beta_{i-1} = (-1)^(j-i) gamma_i (osp) or
+    beta = gamma (sl_q(2)).  Raises DegenerateParameterError where q is not
+    generic.
 
-    Summed once per (algebra, r, params) while it is among the 256 most
+    Summed once per (r, params) while it is among the 256 most
     recent, and shared by `build_irrep` and every `coupling.decompose`
     that lowers a ladder of that dimension, so both arrays are read-only."""
-    j = (r - 1) / 2.0
+    algebra, j = params.algebra, (r - 1) / 2.0
     sign = np.ones(max(r - 1, 0))
     gamma = np.zeros(max(r - 1, 0), dtype=complex)
     for k in range(r - 1):  # gamma_i lowers v_i, beta_{i-1} raises v_{i-1}
@@ -105,35 +105,23 @@ def ladder_coefficients(algebra, r, params):
     return beta, gamma
 
 
-def build_irrep(algebra, r, params=None):
-    """Construct the r-dimensional irrep with the ladder coefficients of
-    `ladder_coefficients`."""
-    params = params or DeformParams(algebra=algebra)
-    q = params.q
+def build_irrep(r, params=None):
+    """Construct the r-dimensional irrep of `params.algebra` with the ladder
+    coefficients of `ladder_coefficients`, on the site of the weights
+    j - k."""
+    params = params or DeformParams()
     r = int(r)
     if r < 1:
         raise QybeError("irrep dimension must be >= 1")
-    j = (r - 1) / 2.0
-    if algebra == OSPQ12:
-        qr = qr_shift(r, q)
-        lam = np.array([(j - k) + qr for k in range(r)])
-        parities = tuple(k % 2 for k in range(r))
-    elif algebra == SLQ2:
-        lam = np.array([2.0 * (j - k) for k in range(r)], dtype=complex)
-        parities = tuple(0 for _ in range(r))
+    weights = (r - 1) / 2.0 - np.arange(r)
+    if params.algebra == OSPQ12:
+        lam = weights + qr_shift(r, params.q)
+        parities = np.arange(r) % 2
     else:
-        raise QybeError(f"unknown algebra {algebra!r}")
-    beta, gamma = ladder_coefficients(algebra, r, params)
-    return Irrep(
-        algebra=algebra,
-        r=r,
-        E=np.diag(beta, 1),
-        F=np.diag(gamma, -1),
-        H=np.diag(lam),
-        parities=parities,
-        casimir_value=casimir_value(algebra, r, q),
-        params=params,
-    )
+        lam = 2.0 * weights + 0j
+        parities = [0] * r
+    beta, gamma = ladder_coefficients(r, params)
+    return Rep(np.diag(beta, 1), np.diag(gamma, -1), np.diag(lam), Site(parities, weights), params)
 
 
 def diag_power(q, H):
@@ -158,37 +146,13 @@ def graded_kron_raw(A, B, pA_dom, pB_dom, pB_cod):
     return (out * sign).reshape(m1 * m2, n1 * n2)
 
 
-class RepLike:
-    """Minimal (E, F, H, site, params) bundle of a coproduct or a composite
-    block; it and `Irrep` both feed the coproduct and coupling machinery."""
-
-    __slots__ = ("algebra", "E", "F", "H", "site", "params")
-
-    def __init__(self, algebra, E, F, H, site, params):
-        self.algebra = algebra
-        self.E = np.asarray(E, dtype=complex)
-        self.F = np.asarray(F, dtype=complex)
-        self.H = np.asarray(H, dtype=complex)
-        self.site = site
-        self.params = params
-
-    @property
-    def parities(self):
-        return self.site.parities
-
-    @property
-    def dim(self):
-        return self.site.dim
-
-
 def coproduct_pair(A, B):
     """Two-fold coproduct matrices (e, f, h) on the graded product of two
-    irreps or RepLikes of one algebra and parameters, returned as a RepLike
-    on the pair space, whose site is `Site.product` of theirs.  Factors of
-    different algebras or parameters raise QybeError."""
-    if (B.algebra, B.params) != (A.algebra, A.params):
-        raise QybeError(f"no coproduct of a {A.algebra} factor at {A.params} and a "
-                        f"{B.algebra} factor at {B.params}")
+    reps at one set of parameters (and so of one algebra), returned as a
+    Rep on the pair space, whose site is `Site.product` of theirs.  Factors
+    at different parameters raise QybeError."""
+    if B.params != A.params:
+        raise QybeError(f"no coproduct of a factor at {A.params} and one at {B.params}")
     pa, pb = A.parities, B.parities
     algebra, q = A.algebra, A.params.q
     gk = lambda X, Y: graded_kron_raw(X, Y, pa, pb, pb)
@@ -200,11 +164,11 @@ def coproduct_pair(A, B):
         e = gk(A.E, IB) + gk(diag_power(q, A.H), B.E)
         f = gk(A.F, diag_power(q, -B.H)) + gk(IA, B.F)
     h = gk(A.H, IB) + gk(IA, B.H)
-    return RepLike(algebra, e, f, h, Site.product(A.site, B.site), A.params)
+    return Rep(e, f, h, Site.product(A.site, B.site), A.params)
 
 
 def nfold_coproduct(reps):
-    """Iterated coproduct over a list of irrep or RepLike factors
+    """Iterated coproduct over a list of reps
     (coassociative, so the left-nested bracketing is as good as any)."""
     cur = reps[0]
     for nxt in reps[1:]:
@@ -373,7 +337,7 @@ def ladder_weights(R):
 
 
 def casimir_matrix(R):
-    """Casimir as a matrix over an irrep or a RepLike (a coproduct)."""
+    """Casimir as a matrix over a rep."""
     d = np.diag(R.H)
     qc = complex(R.params.q)
     if R.algebra == OSPQ12:
@@ -398,10 +362,10 @@ def verify_algebra(rep):
         out["[e,f]-[h]"] = np.abs(
             E @ F - F @ E - (diag_power(q, H) - diag_power(q, -H)) / (q - 1.0 / q)
         ).max()
-        out["e qh-shift"] = np.abs(E @ diag_power(q, H + 2 * np.eye(rep.r)) - diag_power(q, H) @ E).max()
-        out["f qh-shift"] = np.abs(F @ diag_power(q, H) - diag_power(q, H + 2 * np.eye(rep.r)) @ F).max()
+        out["e qh-shift"] = np.abs(E @ diag_power(q, H + 2 * np.eye(rep.dim)) - diag_power(q, H) @ E).max()
+        out["f qh-shift"] = np.abs(F @ diag_power(q, H) - diag_power(q, H + 2 * np.eye(rep.dim)) @ F).max()
     c = casimir_matrix(rep)
-    out["casimir-scalar"] = np.abs(c - rep.casimir_value * np.eye(rep.r)).max()
+    out["casimir-scalar"] = np.abs(c - casimir_value(rep.algebra, rep.dim, q) * np.eye(rep.dim)).max()
     return out
 
 

@@ -133,13 +133,10 @@ def u0_point(chi, a=1.0):
 class SpectralRMatrix:
     """A one-parameter family u -> R(u) on a pair of like tensor factors,
     each of them the `Site` `site`, whose parities and weights are those of
-    the object the family acts on (`Irrep.site`, `CompositeSpace.site`).
+    the object the family acts on (`Rep.site`, `CompositeSpace.site`).
 
     check_fn evaluates the check form as an array; `noncheck` composes it
-    with the graded swap of the two sites.  poly_weight/poly_base, when set,
-    polynomialize the family: poly_weight(u) * R(u) = sum_p
-    poly_base(u)**(p-1) * M_p, a form known only to the function that
-    makes the family.
+    with the graded swap of the two sites.
     """
 
     family: str
@@ -148,8 +145,6 @@ class SpectralRMatrix:
     chi: complex = None
     u0: complex = None
     check_fn: callable = field(repr=False, default=None)
-    poly_weight: callable = field(repr=False, default=None)
-    poly_base: callable = field(repr=False, default=None)
     table: CouplingTable = field(repr=False, default=None)
 
     @property
@@ -184,25 +179,15 @@ def hecke_family(table, chi=None):
         raise DegenerateParameterError(f"the degeneration point u0 = {u0} is not finite "
                                        f"at chi = {chi}")
     P1 = projector(table, 1)
-    I = np.eye(rep.r ** 2)
+    I = np.eye(rep.dim ** 2)
     a = params.a
-    s = np.sqrt(1 - 4 * chi + 0j)
 
     def check_fn(u):
         return I + hecke_f(u, chi, a) * P1
 
-    def poly_weight(u):
-        # (e^{2au}-1) * (-1 + s*coth(au)): clears the f-denominator and
-        # leaves x-linear content, x = e^{2au}
-        x = np.exp(2 * a * complex(u))
-        return (x - 1) * (-1.0) + s * (x + 1)
-
     return SpectralRMatrix(
         family="hecke", params=params, site=rep.site,
-        chi=chi, u0=u0, check_fn=check_fn,
-        poly_weight=poly_weight,
-        poly_base=lambda u: np.exp(2 * a * complex(u)),
-        table=table,
+        chi=chi, u0=u0, check_fn=check_fn, table=table,
     )
 
 
@@ -214,7 +199,7 @@ def r33_family(kind, table):
     two-term family (requires real q > 0 for its square-root coefficient).
     """
     rep, params = table.rep1, table.rep1.params
-    if rep.algebra != SLQ2 or (rep.r, table.rep2.r) != (3, 3):
+    if rep.algebra != SLQ2 or (rep.dim, table.rep2.dim) != (3, 3):
         raise QybeError("the spin-1 families need the sl_q(2) table of V^3 (x) V^3")
     q = params.q
     P5, P3, P1 = (projector(table, r0) for r0 in (5, 3, 1))
@@ -251,10 +236,7 @@ def r33_family(kind, table):
         raise QybeError(f"fixture kind must be 1, 2 or 3, got {kind}")
 
     return SpectralRMatrix(
-        family=f"r33_{kind}", params=params, site=rep.site, check_fn=check_fn,
-        poly_weight=lambda u: q ** complex(u),
-        poly_base=lambda u: q ** complex(u),
-        table=table,
+        family=f"r33_{kind}", params=params, site=rep.site, check_fn=check_fn, table=table,
     )
 
 
@@ -271,8 +253,8 @@ def universal_r(rep1, rep2, sign=+1):
     F2, H2, p2 = rep2.F, rep2.H, rep2.parities
     l1, l2 = np.diag(H1), np.diag(H2)
     khh = np.exp(-np.log(q) * np.outer(l1, l2)).ravel()
-    out = np.zeros((rep1.r * rep2.r,) * 2, dtype=complex)
-    for n in range(0, min(rep1.r, rep2.r)):
+    out = np.zeros((rep1.dim * rep2.dim,) * 2, dtype=complex)
+    for n in range(0, min(rep1.dim, rep2.dim)):
         coef = ((-np.sqrt(q)) ** (0.5 * n * (n - 1)) * (q - 1.0 / q) ** n
                 / bracket_plus_factorial(n, q))
         A = diag_power(q, -n * H1 / 2) @ np.linalg.matrix_power(E1, n)

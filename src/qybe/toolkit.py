@@ -322,7 +322,7 @@ class Context:
         return self._built[key]
 
     def rep(self, r):
-        return self._once(("rep", r), build_irrep, self.config.algebra, r, self.params)
+        return self._once(("rep", r), build_irrep, r, self.params)
 
     def cgc(self, r1, r2):
         return self._once(("cgc", r1, r2), cgc_table, self.rep(r1), self.rep(r2))
@@ -342,8 +342,8 @@ class Context:
         """The sl_q(2) table of V^3 (x) V^3: the run's own in an sl_q(2) run."""
         if self.config.algebra == SLQ2:
             return self.cgc(3, 3)
-        return self._once(("spin1",), lambda: cgc_table(*[build_irrep(
-            SLQ2, 3, self.params.with_algebra(SLQ2))] * 2))
+        return self._once(("spin1",), lambda: cgc_table(
+            *[build_irrep(3, self.params.with_algebra(SLQ2))] * 2))
 
     def fixture(self, kind):
         return self._once(("fixture", kind), r33_family, kind, self.spin1())

@@ -35,7 +35,7 @@ def params_for(algebra):
 
 def pair_table(algebra, r, params=None):
     """The coupling table of V^r (x) V^r."""
-    rep = build_irrep(algebra, r, params or params_for(algebra))
+    rep = build_irrep(r, params or params_for(algebra))
     return cgc_table(rep, rep)
 
 

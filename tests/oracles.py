@@ -3,12 +3,13 @@ the paper that no `qybe` command or check runs.  The tests compare the
 library against them; the library itself never imports this module.
 
 Grouped by the layer whose objects they take: the ladder coefficients
-(`repspace`), the baxterized coefficient and the polynomial fit of a
-spectral family (`rmatrix`), the truncation cascade, f-product and
-two-projector closed form of the extended Lax operator and the induced
-pair states (`fusion`), the block multiplicities of a decomposition and
-the four-factor coupled basis (`coupling`), the bond matrix elements in
-it (`spinchain`), and the membership test of a centralizer basis
+(`repspace`), the baxterized coefficient, the polynomial forms of the
+spectral families and their fit (`rmatrix`), the truncation cascade,
+f-product and two-projector closed form of the extended Lax operator and
+the induced pair states (`fusion`), the block multiplicities of a
+decomposition, the metric norms of coupled states and the four-factor
+coupled basis (`coupling`), the bond matrix elements in it
+(`spinchain`), and the membership test of a centralizer basis
 (`commutant`)."""
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from qybe.qarith import OSPQ12, QybeError, q_number, qr_shift
 from qybe.repspace import (
-    RepLike,
+    Rep,
     Site,
     coproduct_pair,
     embed_at,
@@ -80,23 +81,36 @@ class IllConditionedFitError(QybeError):
     """Spectral decomposition sampling produced an ill-conditioned system."""
 
 
-def spectral_decompose(fam, r1, samples=None, rng=None):
-    """Fit poly_weight(u) R(u) = sum_p poly_base(u)^(p-1) M_p, p = 1..r1,
-    over >= r1 sample points of the non-check family; returns (list of M_p,
-    residual).
+def polynomial_form(fam):
+    """(weight, base) with weight(u) R(u) = sum_p base(u)**(p-1) M_p for the
+    spectral family `fam` of `rmatrix` or `fusion`.  The spin-1 families
+    are polynomial in q**u once multiplied by it.  The Hecke family's
+    weight (e^{2au} - 1)(-1 + s coth(au)) clears the f-denominator and
+    leaves content linear in x = e^{2au}; the fused family's is the reduced
+    common denominator of its two coefficients, one pole from the
+    outer-line factor and one from the diagonal factors."""
+    if fam.family.startswith("r33"):
+        qu = lambda u: fam.params.q ** complex(u)
+        return qu, qu
+    a, s = fam.params.a, np.sqrt(1 - 4 * fam.chi + 0j)
+    base = lambda u: np.exp(2 * a * complex(u))
+    if fam.family == "hecke":
+        return (lambda u: (base(u) - 1) * (-1.0) + s * (base(u) + 1)), base
+    z0 = (1 - s) / (1 + s)
+    return (lambda x: ((s - 1) * base(x) * z0 + (s + 1)) * ((s - 1) * base(x) + (s + 1))), base
 
-    Trigonometric families only: the family must declare its polynomial
-    weight and elementary power."""
-    if fam.poly_weight is None or fam.poly_base is None:
-        raise QybeError("family does not declare a polynomialization")
+
+def spectral_decompose(noncheck, weight, base, r1, samples=None, rng=None):
+    """Fit weight(u) R(u) = sum_p base(u)^(p-1) M_p, p = 1..r1, over >= r1
+    sample points of the non-check family u -> R(u) = noncheck(u); returns
+    (list of M_p, residual)."""
     rng = rng or np.random.default_rng(42)
     if samples is None:
         samples = [complex(x) for x in rng.uniform(0.2, 1.4, 2 * r1)]
     if len(samples) < r1:
         raise QybeError("need at least r1 sample points")
-    V = np.array([[x ** p for p in range(r1)] for x in map(fam.poly_base, samples)],
-                 dtype=complex)
-    R = np.stack([fam.poly_weight(u) * fam.noncheck(u) for u in samples])
+    V = np.array([[x ** p for p in range(r1)] for x in map(base, samples)], dtype=complex)
+    R = np.stack([weight(u) * noncheck(u) for u in samples])
     Y = R.reshape(len(samples), -1)
     cond = np.linalg.cond(V)
     if cond > 1e10:
@@ -125,7 +139,7 @@ def truncation_cascade(fam, n):
 
 def _four_site_ops(table):
     """(1 - P12)(1 - P34), P23 and P14 on (V^r)^(x4), P1 the table's singlet."""
-    r = table.rep1.r
+    r = table.rep1.dim
     P12, P34, P23, P14 = _plain_placements(projector(table, 1), r,
                                            ((0, 1), (2, 3), (1, 2), (0, 3)))
     I = np.eye(r ** 4)
@@ -146,9 +160,9 @@ def lax_lower_projector(U):
     complementary (in the invariant metric) to the embedded U^{R_{n+1}}."""
     rep, n = U.rep, U.n
     Tn1 = adjacent_singlet_kernel(U.hecke, n + 1)  # U^{R_{n+1}} in the ambient
-    if Tn1.shape[1] != dims_recurrence(rep.r, n + 1):
+    if Tn1.shape[1] != dims_recurrence(rep.dim, n + 1):
         raise QybeError("upper component rank mismatch")
-    Efull = np.kron(np.eye(rep.r), U.embed)
+    Efull = np.kron(np.eye(rep.dim), U.embed)
     co = nfold_coproduct([rep] * (n + 1))
     md, res = invariant_metric(co.E, co.F)
     if res > 1e-6:
@@ -157,7 +171,7 @@ def lax_lower_projector(U):
     uu, ss, vv = np.linalg.svd(A)
     rank = int(np.sum(ss > 1e-9 * max(1.0, ss.max())))
     lower = vv.conj().T[:, rank:]  # metric-orthogonal to the upper component
-    if lower.shape[1] != dims_recurrence(rep.r, n - 1):
+    if lower.shape[1] != dims_recurrence(rep.dim, n - 1):
         raise QybeError("lower component rank mismatch")
     upper = np.linalg.lstsq(Efull, Tn1, rcond=None)[0]  # upper block in U-coords
     W = np.hstack([upper, lower])
@@ -197,32 +211,40 @@ def composite_states(U):
     the whole composite space."""
     _require_pair(U)
     rep = U.rep
-    dec = U.decomposition
-    j = (rep.r - 1) / 2.0
+    eps, _ = metric_norms(U.decomposition.basis, coproduct_pair(rep, rep))
+    j = (rep.dim - 1) / 2.0
     states, labels = [], []
     drop_done = False
-    for k1 in range(rep.r):
-        for k2 in range(rep.r):
+    for k1 in range(rep.dim):
+        for k2 in range(rep.dim):
             i, k = j - k1, j - k2
-            flat = k1 * rep.r + k2
-            vec = np.zeros(rep.r ** 2, dtype=complex)
+            flat = k1 * rep.dim + k2
+            vec = np.zeros(rep.dim ** 2, dtype=complex)
             vec[flat] = 1.0
             coords = U.project @ vec
             if abs(i + k) < 1e-9 and not drop_done:
                 drop_done = True  # drop the first weight-zero pair
                 continue
-            nrm = coords @ (dec.eps * coords)
+            nrm = coords @ (eps * coords)
             if abs(nrm) < 1e-12:
                 raise QybeError(f"pair state ({i},{k}) has null metric norm")
             states.append(coords / np.sqrt(nrm + 0j))
             labels.append((float(i), float(k)))
     rank = np.linalg.matrix_rank(np.array(states).T, tol=1e-9)
-    if rank != U.dim or len(states) != rep.r ** 2 - 1:
+    if rank != U.dim or len(states) != rep.dim ** 2 - 1:
         raise QybeError(f"pair states span rank {rank}, expected {U.dim}")
     return labels, np.array(states).T
 
 
 # coupling
+
+def metric_norms(basis, R):
+    """The metric norm of each column of `basis`, states of the rep R, and
+    the diagonal invariant metric of R they are measured in
+    (`repspace.invariant_metric`)."""
+    metric = invariant_metric(R.E, R.F)[0]
+    return np.array([c @ (metric * c) for c in basis.T]), metric
+
 
 def block_multiplicities(dec):
     """{irrep dimension: number of blocks} of a decomposition, ascending."""
@@ -249,10 +271,9 @@ class CoupledBasis:
     sectors: dict
 
 
-def _block_replike(dec, pair_gens, block):
+def _block_rep(dec, pair_gens, block):
     cols = list(block.cols)
-    return RepLike(
-        pair_gens.algebra,
+    return Rep(
         pair_gens.E[np.ix_(cols, cols)],
         pair_gens.F[np.ix_(cols, cols)],
         pair_gens.H[np.ix_(cols, cols)],
@@ -271,19 +292,18 @@ def coupled_basis(table):
     block generators rather than from standard tables."""
     rep = table.rep1
     dec = table.decomposition
-    d2 = rep.r ** 2
+    d2 = rep.dim ** 2
     pair_co = coproduct_pair(rep, rep)
-    gens = RepLike(rep.algebra, dec.dual @ pair_co.E @ dec.basis,
-                   dec.dual @ pair_co.F @ dec.basis,
-                   dec.dual @ pair_co.H @ dec.basis, dec.site, rep.params)
+    gens = Rep(dec.dual @ pair_co.E @ dec.basis, dec.dual @ pair_co.F @ dec.basis,
+               dec.dual @ pair_co.H @ dec.basis, dec.site, rep.params)
     B1 = graded_kron_raw(dec.basis, dec.basis, dec.parities, dec.parities, pair_co.parities)
     total = np.zeros((d2 * d2, d2 * d2), dtype=complex)
     labels = []
     sectors = {}
     for ai, bA in enumerate(dec.blocks):
-        Alike = _block_replike(dec, gens, bA)
+        Alike = _block_rep(dec, gens, bA)
         for bi, bB in enumerate(dec.blocks):
-            Blike = _block_replike(dec, gens, bB)
+            Blike = _block_rep(dec, gens, bB)
             sector = decompose(coproduct_pair(Alike, Blike))
             sectors[(ai, bi)] = (bA, bB, sector)
             rows = [cA * d2 + cB for cA in bA.cols for cB in bB.cols]
@@ -300,9 +320,7 @@ def coupled_basis(table):
                     ))
     basis = B1 @ total
     dual = np.linalg.inv(basis)
-    four = coproduct_pair(pair_co, pair_co)
-    metric, _ = invariant_metric(four.E, four.F)
-    eps = np.array([basis[:, c] @ (metric * basis[:, c]) for c in range(basis.shape[1])])
+    eps, metric = metric_norms(basis, coproduct_pair(pair_co, pair_co))
     return CoupledBasis(labels=labels, basis=basis, dual=dual, eps=eps,
                         metric=metric, sectors=sectors)
 
@@ -366,7 +384,7 @@ def _sum_route(table, cb, term):
     """Assemble the bond-term matrix from coefficient data alone: pair and
     sector coupling coefficients plus singlet components, no dense
     conjugations."""
-    r = table.rep1.r
+    r = table.rep1.dim
     dec = table.decomposition
     Cp = dec.basis.reshape(r, r, r * r)
     Cpb = dec.dual.reshape(r * r, r, r)

@@ -146,7 +146,7 @@ def test_criterion_04_fixtures():
 
 def test_criterion_05_universal_intertwiner():
     p = params_for(OSPQ12)
-    r2 = build_irrep(OSPQ12, 2, p)
+    r2 = build_irrep(2, p)
     Rp = universal_r(r2, r2, +1)
     Rm = universal_r(r2, r2, -1)
     worst_int = max(intertwining_residual(Rp, r2, r2),
@@ -194,7 +194,7 @@ def test_criterion_06_fusion_cross_check():
 
 def test_criterion_07_composite_pair_structure():
     p = params_for(SLQ2)
-    rep = build_irrep(SLQ2, 3, p)
+    rep = build_irrep(3, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     mult = block_multiplicities(decompose(nfold_coproduct([U.gens] * 2)))
     ok = mult == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
@@ -216,7 +216,7 @@ def test_criterion_08_extended_lax():
     report(8, "composite dimension recurrence values", 0.0 if ok_dims else 1.0, 0.5)
     worst_rll = 0.0
     for (r, n) in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        rep = build_irrep(SLQ2, r, p)
+        rep = build_irrep(r, p)
         fam = hecke_family(cgc_table(rep, rep))
         U = composite_space(fam, n=n)
         u, w = random_points(rng, 2, guards=(-fam.u0,))
@@ -242,7 +242,7 @@ def test_criterion_08_extended_lax():
            worst_fp, 1e-10)
     worst_closed = 0.0
     for (r, n) in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        rep = build_irrep(SLQ2, r, p)
+        rep = build_irrep(r, p)
         fam = hecke_family(cgc_table(rep, rep))
         U = composite_space(fam, n=n)
         evaluate, scale, fit_res = extended_lax_closed(U)
@@ -257,7 +257,7 @@ def test_criterion_08_extended_lax():
 def test_criterion_09_chain_suite():
     rng = np.random.default_rng(109)
     p = params_for(SLQ2)
-    rep = build_irrep(SLQ2, 3, p)
+    rep = build_irrep(3, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     whole = Site(U.site.parities, (0,) * U.dim)  # zero weights: one block, the whole tau
@@ -300,7 +300,7 @@ def test_criterion_10_coupled_basis_structure():
     p = params_for(SLQ2)
     worst_route = 0.0
     for r in (2, 3):
-        rep = build_irrep(SLQ2, r, p)
+        rep = build_irrep(r, p)
         out1 = coupled_matrix_elements(cgc_table(rep, rep), "P23")
         out2 = coupled_matrix_elements(cgc_table(rep, rep), "P23P14")
         worst_route = max(worst_route, out1.route_residual, out2.route_residual)

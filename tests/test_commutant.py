@@ -37,7 +37,7 @@ def test_commutant_of_irrep_pair(algebra):
     # V^2 (x) V^2 decomposes into two distinct blocks: the commutant of the
     # pair action is two dimensional (the two projectors)
     p = params_for(algebra)
-    rep = build_irrep(algebra, 2, p)
+    rep = build_irrep(2, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
     nb = commutant_nullspace(U, 2)
     assert nb.dim == 2
@@ -46,7 +46,7 @@ def test_commutant_of_irrep_pair(algebra):
 def test_commutant_single_copy_dims(params_sl):
     # n = 1: the commutant of U itself is the span of the per-block
     # projectors, dimension = sum of squared multiplicities
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 1)
     assert nb.dim == 2  # blocks 3 and 5, multiplicity one each
@@ -57,7 +57,7 @@ def test_commutant_single_copy_dims(params_sl):
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_commutant_u8_dimension_46(algebra):
     p = params_for(algebra)
-    rep = build_irrep(algebra, 3, p)
+    rep = build_irrep(3, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     assert nb.dim == 46  # 2^2 + 4^2 + 4^2 + 3^2 + 1^2
@@ -71,7 +71,7 @@ def test_commutant_dim_matches_multiplicities(params_sl):
     # full product decomposition
     from qybe.coupling import decompose
 
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)  # single triplet block
     nb = commutant_nullspace(U, 2)
     chain = nfold_coproduct([U.gens] * 2)
@@ -80,7 +80,7 @@ def test_commutant_dim_matches_multiplicities(params_sl):
 
 
 def test_constraint_system_matches_nullspace_v2(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
     nb = commutant_nullspace(U, 2)
     cb, system = constraint_system(U, 2)
@@ -91,7 +91,7 @@ def test_constraint_system_matches_nullspace_v2(params_sl):
 
 def test_weight_conservation_is_built_in(params_sl):
     # any commutant element annihilates weight-violating components exactly
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     wts = np.real(np.diag(nfold_coproduct([U.gens] * 2).H)) / 2
@@ -106,7 +106,7 @@ def test_weight_conservation_is_built_in(params_sl):
 def test_descendant_samples_are_members(params_sl, rng):
     # samples of the fused solution lie in the centralizer, whichever of the
     # two constructions provides the basis
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     cb, _ = constraint_system(U, 2)
@@ -120,7 +120,7 @@ def test_descendant_samples_are_members(params_sl, rng):
 def test_bond_terms_are_centralizer_elements(params_sl):
     from qybe.fusion import pair_cells
 
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     for term in pair_cells(U):
@@ -129,7 +129,7 @@ def test_bond_terms_are_centralizer_elements(params_sl):
 
 
 def test_hecke_samples_are_members(params_osp, rng):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
     nb = commutant_nullspace(U, 2)
     fam = U.hecke
@@ -139,7 +139,7 @@ def test_hecke_samples_are_members(params_osp, rng):
 
 
 def test_identity_is_member(params_sl):
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     ok, coef, resid = membership(np.eye(U.dim ** 2), nb)
@@ -147,7 +147,7 @@ def test_identity_is_member(params_sl):
 
 
 def test_generator_is_not_member(params_sl):
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     chain = nfold_coproduct([U.gens] * 2)
@@ -156,7 +156,7 @@ def test_generator_is_not_member(params_sl):
 
 
 def test_random_matrix_rejected(params_sl, rng):
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     m = rng.normal(size=(U.dim ** 2, U.dim ** 2))

@@ -17,7 +17,7 @@ from qybe import (
 )
 from qybe.repspace import coproduct_pair, embed_at
 from conftest import params_for, pair_table
-from oracles import coupled_basis
+from oracles import coupled_basis, metric_norms
 
 
 def test_tensor_decompose_values():
@@ -33,14 +33,14 @@ def test_tensor_decompose_values():
 ])
 def test_biorthogonality(algebra, r1, r2):
     p = params_for(algebra)
-    t = cgc_table(build_irrep(algebra, r1, p), build_irrep(algebra, r2, p))
+    t = cgc_table(build_irrep(r1, p), build_irrep(r2, p))
     dec = t.decomposition
     assert np.abs(dec.dual @ dec.basis - np.eye(dec.dim)).max() < 1e-10
 
 
 def test_trivial_factor(params_osp):
-    one = build_irrep(OSPQ12, 1, params_osp)
-    r4 = build_irrep(OSPQ12, 4, params_osp)
+    one = build_irrep(1, params_osp)
+    r4 = build_irrep(4, params_osp)
     t = cgc_table(one, r4)
     assert t.targets == [4]
     # the coupled state k of the one block has a unit-modulus component on
@@ -55,21 +55,22 @@ def test_dual_proportionality_and_unit_norms(algebra, r1, r2):
     # Cbar is the metric-weighted transpose of C with per-state signs eps;
     # all |eps| equal 1 for the ladder-normalized coupled basis
     p = params_for(algebra)
-    t = cgc_table(build_irrep(algebra, r1, p), build_irrep(algebra, r2, p))
+    t = cgc_table(build_irrep(r1, p), build_irrep(r2, p))
     dec = t.decomposition
-    md = dec.metric
+    eps, md = metric_norms(dec.basis, coproduct_pair(t.rep1, t.rep2))
     for c in range(dec.dim):
-        pred = dec.eps[c] * md * dec.basis[:, c]
+        pred = eps[c] * md * dec.basis[:, c]
         assert np.abs(pred - dec.dual[c, :]).max() < 1e-10
-        assert abs(abs(dec.eps[c]) - 1) < 1e-10
+        assert abs(abs(eps[c]) - 1) < 1e-10
 
 
 def test_osp_eps_pattern_alternates(params_osp):
     # graded norms alternate along indefinite ladders in period-two steps
     t = pair_table(OSPQ12, 3, params_osp)
     dec = t.decomposition
+    norms = metric_norms(dec.basis, coproduct_pair(t.rep1, t.rep2))[0]
     for b in dec.blocks:
-        eps = np.real(dec.eps[list(b.cols)])
+        eps = np.real(norms[list(b.cols)])
         assert abs(eps[0] - 1) < 1e-10  # highest state normalized positive
         for k in range(1, b.r):
             step = eps[k] / eps[k - 1]
@@ -79,14 +80,14 @@ def test_osp_eps_pattern_alternates(params_osp):
 def test_hw_product_formula_osp33(params_osp):
     # top-weight coefficient recursion: C(i1+1)/C(i1) at total weight i = j
     # equals -(-1)^{p_{i1+1}} q^{-(j+1)/2} beta_{i1} / beta_{j-i1-1}
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     q = params_osp.q
     dec = cgc_table(rep, rep).decomposition
-    jl = (rep.r - 1) / 2
+    jl = (rep.dim - 1) / 2
     for r0 in (3, 5):
         j0 = (r0 - 1) / 2.0
         # the highest-weight state of block r0 on the product states (k1, k2)
-        top = dec.basis[:, next(b.start for b in dec.blocks if b.r == r0)].reshape(rep.r, rep.r)
+        top = dec.basis[:, next(b.start for b in dec.blocks if b.r == r0)].reshape(rep.dim, rep.dim)
         for i1 in np.arange(-jl, jl):
             i1n = i1 + 1
             i2, i2n = j0 - i1, j0 - i1n
@@ -97,7 +98,7 @@ def test_hw_product_formula_osp33(params_osp):
             if abs(c0) < 1e-12:
                 continue
             par = rep.parities[int(round(jl - i1n))]
-            shift = qr_shift(rep.r, q)
+            shift = qr_shift(rep.dim, q)
             # E v_i = beta_i v_{i+1}: beta_i = E[k - 1, k] at ladder index k = jl - i
             k1, k2 = int(round(jl - i1)), int(round(jl - i2n))
             pred = (-((-1.0) ** par) * q ** (-(j0 + 1 + 2 * shift) / 2)
@@ -130,7 +131,7 @@ def test_projector_laws(algebra, r):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 3), (OSPQ12, 3)])
 def test_projector_invariance(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     pair = coproduct_pair(rep, rep)
     t = cgc_table(rep, rep)
     for r0 in tensor_decompose(r, r):
@@ -145,7 +146,7 @@ def test_projector_invariance(algebra, r):
 ])
 def test_projector_routes_agree(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     t = cgc_table(rep, rep)
     for r0 in tensor_decompose(r, r):
         A = projector(t, r0)
@@ -155,8 +156,8 @@ def test_projector_routes_agree(algebra, r):
 
 
 def test_casimir_projector_trivial(params_osp):
-    one = build_irrep(OSPQ12, 1, params_osp)
-    r3 = build_irrep(OSPQ12, 3, params_osp)
+    one = build_irrep(1, params_osp)
+    r3 = build_irrep(3, params_osp)
     P = casimir_projector(one, r3, 3)
     assert np.abs(P - np.eye(3)).max() < 1e-12
 
@@ -182,7 +183,7 @@ def test_chi_sl_closed_form(r, params_sl):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 3)])
 def test_chi_equals_quartic_product(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     t = cgc_table(rep, rep)
     chi = chi_factor(t)
     # C Cbar of the singlet on each product state (k1, k2); the quartic
@@ -223,7 +224,7 @@ def test_coupled_basis_metric_orthonormal(algebra):
     # columns are metric-orthogonal; after normalizing each by its recorded
     # norm the Gram matrix is a sign diagonal
     p = params_for(algebra)
-    rep = build_irrep(algebra, 2, p)
+    rep = build_irrep(2, p)
     cb = coupled_basis(cgc_table(rep, rep))
     gram = cb.basis.T @ (cb.metric[:, None] * cb.basis)
     off = gram - np.diag(np.diag(gram))
@@ -237,10 +238,10 @@ def test_coupled_basis_metric_orthonormal(algebra):
 def test_coupled_basis_diagonalizes_pair_casimirs(params_sl):
     from qybe.repspace import casimir_matrix
 
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     cb = coupled_basis(cgc_table(rep, rep))
     c12 = casimir_matrix(coproduct_pair(rep, rep))
-    d2 = rep.r ** 2
+    d2 = rep.dim ** 2
     c12_full = np.kron(c12, np.eye(d2))
     c34_full = np.kron(np.eye(d2), c12)
     both = cb.dual @ (c12_full + c34_full) @ cb.basis

@@ -22,7 +22,7 @@ from qybe import (
 )
 from qybe.coupling import decompose, product_sectors
 from qybe.fusion import adjacent_singlet_kernel
-from qybe.repspace import Site, embed_at, nfold_coproduct
+from qybe.repspace import Site, coproduct_pair, embed_at, nfold_coproduct
 from qybe.qarith import DESK_BOUND
 from qybe.rmatrix import r33_family, rel_residual
 from conftest import pair_table, params_for, sample_points
@@ -33,6 +33,8 @@ from oracles import (
     extended_lax_closed,
     f_product,
     f_slope,
+    metric_norms,
+    polynomial_form,
     spectral_decompose,
     truncation_cascade,
 )
@@ -40,13 +42,13 @@ from oracles import (
 
 def desc_guards(rep, params):
     # poles of the outer-difference parameterization
-    u0 = u0_point(chi_factor(pair_table(rep.algebra, rep.r, params)), params.a)
+    u0 = u0_point(chi_factor(pair_table(rep.algebra, rep.dim, params)), params.a)
     return (0.0, u0, -u0, 2 * u0, -2 * u0)
 
 
 def fam_guards(rep, params):
     # poles in the additive family variable (shifted by u0)
-    u0 = u0_point(chi_factor(pair_table(rep.algebra, rep.r, params)), params.a)
+    u0 = u0_point(chi_factor(pair_table(rep.algebra, rep.dim, params)), params.a)
     return (-u0, -2 * u0)
 
 
@@ -68,7 +70,7 @@ def test_dims_recurrence_values():
 ])
 def test_composite_space_dims(algebra, r, n):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
     assert U.dim == dims_recurrence(r, n)
     # left inverse and projector trace
@@ -101,7 +103,7 @@ def test_composite_basis_is_weight_graded(algebra, q, r, n):
 
 
 def test_composite_blocks_r3(params_sl):
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U2 = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     assert block_multiplicities(U2.decomposition) == {3: 1, 5: 1}
     U3 = composite_space(hecke_family(cgc_table(rep, rep)), n=3)
@@ -109,7 +111,7 @@ def test_composite_blocks_r3(params_sl):
 
 
 def test_composite_r2_single_block(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     for n in (2, 3, 4):
         U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
         assert block_multiplicities(U.decomposition) == {n + 1: 1}
@@ -194,7 +196,7 @@ def test_u8_pair_multiplicities(params_sl):
     # (V3 + V5) x (V3 + V5) decomposes with multiplicities 2,4,4,3,1
     from qybe.coupling import decompose
 
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     dec = decompose(nfold_coproduct([U.gens] * 2))
     assert block_multiplicities(dec) == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
@@ -203,7 +205,7 @@ def test_u8_pair_multiplicities(params_sl):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
 def test_descendant_product_equals_closed(algebra, r, rng):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     pts = sample_points(rng, 6, guards=desc_guards(rep, p), min_dist=0.06)
     worst = 0.0
@@ -231,7 +233,7 @@ def _product_by_embeddings(U, u):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
 def test_stacked_descendant_product_equals_the_product_per_point(algebra, r, rng):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     u0 = U.hecke.u0
     pts = sample_points(rng, 4, guards=desc_guards(rep, p), min_dist=0.06) + [u0 + 1e-8]
@@ -254,7 +256,7 @@ def test_stacked_descendant_product_equals_the_product_per_point(algebra, r, rng
 def test_descendant_product_near_u0_equals_closed(algebra, r):
     # near the pole of the inner factor each point takes its own value: inside
     # the Richardson window from a stencil centred on it, outside it directly
-    rep = build_irrep(algebra, r, params_for(algebra))
+    rep = build_irrep(r, params_for(algebra))
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     u0 = U.hecke.u0
     pts = [u0 + dist * way for way in (1, 1j) for dist in (0, 1e-8, 5e-7, 2e-6, 1e-5, 1e-4)]
@@ -265,7 +267,7 @@ def test_descendant_product_near_u0_equals_closed(algebra, r):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
 def test_descendant_identity_at_u0(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     u0 = u0_point(chi_factor(pair_table(algebra, r, p)), p.a)
     m = descendant_r_closed(U, u0)
@@ -279,7 +281,7 @@ def test_descendant_identity_at_u0(algebra, r):
 
 
 def test_descendant_product_pole_guard(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     chi = chi_factor(pair_table(SLQ2, 2, params_sl))
     u0 = u0_point(chi, params_sl.a)
     # -u0 is far outside the Richardson window around u0: the factor
@@ -291,7 +293,7 @@ def test_descendant_product_pole_guard(params_sl):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 3)])
 def test_descendant_invariance(algebra, r, rng):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     pair = nfold_coproduct([U.gens] * 2)
@@ -303,7 +305,7 @@ def test_descendant_invariance(algebra, r, rng):
 
 
 def test_descendant_ybe_r2(params_sl, rng):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
@@ -315,7 +317,7 @@ def test_descendant_ybe_r2(params_sl, rng):
 
 def test_descendant_ybe_r3_512(params_sl, rng):
     # the 512-dimensional triple-space check for the composite solution
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_sl)
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
@@ -326,7 +328,7 @@ def test_descendant_ybe_r3_512(params_sl, rng):
 
 
 def test_descendant_ybe_osp_r3(params_osp, rng):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     fam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     guards = fam_guards(rep, params_osp)
     pts = sample_points(rng, 2, guards=guards, min_dist=0.1)
@@ -347,12 +349,12 @@ def test_descendant_r2_matches_fixture1(params_sl, rng):
     from qybe.qarith import DeformParams
 
     plat = DeformParams(q=q, a=np.log(q) / 2, algebra=SLQ2)
-    rep = build_irrep(SLQ2, 2, plat)
+    rep = build_irrep(2, plat)
     dfam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
-    mats_d, res_d = spectral_decompose(dfam, r1=3, rng=rng)
+    mats_d, res_d = spectral_decompose(dfam.noncheck, *polynomial_form(dfam), r1=3, rng=rng)
     assert res_d < 1e-8
     fam1 = r33_family(1, pair_table(SLQ2, 3, params_sl))
-    mats_f, res_f = spectral_decompose(fam1, r1=3, rng=rng)
+    mats_f, res_f = spectral_decompose(fam1.noncheck, *polynomial_form(fam1), r1=3, rng=rng)
     assert res_f < 1e-9
     norms = [np.abs(m).max() for m in mats_d]
     keep = [k for k, nm in enumerate(norms) if nm > 1e-7 * max(norms)]
@@ -370,7 +372,7 @@ def test_descendant_r2_matches_fixture1(params_sl, rng):
 
 @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_extended_lax_rll(r, n, params_sl, rng):
-    rep = build_irrep(SLQ2, r, params_sl)
+    rep = build_irrep(r, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
     U = composite_space(fam, n=n)
     u, w = sample_points(rng, 2, guards=(-fam.u0,), min_dist=0.06)
@@ -389,10 +391,10 @@ def _dense_lax(U, u):
     """The whole crossing train on (V^r)^(x(n+1)), sandwiched densely."""
     rep, fam, n = U.rep, U.hecke, U.n
     pars = [rep.parities] * (n + 1)
-    B = np.eye(rep.r ** (n + 1), dtype=complex)
+    B = np.eye(rep.dim ** (n + 1), dtype=complex)
     for m in range(n, 0, -1):
         B = B @ embed_at(fam.swap @ fam.check_fn(u + (n - m) * fam.u0), (0, m), pars)
-    return np.kron(np.eye(rep.r), U.project) @ B @ np.kron(np.eye(rep.r), U.embed)
+    return np.kron(np.eye(rep.dim), U.project) @ B @ np.kron(np.eye(rep.dim), U.embed)
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
@@ -413,7 +415,7 @@ def test_extended_lax_by_sector_matches_dense_train(algebra, q, r, n):
 
 
 def test_extended_lax_n1_is_pair_matrix(params_sl):
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
     u = 0.37 + 0.08j
     # n = 1 composite is the irrep itself in its block basis
@@ -426,11 +428,9 @@ def test_extended_lax_n1_is_pair_matrix(params_sl):
 
 def test_extended_lax_r2_spectral_two_terms(rng):
     # the fundamental-irrep tower gives the standard two-term operator
-    from types import SimpleNamespace
-
     q = 1.3
     plat = DeformParams(q=q, a=np.log(q), algebra=SLQ2)
-    rep = build_irrep(SLQ2, 2, plat)
+    rep = build_irrep(2, plat)
     n = 3
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
     chi = chi_factor(pair_table(SLQ2, 2, plat))
@@ -445,14 +445,9 @@ def test_extended_lax_r2_spectral_two_terms(rng):
             out = out * ((x - 1) * (-1.0) + s * (x + 1))
         return out
 
-    # the non-check train on the mixed pair V^2 (x) U, in U-coordinates, as
-    # the polynomialized family the fit reads
-    fam = SimpleNamespace(
-        noncheck=lambda u: extended_lax(U, u),
-        poly_weight=poly_weight,
-        poly_base=lambda u: np.exp(2 * plat.a * complex(u)),
-    )
-    mats, resid = spectral_decompose(fam, r1=4, rng=rng)
+    # the non-check train on the mixed pair V^2 (x) U, in U-coordinates
+    mats, resid = spectral_decompose(lambda u: extended_lax(U, u), poly_weight,
+                                     lambda u: np.exp(2 * plat.a * complex(u)), r1=4, rng=rng)
     assert resid < 1e-8
     # proportional to a two-term family: the fitted coefficient matrices
     # span a two-dimensional space (the overall scalar spreads the two
@@ -465,7 +460,7 @@ def test_extended_lax_r2_spectral_two_terms(rng):
 
 @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_extended_lax_closed_form(r, n, params_sl, rng):
-    rep = build_irrep(SLQ2, r, params_sl)
+    rep = build_irrep(r, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=n)
     evaluate, scale, fit_resid = extended_lax_closed(U)
     assert fit_resid < 1e-10
@@ -500,20 +495,21 @@ def test_f_product_closed_rational_r2(rng):
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 3)])
 def test_composite_states(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     labels, psi = composite_states(U)
+    eps = metric_norms(U.decomposition.basis, coproduct_pair(rep, rep))[0]
     assert psi.shape == (r * r - 1, r * r - 1)
     assert len(labels) == r * r - 1
     # each state has unit metric norm and already lives in the truncation
     for k in range(psi.shape[1]):
-        nrm = psi[:, k] @ (U.decomposition.eps * psi[:, k])
+        nrm = psi[:, k] @ (eps * psi[:, k])
         assert abs(nrm - 1) < 1e-9
     assert np.linalg.matrix_rank(psi, tol=1e-9) == r * r - 1
 
 
 def test_composite_states_r2_span_triplet(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     labels, psi = composite_states(U)
     assert block_multiplicities(U.decomposition) == {3: 1}
@@ -523,7 +519,7 @@ def test_composite_states_r2_span_triplet(params_sl):
 def test_first_order_expansion_at_u0(params_sl):
     # linear response at the regular point has the two-projector structure
     # with equal coefficients f0 (finite differences + Richardson)
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     chi = chi_factor(pair_table(SLQ2, 3, params_sl))
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
@@ -549,7 +545,7 @@ def test_first_order_expansion_at_u0(params_sl):
 
 def test_composite_states_live_in_truncation(params_osp):
     # projecting back to the ambient pair space reproduces each state
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     labels, psi = composite_states(U)
     Qp = U.embed @ U.project
@@ -565,7 +561,7 @@ def test_complex_deformation_parameter():
 
     for alg in (SLQ2, OSPQ12):
         p = DeformParams(q=1.25 + 0.08j, algebra=alg)
-        rep = build_irrep(alg, 3, p)
+        rep = build_irrep(3, p)
         assert max(verify_algebra(rep).values()) < 1e-12
         table = cgc_table(rep, rep)
         dec = table.decomposition

@@ -18,6 +18,7 @@ from qybe import (
     verify_algebra,
 )
 from qybe.repspace import (
+    Rep,
     Site,
     alpha_sum,
     apply_at,
@@ -42,12 +43,12 @@ from conftest import params_for
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_defining_relations(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     assert max(verify_algebra(rep).values()) < 1e-12
 
 
 def test_sl_commutator_exact(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     q = params_sl.q
     lhs = rep.E @ rep.F - rep.F @ rep.E
     rhs = (diag_power(q, rep.H) - diag_power(q, -rep.H)) / (q - 1 / q)
@@ -93,7 +94,7 @@ def test_alpha_symmetry_even(r, params_osp):
 
 
 def test_corrupted_rep_is_detected(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     E = rep.E.copy()
     E[0, 1] += 1e-3
     bad = dataclasses.replace(rep, E=E)
@@ -102,7 +103,7 @@ def test_corrupted_rep_is_detected(params_osp):
 
 
 def test_graded_kron_identity(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     p = rep.parities
     II = graded_kron_raw(np.eye(3), np.eye(3), p, p, p)
     assert np.abs(II - np.eye(9)).max() == 0
@@ -139,8 +140,8 @@ def test_graded_kron_product_rule(rng):
 ])
 def test_coproduct_homomorphism(algebra, r1, r2):
     p = params_for(algebra)
-    a = build_irrep(algebra, r1, p)
-    b = build_irrep(algebra, r2, p)
+    a = build_irrep(r1, p)
+    b = build_irrep(r2, p)
     pair = coproduct_pair(a, b)
     d = np.diag(pair.H)
     qn = np.diag((p.q ** d - p.q ** (-d)) / (p.q - 1 / p.q))
@@ -152,15 +153,15 @@ def test_coproduct_homomorphism(algebra, r1, r2):
 
 
 def test_coproduct_weights_add(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     Dh = coproduct_pair(rep, rep).H
-    w = (rep.r - 1) / 2 - np.arange(rep.r)  # the ladder weights, highest first
+    w = (rep.dim - 1) / 2 - np.arange(rep.dim)  # the ladder weights, highest first
     expect = np.add.outer(w, w).reshape(-1)
     assert np.abs(np.diag(Dh) - expect).max() < 1e-13
 
 
 def test_coassociativity(params_osp):
-    rep = build_irrep(OSPQ12, 2, params_osp)
+    rep = build_irrep(2, params_osp)
     pair = coproduct_pair(rep, rep)
     left = coproduct_pair(pair, rep)
     right = coproduct_pair(rep, pair)
@@ -172,27 +173,43 @@ def test_coassociativity(params_osp):
                                    DeformParams(q=1.7, algebra=OSPQ12)],
                          ids=["mixed-algebra", "other-q"])
 def test_coproduct_refuses_factors_of_other_parameters(other):
-    # a factor built at another algebra or q would be coupled at the first
-    # factor's q: the coproduct, and so the coupling table, refuses the pair
-    a = build_irrep(OSPQ12, 2, params_for(OSPQ12))
-    b = build_irrep(other.algebra, 2, other)
+    # the coproduct compares the factors' parameters alone, which name the
+    # algebra as well as q: a factor of the other algebra or at another q
+    # would be coupled at the first factor's, so the coproduct, and so the
+    # coupling table, refuses the pair
+    a = build_irrep(2, params_for(OSPQ12))
+    b = build_irrep(2, other)
     for pair in ((a, b), (b, a), (coproduct_pair(a, a), b)):
         with pytest.raises(QybeError, match="no coproduct"):
             coproduct_pair(*pair)
     with pytest.raises(QybeError, match="no coproduct"):
         cgc_table(a, b)
+    # equal parameters built apart are the same parameters
+    assert coproduct_pair(a, build_irrep(2, params_for(OSPQ12))).params == a.params
+
+
+def test_one_rep_class_reads_its_algebra_from_its_parameters():
+    # a rep is its generators, its site and its parameters; the algebra,
+    # parities and dimension are read from the last two
+    rep = build_irrep(3, DeformParams(algebra=OSPQ12))
+    assert rep.algebra == OSPQ12 and rep.parities == (0, 1, 0) and rep.dim == 3
+    assert [f.name for f in dataclasses.fields(Rep)] == ["E", "F", "H", "site", "params"]
+    assert build_irrep(2).algebra == SLQ2
+    for obj in (coproduct_pair(rep, rep), composite_space(
+            hecke_family(cgc_table(rep, rep)), 2).gens):
+        assert type(obj) is Rep and obj.algebra == OSPQ12
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_permutation_squares_to_identity(algebra):
     p = params_for(algebra)
-    rep = build_irrep(algebra, 3, p)
+    rep = build_irrep(3, p)
     P = perm_matrix([1, 0], [rep.parities] * 2)
     assert np.abs(P @ P - np.eye(9)).max() == 0
 
 
 def test_permutation_sign_on_odd_states(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     P = perm_matrix([1, 0], [rep.parities] * 2)
     # state index 1 is odd; v_odd (x) v_odd picks up a minus sign
     vec = np.zeros(9)
@@ -201,7 +218,7 @@ def test_permutation_sign_on_odd_states(params_osp):
 
 
 def test_permutation_all_even_is_swap(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     P = perm_matrix([1, 0], [rep.parities] * 2)
     v = np.zeros(4)
     v[0 * 2 + 1] = 1.0
@@ -210,7 +227,7 @@ def test_permutation_all_even_is_swap(params_sl):
 
 
 def test_perm_matrix_composition(params_osp):
-    rep = build_irrep(OSPQ12, 2, params_osp)
+    rep = build_irrep(2, params_osp)
     dims = [2, 2, 2]
     pars = [rep.parities] * 3
     s01 = perm_matrix([1, 0, 2], pars)
@@ -220,7 +237,7 @@ def test_perm_matrix_composition(params_osp):
 
 
 def test_embed_consistency(params_osp, rng):
-    rep = build_irrep(OSPQ12, 2, params_osp)
+    rep = build_irrep(2, params_osp)
     dims = [2, 2, 2]
     pars = [rep.parities] * 3
     pp = (np.add.outer(np.array(rep.parities), np.array(rep.parities)) % 2).reshape(-1)
@@ -394,7 +411,7 @@ def test_every_builder_site_matches_its_ladder_weights(algebra, q):
     # the weights back from h, subtracting the shift of even-r osp at complex
     # q, and the two agree on every state of irreps, pairs and composites
     p = DeformParams(q=q, algebra=algebra)
-    reps = [build_irrep(algebra, r, p) for r in range(1, 7)]
+    reps = [build_irrep(r, p) for r in range(1, 7)]
     objs = reps + [coproduct_pair(a, b) for a in reps for b in reps]
     objs += [composite_space(hecke_family(cgc_table(reps[r - 1], reps[r - 1])), n).gens
              for r, n in [(2, 4), (3, 3), (4, 3), (3, 4)]]
@@ -413,9 +430,9 @@ def test_site_keys_are_twice_the_half_integer_weights():
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 4), (OSPQ12, 3), (OSPQ12, 4)])
 def test_casimir_scalar(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     c = casimir_matrix(rep)
-    assert np.abs(c - rep.casimir_value * np.eye(r)).max() < 1e-10
+    assert np.abs(c - casimir_value(algebra, r, p.q) * np.eye(r)).max() < 1e-10
 
 
 def test_casimir_value_sl(params_sl):
@@ -425,16 +442,16 @@ def test_casimir_value_sl(params_sl):
 
 
 def test_casimir_apply_osp4(params_osp):
-    rep = build_irrep(OSPQ12, 4, params_osp)
+    rep = build_irrep(4, params_osp)
     c = casimir_matrix(rep)
     for k in range(4):
         v = np.zeros(4)
         v[k] = 1.0
-        assert np.abs(c @ v - rep.casimir_value * v).max() < 1e-10
+        assert np.abs(c @ v - casimir_value(OSPQ12, 4, params_osp.q) * v).max() < 1e-10
 
 
 def test_pair_casimir_spectrum(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     cc = casimir_matrix(coproduct_pair(rep, rep))
     got = np.sort_complex(np.linalg.eigvals(cc))
     want = []
@@ -445,7 +462,7 @@ def test_pair_casimir_spectrum(params_osp):
 
 
 def test_pair_casimir_central(params_osp):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     pair = coproduct_pair(rep, rep)
     cc = casimir_matrix(pair)
     for g in ("E", "F", "H"):
@@ -456,7 +473,7 @@ def test_pair_casimir_central(params_osp):
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_invariant_metric_consistency(algebra):
     p = params_for(algebra)
-    rep = build_irrep(algebra, 3, p)
+    rep = build_irrep(3, p)
     tri = nfold_coproduct([rep] * 3)
     md, res = invariant_metric(tri.E, tri.F)
     assert res < 1e-11
@@ -513,7 +530,7 @@ def test_invariant_metric_equals_the_full_scan(algebra, q, r, n):
     # the rounding of their complex products (they differ at slq2 r = 5,
     # n = 2, q = 0.9 + 0.4i)
     p = DeformParams(q=q, algebra=algebra)
-    co = nfold_coproduct([build_irrep(algebra, r, p)] * n)
+    co = nfold_coproduct([build_irrep(r, p)] * n)
     (d, res), (ref_d, ref_res) = invariant_metric(co.E, co.F), _invariant_metric_by_scan(co.E, co.F)
     assert np.array_equal(d, ref_d)
     assert 0 < res < 1e-11 and abs(res - ref_res) <= 4 * np.finfo(float).eps

@@ -28,7 +28,13 @@ from qybe.repspace import Site, block_index, embed_at, perm_matrix
 from qybe.rmatrix import intertwining_residual, rel_residual, sector_residual
 from qybe.toolkit import family_guards
 from conftest import blockwise_probes, noncheck_ybe, pair_table, params_for, sample_points
-from oracles import IllConditionedFitError, braid_limit, braid_limit_f, spectral_decompose
+from oracles import (
+    IllConditionedFitError,
+    braid_limit,
+    braid_limit_f,
+    polynomial_form,
+    spectral_decompose,
+)
 
 
 def test_hecke_f_zero():
@@ -117,7 +123,7 @@ def test_hecke_ybe(algebra, r, rng):
 def test_hecke_commutes_with_coproduct(params_osp):
     from qybe.repspace import coproduct_pair
 
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     fam = hecke_family(cgc_table(rep, rep))
     pair = coproduct_pair(rep, rep)
     R = fam.check_fn(0.37 + 0.1j)
@@ -208,28 +214,28 @@ def test_fixture_3_is_reparametrized_hecke(params_sl):
 
 
 def test_universal_intertwining(params_osp):
-    r2 = build_irrep(OSPQ12, 2, params_osp)
+    r2 = build_irrep(2, params_osp)
     for sign in (+1, -1):
         R = universal_r(r2, r2, sign)
         assert intertwining_residual(R, r2, r2) < 1e-10
 
 
 def test_universal_intertwining_mixed_dims(params_osp):
-    r2 = build_irrep(OSPQ12, 2, params_osp)
-    r3 = build_irrep(OSPQ12, 3, params_osp)
+    r2 = build_irrep(2, params_osp)
+    r3 = build_irrep(3, params_osp)
     R = universal_r(r2, r3, +1)
     assert intertwining_residual(R, r2, r3) < 1e-10
 
 
 def test_universal_trivial_factor(params_osp):
-    one = build_irrep(OSPQ12, 1, params_osp)
-    r4 = build_irrep(OSPQ12, 4, params_osp)
+    one = build_irrep(1, params_osp)
+    r4 = build_irrep(4, params_osp)
     R = universal_r(one, r4, +1)
     assert np.abs(R - np.eye(4)).max() < 1e-12
 
 
 def test_universal_graded_ybe(params_osp):
-    r2 = build_irrep(OSPQ12, 2, params_osp)
+    r2 = build_irrep(2, params_osp)
     Rp = universal_r(r2, r2, +1)
     Rm = universal_r(r2, r2, -1)
     out = mixed_braid_check(Rp, Rm, r2.parities)
@@ -239,7 +245,7 @@ def test_universal_graded_ybe(params_osp):
 
 def test_universal_flip_inverse(params_osp):
     # the minus matrix equals the flipped inverse of the plus one
-    r2 = build_irrep(OSPQ12, 2, params_osp)
+    r2 = build_irrep(2, params_osp)
     Rp = universal_r(r2, r2, +1)
     Rm = universal_r(r2, r2, -1)
     P = perm_matrix([1, 0], [r2.parities] * 2)
@@ -250,7 +256,7 @@ def test_universal_flip_inverse(params_osp):
 def test_spectral_decompose_hecke_two_terms(algebra, r, rng):
     p = params_for(algebra)
     fam = hecke_family(pair_table(algebra, r, p))
-    mats, resid = spectral_decompose(fam, r1=max(r, 2), rng=rng)
+    mats, resid = spectral_decompose(fam.noncheck, *polynomial_form(fam), r1=max(r, 2), rng=rng)
     assert resid < 1e-9
     norms = [np.abs(m).max() for m in mats]
     big = max(norms)
@@ -261,9 +267,9 @@ def test_spectral_decompose_hecke_two_terms(algebra, r, rng):
 def test_spectral_decompose_rnn_pair(params_sl, rng):
     # the two terms of the fundamental family are the braid limits, with the
     # relative minus sign of the two-term form
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
-    mats, resid = spectral_decompose(fam, r1=2, rng=rng)
+    mats, resid = spectral_decompose(fam.noncheck, *polynomial_form(fam), r1=2, rng=rng)
     assert resid < 1e-10
     Bp = fam.swap @ braid_limit(fam, +1)
     Bm = fam.swap @ braid_limit(fam, -1)
@@ -277,22 +283,22 @@ def test_spectral_decompose_rnn_pair(params_sl, rng):
 
 
 def test_mixed_braid_relations_from_family(params_sl, rng):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
-    mats, _ = spectral_decompose(fam, r1=2, rng=rng)
+    mats, _ = spectral_decompose(fam.noncheck, *polynomial_form(fam), r1=2, rng=rng)
     out = mixed_braid_check(mats[1], -mats[0], rep.parities)
     assert out["max"] < 1e-10
 
 
 def test_mixed_braid_identity_trivial(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     I = np.eye(4)
     out = mixed_braid_check(I, I, rep.parities)
     assert out["max"] < 1e-14
 
 
 def test_mixed_braid_negative_control(params_sl, rng):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     A = rng.normal(size=(4, 4))
     B = rng.normal(size=(4, 4))
     out = mixed_braid_check(A, B, rep.parities)
@@ -301,7 +307,7 @@ def test_mixed_braid_negative_control(params_sl, rng):
 
 def test_spectral_decompose_fixture1_three_terms(params_sl, rng):
     fam = r33_family(1, pair_table(SLQ2, 3, params_sl))
-    mats, resid = spectral_decompose(fam, r1=3, rng=rng)
+    mats, resid = spectral_decompose(fam.noncheck, *polynomial_form(fam), r1=3, rng=rng)
     assert resid < 1e-9
     norms = [np.abs(m).max() for m in mats]
     assert all(nm > 1e-6 * max(norms) for nm in norms)
@@ -484,7 +490,7 @@ def test_ybe_trivial_at_zero(params_osp):
 
 def test_ybe_negative_control(params_sl):
     # a 1 percent perturbation of chi breaks the YBE visibly
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
     fam = hecke_family(cgc_table(rep, rep), chi=chi)
     res = ybe_residual(fam, 0.7, -0.3)
@@ -493,14 +499,14 @@ def test_ybe_negative_control(params_sl):
 
 def test_ybe_noncheck_negative_control(params_sl):
     # the same perturbation through the graded non-check form
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     chi = chi_factor(pair_table(SLQ2, 2, params_sl)) * 1.01
     fam = hecke_family(cgc_table(rep, rep), chi=chi)
     assert noncheck_ybe(fam, 0.7, -0.3, np.random.default_rng(42)) > 1e-4
 
 
 def test_ybe_noncheck_graded(params_osp, rng):
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     fam = hecke_family(cgc_table(rep, rep))
     pts = sample_points(rng, 4, guards=(-fam.u0,))
     worst = max(noncheck_ybe(fam, u, w, np.random.default_rng(42))
@@ -509,7 +515,8 @@ def test_ybe_noncheck_graded(params_osp, rng):
 
 
 def test_spectral_decompose_ill_conditioned(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
     with pytest.raises(IllConditionedFitError):
-        spectral_decompose(fam, r1=2, samples=[0.4, 0.4 + 1e-14, 0.4 + 2e-14, 0.4])
+        spectral_decompose(fam.noncheck, *polynomial_form(fam), r1=2,
+                           samples=[0.4, 0.4 + 1e-14, 0.4 + 2e-14, 0.4])

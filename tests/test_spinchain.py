@@ -73,7 +73,7 @@ def test_f0_linear_in_scale():
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 3)])
 def test_bond_expansion_both_equal_f0(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     c1p, c2p = bond_expansion_coefficients(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
     chi = chi_factor(pair_table(algebra, r, p))
     f0 = f_slope(chi, p.a)
@@ -82,7 +82,7 @@ def test_bond_expansion_both_equal_f0(algebra, r):
 
 
 def test_transfer_matrices_commute_n2(params_sl, rng):
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, 2))
@@ -94,7 +94,7 @@ def test_transfer_matrices_commute_n2(params_sl, rng):
 
 
 def test_transfer_matrix_regular_point_is_shift(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, 2))
@@ -109,7 +109,7 @@ def test_transfer_matrix_regular_point_is_shift(params_sl):
 
 def test_single_site_transfer_invariant(params_sl, rng):
     # N = 1: the trace of R commutes with the site action of h
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, 1))
@@ -124,7 +124,7 @@ def test_single_site_transfer_invariant(params_sl, rng):
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, n_sites))
@@ -137,7 +137,7 @@ def test_hamiltonian_log_derivative_matches_projector_form(algebra, r, n_sites):
 
 
 def test_chain_size_validation(params_sl):
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     with pytest.raises(QybeError):
         ChainSpec(plain((0, 0, 0)), 0)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
@@ -152,7 +152,7 @@ def test_chain_size_validation(params_sl):
 ])
 def test_hamiltonian_refuses_a_chain_of_other_sites(change, params_sl):
     # the sectors of the spec decide the blocks, so they must be U's
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     weights = change.get("weights", np.array(U.site.keys) / 2)
     site = Site(change.get("parities", U.site.parities), weights)
@@ -167,7 +167,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
     # exchange tails of the coproduct are not translation invariant), so the
     # chain-level invariance checks are per-bond plus the weight and the
     # commuting transfer matrix
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, 2))
@@ -186,7 +186,7 @@ def test_hamiltonian_commutes_with_generators_and_tau(params_sl, rng):
 def test_hecke_chain_locality(params_sl, rng):
     # N = 3 fundamental chain: the log-derivative Hamiltonian is a sum of
     # two-site terms, so it commutes with single-site operators two sites away
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     fam = hecke_family(cgc_table(rep, rep))
     spec = ChainSpec(plain((0, 0)), 3)
     H = hamiltonian_log_derivative(spec, fam)[0]
@@ -213,7 +213,7 @@ def test_spin_structure_block_transitions(params_sl):
     # bond terms move block labels for composite cells with several blocks
     # (r = 3) and cannot for single-block cells (r = 2)
     for r, expect_offdiag in ((2, False), (3, True)):
-        rep = build_irrep(SLQ2, r, params_sl)
+        rep = build_irrep(r, params_sl)
         U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
         bond = chain_bond(U)[1]
         blocks = U.decomposition.blocks
@@ -235,7 +235,7 @@ def test_spin_structure_block_transitions(params_sl):
                                       (OSPQ12, 2), (OSPQ12, 3), (OSPQ12, 4)])
 def test_coupled_elements_p23(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     out = coupled_matrix_elements(cgc_table(rep, rep), "P23")
     assert out.route_residual < 1e-9
     assert out.conserves_total
@@ -248,7 +248,7 @@ def test_coupled_elements_p23(algebra, r):
                                       (OSPQ12, 2), (OSPQ12, 3), (OSPQ12, 4)])
 def test_coupled_elements_p23p14(algebra, r):
     p = params_for(algebra)
-    rep = build_irrep(algebra, r, p)
+    rep = build_irrep(r, p)
     out = coupled_matrix_elements(cgc_table(rep, rep), "P23P14")
     assert out.route_residual < 1e-9
     # support only on the total singlet with equal pair labels
@@ -259,7 +259,7 @@ def test_coupled_elements_p23p14(algebra, r):
 
 
 def _pair_composite(algebra, r):
-    rep = build_irrep(algebra, r, params_for(algebra))
+    rep = build_irrep(r, params_for(algebra))
     return composite_space(hecke_family(cgc_table(rep, rep)), n=2)
 
 
@@ -428,7 +428,7 @@ def test_spectrum_zero_matrix():
 def test_spectrum_descendant_chain_consistency(params_sl):
     # the log-derivative and projector-form spectra coincide up to the
     # fitted affine map for the fundamental composite chain
-    rep = build_irrep(SLQ2, 2, params_sl)
+    rep = build_irrep(2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, 2))
@@ -446,7 +446,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
     # irreducible blocks, so its degeneracy is a sum of block dimensions
     from qybe.coupling import decompose
 
-    rep = build_irrep(SLQ2, 3, params_sl)
+    rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     vals, clusters = spectrum(hamiltonian_projector_form(U, ChainSpec(U.site, 2)))
     chain = nfold_coproduct([U.gens] * 2)
@@ -460,7 +460,7 @@ def test_spectrum_degeneracies_are_multiplet_sums(params_sl):
 
 def test_graded_chain_transfer_commutes(params_osp, rng):
     # composite chain over the graded algebra: parity-signed auxiliary trace
-    rep = build_irrep(OSPQ12, 3, params_osp)
+    rep = build_irrep(3, params_osp)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = whole(ChainSpec(U.site, 2))
@@ -502,7 +502,7 @@ def _check_against_dense(spec, R, rng):
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("n_sites", [1, 2, 3])
 def test_graded_transfer_matches_dense_product(r, n_sites, params_osp, rng):
-    rep = build_irrep(OSPQ12, r, params_osp)
+    rep = build_irrep(r, params_osp)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     fam = descendant_family(U)
     spec = ChainSpec(U.site, n_sites)

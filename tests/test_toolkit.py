@@ -682,10 +682,10 @@ def test_lax_rll_peak_memory():
 def test_verify_all_into_context_builds_shared_objects_once(monkeypatch):
     # each builder, wherever in the package it is called, keyed by what it built
     keys = {
-        "build_irrep": lambda rep: rep.r,
-        "cgc_table": lambda table: (table.rep1.r, table.rep2.r),
+        "build_irrep": lambda rep: rep.dim,
+        "cgc_table": lambda table: (table.rep1.dim, table.rep2.dim),
         "hecke_family": lambda fam: fam.dim,
-        "composite_space": lambda U: (U.rep.r, U.n),
+        "composite_space": lambda U: (U.rep.dim, U.n),
     }
     calls = {name: [] for name in keys}
 
@@ -1027,11 +1027,53 @@ def test_every_src_name_has_a_program_reader():
     assert _defs_no_command_reaches(root, kept) == []
 
 
+def _fields_src_never_reads(root):
+    """Each field of a dataclass, a NamedTuple or a `__slots__` class of
+    src/qybe, as Class.field, whose name src/qybe never reads as an
+    attribute."""
+    import ast
+
+    fields, read = [], set()
+    for path in sorted((root / "src" / "qybe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = []
+            if (any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+                    or any(ast.unparse(b) == "NamedTuple" for b in node.bases)):
+                names += [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+            for base in node.bases:  # NamedTuple("Name", [("field", type), ...])
+                if isinstance(base, ast.Call) and ast.unparse(base.func) == "NamedTuple":
+                    names += [f.elts[0].value for f in base.args[1].elts]
+            for s in node.body:
+                if isinstance(s, ast.Assign) and ast.unparse(s.targets[0]) == "__slots__":
+                    names += list(ast.literal_eval(s.value))
+            fields += [f"{node.name}.{name}" for name in names]
+    return sorted(f for f in fields if f.rpartition(".")[2] not in read)
+
+
+def test_every_src_field_has_a_program_reader():
+    # a field the program never reads is dead state; these have readers
+    # outside the scan
+    import pathlib
+
+    kept = [
+        "CommutantBasis.rank_gap",  # a numerical-health value the report is to carry
+        "SystemEntries.col",  # SystemEntries is read by unpacking
+        "SystemEntries.row",
+        "SystemEntries.val",
+    ]
+    root = pathlib.Path(__file__).resolve().parents[1]
+    assert _fields_src_never_reads(root) == kept
+
+
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_verify_all_builds_the_pair_cells_once_per_pair_space(algebra, monkeypatch):
     built = []
     real = fusion.pair_cells
-    monkeypatch.setattr(fusion, "pair_cells", lambda U: built.append((U.rep.r, U.n)) or real(U))
+    monkeypatch.setattr(fusion, "pair_cells", lambda U: built.append((U.rep.dim, U.n)) or real(U))
     cfg = RunConfig(algebra=algebra, r_list=(2, 3))
     ctx = Context(cfg)
     verify_all(cfg, ctx)
@@ -1046,7 +1088,7 @@ def test_verify_all_builds_one_fused_family_per_pair_space(algebra, monkeypatch)
     built = []
     real = fusion.descendant_family
     monkeypatch.setattr(fusion, "descendant_family",
-                        lambda U: built.append((U.rep.r, U.n)) or real(U))
+                        lambda U: built.append((U.rep.dim, U.n)) or real(U))
     cfg = RunConfig(algebra=algebra, r_list=(2, 3))
     ctx = Context(cfg)
     verify_all(cfg, ctx)
