@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .qarith import DESK_BOUND, OSPQ12, SLQ2, QybeError
+from .qarith import OSPQ12, SLQ2, QybeError, desk_dim
 from .coupling import projector, tensor_decompose
 from . import fusion
 from . import spinchain as chains
@@ -155,10 +155,9 @@ def cmd_fuse(args, ctx):
 
 def cmd_lax(args, ctx):
     cfg = ctx.config
-    too_big = [(r, n) for r in cfg.r_list for n in cfg.n_list if not fusion.lax_fits(r, n)]
-    if too_big:
-        raise QybeError(f"extended Lax at (r, n) = {too_big} exceeds the desk bound "
-                        f"of {DESK_BOUND} dimensions")
+    for r in cfg.r_list:
+        for n in cfg.n_list:  # every pair first: one past the bound ends the command
+            desk_dim("extended Lax", r, n + 1)
     for r in cfg.r_list:
         for n in cfg.n_list:
             _write_lax(ctx, f"lax_{cfg.algebra}_r{r}_n{n}.json", ctx.composite(r, n),

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qarith import COMMUTANT_BUDGET, DESK_BOUND, OSPQ12, QybeError
+from .qarith import COMMUTANT_BUDGET, OSPQ12, QybeError, desk_dim
 from .repspace import Site, ladder_weights, nfold_coproduct
 
 
@@ -180,15 +180,6 @@ def _nullspace_from_system(system):
     return null, gap
 
 
-def _product_dim(dU, n):
-    """dU^n, refusing n < 1 and a product space past the desk bound."""
-    if n < 1:
-        raise QybeError(f"commutant needs n >= 1, got {n}")
-    if dU ** n > DESK_BOUND:
-        raise QybeError(f"commutant space {dU}^{n} exceeds the desk bound {DESK_BOUND}")
-    return dU ** n
-
-
 def _centralizer(layout, E, F):
     """Centralizer of the n-fold generators E = Delta^n(e), F = Delta^n(f)
     over a `_sector_layout`.  The pair of sectors (k, k + step) gives the
@@ -224,7 +215,7 @@ def commutant_nullspace(U, n):
     """Joint null space of [Delta^n g, c] = 0 for g in {e, f, h}, solved by
     SVD over the weight-sector blocks of the coefficient matrix."""
     gens = U.gens
-    d = _product_dim(gens.dim, n)
+    d = desk_dim("commutant space", gens.dim, n)
     # refused from the summed per-state keys, before any d x d generator
     # exists; the layout solved on still comes from the coproduct's own h
     _refuse_over_budget(Site.product(*[U.site] * n).sectors)
@@ -304,7 +295,7 @@ def constraint_system(U, n):
     Delta^n(f) written from the per-state ladder data.  Returns
     (CommutantBasis, SystemEntries of the system)."""
     states = _block_ladder_data(U)
-    d = _product_dim(len(states), n)
+    d = desk_dim("commutant space", len(states), n)
     layout = _sector_layout(Site.product(*[U.site] * n).sectors, d)
     E, F = _coproduct_generators(states, n, U.params.q, U.rep.algebra)
     return _centralizer(layout, E, F)

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qarith import DESK_BOUND, PoleError, QybeError
+from .qarith import PoleError, QybeError, desk_dim
 from .repspace import (
     Rep,
     Site,
@@ -178,11 +178,8 @@ def composite_space(fam, n):
     Raises on a rank mismatch between the kernel intersection and the
     recurrence dimension."""
     rep = fam.table.rep1
-    if n < 1:
-        raise QybeError(f"composite space needs n >= 1, got {n}")
+    desk_dim("composite space", rep.dim, n)
     want = dims_recurrence(rep.dim, n)
-    if rep.dim ** n > DESK_BOUND:
-        raise QybeError(f"composite space {rep.dim}^{n} exceeds the desk bound {DESK_BOUND}")
     co = nfold_coproduct([rep] * n)
     if n == 1:
         dec = decompose(rep)
@@ -304,7 +301,9 @@ def descendant_family(U):
     family shifts that variable so its regular point sits at zero, which is
     where the standard additive triple-product relation holds:
     check_fn(x) is the closed fused form at outer difference x + u0, and
-    check_fn(0) is the identity."""
+    check_fn(0) is the identity.  Its `guards` are its poles x = -u0 and
+    x = -2 u0, u0 of the Hecke family: those of the factors R(u - u0) and
+    R(u) of the product form at u = x + u0."""
     B1, B2 = U.cells
     fam = U.hecke
     B0 = np.eye(U.dim ** 2)
@@ -317,14 +316,8 @@ def descendant_family(U):
 
     return SpectralRMatrix(
         family="fused", params=U.params, site=U.site,
-        chi=fam.chi, u0=0.0, check_fn=check_fn,
+        chi=fam.chi, check_fn=check_fn, guards=(-shift, -2 * shift),
     )
-
-
-def lax_fits(r, n):
-    """Whether the extended Lax operator on V^r (x) U^{R_n} is within the
-    desk bound: its crossing train acts on (V^r)^(x(n+1))."""
-    return r ** (n + 1) <= DESK_BOUND
 
 
 def extended_lax(U, u=0.0):
@@ -338,8 +331,7 @@ def extended_lax(U, u=0.0):
     and ending on the columns of 1 (x) embed (`U.lax_sectors`).  The
     entries between sectors are exact zeros."""
     rep, fam, n = U.rep, U.hecke, U.n
-    if not lax_fits(rep.dim, n):
-        raise QybeError(f"extended Lax {rep.dim}^{n + 1} exceeds the desk bound {DESK_BOUND}")
+    desk_dim("extended Lax", rep.dim, n + 1)
     # written from factor n down to factor 1: the auxiliary line crosses factor 1 first
     ops = [fam.noncheck(u + (n - m) * fam.u0).ravel() for m in range(n, 0, -1)]
     out = np.zeros((rep.dim * U.dim,) * 2, dtype=complex)

@@ -33,6 +33,23 @@ class PoleError(QybeError):
     """Spectral parameter hit a pole of the baxterized coefficient function."""
 
 
+def fits_desk(base, power):
+    """Whether a product of `power` factors of `base` states each stays within
+    DESK_BOUND dimensions: the one size rule of every dense construction."""
+    return base ** power <= DESK_BOUND
+
+
+def desk_dim(what, base, power):
+    """The dimension base^power of a product of `power` factors, refusing a
+    product of no factors or one past the desk bound (`fits_desk`) with a
+    QybeError that names `what`."""
+    if power < 1:
+        raise QybeError(f"{what} needs at least one factor, got {power}")
+    if not fits_desk(base, power):
+        raise QybeError(f"{what} {base}^{power} exceeds the desk bound {DESK_BOUND}")
+    return base ** power
+
+
 @dataclass(frozen=True)
 class DeformParams:
     """Deformation data shared by every construction.

@@ -176,13 +176,16 @@ def nfold_coproduct(reps):
     return cur
 
 
-def _signed_perm(sigma, parities):
-    """The signed permutation taking target slot t to source slot sigma[t]
-    of a product of factors with these parity vectors, as (target flat
-    index, +-1 Koszul sign) of every source basis state in flat order.  The
-    sign counts the odd pairs whose order sigma inverts."""
+def _signed_perm(front, parities):
+    """The signed permutation bringing the legs `front`, in order, to the
+    front of a product of factors with these parity vectors, the other legs
+    following in their order: target slot t holds source slot sigma[t], for
+    sigma = front + the rest.  Returned as (target flat index, +-1 Koszul
+    sign) of every source basis state in flat order; the sign counts the
+    odd pairs whose order sigma inverts."""
     dims = [len(p) for p in parities]
     n = len(dims)
+    sigma = list(front) + [k for k in range(n) if k not in front]
     src = np.indices(dims).reshape(n, -1)
     par = [np.asarray(parities[k], dtype=int)[src[k]] for k in range(n)]
     odd = np.zeros(src.shape[1], dtype=int)
@@ -214,9 +217,7 @@ def embed_at(op, pos, parities):
     P^T (op (x) 1) P; only its nonzero entries are written, each one a
     Koszul-signed entry of op."""
     op = np.asarray(op)
-    pos = tuple(pos)
-    rest = [k for k in range(len(parities)) if k not in pos]
-    tgt, sign = _signed_perm(list(pos) + rest, parities)
+    tgt, sign = _signed_perm(pos, parities)
     # src[i, j]: the source state sent to op index i and rest index j
     src = np.argsort(tgt).reshape(int(np.prod([len(parities[k]) for k in pos])), -1)
     s = sign[src]
@@ -234,8 +235,7 @@ def apply_at(op, pos, parities, X):
     a stack of matrices on its last two axes and op a stack matched to
     X's, or either one a single matrix."""
     pos = tuple(pos)
-    rest = [k for k in range(len(parities)) if k not in pos]
-    tgt, sign = _signed_perm(list(pos) + rest, parities)
+    tgt, sign = _signed_perm(pos, parities)
     sign = sign[:, None]
     rows, cols = X.shape[-2:]
     dop = op.shape[-1]
@@ -259,9 +259,7 @@ def block_index(pos, parities):
     sign of `_signed_perm`, and 0 wherever the embedding vanishes (states
     whose other legs differ).  The signs are computed once, for any number
     of blocks."""
-    pos = tuple(pos)
-    rest = [k for k in range(len(parities)) if k not in pos]
-    tgt, sign = _signed_perm(list(pos) + rest, parities)
+    tgt, sign = _signed_perm(pos, parities)
     dop = int(np.prod([len(parities[k]) for k in pos]))
 
     def gather(idx):

@@ -136,7 +136,9 @@ class SpectralRMatrix:
     the object the family acts on (`Rep.site`, `CompositeSpace.site`).
 
     check_fn evaluates the check form as an array; `noncheck` composes it
-    with the graded swap of the two sites.
+    with the graded swap of the two sites.  u0 is the degeneration point of
+    a Hecke family, and `guards` holds the family's poles, set by the
+    builder that knows them (none for the spin-1 families).
     """
 
     family: str
@@ -146,6 +148,7 @@ class SpectralRMatrix:
     u0: complex = None
     check_fn: callable = field(repr=False, default=None)
     table: CouplingTable = field(repr=False, default=None)
+    guards: tuple = ()
 
     @property
     def dim(self):
@@ -187,7 +190,7 @@ def hecke_family(table, chi=None):
 
     return SpectralRMatrix(
         family="hecke", params=params, site=rep.site,
-        chi=chi, u0=u0, check_fn=check_fn, table=table,
+        chi=chi, u0=u0, check_fn=check_fn, table=table, guards=(-u0,),
     )
 
 

@@ -11,8 +11,8 @@ contraction runs over the weight-allowed monodromy entries only, one GEMM
 per pair of auxiliary weights (the block-sparse contraction of U(1)-symmetric
 tensors, Singh, Pfeifer & Vidal, Phys. Rev. B 83, 115125 (2011)), from a
 gather/scatter plan built once per `ChainSpec`.  No array of the chain's
-squared dimension is formed, for sl_q(2) and osp_q(1|2) alike, within
-`qarith.DESK_BOUND` dimensions.
+squared dimension is formed, for sl_q(2) and osp_q(1|2) alike, within the
+desk bound (`qarith.desk_dim`).
 
 H and tau(u) conserve the total weight Delta^N(h), so every chain operator
 is returned as its diagonal blocks over `ChainSpec.sectors`, in that order,
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qarith import DESK_BOUND, QybeError
+from .qarith import QybeError, desk_dim
 from .repspace import Site, block_index, weight_sectors
 from .coupling import check_sectors, product_sectors
 from .fusion import descendant_coefficients
@@ -51,11 +51,7 @@ class ChainSpec:
     def __post_init__(self):
         if self.aux is None:
             self.aux = self.site
-        if self.n_sites < 1:
-            raise QybeError(f"a chain needs at least one site, got {self.n_sites}")
-        if self.site.dim ** self.n_sites > DESK_BOUND:
-            raise QybeError(f"chain {self.site.dim}^{self.n_sites} exceeds the desk bound "
-                            f"{DESK_BOUND}")
+        desk_dim("chain", self.site.dim, self.n_sites)
 
     @cached_property
     def sectors(self):
@@ -242,27 +238,27 @@ def transfer_matrix(spec, R):
     return [tau[o:o + n * n].reshape(n, n) for o, n in plan.blocks]
 
 
+def _slope_at_zero(f):
+    """d/dx at x = 0 of f, a function of x returning a sequence of scalars
+    or arrays, element by element: central differences at the steps 1e-6
+    and 5e-7 with one Richardson step.  Both chain derivatives take this
+    one rule, so the two Hamiltonian routes compare like with like."""
+    def ddx(h):
+        return [(p - m) / (2 * h) for p, m in zip(f(h), f(-h))]
+
+    return [(4 * d2 - d1) / 3 for d1, d2 in zip(ddx(1e-6), ddx(1e-6 / 2))]
+
+
 def bond_expansion_coefficients(U):
     """First-order expansion of the fused solution on U (x) U at its regular
-    point: d/du of the two closed coefficients, central differences at the
-    steps 1e-6 and 5e-7, Richardson-extrapolated.
+    point: d/du of the two closed coefficients (`_slope_at_zero`).
 
     Both derivatives equal the slope f0 for every r, algebra and scale a, so
     the chain bond operator is f0 (Pbar + Phat); the ratio is returned rather
     than assumed so the construction stays self-calibrating."""
     chi, a, u0 = U.hecke.chi, U.params.a, U.hecke.u0
-
-    def der(ix, h):
-        cp = descendant_coefficients(u0 + h, chi, a, u0)[ix]
-        cm = descendant_coefficients(u0 - h, chi, a, u0)[ix]
-        return (cp - cm) / (2 * h)
-
-    out = []
-    for ix in range(2):
-        d1 = der(ix, 1e-6)
-        d2 = der(ix, 1e-6 / 2)
-        out.append((4 * d2 - d1) / 3)
-    return complex(out[0]), complex(out[1])
+    c1, c2 = _slope_at_zero(lambda x: descendant_coefficients(u0 + x, chi, a, u0))
+    return complex(c1), complex(c2)
 
 
 def chain_bond(U):
@@ -305,17 +301,12 @@ def hamiltonian_projector_form(U, spec):
 def hamiltonian_log_derivative(spec, fam):
     """tau(0)^-1 dtau/du at u = 0, the regular point of every family
     (hecke_f(0) = 0, the fused family is shifted to make it so, and the
-    spin-1 families are normalised there), by central differences of step
-    1e-6 with one Richardson step, solved in each weight sector of the
-    chain from the sector blocks of tau.  Returns the blocks of the
-    Hamiltonian, in the order of `spec.sectors`."""
+    spin-1 families are normalised there), dtau/du by `_slope_at_zero`,
+    solved in each weight sector of the chain from the sector blocks of
+    tau.  Returns the blocks of the Hamiltonian, in the order of
+    `spec.sectors`."""
     tau = lambda x: transfer_matrix(spec, fam.noncheck(x))
-
-    def ddu(h):
-        return [(tp - tm) / (2 * h) for tp, tm in zip(tau(h), tau(-h))]
-
-    return [np.linalg.solve(t0, (4 * d2 - d1) / 3)
-            for t0, d1, d2 in zip(tau(0.0), ddu(1e-6), ddu(1e-6 / 2))]
+    return [np.linalg.solve(t0, d) for t0, d in zip(tau(0.0), _slope_at_zero(tau))]
 
 
 def spectrum(blocks):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import DeformParams, OSPQ12, SLQ2, QybeError
+from .qarith import DeformParams, OSPQ12, SLQ2, QybeError, fits_desk
 from .repspace import build_irrep, verify_algebra
 from .coupling import (
     casimir_projector,
@@ -32,7 +32,6 @@ from .rmatrix import (
     r33_family,
     rel_residual,
     sector_residual,
-    u0_point,
     universal_r,
     ybe_residual,
 )
@@ -291,16 +290,6 @@ def random_points(rng, count, guards=()):
     return out
 
 
-def family_guards(fam):
-    """Pole locations of a spectral family within the sampling box."""
-    if fam.family == "hecke":
-        return (-fam.u0,)
-    if fam.family == "fused":
-        u0c = u0_point(fam.chi, fam.params.a)
-        return (-u0c, -2 * u0c)
-    return ()
-
-
 class Context:
     """One run of checks: configuration, parameters, the report, the random
     stream of the sample points, and the objects that checks and artifacts
@@ -426,12 +415,12 @@ def _family_ybe(fam, pts, rng):
 
 def _hecke_ybe(ctx, rng, inputs):
     fam = ctx.hecke(inputs["r"])
-    return _family_ybe(fam, random_points(rng, 5, guards=family_guards(fam)), rng)
+    return _family_ybe(fam, random_points(rng, 5, guards=fam.guards), rng)
 
 
 def _eqf_residual(ctx, rng, inputs):
     fam = ctx.hecke(inputs["r"])
-    pts = np.array(random_points(rng, 400, guards=family_guards(fam)))
+    pts = np.array(random_points(rng, 400, guards=fam.guards))
     u, w = pts[0::2], pts[1::2]
     near = np.abs(u + w + fam.u0) < 0.05  # u + w too close to the pole
     u, w = u[~near], w[~near]
@@ -463,7 +452,7 @@ def _descendant_agreement(ctx, rng, inputs):
 
 def _descendant_regular_point(ctx, rng, inputs):
     dfam = ctx.descendant(inputs["r"])
-    return rel_residual(dfam.check_fn(dfam.u0), np.eye(dfam.dim ** 2))
+    return rel_residual(dfam.check_fn(0.0), np.eye(dfam.dim ** 2))
 
 
 def _lax_dims(ctx, rng, inputs):
@@ -474,7 +463,7 @@ def _lax_dims(ctx, rng, inputs):
 def _lax_rll(ctx, rng, inputs):
     U = ctx.composite(inputs["r"], inputs["n"])
     fam = U.hecke
-    u, w = random_points(rng, 2, guards=family_guards(fam))
+    u, w = random_points(rng, 2, guards=fam.guards)
     L13 = fusion.extended_lax(U, u)
     L23 = fusion.extended_lax(U, w)
     Rm = fam.noncheck(u - w)
@@ -493,7 +482,7 @@ def _transfer_commutation(ctx, rng, inputs):
     tau(w) tau(u) X on random columns X of each weight sector."""
     dfam = ctx.descendant(inputs["r"])
     spec = ctx.chain(inputs["r"], inputs["N"])
-    pts = random_points(rng, 4, guards=family_guards(dfam))
+    pts = random_points(rng, 4, guards=dfam.guards)
     t = [chains.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
     # per sector, the stack T of the four blocks: T[a] T[b] X against
     # T[b] T[a] X for each of the six pairs a < b (a pair with itself
@@ -588,8 +577,9 @@ def battery(config):
     for r in [r for r in config.r_list if 2 <= r <= 3]:
         plan += [("descendant-closed-vs-product", {"r": r}),
                  ("descendant-regular-point", {"r": r})]
+        # the Lax train acts on (V^r)^(x(n+1))
         plan += [("lax-rll", {"r": r, "n": n}) for n in config.n_list
-                 if fusion.lax_fits(r, n)]
+                 if fits_desk(r, n + 1)]
     if 3 in config.r_list and config.algebra == SLQ2:
         plan.append(("commutant-dimension-46", {}))
     return plan

@@ -37,7 +37,7 @@ from qybe import (
 from qybe.coupling import decompose
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.rmatrix import intertwining_residual, rel_residual
-from qybe.toolkit import RunConfig, family_guards, random_points, verify_all
+from qybe.toolkit import RunConfig, random_points, verify_all
 from conftest import pair_table, params_for, sample_points
 from oracles import (
     block_multiplicities,
@@ -63,7 +63,7 @@ def test_criterion_01_hecke_ybe_suite():
         p = params_for(algebra)
         for r in (2, 3, 4, 5):
             fam = hecke_family(pair_table(algebra, r, p))
-            pts = random_points(rng, 10, guards=family_guards(fam))
+            pts = random_points(rng, 10, guards=fam.guards)
             pairs = [(pts[2 * k], pts[2 * k + 1]) for k in range(5)] + \
                     [(u, w) for u in pts[:3] for w in pts[3:8]]
             pairs = pairs[:20]
@@ -183,7 +183,7 @@ def test_criterion_06_fusion_cross_check():
            worst_id, 1e-10)
     p = params_for(SLQ2)
     fam = descendant_family(composite_space(hecke_family(pair_table(SLQ2, 3, p)), n=2))
-    guards = family_guards(fam)
+    guards = fam.guards
     pts = sample_points(rng, 4, guards=guards, min_dist=0.1)
     worst_ybe = max(ybe_residual(fam, u, w)
                     for u in pts[:2] for w in pts[2:]
@@ -264,7 +264,7 @@ def test_criterion_09_chain_suite():
     for N in (2, 3):
         spec = ChainSpec(whole, N)
         dim = U.dim ** N
-        pts = sample_points(rng, 10, guards=family_guards(fam), min_dist=0.1)
+        pts = sample_points(rng, 10, guards=fam.guards, min_dist=0.1)
         taus = [transfer_matrix(spec, fam.noncheck(x))[0] for x in pts]
         worst = 0.0
         for k in range(5):
@@ -290,7 +290,7 @@ def test_criterion_09_chain_suite():
                     rel_residual(H @ pair.H, pair.H @ H))
     report(9, "bond terms commute with the algebra action on two cells",
            worst_inv, 1e-9)
-    u = sample_points(rng, 1, guards=family_guards(fam), min_dist=0.1)[0]
+    u = sample_points(rng, 1, guards=fam.guards, min_dist=0.1)[0]
     tau = transfer_matrix(spec, fam.noncheck(u))[0]
     report(9, "Hamiltonian commutes with the transfer matrix",
            rel_residual(H @ tau, tau @ H), 1e-8)

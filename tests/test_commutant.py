@@ -27,7 +27,7 @@ from qybe.commutant import (
     _sector_layout,
 )
 from qybe.repspace import Site, ladder_weights, nfold_coproduct
-from qybe.toolkit import family_guards, random_points
+from qybe.toolkit import random_points
 from conftest import pair_table, params_for, sample_points
 from oracles import block_multiplicities, membership
 
@@ -111,7 +111,7 @@ def test_descendant_samples_are_members(params_sl, rng):
     nb = commutant_nullspace(U, 2)
     cb, _ = constraint_system(U, 2)
     fam = descendant_family(U)
-    for u in sample_points(rng, 3, guards=family_guards(fam), min_dist=0.1):
+    for u in sample_points(rng, 3, guards=fam.guards, min_dist=0.1):
         for basis in (nb, cb):
             ok, coef, resid = membership(fam.check_fn(u), basis)
             assert ok and resid < 1e-9
@@ -133,7 +133,7 @@ def test_hecke_samples_are_members(params_osp, rng):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
     nb = commutant_nullspace(U, 2)
     fam = U.hecke
-    for u in random_points(rng, 3, guards=family_guards(fam)):
+    for u in random_points(rng, 3, guards=fam.guards):
         ok, coef, resid = membership(fam.check_fn(u), nb)
         assert ok and resid < 1e-9
 

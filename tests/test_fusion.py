@@ -23,7 +23,7 @@ from qybe import (
 from qybe.coupling import decompose, product_sectors
 from qybe.fusion import adjacent_singlet_kernel
 from qybe.repspace import Site, coproduct_pair, embed_at, nfold_coproduct
-from qybe.qarith import DESK_BOUND
+from qybe.qarith import fits_desk
 from qybe.rmatrix import r33_family, rel_residual
 from conftest import pair_table, params_for, sample_points
 from oracles import (
@@ -92,7 +92,7 @@ def _off_sector(row_site, col_site):
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 @pytest.mark.parametrize("q", [1.3, 0.9 + 0.4j])
 @pytest.mark.parametrize("r,n", [(r, n) for r in range(2, 7) for n in (2, 3)
-                                 if r ** (n + 1) <= DESK_BOUND])
+                                 if fits_desk(r, n + 1)])
 def test_composite_basis_is_weight_graded(algebra, q, r, n):
     # embed and project hold exact zeros between states of different weight
     U = _composite(algebra, q, r, n)
@@ -278,6 +278,27 @@ def test_descendant_identity_at_u0(algebra, r):
     # the product form reaches the same limit through extrapolation
     m2 = descendant_r_product(U, u0)
     assert np.abs(m2 - np.eye((r * r - 1) ** 2)).max() < 1e-8
+
+
+@pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
+def test_family_guards_are_poles(algebra, r):
+    # every guard a family carries is a pole of its check form: at the
+    # guard and 1e-8 off it, check_fn raises PoleError or exceeds 1e6
+    hecke = hecke_family(pair_table(algebra, r))
+    fused = composite_space(hecke, 2).descendant
+    assert len(hecke.guards) == 1 and len(fused.guards) == 2
+    for fam in (hecke, fused):
+        for g in fam.guards:
+            for d in (0.0, 1e-8, -1e-8, 1e-8j, -1e-8j):
+                try:
+                    assert np.abs(fam.check_fn(g + d)).max() > 1e6
+                except PoleError:
+                    pass
+
+
+def test_spin1_families_have_no_guards():
+    table = pair_table(SLQ2, 3)
+    assert [r33_family(kind, table).guards for kind in (1, 2, 3)] == [(), (), ()]
 
 
 def test_descendant_product_pole_guard(params_sl):
@@ -529,8 +550,8 @@ def test_first_order_expansion_at_u0(params_sl):
     pbar = DD @ (ext @ P23 @ ext) @ EE
     phat = DD @ (ext @ P23 @ P14 @ ext) @ EE
 
-    def deriv(h):
-        return (fam.check_fn(fam.u0 + h) - fam.check_fn(fam.u0 - h)) / (2 * h)
+    def deriv(h):  # about the regular point 0 of the family
+        return (fam.check_fn(h) - fam.check_fn(-h)) / (2 * h)
 
     d1, d2 = deriv(1e-5), deriv(5e-6)
     D = (4 * d2 - d1) / 3

@@ -26,7 +26,6 @@ from qybe import rmatrix
 from qybe.coupling import product_sectors, projector
 from qybe.repspace import Site, block_index, embed_at, perm_matrix
 from qybe.rmatrix import intertwining_residual, rel_residual, sector_residual
-from qybe.toolkit import family_guards
 from conftest import blockwise_probes, noncheck_ybe, pair_table, params_for, sample_points
 from oracles import (
     IllConditionedFitError,
@@ -340,7 +339,7 @@ def test_stacked_ybe_equals_the_largest_dense_pair_residual(build, rng):
     # the per-pair probe residuals on the same columns, and within ten
     # times the largest dense residual
     fam = build()
-    guards = family_guards(fam)
+    guards = fam.guards
     pts = sample_points(rng, 5, guards=guards, min_dist=0.1)
     us, ws = np.array([(u, w) for u in pts[:3] for w in pts[3:]
                        if all(abs(u + w - g) > 0.1 for g in guards)]).T

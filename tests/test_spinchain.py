@@ -30,13 +30,13 @@ from qybe.coupling import product_sectors
 from qybe.rmatrix import rel_residual
 from qybe.repspace import embed_at, nfold_coproduct
 from qybe.spinchain import bond_expansion_coefficients
-from qybe.toolkit import Context, RunConfig, family_guards
+from qybe.toolkit import Context, RunConfig
 from conftest import pair_table, params_for, sample_points
 from oracles import coupled_matrix_elements, f_slope
 
 
 def chain_points(rng, count, fam):
-    return sample_points(rng, count, guards=family_guards(fam), min_dist=0.1)
+    return sample_points(rng, count, guards=fam.guards, min_dist=0.1)
 
 
 def plain(parities):

@@ -30,7 +30,7 @@ from qybe.toolkit import (
     Space,
     verify_all,
 )
-from qybe import cli, commutant, coupling, fusion, repspace, rmatrix, spinchain, toolkit
+from qybe import cli, commutant, coupling, fusion, qarith, repspace, rmatrix, spinchain, toolkit
 from qybe.cli import cli_dispatch
 from qybe.repspace import Site, embed_at
 from conftest import blockwise_probes, noncheck_ybe, pair_table, params_for, sample_points
@@ -528,7 +528,7 @@ def _probe_and_dense(kind, algebra, r, seed):
     rng, points = ctx.rng, np.random.default_rng(seed)
     if kind in ("ybe-check", "ybe-noncheck"):
         fam, form = ctx.hecke(r), kind[4:]
-        u, w = toolkit.random_points(points, 2, guards=toolkit.family_guards(fam))
+        u, w = toolkit.random_points(points, 2, guards=fam.guards)
         probe = ybe_residual(fam, u, w, rng=rng) if form == "check" else noncheck_ybe(fam, u, w, rng)
         return probe, _dense_ybe(fam, u, w, form)
     if kind == "lax-rll":
@@ -537,7 +537,7 @@ def _probe_and_dense(kind, algebra, r, seed):
         return (toolkit._lax_rll(ctx, rng, {"r": r, "n": 2}),
                 _dense_rll(*_rll_factors(U, u, w)))
     dfam, spec = ctx.descendant(r), ctx.chain(r, 2)
-    pts = toolkit.random_points(points, 4, guards=toolkit.family_guards(dfam))
+    pts = toolkit.random_points(points, 4, guards=dfam.guards)
     t = []
     for u in pts:
         tau = np.zeros((sum(map(len, spec.sectors)),) * 2, dtype=complex)
@@ -574,7 +574,7 @@ def test_transfer_commutation_equals_the_per_sector_reference(algebra, r, n_site
     got = toolkit._transfer_commutation(ctx, ctx.rng, {"r": r, "N": n_sites})
     rng = np.random.default_rng(7)
     dfam, spec = ctx.descendant(r), ctx.chain(r, n_sites)
-    pts = toolkit.random_points(rng, 4, guards=toolkit.family_guards(dfam))
+    pts = toolkit.random_points(rng, 4, guards=dfam.guards)
     t = [spinchain.transfer_matrix(spec, dfam.noncheck(u)) for u in pts]
     stacks = (np.stack(blocks) for blocks in zip(*t))
     want = blockwise_probes((([T[:, None], T], [T, T[:, None]]) for T in stacks), rng)
@@ -590,7 +590,7 @@ def test_probed_checks_leave_the_run_stream_alone(algebra):
     ctx = Context(RunConfig(algebra=algebra, r_list=(2,)))
     points = np.random.default_rng(ctx.config.seed)
     ctx.check("hecke-ybe", r=2)
-    toolkit.random_points(points, 5, guards=toolkit.family_guards(ctx.hecke(2)))
+    toolkit.random_points(points, 5, guards=ctx.hecke(2).guards)
     ctx.check("lax-rll", r=2, n=2)
     toolkit.random_points(points, 2, guards=(-ctx.hecke(2).u0,))
     ctx.check("lax-dims", r=2, n=2)
@@ -1069,6 +1069,46 @@ def test_every_src_field_has_a_program_reader():
     assert _fields_src_never_reads(root) == kept
 
 
+def _src_trees():
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "qybe"
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+
+
+def test_only_qarith_reads_the_desk_bound():
+    # the desk-size rule has one owner: every other module asks
+    # qarith.fits_desk or qarith.desk_dim
+    import ast
+
+    readers = set()
+    for module, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "DESK_BOUND" in names:
+                readers.add(module)
+    assert readers == {"qarith"}
+
+
+def test_no_src_branch_on_the_family_name():
+    # what a family is (its poles, its regular point) is held on the
+    # family, not found by comparing its name
+    import ast
+
+    def names_family(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "family" for n in ast.walk(node))
+
+    for module, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            tests = ([node.test] if isinstance(node, (ast.If, ast.IfExp, ast.While))
+                     else [node] if isinstance(node, ast.Compare)
+                     else [node.subject] if isinstance(node, ast.Match) else [])
+            assert not any(names_family(t) for t in tests), (module, ast.unparse(node)[:80])
+
+
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_verify_all_builds_the_pair_cells_once_per_pair_space(algebra, monkeypatch):
     built = []
@@ -1097,16 +1137,21 @@ def test_verify_all_builds_one_fused_family_per_pair_space(algebra, monkeypatch)
 
 
 def test_one_lax_size_rule(tmp_path):
-    # the extended Lax at (r, n) acts on (V^r)^(x(n+1)): the command refuses
-    # every pair beyond the desk bound before it writes anything, and the
+    # the extended Lax at (r, n) acts on (V^r)^(x(n+1)), the chain and the
+    # commutant on a power of the pair space: each command refuses every
+    # request beyond the desk bound before it writes anything, and the
     # battery plans the RLL check exactly where the rule allows it
-    assert fusion.lax_fits(8, 3) and fusion.lax_fits(2, 11)
-    assert not fusion.lax_fits(8, 4) and not fusion.lax_fits(3, 8)
-    assert cli_dispatch(["--out", str(tmp_path), "lax", "--r", "2", "8", "--n", "2", "4"]) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
-    error = json.loads((tmp_path / "report.json").read_text())["checks"][0]["error"]
-    assert error == ("extended Lax at (r, n) = [(8, 4)] exceeds the desk bound "
-                     "of 4096 dimensions")
+    assert qarith.fits_desk(8, 4) and qarith.fits_desk(2, 12)
+    assert not qarith.fits_desk(8, 5) and not qarith.fits_desk(3, 9)
+    for k, (argv, error) in enumerate([
+        (["lax", "--r", "2", "8", "--n", "2", "4"], "extended Lax 8^5 exceeds the desk bound 4096"),
+        (["chain", "--r", "3", "--sites", "5"], "chain 8^5 exceeds the desk bound 4096"),
+        (["commutant", "--r", "2", "--n", "8"], "commutant space 3^8 exceeds the desk bound 4096"),
+    ]):
+        out = tmp_path / str(k)
+        assert cli_dispatch(["--out", str(out)] + argv) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+        assert json.loads((out / "report.json").read_text())["checks"][0]["error"] == error
     cfg = RunConfig(r_list=(2, 3), n_list=(2, 6, 11))
     planned = [(i["r"], i["n"]) for name, i in toolkit.battery(cfg) if name == "lax-rll"]
     assert planned == [(2, 2), (2, 6), (2, 11), (3, 2), (3, 6)]
