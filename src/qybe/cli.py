@@ -146,6 +146,8 @@ def cmd_fixtures(args, ctx):
 
 
 def cmd_fuse(args, ctx):
+    for r in ctx.config.r_list:  # every r first: one past the bound ends the command
+        desk_dim("fused pair", r * r - 1, 2)
     for r in ctx.config.r_list:
         _write_check(ctx, f"fused_{ctx.config.algebra}_r{r}.json", ctx.descendant(r),
                      complex(args.u, args.ui))
@@ -198,6 +200,7 @@ def cmd_export(args, ctx):
     if what == "hecke":
         path = _write_check(ctx, name, ctx.hecke(r), u)
     elif what == "fused":
+        # an r past the desk bound is refused by pair_cells before the file opens
         path = _write_check(ctx, name, ctx.descendant(r), u)
     elif what == "lax":
         path = _write_lax(ctx, name, ctx.composite(r, ctx.config.n_list[0]), u)

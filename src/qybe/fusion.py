@@ -12,35 +12,32 @@ search of `decompose` reads, at each weight, only the columns at that
 weight.
 
 The closed descendant coefficients are evaluated as pole-free rationals in
-x = exp(2a(u-u0)), so the degeneration point u0 is an ordinary point of the
-closed form even though individual f-factors blow up there.
+x = exp(2a(u-u0)), each with its factor (x - 1) explicit, so the fused
+family is the identity exactly at its regular point and the degeneration
+point u0 is an ordinary point of the closed form even though individual
+f-factors blow up there.
 
 `composite_space` takes the Hecke family (which keeps its coupling table and
 so its irrep); the fused, Lax and chain builders take the composite space.
 
 The composite basis is exactly graded by weight: `embed` and `project` are
-exact zeros between states of different weight.  The extended Lax operators
-commute with the total weight, so they are built one total-weight sector at
-a time (the crossing train on the sector of (V^r)^(x(n+1)), sandwiched
-between the matching slices of 1 (x) project and 1 (x) embed), and every
-entry between sectors is an exact zero.  Each crossing's sector block is
-gathered from its own entries by `repspace.block_index`.
+exact zeros between states of different weight.  Every operator compressed
+into a product of composite spaces (the extended Lax operator on V^r (x) U,
+the pair cells and the fused product on U (x) U) conserves the total
+weight, so it is built by one `sandwich`: per total-weight sector, a train
+of factors gathered by `repspace.block_index` on the matching sector of the
+ambient legs, between the slices of the slots' project and embed
+(`compress`).  Every entry between sectors is an exact zero, and no array
+on the whole ambient space is formed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .qarith import PoleError, QybeError, desk_dim
-from .repspace import (
-    Rep,
-    Site,
-    apply_at,
-    block_index,
-    embed_at,
-    nfold_coproduct,
-)
+from .repspace import Rep, Site, block_index, nfold_coproduct
 from .coupling import (
     Decomposition,
     check_sectors,
@@ -71,7 +68,7 @@ class CompositeSpace:
     fused, Lax and chain builders take the space and read both from it.
     embed columns are the coupled block states (an isometry in the invariant
     metric); project is the left inverse that annihilates the invariant
-    complement, so sandwiched operators compress multiplicatively.
+    complement, so operators compress multiplicatively (`sandwich`).
     """
 
     hecke: SpectralRMatrix
@@ -97,16 +94,6 @@ class CompositeSpace:
         return self.gens.site
 
     @cached_property
-    def pair_project(self):
-        """project (x) project, built once per space."""
-        return np.kron(self.project, self.project)
-
-    @cached_property
-    def pair_embed(self):
-        """embed (x) embed, built once per space."""
-        return np.kron(self.embed, self.embed)
-
-    @cached_property
     def cells(self):
         """`pair_cells` of this space, built once per space."""
         return pair_cells(self)
@@ -118,27 +105,58 @@ class CompositeSpace:
 
     @cached_property
     def lax_sectors(self):
-        """Index data of the extended Lax operators on V^r (x) U, built once
-        per space.  One entry per total weight: the places t x t of its
-        block in V^r (x) U, the rows t of 1 (x) project and the columns t of
-        1 (x) embed over the states s of (V^r)^(x(n+1)) at that weight, and
-        the `block_index` (index, sign) of the s x s block of each crossing
-        of the train, in train order."""
-        n, site = self.n, self.rep.site
-        ambient = Site.product(*[site] * (n + 1)).sectors
-        gathers = [block_index((0, m), [site.parities] * (n + 1)) for m in range(n, 0, -1)]
-        out = []
-        for key, t in Site.product(site, self.site).sectors.items():
-            s = ambient[key]
-            index, sign = zip(*[gather(s) for gather in gathers])
-            # the t x s entries of 1 (x) project and the s x t of 1 (x) embed,
-            # as np.kron(np.eye(r), .) holds them, without forming either
-            a, i = np.divmod(t, self.dim)
-            b, j = np.divmod(s, self.project.shape[1])
-            same = a[:, None] == b
-            out.append(((t[:, None], t), same * self.project[i[:, None], j], index, sign,
-                        same.T * self.embed[j[:, None], i]))
-        return out
+        """The `sandwich` of V^r (x) U and the Lax crossings, once per space."""
+        return sandwich([self.rep, self], [(0, m) for m in range(self.n, 0, -1)])
+
+    @cached_property
+    def pair_sectors(self):
+        """The `sandwich` of U (x) U and the fused crossings, once per space."""
+        return sandwich([self, self], [(0, 1), (2, 3), (1, 2)])
+
+
+def sandwich(slots, crossings, plain=False):
+    """Index data of the compression of operators on the ambient legs of
+    `slots` into their product, a slot being a composite space (its n legs
+    of V^r, its project and embed) or a bare irrep (one leg, the identity).
+    One entry per total weight of the product: the places t x t of its
+    block; the rows t of (x) project and the columns t of (x) embed over
+    the ambient states s at that weight, read from the slots' own factors;
+    and per leg tuple of `crossings`, the `block_index` (index, sign) of a
+    factor's s x s block, with the legs' parities or, if `plain`, none."""
+    projects, embeds, legs, sites = zip(*[
+        (x.project, x.embed, [x.rep.site] * x.n, x.site) if isinstance(x, CompositeSpace)
+        else (np.eye(x.dim), np.eye(x.dim), [x.site], x.site) for x in slots])
+    ambient = [leg for own in legs for leg in own]
+    pars = [(0,) * leg.dim if plain else leg.parities for leg in ambient]
+    gathers = {pos: block_index(pos, pars) for pos in crossings}
+    sectors = Site.product(*ambient).sectors
+    out = []
+    for key, t in Site.product(*sites).sectors.items():
+        s = sectors[key]
+        ts = np.unravel_index(t, [P.shape[0] for P in projects])
+        ss = np.unravel_index(s, [P.shape[1] for P in projects])
+        rows = reduce(np.multiply, [P[i[:, None], j] for P, i, j in zip(projects, ts, ss)])
+        cols = reduce(np.multiply, [E[j[:, None], i] for E, i, j in zip(embeds, ts, ss)])
+        out.append(((t[:, None], t), rows, {pos: g(s) for pos, g in gathers.items()}, cols))
+    return out
+
+
+def compress(sectors, train, dim):
+    """The product of the factors of `train`, pairs (op, legs) in order of
+    multiplication, compressed by the `sandwich` `sectors` into a dim x dim
+    array: each sector's rows times the gathered blocks times its columns.
+    An op may be a stack of matrices on its last two axes; the result is
+    stacked like them.  Entries between sectors are exact zeros."""
+    flat = [(op.reshape(*op.shape[:-2], op.shape[-2] * op.shape[-1]), pos) for op, pos in train]
+    out = np.zeros(np.broadcast_shapes(*[op.shape[:-1] for op, _ in flat]) + (dim, dim),
+                   dtype=complex)
+    for place, rows, gathered, cols in sectors:
+        blk = rows
+        for op, pos in flat:
+            index, sign = gathered[pos]
+            blk = blk @ (sign * op[..., index])
+        out[(...,) + place] = blk @ cols
+    return out
 
 
 def _singlet(fam):
@@ -207,7 +225,7 @@ def _require_pair(U):
 def descendant_coefficients(u, chi, a, u0):
     """Coefficient pair (c1, c2) of the closed fused form, as pole-free
     rationals in x = exp(2a(u-u0)), u0 the degeneration point of (chi, a);
-    exact at u = u0 where both vanish."""
+    each carries its factor (x - 1), so both are exactly 0 at u = u0."""
     s = np.sqrt(1 - 4 * chi + 0j)
     z0 = (1 - s) / (1 + s)
     x = np.exp(2 * a * (complex(u) - u0))
@@ -216,29 +234,25 @@ def descendant_coefficients(u, chi, a, u0):
     if min(abs(d1), abs(d2)) < 1e-10 * max(1.0, abs(x)):
         raise PoleError(f"fused coefficients singular at u={u}")
     f14 = 2 * (x * z0 - 1) / d1
-    t2 = -2 * (x - z0) / d1              # f23 (1 + f14)
-    t3 = 4 * (x - z0) / ((s - 1) * d2)   # f23 f13
-    c1 = f14 + t2 + 2 * chi * f14 * t3
+    # c1 = f14 + f23 (1 + f14) + 2 chi f14 f23 f13, reduced with chi = (1 - s^2)/4
+    c1 = 4 * (x - 1) / ((s + 1) * d1)
     c2 = chi * f14 * 8 * (x - 1) * (x - z0) / (d2 ** 2 * (s - 1))
     return c1, c2
 
 
-def _plain_placements(P1, r, pairs):
-    # adjacent placements need no signs; the outer-pair projector enters the
-    # check-formalism products sign-free as well (the Koszul-decorated
-    # embedding differs for even-dimensional graded irreps, whose pair
-    # singlet is odd, and does not satisfy the composite triple identity)
-    plain = [(0,) * r] * 4
-    return [embed_at(P1, pair, plain) for pair in pairs]
-
-
 def pair_cells(U):
     """The sandwiched singlet projectors P23 and P23 P14 on U (x) U, in block
-    coordinates.  The outer projectors P12 and P34 vanish on U (x) U, so
-    they need not enter the sandwich.  `U.cells` keeps them per space."""
+    coordinates, under the desk rule for the (r^2-1)^2 states of U (x) U.
+    The outer projectors P12 and P34 vanish on U (x) U, so they need not
+    enter the sandwich.  `U.cells` keeps them per space."""
     _require_pair(U)
-    P23, P14 = _plain_placements(_singlet(U.hecke), U.rep.dim, ((1, 2), (0, 3)))
-    return U.pair_project @ P23 @ U.pair_embed, U.pair_project @ (P23 @ P14) @ U.pair_embed
+    desk_dim("fused pair", U.dim, 2)
+    # plain placements: the Koszul-signed P14 of an even-dimensional graded
+    # irrep (odd pair singlet) breaks the composite triple identity
+    P1, dim = _singlet(U.hecke), U.dim ** 2
+    sectors = sandwich([U, U], [(1, 2), (0, 3)], plain=True)
+    return (compress(sectors, [(P1, (1, 2))], dim),
+            compress(sectors, [(P1, (1, 2)), (P1, (0, 3))], dim))
 
 
 def descendant_r_closed(U, u):
@@ -249,22 +263,16 @@ def descendant_r_closed(U, u):
 
 def _train(U, pts):
     """The eight adjacent factors of the fused product at the points `pts`
-    (a 1-d array), applied leg by leg to the columns of embed (x) embed and
-    compressed by project (x) project; the ones at the constant argument u0
-    are built once for all points."""
-    fam = U.hecke
-    u0 = fam.u0
-    pars = [fam.site.parities] * 4
+    (a 1-d array), compressed into U (x) U by `U.pair_sectors`; the ones at
+    the constant argument u0 are built once for all points."""
+    fam, u0 = U.hecke, U.hecke.u0
     R0 = fam.check_fn(u0)
     at = lambda xs: np.reshape([fam.check_fn(x) for x in xs], (-1,) + R0.shape)
     R1 = at(pts - u0)
-    # R01(u0) R23(u0) R12(u) R01(u-u0) R23(u-u0) R12(u-2u0) R01(u0) R23(u0),
-    # applied from the right
-    X = U.pair_embed
-    for op, pos in ((R0, (2, 3)), (R0, (0, 1)), (at(pts - 2 * u0), (1, 2)), (R1, (2, 3)),
-                    (R1, (0, 1)), (at(pts), (1, 2)), (R0, (2, 3)), (R0, (0, 1))):
-        X = apply_at(op, pos, pars, X)
-    return U.pair_project @ X
+    # R01(u0) R23(u0) R12(u) R01(u-u0) R23(u-u0) R12(u-2u0) R01(u0) R23(u0)
+    train = [(R0, (0, 1)), (R0, (2, 3)), (at(pts), (1, 2)), (R1, (0, 1)), (R1, (2, 3)),
+             (at(pts - 2 * u0), (1, 2)), (R0, (0, 1)), (R0, (2, 3))]
+    return compress(U.pair_sectors, train, U.dim ** 2)
 
 
 def descendant_r_product(U, us):
@@ -316,28 +324,17 @@ def descendant_family(U):
 
     return SpectralRMatrix(
         family="fused", params=U.params, site=U.site,
-        chi=fam.chi, check_fn=check_fn, guards=(-shift, -2 * shift),
+        check_fn=check_fn, guards=(-shift, -2 * shift),
     )
 
 
 def extended_lax(U, u=0.0):
     """Descendant operator on V^r (x) U^{R_n}: the crossing train of pair
     R-matrices restricted to the truncated quantum space (which the train
-    preserves exactly, so no output projector is needed).
-
-    Every crossing conserves the total weight, and so does the graded
-    composite basis, so the train is multiplied on one total-weight sector
-    of (V^r)^(x(n+1)) at a time, starting from the rows of 1 (x) project
-    and ending on the columns of 1 (x) embed (`U.lax_sectors`).  The
-    entries between sectors are exact zeros."""
+    preserves exactly, so no output projector is needed), compressed by
+    `U.lax_sectors` one total-weight sector at a time."""
     rep, fam, n = U.rep, U.hecke, U.n
     desk_dim("extended Lax", rep.dim, n + 1)
     # written from factor n down to factor 1: the auxiliary line crosses factor 1 first
-    ops = [fam.noncheck(u + (n - m) * fam.u0).ravel() for m in range(n, 0, -1)]
-    out = np.zeros((rep.dim * U.dim,) * 2, dtype=complex)
-    for place, rows, index, sign, cols in U.lax_sectors:
-        blk = rows
-        for op, i, s in zip(ops, index, sign):
-            blk = blk @ (s * op[i])
-        out[place] = blk @ cols
-    return out
+    train = [(fam.noncheck(u + (n - m) * fam.u0), (0, m)) for m in range(n, 0, -1)]
+    return compress(U.lax_sectors, train, rep.dim * U.dim)

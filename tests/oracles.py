@@ -5,12 +5,13 @@ library against them; the library itself never imports this module.
 Grouped by the layer whose objects they take: the ladder coefficients
 (`repspace`), the baxterized coefficient, the polynomial forms of the
 spectral families and their fit (`rmatrix`), the truncation cascade,
-f-product and two-projector closed form of the extended Lax operator and
-the induced pair states (`fusion`), the block multiplicities of a
-decomposition, the metric norms of coupled states and the four-factor
-coupled basis (`coupling`), the bond matrix elements in it
-(`spinchain`), and the membership test of a centralizer basis
-(`commutant`)."""
+f-product and two-projector closed form of the extended Lax operator, the
+unreduced closed coefficient c1, the pair cells and fused product through
+dense placements on (V^r)^(x4), and the induced pair states (`fusion`),
+the block multiplicities of a decomposition, the metric norms of coupled
+states and the four-factor coupled basis (`coupling`), the bond matrix
+elements in it (`spinchain`), and the membership test of a centralizer
+basis (`commutant`)."""
 
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from qybe.qarith import OSPQ12, QybeError, q_number, qr_shift
 from qybe.repspace import (
     Rep,
     Site,
+    apply_at,
     coproduct_pair,
     embed_at,
     graded_kron_raw,
@@ -29,8 +31,8 @@ from qybe.repspace import (
 from qybe.coupling import decompose, projector
 from qybe.rmatrix import hecke_f, u0_point
 from qybe.fusion import (
-    _plain_placements,
     _require_pair,
+    _singlet,
     adjacent_singlet_kernel,
     dims_recurrence,
     extended_lax,
@@ -81,18 +83,19 @@ class IllConditionedFitError(QybeError):
     """Spectral decomposition sampling produced an ill-conditioned system."""
 
 
-def polynomial_form(fam):
+def polynomial_form(fam, chi=None):
     """(weight, base) with weight(u) R(u) = sum_p base(u)**(p-1) M_p for the
     spectral family `fam` of `rmatrix` or `fusion`.  The spin-1 families
     are polynomial in q**u once multiplied by it.  The Hecke family's
     weight (e^{2au} - 1)(-1 + s coth(au)) clears the f-denominator and
     leaves content linear in x = e^{2au}; the fused family's is the reduced
     common denominator of its two coefficients, one pole from the
-    outer-line factor and one from the diagonal factors."""
+    outer-line factor and one from the diagonal factors, with s from `chi`,
+    the triple-overlap scalar of its Hecke family."""
     if fam.family.startswith("r33"):
         qu = lambda u: fam.params.q ** complex(u)
         return qu, qu
-    a, s = fam.params.a, np.sqrt(1 - 4 * fam.chi + 0j)
+    a, s = fam.params.a, np.sqrt(1 - 4 * (fam.chi if fam.family == "hecke" else chi) + 0j)
     base = lambda u: np.exp(2 * a * complex(u))
     if fam.family == "hecke":
         return (lambda u: (base(u) - 1) * (-1.0) + s * (base(u) + 1)), base
@@ -135,6 +138,63 @@ def truncation_cascade(fam, n):
         for p in range(1, k):
             out = out @ embed_at(fam.noncheck((k - p) * u0), (k - 1, p - 1), pars)
     return out
+
+
+def _plain_placements(P1, r, pairs):
+    # adjacent placements need no signs; the outer-pair projector enters the
+    # check-formalism products sign-free as well (the Koszul-decorated
+    # embedding differs for even-dimensional graded irreps, whose pair
+    # singlet is odd, and does not satisfy the composite triple identity)
+    plain = [(0,) * r] * 4
+    return [embed_at(P1, pair, plain) for pair in pairs]
+
+
+def descendant_c1_terms(u, chi, a, u0):
+    """c1 of the closed fused form as the sum of its f-factor terms,
+    f14 + f23 (1 + f14) + 2 chi f14 f23 f13, each a rational in
+    x = exp(2a(u-u0)): the unreduced form of the first coefficient of
+    `fusion.descendant_coefficients`, which vanishes at x = 1 only by
+    cancellation."""
+    s = np.sqrt(1 - 4 * chi + 0j)
+    z0 = (1 - s) / (1 + s)
+    x = np.exp(2 * a * (complex(u) - u0))
+    d1 = (s - 1) * x * z0 + (s + 1)      # f14 denominator
+    d2 = (s - 1) * x + (s + 1)           # f13 = f24 denominator
+    f14 = 2 * (x * z0 - 1) / d1
+    t2 = -2 * (x - z0) / d1              # f23 (1 + f14)
+    t3 = 4 * (x - z0) / ((s - 1) * d2)   # f23 f13
+    return f14 + t2 + 2 * chi * f14 * t3
+
+
+def pair_cells_dense(U):
+    """P23 and P23 P14 on U (x) U through plain placements on (V^r)^(x4),
+    sandwiched by np.kron(project, project) and np.kron(embed, embed): the
+    dense route to `fusion.pair_cells`."""
+    _require_pair(U)
+    P23, P14 = _plain_placements(_singlet(U.hecke), U.rep.dim, ((1, 2), (0, 3)))
+    project, embed = np.kron(U.project, U.project), np.kron(U.embed, U.embed)
+    return project @ P23 @ embed, project @ (P23 @ P14) @ embed
+
+
+def fused_train_dense(U, pts):
+    """The eight adjacent factors of the fused product at the points `pts`,
+    applied leg by leg by `repspace.apply_at` to the columns of
+    np.kron(embed, embed) on (V^r)^(x4) and compressed by
+    np.kron(project, project): the dense route to the stack that
+    `fusion.descendant_r_product` returns outside its Richardson window."""
+    fam = U.hecke
+    u0 = fam.u0
+    pars = [fam.site.parities] * 4
+    R0 = fam.check_fn(u0)
+    at = lambda xs: np.reshape([fam.check_fn(x) for x in xs], (-1,) + R0.shape)
+    R1 = at(pts - u0)
+    # R01(u0) R23(u0) R12(u) R01(u-u0) R23(u-u0) R12(u-2u0) R01(u0) R23(u0),
+    # applied from the right
+    X = np.kron(U.embed, U.embed)
+    for op, pos in ((R0, (2, 3)), (R0, (0, 1)), (at(pts - 2 * u0), (1, 2)), (R1, (2, 3)),
+                    (R1, (0, 1)), (at(pts), (1, 2)), (R0, (2, 3)), (R0, (0, 1))):
+        X = apply_at(op, pos, pars, X)
+    return np.kron(U.project, U.project) @ X
 
 
 def _four_site_ops(table):

@@ -21,7 +21,7 @@ from qybe import (
     ybe_residual,
 )
 from qybe.coupling import decompose, product_sectors
-from qybe.fusion import adjacent_singlet_kernel
+from qybe.fusion import adjacent_singlet_kernel, descendant_coefficients
 from qybe.repspace import Site, coproduct_pair, embed_at, nfold_coproduct
 from qybe.qarith import fits_desk
 from qybe.rmatrix import r33_family, rel_residual
@@ -30,10 +30,13 @@ from oracles import (
     _four_site_ops,
     block_multiplicities,
     composite_states,
+    descendant_c1_terms,
     extended_lax_closed,
     f_product,
     f_slope,
+    fused_train_dense,
     metric_norms,
+    pair_cells_dense,
     polynomial_form,
     spectral_decompose,
     truncation_cascade,
@@ -252,6 +255,40 @@ def test_stacked_descendant_product_equals_the_product_per_point(algebra, r, rng
     assert np.array_equal(descendant_r_product(U, pts[4]), stacked[4])
 
 
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_pair_sandwich_matches_dense_placements(algebra, r, rng):
+    # the per-sector sandwich of U (x) U is the dense route on (V^r)^(x4):
+    # np.kron(project, project), the placed factors, np.kron(embed, embed);
+    # and it is exactly zero between total-weight sectors.  The family on
+    # the cells is the identity exactly at its regular point
+    rep = build_irrep(r, params_for(algebra))
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    off = _off_sector(*[Site.product(U.site, U.site)] * 2)
+    for cell, dense in zip(U.cells, pair_cells_dense(U)):
+        assert not cell[off].any()
+        assert rel_residual(cell, dense) <= 1e-14
+    assert np.array_equal(U.descendant.check_fn(0.0), np.eye(U.dim ** 2))
+    pts = np.array(sample_points(rng, 3, guards=desc_guards(rep, rep.params), min_dist=0.06))
+    stacked = descendant_r_product(U, pts)
+    assert not stacked[:, off].any()
+    assert rel_residual(stacked, fused_train_dense(U, pts)) <= 1e-13
+
+
+@pytest.mark.parametrize("chi", [0.1, 0.2 + 0.05j, 0.02, 1e-3])
+@pytest.mark.parametrize("a", [1.0, 0.5 + 0.2j])
+def test_reduced_c1_is_the_f_factor_sum_and_exactly_zero_at_x1(chi, a):
+    # c1 = 4 (x - 1) / ((s + 1) d1) is f14 + f23 (1 + f14) + 2 chi f14 f23 f13
+    # reduced with chi = (1 - s^2)/4: the same rational at generic points,
+    # and exactly 0 at x = 1 (u = u0), as c2 is, where the sum of the
+    # f-factor terms is 0 only up to their cancellation
+    u0 = u0_point(chi, a)
+    for u in (0.3, -0.41 + 0.2j, 2.1, -1.3 - 0.4j, u0 + 0.5 + 0.3j):
+        ref = descendant_c1_terms(u, chi, a, u0)
+        assert abs(descendant_coefficients(u, chi, a, u0)[0] - ref) <= 1e-13 * abs(ref)
+    assert descendant_coefficients(u0, chi, a, u0) == (0, 0)
+
+
 @pytest.mark.parametrize("algebra,r", [(SLQ2, 2), (SLQ2, 3), (OSPQ12, 2), (OSPQ12, 3)])
 def test_descendant_product_near_u0_equals_closed(algebra, r):
     # near the pole of the inner factor each point takes its own value: inside
@@ -371,8 +408,10 @@ def test_descendant_r2_matches_fixture1(params_sl, rng):
 
     plat = DeformParams(q=q, a=np.log(q) / 2, algebra=SLQ2)
     rep = build_irrep(2, plat)
-    dfam = descendant_family(composite_space(hecke_family(cgc_table(rep, rep)), n=2))
-    mats_d, res_d = spectral_decompose(dfam.noncheck, *polynomial_form(dfam), r1=3, rng=rng)
+    hfam = hecke_family(cgc_table(rep, rep))
+    dfam = descendant_family(composite_space(hfam, n=2))
+    mats_d, res_d = spectral_decompose(dfam.noncheck, *polynomial_form(dfam, hfam.chi), r1=3,
+                                       rng=rng)
     assert res_d < 1e-8
     fam1 = r33_family(1, pair_table(SLQ2, 3, params_sl))
     mats_f, res_f = spectral_decompose(fam1.noncheck, *polynomial_form(fam1), r1=3, rng=rng)

@@ -1138,7 +1138,8 @@ def test_verify_all_builds_one_fused_family_per_pair_space(algebra, monkeypatch)
 
 def test_one_lax_size_rule(tmp_path):
     # the extended Lax at (r, n) acts on (V^r)^(x(n+1)), the chain and the
-    # commutant on a power of the pair space: each command refuses every
+    # commutant on a power of the pair space, the fused family on U (x) U of
+    # (r^2-1)^2 states: each command refuses every
     # request beyond the desk bound before it writes anything, and the
     # battery plans the RLL check exactly where the rule allows it
     assert qarith.fits_desk(8, 4) and qarith.fits_desk(2, 12)
@@ -1147,6 +1148,8 @@ def test_one_lax_size_rule(tmp_path):
         (["lax", "--r", "2", "8", "--n", "2", "4"], "extended Lax 8^5 exceeds the desk bound 4096"),
         (["chain", "--r", "3", "--sites", "5"], "chain 8^5 exceeds the desk bound 4096"),
         (["commutant", "--r", "2", "--n", "8"], "commutant space 3^8 exceeds the desk bound 4096"),
+        (["fuse", "--r", "2", "9"], "fused pair 80^2 exceeds the desk bound 4096"),
+        (["export", "--what", "fused", "--r", "9"], "fused pair 80^2 exceeds the desk bound 4096"),
     ]):
         out = tmp_path / str(k)
         assert cli_dispatch(["--out", str(out)] + argv) == 1
