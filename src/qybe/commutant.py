@@ -19,9 +19,13 @@ sectors are the two Kronecker blocks kron(A, 1) and -kron(1, A^T), written
 as a list of their nonzero entries (_centralizer, SystemEntries: the
 1200 x 646 system of U8 (x) U8 is 3992 entries); and one solver splits the
 system into the connected components of its sparsity pattern (16 for
-U8 (x) U8, none larger than 160 x 85), each scattered into a small dense
-block with its own SVD.  Principal angles between the two bases therefore
-check the generators and sectors, not the shared assembly.
+U8 (x) U8, none larger than 160 x 85), each rebuilt as a small dense block
+for its own SVD and again for its residual.  A CommutantBasis is held on
+the sector unknowns: its coefficients (646 x 46 for U8 (x) U8, where a
+vectorized d x d basis would be 4096 x 46) and the flat d x d position of
+each unknown.  Principal angles between the two bases are taken on these
+coefficient rows, so they check the generators and sectors, not the shared
+assembly; no array with d^2 rows is formed.
 """
 
 import itertools
@@ -37,14 +41,18 @@ from .repspace import Site, ladder_weights, nfold_coproduct
 @dataclass
 class CommutantBasis:
     """Orthonormal basis of the operators commuting with the n-fold coproduct
-    action on U^(x n), stored as vectorized matrices (columns, row-major)."""
+    action on U^(x n), held on the sector unknowns of `_sector_layout`: row
+    k of `coeffs` holds the basis operators' entries at the flat position
+    `flat[k]` of a row-major vectorized d x d matrix, and every other entry
+    of every basis operator is zero."""
 
-    vectors: np.ndarray
+    coeffs: np.ndarray
+    flat: np.ndarray
     rank_gap: float = np.inf
 
     @property
     def dim(self):
-        return self.vectors.shape[1]
+        return self.coeffs.shape[1]
 
 
 def _refuse_over_budget(sectors):
@@ -82,15 +90,6 @@ def _sector_layout(sectors, d):
                                slice(rows, rows + len(src) * len(tgt))))
                 rows += len(src) * len(tgt)
     return total, np.concatenate(flat), rows, blocks
-
-
-def _scatter_sectors(null, flat, d):
-    """Sector-block null vectors as vectorized d x d matrices.  Every
-    unknown has its own matrix entry, so orthonormal columns stay
-    orthonormal."""
-    vecs = np.zeros((d * d, null.shape[1]), dtype=complex)
-    vecs[flat] = null
-    return vecs
 
 
 class SystemEntries(NamedTuple):
@@ -134,7 +133,9 @@ def _nullspace_from_system(system):
     The rank threshold and the gap test (a gap below 1e3 between singular
     values above thresh / 1e3 is ambiguous) see the singular values of all
     components together, and the assembled basis must satisfy the full,
-    uncut system: each block times its component's null vectors."""
+    uncut system: each block, rebuilt from its entries when its turn comes,
+    times its component's null vectors.  Only the entry lists and the SVD
+    factors outlive the loop over the components."""
     row, col, val, (n_rows, total) = system
     mags = np.abs(val)
     cut = mags > 1e-12 * mags.max(initial=0.0)
@@ -143,21 +144,28 @@ def _nullspace_from_system(system):
     row_label[row[cut]] = label[col[cut]]
     entry_label = label[col]
     col_pos = np.empty(total, dtype=np.intp)  # position in its component
-    parts = []
+
+    def block(cols, touch):
+        """A component's dense block from its entries: the rows they touch,
+        ascending, by the component's columns."""
+        rows, row_pos = np.unique(row[touch], return_inverse=True)
+        out = np.zeros((rows.size, cols.size), dtype=complex)
+        out[row_pos, col_pos[col[touch]]] = val[touch]
+        return rows, out
+
+    parts = []  # per component its columns, entries and SVD; no block is kept
     for lab in np.flatnonzero(label == np.arange(label.size)):  # component roots
         cols = np.flatnonzero(label == lab)
         col_pos[cols] = np.arange(cols.size)
-        touch = entry_label == lab
-        rows, row_pos = np.unique(row[touch], return_inverse=True)
-        block = np.zeros((rows.size, cols.size), dtype=complex)
-        block[row_pos, col_pos[col[touch]]] = val[touch]
-        own = block[row_label[rows] == lab]
+        touch = np.flatnonzero(entry_label == lab)
+        rows, dense = block(cols, touch)
+        own = dense[row_label[rows] == lab]
         if own.size:
             # the null space needs every row of vh, but never the square u
             _, s, vh = np.linalg.svd(own, full_matrices=own.shape[0] < cols.size)
         else:
             s, vh = np.zeros(0), np.eye(cols.size)
-        parts.append((cols, block, s, vh))
+        parts.append((cols, touch, s, vh))
     s_all = np.sort(np.concatenate([s for _, _, s, _ in parts]))[::-1]
     smax = s_all[0] if s_all.size else 0.0
     thresh = max(1.0, smax) * max(total, 1) * 1e-11
@@ -169,11 +177,11 @@ def _nullspace_from_system(system):
             raise QybeError(f"rank ambiguity in the null space (gap {gap:.1e})")
     null = np.zeros((total, total - rank), dtype=complex)
     j, resid = 0, 0.0
-    for cols, block, s, vh in parts:
+    for cols, touch, s, vh in parts:
         kern = vh[int(np.sum(s > thresh)):].conj().T
         null[cols, j:j + kern.shape[1]] = kern
         j += kern.shape[1]
-        resid = max(resid, np.linalg.norm(block @ kern, axis=0).max(initial=0.0))
+        resid = max(resid, np.linalg.norm(block(cols, touch)[1] @ kern, axis=0).max(initial=0.0))
     if resid > thresh:
         raise QybeError(f"null-space residual {resid:.1e} exceeds the rank "
                         f"threshold {thresh:.1e}")
@@ -207,8 +215,7 @@ def _centralizer(layout, E, F):
     system = SystemEntries(np.concatenate(row), np.concatenate(col),
                            np.concatenate(val), (n_rows, total))
     null, gap = _nullspace_from_system(system)
-    basis = CommutantBasis(rank_gap=gap, vectors=_scatter_sectors(null, flat, E.shape[0]))
-    return basis, system
+    return CommutantBasis(null, flat, rank_gap=gap), system
 
 
 def commutant_nullspace(U, n):
@@ -302,15 +309,30 @@ def constraint_system(U, n):
 
 
 def principal_angles(basis_a, basis_b):
-    """Principal angles (radians) between two subspaces, given by bases or
-    CommutantBasis objects, computed with the sine formulation so that
-    near-zero angles are resolved to machine precision instead of the
+    """Principal angles (radians) between two subspaces, given by dense bases
+    or by two CommutantBasis objects, computed with the sine formulation so
+    that near-zero angles are resolved to machine precision instead of the
     arccos floor.  There are min(dim a, dim b) of them: the smaller basis is
     projected off the larger.  Both bases are first cut to the rows where
-    either has an entry, which spans the same subspaces."""
-    A = basis_a.vectors if isinstance(basis_a, CommutantBasis) else basis_a
-    B = basis_b.vectors if isinstance(basis_b, CommutantBasis) else basis_b
-    support = np.flatnonzero(A.any(axis=1) | B.any(axis=1))
+    either has an entry, which spans the same subspaces.
+
+    Two CommutantBasis objects are compared on their coefficient rows, taken
+    in the order of their flat positions: every other entry of either is
+    zero, so these are the rows of the dense bases that the cut keeps, and
+    the angles are those of the dense bases bit for bit.  Bases on
+    different sector layouts (different `flat`) mean the two routes
+    disagree on the sectors, which raises QybeError."""
+    A, B = basis_a, basis_b
+    if isinstance(A, CommutantBasis):
+        if not np.array_equal(A.flat, B.flat):
+            raise QybeError(f"commutant bases on different sector layouts "
+                            f"({A.flat.size} and {B.flat.size} unknowns)")
+        order = np.argsort(A.flat)
+        A, B = A.coeffs, B.coeffs
+    else:
+        order = np.arange(len(A))
+    live = A.any(axis=1) | B.any(axis=1)
+    support = order[live[order]]
     qa, _ = np.linalg.qr(A[support])
     qb, _ = np.linalg.qr(B[support])
     if qa.shape[1] < qb.shape[1]:

@@ -289,16 +289,18 @@ def descendant_r_product(U, us):
     us = np.asarray(us, dtype=complex)
     pts = us.ravel()
     near = np.abs(pts - U.hecke.u0) < 1e-4
-    out = np.empty((pts.size,) + (U.dim ** 2,) * 2, dtype=complex)
-    if near.any():
-        h = 1e-3
-        stencil = pts[near, None] + np.array([h, -h, h / 2, -h / 2])
-        mats = _train(U, stencil.ravel()).reshape(stencil.shape + out.shape[-2:])
-        coarse = (mats[:, 0] + mats[:, 1]) / 2
-        fine = (mats[:, 2] + mats[:, 3]) / 2
-        out[near] = (4 * fine - coarse) / 3
+    shape = (U.dim ** 2,) * 2
+    if not near.any():  # the stack itself: no second copy of it
+        return _train(U, pts).reshape(us.shape + shape)
+    out = np.empty((pts.size,) + shape, dtype=complex)
+    h = 1e-3
+    stencil = pts[near, None] + np.array([h, -h, h / 2, -h / 2])
+    mats = _train(U, stencil.ravel()).reshape(stencil.shape + shape)
+    coarse = (mats[:, 0] + mats[:, 1]) / 2
+    fine = (mats[:, 2] + mats[:, 3]) / 2
+    out[near] = (4 * fine - coarse) / 3
     out[~near] = _train(U, pts[~near])
-    return out.reshape(us.shape + out.shape[-2:])
+    return out.reshape(us.shape + shape)
 
 
 def descendant_family(U):

@@ -10,8 +10,8 @@ unreduced closed coefficient c1, the pair cells and fused product through
 dense placements on (V^r)^(x4), and the induced pair states (`fusion`),
 the block multiplicities of a decomposition, the metric norms of coupled
 states and the four-factor coupled basis (`coupling`), the bond matrix
-elements in it (`spinchain`), and the membership test of a centralizer
-basis (`commutant`)."""
+elements in it (`spinchain`), and the dense view and membership test
+of a centralizer basis (`commutant`)."""
 
 from dataclasses import dataclass
 
@@ -488,11 +488,23 @@ def _sum_route(table, cb, term):
 
 # commutant
 
+def dense_basis(basis, d):
+    """A CommutantBasis as vectorized d x d matrices (d^2 x dim, row-major):
+    its coefficients scattered to their flat positions, zero elsewhere.
+    Every unknown has its own matrix entry, so orthonormal columns stay
+    orthonormal."""
+    vecs = np.zeros((d * d, basis.dim), dtype=complex)
+    vecs[basis.flat] = basis.coeffs
+    return vecs
+
+
 def membership(op, basis):
-    """Least-squares expansion of an operator over a commutant basis.
-    Returns (is_member, coefficients, residual); a member's residual is
-    below 1e-8."""
-    v = np.asarray(op).reshape(-1)
-    coef, *_ = np.linalg.lstsq(basis.vectors, v, rcond=None)
-    resid = np.abs(basis.vectors @ coef - v).max() / max(1.0, np.abs(v).max())
+    """Least-squares expansion of an operator over a commutant basis, on its
+    dense view.  Returns (is_member, coefficients, residual); a member's
+    residual is below 1e-8."""
+    op = np.asarray(op)
+    v = op.reshape(-1)
+    vecs = dense_basis(basis, op.shape[0])
+    coef, *_ = np.linalg.lstsq(vecs, v, rcond=None)
+    resid = np.abs(vecs @ coef - v).max() / max(1.0, np.abs(v).max())
     return bool(resid < 1e-8), coef, float(resid)

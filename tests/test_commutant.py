@@ -29,7 +29,7 @@ from qybe.commutant import (
 from qybe.repspace import Site, ladder_weights, nfold_coproduct
 from qybe.toolkit import random_points
 from conftest import pair_table, params_for, sample_points
-from oracles import block_multiplicities, membership
+from oracles import block_multiplicities, dense_basis, membership
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
@@ -64,6 +64,10 @@ def test_commutant_u8_dimension_46(algebra):
     cb, _ = constraint_system(U, 2)
     assert cb.dim == 46
     assert float(np.max(principal_angles(nb, cb))) < 1e-8
+    # each basis is held on the 646 sector unknowns, not on the 4096
+    # entries of a vectorized 64 x 64 matrix
+    for basis in (nb, cb):
+        assert basis.coeffs.size <= 646 * 46 and basis.flat.size == 646
 
 
 def test_commutant_dim_matches_multiplicities(params_sl):
@@ -96,7 +100,7 @@ def test_weight_conservation_is_built_in(params_sl):
     nb = commutant_nullspace(U, 2)
     wts = np.real(np.diag(nfold_coproduct([U.gens] * 2).H)) / 2
     d = U.dim ** 2
-    for m in nb.vectors[:, :5].T.reshape(-1, d, d):
+    for m in dense_basis(nb, d)[:, :5].T.reshape(-1, d, d):
         for i in range(m.shape[0]):
             for j in range(m.shape[1]):
                 if abs(wts[i] - wts[j]) > 1e-9:
@@ -242,6 +246,23 @@ def test_commutant_routes_agree_at_generic_q(algebra, q):
     cb, _ = constraint_system(U, 2)
     assert nb.dim == cb.dim == 46
     assert float(np.max(principal_angles(nb, cb))) < 1e-8
+    # the angles on the coefficient rows are those of the dense views
+    d = U.dim ** 2
+    assert np.array_equal(principal_angles(nb, cb),
+                          principal_angles(dense_basis(nb, d), dense_basis(cb, d)))
+
+
+def test_principal_angles_refuse_bases_on_different_layouts(params_sl):
+    # the routes must agree on the sectors: bases on two layouts are not
+    # compared on whatever rows they happen to share
+    U = composite_space(hecke_family(pair_table(SLQ2, 2, params_sl)), n=2)
+    nb = commutant_nullspace(U, 2)
+    cb, _ = constraint_system(U, 2)
+    with pytest.raises(QybeError, match="different sector layouts"):
+        principal_angles(commutant_nullspace(U, 1), nb)
+    moved = commutant.CommutantBasis(cb.coeffs, cb.flat[::-1].copy())
+    with pytest.raises(QybeError, match="different sector layouts"):
+        principal_angles(nb, moved)
 
 
 @pytest.mark.parametrize("r,fits", [(4, True), (5, False)])
@@ -290,7 +311,7 @@ def test_basis_commutes_with_dense_generators(algebra, q, r, n):
     co = nfold_coproduct([U.gens] * n)
     for basis in (commutant_nullspace(U, n), constraint_system(U, n)[0]):
         assert basis.dim > 0
-        for C in basis.vectors.T.reshape(basis.dim, U.dim ** n, U.dim ** n):
+        for C in dense_basis(basis, U.dim ** n).T.reshape(basis.dim, U.dim ** n, U.dim ** n):
             for X in (co.E, co.F, co.H):
                 comm = np.abs(X @ C - C @ X).max()
                 assert comm <= 1e-12 * np.abs(X).max() * np.abs(C).max()
@@ -404,9 +425,17 @@ def test_constraint_system_peak_memory_u8():
     assert _traced_peak(constraint_system, U, 2) < 1200 * 646 * 16
 
 
+def test_commutant_nullspace_peak_memory_u8():
+    # U8 (x) U8: the basis is 646 x 46 coefficients (0.5 MB); written as
+    # vectorized 64 x 64 matrices it alone would be 4096 x 46 (3 MB), and the
+    # solver keeps no component block past its SVD and its residual
+    U = composite_space(hecke_family(pair_table(SLQ2, 3)), n=2)
+    assert _traced_peak(commutant_nullspace, U, 2) < 4 * 2 ** 20
+
+
 def test_principal_angles_peak_memory_u8():
-    # the two 46-dimensional bases of U8 (x) U8 are 4096 x 46 each (3 MB),
-    # but only 646 of their rows can be nonzero
+    # the two 46-dimensional bases of U8 (x) U8 hold 646 x 46 coefficients
+    # each; their dense views would be 4096 x 46 each (3 MB)
     U = composite_space(hecke_family(pair_table(SLQ2, 3)), n=2)
     nb, cb = commutant_nullspace(U, 2), constraint_system(U, 2)[0]
     assert nb.dim == cb.dim == 46

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,23 @@ def test_stacked_descendant_product_equals_the_product_per_point(algebra, r, rng
     # a point alone is the matching member of the stack
     assert np.array_equal(descendant_r_product(U, pts[1]), stacked[1])
     assert np.array_equal(descendant_r_product(U, pts[4]), stacked[4])
+
+
+def test_stacked_descendant_product_holds_one_copy_of_the_stack(rng):
+    # with no point inside the Richardson window the product is the stack
+    # the train returns, not a copy of it into a second array of points
+    rep = build_irrep(5, params_for(SLQ2))
+    U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
+    descendant_r_product(U, 0.3)  # the pair sandwich is built once per space
+    pts = np.array(sample_points(rng, 3, guards=desc_guards(rep, rep.params), min_dist=0.06))
+    tracemalloc.start()
+    try:
+        stacked = descendant_r_product(U, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stacked.shape == (3, 576, 576)
+    assert peak < 1.5 * stacked.nbytes
 
 
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
