@@ -7,10 +7,11 @@ generators Delta^n(e), Delta^n(f) and the weight sectors come from:
   coproduct (repspace.nfold_coproduct) and the sectors from its h
   (repspace.ladder_weights).
 
-* constraint_system writes the generators from per-block matrix-element
-  data (beta, gamma, h eigenvalues, parities) with the graded prefix factors
-  of the iterated coproduct, and sums the sectors from the integer keys of
-  the space's site, read from its blocks (Site.product, Site.sectors).
+* constraint_system writes the generators as n Kronecker terms of the
+  block ladders, one per slot, each scaled by the graded prefix factors of
+  the iterated coproduct (_ladder_generators), and sums the sectors from
+  the integer keys of the space's site, read from its blocks (Site.product,
+  Site.sectors).
 
 Everything after that is shared.  The h commutator forces weight
 conservation, so the unknown coefficient matrix is sector diagonal
@@ -28,8 +29,8 @@ coefficient rows, so they check the generators and sectors, not the shared
 assembly; no array with d^2 rows is formed.
 """
 
-import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -231,81 +232,55 @@ def commutant_nullspace(U, n):
     return _centralizer(layout, co.E, co.F)[0]
 
 
-def _block_ladder_data(U):
-    """Per-state ladder data in basis order, read from the compressed
-    generators: h eigenvalue lam, parity, and the neighbours in the
-    block with e|s> = beta |up> and f|s> = gamma |down> (None past the ends
-    of the ladder)."""
-    gens = U.gens
-    dec = U.decomposition
-    E, F, H = gens.E, gens.F, gens.H
-    states = []
-    for b in dec.blocks:
-        cols = list(b.cols)
-        for k, col in enumerate(cols):
-            beta = E[cols[k - 1], col] if k > 0 else 0j
-            gamma = F[cols[k + 1], col] if k + 1 < len(cols) else 0j
-            states.append({
-                "index": col,
-                "lam": complex(H[col, col]),
-                "parity": int(dec.parities[col]),
-                "beta": complex(beta),
-                "gamma": complex(gamma),
-                "up": cols[k - 1] if k > 0 else None,
-                "down": cols[k + 1] if k + 1 < len(cols) else None,
-            })
-    states.sort(key=lambda st: st["index"])
-    return states
+def _ladder_generators(U, n):
+    """Delta^n(e), Delta^n(f) on U^(x n) as n Kronecker terms of the block
+    ladders, written without the coproduct of `repspace`.
 
-
-def _coproduct_generators(states, n, q, algebra):
-    """Dense n-fold coproducts (E, F) of e and f on the product basis of
-    states^n, written from the per-state ladder data.
-
-    The raising/lowering entry at slot m carries the exchange prefix of the
-    iterated coproduct: products of q^{lam} (or q^{+-lam/2}) over the other
-    slots, and for the graded algebra the Koszul sign of moving an odd
-    generator past the leading slots."""
-    dU = len(states)
-    E, F = np.zeros((2, dU ** n, dU ** n), dtype=complex)
-    for which, G in (("e", E), ("f", F)):
-        for src, multi in enumerate(itertools.product(range(dU), repeat=n)):
-            for m in range(n):
-                st = states[multi[m]]
-                nxt = st["up"] if which == "e" else st["down"]
-                if nxt is None:
-                    continue
-                pref = complex(1.0)
-                if algebra == OSPQ12:
-                    for p in range(m):
-                        pref *= q ** (states[multi[p]]["lam"] / 2)
-                        pref *= (-1.0) ** states[multi[p]]["parity"]
-                    for p in range(m + 1, n):
-                        pref *= q ** (-states[multi[p]]["lam"] / 2)
-                elif which == "e":
-                    for p in range(m):
-                        pref *= q ** states[multi[p]]["lam"]
-                else:
-                    for p in range(m + 1, n):
-                        pref *= q ** (-states[multi[p]]["lam"])
-                coef = st["beta"] if which == "e" else st["gamma"]
-                G[src + (nxt - multi[m]) * dU ** (n - 1 - m), src] = coef * pref
-    return E, F
+    The term of slot m is kron(1^(x m), g, 1^(x n-m-1)), g the within-block
+    neighbours of U's generators (the superdiagonal of E, the subdiagonal
+    of F, cut at the block boundaries), its columns scaled by the exchange
+    prefix of the iterated coproduct: the kron, in slot order, of per-state
+    factors, q^lam before slot m for e and q^-lam after it for f, or for
+    osp_q(1|2) q^(lam/2) (-1)^parity before and q^(-lam/2) after, for both;
+    lam is the h eigenvalue of a state.  The factors take Python's complex
+    power state by state: numpy's array power can differ from it in the
+    last bit, and the seed-42 pins hold these systems bit for bit."""
+    gens, q, dU = U.gens, U.params.q, U.dim
+    inner = np.ones(dU - 1, dtype=bool)  # state k and k + 1 share a block
+    inner[[b.start - 1 for b in U.decomposition.blocks if b.start]] = False
+    lam = [complex(x) for x in np.diag(gens.H)]
+    power = lambda exps: np.array([q ** x for x in exps])
+    one = np.ones(dU)
+    if U.rep.algebra == OSPQ12:
+        sign = (-1.0) ** np.asarray(gens.parities)
+        before, after = power([x / 2 for x in lam]) * sign, power([-x / 2 for x in lam])
+        prefixes = [(before, after)] * 2
+    else:
+        prefixes = [(power(lam), one), (one, power([-x for x in lam]))]
+    ladders = [np.diag(np.where(inner, np.diag(gens.E, 1), 0), 1),
+               np.diag(np.where(inner, np.diag(gens.F, -1), 0), -1)]
+    out = []
+    for g, (before, after) in zip(ladders, prefixes):
+        terms = [reduce(np.kron, [np.eye(dU ** m), g, np.eye(dU ** (n - m - 1))])
+                 * reduce(np.kron, [before] * m + [one] + [after] * (n - m - 1))
+                 for m in range(n)]
+        out.append(sum(terms))
+    return out
 
 
 def constraint_system(U, n):
     """Centralizer from the structured ladder equations.
 
     The unknowns are grouped by the total weight of the product states (the
-    conservation rule), summed from the keys of `U.site`; the raising and
-    lowering equations take their coefficients from Delta^n(e) and
-    Delta^n(f) written from the per-state ladder data.  Returns
-    (CommutantBasis, SystemEntries of the system)."""
-    states = _block_ladder_data(U)
-    d = desk_dim("commutant space", len(states), n)
+    conservation rule), summed from the keys of `U.site`, and the layout
+    refuses an over-budget system before any generator is written; the
+    raising and lowering equations take their coefficients from Delta^n(e)
+    and Delta^n(f) written as Kronecker terms of the block ladders
+    (`_ladder_generators`).  Returns (CommutantBasis, SystemEntries of the
+    system)."""
+    d = desk_dim("commutant space", U.dim, n)
     layout = _sector_layout(Site.product(*[U.site] * n).sectors, d)
-    E, F = _coproduct_generators(states, n, U.params.q, U.rep.algebra)
-    return _centralizer(layout, E, F)
+    return _centralizer(layout, *_ladder_generators(U, n))
 
 
 def principal_angles(basis_a, basis_b):

@@ -141,12 +141,14 @@ def sandwich(slots, crossings, plain=False):
     return out
 
 
-def compress(sectors, train, dim):
+def compress(sectors, train):
     """The product of the factors of `train`, pairs (op, legs) in order of
-    multiplication, compressed by the `sandwich` `sectors` into a dim x dim
-    array: each sector's rows times the gathered blocks times its columns.
-    An op may be a stack of matrices on its last two axes; the result is
-    stacked like them.  Entries between sectors are exact zeros."""
+    multiplication, compressed by the `sandwich` `sectors` into a square
+    array on the product, whose states the sectors partition: each sector's
+    rows times the gathered blocks times its columns.  An op may be a stack
+    of matrices on its last two axes; the result is stacked like them.
+    Entries between sectors are exact zeros."""
+    dim = sum(place[1].size for place, _, _, _ in sectors)
     flat = [(op.reshape(*op.shape[:-2], op.shape[-2] * op.shape[-1]), pos) for op, pos in train]
     out = np.zeros(np.broadcast_shapes(*[op.shape[:-1] for op, _ in flat]) + (dim, dim),
                    dtype=complex)
@@ -249,10 +251,10 @@ def pair_cells(U):
     desk_dim("fused pair", U.dim, 2)
     # plain placements: the Koszul-signed P14 of an even-dimensional graded
     # irrep (odd pair singlet) breaks the composite triple identity
-    P1, dim = _singlet(U.hecke), U.dim ** 2
+    P1 = _singlet(U.hecke)
     sectors = sandwich([U, U], [(1, 2), (0, 3)], plain=True)
-    return (compress(sectors, [(P1, (1, 2))], dim),
-            compress(sectors, [(P1, (1, 2)), (P1, (0, 3))], dim))
+    return (compress(sectors, [(P1, (1, 2))]),
+            compress(sectors, [(P1, (1, 2)), (P1, (0, 3))]))
 
 
 def descendant_r_closed(U, u):
@@ -272,7 +274,7 @@ def _train(U, pts):
     # R01(u0) R23(u0) R12(u) R01(u-u0) R23(u-u0) R12(u-2u0) R01(u0) R23(u0)
     train = [(R0, (0, 1)), (R0, (2, 3)), (at(pts), (1, 2)), (R1, (0, 1)), (R1, (2, 3)),
              (at(pts - 2 * u0), (1, 2)), (R0, (0, 1)), (R0, (2, 3))]
-    return compress(U.pair_sectors, train, U.dim ** 2)
+    return compress(U.pair_sectors, train)
 
 
 def descendant_r_product(U, us):
@@ -339,4 +341,4 @@ def extended_lax(U, u=0.0):
     desk_dim("extended Lax", rep.dim, n + 1)
     # written from factor n down to factor 1: the auxiliary line crosses factor 1 first
     train = [(fam.noncheck(u + (n - m) * fam.u0), (0, m)) for m in range(n, 0, -1)]
-    return compress(U.lax_sectors, train, rep.dim * U.dim)
+    return compress(U.lax_sectors, train)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ from qybe import (
 from qybe import commutant
 from qybe.commutant import (
     SystemEntries,
-    _block_ladder_data,
-    _coproduct_generators,
+    _ladder_generators,
     _nullspace_from_system,
     _sector_layout,
 )
@@ -284,19 +284,43 @@ def test_commutant_budget_from_sector_layout(r, fits, params_sl):
 @pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
 def test_ladder_generators_match_dense_coproduct(algebra, q, r, n_U, n):
     # what the two routes do not share: constraint_system writes Delta^n(e),
-    # Delta^n(f) from the per-state ladder data and sums the sectors from
-    # the keys of U.site; commutant_nullspace takes both from the dense
-    # iterated coproduct
+    # Delta^n(f) as Kronecker terms of the block ladders and sums the
+    # sectors from the keys of U.site; commutant_nullspace takes both from
+    # the dense iterated coproduct
     p = DeformParams(q=q, algebra=algebra)
     U = composite_space(hecke_family(pair_table(algebra, r, p)), n=n_U)
-    states = _block_ladder_data(U)
     co = nfold_coproduct([U.gens] * n)
-    for ladder, dense in zip(_coproduct_generators(states, n, q, algebra), (co.E, co.F)):
+    for ladder, dense in zip(_ladder_generators(U, n), (co.E, co.F)):
         assert np.abs(ladder - dense).max() <= 1e-12 * np.abs(dense).max()
     ladder = Site.product(*[U.site] * n).sectors
     dense = Site(co.parities, ladder_weights(co)).sectors
     assert list(ladder) == list(dense)
     assert all(np.array_equal(ladder[k], dense[k]) for k in dense)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_ladder_generators_stay_inside_the_blocks(algebra, n):
+    # every nonzero of route 2's Delta^n(e), Delta^n(f) moves exactly one
+    # slot of the product state, to its neighbour one up (e) or one down
+    # (f) in the same block, never across a block boundary.  U8 is V5 + V3
+    # and its generators hold exact zeros between the blocks, so a crossing
+    # entry is planted there for the cut to remove
+    U = composite_space(hecke_family(pair_table(algebra, 3)), n=2)
+    assert [b.r for b in U.decomposition.blocks] == [5, 3]
+    block = np.repeat([0, 1], [5, 3])
+    E, F = U.gens.E.copy(), U.gens.F.copy()
+    E[4, 5] = F[5, 4] = 1.0
+    planted = replace(U, gens=replace(U.gens, E=E, F=F))
+    shape = (U.dim,) * n
+    for G, step in zip(_ladder_generators(planted, n), (-1, 1)):
+        tgt, src = (np.array(np.unravel_index(k, shape)) for k in np.nonzero(G))
+        assert src.shape[1]
+        moved = tgt - src  # slot by entry
+        assert np.all(np.count_nonzero(moved, axis=0) == 1)
+        assert np.all(moved.sum(axis=0) == step)
+        a = src[np.argmax(moved != 0, axis=0), np.arange(src.shape[1])]
+        assert np.array_equal(block[a], block[a + step])
 
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -325,7 +349,7 @@ def test_constraint_system_refuses_before_writing_generators(params_sl, monkeypa
     def written(*args):
         raise AssertionError("generators written for a refused request")
 
-    monkeypatch.setattr(commutant, "_coproduct_generators", written)
+    monkeypatch.setattr(commutant, "_ladder_generators", written)
     with pytest.raises(QybeError, match="budget"):
         constraint_system(U, 2)
 
