@@ -196,8 +196,7 @@ def _centralizer(layout, E, F):
     row-major vectorization that is kron(A, 1) on the unknowns of C_k and
     -kron(1, A^T) on those of C_{k+step}, written entry by entry from the
     nonzero A[i, a]: row i m1 + j meets column a m1 + j of C_k with A[i, a]
-    and column i m2 + b of C_{k+step} with -A[b, j].  Returns
-    (CommutantBasis, SystemEntries)."""
+    and column i m2 + b of C_{k+step} with -A[b, j]."""
     total, flat, n_rows, blocks = layout
     row, col = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     val = [np.zeros(0, dtype=complex)]
@@ -213,10 +212,9 @@ def _centralizer(layout, E, F):
         col += [((off1 + a * m1)[:, None] + j1).ravel(),
                 (off2 + i2 * m2 + i[:, None]).ravel()]
         val += [np.repeat(v, m1), np.repeat(-v, m2)]
-    system = SystemEntries(np.concatenate(row), np.concatenate(col),
-                           np.concatenate(val), (n_rows, total))
-    null, gap = _nullspace_from_system(system)
-    return CommutantBasis(null, flat, rank_gap=gap), system
+    null, gap = _nullspace_from_system(SystemEntries(
+        np.concatenate(row), np.concatenate(col), np.concatenate(val), (n_rows, total)))
+    return CommutantBasis(null, flat, rank_gap=gap)
 
 
 def commutant_nullspace(U, n):
@@ -229,7 +227,7 @@ def commutant_nullspace(U, n):
     _refuse_over_budget(Site.product(*[U.site] * n).sectors)
     co = nfold_coproduct([gens] * n)
     layout = _sector_layout(Site(co.parities, ladder_weights(co)).sectors, d)
-    return _centralizer(layout, co.E, co.F)[0]
+    return _centralizer(layout, co.E, co.F)
 
 
 def _ladder_generators(U, n):
@@ -276,8 +274,7 @@ def constraint_system(U, n):
     refuses an over-budget system before any generator is written; the
     raising and lowering equations take their coefficients from Delta^n(e)
     and Delta^n(f) written as Kronecker terms of the block ladders
-    (`_ladder_generators`).  Returns (CommutantBasis, SystemEntries of the
-    system)."""
+    (`_ladder_generators`)."""
     d = desk_dim("commutant space", U.dim, n)
     layout = _sector_layout(Site.product(*[U.site] * n).sectors, d)
     return _centralizer(layout, *_ladder_generators(U, n))

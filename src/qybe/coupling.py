@@ -1,10 +1,11 @@
 """Tensor-product decomposition: highest-weight coupling, coefficient tables,
 invariant projectors and the scalar controlling the baxterized family.
 
-Coupled bases are built per block by solving for the highest-weight vector in
-the top weight subspace and lowering with the standard gamma coefficients of
-the target ladder (no irrep is built per block), so every block carries
-textbook generator matrix elements.
+Coupled bases are built per block by solving for the highest-weight vectors
+in each weight sector, of the whole space or of a subspace given sector by
+sector, and lowering with the standard gamma coefficients of the target
+ladder (no irrep is built per block), so every block carries textbook
+generator matrix elements; each coupled state takes its sector's parity.
 Dual coefficients come from the exact matrix inverse of the basis, which makes
 the biorthogonality relation hold to machine precision by construction; each
 highest-weight vector is normalized in the propagated invariant metric.
@@ -116,33 +117,32 @@ def check_sectors(M, sectors):
                         f"sectors (bound {bound.flat[worst]:.1e})")
 
 
-def _hw_vectors(e_mat, states, within=None):
-    """Vectors on the states of one weight sector annihilated by e, inside an
-    optional restriction span.  Columns returned in the ambient space.
-
-    The columns of a restriction span must be weight-pure (exact zeros off
-    one weight, as `decompose` requires); only those on `states` enter, so
+def _hw_vectors(e_mat, states, piece):
+    """Vectors on the states of one weight sector annihilated by e, inside
+    the span of the columns of `piece`, given on those states only.
+    Columns returned in the ambient space, exact zeros off the sector, so
     the vectors, the states lowered from them and the dual rows solved for
     them are exactly graded by weight."""
-    if within is None:
-        sub = np.zeros((e_mat.shape[0], states.size), dtype=complex)
-        sub[states, np.arange(states.size)] = 1.0
-    else:
-        sub = within[:, np.any(within[states] != 0, axis=0)]
+    # column-major: the rounding of sub @ vh, and through the gauge the
+    # composite basis and its seed-42 pins, follows the array layout
+    sub = np.zeros((e_mat.shape[0], piece.shape[1]), dtype=complex, order="F")
+    sub[states] = piece
     if not sub.shape[1]:
-        return np.zeros((e_mat.shape[0], 0), dtype=complex)
+        return sub
     _, s, vh = np.linalg.svd(e_mat @ sub, full_matrices=False)
     rank = int(np.sum(s > 1e-9 * max(1.0, s.max())))
     return sub @ vh[rank:].conj().T
 
 
 def decompose(R, within=None):
-    """Block-decompose the space of a rep (optionally restricted to
-    the span of the columns of `within`, each of which must lie in one weight
-    sector of `R.site`) into irreducible ladders, with R's parameters.
+    """Block-decompose the space of a rep (optionally restricted to the
+    subspace `within`: per key of `R.site.sectors`, columns on that
+    sector's states) into irreducible ladders, with R's parameters.
 
     The keys of `R.site` are scanned from the top down to 0: a highest
-    weight of key k heads k + 1 states.  Multiplicity spaces are
+    weight of key k heads k + 1 states, the one k' levels down of the
+    parity of key k - 2k' (every rep here has one parity per weight).
+    Multiplicity spaces are
     orthogonalized with modified Gram-Schmidt in the invariant bilinear
     metric, so the gauge inside a multiplicity space follows the kernel
     basis it is given: the same span from other round-off in the kernel
@@ -155,14 +155,10 @@ def decompose(R, within=None):
     if mres > 1e-6:
         raise QybeError(f"invariant metric propagation inconsistent (residual {mres:.2e})")
     sectors = R.site.sectors
-    if within is not None:
-        hits = sum(np.any(within[s] != 0, axis=0).astype(int) for s in sectors.values())
-        if np.any(hits != 1):
-            raise QybeError("a column of the restriction span is not in one weight sector")
-    flatpar = np.asarray(R.parities)
+    pieces = within if within is not None else {k: np.eye(s.size) for k, s in sectors.items()}
     blocks, cols, pars_out = [], [], []
-    for key in range(max(sectors), -1, -1):
-        hw = _hw_vectors(R.E, sectors.get(key, np.zeros(0, dtype=int)), within=within)
+    for key in sorted((k for k in pieces if k >= 0), reverse=True):
+        hw = _hw_vectors(R.E, sectors[key], pieces[key])
         if hw.shape[1]:
             kept = []
             for c in range(hw.shape[1]):
@@ -185,11 +181,8 @@ def decompose(R, within=None):
                 ladder = [v]
                 for k in range(r0 - 1):
                     ladder.append(R.F @ ladder[-1] / gamma[k])
-                for state in ladder:
-                    cols.append(state)
-                    supp = np.abs(state) > 1e-9 * max(1.0, np.abs(state).max())
-                    ps = set(flatpar[supp].tolist())
-                    pars_out.append(ps.pop() if len(ps) == 1 else 0)
+                cols += ladder
+                pars_out += [R.parities[sectors[key - 2 * k][0]] for k in range(r0)]
                 blocks.append(Block(r=r0, start=start, hw_weight=key / 2))
     basis = np.array(cols).T if cols else np.zeros((R.dim, 0), dtype=complex)
     if within is None:

@@ -5,11 +5,10 @@ Lax operators on V^r (x) U^{R_n}.
 Truncated spaces are realized concretely: U^{R_n} inside (V^r)^(x n) is the
 intersection of the kernels of all adjacent singlet projectors, which the
 step-by-step truncation cascade generates.  Every singlet projector
-conserves the weight, so the kernel is found one weight sector of
-(V^r)^(x n) at a time, with one thin SVD of the sector's rows of the
-stacked projectors; its columns are weight-pure, and the highest-weight
-search of `decompose` reads, at each weight, only the columns at that
-weight.
+conserves the weight, so the kernel is found and held one weight sector of
+(V^r)^(x n) at a time: one thin SVD of the sector's rows of the stacked
+projectors gives its null columns on the sector's states, and `decompose`
+takes them sector by sector.
 
 The closed descendant coefficients are evaluated as pole-free rationals in
 x = exp(2a(u-u0)), each with its factor (x - 1) explicit, so the fused
@@ -66,18 +65,28 @@ class CompositeSpace:
     hecke is the baxterized family on V^r (x) V^r whose degenerate point
     cuts the space out, and rep the irrep V^r of its coupling table; the
     fused, Lax and chain builders take the space and read both from it.
-    embed columns are the coupled block states (an isometry in the invariant
-    metric); project is the left inverse that annihilates the invariant
-    complement, so operators compress multiplicatively (`sandwich`).
+    embed, the decomposition's basis, holds the coupled block states (an
+    isometry in the invariant metric); project, its dual, is the left inverse
+    that annihilates the invariant complement, so operators compress
+    multiplicatively (`sandwich`).
     """
 
     hecke: SpectralRMatrix
     n: int
-    dim: int
     decomposition: Decomposition
-    embed: np.ndarray
-    project: np.ndarray
     gens: Rep
+
+    @property
+    def dim(self):
+        return self.decomposition.dim
+
+    @property
+    def embed(self):
+        return self.decomposition.basis
+
+    @property
+    def project(self):
+        return self.decomposition.dual
 
     @property
     def rep(self):
@@ -168,27 +177,24 @@ def _singlet(fam):
 
 def adjacent_singlet_kernel(fam, n):
     """Orthonormal basis of the joint kernel of all adjacent-pair singlet
-    projectors on (V^r)^(x n), fam the Hecke family on V^r (x) V^r.
+    projectors on (V^r)^(x n), fam the Hecke family on V^r (x) V^r, by
+    weight sector: a dict from each key of `Site.product(*[fam.site] * n)`
+    to the sector's null columns on its own states.
 
     Every projector conserves the weight, so the kernel is found one weight
-    sector of (V^r)^(x n) at a time: one thin SVD of the sector's rows of
-    the stacked projectors, gathered by `repspace.block_index`.  Each
-    column is weight-pure (exact zeros off its sector); the columns come
-    sector by sector in increasing weight."""
+    sector at a time: one thin SVD of the sector's rows of the stacked
+    projectors, gathered by `repspace.block_index`."""
     P1 = _singlet(fam)
     site = fam.site
     check_sectors(P1, product_sectors(site, site))
     gathers = [block_index((k, k + 1), [site.parities] * n) for k in range(n - 1)]
     P1 = P1.ravel()
-    columns = []
-    for s in product_sectors(*[site] * n):
+    out = {}
+    for key, s in Site.product(*[site] * n).sectors.items():
         rows = np.vstack([sign * P1[index] for index, sign in (g(s) for g in gathers)])
         _, sv, vh = np.linalg.svd(rows, full_matrices=False)
-        null = vh[int(np.sum(sv > 1e-10 * max(1.0, sv.max()))):].conj().T
-        block = np.zeros((site.dim ** n, null.shape[1]), dtype=complex)
-        block[s] = null
-        columns.append(block)
-    return np.hstack(columns)
+        out[key] = vh[int(np.sum(sv > 1e-10 * max(1.0, sv.max()))):].conj().T
+    return out
 
 
 def composite_space(fam, n):
@@ -205,18 +211,15 @@ def composite_space(fam, n):
         dec = decompose(rep)
     else:
         within = adjacent_singlet_kernel(fam, n)
-        if within.shape[1] != want:
-            raise QybeError(
-                f"truncated-space rank {within.shape[1]} != recurrence value {want}"
-            )
+        rank = sum(piece.shape[1] for piece in within.values())
+        if rank != want:
+            raise QybeError(f"truncated-space rank {rank} != recurrence value {want}")
         dec = decompose(co, within=within)
     E, D = dec.basis, dec.dual
     if E.shape[1] != want:
         raise QybeError(f"block basis rank {E.shape[1]} != recurrence value {want}")
     gens = Rep(D @ co.E @ E, D @ co.F @ E, D @ co.H @ E, dec.site, rep.params)
-    return CompositeSpace(
-        hecke=fam, n=n, dim=want, decomposition=dec, embed=E, project=D, gens=gens,
-    )
+    return CompositeSpace(hecke=fam, n=n, decomposition=dec, gens=gens)
 
 
 def _require_pair(U):

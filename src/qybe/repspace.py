@@ -357,9 +357,7 @@ def verify_algebra(rep):
         out["[h,e]-e"] = np.abs(H @ E - E @ H - E).max()
         out["[h,f]+f"] = np.abs(H @ F - F @ H + F).max()
     else:
-        out["[e,f]-[h]"] = np.abs(
-            E @ F - F @ E - (diag_power(q, H) - diag_power(q, -H)) / (q - 1.0 / q)
-        ).max()
+        out["[e,f]-[h]"] = np.abs(E @ F - F @ E - _qnum_diag(H, q)).max()
         out["e qh-shift"] = np.abs(E @ diag_power(q, H + 2 * np.eye(rep.dim)) - diag_power(q, H) @ E).max()
         out["f qh-shift"] = np.abs(F @ diag_power(q, H) - diag_power(q, H + 2 * np.eye(rep.dim)) @ F).max()
     c = casimir_matrix(rep)

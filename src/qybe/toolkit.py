@@ -358,7 +358,7 @@ class Context:
     def commutant(self, r, n):
         """Centralizer bases of U^(x n) by both routes, U the pair space of r."""
         return self._once(("commutant", r, n), lambda U: (
-            cz.commutant_nullspace(U, n), cz.constraint_system(U, n)[0]), self.composite(r, 2))
+            cz.commutant_nullspace(U, n), cz.constraint_system(U, n)), self.composite(r, 2))
 
     def check(self, name, **inputs):
         """Run the check `name` of CHECKS at these inputs into the report."""

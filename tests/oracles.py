@@ -215,11 +215,25 @@ def f_product(chi, a, n, u):
     return out
 
 
+def dense_kernel(fam, n):
+    """`adjacent_singlet_kernel` as dense columns on (V^r)^(x n): each weight
+    sector's null columns placed on its states, sector by sector in
+    increasing weight, exact zeros elsewhere."""
+    pieces = adjacent_singlet_kernel(fam, n)
+    sectors = Site.product(*[fam.site] * n).sectors
+    out = np.zeros((fam.dim ** n, sum(p.shape[1] for p in pieces.values())), dtype=complex)
+    j = 0
+    for key, piece in pieces.items():
+        out[sectors[key], j:j + piece.shape[1]] = piece
+        j += piece.shape[1]
+    return out
+
+
 def lax_lower_projector(U):
     """Invariant projector onto the U^{R_{n-1}} component of V^r (x) U^{R_n},
     complementary (in the invariant metric) to the embedded U^{R_{n+1}}."""
     rep, n = U.rep, U.n
-    Tn1 = adjacent_singlet_kernel(U.hecke, n + 1)  # U^{R_{n+1}} in the ambient
+    Tn1 = dense_kernel(U.hecke, n + 1)  # U^{R_{n+1}} in the ambient
     if Tn1.shape[1] != dims_recurrence(rep.dim, n + 1):
         raise QybeError("upper component rank mismatch")
     Efull = np.kron(np.eye(rep.dim), U.embed)

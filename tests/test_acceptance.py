@@ -200,7 +200,7 @@ def test_criterion_07_composite_pair_structure():
     ok = mult == {1: 2, 3: 4, 5: 4, 7: 3, 9: 1}
     report(7, "composite pair multiplicities (2,4,4,3,1)", 0.0 if ok else 1.0, 0.5)
     nb = commutant_nullspace(U, 2)
-    cb, _ = constraint_system(U, 2)
+    cb = constraint_system(U, 2)
     ok_dim = nb.dim == 46 and cb.dim == 46
     report(7, "centralizer dimension 46 from both routes",
            0.0 if ok_dim else 1.0, 0.5)

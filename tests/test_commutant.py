@@ -50,7 +50,7 @@ def test_commutant_single_copy_dims(params_sl):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 1)
     assert nb.dim == 2  # blocks 3 and 5, multiplicity one each
-    cb, _ = constraint_system(U, 1)
+    cb = constraint_system(U, 1)
     assert cb.dim == 2
 
 
@@ -61,7 +61,7 @@ def test_commutant_u8_dimension_46(algebra):
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
     assert nb.dim == 46  # 2^2 + 4^2 + 4^2 + 3^2 + 1^2
-    cb, _ = constraint_system(U, 2)
+    cb = constraint_system(U, 2)
     assert cb.dim == 46
     assert float(np.max(principal_angles(nb, cb))) < 1e-8
     # each basis is held on the 646 sector unknowns, not on the 4096
@@ -83,14 +83,18 @@ def test_commutant_dim_matches_multiplicities(params_sl):
     assert nb.dim == sum(m * m for m in mult.values())
 
 
-def test_constraint_system_matches_nullspace_v2(params_sl):
+def test_constraint_system_matches_nullspace_v2(params_sl, monkeypatch):
     rep = build_irrep(2, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=1)
     nb = commutant_nullspace(U, 2)
-    cb, system = constraint_system(U, 2)
+    systems = []
+    solve = commutant._nullspace_from_system
+    monkeypatch.setattr(commutant, "_nullspace_from_system",
+                        lambda system: systems.append(system) or solve(system))
+    cb = constraint_system(U, 2)
     assert nb.dim == cb.dim == 2
     assert float(np.max(principal_angles(nb, cb))) < 1e-10
-    assert system.shape[1] == 6  # weight sectors 1 + 4 + 1 coefficients
+    assert [system.shape[1] for system in systems] == [6]  # weight sectors 1 + 4 + 1
 
 
 def test_weight_conservation_is_built_in(params_sl):
@@ -113,7 +117,7 @@ def test_descendant_samples_are_members(params_sl, rng):
     rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     nb = commutant_nullspace(U, 2)
-    cb, _ = constraint_system(U, 2)
+    cb = constraint_system(U, 2)
     fam = descendant_family(U)
     for u in sample_points(rng, 3, guards=fam.guards, min_dist=0.1):
         for basis in (nb, cb):
@@ -243,7 +247,7 @@ def test_commutant_routes_agree_at_generic_q(algebra, q):
     p = DeformParams(q=q, algebra=algebra)
     U = composite_space(hecke_family(pair_table(algebra, 3, p)), n=2)
     nb = commutant_nullspace(U, 2)
-    cb, _ = constraint_system(U, 2)
+    cb = constraint_system(U, 2)
     assert nb.dim == cb.dim == 46
     assert float(np.max(principal_angles(nb, cb))) < 1e-8
     # the angles on the coefficient rows are those of the dense views
@@ -257,7 +261,7 @@ def test_principal_angles_refuse_bases_on_different_layouts(params_sl):
     # compared on whatever rows they happen to share
     U = composite_space(hecke_family(pair_table(SLQ2, 2, params_sl)), n=2)
     nb = commutant_nullspace(U, 2)
-    cb, _ = constraint_system(U, 2)
+    cb = constraint_system(U, 2)
     with pytest.raises(QybeError, match="different sector layouts"):
         principal_angles(commutant_nullspace(U, 1), nb)
     moved = commutant.CommutantBasis(cb.coeffs, cb.flat[::-1].copy())
@@ -333,7 +337,7 @@ def test_basis_commutes_with_dense_generators(algebra, q, r, n):
     p = DeformParams(q=q, algebra=algebra)
     U = composite_space(hecke_family(pair_table(algebra, r, p)), n=2)
     co = nfold_coproduct([U.gens] * n)
-    for basis in (commutant_nullspace(U, n), constraint_system(U, n)[0]):
+    for basis in (commutant_nullspace(U, n), constraint_system(U, n)):
         assert basis.dim > 0
         for C in dense_basis(basis, U.dim ** n).T.reshape(basis.dim, U.dim ** n, U.dim ** n):
             for X in (co.E, co.F, co.H):
@@ -389,19 +393,16 @@ def test_entry_system_matches_kron_assembly(algebra, r, n, monkeypatch):
     # each route's system, written entry by entry, is the Kronecker
     # assembly of its own generators and layout, entry for entry
     U = composite_space(hecke_family(pair_table(algebra, r)), n=2)
-    seen = []
-    centralizer = commutant._centralizer
-
-    def recording(layout, E, F, *args):
-        out = centralizer(layout, E, F, *args)
-        seen.append((layout, E, F, out[1]))
-        return out
-
-    monkeypatch.setattr(commutant, "_centralizer", recording)
+    inputs, systems = [], []
+    centralizer, solve = commutant._centralizer, commutant._nullspace_from_system
+    monkeypatch.setattr(commutant, "_centralizer",
+                        lambda *args: inputs.append(args) or centralizer(*args))
+    monkeypatch.setattr(commutant, "_nullspace_from_system",
+                        lambda system: systems.append(system) or solve(system))
     commutant_nullspace(U, n)
-    _, returned = constraint_system(U, n)
-    assert len(seen) == 2 and seen[1][3] is returned
-    for layout, E, F, system in seen:
+    constraint_system(U, n)
+    assert len(inputs) == len(systems) == 2
+    for (layout, E, F), system in zip(inputs, systems):
         expect = _kron_system(layout, E, F)
         assert system.shape == expect.shape
         assert len(set(zip(system.row.tolist(), system.col.tolist()))) == system.row.size
@@ -461,6 +462,6 @@ def test_principal_angles_peak_memory_u8():
     # the two 46-dimensional bases of U8 (x) U8 hold 646 x 46 coefficients
     # each; their dense views would be 4096 x 46 each (3 MB)
     U = composite_space(hecke_family(pair_table(SLQ2, 3)), n=2)
-    nb, cb = commutant_nullspace(U, 2), constraint_system(U, 2)[0]
+    nb, cb = commutant_nullspace(U, 2), constraint_system(U, 2)
     assert nb.dim == cb.dim == 46
     assert _traced_peak(principal_angles, nb, cb) < 4 * 2 ** 20

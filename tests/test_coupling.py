@@ -9,13 +9,16 @@ from qybe import (
     casimir_projector,
     cgc_table,
     chi_factor,
+    composite_space,
+    hecke_family,
     projector,
     q_number,
     q_sub_bracket,
     qr_shift,
     tensor_decompose,
 )
-from qybe.repspace import coproduct_pair, embed_at
+from qybe.coupling import decompose
+from qybe.repspace import Site, coproduct_pair, embed_at, nfold_coproduct
 from conftest import params_for, pair_table
 from oracles import coupled_basis, metric_norms
 
@@ -62,6 +65,33 @@ def test_dual_proportionality_and_unit_norms(algebra, r1, r2):
         pred = eps[c] * md * dec.basis[:, c]
         assert np.abs(pred - dec.dual[c, :]).max() < 1e-10
         assert abs(abs(eps[c]) - 1) < 1e-10
+
+
+def _parity_mismatches(dec, parities):
+    """Count of the nonzero basis entries on a state of another parity than
+    the one `dec.parities` gives their column."""
+    rows, cols = np.nonzero(dec.basis)
+    return int(np.sum(np.asarray(parities)[rows] != dec.parities[cols]))
+
+
+@pytest.mark.parametrize("algebra", [SLQ2, OSPQ12])
+def test_decomposition_parities_match_the_support(algebra):
+    # decompose reads each coupled state's parity from its weight sector;
+    # every basis entry must sit on a state of that parity
+    p = params_for(algebra)
+    reps = [build_irrep(r, p) for r in range(1, 6)]
+    for rep1 in reps:
+        for rep2 in reps:
+            dec = cgc_table(rep1, rep2).decomposition
+            assert _parity_mismatches(dec, coproduct_pair(rep1, rep2).parities) == 0
+    for r, n in ((3, 3), (4, 3), (3, 4)):
+        U = composite_space(hecke_family(cgc_table(reps[r - 1], reps[r - 1])), n)
+        assert _parity_mismatches(U.decomposition, Site.product(*[U.rep.site] * n).parities) == 0
+    U8 = composite_space(hecke_family(cgc_table(reps[2], reps[2])), 2)
+    co = nfold_coproduct([U8.gens] * 2)
+    dec = decompose(co)
+    assert set(dec.parities) == ({0, 1} if algebra == OSPQ12 else {0})
+    assert _parity_mismatches(dec, co.parities) == 0
 
 
 def test_osp_eps_pattern_alternates(params_osp):

@@ -7,7 +7,6 @@ from qybe import (
     DeformParams,
     OSPQ12,
     PoleError,
-    QybeError,
     SLQ2,
     build_irrep,
     cgc_table,
@@ -22,7 +21,7 @@ from qybe import (
     u0_point,
     ybe_residual,
 )
-from qybe.coupling import decompose, product_sectors
+from qybe.coupling import decompose
 from qybe.fusion import adjacent_singlet_kernel, descendant_coefficients
 from qybe.repspace import Site, coproduct_pair, embed_at, nfold_coproduct
 from qybe.qarith import fits_desk
@@ -32,6 +31,7 @@ from oracles import (
     _four_site_ops,
     block_multiplicities,
     composite_states,
+    dense_kernel,
     descendant_c1_terms,
     extended_lax_closed,
     f_product,
@@ -130,7 +130,7 @@ def test_cascade_image_is_truncated_space(params_sl):
         G = truncation_cascade(fam, n)
         want = dims_recurrence(3, n)
         assert np.linalg.matrix_rank(G, tol=1e-8 * np.abs(G).max()) == want
-        ker = adjacent_singlet_kernel(fam, n)
+        ker = dense_kernel(fam, n)
         resid = np.abs(G - ker @ (ker.conj().T @ G)).max()
         assert resid < 1e-9 * max(1.0, np.abs(G).max())
 
@@ -162,45 +162,32 @@ def test_sector_kernel_spans_the_stacked_kernel(algebra, r, n):
     # part in that sector: the same subspace, whatever the basis inside it
     fam = hecke_family(pair_table(algebra, r))
     ker, oracle = adjacent_singlet_kernel(fam, n), _stacked_kernel(fam, n)
-    assert ker.shape == oracle.shape == (r ** n, dims_recurrence(r, n))
-    assert np.allclose(ker.conj().T @ ker, np.eye(ker.shape[1]), atol=1e-12)
-    for s in product_sectors(*[fam.site] * n):
-        cols = np.any(ker[s] != 0, axis=0)
-        mine, theirs = _span_projector(ker[np.ix_(s, cols)]), _span_projector(oracle[s])
+    assert oracle.shape == (r ** n, dims_recurrence(r, n))
+    assert sum(piece.shape[1] for piece in ker.values()) == oracle.shape[1]
+    for key, s in Site.product(*[fam.site] * n).sectors.items():
+        piece = ker[key]
+        assert np.allclose(piece.conj().T @ piece, np.eye(piece.shape[1]), atol=1e-12)
+        mine, theirs = _span_projector(piece), _span_projector(oracle[s])
         assert np.abs(mine - theirs).max() < 1e-10
 
 
 @pytest.mark.parametrize("algebra,r,n", _KERNEL_CASES)
 def test_sector_kernel_columns_are_weight_pure(algebra, r, n):
-    # every kernel column has exact zeros off one weight sector, and so do
-    # the composite space's embed and project between weights
+    # the kernel is held on the states of each weight sector, every sector
+    # keyed, and the composite space's embed and project are exact zeros
+    # between weights
     fam = hecke_family(pair_table(algebra, r))
-    ker = adjacent_singlet_kernel(fam, n)
-    hits = sum(np.any(ker[s] != 0, axis=0).astype(int)
-               for s in product_sectors(*[fam.site] * n))
-    assert (hits == 1).all()
+    ker, ambient = adjacent_singlet_kernel(fam, n), Site.product(*[fam.site] * n)
+    assert list(ker) == list(ambient.sectors)
+    assert all(ker[key].shape[0] == s.size for key, s in ambient.sectors.items())
     U = composite_space(fam, n)
-    off = _off_sector(Site.product(*[fam.site] * n), U.site)
+    off = _off_sector(ambient, U.site)
     assert not U.embed[off].any()
     assert not U.project.T[off].any()
 
 
-def test_decompose_refuses_a_span_across_weights():
-    # a restriction span whose column mixes two weights is refused: the
-    # highest-weight search reads each column at one weight only
-    fam = hecke_family(pair_table(SLQ2, 2))
-    co = nfold_coproduct([fam.table.rep1] * 3)
-    ker = adjacent_singlet_kernel(fam, 3)
-    mixed = ker.copy()
-    mixed[:, 0] += ker[:, -1]
-    with pytest.raises(QybeError, match="not in one weight sector"):
-        decompose(co, within=mixed)
-
-
 def test_u8_pair_multiplicities(params_sl):
     # (V3 + V5) x (V3 + V5) decomposes with multiplicities 2,4,4,3,1
-    from qybe.coupling import decompose
-
     rep = build_irrep(3, params_sl)
     U = composite_space(hecke_family(cgc_table(rep, rep)), n=2)
     dec = decompose(nfold_coproduct([U.gens] * 2))
